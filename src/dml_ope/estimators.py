@@ -19,7 +19,6 @@ from .mdp import (
     LoggedDataset,
     Policy,
     TabularMdp,
-    Trajectory,
     ValidationError,
     enumerate_dataset,
     exact_policy_value,
@@ -140,12 +139,6 @@ def _weight_matrix(
     return rho
 
 
-def importance_weights(traj: Trajectory, eval_policy: Policy, behavior: Policy) -> np.ndarray:
-    """(rho_0, ..., rho_T) for one trajectory; the rho_{-1} = 1 convention is the caller's."""
-    data = LoggedDataset.from_trajectories([traj])
-    return _weight_matrix(data, eval_policy, behavior)[0]
-
-
 def _psi_scores(
     data: LoggedDataset,
     eta: NuisanceEstimate,
@@ -179,18 +172,6 @@ def _psi_ipw_scores(
     rho = _weight_matrix(data, eval_policy, behavior, options)
     disc = discount ** np.arange(data.horizon + 1)
     return (rho * data.rewards * disc).sum(axis=1)
-
-
-def psi(traj: Trajectory, eta: NuisanceEstimate, eval_policy: Policy, discount: float) -> float:
-    """Doubly robust score of one trajectory under the candidate nuisance tuple."""
-    data = LoggedDataset.from_trajectories([traj])
-    return float(_psi_scores(data, eta, eval_policy, discount)[0])
-
-
-def psi_ipw(traj: Trajectory, behavior: Policy, eval_policy: Policy, discount: float) -> float:
-    """Importance-weighted discounted return of one trajectory."""
-    data = LoggedDataset.from_trajectories([traj])
-    return float(_psi_ipw_scores(data, behavior, eval_policy, discount)[0])
 
 
 def dm_estimate(

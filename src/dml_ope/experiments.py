@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +30,6 @@ from .mdp import (
     LoggedDataset,
     Policy,
     TabularMdp,
-    Trajectory,
     ValidationError,
     exact_policy_value,
     mdp_from_dict,
@@ -38,6 +38,9 @@ from .mdp import (
 from .nuisance import NuisanceConfig, fit_nuisance
 
 _ESTIMATOR_NAMES = tuple(e.value for e in Estimator)
+_INT64_MAX = np.iinfo(np.int64).max
+_WRITE_BLOCK_ROWS = 4096
+_STEP_KEYS = {"s", "a", "r"}
 
 
 # ---------------------------------------------------------------------------
@@ -59,30 +62,96 @@ def load_policy(path: str | Path) -> Policy:
         return policy_from_dict(json.load(fh))
 
 
+def _json_cells(column: np.ndarray) -> list[str]:
+    """The JSON text of each entry, exactly as json.dumps writes it in a list."""
+    return json.dumps(column.ravel().tolist())[1:-1].split(", ")
+
+
 def write_jsonl(data: LoggedDataset, path: str | Path) -> None:
-    """Emit one {"steps": [{"s", "a", "r", "p"}, ...]} object per trajectory."""
+    """Emit one {"steps": [{"s", "a", "r", "p"}, ...]} object per trajectory.
+
+    Each field of a block of rows is encoded by one json.dumps call and split
+    into per-step cells, so the bytes equal json.dumps of every line's object;
+    ``p`` is null when the dataset carries no propensities. Encoding by block
+    keeps the per-step strings of only one block in memory.
+    """
+    width = data.horizon + 1
     with open(path, "w") as fh:
-        for i in range(data.n):
-            traj = data.trajectory(i)
-            steps = [
-                {"s": s, "a": a, "r": r, "p": p}
-                for s, a, r, p in traj.steps
-            ]
-            fh.write(json.dumps({"steps": steps}) + "\n")
+        for start in range(0, data.n, _WRITE_BLOCK_ROWS):
+            rows = slice(start, start + _WRITE_BLOCK_ROWS)
+            cells = [_json_cells(col[rows]) for col in (data.states, data.actions, data.rewards)]
+            cells.append(
+                _json_cells(data.propensities[rows]) if data.propensities is not None
+                else ["null"] * len(cells[0])
+            )
+            steps = list(map('{{"s": {}, "a": {}, "r": {}, "p": {}}}'.format, *cells))
+            fh.writelines(
+                '{"steps": [' + ", ".join(steps[i:i + width]) + "]}\n"
+                for i in range(0, len(steps), width)
+            )
 
 
-def _build_label_map(raw_labels: set, provided: dict | None, kind: str) -> dict:
+def _first(values: list, bad) -> int:
+    return next(k for k, x in enumerate(values) if bad(x))
+
+
+def _label_ids(labels: list, provided: dict | None, field: str, kind: str, where) -> np.ndarray:
+    """Map one label column to integer ids.
+
+    JSON integers are their own ids and strings map to dense ids in sorted
+    order, unless ``provided`` maps the labels. Booleans, other numbers and a
+    column mixing integers with strings are rejected.
+    """
+    types = set(map(type, labels))
+    if not types <= {int, str}:
+        k = _first(labels, lambda x: type(x) not in (int, str))
+        raise ValidationError(
+            f"{where(k)}: '{field}' must be an integer or string {kind} label, "
+            f"got {json.dumps(labels[k])}"
+        )
     if provided is not None:
-        missing = raw_labels - set(provided)
-        if missing:
-            raise ValidationError(f"{kind} label map is missing {sorted(missing, key=str)}")
-        return provided
-    if all(isinstance(x, int) for x in raw_labels):
-        if any(x < 0 for x in raw_labels):
-            raise ValidationError(f"negative integer {kind} label")
-        return {x: x for x in raw_labels}
-    # String labels map to dense ids in sorted order for determinism.
-    return {label: i for i, label in enumerate(sorted(str(x) for x in raw_labels))}
+        if not set(labels) <= provided.keys():
+            k = _first(labels, lambda x: x not in provided)
+            raise ValidationError(
+                f"{where(k)}: '{field}': {kind} label map is missing {json.dumps(labels[k])}"
+            )
+        return np.array(list(map(provided.__getitem__, labels)), dtype=np.int64)
+    if len(types) > 1:
+        k = _first(labels, lambda x: type(x) is not type(labels[0]))
+        raise ValidationError(f"{where(k)}: '{field}' mixes integer and string {kind} labels")
+    if types == {int}:
+        if min(labels) < 0 or max(labels) > _INT64_MAX:
+            k = _first(labels, lambda x: not 0 <= x <= _INT64_MAX)
+            raise ValidationError(
+                f"{where(k)}: '{field}' integer {kind} label {labels[k]} is negative or too large"
+            )
+        return np.array(labels, dtype=np.int64)
+    lookup = {label: i for i, label in enumerate(sorted(set(labels)))}
+    return np.array(list(map(lookup.__getitem__, labels)), dtype=np.int64)
+
+
+def _number_column(values: list, field: str, where, valid, rule: str,
+                   nullable: bool = False) -> np.ndarray:
+    """One step field as floats: every entry must be a JSON number passing
+    ``valid``, or null if ``nullable`` (null reads as NaN and is not checked)."""
+    allowed = (int, float, type(None)) if nullable else (int, float)
+    if not set(map(type, values)) <= set(allowed):
+        k = _first(values, lambda x: type(x) not in allowed)
+        raise ValidationError(
+            f"{where(k)}: '{field}' must be a number, got {json.dumps(values[k])}"
+        )
+    try:
+        column = np.array(values, dtype=float)
+    except OverflowError:
+        k = _first(values, lambda x: type(x) is int and abs(x) > sys.float_info.max)
+        raise ValidationError(f"{where(k)}: '{field}' is beyond the float range") from None
+    bad = np.flatnonzero(~valid(column)).tolist()
+    if nullable and None in values:
+        bad = [k for k in bad if values[k] is not None]
+    if bad:
+        k = bad[0]
+        raise ValidationError(f"{where(k)}: '{field}' {rule}, got {json.dumps(values[k])}")
+    return column
 
 
 def ingest_jsonl(
@@ -92,12 +161,14 @@ def ingest_jsonl(
 ) -> LoggedDataset:
     """Read a trajectory-per-line JSONL file into a LoggedDataset.
 
-    String state/action labels are mapped through the provided maps, or through
-    maps inferred in sorted label order. Horizons must be uniform; propensities
-    are kept only if every step of every trajectory carries one.
+    Steps are gathered into flat per-field lists, checked column by column and
+    reshaped to (N, T+1) once. String state/action labels are mapped through
+    the provided maps, or through maps inferred in sorted label order. Horizons
+    must be uniform; propensities are kept only if every step of every
+    trajectory carries one. Errors name the line, step and field.
     """
-    rows = []
-    state_labels, action_labels = set(), set()
+    s_col, a_col, r_col, p_col = [], [], [], []
+    lengths, linenos = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -106,43 +177,47 @@ def ingest_jsonl(
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"line {lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(obj, dict):
+                raise ValidationError(f"line {lineno}: expected an object with a 'steps' array")
             steps = obj.get("steps")
             if not isinstance(steps, list) or not steps:
                 raise ValidationError(f"line {lineno}: expected a nonempty 'steps' array")
-            parsed = []
-            for j, step in enumerate(steps):
-                try:
-                    s, a, r = step["s"], step["a"], step["r"]
-                except (KeyError, TypeError):
-                    raise ValidationError(f"line {lineno}: step {j} needs 's', 'a', 'r'")
-                p = step.get("p")
-                if p is not None and not 0.0 < p <= 1.0:
-                    raise ValidationError(f"line {lineno}: propensity {p} outside (0, 1]")
-                state_labels.add(s)
-                action_labels.add(a)
-                parsed.append((s, a, float(r), p))
-            rows.append((lineno, parsed))
-    if not rows:
+            try:
+                for step in steps:
+                    s_col.append(step["s"])
+                    a_col.append(step["a"])
+                    r_col.append(step["r"])
+                    p_col.append(step.get("p"))
+            except (KeyError, TypeError):
+                j = _first(steps, lambda st: not (isinstance(st, dict) and _STEP_KEYS <= st.keys()))
+                raise ValidationError(f"line {lineno}: step {j} needs 's', 'a', 'r'") from None
+            lengths.append(len(steps))
+            linenos.append(lineno)
+    if not linenos:
         raise ValidationError("empty dataset")
-    horizon = len(rows[0][1]) - 1
-    for lineno, parsed in rows:
-        if len(parsed) - 1 != horizon:
-            raise ValidationError(
-                f"line {lineno}: horizon {len(parsed) - 1} differs from {horizon}"
-            )
-    smap = _build_label_map(state_labels, state_map, "state")
-    amap = _build_label_map(action_labels, action_map, "action")
-    known = all(p is not None for _, parsed in rows for (_, _, _, p) in parsed)
-    trajectories = [
-        Trajectory(
-            states=[smap[s] for s, _, _, _ in parsed],
-            actions=[amap[a] for _, a, _, _ in parsed],
-            rewards=[r for _, _, r, _ in parsed],
-            propensities=[p for _, _, _, p in parsed] if known else None,
+    width = lengths[0]
+    ragged = np.flatnonzero(np.array(lengths) != width)
+    if ragged.size:
+        i = ragged[0]
+        raise ValidationError(
+            f"line {linenos[i]}: horizon {lengths[i] - 1} differs from {width - 1}"
         )
-        for _, parsed in rows
-    ]
-    return LoggedDataset.from_trajectories(trajectories)
+
+    def where(k: int) -> str:
+        return f"line {linenos[k // width]}: step {k % width}"
+
+    states = _label_ids(s_col, state_map, "s", "state", where)
+    actions = _label_ids(a_col, action_map, "a", "action", where)
+    rewards = _number_column(r_col, "r", where, np.isfinite, "must be finite")
+    props = _number_column(p_col, "p", where, lambda p: (p > 0) & (p <= 1),
+                           "propensity must lie in (0, 1]", nullable=True)
+    shape = (len(linenos), width)
+    return LoggedDataset(
+        states=states.reshape(shape),
+        actions=actions.reshape(shape),
+        rewards=rewards.reshape(shape),
+        propensities=None if None in p_col else props.reshape(shape),
+    )
 
 
 # ---------------------------------------------------------------------------

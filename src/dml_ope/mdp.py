@@ -7,7 +7,7 @@ support, so mean/variance tables and full trajectory enumeration are exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -139,44 +139,6 @@ class TabularMdp:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """One logged episode: parallel arrays of length horizon + 1."""
-
-    states: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    propensities: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", np.asarray(self.states, dtype=np.int64))
-        object.__setattr__(self, "actions", np.asarray(self.actions, dtype=np.int64))
-        object.__setattr__(self, "rewards", np.asarray(self.rewards, dtype=float))
-        n = self.states.size
-        if self.actions.size != n or self.rewards.size != n or n < 1:
-            raise ValidationError("trajectory arrays must be nonempty and equal length")
-        if self.propensities is not None:
-            p = np.asarray(self.propensities, dtype=float)
-            if p.size != n:
-                raise ValidationError("propensities length mismatch")
-            if np.any(p <= 0) or np.any(p > 1):
-                raise ValidationError("propensities must lie in (0, 1]")
-            object.__setattr__(self, "propensities", p)
-
-    @property
-    def horizon(self) -> int:
-        return self.states.size - 1
-
-    @property
-    def steps(self) -> list[tuple]:
-        """(state, action, reward, propensity) tuples, propensity None if unlogged."""
-        props = self.propensities if self.propensities is not None else [None] * self.states.size
-        return [
-            (int(s), int(a), float(r), None if p is None else float(p))
-            for s, a, r, p in zip(self.states, self.actions, self.rewards, props)
-        ]
-
-
-@dataclass(frozen=True, eq=False)
 class LoggedDataset:
     """A batch of trajectories with a uniform horizon, stored as (N, T+1) arrays."""
 
@@ -201,21 +163,6 @@ class LoggedDataset:
                 raise ValidationError("propensities must lie in (0, 1]")
             object.__setattr__(self, "propensities", p)
 
-    @classmethod
-    def from_trajectories(cls, trajectories: list[Trajectory]) -> "LoggedDataset":
-        if not trajectories:
-            raise ValidationError("empty dataset")
-        horizon = trajectories[0].horizon
-        if any(t.horizon != horizon for t in trajectories):
-            raise ValidationError("trajectories have mixed horizons")
-        known = all(t.propensities is not None for t in trajectories)
-        return cls(
-            states=np.stack([t.states for t in trajectories]),
-            actions=np.stack([t.actions for t in trajectories]),
-            rewards=np.stack([t.rewards for t in trajectories]),
-            propensities=np.stack([t.propensities for t in trajectories]) if known else None,
-        )
-
     @property
     def n(self) -> int:
         return self.states.shape[0]
@@ -227,14 +174,6 @@ class LoggedDataset:
     @property
     def propensities_known(self) -> bool:
         return self.propensities is not None
-
-    def trajectory(self, i: int) -> Trajectory:
-        return Trajectory(
-            states=self.states[i],
-            actions=self.actions[i],
-            rewards=self.rewards[i],
-            propensities=None if self.propensities is None else self.propensities[i],
-        )
 
     def subset(self, indices: np.ndarray) -> "LoggedDataset":
         idx = np.asarray(indices, dtype=np.int64)
@@ -262,12 +201,6 @@ def _categorical_rows(prob_rows: np.ndarray, rng: np.random.Generator) -> np.nda
     u = rng.random(prob_rows.shape[0])
     idx = (u[:, None] > cum).sum(axis=1)
     return np.minimum(idx, prob_rows.shape[1] - 1)
-
-
-def sample_trajectory(mdp: TabularMdp, policy: Policy, rng: np.random.Generator) -> Trajectory:
-    """Sample one trajectory under ``policy``; propensities record the action probs."""
-    data = sample_dataset(mdp, policy, 1, rng)
-    return data.trajectory(0)
 
 
 def sample_dataset(
@@ -346,16 +279,6 @@ def enumerate_dataset(
     props = policy.table[states, actions]
     data = LoggedDataset(states=states, actions=actions, rewards=rewards, propensities=props)
     return data, probs
-
-
-def enumerate_trajectories(
-    mdp: TabularMdp,
-    policy: Policy,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[tuple[Trajectory, float]]:
-    """List every positive-probability trajectory with its exact probability."""
-    data, probs = enumerate_dataset(mdp, policy, cap=cap)
-    return [(data.trajectory(i), float(probs[i])) for i in range(data.n)]
 
 
 def exact_policy_value(mdp: TabularMdp, policy: Policy) -> float:

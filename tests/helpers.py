@@ -3,7 +3,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from dml_ope import Policy, RewardSpec, TabularMdp
+from dml_ope import LoggedDataset, Policy, RewardSpec, TabularMdp
+
+
+def one_row(states: list, actions: list, rewards: list) -> LoggedDataset:
+    """A 1-row dataset holding one trajectory, without propensities."""
+    return LoggedDataset(states=[states], actions=[actions], rewards=[rewards])
+
+
+def row_steps(data: LoggedDataset, i: int = 0) -> list[tuple]:
+    """(state, action, reward, propensity) tuples of row ``i``; propensity None if unlogged."""
+    steps = data.horizon + 1
+    props = [None] * steps if data.propensities is None else data.propensities[i].tolist()
+    return list(zip(data.states[i].tolist(), data.actions[i].tolist(),
+                    data.rewards[i].tolist(), props))
 
 
 def bernoulli(p: float) -> RewardSpec:

@@ -124,6 +124,53 @@ class TestEvaluate:
         assert code == 1
         assert "unknown estimator" in err
 
+    def evaluate_file(self, workspace, capsys, lines, *extra):
+        data = workspace / "bad.jsonl"
+        data.write_text("\n".join(json.dumps(x) for x in lines) + "\n")
+        return run(
+            capsys, "evaluate", "--data", str(data),
+            "--eval-policy", str(workspace / "eval.json"), "--discount", "0.9", *extra,
+        )
+
+    def test_bad_value_exits_1_with_line_and_field(self, workspace, capsys):
+        lines = [{"steps": [{"s": 0, "a": 0, "r": 1.0}]}, {"steps": [{"s": 0, "a": 0, "r": "x"}]}]
+        code, out, err = self.evaluate_file(workspace, capsys, lines)
+        assert code == 1
+        assert out == ""
+        assert "line 2: step 0: 'r' must be a number" in err
+
+    def test_state_outside_eval_table(self, workspace, capsys):
+        lines = [{"steps": [{"s": 3, "a": 0, "r": 1.0}]}, {"steps": [{"s": 0, "a": 1, "r": 0.0}]}]
+        code, _, err = self.evaluate_file(workspace, capsys, lines)
+        assert code == 1
+        assert "'s' id 3 is outside the evaluation policy table of 3 states" in err
+
+    def test_action_outside_eval_table(self, workspace, capsys):
+        lines = [{"steps": [{"s": 0, "a": 2, "r": 1.0}]}, {"steps": [{"s": 1, "a": 0, "r": 0.0}]}]
+        code, _, err = self.evaluate_file(workspace, capsys, lines)
+        assert code == 1
+        assert "'a' id 2 is outside the evaluation policy table of 2 actions" in err
+
+    def test_action_outside_behavior_table(self, workspace, capsys):
+        (workspace / "one_action.json").write_text(json.dumps({"table": [[1.0]] * 3}))
+        lines = [{"steps": [{"s": 0, "a": 1, "r": 1.0}]}, {"steps": [{"s": 1, "a": 0, "r": 0.0}]}]
+        code, _, err = self.evaluate_file(
+            workspace, capsys, lines, "--behavior-policy", str(workspace / "one_action.json"),
+        )
+        assert code == 1
+        assert "'a' id 1 is outside the behavior policy table of 1 actions" in err
+
+    @pytest.mark.parametrize("discount", ["1.5", "-0.1", "nan"])
+    def test_discount_outside_unit_interval(self, workspace, capsys, discount):
+        data = self.simulate(workspace, n=10)
+        code, out, err = run(
+            capsys, "evaluate", "--data", str(data),
+            "--eval-policy", str(workspace / "eval.json"), "--discount", discount,
+        )
+        assert code == 1
+        assert out == ""
+        assert "--discount" in err and "[0, 1]" in err
+
 
 class TestExperiment:
     def test_runs_config(self, workspace, capsys):

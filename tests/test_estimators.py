@@ -8,7 +8,6 @@ from dml_ope import (
     Policy,
     QTable,
     SupportViolationError,
-    Trajectory,
     ValidationError,
     cb_efficiency_bound,
     dm_estimate,
@@ -17,16 +16,21 @@ from dml_ope import (
     dr_half_estimate,
     estimate_behavior_policy,
     exact_policy_value,
-    importance_weights,
     ipw_estimate,
     mean_reward_table,
-    psi,
-    psi_ipw,
     q_recursion,
     sample_dataset,
 )
+from dml_ope.estimators import _psi_ipw_scores, _psi_scores, _weight_matrix
 
-from helpers import bandit_mdp, bandit_policies, bernoulli, three_state_mdp, three_state_policies
+from helpers import (
+    bandit_mdp,
+    bandit_policies,
+    bernoulli,
+    one_row,
+    three_state_mdp,
+    three_state_policies,
+)
 
 
 def oracle_nuisance(mdp, behavior, evaluation):
@@ -48,28 +52,28 @@ def zero_q_nuisance(behavior, horizon):
 
 class TestImportanceWeights:
     def test_identity_weights(self):
-        traj = Trajectory(states=[0, 1], actions=[0, 1], rewards=[0.0, 0.0])
+        row = one_row(states=[0, 1], actions=[0, 1], rewards=[0.0, 0.0])
         policy = Policy(table=[[0.3, 0.7], [0.6, 0.4]])
-        assert np.allclose(importance_weights(traj, policy, policy), [1.0, 1.0], atol=1e-15)
+        assert np.allclose(_weight_matrix(row, policy, policy)[0], [1.0, 1.0], atol=1e-15)
 
     def test_uniform_behavior_doubling(self):
-        traj = Trajectory(states=[0, 0], actions=[1, 1], rewards=[0.0, 0.0])
+        row = one_row(states=[0, 0], actions=[1, 1], rewards=[0.0, 0.0])
         behavior = Policy(table=[[0.5, 0.5]])
         evaluation = Policy(table=[[0.0, 1.0]])
-        assert importance_weights(traj, evaluation, behavior).tolist() == [2.0, 4.0]
+        assert _weight_matrix(row, evaluation, behavior)[0].tolist() == [2.0, 4.0]
 
     def test_zero_eval_mass_zeroes_weights(self):
-        traj = Trajectory(states=[0, 0], actions=[0, 1], rewards=[0.0, 0.0])
+        row = one_row(states=[0, 0], actions=[0, 1], rewards=[0.0, 0.0])
         behavior = Policy(table=[[0.5, 0.5]])
         evaluation = Policy(table=[[0.0, 1.0]])
-        assert importance_weights(traj, evaluation, behavior).tolist() == [0.0, 0.0]
+        assert _weight_matrix(row, evaluation, behavior)[0].tolist() == [0.0, 0.0]
 
     def test_zero_behavior_propensity_raises(self):
-        traj = Trajectory(states=[0], actions=[1], rewards=[0.0])
+        row = one_row(states=[0], actions=[1], rewards=[0.0])
         behavior = Policy(table=[[1.0, 0.0]])
         evaluation = Policy(table=[[0.5, 0.5]])
         with pytest.raises(SupportViolationError):
-            importance_weights(traj, evaluation, behavior)
+            _weight_matrix(row, evaluation, behavior)
 
 
 class TestScores:
@@ -79,14 +83,14 @@ class TestScores:
         data = sample_dataset(mdp, behavior, 200, np.random.default_rng(1))
         eta = zero_q_nuisance(behavior, mdp.horizon)
         for i in range(0, 200, 17):
-            traj = data.trajectory(i)
-            assert psi(traj, eta, evaluation, 0.9) == pytest.approx(
-                psi_ipw(traj, behavior, evaluation, 0.9), abs=1e-12
+            row = data.subset([i])
+            assert _psi_scores(row, eta, evaluation, 0.9)[0] == pytest.approx(
+                _psi_ipw_scores(row, behavior, evaluation, 0.9)[0], abs=1e-12
             )
 
     def test_hand_evaluated_bandit_score(self):
         # rho_0 = 0.9 / 0.45 = 2, R = 1, q(taken) = 0.5, sum_a pi_e q = 0.6
-        traj = Trajectory(states=[0], actions=[0], rewards=[1.0])
+        row = one_row(states=[0], actions=[0], rewards=[1.0])
         eta = NuisanceEstimate(
             behavior=Policy(table=[[0.45, 0.55]]),
             q=QTable(values=[[[0.5, 1.5]]]),
@@ -94,7 +98,7 @@ class TestScores:
             transitions=np.ones((1, 2, 1)),
         )
         evaluation = Policy(table=[[0.9, 0.1]])
-        assert psi(traj, eta, evaluation, 1.0) == pytest.approx(1.6, abs=1e-12)
+        assert _psi_scores(row, eta, evaluation, 1.0)[0] == pytest.approx(1.6, abs=1e-12)
 
     def test_ipw_identity_policy_gives_return(self):
         mdp = three_state_mdp()
@@ -102,15 +106,19 @@ class TestScores:
         data = sample_dataset(mdp, behavior, 20, np.random.default_rng(5))
         disc = 0.9 ** np.arange(3)
         for i in range(20):
-            traj = data.trajectory(i)
-            expected = float((traj.rewards * disc).sum())
-            assert psi_ipw(traj, behavior, behavior, 0.9) == pytest.approx(expected, abs=1e-12)
+            row = data.subset([i])
+            expected = float((row.rewards[0] * disc).sum())
+            assert _psi_ipw_scores(row, behavior, behavior, 0.9)[0] == pytest.approx(
+                expected, abs=1e-12
+            )
 
     def test_ipw_direct_sum(self):
-        traj = Trajectory(states=[0, 0], actions=[1, 1], rewards=[1.0, 1.0])
+        row = one_row(states=[0, 0], actions=[1, 1], rewards=[1.0, 1.0])
         behavior = Policy(table=[[0.5, 0.5]])
         evaluation = Policy(table=[[0.0, 1.0]])
-        assert psi_ipw(traj, behavior, evaluation, 1.0) == pytest.approx(6.0, abs=1e-12)
+        assert _psi_ipw_scores(row, behavior, evaluation, 1.0)[0] == pytest.approx(
+            6.0, abs=1e-12
+        )
 
 
 class TestPointEstimators:
@@ -155,8 +163,7 @@ class TestPointEstimators:
         assert est.value == pytest.approx(float((data.rewards * disc).sum(1).mean()), abs=1e-12)
 
     def test_identical_trajectories_zero_variance(self):
-        traj = Trajectory(states=[0], actions=[0], rewards=[1.0])
-        data = LoggedDataset.from_trajectories([traj] * 5)
+        data = LoggedDataset(states=[[0]] * 5, actions=[[0]] * 5, rewards=[[1.0]] * 5)
         behavior = Policy(table=[[0.5, 0.5]])
         est = ipw_estimate(data, behavior, behavior, 1.0)
         assert est.variance == 0.0
@@ -204,8 +211,6 @@ class TestDrVariants:
                                oracle_nuisance=eta)
         perm = np.random.default_rng(rng_seed).permutation(10)
         idx = np.sort(perm[:5])
-        from dml_ope.estimators import _psi_scores
-
         expected = _psi_scores(data.subset(idx), eta, evaluation, 0.9).mean()
         assert est.value == pytest.approx(float(expected), abs=1e-12)
         assert est.n == 5
@@ -219,7 +224,7 @@ class TestDml:
         eta = oracle_nuisance(mdp, behavior, behavior)
         est = dml_estimate(data, behavior, 0.9, np.random.default_rng(2),
                            k_folds=2, oracle_nuisance=eta)
-        scores = np.array([psi(data.trajectory(i), eta, behavior, 0.9) for i in range(100)])
+        scores = _psi_scores(data, eta, behavior, 0.9)
         assert est.value == pytest.approx(float(scores.mean()), abs=1e-10)
         assert est.variance == pytest.approx(float(((scores - scores.mean()) ** 2).mean()),
                                              abs=1e-10)

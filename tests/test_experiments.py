@@ -7,6 +7,7 @@ from dml_ope import (
     CampaignBatchCell,
     Estimator,
     ExperimentConfig,
+    LoggedDataset,
     ValidationError,
     cell_from_dict,
     evaluate_dataset,
@@ -126,6 +127,91 @@ class TestJsonlRoundTrip:
         ]
         path.write_text("\n".join(json.dumps(x) for x in lines) + "\n")
         assert not ingest_jsonl(path).propensities_known
+
+    def test_golden_bytes(self, tmp_path):
+        data = LoggedDataset(
+            states=[[0, 2], [1, 0]],
+            actions=[[1, 0], [0, 1]],
+            rewards=[[-0.6000000000000001, 1.0], [0.0, 2.5]],
+            propensities=[[0.25, 1.0], [0.1, 0.75]],
+        )
+        path = tmp_path / "d.jsonl"
+        write_jsonl(data, path)
+        assert path.read_text() == (
+            '{"steps": [{"s": 0, "a": 1, "r": -0.6000000000000001, "p": 0.25}, '
+            '{"s": 2, "a": 0, "r": 1.0, "p": 1.0}]}\n'
+            '{"steps": [{"s": 1, "a": 0, "r": 0.0, "p": 0.1}, '
+            '{"s": 0, "a": 1, "r": 2.5, "p": 0.75}]}\n'
+        )
+
+    def test_golden_bytes_without_propensities(self, tmp_path):
+        data = LoggedDataset(states=[[0, 2]], actions=[[1, 0]], rewards=[[-0.6000000000000001, 3]])
+        path = tmp_path / "d.jsonl"
+        write_jsonl(data, path)
+        assert path.read_text() == (
+            '{"steps": [{"s": 0, "a": 1, "r": -0.6000000000000001, "p": null}, '
+            '{"s": 2, "a": 0, "r": 3.0, "p": null}]}\n'
+        )
+
+    def test_write_across_blocks(self, tmp_path):
+        # More rows than one encoding block, so block boundaries are crossed.
+        mdp = three_state_mdp()
+        behavior, _ = three_state_policies()
+        data = sample_dataset(mdp, behavior, 9000, np.random.default_rng(2))
+        path = tmp_path / "d.jsonl"
+        write_jsonl(data, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 9000
+        for i in (0, 4095, 4096, 8999):
+            expected = [
+                {"s": int(s), "a": int(a), "r": float(r), "p": float(p)}
+                for s, a, r, p in zip(data.states[i], data.actions[i], data.rewards[i],
+                                      data.propensities[i])
+            ]
+            assert lines[i] == json.dumps({"steps": expected})
+        loaded = ingest_jsonl(path)
+        assert np.array_equal(loaded.states, data.states)
+        assert np.array_equal(loaded.rewards, data.rewards)
+
+    @pytest.mark.parametrize("lines, match", [
+        (['[{"s": 0, "a": 0, "r": 0.0}]'], "line 1: expected an object with a 'steps'"),
+        (['{"steps": [{"s": 0, "a": 0, "r": "1.0"}]}'], "line 1: step 0: 'r' must be a number"),
+        (['{"steps": [{"s": 0, "a": 0, "r": null}]}'], "line 1: step 0: 'r' must be a number"),
+        (['{"steps": [{"s": 0, "a": 0, "r": true}]}'], "line 1: step 0: 'r' must be a number"),
+        (['{"steps": [{"s": 0, "a": 0, "r": 1.0}, {"s": 0, "a": 0, "r": 0.0}]}',
+          '{"steps": [{"s": 0, "a": 0, "r": 1.0}, {"s": 0, "a": 0, "r": NaN}]}'],
+         "line 2: step 1: 'r' must be finite, got NaN"),
+        (['{"steps": [{"s": 0, "a": 0, "r": -Infinity}]}'], "line 1: step 0: 'r' must be finite"),
+        (['{"steps": [{"s": 0, "a": 0, "r": 0.0, "p": 0.5}]}',
+          '{"steps": [{"s": 0, "a": 0, "r": 0.0, "p": "0.5"}]}'],
+         "line 2: step 0: 'p' must be a number"),
+        (['{"steps": [{"s": 0, "a": 0, "r": 1%s}]}' % ("0" * 400)],
+         "line 1: step 0: 'r' is beyond the float range"),
+    ], ids=["non_object_line", "string_r", "null_r", "bool_r", "nan_r", "infinite_r", "string_p",
+            "huge_r"])
+    def test_bad_value_names_line_and_field(self, tmp_path, lines, match):
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=match):
+            ingest_jsonl(path)
+
+    @pytest.mark.parametrize("labels, match", [
+        ([(True, 0)], "line 1: step 0: 's' must be an integer"),
+        ([(0, 0), (1, False)], "line 2: step 0: 'a' must be an integer"),
+        ([(0.5, 0)], "line 1: step 0: 's' must be an integer"),
+        ([(0, 0), ("home", 0)], "line 2: step 0: 's' mixes integer and string"),
+        ([(0, "show"), (0, 1)], "line 2: step 0: 'a' mixes integer and string"),
+        ([(0, -1)], "line 1: step 0: 'a' integer action label -1"),
+        ([(0, 0), (2**63, 0)], "line 2: step 0: 's' integer state label 9223372036854775808"),
+    ], ids=["true_state", "false_action", "fractional_state", "mixed_states", "mixed_actions",
+            "negative_action", "huge_state"])
+    def test_bad_label_names_line_and_field(self, tmp_path, labels, match):
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(
+            json.dumps({"steps": [{"s": s, "a": a, "r": 0.0}]}) + "\n" for s, a in labels
+        ))
+        with pytest.raises(ValidationError, match=match):
+            ingest_jsonl(path)
 
 
 class TestNoiseStates:

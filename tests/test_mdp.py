@@ -8,7 +8,6 @@ from dml_ope import (
     TabularMdp,
     ValidationError,
     enumerate_dataset,
-    enumerate_trajectories,
     exact_policy_value,
     load_mdp,
     mdp_from_dict,
@@ -16,10 +15,9 @@ from dml_ope import (
     mean_reward_table,
     reward_variance_table,
     sample_dataset,
-    sample_trajectory,
 )
 
-from helpers import bernoulli, point_mass, random_mdp, random_policy, three_state_mdp
+from helpers import bernoulli, point_mass, random_mdp, random_policy, row_steps, three_state_mdp
 
 
 def constant_mdp(horizon: int, reward: float = 1.0, discount: float = 1.0) -> TabularMdp:
@@ -62,7 +60,7 @@ class TestValidation:
     def test_policy_dimension_mismatch(self):
         mdp = constant_mdp(1)
         with pytest.raises(ValidationError):
-            sample_trajectory(mdp, Policy(table=[[0.5, 0.5]]), np.random.default_rng(0))
+            sample_dataset(mdp, Policy(table=[[0.5, 0.5]]), 1, np.random.default_rng(0))
 
 
 class TestRewardTables:
@@ -91,14 +89,14 @@ class TestRewardTables:
 class TestSampling:
     def test_deterministic_chain(self):
         mdp = constant_mdp(2)
-        traj = sample_trajectory(mdp, Policy(table=[[1.0]]), np.random.default_rng(3))
-        assert traj.steps == [(0, 0, 1.0, 1.0)] * 3
+        data = sample_dataset(mdp, Policy(table=[[1.0]]), 1, np.random.default_rng(3))
+        assert row_steps(data) == [(0, 0, 1.0, 1.0)] * 3
 
     def test_same_seed_same_trajectory(self):
         mdp = three_state_mdp()
         policy = random_policy(np.random.default_rng(5), 3, 2)
-        a = sample_trajectory(mdp, policy, np.random.default_rng(11))
-        b = sample_trajectory(mdp, policy, np.random.default_rng(11))
+        a = sample_dataset(mdp, policy, 1, np.random.default_rng(11))
+        b = sample_dataset(mdp, policy, 1, np.random.default_rng(11))
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.rewards, b.rewards)
@@ -125,11 +123,11 @@ class TestSampling:
 
 class TestEnumeration:
     def test_degenerate_chain(self):
-        outcomes = enumerate_trajectories(constant_mdp(0), Policy(table=[[1.0]]))
-        assert len(outcomes) == 1
-        traj, prob = outcomes[0]
+        data, probs = enumerate_dataset(constant_mdp(0), Policy(table=[[1.0]]))
+        assert len(probs) == 1
+        prob = probs[0]
         assert prob == 1.0
-        assert traj.steps == [(0, 0, 1.0, 1.0)]
+        assert row_steps(data) == [(0, 0, 1.0, 1.0)]
 
     def test_uniform_two_action_chain(self):
         mdp = TabularMdp(
@@ -137,9 +135,9 @@ class TestEnumeration:
             initial_dist=[1.0], transitions=np.ones((1, 2, 1)),
             rewards=[[point_mass(0.0), point_mass(1.0)]],
         )
-        outcomes = enumerate_trajectories(mdp, Policy(table=[[0.5, 0.5]]))
-        assert len(outcomes) == 4
-        assert all(prob == pytest.approx(0.25, abs=1e-15) for _, prob in outcomes)
+        _, probs = enumerate_dataset(mdp, Policy(table=[[0.5, 0.5]]))
+        assert len(probs) == 4
+        assert all(prob == pytest.approx(0.25, abs=1e-15) for prob in probs)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(23)
@@ -153,7 +151,7 @@ class TestEnumeration:
         mdp = three_state_mdp()
         policy = random_policy(np.random.default_rng(0), 3, 2)
         with pytest.raises(EnumerationCapError):
-            enumerate_trajectories(mdp, policy, cap=10)
+            enumerate_dataset(mdp, policy, cap=10)
 
 
 class TestExactValue:

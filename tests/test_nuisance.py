@@ -5,7 +5,6 @@ from dml_ope import (
     LoggedDataset,
     Policy,
     SupportViolationError,
-    Trajectory,
     ValidationError,
     enumerate_dataset,
     estimate_behavior_policy,
@@ -188,8 +187,7 @@ class TestFitNuisances:
 
     def test_support_violation_raised(self):
         # Behavior never plays action 1, evaluation policy needs it.
-        traj = Trajectory(states=[0], actions=[0], rewards=[1.0])
-        data = LoggedDataset.from_trajectories([traj, traj])
+        data = LoggedDataset(states=[[0], [0]], actions=[[0], [0]], rewards=[[1.0], [1.0]])
         part = make_folds(2, 2, np.random.default_rng(0))
         evaluation = Policy(table=[[0.5, 0.5]])
         with pytest.raises(SupportViolationError):
