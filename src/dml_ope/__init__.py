@@ -23,23 +23,17 @@ from .policies import (
     thompson_gaussian_policy,
 )
 from .nuisance import (
-    FoldPartition,
     NuisanceConfig,
     NuisanceEstimate,
     QTable,
     SupportViolationError,
-    estimate_behavior_policy,
-    estimate_mean_reward,
-    estimate_transitions,
     fit_nuisance,
-    fit_nuisances,
     make_folds,
     q_recursion,
 )
 from .estimators import (
     Estimator,
     ScoreKind,
-    ScoreOptions,
     ValueEstimate,
     cb_efficiency_bound,
     dm_estimate,

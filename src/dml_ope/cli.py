@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import cb_efficiency_bound
-from .mdp import LoggedDataset, Policy, ValidationError, load_mdp, sample_dataset
+from .mdp import ValidationError, load_mdp, sample_dataset
 from .nuisance import NuisanceConfig
 from .experiments import (
     cell_from_dict,
@@ -101,24 +101,12 @@ def _cmd_simulate(args) -> None:
     write_jsonl(data, args.output)
 
 
-def _check_ids(data: LoggedDataset, policy: Policy, which: str) -> None:
-    for field, ids, size, what in (("s", data.states, policy.num_states, "states"),
-                                   ("a", data.actions, policy.num_actions, "actions")):
-        if ids.max() >= size:
-            raise ValidationError(
-                f"'{field}' id {ids.max()} is outside the {which} policy table of {size} {what}"
-            )
-
-
 def _cmd_evaluate(args) -> None:
     if not 0.0 <= args.discount <= 1.0:
         raise ValidationError(f"--discount {args.discount} must lie in [0, 1]")
     data = ingest_jsonl(args.data)
     eval_policy = load_policy(args.eval_policy)
     behavior = load_policy(args.behavior_policy) if args.behavior_policy else None
-    _check_ids(data, eval_policy, "evaluation")
-    if behavior is not None:
-        _check_ids(data, behavior, "behavior")
     names = tuple(args.estimator) if args.estimator else ("dml",)
     results = evaluate_dataset(
         data,

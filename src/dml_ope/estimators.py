@@ -32,7 +32,6 @@ from .nuisance import (
     SupportViolationError,
     check_support,
     fit_nuisance,
-    fit_nuisances,
     make_folds,
 )
 
@@ -50,18 +49,6 @@ class ScoreKind(str, Enum):
 
     DML_PSI = "dml_psi"
     IPW_PSI = "ipw_psi"
-
-
-@dataclass(frozen=True)
-class ScoreOptions:
-    """Optional deviations from the raw-weight scores.
-
-    Both default off: the reference behavior uses unclipped, unnormalized
-    weights. Enabling either is echoed in reports as a deviation.
-    """
-
-    weight_clip: float | None = None
-    self_normalize: bool = False
 
 
 @dataclass(frozen=True)
@@ -119,24 +106,13 @@ def _finalize(scores: np.ndarray, estimator: Estimator, level: float) -> ValueEs
     )
 
 
-def _weight_matrix(
-    data: LoggedDataset,
-    eval_policy: Policy,
-    behavior: Policy,
-    options: ScoreOptions = ScoreOptions(),
-) -> np.ndarray:
+def _weight_matrix(data: LoggedDataset, eval_policy: Policy, behavior: Policy) -> np.ndarray:
     """Cumulative importance weights rho_t per trajectory, shape (N, T+1)."""
     pb = behavior.table[data.states, data.actions]
     if np.any(pb <= 0):
         raise SupportViolationError("zero behavior propensity on a realized action")
     pe = eval_policy.table[data.states, data.actions]
-    rho = np.cumprod(pe / pb, axis=1)
-    if options.weight_clip is not None:
-        rho = np.minimum(rho, options.weight_clip)
-    if options.self_normalize:
-        means = rho.mean(axis=0, keepdims=True)
-        rho = rho / np.where(means > 0, means, 1.0)
-    return rho
+    return np.cumprod(pe / pb, axis=1)
 
 
 def _psi_scores(
@@ -144,11 +120,10 @@ def _psi_scores(
     eta: NuisanceEstimate,
     eval_policy: Policy,
     discount: float,
-    options: ScoreOptions = ScoreOptions(),
 ) -> np.ndarray:
     """Vectorized doubly robust score per trajectory."""
     steps = data.horizon + 1
-    rho = _weight_matrix(data, eval_policy, eta.behavior, options)
+    rho = _weight_matrix(data, eval_policy, eta.behavior)
     rho_prev = np.concatenate([np.ones((data.n, 1)), rho[:, :-1]], axis=1)
     qv = eta.q.values
     if qv.shape[0] != steps:
@@ -163,13 +138,9 @@ def _psi_scores(
 
 
 def _psi_ipw_scores(
-    data: LoggedDataset,
-    behavior: Policy,
-    eval_policy: Policy,
-    discount: float,
-    options: ScoreOptions = ScoreOptions(),
+    data: LoggedDataset, behavior: Policy, eval_policy: Policy, discount: float
 ) -> np.ndarray:
-    rho = _weight_matrix(data, eval_policy, behavior, options)
+    rho = _weight_matrix(data, eval_policy, behavior)
     disc = discount ** np.arange(data.horizon + 1)
     return (rho * data.rewards * disc).sum(axis=1)
 
@@ -191,28 +162,20 @@ def ipw_estimate(
     eval_policy: Policy,
     discount: float,
     level: float = 0.95,
-    options: ScoreOptions = ScoreOptions(),
 ) -> ValueEstimate:
-    scores = _psi_ipw_scores(data, behavior, eval_policy, discount, options)
+    scores = _psi_ipw_scores(data, behavior, eval_policy, discount)
     return _finalize(scores, Estimator.IPW, level)
 
 
 def dr_full_estimate(
     data: LoggedDataset,
+    eta: NuisanceEstimate,
     eval_policy: Policy,
     discount: float,
-    known_behavior: Policy | None = None,
-    config: NuisanceConfig = NuisanceConfig(),
-    oracle_nuisance: NuisanceEstimate | None = None,
     level: float = 0.95,
-    options: ScoreOptions = ScoreOptions(),
-    rng: np.random.Generator | None = None,
 ) -> ValueEstimate:
-    """Doubly robust score averaged over the same data the nuisances were fit on."""
-    eta = oracle_nuisance or fit_nuisance(
-        data, eval_policy, discount, known_behavior=known_behavior, config=config, rng=rng
-    )
-    scores = _psi_scores(data, eta, eval_policy, discount, options)
+    """Doubly robust score averaged over the same data ``eta`` was fit on."""
+    scores = _psi_scores(data, eta, eval_policy, discount)
     return _finalize(scores, Estimator.DR_FULL, level)
 
 
@@ -225,7 +188,6 @@ def dr_half_estimate(
     config: NuisanceConfig = NuisanceConfig(),
     oracle_nuisance: NuisanceEstimate | None = None,
     level: float = 0.95,
-    options: ScoreOptions = ScoreOptions(),
 ) -> ValueEstimate:
     """Score the first half after a seeded shuffle, fit nuisances on the second."""
     if data.n < 2:
@@ -237,7 +199,7 @@ def dr_half_estimate(
         data.subset(fit_idx), eval_policy, discount,
         known_behavior=known_behavior, config=config, rng=rng,
     )
-    scores = _psi_scores(data.subset(score_idx), eta, eval_policy, discount, options)
+    scores = _psi_scores(data.subset(score_idx), eta, eval_policy, discount)
     return _finalize(scores, Estimator.DR_HALF, level)
 
 
@@ -251,25 +213,22 @@ def dml_estimate(
     config: NuisanceConfig = NuisanceConfig(),
     oracle_nuisance: NuisanceEstimate | None = None,
     level: float = 0.95,
-    options: ScoreOptions = ScoreOptions(),
 ) -> ValueEstimate:
     """Cross-fitted doubly robust estimator with the pooled variance estimator.
 
-    Each fold is scored with nuisances fitted on its complement; the value is
-    the pooled mean of all N scores, which matches the per-fold double average
-    whenever the folds are equal-sized.
+    Each fold is scored with nuisances fitted on its complement, the other
+    folds concatenated in fold order; the value is the pooled mean of all N
+    scores, which matches the per-fold double average whenever the folds are
+    equal-sized.
     """
-    partition = make_folds(data.n, k_folds, rng)
-    if oracle_nuisance is not None:
-        etas = [oracle_nuisance] * partition.k
-    else:
-        etas = fit_nuisances(
-            data, partition, eval_policy, discount,
+    folds = make_folds(data.n, k_folds, rng)
+    scores = np.empty(data.n)
+    for k, fold in enumerate(folds):
+        eta = oracle_nuisance or fit_nuisance(
+            data.subset(np.concatenate(folds[:k] + folds[k + 1:])), eval_policy, discount,
             known_behavior=known_behavior, config=config, rng=rng,
         )
-    scores = np.empty(data.n)
-    for k, fold in enumerate(partition.folds):
-        scores[fold] = _psi_scores(data.subset(fold), etas[k], eval_policy, discount, options)
+        scores[fold] = _psi_scores(data.subset(fold), eta, eval_policy, discount)
     return _finalize(scores, Estimator.DML, level)
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .estimators import (
     Estimator,
-    ScoreOptions,
     ValueEstimate,
     dm_estimate,
     dml_estimate,
@@ -35,9 +34,8 @@ from .mdp import (
     mdp_from_dict,
     sample_dataset,
 )
-from .nuisance import NuisanceConfig, fit_nuisance
+from .nuisance import NuisanceConfig, check_ids, fit_nuisance
 
-_ESTIMATOR_NAMES = tuple(e.value for e in Estimator)
 _INT64_MAX = np.iinfo(np.int64).max
 _WRITE_BLOCK_ROWS = 4096
 _STEP_KEYS = {"s", "a", "r"}
@@ -165,7 +163,7 @@ def ingest_jsonl(
     reshaped to (N, T+1) once. String state/action labels are mapped through
     the provided maps, or through maps inferred in sorted label order. Horizons
     must be uniform; propensities are kept only if every step of every
-    trajectory carries one. Errors name the line, step and field.
+    trajectory carries one. Errors name the file, line, step and field.
     """
     s_col, a_col, r_col, p_col = [], [], [], []
     lengths, linenos = [], []
@@ -176,12 +174,14 @@ def ingest_jsonl(
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {lineno}: invalid JSON ({exc})") from exc
+                raise ValidationError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
             if not isinstance(obj, dict):
-                raise ValidationError(f"line {lineno}: expected an object with a 'steps' array")
+                raise ValidationError(
+                    f"{path}: line {lineno}: expected an object with a 'steps' array"
+                )
             steps = obj.get("steps")
             if not isinstance(steps, list) or not steps:
-                raise ValidationError(f"line {lineno}: expected a nonempty 'steps' array")
+                raise ValidationError(f"{path}: line {lineno}: expected a nonempty 'steps' array")
             try:
                 for step in steps:
                     s_col.append(step["s"])
@@ -190,21 +190,23 @@ def ingest_jsonl(
                     p_col.append(step.get("p"))
             except (KeyError, TypeError):
                 j = _first(steps, lambda st: not (isinstance(st, dict) and _STEP_KEYS <= st.keys()))
-                raise ValidationError(f"line {lineno}: step {j} needs 's', 'a', 'r'") from None
+                raise ValidationError(
+                    f"{path}: line {lineno}: step {j} needs 's', 'a', 'r'"
+                ) from None
             lengths.append(len(steps))
             linenos.append(lineno)
     if not linenos:
-        raise ValidationError("empty dataset")
+        raise ValidationError(f"{path}: empty dataset")
     width = lengths[0]
     ragged = np.flatnonzero(np.array(lengths) != width)
     if ragged.size:
         i = ragged[0]
         raise ValidationError(
-            f"line {linenos[i]}: horizon {lengths[i] - 1} differs from {width - 1}"
+            f"{path}: line {linenos[i]}: horizon {lengths[i] - 1} differs from {width - 1}"
         )
 
     def where(k: int) -> str:
-        return f"line {linenos[k // width]}: step {k % width}"
+        return f"{path}: line {linenos[k // width]}: step {k % width}"
 
     states = _label_ids(s_col, state_map, "s", "state", where)
     actions = _label_ids(a_col, action_map, "a", "action", where)
@@ -273,6 +275,26 @@ def lift_policy(policy: Policy, num_noise_states: int) -> Policy:
 # Single-dataset evaluation
 
 
+# Each entry runs one estimator from the same positional arguments
+# (full, data, eval_policy, discount, rng, known_behavior, k_folds, config,
+# level); ``full()`` returns the lazily built full-data fit that DM, IPW
+# (without a known behavior policy) and DR-full share.
+_ESTIMATORS = {
+    Estimator.DM.value: lambda full, data, pe, discount, rng, known, k, config, level:
+        dm_estimate(data, full(), pe, level=level),
+    Estimator.IPW.value: lambda full, data, pe, discount, rng, known, k, config, level:
+        ipw_estimate(data, known or full().behavior, pe, discount, level=level),
+    Estimator.DR_FULL.value: lambda full, data, pe, discount, rng, known, k, config, level:
+        dr_full_estimate(data, full(), pe, discount, level=level),
+    Estimator.DR_HALF.value: lambda full, data, pe, discount, rng, known, k, config, level:
+        dr_half_estimate(data, pe, discount, rng, known_behavior=known, config=config,
+                         level=level),
+    Estimator.DML.value: lambda full, data, pe, discount, rng, known, k, config, level:
+        dml_estimate(data, pe, discount, rng, k_folds=k, known_behavior=known, config=config,
+                     level=level),
+}
+
+
 def evaluate_dataset(
     data: LoggedDataset,
     eval_policy: Policy,
@@ -283,17 +305,20 @@ def evaluate_dataset(
     k_folds: int = 2,
     config: NuisanceConfig = NuisanceConfig(),
     level: float = 0.95,
-    options: ScoreOptions = ScoreOptions(),
 ) -> dict[str, ValueEstimate]:
     """Run the named estimators on one logged dataset.
 
-    When no known behavior policy is supplied, IPW uses the full-data empirical
-    behavior estimate; DM uses the full-data nuisance fit.
+    DM and DR-full use the full-data nuisance fit, which is built once; IPW
+    uses the known behavior policy if supplied, else that fit's behavior
+    estimate. State and action ids must lie inside the evaluation and known
+    behavior policy tables.
     """
     for name in estimators:
-        if name not in _ESTIMATOR_NAMES:
+        if name not in _ESTIMATORS:
             raise ValidationError(f"unknown estimator '{name}'")
-    results: dict[str, ValueEstimate] = {}
+    check_ids(data, eval_policy, "evaluation")
+    if known_behavior is not None:
+        check_ids(data, known_behavior, "behavior")
     full_fit = None
 
     def full_nuisance():
@@ -305,30 +330,13 @@ def evaluate_dataset(
             )
         return full_fit
 
-    for name in estimators:
-        if name == Estimator.DM.value:
-            results[name] = dm_estimate(data, full_nuisance(), eval_policy, level=level)
-        elif name == Estimator.IPW.value:
-            behavior = known_behavior or full_nuisance().behavior
-            results[name] = ipw_estimate(
-                data, behavior, eval_policy, discount, level=level, options=options
-            )
-        elif name == Estimator.DR_FULL.value:
-            results[name] = dr_full_estimate(
-                data, eval_policy, discount, known_behavior=known_behavior,
-                config=config, level=level, options=options, rng=rng,
-            )
-        elif name == Estimator.DR_HALF.value:
-            results[name] = dr_half_estimate(
-                data, eval_policy, discount, rng, known_behavior=known_behavior,
-                config=config, level=level, options=options,
-            )
-        elif name == Estimator.DML.value:
-            results[name] = dml_estimate(
-                data, eval_policy, discount, rng, k_folds=k_folds,
-                known_behavior=known_behavior, config=config, level=level, options=options,
-            )
-    return results
+    return {
+        name: _ESTIMATORS[name](
+            full_nuisance, data, eval_policy, discount, rng, known_behavior, k_folds, config,
+            level,
+        )
+        for name in estimators
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +369,7 @@ class ExperimentConfig:
         if self.n_trajectories < self.k_folds:
             raise ValidationError("n_trajectories must be >= k_folds")
         for name in self.estimators:
-            if name not in _ESTIMATOR_NAMES:
+            if name not in _ESTIMATORS:
                 raise ValidationError(f"unknown estimator '{name}'")
         if self.ground_truth_method not in ("dp_exact", "on_policy_rollout"):
             raise ValidationError("ground_truth method must be dp_exact or on_policy_rollout")

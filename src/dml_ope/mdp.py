@@ -7,6 +7,7 @@ support, so mean/variance tables and full trajectory enumeration are exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,11 +25,21 @@ class EnumerationCapError(RuntimeError):
     """Exact enumeration would exceed the configured outcome cap."""
 
 
-def _check_prob_vector(vec: np.ndarray, name: str) -> None:
-    if np.any(vec < 0):
-        raise ValidationError(f"{name} has negative entries")
-    if abs(float(vec.sum()) - 1.0) > PROB_TOL:
-        raise ValidationError(f"{name} sums to {float(vec.sum())!r}, expected 1")
+def _check_prob_rows(table: np.ndarray, name: str) -> None:
+    """Raise for the first row along the last axis that is not a distribution.
+
+    A NaN entry fails. ``name`` is formatted with the bad row's index, as in
+    "policy row {}".
+    """
+    rows = table.reshape(math.prod(table.shape[:-1]), table.shape[-1])
+    negative = np.any(rows < 0, axis=1)
+    bad = np.flatnonzero(negative | ~(np.abs(rows.sum(axis=1) - 1.0) <= PROB_TOL))
+    if bad.size:
+        i = bad[0]
+        where = name.format(*np.unravel_index(i, table.shape[:-1]))
+        if negative[i]:
+            raise ValidationError(f"{where} has negative entries")
+        raise ValidationError(f"{where} sums to {float(rows[i].sum())!r}, expected 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +56,7 @@ class RewardSpec:
             raise ValidationError("reward support and probs must be 1-d and equal length")
         if not np.all(np.isfinite(self.support)):
             raise ValidationError("reward support must be finite")
-        _check_prob_vector(self.probs, "reward probs")
+        _check_prob_rows(self.probs, "reward probs")
 
     @property
     def mean(self) -> float:
@@ -66,8 +77,7 @@ class Policy:
         object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
         if self.table.ndim != 2 or self.table.shape[1] < 1:
             raise ValidationError("policy table must be 2-d with at least one action")
-        for s in range(self.table.shape[0]):
-            _check_prob_vector(self.table[s], f"policy row {s}")
+        _check_prob_rows(self.table, "policy row {}")
 
     @property
     def num_states(self) -> int:
@@ -108,12 +118,10 @@ class TabularMdp:
         object.__setattr__(self, "transitions", np.asarray(self.transitions, dtype=float))
         if self.initial_dist.shape != (self.num_states,):
             raise ValidationError("initial_dist has wrong shape")
-        _check_prob_vector(self.initial_dist, "initial_dist")
+        _check_prob_rows(self.initial_dist, "initial_dist")
         if self.transitions.shape != (self.num_states, self.num_actions, self.num_states):
             raise ValidationError("transitions has wrong shape")
-        for s in range(self.num_states):
-            for a in range(self.num_actions):
-                _check_prob_vector(self.transitions[s, a], f"transitions[{s}][{a}]")
+        _check_prob_rows(self.transitions, "transitions[{}][{}]")
         rewards = tuple(tuple(row) for row in self.rewards)
         if len(rewards) != self.num_states or any(len(row) != self.num_actions for row in rewards):
             raise ValidationError("rewards must be defined for every (state, action) pair")

@@ -1,10 +1,10 @@
-"""Nuisance estimation: fold partitioning, empirical behavior/reward/transition
-models, and the backward Q recursion.
+"""Nuisance estimation: fold partitioning, the tabular nuisance fit, and the
+backward Q recursion.
 
 All nuisance models are tabular and time-invariant: counts are pooled across
 steps. Unobserved cells fall back to the global mean reward, uniform
-transitions, and uniform behavior rows so the Q recursion is defined
-everywhere.
+transitions, and uniform (or smoothed) behavior rows so the Q recursion is
+defined everywhere.
 """
 from __future__ import annotations
 
@@ -39,27 +39,6 @@ class NuisanceConfig:
             raise ValidationError("fit_subsample must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class FoldPartition:
-    """Disjoint trajectory-index folds covering {0..N-1}, sizes differing by <= 1."""
-
-    folds: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "folds", tuple(np.asarray(f, dtype=np.int64) for f in self.folds))
-
-    @property
-    def k(self) -> int:
-        return len(self.folds)
-
-    @property
-    def n(self) -> int:
-        return sum(f.size for f in self.folds)
-
-    def complement(self, fold_index: int) -> np.ndarray:
-        return np.concatenate([f for j, f in enumerate(self.folds) if j != fold_index])
-
-
 @dataclass(frozen=True, eq=False)
 class QTable:
     """Per-step state-action value tables, shape (T+1, S, A)."""
@@ -85,51 +64,15 @@ class NuisanceEstimate:
     transitions: np.ndarray
 
 
-def make_folds(n_trajectories: int, k: int, rng: np.random.Generator) -> FoldPartition:
-    """Uniformly random K-fold partition of {0..N-1}; earlier folds get the extras."""
+def make_folds(n_trajectories: int, k: int, rng: np.random.Generator) -> tuple:
+    """Uniformly random K-fold partition of {0..N-1} as a tuple of sorted index
+    arrays, sizes differing by <= 1; earlier folds get the extras."""
     if k < 2:
         raise ValidationError("need at least 2 folds")
     if k > n_trajectories:
         raise ValidationError("more folds than trajectories")
     perm = rng.permutation(n_trajectories)
-    return FoldPartition(folds=tuple(np.sort(f) for f in np.array_split(perm, k)))
-
-
-def estimate_behavior_policy(
-    data: LoggedDataset, num_states: int, num_actions: int, smoothing: float = 0.5
-) -> Policy:
-    """Additively smoothed empirical action shares per state, pooled over steps."""
-    counts = np.zeros((num_states, num_actions))
-    np.add.at(counts, (data.states.ravel(), data.actions.ravel()), 1.0)
-    counts += smoothing
-    totals = counts.sum(axis=1, keepdims=True)
-    table = np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), 1.0 / num_actions)
-    return Policy(table=table)
-
-
-def estimate_mean_reward(data: LoggedDataset, num_states: int, num_actions: int) -> np.ndarray:
-    """Sample-mean rewards per (s, a); unobserved cells get the global mean."""
-    sums = np.zeros((num_states, num_actions))
-    counts = np.zeros((num_states, num_actions))
-    idx = (data.states.ravel(), data.actions.ravel())
-    np.add.at(sums, idx, data.rewards.ravel())
-    np.add.at(counts, idx, 1.0)
-    global_mean = float(data.rewards.mean())
-    return np.where(counts > 0, sums / np.where(counts > 0, counts, 1.0), global_mean)
-
-
-def estimate_transitions(data: LoggedDataset, num_states: int, num_actions: int) -> np.ndarray:
-    """Empirical next-state frequencies per (s, a); unobserved cells get uniform rows."""
-    counts = np.zeros((num_states, num_actions, num_states))
-    if data.horizon > 0:
-        idx = (
-            data.states[:, :-1].ravel(),
-            data.actions[:, :-1].ravel(),
-            data.states[:, 1:].ravel(),
-        )
-        np.add.at(counts, idx, 1.0)
-    totals = counts.sum(axis=2, keepdims=True)
-    return np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), 1.0 / num_states)
+    return tuple(np.sort(f) for f in np.array_split(perm, k))
 
 
 def q_recursion(
@@ -168,6 +111,19 @@ def check_support(behavior: Policy, eval_policy: Policy) -> None:
         )
 
 
+def check_ids(data: LoggedDataset, policy: Policy, which: str) -> None:
+    """Raise if a logged state or action id lies outside ``policy``'s table;
+    negative ids would otherwise index from the end of the table."""
+    for field, ids, size, what in (("s", data.states, policy.num_states, "states"),
+                                   ("a", data.actions, policy.num_actions, "actions")):
+        low, high = ids.min(), ids.max()
+        if low < 0 or high >= size:
+            raise ValidationError(
+                f"'{field}' id {low if low < 0 else high} is outside the {which} policy "
+                f"table of {size} {what}"
+            )
+
+
 def fit_nuisance(
     data: LoggedDataset,
     eval_policy: Policy,
@@ -176,44 +132,40 @@ def fit_nuisance(
     config: NuisanceConfig = NuisanceConfig(),
     rng: np.random.Generator | None = None,
 ) -> NuisanceEstimate:
-    """Fit one nuisance tuple on ``data`` (the trivial one-fold path)."""
+    """Fit one nuisance tuple on ``data``.
+
+    Every table is counted with np.bincount over flat cell indices: ``s*A + a``
+    for the behavior counts and reward sums, ``(s*A + a)*S + s'`` for the
+    transition counts. Rewards are summed in row-major order of the data.
+    """
     num_states, num_actions = eval_policy.table.shape
     if config.fit_subsample < 1.0:
         if rng is None:
             raise ValidationError("fit_subsample < 1 requires an rng")
         m = max(1, round(config.fit_subsample * data.n))
         data = data.subset(np.sort(rng.choice(data.n, size=m, replace=False)))
+    # An action id >= A would alias into the next state's cells of the flat index.
+    check_ids(data, eval_policy, "evaluation")
+    cells = num_states * num_actions
+    sa = data.states * num_actions + data.actions
+    counts = np.bincount(sa.ravel(), minlength=cells).reshape(num_states, num_actions)
     if known_behavior is not None:
         behavior = known_behavior
     else:
-        behavior = estimate_behavior_policy(data, num_states, num_actions, config.smoothing_alpha)
+        smoothed = counts + config.smoothing_alpha
+        totals = smoothed.sum(axis=1, keepdims=True)
+        behavior = Policy(table=np.where(
+            totals > 0, smoothed / np.where(totals > 0, totals, 1.0), 1.0 / num_actions
+        ))
     check_support(behavior, eval_policy)
-    mu = estimate_mean_reward(data, num_states, num_actions)
-    trans = estimate_transitions(data, num_states, num_actions)
+    sums = np.bincount(sa.ravel(), weights=data.rewards.ravel(), minlength=cells)
+    mu = np.where(counts > 0, sums.reshape(counts.shape) / np.where(counts > 0, counts, 1),
+                  float(data.rewards.mean()))
+    moves = (sa[:, :-1] * num_states + data.states[:, 1:]).ravel()
+    next_counts = np.bincount(moves, minlength=cells * num_states).reshape(
+        num_states, num_actions, num_states
+    )
+    totals = next_counts.sum(axis=2, keepdims=True)
+    trans = np.where(totals > 0, next_counts / np.where(totals > 0, totals, 1), 1.0 / num_states)
     q = q_recursion(mu, trans, eval_policy, data.horizon, discount)
     return NuisanceEstimate(behavior=behavior, q=q, mean_reward=mu, transitions=trans)
-
-
-def fit_nuisances(
-    data: LoggedDataset,
-    partition: FoldPartition,
-    eval_policy: Policy,
-    discount: float,
-    known_behavior: Policy | None = None,
-    config: NuisanceConfig = NuisanceConfig(),
-    rng: np.random.Generator | None = None,
-) -> list[NuisanceEstimate]:
-    """One nuisance tuple per fold, each fitted only on that fold's complement."""
-    if partition.n != data.n:
-        raise ValidationError("partition does not cover the dataset")
-    return [
-        fit_nuisance(
-            data.subset(partition.complement(k)),
-            eval_policy,
-            discount,
-            known_behavior=known_behavior,
-            config=config,
-            rng=rng,
-        )
-        for k in range(partition.k)
-    ]

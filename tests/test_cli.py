@@ -138,6 +138,7 @@ class TestEvaluate:
         assert code == 1
         assert out == ""
         assert "line 2: step 0: 'r' must be a number" in err
+        assert f"error: {workspace / 'bad.jsonl'}: line 2" in err
 
     def test_state_outside_eval_table(self, workspace, capsys):
         lines = [{"steps": [{"s": 3, "a": 0, "r": 1.0}]}, {"steps": [{"s": 0, "a": 1, "r": 0.0}]}]

@@ -14,8 +14,8 @@ from dml_ope import (
     dml_estimate,
     dr_full_estimate,
     dr_half_estimate,
-    estimate_behavior_policy,
     exact_policy_value,
+    fit_nuisance,
     ipw_estimate,
     mean_reward_table,
     q_recursion,
@@ -175,9 +175,9 @@ class TestDrVariants:
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 100, np.random.default_rng(4))
-        fitted_behavior = estimate_behavior_policy(data, 3, 2, smoothing=0.5)
+        fitted_behavior = fit_nuisance(data, evaluation, 0.9).behavior
         eta = zero_q_nuisance(fitted_behavior, mdp.horizon)
-        dr = dr_full_estimate(data, evaluation, 0.9, oracle_nuisance=eta)
+        dr = dr_full_estimate(data, eta, evaluation, 0.9)
         ipw = ipw_estimate(data, fitted_behavior, evaluation, 0.9)
         assert dr.value == pytest.approx(ipw.value, abs=1e-12)
         assert dr.variance == pytest.approx(ipw.variance, abs=1e-12)
@@ -187,7 +187,7 @@ class TestDrVariants:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 64, np.random.default_rng(6))
         eta = oracle_nuisance(mdp, behavior, evaluation)
-        dr = dr_full_estimate(data, evaluation, 0.9, oracle_nuisance=eta)
+        dr = dr_full_estimate(data, eta, evaluation, 0.9)
         dml = dml_estimate(data, evaluation, 0.9, np.random.default_rng(0),
                            k_folds=2, oracle_nuisance=eta)
         assert dr.value == pytest.approx(dml.value, abs=1e-12)

@@ -8,11 +8,15 @@ from dml_ope import (
     Estimator,
     ExperimentConfig,
     LoggedDataset,
+    NuisanceConfig,
+    Policy,
     ValidationError,
     cell_from_dict,
+    dr_full_estimate,
     evaluate_dataset,
     exact_policy_value,
     experiment_config_from_dict,
+    fit_nuisance,
     ground_truth_value,
     ingest_jsonl,
     lift_policy,
@@ -255,6 +259,73 @@ class TestEvaluateDataset:
             assert np.isfinite(est.value)
             assert est.ci_low <= est.value <= est.ci_high
 
+    @pytest.mark.parametrize("known, k_folds, expected", [
+        (False, 3, {
+            "dm": (1.6100684668585297, 0.0004611546665899453, 0.0030369546147084427,
+                   [1.6041161451910184, 1.616020788526041], 50),
+            "ipw": (1.622406033130107, 1.5913760310990803, 0.17840269230586628,
+                    [1.272743181465628, 1.9720688847945858], 50),
+            "dr_full": (1.5656610294637796, 0.7036363695042551, 0.11862852688154356,
+                        [1.3331533892369127, 1.7981686696906465], 50),
+            "dr_half": (1.738104277008832, 0.4873008310498749, 0.1396138719540254,
+                        [1.4644661162367556, 2.0117424377809083], 25),
+            "dml": (1.6535586435325653, 1.1455772545654879, 0.15136560075297742,
+                    [1.3568875175584607, 1.95022976950667], 50),
+        }),
+        (True, 2, {
+            "dm": (1.6100684668585297, 0.0004611546665899453, 0.0030369546147084427,
+                   [1.6041161451910184, 1.616020788526041], 50),
+            "ipw": (1.7409113819241986, 1.7873941069094301, 0.18907110339284688,
+                    [1.37033882875697, 2.111483935091427], 50),
+            "dr_full": (1.5767662171602632, 0.6853504767114241, 0.1170769385243246,
+                        [1.347299634232377, 1.8062328000881493], 50),
+            "dr_half": (1.7199003530710724, 0.7526408350611048, 0.1735097501653558,
+                        [1.3798274917804325, 2.059973214361712], 25),
+            "dml": (1.582631249311413, 0.7568603729210214, 0.12303335912841049,
+                    [1.3414902965227462, 1.8237722021000797], 50),
+        }),
+    ], ids=["estimated_behavior_k3", "known_behavior_k2"])
+    def test_golden_reports(self, known, k_folds, expected):
+        # Exact reports of all five estimators, pinned so that refactors of the
+        # nuisance fit and the dispatch keep every number to the last bit.
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 50, np.random.default_rng(11))
+        names = tuple(e.value for e in Estimator)
+        results = evaluate_dataset(data, evaluation, 0.9, names, np.random.default_rng(12),
+                                   known_behavior=behavior if known else None, k_folds=k_folds)
+        assert {name: est.to_dict() for name, est in results.items()} == {
+            name: {"estimator": name, "value": value, "variance": variance,
+                   "std_error": std_error, "ci": ci, "level": 0.95, "n": n}
+            for name, (value, variance, std_error, ci, n) in expected.items()
+        }
+
+    def test_dr_full_on_shared_fit_equals_a_fresh_fit(self):
+        # DR-full scores on the full-data fit that DM and IPW share; scoring on
+        # a fit made for DR-full alone gives the same report.
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 60, np.random.default_rng(3))
+        results = evaluate_dataset(data, evaluation, 0.9, ("dm", "dr_full"),
+                                   np.random.default_rng(4))
+        fresh = dr_full_estimate(data, fit_nuisance(data, evaluation, 0.9), evaluation, 0.9)
+        assert results["dr_full"].to_dict() == fresh.to_dict()
+
+    @pytest.mark.parametrize("states, actions, behavior, match", [
+        ([[0], [3]], [[0], [1]], None,
+         r"'s' id 3 is outside the evaluation policy table of 3 states"),
+        ([[0], [-1]], [[0], [1]], Policy(table=[[0.5, 0.5]] * 3),
+         r"'s' id -1 is outside the evaluation policy table of 3 states"),
+        ([[0], [1]], [[1], [0]], Policy(table=[[1.0]] * 3),
+         r"'a' id 1 is outside the behavior policy table of 1 actions"),
+    ], ids=["state_outside_eval", "negative_state", "action_outside_behavior"])
+    def test_id_outside_policy_table_rejected(self, states, actions, behavior, match):
+        _, evaluation = three_state_policies()
+        data = LoggedDataset(states=states, actions=actions, rewards=[[1.0], [0.0]])
+        with pytest.raises(ValidationError, match=match):
+            evaluate_dataset(data, evaluation, 0.9, ("ipw", "dml"), np.random.default_rng(0),
+                             known_behavior=behavior)
+
     def test_unknown_estimator_rejected(self):
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
@@ -275,6 +346,14 @@ class TestMseExperiment:
         a = run_mse_experiment(small_config())
         b = run_mse_experiment(small_config())
         assert a.to_dict() == b.to_dict()
+
+    def test_report_independent_of_worker_count(self, monkeypatch):
+        config = small_config(replications=6, estimators=("dml", "ipw", "dr_half"))
+        monkeypatch.setenv("OPE_DML_THREADS", "1")
+        one = json.dumps(run_mse_experiment(config).to_dict(), sort_keys=True)
+        monkeypatch.setenv("OPE_DML_THREADS", "2")
+        two = json.dumps(run_mse_experiment(config).to_dict(), sort_keys=True)
+        assert one == two
 
     def test_single_replication_has_no_se(self):
         report = run_mse_experiment(small_config(replications=1))
@@ -342,6 +421,12 @@ class TestConfigParsing:
         obj["nuisance"]["behavior_policy"] = "guessed"
         with pytest.raises(ValidationError, match="known.*estimated"):
             experiment_config_from_dict(obj)
+
+    def test_fit_subsample_reaches_nuisance_config(self):
+        obj = self.config_dict()
+        obj["nuisance"]["fit_subsample"] = 0.5
+        config = experiment_config_from_dict(obj)
+        assert config.nuisance == NuisanceConfig(smoothing_alpha=0.5, fit_subsample=0.5)
 
     def test_noise_states_block(self):
         obj = self.config_dict()

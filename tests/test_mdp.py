@@ -46,6 +46,30 @@ class TestValidation:
             Policy(table=[[0.5, 0.6]])
         with pytest.raises(ValidationError):
             Policy(table=[[1.2, -0.2]])
+        with pytest.raises(ValidationError, match=r"policy row 1"):
+            Policy(table=[[0.5, 0.5], [float("nan"), 1.0]])
+
+    @pytest.mark.parametrize("probs, match", [
+        ([1.2, -0.2], r"reward probs has negative entries"),
+        ([0.5, 0.4], r"reward probs sums to 0\.9, expected 1"),
+        ([float("nan"), 1.0], r"reward probs sums to nan, expected 1"),
+    ], ids=["negative", "bad_sum", "nan"])
+    def test_reward_probs_checked(self, probs, match):
+        with pytest.raises(ValidationError, match=match):
+            RewardSpec(support=[0.0, 1.0], probs=probs)
+
+    @pytest.mark.parametrize("initial, match", [
+        ([1.2, -0.2], r"initial_dist has negative entries"),
+        ([0.5, 0.4], r"initial_dist sums to 0\.9, expected 1"),
+        ([float("nan"), 1.0], r"initial_dist sums to nan, expected 1"),
+    ], ids=["negative", "bad_sum", "nan"])
+    def test_initial_dist_checked(self, initial, match):
+        with pytest.raises(ValidationError, match=match):
+            TabularMdp(
+                num_states=2, num_actions=1, horizon=0, discount=1.0,
+                initial_dist=initial, transitions=np.full((2, 1, 2), 0.5),
+                rewards=[[point_mass(0.0)], [point_mass(0.0)]],
+            )
 
     def test_transition_rows_checked_with_path(self):
         bad = np.ones((2, 1, 2)) * 0.5
