@@ -347,8 +347,42 @@ class TestMseExperiment:
         b = run_mse_experiment(small_config())
         assert a.to_dict() == b.to_dict()
 
-    def test_report_independent_of_worker_count(self, monkeypatch):
-        config = small_config(replications=6, estimators=("dml", "ipw", "dr_half"))
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_golden_report(self, monkeypatch, threads):
+        # The exact report of all five estimators on a lifted scenario, pinned
+        # so that refactors of the replication loop keep every number to the
+        # last bit, whatever the worker count.
+        monkeypatch.setenv("OPE_DML_THREADS", threads)
+        config = small_config(replications=5, noise_states=2,
+                              estimators=tuple(e.value for e in Estimator))
+        expected = {
+            "dm": (0.004403230113240969, 0.002552592337097819, 0.015018849990010574,
+                   0.0041776642582185275),
+            "dml": (0.009716233719799511, 0.004044765901463048, 0.02360893462963287,
+                    0.009158851925453229),
+            "dr_full": (0.008282966000540494, 0.0037663592693061186, 0.02592966206645797,
+                        0.007610618625659769),
+            "dr_half": (0.05540871914861981, 0.020784993994229936, 0.03460419373745505,
+                        0.054211268924400494),
+            "ipw": (0.020730830190644867, 0.005593177720371591, 0.00035610535857388825,
+                    0.020730703379618465),
+        }
+        assert run_mse_experiment(config).to_dict() == {
+            "ground_truth": 1.460341175,
+            "ground_truth_method": "dp_exact",
+            "replications": 5,
+            "n_trajectories": 80,
+            "results": {
+                name: {"estimator": name, "mse": mse, "se_of_mse": se, "bias": bias,
+                       "variance": variance, "replications": 5}
+                for name, (mse, se, bias, variance) in expected.items()
+            },
+        }
+
+    @pytest.mark.parametrize("replications", [6, 5, 1])
+    def test_report_independent_of_worker_count(self, monkeypatch, replications):
+        # 5 splits unevenly over 2 workers; 1 leaves a worker with nothing to do.
+        config = small_config(replications=replications, estimators=("dml", "ipw", "dr_half"))
         monkeypatch.setenv("OPE_DML_THREADS", "1")
         one = json.dumps(run_mse_experiment(config).to_dict(), sort_keys=True)
         monkeypatch.setenv("OPE_DML_THREADS", "2")
