@@ -7,6 +7,7 @@ processes (capped by the OPE_DML_THREADS environment variable).
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -275,24 +276,10 @@ def lift_policy(policy: Policy, num_noise_states: int) -> Policy:
 # Single-dataset evaluation
 
 
-# Each entry runs one estimator from the same positional arguments
-# (full, data, eval_policy, discount, rng, known_behavior, k_folds, config,
-# level); ``full()`` returns the lazily built full-data fit that DM, IPW
-# (without a known behavior policy) and DR-full share.
-_ESTIMATORS = {
-    Estimator.DM.value: lambda full, data, pe, discount, rng, known, k, config, level:
-        dm_estimate(data, full(), pe, level=level),
-    Estimator.IPW.value: lambda full, data, pe, discount, rng, known, k, config, level:
-        ipw_estimate(data, known or full().behavior, pe, discount, level=level),
-    Estimator.DR_FULL.value: lambda full, data, pe, discount, rng, known, k, config, level:
-        dr_full_estimate(data, full(), pe, discount, level=level),
-    Estimator.DR_HALF.value: lambda full, data, pe, discount, rng, known, k, config, level:
-        dr_half_estimate(data, pe, discount, rng, known_behavior=known, config=config,
-                         level=level),
-    Estimator.DML.value: lambda full, data, pe, discount, rng, known, k, config, level:
-        dml_estimate(data, pe, discount, rng, k_folds=k, known_behavior=known, config=config,
-                     level=level),
-}
+def _check_estimator_names(names) -> None:
+    for name in names:
+        if name not in [e.value for e in Estimator]:
+            raise ValidationError(f"unknown estimator '{name}'")
 
 
 def evaluate_dataset(
@@ -313,30 +300,29 @@ def evaluate_dataset(
     estimate. State and action ids must lie inside the evaluation and known
     behavior policy tables.
     """
-    for name in estimators:
-        if name not in _ESTIMATORS:
-            raise ValidationError(f"unknown estimator '{name}'")
+    _check_estimator_names(estimators)
     check_ids(data, eval_policy, "evaluation")
     if known_behavior is not None:
         check_ids(data, known_behavior, "behavior")
-    full_fit = None
 
-    def full_nuisance():
-        nonlocal full_fit
-        if full_fit is None:
-            full_fit = fit_nuisance(
-                data, eval_policy, discount,
-                known_behavior=known_behavior, config=config, rng=rng,
-            )
-        return full_fit
+    @functools.cache
+    def full():
+        return fit_nuisance(data, eval_policy, discount, known_behavior=known_behavior,
+                            config=config, rng=rng)
 
-    return {
-        name: _ESTIMATORS[name](
-            full_nuisance, data, eval_policy, discount, rng, known_behavior, k_folds, config,
-            level,
-        )
-        for name in estimators
+    run = {
+        Estimator.DM: lambda: dm_estimate(data, full(), eval_policy, level=level),
+        Estimator.IPW: lambda: ipw_estimate(data, known_behavior or full().behavior, eval_policy,
+                                            discount, level=level),
+        Estimator.DR_FULL: lambda: dr_full_estimate(data, full(), eval_policy, discount,
+                                                    level=level),
+        Estimator.DR_HALF: lambda: dr_half_estimate(data, eval_policy, discount, rng, level=level,
+                                                    known_behavior=known_behavior, config=config),
+        Estimator.DML: lambda: dml_estimate(data, eval_policy, discount, rng, k_folds=k_folds,
+                                            known_behavior=known_behavior, config=config,
+                                            level=level),
     }
+    return {name: run[name]() for name in estimators}
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +354,7 @@ class ExperimentConfig:
             raise ValidationError("replications must be >= 1")
         if self.n_trajectories < self.k_folds:
             raise ValidationError("n_trajectories must be >= k_folds")
-        for name in self.estimators:
-            if name not in _ESTIMATORS:
-                raise ValidationError(f"unknown estimator '{name}'")
+        _check_estimator_names(self.estimators)
         if self.ground_truth_method not in ("dp_exact", "on_policy_rollout"):
             raise ValidationError("ground_truth method must be dp_exact or on_policy_rollout")
 
@@ -500,26 +484,23 @@ def _scenario(config: ExperimentConfig) -> tuple[TabularMdp, Policy, Policy]:
     return mdp, behavior, evaluation
 
 
-def _run_replication(args) -> dict[str, float]:
-    config, seed_seq = args
+def _run_replications(config: ExperimentConfig, seeds: list) -> list[dict[str, float]]:
+    """The estimates of each replication in ``seeds``, in order, on one scenario build."""
     mdp, behavior, evaluation = _scenario(config)
-    child = seed_seq.spawn(len(config.estimators) + 1)
-    data = sample_dataset(mdp, behavior, config.n_trajectories, np.random.default_rng(child[0]))
-    out: dict[str, float] = {}
-    for j, name in enumerate(config.estimators):
-        results = evaluate_dataset(
-            data,
-            evaluation,
-            config.effective_discount,
-            (name,),
-            np.random.default_rng(child[j + 1]),
-            known_behavior=behavior if config.behavior_known else None,
-            k_folds=config.k_folds,
-            config=config.nuisance,
-            level=config.level,
-        )
-        out[name] = results[name].value
-    return out
+    known = behavior if config.behavior_known else None
+    rows = []
+    for seed_seq in seeds:
+        child = seed_seq.spawn(len(config.estimators) + 1)
+        data = sample_dataset(mdp, behavior, config.n_trajectories, np.random.default_rng(child[0]))
+        rows.append({
+            name: evaluate_dataset(
+                data, evaluation, config.effective_discount, (name,),
+                np.random.default_rng(child[j + 1]), known_behavior=known,
+                k_folds=config.k_folds, config=config.nuisance, level=config.level,
+            )[name].value
+            for j, name in enumerate(config.estimators)
+        })
+    return rows
 
 
 def ground_truth_value(config: ExperimentConfig) -> float:
@@ -534,16 +515,19 @@ def ground_truth_value(config: ExperimentConfig) -> float:
 
 def run_mse_experiment(config: ExperimentConfig) -> MseReport:
     """Ground truth, then per-replication fresh datasets and estimator runs."""
+    workers = int(os.environ.get("OPE_DML_THREADS", "1"))
     truth = ground_truth_value(config)
     reps = config.replications
-    children = np.random.SeedSequence(config.seed).spawn(reps)
-    tasks = [(config, child) for child in children]
-    workers = int(os.environ.get("OPE_DML_THREADS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_replication, tasks, chunksize=max(1, reps // (4 * workers))))
+    seeds = np.random.SeedSequence(config.seed).spawn(reps)
+    if workers <= 1:
+        rows = _run_replications(config, seeds)
     else:
-        rows = [_run_replication(task) for task in tasks]
+        blocks = min(workers, reps)
+        bounds = [i * reps // blocks for i in range(blocks + 1)]
+        with ProcessPoolExecutor(max_workers=blocks) as pool:
+            block_rows = pool.map(_run_replications, [config] * blocks,
+                                  [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+            rows = [row for block in block_rows for row in block]
     results = {}
     for name in config.estimators:
         estimates = np.array([row[name] for row in rows])
