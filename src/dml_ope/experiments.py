@@ -2,8 +2,10 @@
 standard error, dataset file I/O, and the noisy-nuisance scenario builder.
 
 Replications draw independent random streams from a splittable seed sequence,
-so results do not depend on execution order and the study can run across
-processes (capped by the OPE_DML_THREADS environment variable).
+so results do not depend on execution order. With the OPE_DML_THREADS
+environment variable above 1, the replications are split into one contiguous
+block per worker process; each block builds the scenario once, and the blocks'
+rows are joined in order.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from .mdp import (
     TabularMdp,
     ValidationError,
     exact_policy_value,
+    load_mdp,
     mdp_from_dict,
     sample_dataset,
 )
@@ -364,9 +367,29 @@ class ExperimentConfig:
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _field(obj: dict, key: str, where: str, convert=float, default=...):
+    """``convert(obj[key])``, or ``default`` if the key is absent or null.
+
+    The key is required when ``default`` is ``...``. A missing required key, or
+    a value that ``convert`` rejects, raises a ValidationError naming the key.
+    """
+    value = obj.get(key)
+    if value is None:
+        if default is ...:
+            raise ValidationError(f"{where}: missing field '{key}'")
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if convert is int else "a number"
+        raise ValidationError(f"{where}: '{key}' must be {kind}, got {json.dumps(value)}") from None
 
 
 def _load_component(obj, loader, inline_loader, what: str):
@@ -378,32 +401,31 @@ def _load_component(obj, loader, inline_loader, what: str):
 
 
 def experiment_config_from_dict(obj: dict, base_dir: Path | None = None) -> ExperimentConfig:
+    where = "experiment config"
     _reject_unknown(
         obj,
         {"mdp", "behavior_policy", "evaluation_policy", "n_trajectories", "replications",
-         "estimators", "k_folds", "seed", "discount", "level", "nuisance",
+         "estimators", "seed", "discount", "level", "nuisance",
          "noise_states", "ground_truth"},
-        "experiment config",
+        where,
     )
     base = base_dir or Path(".")
 
     def resolve(p):
         return str(base / p)
 
-    from .mdp import load_mdp  # local import to keep module load order simple
-
-    mdp = _load_component(obj["mdp"], lambda p: load_mdp(resolve(p)), mdp_from_dict, "mdp")
+    mdp = _load_component(obj.get("mdp"), lambda p: load_mdp(resolve(p)), mdp_from_dict, "mdp")
     behavior = _load_component(
-        obj["behavior_policy"], lambda p: load_policy(resolve(p)), policy_from_dict,
+        obj.get("behavior_policy"), lambda p: load_policy(resolve(p)), policy_from_dict,
         "behavior_policy",
     )
     evaluation = _load_component(
-        obj["evaluation_policy"], lambda p: load_policy(resolve(p)), policy_from_dict,
+        obj.get("evaluation_policy"), lambda p: load_policy(resolve(p)), policy_from_dict,
         "evaluation_policy",
     )
     nuisance_obj = obj.get("nuisance", {})
     _reject_unknown(
-        nuisance_obj, {"k_folds", "smoothing_alpha", "behavior_policy", "fit_subsample", "seed"},
+        nuisance_obj, {"k_folds", "smoothing_alpha", "behavior_policy", "fit_subsample"},
         "nuisance config",
     )
     behavior_mode = nuisance_obj.get("behavior_policy", "estimated")
@@ -417,23 +439,23 @@ def experiment_config_from_dict(obj: dict, base_dir: Path | None = None) -> Expe
         mdp=mdp,
         behavior_policy=behavior,
         evaluation_policy=evaluation,
-        n_trajectories=int(obj["n_trajectories"]),
-        replications=int(obj["replications"]),
+        n_trajectories=_field(obj, "n_trajectories", where, int),
+        replications=_field(obj, "replications", where, int),
         estimators=tuple(obj.get("estimators", [Estimator.DML.value])),
-        k_folds=int(nuisance_obj.get("k_folds", obj.get("k_folds", 2))),
-        seed=int(nuisance_obj.get("seed", obj.get("seed", 0))),
-        discount=None if obj.get("discount") is None else float(obj["discount"]),
-        level=float(obj.get("level", 0.95)),
+        k_folds=_field(nuisance_obj, "k_folds", "nuisance config", int, 2),
+        seed=_field(obj, "seed", where, int, 0),
+        discount=_field(obj, "discount", where, float, None),
+        level=_field(obj, "level", where, float, 0.95),
         behavior_known=(behavior_mode == "known"),
         nuisance=NuisanceConfig(
-            smoothing_alpha=float(nuisance_obj.get("smoothing_alpha", 0.5)),
-            fit_subsample=float(nuisance_obj.get("fit_subsample", 1.0)),
+            smoothing_alpha=_field(nuisance_obj, "smoothing_alpha", "nuisance config", float, 0.5),
+            fit_subsample=_field(nuisance_obj, "fit_subsample", "nuisance config", float, 1.0),
         ),
-        noise_states=int(noise.get("count", 0)),
-        noise_seed=int(noise.get("seed", 0)),
+        noise_states=_field(noise, "count", "noise_states", int, 0),
+        noise_seed=_field(noise, "seed", "noise_states", int, 0),
         ground_truth_method=gt.get("method", "dp_exact"),
-        ground_truth_n=int(gt.get("n", 100_000)),
-        ground_truth_seed=int(gt.get("seed", 0)),
+        ground_truth_n=_field(gt, "n", "ground_truth", int, 100_000),
+        ground_truth_seed=_field(gt, "seed", "ground_truth", int, 0),
     )
 
 
@@ -515,7 +537,11 @@ def ground_truth_value(config: ExperimentConfig) -> float:
 
 def run_mse_experiment(config: ExperimentConfig) -> MseReport:
     """Ground truth, then per-replication fresh datasets and estimator runs."""
-    workers = int(os.environ.get("OPE_DML_THREADS", "1"))
+    threads = os.environ.get("OPE_DML_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise ValidationError(f"OPE_DML_THREADS must be an integer, got {threads!r}") from None
     truth = ground_truth_value(config)
     reps = config.replications
     seeds = np.random.SeedSequence(config.seed).spawn(reps)
@@ -582,21 +608,16 @@ def cell_from_dict(obj: dict) -> CampaignBatchCell:
          "ope_variance", "n_ope", "online_variance"},
         "cell",
     )
-    try:
-        return CampaignBatchCell(
-            campaign=str(obj["campaign"]),
-            batch=str(obj["batch"]),
-            estimate=float(obj["estimate"]),
-            actual=float(obj["actual"]),
-            n_impressions=float(obj["n_impressions"]),
-            ope_variance=None if obj.get("ope_variance") is None else float(obj["ope_variance"]),
-            n_ope=None if obj.get("n_ope") is None else float(obj["n_ope"]),
-            online_variance=(
-                None if obj.get("online_variance") is None else float(obj["online_variance"])
-            ),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"cell missing field {exc}") from exc
+    return CampaignBatchCell(
+        campaign=_field(obj, "campaign", "cell", str),
+        batch=_field(obj, "batch", "cell", str),
+        estimate=_field(obj, "estimate", "cell"),
+        actual=_field(obj, "actual", "cell"),
+        n_impressions=_field(obj, "n_impressions", "cell"),
+        ope_variance=_field(obj, "ope_variance", "cell", default=None),
+        n_ope=_field(obj, "n_ope", "cell", default=None),
+        online_variance=_field(obj, "online_variance", "cell", default=None),
+    )
 
 
 def relative_rmse(cells: list[CampaignBatchCell]) -> float:

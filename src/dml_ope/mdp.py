@@ -87,9 +87,6 @@ class Policy:
     def num_actions(self) -> int:
         return self.table.shape[1]
 
-    def prob(self, state: int, action: int) -> float:
-        return float(self.table[state, action])
-
 
 @dataclass(frozen=True, eq=False)
 class TabularMdp:
@@ -178,10 +175,6 @@ class LoggedDataset:
     @property
     def horizon(self) -> int:
         return self.states.shape[1] - 1
-
-    @property
-    def propensities_known(self) -> bool:
-        return self.propensities is not None
 
     def subset(self, indices: np.ndarray) -> "LoggedDataset":
         idx = np.asarray(indices, dtype=np.int64)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -201,6 +202,39 @@ class TestExperiment:
         assert code == 1
         assert "unknown keys" in err
 
+    @staticmethod
+    def small_config(workspace, **changes):
+        """A two-replication config file; a key changed to None is left out."""
+        config = {"mdp": "mdp.json", "behavior_policy": "behavior.json",
+                  "evaluation_policy": "eval.json", "n_trajectories": 40, "replications": 2,
+                  **changes}
+        path = workspace / "config.json"
+        path.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
+        return path
+
+    @pytest.mark.parametrize("change, match", [
+        ({"n_trajectories": None}, "experiment config: missing field 'n_trajectories'"),
+        ({"n_trajectories": "many"},
+         "experiment config: 'n_trajectories' must be an integer, got \"many\""),
+        ({"nuisance": 2}, "nuisance config must be an object"),
+        # k_folds is read from the nuisance block only, and seed from the top level only.
+        ({"k_folds": 2}, "experiment config: unknown keys \\['k_folds'\\]"),
+        ({"nuisance": {"seed": 3}}, "nuisance config: unknown keys \\['seed'\\]"),
+    ], ids=["missing_n_trajectories", "string_n_trajectories", "non_object_nuisance",
+            "top_level_k_folds", "nuisance_seed"])
+    def test_malformed_config_exits_1_naming_the_key(self, workspace, capsys, change, match):
+        path = self.small_config(workspace, **change)
+        code, _, err = run(capsys, "experiment", "--config", str(path))
+        assert code == 1
+        assert re.search(match, err)
+
+    def test_non_integer_thread_count_exits_1(self, workspace, capsys, monkeypatch):
+        path = self.small_config(workspace)
+        monkeypatch.setenv("OPE_DML_THREADS", "abc")
+        code, _, err = run(capsys, "experiment", "--config", str(path))
+        assert code == 1
+        assert "OPE_DML_THREADS must be an integer, got 'abc'" in err
+
 
 class TestBound:
     def test_bandit_bound(self, tmp_path, capsys):
@@ -264,6 +298,14 @@ class TestRmse:
         assert cli_main(argv + ["--output", str(a)]) == 0
         assert cli_main(argv + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_non_number_estimate_exits_1_naming_the_field(self, tmp_path, capsys):
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps([{"campaign": "a", "batch": "1", "estimate": "x",
+                                     "actual": 0.5, "n_impressions": 100}]))
+        code, _, err = run(capsys, "rmse", "--cells", str(path))
+        assert code == 1
+        assert "cell: 'estimate' must be a number, got \"x\"" in err
 
     def test_non_array_file(self, tmp_path, capsys):
         path = tmp_path / "cells.json"

@@ -60,7 +60,7 @@ class TestJsonlRoundTrip:
         assert np.array_equal(loaded.states, data.states)
         assert np.array_equal(loaded.actions, data.actions)
         assert np.array_equal(loaded.rewards, data.rewards)
-        assert loaded.propensities_known
+        assert loaded.propensities is not None
         assert np.allclose(loaded.propensities, data.propensities, atol=1e-15)
 
     def test_string_labels_sorted(self, tmp_path):
@@ -74,7 +74,7 @@ class TestJsonlRoundTrip:
         # "cart" < "home" and "hide" < "show" in sorted order.
         assert data.states[:, 0].tolist() == [1, 0]
         assert data.actions[:, 0].tolist() == [1, 0]
-        assert not data.propensities_known
+        assert data.propensities is None
 
     def test_explicit_label_maps(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -130,7 +130,7 @@ class TestJsonlRoundTrip:
             {"steps": [{"s": 0, "a": 0, "r": 0.0}]},
         ]
         path.write_text("\n".join(json.dumps(x) for x in lines) + "\n")
-        assert not ingest_jsonl(path).propensities_known
+        assert ingest_jsonl(path).propensities is None
 
     def test_golden_bytes(self, tmp_path):
         data = LoggedDataset(

@@ -140,7 +140,7 @@ class TestSampling:
         mdp = three_state_mdp()
         policy = random_policy(np.random.default_rng(1), 3, 2)
         data = sample_dataset(mdp, policy, 50, np.random.default_rng(2))
-        assert data.propensities_known
+        assert data.propensities is not None
         expected = policy.table[data.states, data.actions]
         assert np.array_equal(data.propensities, expected)
 
