@@ -179,6 +179,20 @@ def dr_full_estimate(
     return _finalize(scores, Estimator.DR_FULL, level)
 
 
+def _fold_scores(data: LoggedDataset, folds: tuple, k: int, eval_policy: Policy,
+                 discount: float, known_behavior: Policy | None, config: NuisanceConfig,
+                 oracle_nuisance: NuisanceEstimate | None) -> np.ndarray:
+    """Doubly robust scores of fold ``k``, with nuisances fitted on the other
+    folds concatenated in fold order (or ``oracle_nuisance`` if given). The rows
+    are cut from a view without propensities, which no score reads."""
+    rows = LoggedDataset(data.states, data.actions, data.rewards)
+    eta = oracle_nuisance or fit_nuisance(
+        rows.subset(np.concatenate(folds[:k] + folds[k + 1:])), eval_policy, discount,
+        known_behavior=known_behavior, config=config,
+    )
+    return _psi_scores(rows.subset(folds[k]), eta, eval_policy, discount)
+
+
 def dr_half_estimate(
     data: LoggedDataset,
     eval_policy: Policy,
@@ -189,17 +203,11 @@ def dr_half_estimate(
     oracle_nuisance: NuisanceEstimate | None = None,
     level: float = 0.95,
 ) -> ValueEstimate:
-    """Score the first half after a seeded shuffle, fit nuisances on the second."""
-    if data.n < 2:
-        raise ValidationError("dr_half needs at least 2 trajectories")
-    perm = rng.permutation(data.n)
-    cut = (data.n + 1) // 2
-    score_idx, fit_idx = np.sort(perm[:cut]), np.sort(perm[cut:])
-    eta = oracle_nuisance or fit_nuisance(
-        data.subset(fit_idx), eval_policy, discount,
-        known_behavior=known_behavior, config=config, rng=rng,
-    )
-    scores = _psi_scores(data.subset(score_idx), eta, eval_policy, discount)
+    """Score fold 0 of a 2-fold split, its first (n+1)//2 rows, with nuisances
+    fitted on fold 1."""
+    folds = make_folds(data.n, 2, rng)
+    scores = _fold_scores(data, folds, 0, eval_policy, discount, known_behavior, config,
+                          oracle_nuisance)
     return _finalize(scores, Estimator.DR_HALF, level)
 
 
@@ -216,19 +224,15 @@ def dml_estimate(
 ) -> ValueEstimate:
     """Cross-fitted doubly robust estimator with the pooled variance estimator.
 
-    Each fold is scored with nuisances fitted on its complement, the other
-    folds concatenated in fold order; the value is the pooled mean of all N
-    scores, which matches the per-fold double average whenever the folds are
-    equal-sized.
+    Each fold is scored with nuisances fitted on its complement; the value is
+    the pooled mean of all N scores, which matches the per-fold double average
+    whenever the folds are equal-sized.
     """
     folds = make_folds(data.n, k_folds, rng)
     scores = np.empty(data.n)
     for k, fold in enumerate(folds):
-        eta = oracle_nuisance or fit_nuisance(
-            data.subset(np.concatenate(folds[:k] + folds[k + 1:])), eval_policy, discount,
-            known_behavior=known_behavior, config=config, rng=rng,
-        )
-        scores[fold] = _psi_scores(data.subset(fold), eta, eval_policy, discount)
+        scores[fold] = _fold_scores(data, folds, k, eval_policy, discount, known_behavior,
+                                    config, oracle_nuisance)
     return _finalize(scores, Estimator.DML, level)
 
 

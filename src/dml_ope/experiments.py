@@ -9,6 +9,7 @@ rows are joined in order.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
@@ -33,7 +34,9 @@ from .mdp import (
     Policy,
     TabularMdp,
     ValidationError,
+    check_keys,
     exact_policy_value,
+    json_field,
     load_mdp,
     mdp_from_dict,
     sample_dataset,
@@ -56,7 +59,7 @@ def policy_to_dict(policy: Policy) -> dict:
 def policy_from_dict(obj: dict) -> Policy:
     if not isinstance(obj, dict) or "table" not in obj:
         raise ValidationError("policy spec must be an object with a 'table' field")
-    return Policy(table=np.asarray(obj["table"], dtype=float))
+    return Policy(table=json_field(obj, "table", "policy spec", np.ndarray))
 
 
 def load_policy(path: str | Path) -> Policy:
@@ -311,7 +314,7 @@ def evaluate_dataset(
     @functools.cache
     def full():
         return fit_nuisance(data, eval_policy, discount, known_behavior=known_behavior,
-                            config=config, rng=rng)
+                            config=config)
 
     run = {
         Estimator.DM: lambda: dm_estimate(data, full(), eval_policy, level=level),
@@ -357,6 +360,11 @@ class ExperimentConfig:
             raise ValidationError("replications must be >= 1")
         if self.n_trajectories < self.k_folds:
             raise ValidationError("n_trajectories must be >= k_folds")
+        if self.discount is not None and not 0.0 <= self.discount <= 1.0:
+            raise ValidationError(f"experiment config: 'discount' must lie in [0, 1], "
+                                  f"got {self.discount!r}")
+        if self.noise_states < 0:
+            raise ValidationError(f"noise_states: 'count' must be >= 0, got {self.noise_states}")
         _check_estimator_names(self.estimators)
         if self.ground_truth_method not in ("dp_exact", "on_policy_rollout"):
             raise ValidationError("ground_truth method must be dp_exact or on_policy_rollout")
@@ -366,96 +374,59 @@ class ExperimentConfig:
         return self.mdp.discount if self.discount is None else self.discount
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where} must be an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
-
-
-def _field(obj: dict, key: str, where: str, convert=float, default=...):
-    """``convert(obj[key])``, or ``default`` if the key is absent or null.
-
-    The key is required when ``default`` is ``...``. A missing required key, or
-    a value that ``convert`` rejects, raises a ValidationError naming the key.
-    """
+def _load_component(obj: dict, key: str, base: Path, loader, inline_loader):
+    """``obj[key]`` as a path relative to ``base`` or as an inline object."""
     value = obj.get(key)
-    if value is None:
-        if default is ...:
-            raise ValidationError(f"{where}: missing field '{key}'")
-        return default
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if convert is int else "a number"
-        raise ValidationError(f"{where}: '{key}' must be {kind}, got {json.dumps(value)}") from None
-
-
-def _load_component(obj, loader, inline_loader, what: str):
-    if isinstance(obj, str):
-        return loader(obj)
-    if isinstance(obj, dict):
-        return inline_loader(obj)
-    raise ValidationError(f"{what} must be a path or an inline object")
+    if isinstance(value, str):
+        return loader(base / value)
+    if isinstance(value, dict):
+        return inline_loader(value)
+    raise ValidationError(f"{key} must be a path or an inline object")
 
 
 def experiment_config_from_dict(obj: dict, base_dir: Path | None = None) -> ExperimentConfig:
     where = "experiment config"
-    _reject_unknown(
-        obj,
-        {"mdp", "behavior_policy", "evaluation_policy", "n_trajectories", "replications",
-         "estimators", "seed", "discount", "level", "nuisance",
-         "noise_states", "ground_truth"},
-        where,
-    )
+    check_keys(obj, {"mdp", "behavior_policy", "evaluation_policy", "n_trajectories",
+                     "replications", "estimators", "seed", "discount", "level", "nuisance",
+                     "noise_states", "ground_truth"}, where)
     base = base_dir or Path(".")
-
-    def resolve(p):
-        return str(base / p)
-
-    mdp = _load_component(obj.get("mdp"), lambda p: load_mdp(resolve(p)), mdp_from_dict, "mdp")
-    behavior = _load_component(
-        obj.get("behavior_policy"), lambda p: load_policy(resolve(p)), policy_from_dict,
-        "behavior_policy",
-    )
-    evaluation = _load_component(
-        obj.get("evaluation_policy"), lambda p: load_policy(resolve(p)), policy_from_dict,
-        "evaluation_policy",
-    )
+    mdp = _load_component(obj, "mdp", base, load_mdp, mdp_from_dict)
+    behavior, evaluation = (_load_component(obj, key, base, load_policy, policy_from_dict)
+                            for key in ("behavior_policy", "evaluation_policy"))
     nuisance_obj = obj.get("nuisance", {})
-    _reject_unknown(
-        nuisance_obj, {"k_folds", "smoothing_alpha", "behavior_policy", "fit_subsample"},
-        "nuisance config",
-    )
+    check_keys(nuisance_obj, {"k_folds", "smoothing_alpha", "behavior_policy"}, "nuisance config")
     behavior_mode = nuisance_obj.get("behavior_policy", "estimated")
     if behavior_mode not in ("known", "estimated"):
         raise ValidationError("nuisance.behavior_policy must be 'known' or 'estimated'")
     gt = obj.get("ground_truth", {"method": "dp_exact"})
-    _reject_unknown(gt, {"method", "n", "seed"}, "ground_truth")
+    check_keys(gt, {"method", "n", "seed"}, "ground_truth")
     noise = obj.get("noise_states", {})
-    _reject_unknown(noise, {"count", "seed"}, "noise_states")
+    check_keys(noise, {"count", "seed"}, "noise_states")
+    estimators = obj.get("estimators", [Estimator.DML.value])
+    if not isinstance(estimators, list):
+        raise ValidationError(f"{where}: 'estimators' must be an array of estimator names, "
+                              f"got {json.dumps(estimators)}")
     return ExperimentConfig(
         mdp=mdp,
         behavior_policy=behavior,
         evaluation_policy=evaluation,
-        n_trajectories=_field(obj, "n_trajectories", where, int),
-        replications=_field(obj, "replications", where, int),
-        estimators=tuple(obj.get("estimators", [Estimator.DML.value])),
-        k_folds=_field(nuisance_obj, "k_folds", "nuisance config", int, 2),
-        seed=_field(obj, "seed", where, int, 0),
-        discount=_field(obj, "discount", where, float, None),
-        level=_field(obj, "level", where, float, 0.95),
+        n_trajectories=json_field(obj, "n_trajectories", where, int),
+        replications=json_field(obj, "replications", where, int),
+        estimators=tuple(estimators),
+        k_folds=json_field(nuisance_obj, "k_folds", "nuisance config", int, 2),
+        seed=json_field(obj, "seed", where, int, 0),
+        discount=json_field(obj, "discount", where, float, None),
+        level=json_field(obj, "level", where, float, 0.95),
         behavior_known=(behavior_mode == "known"),
         nuisance=NuisanceConfig(
-            smoothing_alpha=_field(nuisance_obj, "smoothing_alpha", "nuisance config", float, 0.5),
-            fit_subsample=_field(nuisance_obj, "fit_subsample", "nuisance config", float, 1.0),
+            smoothing_alpha=json_field(nuisance_obj, "smoothing_alpha", "nuisance config",
+                                       default=0.5),
         ),
-        noise_states=_field(noise, "count", "noise_states", int, 0),
-        noise_seed=_field(noise, "seed", "noise_states", int, 0),
+        noise_states=json_field(noise, "count", "noise_states", int, 0),
+        noise_seed=json_field(noise, "seed", "noise_states", int, 0),
         ground_truth_method=gt.get("method", "dp_exact"),
-        ground_truth_n=_field(gt, "n", "ground_truth", int, 100_000),
-        ground_truth_seed=_field(gt, "seed", "ground_truth", int, 0),
+        ground_truth_n=json_field(gt, "n", "ground_truth", int, 100_000),
+        ground_truth_seed=json_field(gt, "seed", "ground_truth", int, 0),
     )
 
 
@@ -526,9 +497,11 @@ def _run_replications(config: ExperimentConfig, seeds: list) -> list[dict[str, f
 
 
 def ground_truth_value(config: ExperimentConfig) -> float:
+    """The evaluation policy's value at the discount the estimators use."""
     mdp, _, evaluation = _scenario(config)
     if config.ground_truth_method == "dp_exact":
-        return exact_policy_value(mdp, evaluation)
+        return exact_policy_value(dataclasses.replace(mdp, discount=config.effective_discount),
+                                  evaluation)
     rng = np.random.default_rng(config.ground_truth_seed)
     rollout = sample_dataset(mdp, evaluation, config.ground_truth_n, rng)
     disc = config.effective_discount ** np.arange(mdp.horizon + 1)
@@ -602,21 +575,17 @@ class CampaignBatchCell:
 
 
 def cell_from_dict(obj: dict) -> CampaignBatchCell:
-    _reject_unknown(
-        obj,
-        {"campaign", "batch", "estimate", "actual", "n_impressions",
-         "ope_variance", "n_ope", "online_variance"},
-        "cell",
-    )
+    check_keys(obj, {"campaign", "batch", "estimate", "actual", "n_impressions",
+                     "ope_variance", "n_ope", "online_variance"}, "cell")
     return CampaignBatchCell(
-        campaign=_field(obj, "campaign", "cell", str),
-        batch=_field(obj, "batch", "cell", str),
-        estimate=_field(obj, "estimate", "cell"),
-        actual=_field(obj, "actual", "cell"),
-        n_impressions=_field(obj, "n_impressions", "cell"),
-        ope_variance=_field(obj, "ope_variance", "cell", default=None),
-        n_ope=_field(obj, "n_ope", "cell", default=None),
-        online_variance=_field(obj, "online_variance", "cell", default=None),
+        campaign=json_field(obj, "campaign", "cell", str),
+        batch=json_field(obj, "batch", "cell", str),
+        estimate=json_field(obj, "estimate", "cell"),
+        actual=json_field(obj, "actual", "cell"),
+        n_impressions=json_field(obj, "n_impressions", "cell"),
+        ope_variance=json_field(obj, "ope_variance", "cell", default=None),
+        n_ope=json_field(obj, "n_ope", "cell", default=None),
+        online_variance=json_field(obj, "online_variance", "cell", default=None),
     )
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -310,42 +312,73 @@ def mdp_to_dict(mdp: TabularMdp) -> dict:
     }
 
 
+def check_keys(obj: dict, allowed: set, where: str) -> None:
+    """Raise unless ``obj`` is a JSON object whose keys all lie in ``allowed``."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must be an object")
+    unknown = set(obj) - allowed
+    if unknown:
+        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def json_field(obj: dict, key: str, where: str, kind=float, default=...):
+    """``obj[key]`` as ``kind`` (float, int, str or np.ndarray), or ``default``
+    if absent or null (required if ``default`` is ``...``). A float must be a
+    finite JSON number and an int an integral one, never a boolean or a string:
+    50.7 or true is an error, not 50 or 1. Errors name the key."""
+    value = obj.get(key)
+    if value is None:
+        if default is ...:
+            raise ValidationError(f"{where}: missing field '{key}'")
+        return default
+    if kind is str:
+        return str(value)
+    if kind is np.ndarray:
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{where}: '{key}' must be an array of numbers") from None
+    got = json.dumps(value, default=str)
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if kind is int and not (number and value % 1 == 0):
+        raise ValidationError(f"{where}: '{key}' must be an integer, got {got}")
+    if not number:
+        raise ValidationError(f"{where}: '{key}' must be a number, got {got}")
+    if not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{where}: '{key}' must be finite, got {got}")
+    return kind(value)
+
+
 def mdp_from_dict(obj: dict) -> TabularMdp:
     """Build a TabularMdp from the JSON spec format; errors name the offending path."""
-    if not isinstance(obj, dict):
-        raise ValidationError("MDP spec must be a JSON object")
-    for key in ("num_states", "num_actions", "horizon", "discount",
-                "initial_dist", "transitions", "rewards"):
-        if key not in obj:
-            raise ValidationError(f"MDP spec missing field '{key}'")
-    unknown = set(obj) - {"num_states", "num_actions", "horizon", "discount",
-                          "initial_dist", "transitions", "rewards"}
-    if unknown:
-        raise ValidationError(f"MDP spec has unknown fields: {sorted(unknown)}")
-    num_states, num_actions = int(obj["num_states"]), int(obj["num_actions"])
+    where = "MDP spec"
+    check_keys(obj, {"num_states", "num_actions", "horizon", "discount",
+                     "initial_dist", "transitions", "rewards"}, where)
+    num_states = json_field(obj, "num_states", where, int)
+    num_actions = json_field(obj, "num_actions", where, int)
     rewards = []
-    raw_rewards = obj["rewards"]
-    if len(raw_rewards) != num_states:
-        raise ValidationError("rewards: expected one row per state")
+    raw_rewards = obj.get("rewards")
+    if not isinstance(raw_rewards, list) or len(raw_rewards) != num_states:
+        raise ValidationError(f"{where}: 'rewards' must be an array with one row per state")
     for s, row in enumerate(raw_rewards):
-        if len(row) != num_actions:
+        if not isinstance(row, list) or len(row) != num_actions:
             raise ValidationError(f"rewards[{s}]: expected one entry per action")
         specs = []
         for a, cell in enumerate(row):
             try:
                 specs.append(RewardSpec(support=cell["support"], probs=cell["probs"]))
-            except (KeyError, TypeError):
-                raise ValidationError(f"rewards[{s}][{a}] must have 'support' and 'probs'")
             except ValidationError as exc:
                 raise ValidationError(f"rewards[{s}][{a}]: {exc}") from exc
+            except (KeyError, TypeError, ValueError):
+                raise ValidationError(f"rewards[{s}][{a}] needs numeric 'support' and 'probs'")
         rewards.append(specs)
     return TabularMdp(
         num_states=num_states,
         num_actions=num_actions,
-        horizon=int(obj["horizon"]),
-        discount=float(obj["discount"]),
-        initial_dist=obj["initial_dist"],
-        transitions=obj["transitions"],
+        horizon=json_field(obj, "horizon", where, int),
+        discount=json_field(obj, "discount", where),
+        initial_dist=json_field(obj, "initial_dist", where, np.ndarray),
+        transitions=json_field(obj, "transitions", where, np.ndarray),
         rewards=rewards,
     )
 

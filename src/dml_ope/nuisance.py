@@ -25,18 +25,13 @@ class NuisanceConfig:
 
     smoothing_alpha: additive smoothing for the behavior-policy counts.
         alpha > 0 keeps every fitted propensity strictly positive.
-    fit_subsample: fraction of the fitting subset actually used. Values < 1
-        deliberately degrade the nuisances (noisy-nuisance experiments).
     """
 
     smoothing_alpha: float = 0.5
-    fit_subsample: float = 1.0
 
     def __post_init__(self):
         if self.smoothing_alpha < 0:
             raise ValidationError("smoothing_alpha must be >= 0")
-        if not 0.0 < self.fit_subsample <= 1.0:
-            raise ValidationError("fit_subsample must lie in (0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,20 +125,14 @@ def fit_nuisance(
     discount: float,
     known_behavior: Policy | None = None,
     config: NuisanceConfig = NuisanceConfig(),
-    rng: np.random.Generator | None = None,
 ) -> NuisanceEstimate:
-    """Fit one nuisance tuple on ``data``.
+    """Fit one nuisance tuple on every row of ``data``; the fit draws nothing.
 
     Every table is counted with np.bincount over flat cell indices: ``s*A + a``
     for the behavior counts and reward sums, ``(s*A + a)*S + s'`` for the
     transition counts. Rewards are summed in row-major order of the data.
     """
     num_states, num_actions = eval_policy.table.shape
-    if config.fit_subsample < 1.0:
-        if rng is None:
-            raise ValidationError("fit_subsample < 1 requires an rng")
-        m = max(1, round(config.fit_subsample * data.n))
-        data = data.subset(np.sort(rng.choice(data.n, size=m, replace=False)))
     # An action id >= A would alias into the next state's cells of the flat index.
     check_ids(data, eval_policy, "evaluation")
     cells = num_states * num_actions

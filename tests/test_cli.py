@@ -8,6 +8,8 @@ from dml_ope.cli import cli_main
 
 from helpers import bandit_mdp, bandit_policies, three_state_mdp, three_state_policies
 
+_MDP = mdp_to_dict(three_state_mdp())
+
 
 @pytest.fixture
 def workspace(tmp_path):
@@ -220,8 +222,27 @@ class TestExperiment:
         # k_folds is read from the nuisance block only, and seed from the top level only.
         ({"k_folds": 2}, "experiment config: unknown keys \\['k_folds'\\]"),
         ({"nuisance": {"seed": 3}}, "nuisance config: unknown keys \\['seed'\\]"),
+        ({"n_trajectories": 50.7},
+         "experiment config: 'n_trajectories' must be an integer, got 50.7"),
+        ({"replications": True}, "experiment config: 'replications' must be an integer, got true"),
+        ({"noise_states": {"count": -1}}, "noise_states: 'count' must be >= 0, got -1"),
+        ({"discount": 1.5}, "experiment config: 'discount' must lie in \\[0, 1\\], got 1.5"),
+        ({"mdp": {**_MDP, "num_states": 3.7}}, "MDP spec: 'num_states' must be an integer, got 3.7"),
+        ({"estimators": 5},
+         "experiment config: 'estimators' must be an array of estimator names, got 5"),
+        ({"estimators": "dml"},
+         "experiment config: 'estimators' must be an array of estimator names, got \"dml\""),
+        ({"mdp": {**_MDP, "transitions": "x"}},
+         "MDP spec: 'transitions' must be an array of numbers"),
+        ({"behavior_policy": {"table": "x"}}, "policy spec: 'table' must be an array of numbers"),
+        # fit_subsample was removed: the nuisance fit uses every row it is given.
+        ({"nuisance": {"fit_subsample": 0.5}},
+         "nuisance config: unknown keys \\['fit_subsample'\\]"),
     ], ids=["missing_n_trajectories", "string_n_trajectories", "non_object_nuisance",
-            "top_level_k_folds", "nuisance_seed"])
+            "top_level_k_folds", "nuisance_seed", "fractional_n_trajectories",
+            "boolean_replications", "negative_noise_count", "discount_above_1",
+            "fractional_mdp_num_states", "number_estimators", "string_estimators",
+            "string_mdp_transitions", "string_policy_table", "nuisance_fit_subsample"])
     def test_malformed_config_exits_1_naming_the_key(self, workspace, capsys, change, match):
         path = self.small_config(workspace, **change)
         code, _, err = run(capsys, "experiment", "--config", str(path))

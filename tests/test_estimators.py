@@ -201,19 +201,20 @@ class TestDrVariants:
                                oracle_nuisance=eta)
         assert est.n == 1
 
-    def test_dr_half_scores_first_half(self):
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_dr_half_scores_first_half(self, n):
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
-        data = sample_dataset(mdp, behavior, 10, np.random.default_rng(8))
+        data = sample_dataset(mdp, behavior, n, np.random.default_rng(8))
         eta = oracle_nuisance(mdp, behavior, evaluation)
         rng_seed = 42
         est = dr_half_estimate(data, evaluation, 0.9, np.random.default_rng(rng_seed),
                                oracle_nuisance=eta)
-        perm = np.random.default_rng(rng_seed).permutation(10)
-        idx = np.sort(perm[:5])
+        perm = np.random.default_rng(rng_seed).permutation(n)
+        idx = np.sort(perm[:(n + 1) // 2])
         expected = _psi_scores(data.subset(idx), eta, evaluation, 0.9).mean()
         assert est.value == pytest.approx(float(expected), abs=1e-12)
-        assert est.n == 5
+        assert est.n == (n + 1) // 2
 
 
 class TestDml:

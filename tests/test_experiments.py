@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,6 @@ from dml_ope import (
     Estimator,
     ExperimentConfig,
     LoggedDataset,
-    NuisanceConfig,
     Policy,
     ValidationError,
     cell_from_dict,
@@ -20,6 +20,7 @@ from dml_ope import (
     ground_truth_value,
     ingest_jsonl,
     lift_policy,
+    mdp_from_dict,
     mdp_to_dict,
     policy_to_dict,
     relative_rmse,
@@ -402,6 +403,18 @@ class TestMseExperiment:
         exact = exact_policy_value(config.mdp, config.evaluation_policy)
         assert abs(rollout - exact) < 0.02
 
+    def test_dp_truth_uses_the_discount_override(self):
+        config = small_config(discount=0.5)
+        rollout = ground_truth_value(dataclasses.replace(
+            config, ground_truth_method="on_policy_rollout", ground_truth_n=200_000,
+            ground_truth_seed=7,
+        ))
+        rebuilt = mdp_from_dict({**mdp_to_dict(config.mdp), "discount": 0.5})
+        exact = ground_truth_value(config)
+        assert exact == pytest.approx(exact_policy_value(rebuilt, config.evaluation_policy),
+                                      abs=1e-12)
+        assert abs(rollout - exact) < 0.02
+
     def test_report_serializes(self):
         report = run_mse_experiment(small_config(replications=2))
         obj = report.to_dict()
@@ -455,12 +468,6 @@ class TestConfigParsing:
         obj["nuisance"]["behavior_policy"] = "guessed"
         with pytest.raises(ValidationError, match="known.*estimated"):
             experiment_config_from_dict(obj)
-
-    def test_fit_subsample_reaches_nuisance_config(self):
-        obj = self.config_dict()
-        obj["nuisance"]["fit_subsample"] = 0.5
-        config = experiment_config_from_dict(obj)
-        assert config.nuisance == NuisanceConfig(smoothing_alpha=0.5, fit_subsample=0.5)
 
     def test_noise_states_block(self):
         obj = self.config_dict()

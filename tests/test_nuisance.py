@@ -227,24 +227,3 @@ class TestFitNuisances:
         assert np.array_equal(eta.mean_reward, sums / counts)
         assert np.array_equal(eta.transitions, moves / moves.sum(axis=2, keepdims=True))
 
-
-class TestFitSubsample:
-    def test_deterministic_and_differs_from_full_fit(self):
-        mdp = three_state_mdp()
-        behavior, evaluation = three_state_policies()
-        data = sample_dataset(mdp, behavior, 200, np.random.default_rng(14))
-        half = NuisanceConfig(fit_subsample=0.5)
-        a = fit_nuisance(data, evaluation, 0.9, config=half, rng=np.random.default_rng(15))
-        b = fit_nuisance(data, evaluation, 0.9, config=half, rng=np.random.default_rng(15))
-        full = fit_nuisance(data, evaluation, 0.9)
-        assert np.array_equal(a.behavior.table, b.behavior.table)
-        assert np.array_equal(a.q.values, b.q.values)
-        assert not np.array_equal(a.mean_reward, full.mean_reward)
-        assert not np.array_equal(a.behavior.table, full.behavior.table)
-
-    def test_requires_rng(self):
-        mdp = three_state_mdp()
-        behavior, evaluation = three_state_policies()
-        data = sample_dataset(mdp, behavior, 20, np.random.default_rng(16))
-        with pytest.raises(ValidationError, match="requires an rng"):
-            fit_nuisance(data, evaluation, 0.9, config=NuisanceConfig(fit_subsample=0.5))
