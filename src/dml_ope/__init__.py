@@ -28,6 +28,7 @@ from .nuisance import (
     QTable,
     SupportViolationError,
     fit_nuisance,
+    fit_nuisances,
     make_folds,
     q_recursion,
 )

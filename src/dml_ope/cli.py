@@ -24,6 +24,7 @@ from .mdp import ValidationError, load_mdp, sample_dataset
 from .nuisance import NuisanceConfig
 from .experiments import (
     cell_from_dict,
+    check_estimator_names,
     evaluate_dataset,
     experiment_config_from_dict,
     ingest_jsonl,
@@ -108,6 +109,7 @@ def _cmd_evaluate(args) -> None:
     eval_policy = load_policy(args.eval_policy)
     behavior = load_policy(args.behavior_policy) if args.behavior_policy else None
     names = tuple(args.estimator) if args.estimator else ("dml",)
+    check_estimator_names(names, "--estimator")
     results = evaluate_dataset(
         data,
         eval_policy,

@@ -32,6 +32,7 @@ from .nuisance import (
     SupportViolationError,
     check_support,
     fit_nuisance,
+    fit_nuisances,
     make_folds,
 )
 
@@ -179,20 +180,6 @@ def dr_full_estimate(
     return _finalize(scores, Estimator.DR_FULL, level)
 
 
-def _fold_scores(data: LoggedDataset, folds: tuple, k: int, eval_policy: Policy,
-                 discount: float, known_behavior: Policy | None, config: NuisanceConfig,
-                 oracle_nuisance: NuisanceEstimate | None) -> np.ndarray:
-    """Doubly robust scores of fold ``k``, with nuisances fitted on the other
-    folds concatenated in fold order (or ``oracle_nuisance`` if given). The rows
-    are cut from a view without propensities, which no score reads."""
-    rows = LoggedDataset(data.states, data.actions, data.rewards)
-    eta = oracle_nuisance or fit_nuisance(
-        rows.subset(np.concatenate(folds[:k] + folds[k + 1:])), eval_policy, discount,
-        known_behavior=known_behavior, config=config,
-    )
-    return _psi_scores(rows.subset(folds[k]), eta, eval_policy, discount)
-
-
 def dr_half_estimate(
     data: LoggedDataset,
     eval_policy: Policy,
@@ -204,11 +191,11 @@ def dr_half_estimate(
     level: float = 0.95,
 ) -> ValueEstimate:
     """Score fold 0 of a 2-fold split, its first (n+1)//2 rows, with nuisances
-    fitted on fold 1."""
-    folds = make_folds(data.n, 2, rng)
-    scores = _fold_scores(data, folds, 0, eval_policy, discount, known_behavior, config,
-                          oracle_nuisance)
-    return _finalize(scores, Estimator.DR_HALF, level)
+    fitted on fold 1: DML's fold-0 fit at k_folds=2."""
+    scored, fitted = (data.subset(f) for f in make_folds(data.n, 2, rng))
+    eta = oracle_nuisance or fit_nuisance(fitted, eval_policy, discount,
+                                          known_behavior=known_behavior, config=config)
+    return _finalize(_psi_scores(scored, eta, eval_policy, discount), Estimator.DR_HALF, level)
 
 
 def dml_estimate(
@@ -224,15 +211,17 @@ def dml_estimate(
 ) -> ValueEstimate:
     """Cross-fitted doubly robust estimator with the pooled variance estimator.
 
-    Each fold is scored with nuisances fitted on its complement; the value is
-    the pooled mean of all N scores, which matches the per-fold double average
-    whenever the folds are equal-sized.
+    Each fold's rows are cut once and scored with nuisances fitted on the other
+    folds (``fit_nuisances``); the value is the pooled mean of all N scores,
+    which matches the per-fold double average whenever the folds are equal-sized.
     """
     folds = make_folds(data.n, k_folds, rng)
+    parts = [data.subset(fold) for fold in folds]
+    etas = [oracle_nuisance] * k_folds if oracle_nuisance else fit_nuisances(
+        parts, eval_policy, discount, known_behavior=known_behavior, config=config)
     scores = np.empty(data.n)
-    for k, fold in enumerate(folds):
-        scores[fold] = _fold_scores(data, folds, k, eval_policy, discount, known_behavior,
-                                    config, oracle_nuisance)
+    for fold, part, eta in zip(folds, parts, etas):
+        scores[fold] = _psi_scores(part, eta, eval_policy, discount)
     return _finalize(scores, Estimator.DML, level)
 
 

@@ -233,14 +233,6 @@ def ingest_jsonl(
 # Noisy-nuisance scenario: product with a reward-independent noise chain
 
 
-def noise_chain(num_noise_states: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """A fixed random Markov chain (initial dist, transition matrix) over noise ids."""
-    rng = np.random.default_rng(seed)
-    init = np.full(num_noise_states, 1.0 / num_noise_states)
-    trans = rng.dirichlet(np.ones(num_noise_states), size=num_noise_states)
-    return init, trans
-
-
 def with_noise_states(mdp: TabularMdp, num_noise_states: int, seed: int = 0) -> TabularMdp:
     """Product MDP whose extra state dimension evolves independently of rewards.
 
@@ -251,9 +243,11 @@ def with_noise_states(mdp: TabularMdp, num_noise_states: int, seed: int = 0) -> 
     """
     if num_noise_states < 1:
         raise ValidationError("need at least one noise state")
-    z_init, z_trans = noise_chain(num_noise_states, seed)
+    # The noise chain starts uniform; its transition rows are Dirichlet draws from ``seed``.
+    rng = np.random.default_rng(seed)
+    z_trans = rng.dirichlet(np.ones(num_noise_states), size=num_noise_states)
     big_s = mdp.num_states * num_noise_states
-    initial = np.kron(mdp.initial_dist, z_init)
+    initial = np.kron(mdp.initial_dist, np.full(num_noise_states, 1.0 / num_noise_states))
     transitions = np.empty((big_s, mdp.num_actions, big_s))
     for a in range(mdp.num_actions):
         transitions[:, a, :] = np.kron(mdp.transitions[:, a, :], z_trans)
@@ -282,10 +276,16 @@ def lift_policy(policy: Policy, num_noise_states: int) -> Policy:
 # Single-dataset evaluation
 
 
-def _check_estimator_names(names) -> None:
-    for name in names:
+def check_estimator_names(names, where: str = "estimators") -> None:
+    """Reject an empty list, an unknown name and a repeated name; ``where`` names
+    the key or flag the list came from."""
+    if not names:
+        raise ValidationError(f"{where}: name at least one estimator")
+    for k, name in enumerate(names):
         if name not in [e.value for e in Estimator]:
             raise ValidationError(f"unknown estimator '{name}'")
+        if name in names[:k]:
+            raise ValidationError(f"{where}: estimator '{name}' is given more than once")
 
 
 def evaluate_dataset(
@@ -306,7 +306,7 @@ def evaluate_dataset(
     estimate. State and action ids must lie inside the evaluation and known
     behavior policy tables.
     """
-    _check_estimator_names(estimators)
+    check_estimator_names(estimators)
     check_ids(data, eval_policy, "evaluation")
     if known_behavior is not None:
         check_ids(data, known_behavior, "behavior")
@@ -365,7 +365,7 @@ class ExperimentConfig:
                                   f"got {self.discount!r}")
         if self.noise_states < 0:
             raise ValidationError(f"noise_states: 'count' must be >= 0, got {self.noise_states}")
-        _check_estimator_names(self.estimators)
+        check_estimator_names(self.estimators, "experiment config: 'estimators'")
         if self.ground_truth_method not in ("dp_exact", "on_policy_rollout"):
             raise ValidationError("ground_truth method must be dp_exact or on_policy_rollout")
 
@@ -439,16 +439,6 @@ class EstimatorMse:
     variance: float
     replications: int
 
-    def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "mse": self.mse,
-            "se_of_mse": self.se_of_mse,
-            "bias": self.bias,
-            "variance": self.variance,
-            "replications": self.replications,
-        }
-
 
 @dataclass(frozen=True)
 class MseReport:
@@ -459,13 +449,7 @@ class MseReport:
     results: dict
 
     def to_dict(self) -> dict:
-        return {
-            "ground_truth": self.ground_truth,
-            "ground_truth_method": self.ground_truth_method,
-            "replications": self.replications,
-            "n_trajectories": self.n_trajectories,
-            "results": {name: r.to_dict() for name, r in sorted(self.results.items())},
-        }
+        return dataclasses.asdict(self)
 
 
 def _scenario(config: ExperimentConfig) -> tuple[TabularMdp, Policy, Policy]:
@@ -572,6 +556,11 @@ class CampaignBatchCell:
             raise ValidationError("n_impressions must be positive")
         if self.actual == 0:
             raise ValidationError("actual value must be nonzero for relative normalization")
+        for name in ("ope_variance", "online_variance"):
+            if getattr(self, name) is not None and getattr(self, name) < 0:
+                raise ValidationError(f"cell: '{name}' must be >= 0, got {getattr(self, name)}")
+        if self.n_ope is not None and self.n_ope <= 0:
+            raise ValidationError(f"cell: 'n_ope' must be positive, got {self.n_ope}")
 
 
 def cell_from_dict(obj: dict) -> CampaignBatchCell:
@@ -622,7 +611,8 @@ def relative_rmse_se(
         for c in cells
     ])
     if np.any(online_var < 0):
-        raise ValidationError("online variance must be nonnegative")
+        raise ValidationError("cell: the default 'online_variance', actual*(1-actual), "
+                              "needs 'actual' in [0, 1]")
     sd_online = np.sqrt(online_var / weights)
     est_sim = est + rng.standard_normal((sims, len(cells))) * sd_ope
     actual_sim = est + rng.standard_normal((sims, len(cells))) * sd_online

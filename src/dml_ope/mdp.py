@@ -179,12 +179,12 @@ class LoggedDataset:
         return self.states.shape[1] - 1
 
     def subset(self, indices: np.ndarray) -> "LoggedDataset":
+        """The trajectories at ``indices``, without propensities: no score reads them."""
         idx = np.asarray(indices, dtype=np.int64)
         return LoggedDataset(
             states=self.states[idx],
             actions=self.actions[idx],
             rewards=self.rewards[idx],
-            propensities=None if self.propensities is None else self.propensities[idx],
         )
 
 

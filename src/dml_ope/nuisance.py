@@ -2,9 +2,13 @@
 backward Q recursion.
 
 All nuisance models are tabular and time-invariant: counts are pooled across
-steps. Unobserved cells fall back to the global mean reward, uniform
-transitions, and uniform (or smoothed) behavior rows so the Q recursion is
-defined everywhere.
+steps. A fit first counts its rows into additive tables (visit counts, reward
+sums, transition counts, reward total), then fits from them. A cross-fit
+complement's tables are the sum of the other folds' tables, so
+``fit_nuisances`` counts each fold once; DR-half's single fit on fold 1 is
+DML's fold-0 fit at two folds. Unobserved cells fall back to the fitted rows'
+mean reward, uniform transitions, and uniform (or smoothed) behavior rows so
+the Q recursion is defined everywhere.
 """
 from __future__ import annotations
 
@@ -119,6 +123,48 @@ def check_ids(data: LoggedDataset, policy: Policy, which: str) -> None:
             )
 
 
+def _ratio(num: np.ndarray, den: np.ndarray, fallback: float) -> np.ndarray:
+    """``num / den`` where ``den > 0``, else ``fallback``; shaped like ``num``."""
+    return np.divide(num, den, out=np.full(num.shape, fallback), where=den > 0)
+
+
+def _count(data: LoggedDataset, eval_policy: Policy) -> tuple:
+    """The additive count tables of ``data``, one np.bincount each: visit counts
+    and reward sums (rewards summed in row-major order) per ``s*A + a``,
+    transition counts per ``(s*A + a)*S + s'``; and the reward total."""
+    num_states, num_actions = eval_policy.table.shape
+    # An action id >= A would alias into the next state's cells of the flat index.
+    check_ids(data, eval_policy, "evaluation")
+    cells = num_states * num_actions
+    sa = data.states * num_actions + data.actions
+    moves = (sa[:, :-1] * num_states + data.states[:, 1:]).ravel()
+    return (np.bincount(sa.ravel(), minlength=cells),
+            np.bincount(sa.ravel(), weights=data.rewards.ravel(), minlength=cells),
+            np.bincount(moves, minlength=cells * num_states),
+            data.rewards.sum())
+
+
+def _fit(tables, horizon: int, eval_policy: Policy, discount: float,
+         known_behavior: Policy | None, config: NuisanceConfig) -> NuisanceEstimate:
+    """The nuisance tuple of a row set's count tables; unobserved reward cells
+    fall back to its mean reward, the reward total over the visits."""
+    counts, sums, next_counts, reward_total = tables
+    num_states, num_actions = eval_policy.table.shape
+    counts = counts.reshape(num_states, num_actions)
+    if known_behavior is not None:
+        behavior = known_behavior
+    else:
+        smoothed = counts + config.smoothing_alpha
+        behavior = Policy(table=_ratio(smoothed, smoothed.sum(axis=1, keepdims=True),
+                                       1.0 / num_actions))
+    check_support(behavior, eval_policy)
+    mu = _ratio(sums.reshape(counts.shape), counts, reward_total / counts.sum())
+    next_counts = next_counts.reshape(num_states, num_actions, num_states)
+    trans = _ratio(next_counts, next_counts.sum(axis=2, keepdims=True), 1.0 / num_states)
+    q = q_recursion(mu, trans, eval_policy, horizon, discount)
+    return NuisanceEstimate(behavior=behavior, q=q, mean_reward=mu, transitions=trans)
+
+
 def fit_nuisance(
     data: LoggedDataset,
     eval_policy: Policy,
@@ -126,35 +172,21 @@ def fit_nuisance(
     known_behavior: Policy | None = None,
     config: NuisanceConfig = NuisanceConfig(),
 ) -> NuisanceEstimate:
-    """Fit one nuisance tuple on every row of ``data``; the fit draws nothing.
+    """Fit one nuisance tuple on every row of ``data``; the fit draws nothing."""
+    return _fit(_count(data, eval_policy), data.horizon, eval_policy, discount,
+                known_behavior, config)
 
-    Every table is counted with np.bincount over flat cell indices: ``s*A + a``
-    for the behavior counts and reward sums, ``(s*A + a)*S + s'`` for the
-    transition counts. Rewards are summed in row-major order of the data.
-    """
-    num_states, num_actions = eval_policy.table.shape
-    # An action id >= A would alias into the next state's cells of the flat index.
-    check_ids(data, eval_policy, "evaluation")
-    cells = num_states * num_actions
-    sa = data.states * num_actions + data.actions
-    counts = np.bincount(sa.ravel(), minlength=cells).reshape(num_states, num_actions)
-    if known_behavior is not None:
-        behavior = known_behavior
-    else:
-        smoothed = counts + config.smoothing_alpha
-        totals = smoothed.sum(axis=1, keepdims=True)
-        behavior = Policy(table=np.where(
-            totals > 0, smoothed / np.where(totals > 0, totals, 1.0), 1.0 / num_actions
-        ))
-    check_support(behavior, eval_policy)
-    sums = np.bincount(sa.ravel(), weights=data.rewards.ravel(), minlength=cells)
-    mu = np.where(counts > 0, sums.reshape(counts.shape) / np.where(counts > 0, counts, 1),
-                  float(data.rewards.mean()))
-    moves = (sa[:, :-1] * num_states + data.states[:, 1:]).ravel()
-    next_counts = np.bincount(moves, minlength=cells * num_states).reshape(
-        num_states, num_actions, num_states
-    )
-    totals = next_counts.sum(axis=2, keepdims=True)
-    trans = np.where(totals > 0, next_counts / np.where(totals > 0, totals, 1), 1.0 / num_states)
-    q = q_recursion(mu, trans, eval_policy, data.horizon, discount)
-    return NuisanceEstimate(behavior=behavior, q=q, mean_reward=mu, transitions=trans)
+
+def fit_nuisances(
+    parts: list,
+    eval_policy: Policy,
+    discount: float,
+    known_behavior: Policy | None = None,
+    config: NuisanceConfig = NuisanceConfig(),
+) -> list[NuisanceEstimate]:
+    """For each of ``parts`` (at least two datasets of one horizon), the fit on
+    the other parts: their count tables, each counted once, summed in part order."""
+    tables = [_count(part, eval_policy) for part in parts]
+    return [_fit([sum(column[1:], column[0]) for column in zip(*tables[:k], *tables[k + 1:])],
+                 part.horizon, eval_policy, discount, known_behavior, config)
+            for k, part in enumerate(parts)]

@@ -127,6 +127,17 @@ class TestEvaluate:
         assert code == 1
         assert "unknown estimator" in err
 
+    def test_repeated_estimator_flag_exits_1(self, workspace, capsys):
+        data = self.simulate(workspace, n=10)
+        code, out, err = run(
+            capsys, "evaluate", "--data", str(data),
+            "--eval-policy", str(workspace / "eval.json"),
+            "--discount", "0.9", "--estimator", "dml", "--estimator", "dml",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--estimator: estimator 'dml' is given more than once" in err
+
     def evaluate_file(self, workspace, capsys, lines, *extra):
         data = workspace / "bad.jsonl"
         data.write_text("\n".join(json.dumps(x) for x in lines) + "\n")
@@ -238,11 +249,15 @@ class TestExperiment:
         # fit_subsample was removed: the nuisance fit uses every row it is given.
         ({"nuisance": {"fit_subsample": 0.5}},
          "nuisance config: unknown keys \\['fit_subsample'\\]"),
+        ({"estimators": []}, "experiment config: 'estimators': name at least one estimator"),
+        ({"estimators": ["dml", "ipw", "dml"]},
+         "experiment config: 'estimators': estimator 'dml' is given more than once"),
     ], ids=["missing_n_trajectories", "string_n_trajectories", "non_object_nuisance",
             "top_level_k_folds", "nuisance_seed", "fractional_n_trajectories",
             "boolean_replications", "negative_noise_count", "discount_above_1",
             "fractional_mdp_num_states", "number_estimators", "string_estimators",
-            "string_mdp_transitions", "string_policy_table", "nuisance_fit_subsample"])
+            "string_mdp_transitions", "string_policy_table", "nuisance_fit_subsample",
+            "empty_estimators", "repeated_estimators"])
     def test_malformed_config_exits_1_naming_the_key(self, workspace, capsys, change, match):
         path = self.small_config(workspace, **change)
         code, _, err = run(capsys, "experiment", "--config", str(path))
@@ -327,6 +342,25 @@ class TestRmse:
         code, _, err = run(capsys, "rmse", "--cells", str(path))
         assert code == 1
         assert "cell: 'estimate' must be a number, got \"x\"" in err
+
+    @pytest.mark.parametrize("change, match", [
+        ({"ope_variance": -0.5}, "cell: 'ope_variance' must be >= 0, got -0.5"),
+        ({"n_ope": -100}, "cell: 'n_ope' must be positive, got -100"),
+        ({"n_ope": 0}, "cell: 'n_ope' must be positive, got 0"),
+        ({"online_variance": -0.1}, "cell: 'online_variance' must be >= 0, got -0.1"),
+        ({"actual": 1.5}, "cell: the default 'online_variance', actual*(1-actual), "
+                          "needs 'actual' in [0, 1]"),
+    ], ids=["negative_ope_variance", "negative_n_ope", "zero_n_ope",
+            "negative_online_variance", "negative_default_online_variance"])
+    def test_bad_variance_input_exits_1_naming_the_field(self, tmp_path, capsys, change, match):
+        path = self.cells_file(tmp_path)
+        cells = json.loads(path.read_text())
+        cells[1].update(change)
+        path.write_text(json.dumps(cells))
+        code, out, err = run(capsys, "rmse", "--cells", str(path), "--sims", "100")
+        assert code == 1
+        assert out == ""
+        assert match in err
 
     def test_non_array_file(self, tmp_path, capsys):
         path = tmp_path / "cells.json"

@@ -16,7 +16,9 @@ from dml_ope import (
     dr_half_estimate,
     exact_policy_value,
     fit_nuisance,
+    fit_nuisances,
     ipw_estimate,
+    make_folds,
     mean_reward_table,
     q_recursion,
     sample_dataset,
@@ -215,6 +217,23 @@ class TestDrVariants:
         expected = _psi_scores(data.subset(idx), eta, evaluation, 0.9).mean()
         assert est.value == pytest.approx(float(expected), abs=1e-12)
         assert est.n == (n + 1) // 2
+
+    def test_dr_half_is_dml_fold_0_at_two_folds(self):
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        sampled = sample_dataset(mdp, behavior, 31, np.random.default_rng(10))
+        data = LoggedDataset(sampled.states, sampled.actions,
+                             np.random.default_rng(11).uniform(size=sampled.rewards.shape))
+        folds = make_folds(data.n, 2, np.random.default_rng(5))
+        parts = [data.subset(f) for f in folds]
+        scores = np.empty(data.n)
+        for fold, part, eta in zip(folds, parts, fit_nuisances(parts, evaluation, 0.9)):
+            scores[fold] = _psi_scores(part, eta, evaluation, 0.9)
+        dml = dml_estimate(data, evaluation, 0.9, np.random.default_rng(5))
+        half = dr_half_estimate(data, evaluation, 0.9, np.random.default_rng(5))
+        assert dml.value == scores.mean()
+        assert half.value == scores[folds[0]].mean()
+        assert half.n == folds[0].size == 16
 
 
 class TestDml:

@@ -334,6 +334,17 @@ class TestEvaluateDataset:
         with pytest.raises(ValidationError, match="unknown estimator"):
             evaluate_dataset(data, evaluation, 0.9, ("magic",), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("names, match", [
+        ((), "estimators: name at least one estimator"),
+        (("ipw", "ipw"), "estimators: estimator 'ipw' is given more than once"),
+    ], ids=["empty", "repeated"])
+    def test_empty_or_repeated_estimators_rejected(self, names, match):
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 10, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match=match):
+            evaluate_dataset(data, evaluation, 0.9, names, np.random.default_rng(0))
+
 
 class TestMseExperiment:
     def test_mse_decomposition(self):

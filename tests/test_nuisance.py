@@ -8,6 +8,7 @@ from dml_ope import (
     ValidationError,
     enumerate_dataset,
     fit_nuisance,
+    fit_nuisances,
     make_folds,
     mean_reward_table,
     q_recursion,
@@ -32,6 +33,15 @@ def fit_tables(data, num_states, num_actions, smoothing=0.5):
     """fit_nuisance under an evaluation policy that always plays action 0."""
     eval_policy = Policy(table=np.eye(num_actions)[np.zeros(num_states, dtype=int)])
     return fit_nuisance(data, eval_policy, 1.0, config=NuisanceConfig(smoothing_alpha=smoothing))
+
+
+def uneven_dataset(n, seed):
+    """Random rows over states 0..3 of a 5-state table, so state 4 is never
+    visited, with non-dyadic rewards in [0.1, 1)."""
+    rng = np.random.default_rng(seed)
+    shape = (n, 3)
+    return LoggedDataset(states=rng.integers(0, 4, shape), actions=rng.integers(0, 2, shape),
+                         rewards=rng.uniform(0.1, 1.0, shape))
 
 
 def fit_per_fold(data, folds, eval_policy, discount, **kwargs):
@@ -227,3 +237,44 @@ class TestFitNuisances:
         assert np.array_equal(eta.mean_reward, sums / counts)
         assert np.array_equal(eta.transitions, moves / moves.sum(axis=2, keepdims=True))
 
+
+class TestCountTables:
+    FIELDS = ("behavior", "q", "mean_reward", "transitions")
+
+    @staticmethod
+    def tables(eta):
+        return (eta.behavior.table, eta.q.values, eta.mean_reward, eta.transitions)
+
+    @pytest.mark.parametrize("known", [False, True], ids=["estimated", "known"])
+    def test_two_folds_equal_per_fold_fits_bit_for_bit(self, known):
+        data = uneven_dataset(41, seed=0)
+        evaluation = random_policy(np.random.default_rng(1), 5, 2)
+        behavior = random_policy(np.random.default_rng(2), 5, 2) if known else None
+        folds = make_folds(data.n, 2, np.random.default_rng(3))
+        fits = fit_nuisances([data.subset(f) for f in folds], evaluation, 0.9,
+                             known_behavior=behavior)
+        reference = fit_per_fold(data, folds, evaluation, 0.9, known_behavior=behavior)
+        for fit, ref in zip(fits, reference, strict=True):
+            # State 4 is unobserved: its rewards fall back to the fitted rows' mean.
+            assert np.array_equal(fit.mean_reward[4], np.full(2, ref.mean_reward[4, 0]))
+            for name, got, want in zip(self.FIELDS, self.tables(fit), self.tables(ref)):
+                assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_more_folds_match_per_fold_fits(self, k):
+        data = uneven_dataset(200, seed=4)
+        evaluation = random_policy(np.random.default_rng(5), 5, 2)
+        folds = make_folds(data.n, k, np.random.default_rng(6))
+        fits = fit_nuisances([data.subset(f) for f in folds], evaluation, 0.9)
+        reference = fit_per_fold(data, folds, evaluation, 0.9)
+        assert len(fits) == k
+        for fit, ref in zip(fits, reference, strict=True):
+            for got, want in zip(self.tables(fit), self.tables(ref)):
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_unobserved_reward_cell_falls_back_to_mean_reward(self):
+        data = uneven_dataset(30, seed=7)
+        evaluation = random_policy(np.random.default_rng(8), 5, 2)
+        eta = fit_nuisance(data, evaluation, 0.9)
+        assert np.array_equal(eta.mean_reward[4], np.full(2, data.rewards.mean()))
+        assert np.array_equal(eta.transitions[4], np.full((2, 5), 0.2))
