@@ -1,9 +1,22 @@
 """Shared builders for test MDP instances and policies."""
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
-from dml_ope import LoggedDataset, Policy, RewardSpec, TabularMdp
+from dml_ope import (
+    LoggedDataset,
+    Policy,
+    RewardSpec,
+    TabularMdp,
+    experiment_config_from_dict,
+    lift_policy,
+    with_noise_states,
+)
+
+NOISY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "noisy_nuisance.json"
 
 
 def one_row(states: list, actions: list, rewards: list) -> LoggedDataset:
@@ -109,3 +122,14 @@ def bandit_policies() -> tuple[Policy, Policy]:
     behavior = Policy(table=[[0.5, 0.5], [0.6, 0.4]])
     evaluation = Policy(table=[[0.75, 0.25], [0.3, 0.7]])
     return behavior, evaluation
+
+
+def noisy_lift() -> tuple[TabularMdp, Policy, Policy]:
+    """The noise-state lift of ``configs/noisy_nuisance.json`` (240 product states)
+    with its lifted behavior and evaluation policies."""
+    with open(NOISY_CONFIG) as fh:
+        config = experiment_config_from_dict(json.load(fh), base_dir=NOISY_CONFIG.parent)
+    count = config.noise_states
+    return (with_noise_states(config.mdp, count, config.noise_seed),
+            lift_policy(config.behavior_policy, count),
+            lift_policy(config.evaluation_policy, count))

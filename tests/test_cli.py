@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -6,7 +7,7 @@ import pytest
 from dml_ope import mdp_to_dict, policy_to_dict
 from dml_ope.cli import cli_main
 
-from helpers import bandit_mdp, bandit_policies, three_state_mdp, three_state_policies
+from helpers import bandit_mdp, bandit_policies, noisy_lift, three_state_mdp, three_state_policies
 
 _MDP = mdp_to_dict(three_state_mdp())
 
@@ -49,6 +50,21 @@ class TestSimulate:
         assert cli_main(args + ["--output", str(a)]) == 0
         assert cli_main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_lift_bytes_pinned(self, tmp_path, capsys):
+        # The JSONL one seed writes on the 240-state lift of configs/noisy_nuisance.json.
+        mdp, behavior, _ = noisy_lift()
+        (tmp_path / "mdp.json").write_text(json.dumps(mdp_to_dict(mdp)))
+        (tmp_path / "behavior.json").write_text(json.dumps(policy_to_dict(behavior)))
+        out = tmp_path / "data.jsonl"
+        code, _, _ = run(
+            capsys, "simulate", "--mdp", str(tmp_path / "mdp.json"),
+            "--policy", str(tmp_path / "behavior.json"),
+            "--n", "300", "--seed", "5", "--output", str(out),
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d88b4e9be786b0f28a1c3ebbea2f6fcf0dd713a1a5b534b45dc5a4387e29d70c")
 
     def test_missing_mdp_file(self, workspace, capsys):
         code, _, err = run(

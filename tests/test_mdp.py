@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,15 @@ from dml_ope import (
     sample_dataset,
 )
 
-from helpers import bernoulli, point_mass, random_mdp, random_policy, row_steps, three_state_mdp
+from helpers import (
+    bernoulli,
+    noisy_lift,
+    point_mass,
+    random_mdp,
+    random_policy,
+    row_steps,
+    three_state_mdp,
+)
 
 
 def constant_mdp(horizon: int, reward: float = 1.0, discount: float = 1.0) -> TabularMdp:
@@ -143,6 +153,48 @@ class TestSampling:
         assert data.propensities is not None
         expected = policy.table[data.states, data.actions]
         assert np.array_equal(data.propensities, expected)
+
+
+def digest(array: np.ndarray, dtype: str) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
+
+
+class TestPinnedDraws:
+    """The arrays one seed draws on the 240-state lift of configs/noisy_nuisance.json,
+    pinned so that a change to the sampler must keep every draw."""
+
+    def test_first_rows(self):
+        mdp, behavior, evaluation = noisy_lift()
+        data = sample_dataset(mdp, behavior, 3, np.random.default_rng(7))
+        assert data.states.tolist() == [[113, 106, 133], [198, 44, 232], [153, 104, 60]]
+        assert data.actions.tolist() == [[0, 0, 0], [0, 0, 0], [1, 0, 0]]
+        assert data.rewards.tolist() == [[-0.4, 1.2000000000000002, -0.4], [1.0, 1.0, 1.0],
+                                         [2.6, 1.2000000000000002, -0.6000000000000001]]
+        assert data.propensities.tolist() == [[0.7, 0.7, 0.7], [0.85, 0.8, 0.85],
+                                              [0.3, 0.7, 0.8]]
+        data = sample_dataset(mdp, evaluation, 3, np.random.default_rng(7))
+        assert data.states.tolist() == [[113, 106, 133], [198, 134, 238], [153, 104, 87]]
+        assert data.actions.tolist() == [[0, 0, 0], [1, 1, 1], [1, 1, 0]]
+        assert data.rewards.tolist() == [[-0.4, 1.2000000000000002, -0.4], [3.8, 2.6, 3.8],
+                                         [2.6, 2.6, -0.4]]
+        assert data.propensities.tolist() == [[0.3, 0.3, 0.3], [0.85, 0.7, 0.85],
+                                              [0.7, 0.7, 0.3]]
+
+    @pytest.mark.parametrize("which, expected", [
+        (1, ("92d967f9485a6c391ffb4605662217a59f727e304f27ad06afe1056816058002",
+             "947995056bd10956c677841e99313ef1c6e82820dedc44b37bf34eb187584edf",
+             "96fe997f5ae16b8759c0d3cfbd48f31fde17dd46ba804fa9cd6fe051cd2273fa",
+             "835717335fb87ed8cf733cb55ff7ef9df34aeda69ac71da73dd79340bd2dccea")),
+        (2, ("e8395b9f0905e468718c94cd9284d94287dd25b3551d0d98a0663cbb359addfa",
+             "3bdbb8263a32c7b903f6c11e589f7f716c0ad94c49ab95d088f711b160b9a9c1",
+             "3aae53a927bb039080f0b97c40b280cdd2d40f2cec0204d0ca71f2edcdd92614",
+             "ce9df169ed45ba555dfd6c7481e840f6d73cc567e4600df2ade6206d146d1427")),
+    ], ids=["behavior", "evaluation"])
+    def test_array_digests(self, which, expected):
+        lift = noisy_lift()
+        data = sample_dataset(lift[0], lift[which], 400, np.random.default_rng(7))
+        assert (digest(data.states, "<i8"), digest(data.actions, "<i8"),
+                digest(data.rewards, "<f8"), digest(data.propensities, "<f8")) == expected
 
 
 class TestEnumeration:
