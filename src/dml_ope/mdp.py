@@ -136,6 +136,11 @@ class TabularMdp:
                 prb[s, a, : spec.probs.size] = spec.probs
         object.__setattr__(self, "_reward_support", sup)
         object.__setattr__(self, "_reward_probs", prb)
+        # Row-wise CDF tables for sampling, one row per flat (s * A + a) index.
+        rows = self.num_states * self.num_actions
+        object.__setattr__(self, "_transition_cum",
+                           np.cumsum(self.transitions, axis=2).reshape(rows, self.num_states))
+        object.__setattr__(self, "_reward_cum", np.cumsum(prb, axis=2).reshape(rows, width))
 
     def check_policy(self, policy: Policy) -> None:
         if policy.table.shape != (self.num_states, self.num_actions):
@@ -198,37 +203,60 @@ def reward_variance_table(mdp: TabularMdp) -> np.ndarray:
     return np.array([[spec.variance for spec in row] for row in mdp.rewards])
 
 
-def _categorical_rows(prob_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one index per row from row-wise categorical distributions."""
-    cum = np.cumsum(prob_rows, axis=1)
-    u = rng.random(prob_rows.shape[0])
-    idx = (u[:, None] > cum).sum(axis=1)
-    return np.minimum(idx, prob_rows.shape[1] - 1)
+def _inverse_cdf(cum: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each ``k``, the first ``i`` with ``cum[rows[k], i] >= u[k]``, clamped to ``W - 1``.
+
+    ``cum`` holds row-wise cumulative sums of distributions, shape ``(R, W)``.
+    A branchless binary search runs over all ``k`` at once on the first
+    ``W - 1`` entries of each row, which is the clamp to ``W - 1``. The rows
+    are non-decreasing, so the result equals the count of entries below ``u``,
+    ``min((u[:, None] > cum[rows]).sum(1), W - 1)``, without the ``(n, W)``
+    gather.
+    """
+    width = cum.shape[1]
+    if width == 1:
+        return np.zeros_like(rows)
+    flat = cum.ravel()
+    start = rows * width
+    pos = start.copy()
+    size = width - 1
+    while size > 1:
+        half = size // 2
+        np.add(pos, half, out=pos, where=flat[pos + half] < u)
+        size -= half
+    pos += flat[pos] < u
+    return pos - start
 
 
 def sample_dataset(
     mdp: TabularMdp, policy: Policy, n: int, rng: np.random.Generator
 ) -> LoggedDataset:
-    """Sample ``n`` i.i.d. trajectories under ``policy`` (vectorized across episodes)."""
+    """Sample ``n`` i.i.d. trajectories under ``policy`` (vectorized across episodes).
+
+    Every state, action and reward index is one inverse-CDF draw from
+    ``rng.random(n)``, in that order at each step.
+    """
     mdp.check_policy(policy)
     if n < 1:
         raise ValidationError("need at least one trajectory")
     steps = mdp.horizon + 1
+    initial_cum = np.cumsum(mdp.initial_dist)[None, :]
+    policy_cum = np.cumsum(policy.table, axis=1)
+    support = mdp._reward_support.reshape(mdp._reward_cum.shape)
     states = np.empty((n, steps), dtype=np.int64)
     actions = np.empty((n, steps), dtype=np.int64)
     rewards = np.empty((n, steps))
     props = np.empty((n, steps))
+    sa = np.zeros(n, dtype=np.int64)  # at t = 0, row 0 of the one-row initial table
     for t in range(steps):
-        if t == 0:
-            row = np.broadcast_to(mdp.initial_dist, (n, mdp.num_states))
-            s = _categorical_rows(row, rng)
-        else:
-            s = _categorical_rows(mdp.transitions[states[:, t - 1], actions[:, t - 1]], rng)
-        a = _categorical_rows(policy.table[s], rng)
-        r_idx = _categorical_rows(mdp._reward_probs[s, a], rng)
+        cum = initial_cum if t == 0 else mdp._transition_cum
+        s = _inverse_cdf(cum, sa, rng.random(n))
+        a = _inverse_cdf(policy_cum, s, rng.random(n))
+        sa = s * mdp.num_actions + a
+        r_idx = _inverse_cdf(mdp._reward_cum, sa, rng.random(n))
         states[:, t] = s
         actions[:, t] = a
-        rewards[:, t] = mdp._reward_support[s, a, r_idx]
+        rewards[:, t] = support[sa, r_idx]
         props[:, t] = policy.table[s, a]
     return LoggedDataset(states=states, actions=actions, rewards=rewards, propensities=props)
 
