@@ -363,6 +363,9 @@ class ExperimentConfig:
         if self.discount is not None and not 0.0 <= self.discount <= 1.0:
             raise ValidationError(f"experiment config: 'discount' must lie in [0, 1], "
                                   f"got {self.discount!r}")
+        if not 0.0 < self.level < 1.0:
+            raise ValidationError(f"experiment config: 'level' must lie in (0, 1), "
+                                  f"got {self.level!r}")
         if self.noise_states < 0:
             raise ValidationError(f"noise_states: 'count' must be >= 0, got {self.noise_states}")
         check_estimator_names(self.estimators, "experiment config: 'estimators'")
@@ -582,7 +585,8 @@ def relative_rmse(cells: list[CampaignBatchCell]) -> float:
     """Impression-weighted RMS of the relative prediction errors."""
     if not cells:
         raise ValidationError("need at least one cell")
-    weights = np.array([c.n_impressions for c in cells])
+    weights = np.array([c.n_impressions for c in cells], dtype=float)
+    weights /= weights.max()  # so that the sums cannot overflow
     rel = np.array([(c.estimate - c.actual) / c.actual for c in cells])
     return float(np.sqrt((weights * rel**2).sum() / weights.sum()))
 
@@ -604,7 +608,7 @@ def relative_rmse_se(
         if c.ope_variance is None or c.n_ope is None:
             raise ValidationError("every cell needs ope_variance and n_ope")
     est = np.array([c.estimate for c in cells])
-    weights = np.array([c.n_impressions for c in cells])
+    weights = np.array([c.n_impressions for c in cells], dtype=float)
     sd_ope = np.sqrt([c.ope_variance / c.n_ope for c in cells])
     online_var = np.array([
         c.actual * (1.0 - c.actual) if c.online_variance is None else c.online_variance
@@ -617,5 +621,6 @@ def relative_rmse_se(
     est_sim = est + rng.standard_normal((sims, len(cells))) * sd_ope
     actual_sim = est + rng.standard_normal((sims, len(cells))) * sd_online
     rel = (est_sim - actual_sim) / actual_sim
+    weights /= weights.max()  # so that the sums cannot overflow
     rr = np.sqrt((weights * rel**2).sum(axis=1) / weights.sum())
     return float(rr.std())

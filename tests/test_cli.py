@@ -268,12 +268,13 @@ class TestExperiment:
         ({"estimators": []}, "experiment config: 'estimators': name at least one estimator"),
         ({"estimators": ["dml", "ipw", "dml"]},
          "experiment config: 'estimators': estimator 'dml' is given more than once"),
+        ({"level": 1.5}, "experiment config: 'level' must lie in \\(0, 1\\), got 1.5"),
     ], ids=["missing_n_trajectories", "string_n_trajectories", "non_object_nuisance",
             "top_level_k_folds", "nuisance_seed", "fractional_n_trajectories",
             "boolean_replications", "negative_noise_count", "discount_above_1",
             "fractional_mdp_num_states", "number_estimators", "string_estimators",
             "string_mdp_transitions", "string_policy_table", "nuisance_fit_subsample",
-            "empty_estimators", "repeated_estimators"])
+            "empty_estimators", "repeated_estimators", "level_above_1"])
     def test_malformed_config_exits_1_naming_the_key(self, workspace, capsys, change, match):
         path = self.small_config(workspace, **change)
         code, _, err = run(capsys, "experiment", "--config", str(path))
@@ -350,6 +351,16 @@ class TestRmse:
         assert cli_main(argv + ["--output", str(a)]) == 0
         assert cli_main(argv + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_impressions_summing_past_the_largest_double(self, tmp_path, capsys):
+        path = self.cells_file(tmp_path)
+        cells = json.loads(path.read_text())
+        for cell in cells:
+            cell["n_impressions"] = 1e308
+        path.write_text(json.dumps(cells))
+        code, out, _ = run(capsys, "rmse", "--cells", str(path), "--sims", "100")
+        assert code == 0
+        assert json.loads(out)["relative_rmse"] == pytest.approx(0.0849836585598798, rel=1e-12)
 
     def test_non_number_estimate_exits_1_naming_the_field(self, tmp_path, capsys):
         path = tmp_path / "cells.json"

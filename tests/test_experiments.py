@@ -510,6 +510,13 @@ class TestRelativeRmse:
         cells_b = [self.cell(4.5, 5.0, 10.0), self.cell(12.0, 10.0, 30.0)]
         assert relative_rmse(cells_a) == pytest.approx(relative_rmse(cells_b), abs=1e-12)
 
+    def test_huge_weights_do_not_overflow(self):
+        # Impression counts whose sum exceeds the largest double.
+        huge = [self.cell(0.55, 0.5, 1e308), self.cell(0.42, 0.45, 1e308)]
+        unit = [self.cell(0.55, 0.5, 1.0), self.cell(0.42, 0.45, 1.0)]
+        assert relative_rmse(huge) == relative_rmse(unit)
+        assert relative_rmse(huge) == pytest.approx(0.0849836585598798, rel=1e-12)
+
     def test_rejects_zero_actual(self):
         with pytest.raises(ValidationError):
             self.cell(0.5, 0.0, 10.0)
@@ -552,6 +559,15 @@ class TestRelativeRmseSe:
         a = relative_rmse_se(cells, np.random.default_rng(5), sims=2000)
         b = relative_rmse_se(cells, np.random.default_rng(5), sims=2000)
         assert a == b
+
+    def test_huge_weights_do_not_overflow(self):
+        # With 1e308 impressions the online noise vanishes, as with a zero online variance.
+        huge = [self.cell(n_impressions=1e308), self.cell(estimate=0.3, actual=0.35,
+                                                          n_impressions=1e308)]
+        exact = [dataclasses.replace(c, n_impressions=1.0, online_variance=0.0) for c in huge]
+        se = relative_rmse_se(huge, np.random.default_rng(4), sims=500)
+        assert se > 0.0
+        assert se == relative_rmse_se(exact, np.random.default_rng(4), sims=500)
 
     def test_requires_variance_fields(self):
         cell = self.cell(ope_variance=None, n_ope=None)
