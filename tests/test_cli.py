@@ -124,6 +124,28 @@ class TestEvaluate:
         assert cli_main(argv + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_reports_do_not_depend_on_the_other_estimators(self, workspace, capsys):
+        # The dml and dr_half reports are the same whichever --estimator flags
+        # come beside them, in any order.
+        data = self.simulate(workspace)
+
+        def reports(*names):
+            argv = ["evaluate", "--data", str(data),
+                    "--eval-policy", str(workspace / "eval.json"),
+                    "--discount", "0.9", "--seed", "3"]
+            for name in names:
+                argv += ["--estimator", name]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            return {r["estimator"]: r for r in json.loads(out)["reports"]}
+
+        alone = {**reports("dml"), **reports("dr_half")}
+        for names in [("dml", "dr_half"), ("dr_half", "dml"), ("dr_half", "ipw"),
+                      ("dm", "dr_half", "ipw", "dml", "dr_full")]:
+            listed = reports(*names)
+            assert {name: listed[name] for name in alone if name in names} == {
+                name: alone[name] for name in alone if name in names}
+
     def test_discount_required(self, workspace, capsys):
         data = self.simulate(workspace, n=10)
         code, _, err = run(

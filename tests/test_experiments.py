@@ -301,6 +301,26 @@ class TestEvaluateDataset:
             for name, (value, variance, std_error, ci, n) in expected.items()
         }
 
+    def test_fold_splits_do_not_depend_on_the_other_estimators(self):
+        # DML and DR-half draw their fold splits from streams of their own, so
+        # each report is the same alone, beside the other, or beside dm, ipw and
+        # dr_full, in any order.
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 50, np.random.default_rng(11))
+
+        def reports(names):
+            results = evaluate_dataset(data, evaluation, 0.9, names, np.random.default_rng(12))
+            return {name: est.to_dict() for name, est in results.items()}
+
+        alone = {**reports(("dml",)), **reports(("dr_half",))}
+        for names in [("dml", "dr_half"), ("dr_half", "dml"), ("dr_half", "ipw"),
+                      ("dm", "ipw", "dr_full", "dr_half", "dml"),
+                      ("dml", "dr_full", "ipw", "dm", "dr_half")]:
+            listed = reports(names)
+            assert {name: listed[name] for name in alone if name in names} == {
+                name: alone[name] for name in alone if name in names}
+
     def test_dr_full_on_shared_fit_equals_a_fresh_fit(self):
         # DR-full scores on the full-data fit that DM and IPW share; scoring on
         # a fit made for DR-full alone gives the same report.
@@ -390,6 +410,15 @@ class TestMseExperiment:
                 for name, (mse, se, bias, variance) in expected.items()
             },
         }
+
+    def test_results_do_not_depend_on_the_other_estimators(self):
+        def results(names):
+            return run_mse_experiment(small_config(replications=3, estimators=names)).results
+
+        alone = {**results(("dml",)), **results(("dr_half",))}
+        for names in [("dr_half", "dml"), ("ipw", "dml", "dm", "dr_half")]:
+            listed = results(names)
+            assert {name: listed[name] for name in alone} == alone
 
     @pytest.mark.parametrize("replications", [6, 5, 1])
     def test_report_independent_of_worker_count(self, monkeypatch, replications):
