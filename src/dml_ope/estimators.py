@@ -15,7 +15,6 @@ from statistics import NormalDist
 import numpy as np
 
 from .mdp import (
-    DEFAULT_ENUMERATION_CAP,
     LoggedDataset,
     Policy,
     TabularMdp,
@@ -246,10 +245,9 @@ def expected_psi(
     logging_policy: Policy,
     eta: NuisanceEstimate,
     eval_policy: Policy,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Exact E_{H~logging_policy}[psi(H; eta)] by trajectory enumeration."""
-    data, probs = enumerate_dataset(mdp, logging_policy, cap=cap)
+    data, probs = enumerate_dataset(mdp, logging_policy)
     return float(_psi_scores(data, eta, eval_policy, mdp.discount) @ probs)
 
 
@@ -258,10 +256,9 @@ def expected_psi_ipw(
     logging_policy: Policy,
     behavior_candidate: Policy,
     eval_policy: Policy,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Exact E_{H~logging_policy}[psi_ipw(H; behavior_candidate)] by enumeration."""
-    data, probs = enumerate_dataset(mdp, logging_policy, cap=cap)
+    data, probs = enumerate_dataset(mdp, logging_policy)
     return float(_psi_ipw_scores(data, behavior_candidate, eval_policy, mdp.discount) @ probs)
 
 
@@ -283,7 +280,6 @@ def orthogonality_derivative(
     eta_alt: NuisanceEstimate,
     score: ScoreKind = ScoreKind.DML_PSI,
     step: float = 1e-4,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Central-difference derivative of the enumerated score expectation along
     the perturbation direction eta_alt - eta_true, evaluated at the truth.
@@ -291,7 +287,7 @@ def orthogonality_derivative(
     ``eta_true.behavior`` must be the true behavior policy: the expectation is
     taken under it.
     """
-    data, probs = enumerate_dataset(mdp, eta_true.behavior, cap=cap)
+    data, probs = enumerate_dataset(mdp, eta_true.behavior)
 
     def g(r: float) -> float:
         eta_r = _mix_eta(eta_true, eta_alt, r)

@@ -303,13 +303,17 @@ def evaluate_dataset(
 
     DM and DR-full use the full-data nuisance fit, which is built once; IPW
     uses the known behavior policy if supplied, else that fit's behavior
-    estimate. State and action ids must lie inside the evaluation and known
-    behavior policy tables.
+    estimate. ``rng`` spawns one child per member of ``Estimator``, in that
+    order, and DR-half and DML draw their fold splits from their own child, so
+    no estimate depends on which other estimators are named. State and action
+    ids must lie inside the evaluation and known behavior policy tables.
     """
     check_estimator_names(estimators)
     check_ids(data, eval_policy, "evaluation")
     if known_behavior is not None:
         check_ids(data, known_behavior, "behavior")
+
+    streams = dict(zip(Estimator, rng.spawn(len(Estimator))))
 
     @functools.cache
     def full():
@@ -322,11 +326,12 @@ def evaluate_dataset(
                                             discount, level=level),
         Estimator.DR_FULL: lambda: dr_full_estimate(data, full(), eval_policy, discount,
                                                     level=level),
-        Estimator.DR_HALF: lambda: dr_half_estimate(data, eval_policy, discount, rng, level=level,
+        Estimator.DR_HALF: lambda: dr_half_estimate(data, eval_policy, discount,
+                                                    streams[Estimator.DR_HALF], level=level,
                                                     known_behavior=known_behavior, config=config),
-        Estimator.DML: lambda: dml_estimate(data, eval_policy, discount, rng, k_folds=k_folds,
-                                            known_behavior=known_behavior, config=config,
-                                            level=level),
+        Estimator.DML: lambda: dml_estimate(data, eval_policy, discount, streams[Estimator.DML],
+                                            k_folds=k_folds, known_behavior=known_behavior,
+                                            config=config, level=level),
     }
     return {name: run[name]() for name in estimators}
 
@@ -470,16 +475,14 @@ def _run_replications(config: ExperimentConfig, seeds: list) -> list[dict[str, f
     known = behavior if config.behavior_known else None
     rows = []
     for seed_seq in seeds:
-        child = seed_seq.spawn(len(config.estimators) + 1)
-        data = sample_dataset(mdp, behavior, config.n_trajectories, np.random.default_rng(child[0]))
-        rows.append({
-            name: evaluate_dataset(
-                data, evaluation, config.effective_discount, (name,),
-                np.random.default_rng(child[j + 1]), known_behavior=known,
-                k_folds=config.k_folds, config=config.nuisance, level=config.level,
-            )[name].value
-            for j, name in enumerate(config.estimators)
-        })
+        rng = np.random.default_rng(seed_seq)  # samples from child 0; estimators from 1 on
+        data = sample_dataset(mdp, behavior, config.n_trajectories, *rng.spawn(1))
+        results = evaluate_dataset(
+            data, evaluation, config.effective_discount, config.estimators, rng,
+            known_behavior=known, k_folds=config.k_folds, config=config.nuisance,
+            level=config.level,
+        )
+        rows.append({name: est.value for name, est in results.items()})
     return rows
 
 

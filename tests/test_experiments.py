@@ -268,10 +268,10 @@ class TestEvaluateDataset:
                     [1.272743181465628, 1.9720688847945858], 50),
             "dr_full": (1.5656610294637796, 0.7036363695042551, 0.11862852688154356,
                         [1.3331533892369127, 1.7981686696906465], 50),
-            "dr_half": (1.738104277008832, 0.4873008310498749, 0.1396138719540254,
-                        [1.4644661162367556, 2.0117424377809083], 25),
-            "dml": (1.6535586435325653, 1.1455772545654879, 0.15136560075297742,
-                    [1.3568875175584607, 1.95022976950667], 50),
+            "dr_half": (1.6341571507644916, 0.9180269308305236, 0.19162744384148359,
+                        [1.2585742623857121, 2.009740039143271], 25),
+            "dml": (1.561937171087506, 1.007223142682025, 0.14193119055951198,
+                    [1.2837571493079714, 1.8401171928670408], 50),
         }),
         (True, 2, {
             "dm": (1.6100684668585297, 0.0004611546665899453, 0.0030369546147084427,
@@ -280,10 +280,10 @@ class TestEvaluateDataset:
                     [1.37033882875697, 2.111483935091427], 50),
             "dr_full": (1.5767662171602632, 0.6853504767114241, 0.1170769385243246,
                         [1.347299634232377, 1.8062328000881493], 50),
-            "dr_half": (1.7199003530710724, 0.7526408350611048, 0.1735097501653558,
-                        [1.3798274917804325, 2.059973214361712], 25),
-            "dml": (1.582631249311413, 0.7568603729210214, 0.12303335912841049,
-                    [1.3414902965227462, 1.8237722021000797], 50),
+            "dr_half": (1.5778242801474627, 0.7529592418055767, 0.17354644816942544,
+                        [1.2376794920905416, 1.9179690682043837], 25),
+            "dml": (1.5593383047352922, 0.7445460645872134, 0.12202836265288602,
+                    [1.320167108843243, 1.7985095006273415], 50),
         }),
     ], ids=["estimated_behavior_k3", "known_behavior_k2"])
     def test_golden_reports(self, known, k_folds, expected):
