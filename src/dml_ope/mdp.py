@@ -44,6 +44,20 @@ def _check_prob_rows(table: np.ndarray, name: str) -> None:
         raise ValidationError(f"{where} sums to {float(rows[i].sum())!r}, expected 1")
 
 
+def _cdf_table(probs: np.ndarray) -> np.ndarray:
+    """The row-wise ``cumsum`` of ``probs`` along its last axis, as a 2-d table.
+
+    Each row's entries from its last positive-probability index onward are set
+    to exactly 1.0: a row may sum to less than 1 within ``PROB_TOL``, and no
+    draw ``u < 1`` may then land past that index on a zero-probability entry.
+    """
+    rows = probs.reshape(-1, probs.shape[-1])
+    cum = np.cumsum(rows, axis=1)
+    last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
+    cum[np.arange(rows.shape[1]) >= last[:, None]] = 1.0
+    return cum
+
+
 @dataclass(frozen=True, eq=False)
 class RewardSpec:
     """Finite-support reward distribution for one (state, action) pair."""
@@ -137,10 +151,8 @@ class TabularMdp:
         object.__setattr__(self, "_reward_support", sup)
         object.__setattr__(self, "_reward_probs", prb)
         # Row-wise CDF tables for sampling, one row per flat (s * A + a) index.
-        rows = self.num_states * self.num_actions
-        object.__setattr__(self, "_transition_cum",
-                           np.cumsum(self.transitions, axis=2).reshape(rows, self.num_states))
-        object.__setattr__(self, "_reward_cum", np.cumsum(prb, axis=2).reshape(rows, width))
+        object.__setattr__(self, "_transition_cum", _cdf_table(self.transitions))
+        object.__setattr__(self, "_reward_cum", _cdf_table(prb))
 
     def check_policy(self, policy: Policy) -> None:
         if policy.table.shape != (self.num_states, self.num_actions):
@@ -240,8 +252,8 @@ def sample_dataset(
     if n < 1:
         raise ValidationError("need at least one trajectory")
     steps = mdp.horizon + 1
-    initial_cum = np.cumsum(mdp.initial_dist)[None, :]
-    policy_cum = np.cumsum(policy.table, axis=1)
+    initial_cum = _cdf_table(mdp.initial_dist)
+    policy_cum = _cdf_table(policy.table)
     support = mdp._reward_support.reshape(mdp._reward_cum.shape)
     states = np.empty((n, steps), dtype=np.int64)
     actions = np.empty((n, steps), dtype=np.int64)

@@ -154,6 +154,24 @@ class TestSampling:
         expected = policy.table[data.states, data.actions]
         assert np.array_equal(data.propensities, expected)
 
+    def test_draw_above_a_short_row_never_lands_on_zero_probability(self):
+        # Every row sums to 1 - 5e-13, within PROB_TOL, and ends in a zero
+        # entry (the reward rows in a padded slot of the 3-point spec's width).
+        # The largest draw below 1 must still pick the last positive entry.
+        class LargestDraw:
+            def random(self, n):
+                return np.full(n, 1 - 2**-53)
+
+        short = [0.5, 0.5 - 5e-13, 0.0]
+        rewards = [[RewardSpec(support=[1.0, 2.0], probs=short[:2])] * 3 for _ in range(3)]
+        rewards[2][0] = RewardSpec(support=[0.0, 1.0, 2.0], probs=[0.25, 0.5, 0.25])
+        mdp = TabularMdp(num_states=3, num_actions=3, horizon=1, discount=1.0,
+                         initial_dist=short, transitions=np.tile(short, (3, 3, 1)),
+                         rewards=rewards)
+        data = sample_dataset(mdp, Policy(table=[short] * 3), 4, LargestDraw())
+        assert row_steps(data) == [(1, 1, 2.0, 0.5 - 5e-13)] * 2
+        assert np.all(data.states == 1) and np.all(data.rewards == 2.0)
+
 
 def digest(array: np.ndarray, dtype: str) -> str:
     return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
