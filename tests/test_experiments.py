@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dml_ope import (
     CampaignBatchCell,
@@ -50,7 +54,45 @@ def small_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+@st.composite
+def logged_arrays(draw) -> LoggedDataset:
+    """Random (N, T+1) label ids, finite rewards with their edge values, and
+    propensities in (0, 1] or none."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+
+    def column(elements, dtype):
+        cells = st.lists(elements, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+        return np.array(draw(cells), dtype=dtype).reshape(shape)
+
+    labels = st.integers(0, np.iinfo(np.int64).max)
+    rewards = st.one_of(st.sampled_from([-0.0, 5e-324, -1e-310, 1e308, -1e308]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+    props = st.floats(0.0, 1.0, exclude_min=True)
+    return LoggedDataset(
+        states=column(labels, np.int64),
+        actions=column(labels, np.int64),
+        rewards=column(rewards, float),
+        propensities=column(props, float) if draw(st.booleans()) else None,
+    )
+
+
 class TestJsonlRoundTrip:
+    @settings(deadline=None)
+    @given(logged_arrays())
+    def test_round_trip_keeps_every_array(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.jsonl"
+            write_jsonl(data, path)
+            loaded = ingest_jsonl(path)
+        if data.propensities is None:
+            assert loaded.propensities is None
+        for field in ("states", "actions", "rewards", "propensities"):
+            got, want = getattr(loaded, field), getattr(data, field)
+            if want is not None:
+                # Equal bytes: -0.0 keeps its sign and every subnormal its bits.
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+
     def test_write_then_ingest(self, tmp_path):
         mdp = three_state_mdp()
         behavior, _ = three_state_policies()
