@@ -356,9 +356,6 @@ class ExperimentConfig:
     nuisance: NuisanceConfig = field(default_factory=NuisanceConfig)
     noise_states: int = 0
     noise_seed: int = 0
-    ground_truth_method: str = "dp_exact"  # or "on_policy_rollout"
-    ground_truth_n: int = 100_000
-    ground_truth_seed: int = 0
 
     def __post_init__(self):
         if self.replications < 1:
@@ -374,8 +371,6 @@ class ExperimentConfig:
         if self.noise_states < 0:
             raise ValidationError(f"noise_states: 'count' must be >= 0, got {self.noise_states}")
         check_estimator_names(self.estimators, "experiment config: 'estimators'")
-        if self.ground_truth_method not in ("dp_exact", "on_policy_rollout"):
-            raise ValidationError("ground_truth method must be dp_exact or on_policy_rollout")
 
     @property
     def effective_discount(self) -> float:
@@ -396,7 +391,7 @@ def experiment_config_from_dict(obj: dict, base_dir: Path | None = None) -> Expe
     where = "experiment config"
     check_keys(obj, {"mdp", "behavior_policy", "evaluation_policy", "n_trajectories",
                      "replications", "estimators", "seed", "discount", "level", "nuisance",
-                     "noise_states", "ground_truth"}, where)
+                     "noise_states"}, where)
     base = base_dir or Path(".")
     mdp = _load_component(obj, "mdp", base, load_mdp, mdp_from_dict)
     behavior, evaluation = (_load_component(obj, key, base, load_policy, policy_from_dict)
@@ -406,8 +401,6 @@ def experiment_config_from_dict(obj: dict, base_dir: Path | None = None) -> Expe
     behavior_mode = nuisance_obj.get("behavior_policy", "estimated")
     if behavior_mode not in ("known", "estimated"):
         raise ValidationError("nuisance.behavior_policy must be 'known' or 'estimated'")
-    gt = obj.get("ground_truth", {"method": "dp_exact"})
-    check_keys(gt, {"method", "n", "seed"}, "ground_truth")
     noise = obj.get("noise_states", {})
     check_keys(noise, {"count", "seed"}, "noise_states")
     estimators = obj.get("estimators", [Estimator.DML.value])
@@ -432,9 +425,6 @@ def experiment_config_from_dict(obj: dict, base_dir: Path | None = None) -> Expe
         ),
         noise_states=json_field(noise, "count", "noise_states", int, 0),
         noise_seed=json_field(noise, "seed", "noise_states", int, 0),
-        ground_truth_method=gt.get("method", "dp_exact"),
-        ground_truth_n=json_field(gt, "n", "ground_truth", int, 100_000),
-        ground_truth_seed=json_field(gt, "seed", "ground_truth", int, 0),
     )
 
 
@@ -451,7 +441,6 @@ class EstimatorMse:
 @dataclass(frozen=True)
 class MseReport:
     ground_truth: float
-    ground_truth_method: str
     replications: int
     n_trajectories: int
     results: dict
@@ -487,15 +476,10 @@ def _run_replications(config: ExperimentConfig, seeds: list) -> list[dict[str, f
 
 
 def ground_truth_value(config: ExperimentConfig) -> float:
-    """The evaluation policy's value at the discount the estimators use."""
+    """The evaluation policy's exact value on the scenario at the estimators' discount."""
     mdp, _, evaluation = _scenario(config)
-    if config.ground_truth_method == "dp_exact":
-        return exact_policy_value(dataclasses.replace(mdp, discount=config.effective_discount),
-                                  evaluation)
-    rng = np.random.default_rng(config.ground_truth_seed)
-    rollout = sample_dataset(mdp, evaluation, config.ground_truth_n, rng)
-    disc = config.effective_discount ** np.arange(mdp.horizon + 1)
-    return float((rollout.rewards * disc).sum(axis=1).mean())
+    return exact_policy_value(dataclasses.replace(mdp, discount=config.effective_discount),
+                              evaluation)
 
 
 def run_mse_experiment(config: ExperimentConfig) -> MseReport:
@@ -533,7 +517,6 @@ def run_mse_experiment(config: ExperimentConfig) -> MseReport:
         )
     return MseReport(
         ground_truth=truth,
-        ground_truth_method=config.ground_truth_method,
         replications=reps,
         n_trajectories=config.n_trajectories,
         results=results,

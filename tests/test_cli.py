@@ -291,12 +291,15 @@ class TestExperiment:
         ({"estimators": ["dml", "ipw", "dml"]},
          "experiment config: 'estimators': estimator 'dml' is given more than once"),
         ({"level": 1.5}, "experiment config: 'level' must lie in \\(0, 1\\), got 1.5"),
+        # The ground truth is always the exact DP value; there is nothing to choose.
+        ({"ground_truth": {"method": "dp_exact"}},
+         "experiment config: unknown keys \\['ground_truth'\\]"),
     ], ids=["missing_n_trajectories", "string_n_trajectories", "non_object_nuisance",
             "top_level_k_folds", "nuisance_seed", "fractional_n_trajectories",
             "boolean_replications", "negative_noise_count", "discount_above_1",
             "fractional_mdp_num_states", "number_estimators", "string_estimators",
             "string_mdp_transitions", "string_policy_table", "nuisance_fit_subsample",
-            "empty_estimators", "repeated_estimators", "level_above_1"])
+            "empty_estimators", "repeated_estimators", "level_above_1", "ground_truth_block"])
     def test_malformed_config_exits_1_naming_the_key(self, workspace, capsys, change, match):
         path = self.small_config(workspace, **change)
         code, _, err = run(capsys, "experiment", "--config", str(path))

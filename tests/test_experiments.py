@@ -443,7 +443,6 @@ class TestMseExperiment:
         }
         assert run_mse_experiment(config).to_dict() == {
             "ground_truth": 1.460341175,
-            "ground_truth_method": "dp_exact",
             "replications": 5,
             "n_trajectories": 80,
             "results": {
@@ -478,24 +477,11 @@ class TestMseExperiment:
         assert res.se_of_mse is None
         assert res.replications == 1
 
-    def test_ground_truth_methods_agree(self):
-        config = small_config(ground_truth_method="on_policy_rollout",
-                              ground_truth_n=200_000, ground_truth_seed=7)
-        rollout = ground_truth_value(config)
-        exact = exact_policy_value(config.mdp, config.evaluation_policy)
-        assert abs(rollout - exact) < 0.02
-
     def test_dp_truth_uses_the_discount_override(self):
         config = small_config(discount=0.5)
-        rollout = ground_truth_value(dataclasses.replace(
-            config, ground_truth_method="on_policy_rollout", ground_truth_n=200_000,
-            ground_truth_seed=7,
-        ))
         rebuilt = mdp_from_dict({**mdp_to_dict(config.mdp), "discount": 0.5})
-        exact = ground_truth_value(config)
-        assert exact == pytest.approx(exact_policy_value(rebuilt, config.evaluation_policy),
-                                      abs=1e-12)
-        assert abs(rollout - exact) < 0.02
+        assert ground_truth_value(config) == pytest.approx(
+            exact_policy_value(rebuilt, config.evaluation_policy), abs=1e-12)
 
     def test_report_serializes(self):
         report = run_mse_experiment(small_config(replications=2))
@@ -517,7 +503,6 @@ class TestConfigParsing:
             "replications": 3,
             "estimators": ["dml", "ipw"],
             "nuisance": {"k_folds": 2, "smoothing_alpha": 0.5, "behavior_policy": "known"},
-            "ground_truth": {"method": "dp_exact"},
         }
 
     def test_inline_components(self):
