@@ -305,10 +305,13 @@ def evaluate_dataset(
     uses the known behavior policy if supplied, else that fit's behavior
     estimate. ``rng`` spawns one child per member of ``Estimator``, in that
     order, and DR-half and DML draw their fold splits from their own child, so
-    no estimate depends on which other estimators are named. State and action
-    ids must lie inside the evaluation and known behavior policy tables.
+    no estimate depends on which other estimators are named. ``discount`` must
+    lie in [0, 1], and state and action ids inside the evaluation and known
+    behavior policy tables.
     """
     check_estimator_names(estimators)
+    if not 0.0 <= discount <= 1.0:
+        raise ValidationError(f"discount must lie in [0, 1], got {discount!r}")
     check_ids(data, eval_policy, "evaluation")
     if known_behavior is not None:
         check_ids(data, known_behavior, "behavior")
@@ -359,9 +362,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.replications < 1:
-            raise ValidationError("replications must be >= 1")
+            raise ValidationError(f"experiment config: 'replications' must be >= 1, "
+                                  f"got {self.replications}")
+        if self.k_folds < 2:
+            raise ValidationError(f"nuisance config: 'k_folds' must be >= 2, got {self.k_folds}")
         if self.n_trajectories < self.k_folds:
-            raise ValidationError("n_trajectories must be >= k_folds")
+            raise ValidationError(f"experiment config: 'n_trajectories' must be >= k_folds "
+                                  f"({self.k_folds}), got {self.n_trajectories}")
         if self.discount is not None and not 0.0 <= self.discount <= 1.0:
             raise ValidationError(f"experiment config: 'discount' must lie in [0, 1], "
                                   f"got {self.discount!r}")

@@ -28,14 +28,16 @@ class NuisanceConfig:
     """Knobs for the tabular nuisance fit.
 
     smoothing_alpha: additive smoothing for the behavior-policy counts.
-        alpha > 0 keeps every fitted propensity strictly positive.
+        alpha > 0 keeps every fitted propensity strictly positive; it must be
+        finite.
     """
 
     smoothing_alpha: float = 0.5
 
     def __post_init__(self):
-        if self.smoothing_alpha < 0:
-            raise ValidationError("smoothing_alpha must be >= 0")
+        if not 0 <= self.smoothing_alpha < np.inf:
+            raise ValidationError(f"smoothing_alpha must be finite and >= 0, "
+                                  f"got {self.smoothing_alpha!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -224,6 +224,18 @@ class TestEvaluate:
         assert out == ""
         assert "--discount" in err and "[0, 1]" in err
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exits_1(self, workspace, capsys, alpha):
+        data = self.simulate(workspace, n=10)
+        code, out, err = run(
+            capsys, "evaluate", "--data", str(data),
+            "--eval-policy", str(workspace / "eval.json"), "--discount", "0.9",
+            "--alpha", alpha,
+        )
+        assert code == 1
+        assert out == ""
+        assert f"smoothing_alpha must be finite and >= 0, got {alpha}" in err
+
 
 class TestExperiment:
     def test_runs_config(self, workspace, capsys):
@@ -294,12 +306,28 @@ class TestExperiment:
         # The ground truth is always the exact DP value; there is nothing to choose.
         ({"ground_truth": {"method": "dp_exact"}},
          "experiment config: unknown keys \\['ground_truth'\\]"),
+        ({"estimators": ["ipw"], "nuisance": {"k_folds": 1}},
+         "nuisance config: 'k_folds' must be >= 2, got 1"),
+        ({"replications": 0}, "experiment config: 'replications' must be >= 1, got 0"),
+        ({"n_trajectories": 3, "nuisance": {"k_folds": 4}},
+         "experiment config: 'n_trajectories' must be >= k_folds \\(4\\), got 3"),
+        ({"mdp": 5}, "mdp must be a path or an inline object"),
+        ({"mdp": {**_MDP, "rewards": "x"}},
+         "MDP spec: 'rewards' must be an array with one row per state"),
+        ({"mdp": {**_MDP, "rewards": [_MDP["rewards"][0][:1], *_MDP["rewards"][1:]]}},
+         "rewards\\[0\\]: expected one entry per action"),
+        ({"mdp": {**_MDP, "rewards": [[{"support": [1.0]}, _MDP["rewards"][0][1]],
+                                      *_MDP["rewards"][1:]]}},
+         "rewards\\[0\\]\\[0\\] needs numeric 'support' and 'probs'"),
     ], ids=["missing_n_trajectories", "string_n_trajectories", "non_object_nuisance",
             "top_level_k_folds", "nuisance_seed", "fractional_n_trajectories",
             "boolean_replications", "negative_noise_count", "discount_above_1",
             "fractional_mdp_num_states", "number_estimators", "string_estimators",
             "string_mdp_transitions", "string_policy_table", "nuisance_fit_subsample",
-            "empty_estimators", "repeated_estimators", "level_above_1", "ground_truth_block"])
+            "empty_estimators", "repeated_estimators", "level_above_1", "ground_truth_block",
+            "one_fold_ipw_only", "zero_replications", "fewer_trajectories_than_folds",
+            "number_mdp", "string_mdp_rewards", "short_mdp_rewards_row",
+            "mdp_reward_cell_without_probs"])
     def test_malformed_config_exits_1_naming_the_key(self, workspace, capsys, change, match):
         path = self.small_config(workspace, **change)
         code, _, err = run(capsys, "experiment", "--config", str(path))

@@ -101,6 +101,10 @@ class TestScores:
         )
         evaluation = Policy(table=[[0.9, 0.1]])
         assert _psi_scores(row, eta, evaluation, 1.0)[0] == pytest.approx(1.6, abs=1e-12)
+        # The one-step Q table cannot score a two-step row.
+        two_steps = one_row(states=[0, 0], actions=[0, 0], rewards=[1.0, 1.0])
+        with pytest.raises(ValidationError, match="q table does not span the dataset horizon"):
+            _psi_scores(two_steps, eta, evaluation, 1.0)
 
     def test_ipw_identity_policy_gives_return(self):
         mdp = three_state_mdp()

@@ -407,6 +407,18 @@ class TestEvaluateDataset:
         with pytest.raises(ValidationError, match=match):
             evaluate_dataset(data, evaluation, 0.9, names, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("discount", [1.5, -1.0, float("nan")])
+    def test_discount_outside_unit_interval_rejected(self, discount, monkeypatch):
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 10, np.random.default_rng(0))
+        # The check comes before any fit.
+        monkeypatch.setattr("dml_ope.experiments.fit_nuisance", None)
+        with pytest.raises(ValidationError,
+                           match=rf"discount must lie in \[0, 1\], got {discount!r}"):
+            evaluate_dataset(data, evaluation, discount, tuple(e.value for e in Estimator),
+                             np.random.default_rng(0))
+
 
 class TestMseExperiment:
     def test_mse_decomposition(self):

@@ -138,6 +138,10 @@ class TestQRecursion:
         mu = mean_reward_table(mdp)
         q = q_recursion(mu, mdp.transitions, three_state_policies()[1], 0, 0.9)
         assert np.allclose(q.values[0], mu, atol=1e-12)
+        with pytest.raises(ValidationError, match="transitions shape does not match mean_reward"):
+            q_recursion(mu, mdp.transitions[:2], three_state_policies()[1], 0, 0.9)
+        with pytest.raises(ValidationError, match="eval policy shape does not match mean_reward"):
+            q_recursion(mu, mdp.transitions, Policy(table=[[0.5, 0.5]]), 0, 0.9)
 
     def test_zero_discount_collapses(self):
         mdp = three_state_mdp()
