@@ -28,8 +28,7 @@ class NuisanceConfig:
     """Knobs for the tabular nuisance fit.
 
     smoothing_alpha: additive smoothing for the behavior-policy counts.
-        alpha > 0 keeps every fitted propensity strictly positive; it must be
-        finite.
+        alpha > 0 keeps every fitted propensity strictly positive.
     """
 
     smoothing_alpha: float = 0.5
