@@ -3,6 +3,8 @@ the value identity, robustness to either nuisance, step-wise reweighting
 identities, and the numerical orthogonality of the score."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dml_ope import (
     NuisanceEstimate,
@@ -83,6 +85,24 @@ class TestValueIdentities:
             assert expected_psi_ipw(mdp, behavior, behavior, evaluation) == pytest.approx(
                 value, abs=1e-10
             )
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 3), st.integers(2, 3), st.integers(0, 2), st.floats(0.5, 1.0),
+           st.integers(0, 2**32 - 1))
+    def test_expected_scores_equal_the_exact_value(self, num_states, num_actions, horizon,
+                                                   discount, seed):
+        # The true Q with any strictly positive behavior candidate, and IPW with the
+        # true behavior, have expectation v(pi_e) under the true behavior.
+        rng = np.random.default_rng(seed)
+        mdp = random_mdp(rng, num_states, num_actions, horizon, discount=discount)
+        behavior, evaluation, candidate = (random_policy(rng, num_states, num_actions)
+                                           for _ in range(3))
+        eta = true_nuisance(mdp, candidate, evaluation)
+        value = exact_policy_value(mdp, evaluation)
+        assert expected_psi(mdp, behavior, eta, evaluation) == pytest.approx(value, abs=1e-10)
+        assert expected_psi_ipw(mdp, behavior, behavior, evaluation) == pytest.approx(
+            value, abs=1e-10
+        )
 
 
 class TestStepwiseReweighting:
