@@ -27,7 +27,6 @@ from .mdp import (
 from .nuisance import (
     NuisanceConfig,
     NuisanceEstimate,
-    QTable,
     SupportViolationError,
     check_support,
     fit_nuisance,
@@ -117,32 +116,26 @@ def _weight_matrix(data: LoggedDataset, eval_policy: Policy, behavior: Policy) -
 
 def _psi_scores(
     data: LoggedDataset,
-    eta: NuisanceEstimate,
+    behavior: Policy,
+    q: np.ndarray | None,
     eval_policy: Policy,
     discount: float,
 ) -> np.ndarray:
-    """Vectorized doubly robust score per trajectory."""
+    """Vectorized doubly robust score per trajectory with the (T+1, S, A) Q array
+    ``q`` as control variate; ``q=None`` is the control variate Q = 0, the IPW score."""
     steps = data.horizon + 1
-    rho = _weight_matrix(data, eval_policy, eta.behavior)
-    rho_prev = np.concatenate([np.ones((data.n, 1)), rho[:, :-1]], axis=1)
-    qv = eta.q.values
-    if qv.shape[0] != steps:
-        raise ValidationError("q table does not span the dataset horizon")
-    t_idx = np.arange(steps)[None, :]
-    q_taken = qv[t_idx, data.states, data.actions]
-    v = np.einsum("tsa,sa->ts", qv, eval_policy.table)
-    v_state = v[t_idx, data.states]
+    rho = _weight_matrix(data, eval_policy, behavior)
     disc = discount ** np.arange(steps)
+    if q is None:
+        return (rho * data.rewards * disc).sum(axis=1)
+    if q.shape[0] != steps:
+        raise ValidationError("q table does not span the dataset horizon")
+    rho_prev = np.concatenate([np.ones((data.n, 1)), rho[:, :-1]], axis=1)
+    t_idx = np.arange(steps)[None, :]
+    q_taken = q[t_idx, data.states, data.actions]
+    v_state = np.einsum("tsa,sa->ts", q, eval_policy.table)[t_idx, data.states]
     terms = rho * (data.rewards - q_taken) + rho_prev * v_state
     return (terms * disc).sum(axis=1)
-
-
-def _psi_ipw_scores(
-    data: LoggedDataset, behavior: Policy, eval_policy: Policy, discount: float
-) -> np.ndarray:
-    rho = _weight_matrix(data, eval_policy, behavior)
-    disc = discount ** np.arange(data.horizon + 1)
-    return (rho * data.rewards * disc).sum(axis=1)
 
 
 def dm_estimate(
@@ -163,7 +156,7 @@ def ipw_estimate(
     discount: float,
     level: float = 0.95,
 ) -> ValueEstimate:
-    scores = _psi_ipw_scores(data, behavior, eval_policy, discount)
+    scores = _psi_scores(data, behavior, None, eval_policy, discount)
     return _finalize(scores, Estimator.IPW, level)
 
 
@@ -175,7 +168,7 @@ def dr_full_estimate(
     level: float = 0.95,
 ) -> ValueEstimate:
     """Doubly robust score averaged over the same data ``eta`` was fit on."""
-    scores = _psi_scores(data, eta, eval_policy, discount)
+    scores = _psi_scores(data, eta.behavior, eta.q.values, eval_policy, discount)
     return _finalize(scores, Estimator.DR_FULL, level)
 
 
@@ -186,15 +179,15 @@ def dr_half_estimate(
     rng: np.random.Generator,
     known_behavior: Policy | None = None,
     config: NuisanceConfig = NuisanceConfig(),
-    oracle_nuisance: NuisanceEstimate | None = None,
     level: float = 0.95,
 ) -> ValueEstimate:
     """Score fold 0 of a 2-fold split, its first (n+1)//2 rows, with nuisances
     fitted on fold 1: DML's fold-0 fit at k_folds=2."""
     scored, fitted = (data.subset(f) for f in make_folds(data.n, 2, rng))
-    eta = oracle_nuisance or fit_nuisance(fitted, eval_policy, discount,
-                                          known_behavior=known_behavior, config=config)
-    return _finalize(_psi_scores(scored, eta, eval_policy, discount), Estimator.DR_HALF, level)
+    eta = fit_nuisance(fitted, eval_policy, discount, known_behavior=known_behavior,
+                       config=config)
+    scores = _psi_scores(scored, eta.behavior, eta.q.values, eval_policy, discount)
+    return _finalize(scores, Estimator.DR_HALF, level)
 
 
 def dml_estimate(
@@ -205,7 +198,6 @@ def dml_estimate(
     k_folds: int = 2,
     known_behavior: Policy | None = None,
     config: NuisanceConfig = NuisanceConfig(),
-    oracle_nuisance: NuisanceEstimate | None = None,
     level: float = 0.95,
 ) -> ValueEstimate:
     """Cross-fitted doubly robust estimator with the pooled variance estimator.
@@ -216,11 +208,11 @@ def dml_estimate(
     """
     folds = make_folds(data.n, k_folds, rng)
     parts = [data.subset(fold) for fold in folds]
-    etas = [oracle_nuisance] * k_folds if oracle_nuisance else fit_nuisances(
-        parts, eval_policy, discount, known_behavior=known_behavior, config=config)
+    etas = fit_nuisances(parts, eval_policy, discount, known_behavior=known_behavior,
+                         config=config)
     scores = np.empty(data.n)
     for fold, part, eta in zip(folds, parts, etas):
-        scores[fold] = _psi_scores(part, eta, eval_policy, discount)
+        scores[fold] = _psi_scores(part, eta.behavior, eta.q.values, eval_policy, discount)
     return _finalize(scores, Estimator.DML, level)
 
 
@@ -248,7 +240,7 @@ def expected_psi(
 ) -> float:
     """Exact E_{H~logging_policy}[psi(H; eta)] by trajectory enumeration."""
     data, probs = enumerate_dataset(mdp, logging_policy)
-    return float(_psi_scores(data, eta, eval_policy, mdp.discount) @ probs)
+    return float(_psi_scores(data, eta.behavior, eta.q.values, eval_policy, mdp.discount) @ probs)
 
 
 def expected_psi_ipw(
@@ -259,18 +251,7 @@ def expected_psi_ipw(
 ) -> float:
     """Exact E_{H~logging_policy}[psi_ipw(H; behavior_candidate)] by enumeration."""
     data, probs = enumerate_dataset(mdp, logging_policy)
-    return float(_psi_ipw_scores(data, behavior_candidate, eval_policy, mdp.discount) @ probs)
-
-
-def _mix_eta(eta_true: NuisanceEstimate, eta_alt: NuisanceEstimate, r: float) -> NuisanceEstimate:
-    behavior = Policy(table=(1 - r) * eta_true.behavior.table + r * eta_alt.behavior.table)
-    q = QTable(values=(1 - r) * eta_true.q.values + r * eta_alt.q.values)
-    return NuisanceEstimate(
-        behavior=behavior,
-        q=q,
-        mean_reward=(1 - r) * eta_true.mean_reward + r * eta_alt.mean_reward,
-        transitions=(1 - r) * eta_true.transitions + r * eta_alt.transitions,
-    )
+    return float(_psi_scores(data, behavior_candidate, None, eval_policy, mdp.discount) @ probs)
 
 
 def orthogonality_derivative(
@@ -290,11 +271,9 @@ def orthogonality_derivative(
     data, probs = enumerate_dataset(mdp, eta_true.behavior)
 
     def g(r: float) -> float:
-        eta_r = _mix_eta(eta_true, eta_alt, r)
-        if score is ScoreKind.DML_PSI:
-            scores = _psi_scores(data, eta_r, eval_policy, mdp.discount)
-        else:
-            scores = _psi_ipw_scores(data, eta_r.behavior, eval_policy, mdp.discount)
-        return float(scores @ probs)
+        behavior = Policy(table=(1 - r) * eta_true.behavior.table + r * eta_alt.behavior.table)
+        q = ((1 - r) * eta_true.q.values + r * eta_alt.q.values
+             if score is ScoreKind.DML_PSI else None)
+        return float(_psi_scores(data, behavior, q, eval_policy, mdp.discount) @ probs)
 
     return (g(step) - g(-step)) / (2.0 * step)

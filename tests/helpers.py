@@ -8,11 +8,14 @@ import numpy as np
 
 from dml_ope import (
     LoggedDataset,
+    NuisanceEstimate,
     Policy,
     RewardSpec,
     TabularMdp,
     experiment_config_from_dict,
     lift_policy,
+    mean_reward_table,
+    q_recursion,
     with_noise_states,
 )
 
@@ -68,6 +71,13 @@ def random_policy(rng: np.random.Generator, num_states: int, num_actions: int) -
     """Strictly positive random policy (Dirichlet rows, floored away from zero)."""
     table = 0.1 + rng.dirichlet(np.ones(num_actions), size=num_states)
     return Policy(table=table / table.sum(axis=1, keepdims=True))
+
+
+def true_nuisance(mdp: TabularMdp, behavior: Policy, evaluation: Policy) -> NuisanceEstimate:
+    """``behavior`` with the true mean rewards, transitions and Q tables of ``evaluation``."""
+    mu = mean_reward_table(mdp)
+    q = q_recursion(mu, mdp.transitions, evaluation, mdp.horizon, mdp.discount)
+    return NuisanceEstimate(behavior=behavior, q=q, mean_reward=mu, transitions=mdp.transitions)
 
 
 def three_state_mdp(discount: float = 0.9) -> TabularMdp:

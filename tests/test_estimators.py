@@ -19,11 +19,9 @@ from dml_ope import (
     fit_nuisances,
     ipw_estimate,
     make_folds,
-    mean_reward_table,
-    q_recursion,
     sample_dataset,
 )
-from dml_ope.estimators import _psi_ipw_scores, _psi_scores, _weight_matrix
+from dml_ope.estimators import _psi_scores, _weight_matrix
 
 from helpers import (
     bandit_mdp,
@@ -32,13 +30,8 @@ from helpers import (
     one_row,
     three_state_mdp,
     three_state_policies,
+    true_nuisance,
 )
-
-
-def oracle_nuisance(mdp, behavior, evaluation):
-    mu = mean_reward_table(mdp)
-    q = q_recursion(mu, mdp.transitions, evaluation, mdp.horizon, mdp.discount)
-    return NuisanceEstimate(behavior=behavior, q=q, mean_reward=mu, transitions=mdp.transitions)
 
 
 def zero_q_nuisance(behavior, horizon):
@@ -84,8 +77,8 @@ class TestScores:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 200, np.random.default_rng(1))
         eta = zero_q_nuisance(behavior, mdp.horizon)
-        assert np.array_equal(_psi_scores(data, eta, evaluation, 0.9),
-                              _psi_ipw_scores(data, behavior, evaluation, 0.9))
+        assert np.array_equal(_psi_scores(data, behavior, eta.q.values, evaluation, 0.9),
+                              _psi_scores(data, behavior, None, evaluation, 0.9))
 
     def test_hand_evaluated_bandit_score(self):
         # rho_0 = 0.9 / 0.45 = 2, R = 1, q(taken) = 0.5, sum_a pi_e q = 0.6
@@ -97,11 +90,13 @@ class TestScores:
             transitions=np.ones((1, 2, 1)),
         )
         evaluation = Policy(table=[[0.9, 0.1]])
-        assert _psi_scores(row, eta, evaluation, 1.0)[0] == pytest.approx(1.6, abs=1e-12)
+        assert _psi_scores(row, eta.behavior, eta.q.values, evaluation, 1.0)[0] == pytest.approx(
+            1.6, abs=1e-12
+        )
         # The one-step Q table cannot score a two-step row.
         two_steps = one_row(states=[0, 0], actions=[0, 0], rewards=[1.0, 1.0])
         with pytest.raises(ValidationError, match="q table does not span the dataset horizon"):
-            _psi_scores(two_steps, eta, evaluation, 1.0)
+            _psi_scores(two_steps, eta.behavior, eta.q.values, evaluation, 1.0)
 
     def test_ipw_identity_policy_gives_return(self):
         mdp = three_state_mdp()
@@ -111,7 +106,7 @@ class TestScores:
         for i in range(20):
             row = data.subset([i])
             expected = float((row.rewards[0] * disc).sum())
-            assert _psi_ipw_scores(row, behavior, behavior, 0.9)[0] == pytest.approx(
+            assert _psi_scores(row, behavior, None, behavior, 0.9)[0] == pytest.approx(
                 expected, abs=1e-12
             )
 
@@ -119,7 +114,7 @@ class TestScores:
         row = one_row(states=[0, 0], actions=[1, 1], rewards=[1.0, 1.0])
         behavior = Policy(table=[[0.5, 0.5]])
         evaluation = Policy(table=[[0.0, 1.0]])
-        assert _psi_ipw_scores(row, behavior, evaluation, 1.0)[0] == pytest.approx(
+        assert _psi_scores(row, behavior, None, evaluation, 1.0)[0] == pytest.approx(
             6.0, abs=1e-12
         )
 
@@ -148,7 +143,7 @@ class TestPointEstimators:
             initial_dist=[0.25, 0.75], transitions=mdp.transitions, rewards=mdp.rewards,
         )
         behavior, evaluation = bandit_policies()
-        eta = oracle_nuisance(mdp, behavior, evaluation)
+        eta = true_nuisance(mdp, behavior, evaluation)
         data = LoggedDataset(
             states=np.array([[0], [1], [1], [1]]),
             actions=np.zeros((4, 1), dtype=int),
@@ -185,23 +180,11 @@ class TestDrVariants:
         assert dr.value == pytest.approx(ipw.value, abs=1e-12)
         assert dr.variance == pytest.approx(ipw.variance, abs=1e-12)
 
-    def test_oracle_nuisances_make_dr_full_equal_dml(self):
-        mdp = three_state_mdp()
-        behavior, evaluation = three_state_policies()
-        data = sample_dataset(mdp, behavior, 64, np.random.default_rng(6))
-        eta = oracle_nuisance(mdp, behavior, evaluation)
-        dr = dr_full_estimate(data, eta, evaluation, 0.9)
-        dml = dml_estimate(data, evaluation, 0.9, np.random.default_rng(0),
-                           k_folds=2, oracle_nuisance=eta)
-        assert dr.value == pytest.approx(dml.value, abs=1e-12)
-
     def test_dr_half_smallest_split(self):
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 2, np.random.default_rng(7))
-        eta = oracle_nuisance(mdp, behavior, evaluation)
-        est = dr_half_estimate(data, evaluation, 0.9, np.random.default_rng(1),
-                               oracle_nuisance=eta)
+        est = dr_half_estimate(data, evaluation, 0.9, np.random.default_rng(1))
         assert est.n == 1
 
     @pytest.mark.parametrize("n", [10, 11])
@@ -209,13 +192,13 @@ class TestDrVariants:
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, n, np.random.default_rng(8))
-        eta = oracle_nuisance(mdp, behavior, evaluation)
         rng_seed = 42
-        est = dr_half_estimate(data, evaluation, 0.9, np.random.default_rng(rng_seed),
-                               oracle_nuisance=eta)
+        est = dr_half_estimate(data, evaluation, 0.9, np.random.default_rng(rng_seed))
         perm = np.random.default_rng(rng_seed).permutation(n)
         idx = np.sort(perm[:(n + 1) // 2])
-        expected = _psi_scores(data.subset(idx), eta, evaluation, 0.9).mean()
+        eta = fit_nuisance(data.subset(np.sort(perm[(n + 1) // 2:])), evaluation, 0.9)
+        expected = _psi_scores(data.subset(idx), eta.behavior, eta.q.values, evaluation,
+                               0.9).mean()
         assert est.value == pytest.approx(float(expected), abs=1e-12)
         assert est.n == (n + 1) // 2
 
@@ -229,7 +212,7 @@ class TestDrVariants:
         parts = [data.subset(f) for f in folds]
         scores = np.empty(data.n)
         for fold, part, eta in zip(folds, parts, fit_nuisances(parts, evaluation, 0.9)):
-            scores[fold] = _psi_scores(part, eta, evaluation, 0.9)
+            scores[fold] = _psi_scores(part, eta.behavior, eta.q.values, evaluation, 0.9)
         dml = dml_estimate(data, evaluation, 0.9, np.random.default_rng(5))
         half = dr_half_estimate(data, evaluation, 0.9, np.random.default_rng(5))
         assert dml.value == scores.mean()
@@ -242,10 +225,10 @@ class TestDml:
         mdp = three_state_mdp()
         behavior, _ = three_state_policies()
         data = sample_dataset(mdp, behavior, 100, np.random.default_rng(9))
-        eta = oracle_nuisance(mdp, behavior, behavior)
-        est = dml_estimate(data, behavior, 0.9, np.random.default_rng(2),
-                           k_folds=2, oracle_nuisance=eta)
-        scores = _psi_scores(data, eta, behavior, 0.9)
+        # DML with one injected nuisance for every fold is DR-full on that nuisance.
+        eta = true_nuisance(mdp, behavior, behavior)
+        est = dr_full_estimate(data, eta, behavior, 0.9)
+        scores = _psi_scores(data, eta.behavior, eta.q.values, behavior, 0.9)
         assert est.value == pytest.approx(float(scores.mean()), abs=1e-10)
         assert est.variance == pytest.approx(float(((scores - scores.mean()) ** 2).mean()),
                                              abs=1e-10)

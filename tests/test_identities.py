@@ -15,19 +15,11 @@ from dml_ope import (
     exact_policy_value,
     expected_psi,
     expected_psi_ipw,
-    mean_reward_table,
     orthogonality_derivative,
-    q_recursion,
 )
 from dml_ope.estimators import _psi_scores
 
-from helpers import bernoulli, random_mdp, random_policy, three_state_mdp
-
-
-def true_nuisance(mdp, behavior, evaluation):
-    mu = mean_reward_table(mdp)
-    q = q_recursion(mu, mdp.transitions, evaluation, mdp.horizon, mdp.discount)
-    return NuisanceEstimate(behavior=behavior, q=q, mean_reward=mu, transitions=mdp.transitions)
+from helpers import bernoulli, random_mdp, random_policy, three_state_mdp, true_nuisance
 
 
 def random_instance(rng, horizon=None):
@@ -175,7 +167,7 @@ class TestBanditSpecialization:
         mdp, behavior, evaluation = random_instance(rng, horizon=0)
         eta = true_nuisance(mdp, behavior, evaluation)
         data, _ = enumerate_dataset(mdp, behavior)
-        scores = _psi_scores(data, eta, evaluation, mdp.discount)
+        scores = _psi_scores(data, behavior, eta.q.values, evaluation, mdp.discount)
         mu = eta.mean_reward
         s0, a0 = data.states[:, 0], data.actions[:, 0]
         weight = evaluation.table[s0, a0] / behavior.table[s0, a0]
