@@ -96,6 +96,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_simulate(args) -> None:
+    if args.n < 1:
+        raise ValidationError(f"--n {args.n} must be >= 1")
     mdp = load_mdp(args.mdp)
     policy = load_policy(args.policy)
     data = sample_dataset(mdp, policy, args.n, np.random.default_rng(args.seed))
@@ -105,7 +107,13 @@ def _cmd_simulate(args) -> None:
 def _cmd_evaluate(args) -> None:
     if not 0.0 <= args.discount <= 1.0:
         raise ValidationError(f"--discount {args.discount} must lie in [0, 1]")
+    if not 0.0 < args.level < 1.0:
+        raise ValidationError(f"--level {args.level} must lie in (0, 1)")
+    if args.folds < 2:
+        raise ValidationError(f"--folds {args.folds} must be >= 2")
     data = ingest_jsonl(args.data)
+    if args.folds > data.n:
+        raise ValidationError(f"--folds {args.folds} must be <= the {data.n} rows read")
     eval_policy = load_policy(args.eval_policy)
     behavior = load_policy(args.behavior_policy) if args.behavior_policy else None
     names = tuple(args.estimator) if args.estimator else ("dml",)
@@ -152,6 +160,8 @@ def _cmd_bound(args) -> None:
 
 
 def _cmd_rmse(args) -> None:
+    if args.sims < 1:
+        raise ValidationError(f"--sims {args.sims} must be >= 1")
     with open(args.cells) as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):

@@ -283,7 +283,7 @@ def check_estimator_names(names, where: str = "estimators") -> None:
         raise ValidationError(f"{where}: name at least one estimator")
     for k, name in enumerate(names):
         if name not in [e.value for e in Estimator]:
-            raise ValidationError(f"unknown estimator '{name}'")
+            raise ValidationError(f"{where}: unknown estimator '{name}'")
         if name in names[:k]:
             raise ValidationError(f"{where}: estimator '{name}' is given more than once")
 

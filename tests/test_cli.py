@@ -66,6 +66,17 @@ class TestSimulate:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "d88b4e9be786b0f28a1c3ebbea2f6fcf0dd713a1a5b534b45dc5a4387e29d70c")
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_no_trajectories_exits_1_naming_the_flag(self, workspace, capsys, n):
+        out = workspace / "x.jsonl"
+        code, _, err = run(
+            capsys, "simulate", "--mdp", str(workspace / "mdp.json"),
+            "--policy", str(workspace / "behavior.json"), "--n", n, "--output", str(out),
+        )
+        assert code == 1
+        assert f"error: --n {n} must be >= 1" in err
+        assert not out.exists()
+
     def test_missing_mdp_file(self, workspace, capsys):
         code, _, err = run(
             capsys, "simulate", "--mdp", str(workspace / "nope.json"),
@@ -163,7 +174,7 @@ class TestEvaluate:
             "--discount", "0.9", "--estimator", "magic",
         )
         assert code == 1
-        assert "unknown estimator" in err
+        assert "--estimator: unknown estimator 'magic'" in err
 
     def test_repeated_estimator_flag_exits_1(self, workspace, capsys):
         data = self.simulate(workspace, n=10)
@@ -213,16 +224,29 @@ class TestEvaluate:
         assert code == 1
         assert "'a' id 1 is outside the behavior policy table of 1 actions" in err
 
-    @pytest.mark.parametrize("discount", ["1.5", "-0.1", "nan"])
-    def test_discount_outside_unit_interval(self, workspace, capsys, discount):
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--discount", "1.5", "must lie in [0, 1]"),
+        ("--discount", "-0.1", "must lie in [0, 1]"),
+        ("--discount", "nan", "must lie in [0, 1]"),
+        ("--folds", "1", "must be >= 2"),
+        ("--folds", "11", "must be <= the 10 rows read"),
+        ("--level", "nan", "must lie in (0, 1)"),
+        ("--level", "0", "must lie in (0, 1)"),
+        ("--level", "1", "must lie in (0, 1)"),
+    ], ids=["1.5", "-0.1", "nan", "folds_1", "folds_above_rows", "level_nan", "level_0",
+            "level_1"])
+    def test_discount_outside_unit_interval(self, workspace, capsys, flag, value, rule):
         data = self.simulate(workspace, n=10)
+        # IPW splits no folds, so only the flag check can reject a bad --folds.
+        args = {"--discount": "0.9", "--estimator": "ipw", flag: value}
         code, out, err = run(
             capsys, "evaluate", "--data", str(data),
-            "--eval-policy", str(workspace / "eval.json"), "--discount", discount,
+            "--eval-policy", str(workspace / "eval.json"),
+            *(word for item in args.items() for word in item),
         )
         assert code == 1
         assert out == ""
-        assert "--discount" in err and "[0, 1]" in err
+        assert f"error: {flag} " in err and rule in err
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_exits_1(self, workspace, capsys, alpha):
@@ -441,6 +465,14 @@ class TestRmse:
         assert code == 1
         assert out == ""
         assert match in err
+
+    @pytest.mark.parametrize("with_variance", [True, False])
+    def test_no_sims_exits_1_naming_the_flag(self, tmp_path, capsys, with_variance):
+        path = self.cells_file(tmp_path, with_variance=with_variance)
+        code, out, err = run(capsys, "rmse", "--cells", str(path), "--sims", "0")
+        assert code == 1
+        assert out == ""
+        assert "error: --sims 0 must be >= 1" in err
 
     def test_non_array_file(self, tmp_path, capsys):
         path = tmp_path / "cells.json"

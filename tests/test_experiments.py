@@ -393,7 +393,7 @@ class TestEvaluateDataset:
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 10, np.random.default_rng(0))
-        with pytest.raises(ValidationError, match="unknown estimator"):
+        with pytest.raises(ValidationError, match="^estimators: unknown estimator 'magic'$"):
             evaluate_dataset(data, evaluation, 0.9, ("magic",), np.random.default_rng(0))
 
     @pytest.mark.parametrize("names, match", [
