@@ -109,11 +109,9 @@ def _cmd_evaluate(args) -> None:
         raise ValidationError(f"--discount {args.discount} must lie in [0, 1]")
     if not 0.0 < args.level < 1.0:
         raise ValidationError(f"--level {args.level} must lie in (0, 1)")
-    if args.folds < 2:
-        raise ValidationError(f"--folds {args.folds} must be >= 2")
     data = ingest_jsonl(args.data)
-    if args.folds > data.n:
-        raise ValidationError(f"--folds {args.folds} must be <= the {data.n} rows read")
+    if not 2 <= args.folds <= data.n:
+        raise ValidationError(f"--folds {args.folds} must lie in [2, {data.n}] for {data.n} rows")
     eval_policy = load_policy(args.eval_policy)
     behavior = load_policy(args.behavior_policy) if args.behavior_policy else None
     names = tuple(args.estimator) if args.estimator else ("dml",)

@@ -228,8 +228,8 @@ class TestEvaluate:
         ("--discount", "1.5", "must lie in [0, 1]"),
         ("--discount", "-0.1", "must lie in [0, 1]"),
         ("--discount", "nan", "must lie in [0, 1]"),
-        ("--folds", "1", "must be >= 2"),
-        ("--folds", "11", "must be <= the 10 rows read"),
+        ("--folds", "1", "must lie in [2, 10] for 10 rows"),
+        ("--folds", "11", "must lie in [2, 10] for 10 rows"),
         ("--level", "nan", "must lie in (0, 1)"),
         ("--level", "0", "must lie in (0, 1)"),
         ("--level", "1", "must lie in (0, 1)"),
