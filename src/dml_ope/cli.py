@@ -25,6 +25,7 @@ from .nuisance import NuisanceConfig
 from .experiments import (
     cell_from_dict,
     check_estimator_names,
+    check_seed,
     evaluate_dataset,
     experiment_config_from_dict,
     ingest_jsonl,
@@ -191,6 +192,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
+        if "seed" in vars(args):  # before any file is read
+            check_seed(args.seed, "--seed")
         _COMMANDS[args.command](args)
     except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

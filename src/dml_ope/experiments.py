@@ -276,6 +276,12 @@ def lift_policy(policy: Policy, num_noise_states: int) -> Policy:
 # Single-dataset evaluation
 
 
+def check_seed(seed: int, name: str) -> None:
+    """Reject a negative generator seed; ``name`` is the flag or key it came from."""
+    if seed < 0:
+        raise ValidationError(f"{name} must be >= 0, got {seed}")
+
+
 def check_estimator_names(names, where: str = "estimators") -> None:
     """Reject an empty list, an unknown name and a repeated name; ``where`` names
     the key or flag the list came from."""
@@ -306,12 +312,18 @@ def evaluate_dataset(
     estimate. ``rng`` spawns one child per member of ``Estimator``, in that
     order, and DR-half and DML draw their fold splits from their own child, so
     no estimate depends on which other estimators are named. ``discount`` must
-    lie in [0, 1], and state and action ids inside the evaluation and known
-    behavior policy tables.
+    lie in [0, 1], ``level`` in (0, 1) and ``k_folds`` in [2, data.n], even if
+    no named estimator splits folds, and state and action ids inside the
+    evaluation and known behavior policy tables; all are checked before any fit.
     """
     check_estimator_names(estimators)
     if not 0.0 <= discount <= 1.0:
         raise ValidationError(f"discount must lie in [0, 1], got {discount!r}")
+    if not 0.0 < level < 1.0:
+        raise ValidationError(f"level must lie in (0, 1), got {level!r}")
+    if not 2 <= k_folds <= data.n:
+        raise ValidationError(f"k_folds must lie in [2, {data.n}] for {data.n} rows, "
+                              f"got {k_folds}")
     check_ids(data, eval_policy, "evaluation")
     if known_behavior is not None:
         check_ids(data, known_behavior, "behavior")
@@ -377,6 +389,8 @@ class ExperimentConfig:
                                   f"got {self.level!r}")
         if self.noise_states < 0:
             raise ValidationError(f"noise_states: 'count' must be >= 0, got {self.noise_states}")
+        check_seed(self.seed, "experiment config: 'seed'")
+        check_seed(self.noise_seed, "noise_states: 'seed'")
         check_estimator_names(self.estimators, "experiment config: 'estimators'")
 
     @property
@@ -399,10 +413,6 @@ def experiment_config_from_dict(obj: dict, base_dir: Path | None = None) -> Expe
     check_keys(obj, {"mdp", "behavior_policy", "evaluation_policy", "n_trajectories",
                      "replications", "estimators", "seed", "discount", "level", "nuisance",
                      "noise_states"}, where)
-    base = base_dir or Path(".")
-    mdp = _load_component(obj, "mdp", base, load_mdp, mdp_from_dict)
-    behavior, evaluation = (_load_component(obj, key, base, load_policy, policy_from_dict)
-                            for key in ("behavior_policy", "evaluation_policy"))
     nuisance_obj = obj.get("nuisance", {})
     check_keys(nuisance_obj, {"k_folds", "smoothing_alpha", "behavior_policy"}, "nuisance config")
     behavior_mode = nuisance_obj.get("behavior_policy", "estimated")
@@ -410,6 +420,15 @@ def experiment_config_from_dict(obj: dict, base_dir: Path | None = None) -> Expe
         raise ValidationError("nuisance.behavior_policy must be 'known' or 'estimated'")
     noise = obj.get("noise_states", {})
     check_keys(noise, {"count", "seed"}, "noise_states")
+    # The seeds are checked before any MDP or policy file is read.
+    seed = json_field(obj, "seed", where, int, 0)
+    check_seed(seed, f"{where}: 'seed'")
+    noise_seed = json_field(noise, "seed", "noise_states", int, 0)
+    check_seed(noise_seed, "noise_states: 'seed'")
+    base = base_dir or Path(".")
+    mdp = _load_component(obj, "mdp", base, load_mdp, mdp_from_dict)
+    behavior, evaluation = (_load_component(obj, key, base, load_policy, policy_from_dict)
+                            for key in ("behavior_policy", "evaluation_policy"))
     estimators = obj.get("estimators", [Estimator.DML.value])
     if not isinstance(estimators, list):
         raise ValidationError(f"{where}: 'estimators' must be an array of estimator names, "
@@ -422,7 +441,7 @@ def experiment_config_from_dict(obj: dict, base_dir: Path | None = None) -> Expe
         replications=json_field(obj, "replications", where, int),
         estimators=tuple(estimators),
         k_folds=json_field(nuisance_obj, "k_folds", "nuisance config", int, 2),
-        seed=json_field(obj, "seed", where, int, 0),
+        seed=seed,
         discount=json_field(obj, "discount", where, float, None),
         level=json_field(obj, "level", where, float, 0.95),
         behavior_known=(behavior_mode == "known"),
@@ -431,7 +450,7 @@ def experiment_config_from_dict(obj: dict, base_dir: Path | None = None) -> Expe
                                        default=0.5),
         ),
         noise_states=json_field(noise, "count", "noise_states", int, 0),
-        noise_seed=json_field(noise, "seed", "noise_states", int, 0),
+        noise_seed=noise_seed,
     )
 
 

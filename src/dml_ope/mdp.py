@@ -150,7 +150,9 @@ class TabularMdp:
                 prb[s, a, : spec.probs.size] = spec.probs
         object.__setattr__(self, "_reward_support", sup)
         object.__setattr__(self, "_reward_probs", prb)
-        # Row-wise CDF tables for sampling, one row per flat (s * A + a) index.
+        # CDF tables for sampling: the initial distribution's one row, then one
+        # row per flat (s * A + a) index.
+        object.__setattr__(self, "_initial_cum", _cdf_table(self.initial_dist))
         object.__setattr__(self, "_transition_cum", _cdf_table(self.transitions))
         object.__setattr__(self, "_reward_cum", _cdf_table(prb))
 
@@ -252,7 +254,6 @@ def sample_dataset(
     if n < 1:
         raise ValidationError("need at least one trajectory")
     steps = mdp.horizon + 1
-    initial_cum = _cdf_table(mdp.initial_dist)
     policy_cum = _cdf_table(policy.table)
     support = mdp._reward_support.reshape(mdp._reward_cum.shape)
     states = np.empty((n, steps), dtype=np.int64)
@@ -261,7 +262,7 @@ def sample_dataset(
     props = np.empty((n, steps))
     sa = np.zeros(n, dtype=np.int64)  # at t = 0, row 0 of the one-row initial table
     for t in range(steps):
-        cum = initial_cum if t == 0 else mdp._transition_cum
+        cum = mdp._initial_cum if t == 0 else mdp._transition_cum
         s = _inverse_cdf(cum, sa, rng.random(n))
         a = _inverse_cdf(policy_cum, s, rng.random(n))
         sa = s * mdp.num_actions + a

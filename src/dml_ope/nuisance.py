@@ -9,6 +9,12 @@ complement's tables are the sum of the other folds' tables, so
 DML's fold-0 fit at two folds. Unobserved cells fall back to the fitted rows'
 mean reward, uniform transitions, and uniform (or smoothed) behavior rows so
 the Q recursion is defined everywhere.
+
+The Q recursion runs over the nonzero entries of the transition weights
+only, so a step costs at most min(n*T, S*A*S) operations and a fit builds no
+dense float ``(S, A, S)`` table. A cell without moves takes the mean of the
+next step's values, which is the uniform fallback. A fit's ``transitions``
+table is built from its transition counts only when it is read.
 """
 from __future__ import annotations
 
@@ -53,15 +59,29 @@ class QTable:
             raise ValidationError("q table entries must be finite")
 
 
-@dataclass(frozen=True, eq=False)
 class NuisanceEstimate:
     """A candidate tuple: behavior policy, per-step Q tables, and the
-    mean-reward/transition tables the Q tables were built from."""
+    mean-reward and transition tables the Q tables were built from.
 
-    behavior: Policy
-    q: QTable
-    mean_reward: np.ndarray
-    transitions: np.ndarray
+    Give either the ``(S, A, S)`` ``transitions`` table or the transition
+    counts ``moves``, shaped alike; from ``moves`` the table is built when it
+    is first read, with uniform rows where a cell has no moves.
+    """
+
+    def __init__(self, behavior: Policy, q: QTable, mean_reward: np.ndarray,
+                 transitions: np.ndarray | None = None, moves: np.ndarray | None = None):
+        self.behavior = behavior
+        self.q = q
+        self.mean_reward = mean_reward
+        self._transitions = transitions
+        self._moves = moves
+
+    @property
+    def transitions(self) -> np.ndarray:
+        if self._transitions is None:
+            self._transitions = _ratio(self._moves, self._moves.sum(axis=2, keepdims=True),
+                                       1.0 / self._moves.shape[2])
+        return self._transitions
 
 
 def make_folds(n_trajectories: int, k: int, rng: np.random.Generator) -> tuple:
@@ -83,20 +103,35 @@ def q_recursion(
     discount: float,
 ) -> QTable:
     """Backward recursion: q_T = mu and
-    q_t = mu + discount * sum_{s',a'} P(s'|s,a) pi_e(a'|s') q_{t+1}(s',a')."""
+    q_t = mu + discount * sum_{s',a'} P(s'|s,a) pi_e(a'|s') q_{t+1}(s',a').
+
+    ``transitions`` holds nonnegative ``(S, A, S)`` weights, probabilities or
+    counts: P(.|s,a) is row (s, a) over its total, and a row of total 0 is
+    uniform. Each step sums over the nonzero weights only.
+    """
     mean_reward = np.asarray(mean_reward, dtype=float)
-    transitions = np.asarray(transitions, dtype=float)
+    transitions = np.asarray(transitions)
     num_states, num_actions = mean_reward.shape
     if transitions.shape != (num_states, num_actions, num_states):
         raise ValidationError("transitions shape does not match mean_reward")
     if eval_policy.table.shape != (num_states, num_actions):
         raise ValidationError("eval policy shape does not match mean_reward")
+    cells = num_states * num_actions
+    # The flat index (s*A + a)*S + s' of each nonzero weight; flatnonzero is
+    # faster on a mask than on the numbers, and // on the index than divmod.
+    flat = transitions.ravel()
+    idx = np.flatnonzero(flat != 0)
+    sa = idx // num_states
+    s_next = idx - sa * num_states
+    weights = flat[idx].astype(float)
+    totals = np.bincount(sa, weights, minlength=cells)
     values = np.empty((horizon + 1, num_states, num_actions))
-    for t in range(horizon, -1, -1):
-        values[t] = mean_reward
-        if t < horizon:
-            v_next = (eval_policy.table * values[t + 1]).sum(axis=1)
-            values[t] += discount * (transitions @ v_next)
+    values[horizon] = mean_reward
+    for t in range(horizon - 1, -1, -1):
+        v_next = (eval_policy.table * values[t + 1]).sum(axis=1)
+        moved = np.bincount(sa, weights * v_next.take(s_next), minlength=cells)
+        expected = _ratio(moved, totals, v_next.mean()).reshape(num_states, num_actions)
+        values[t] = mean_reward + discount * expected
     return QTable(values=values)
 
 
@@ -160,10 +195,9 @@ def _fit(tables, horizon: int, eval_policy: Policy, discount: float,
                                        1.0 / num_actions))
     check_support(behavior, eval_policy)
     mu = _ratio(sums.reshape(counts.shape), counts, reward_total / counts.sum())
-    next_counts = next_counts.reshape(num_states, num_actions, num_states)
-    trans = _ratio(next_counts, next_counts.sum(axis=2, keepdims=True), 1.0 / num_states)
-    q = q_recursion(mu, trans, eval_policy, horizon, discount)
-    return NuisanceEstimate(behavior=behavior, q=q, mean_reward=mu, transitions=trans)
+    moves = next_counts.reshape(num_states, num_actions, num_states)
+    q = q_recursion(mu, moves, eval_policy, horizon, discount)
+    return NuisanceEstimate(behavior=behavior, q=q, mean_reward=mu, moves=moves)
 
 
 def fit_nuisance(

@@ -343,6 +343,10 @@ class TestExperiment:
         ({"mdp": {**_MDP, "rewards": [[{"support": [1.0]}, _MDP["rewards"][0][1]],
                                       *_MDP["rewards"][1:]]}},
          "rewards\\[0\\]\\[0\\] needs numeric 'support' and 'probs'"),
+        # A negative seed is rejected before any file is read: the MDP file is missing.
+        ({"seed": -1, "mdp": "nope.json"}, "experiment config: 'seed' must be >= 0, got -1"),
+        ({"noise_states": {"count": 2, "seed": -1}, "mdp": "nope.json"},
+         "noise_states: 'seed' must be >= 0, got -1"),
     ], ids=["missing_n_trajectories", "string_n_trajectories", "non_object_nuisance",
             "top_level_k_folds", "nuisance_seed", "fractional_n_trajectories",
             "boolean_replications", "negative_noise_count", "discount_above_1",
@@ -351,7 +355,7 @@ class TestExperiment:
             "empty_estimators", "repeated_estimators", "level_above_1", "ground_truth_block",
             "one_fold_ipw_only", "zero_replications", "fewer_trajectories_than_folds",
             "number_mdp", "string_mdp_rewards", "short_mdp_rewards_row",
-            "mdp_reward_cell_without_probs"])
+            "mdp_reward_cell_without_probs", "negative_seed", "negative_noise_seed"])
     def test_malformed_config_exits_1_naming_the_key(self, workspace, capsys, change, match):
         path = self.small_config(workspace, **change)
         code, _, err = run(capsys, "experiment", "--config", str(path))
@@ -491,3 +495,18 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+    # A negative seed is rejected by name before any file is read, so every path
+    # below is missing on purpose.
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--mdp", "nope.json", "--policy", "nope.json", "--n", "5",
+         "--output", "x.jsonl"],
+        ["evaluate", "--data", "nope.jsonl", "--eval-policy", "nope.json", "--discount", "0.9"],
+        ["rmse", "--cells", "nope.json"],
+    ], ids=["simulate", "evaluate", "rmse"])
+    def test_negative_seed_exits_1_before_reading_files(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, *[str(tmp_path / word) if word.startswith("nope") else word
+                                       for word in argv], "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert "error: --seed must be >= 0, got -1" in err

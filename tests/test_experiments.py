@@ -34,6 +34,7 @@ from dml_ope import (
     with_noise_states,
     write_jsonl,
 )
+from dml_ope import estimators, experiments
 
 from helpers import three_state_mdp, three_state_policies
 
@@ -304,28 +305,28 @@ class TestEvaluateDataset:
 
     @pytest.mark.parametrize("known, k_folds, expected", [
         (False, 3, {
-            "dm": (1.6100684668585297, 0.0004611546665899453, 0.0030369546147084427,
+            "dm": (1.6100684668585297, 0.00046115466658995394, 0.0030369546147084713,
                    [1.6041161451910184, 1.616020788526041], 50),
             "ipw": (1.622406033130107, 1.5913760310990803, 0.17840269230586628,
                     [1.272743181465628, 1.9720688847945858], 50),
-            "dr_full": (1.5656610294637796, 0.7036363695042551, 0.11862852688154356,
-                        [1.3331533892369127, 1.7981686696906465], 50),
-            "dr_half": (1.6341571507644916, 0.9180269308305236, 0.19162744384148359,
-                        [1.2585742623857121, 2.009740039143271], 25),
+            "dr_full": (1.5656610294637796, 0.7036363695042553, 0.11862852688154357,
+                        [1.3331533892369125, 1.7981686696906467], 50),
+            "dr_half": (1.634157150764492, 0.9180269308305238, 0.1916274438414836,
+                        [1.2585742623857126, 2.0097400391432716], 25),
             "dml": (1.561937171087506, 1.007223142682025, 0.14193119055951198,
                     [1.2837571493079714, 1.8401171928670408], 50),
         }),
         (True, 2, {
-            "dm": (1.6100684668585297, 0.0004611546665899453, 0.0030369546147084427,
+            "dm": (1.6100684668585297, 0.00046115466658995394, 0.0030369546147084713,
                    [1.6041161451910184, 1.616020788526041], 50),
             "ipw": (1.7409113819241986, 1.7873941069094301, 0.18907110339284688,
                     [1.37033882875697, 2.111483935091427], 50),
-            "dr_full": (1.5767662171602632, 0.6853504767114241, 0.1170769385243246,
-                        [1.347299634232377, 1.8062328000881493], 50),
+            "dr_full": (1.5767662171602637, 0.6853504767114239, 0.11707693852432459,
+                        [1.3472996342323775, 1.8062328000881498], 50),
             "dr_half": (1.5778242801474627, 0.7529592418055767, 0.17354644816942544,
                         [1.2376794920905416, 1.9179690682043837], 25),
-            "dml": (1.5593383047352922, 0.7445460645872134, 0.12202836265288602,
-                    [1.320167108843243, 1.7985095006273415], 50),
+            "dml": (1.5593383047352918, 0.7445460645872133, 0.12202836265288601,
+                    [1.3201671088432427, 1.7985095006273408], 50),
         }),
     ], ids=["estimated_behavior_k3", "known_behavior_k2"])
     def test_golden_reports(self, known, k_folds, expected):
@@ -419,6 +420,30 @@ class TestEvaluateDataset:
             evaluate_dataset(data, evaluation, discount, tuple(e.value for e in Estimator),
                              np.random.default_rng(0))
 
+    @pytest.mark.parametrize("names, changes, match", [
+        (("ipw",), {"k_folds": 1}, r"k_folds must lie in \[2, 50\] for 50 rows, got 1"),
+        (("dm", "ipw", "dr_full"), {"k_folds": 500},
+         r"k_folds must lie in \[2, 50\] for 50 rows, got 500"),
+        (("dml",), {"level": float("nan")}, r"level must lie in \(0, 1\), got nan"),
+        (("dr_full", "dr_half"), {"level": 1.0}, r"level must lie in \(0, 1\), got 1.0"),
+    ], ids=["one_fold_ipw", "folds_above_rows", "level_nan_dml", "level_1"])
+    def test_folds_and_level_checked_before_any_fit(self, names, changes, match, monkeypatch):
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 50, np.random.default_rng(0))
+        fits = []
+        for module, name in [(experiments, "fit_nuisance"), (estimators, "fit_nuisance"),
+                             (estimators, "fit_nuisances")]:
+            fit = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, fit=fit, **k: fits.append(1) or fit(*a, **k))
+        with pytest.raises(ValidationError, match=match):
+            evaluate_dataset(data, evaluation, 0.9, names, np.random.default_rng(0), **changes)
+        assert len(fits) == 0
+        # The counter sees the fits of a valid call.
+        evaluate_dataset(data, evaluation, 0.9, names, np.random.default_rng(0))
+        assert len(fits) > 0
+
 
 class TestMseExperiment:
     def test_mse_decomposition(self):
@@ -446,8 +471,8 @@ class TestMseExperiment:
                    0.0041776642582185275),
             "dml": (0.009716233719799511, 0.004044765901463048, 0.02360893462963287,
                     0.009158851925453229),
-            "dr_full": (0.008282966000540494, 0.0037663592693061186, 0.02592966206645797,
-                        0.007610618625659769),
+            "dr_full": (0.008282966000540477, 0.003766359269306115, 0.025929662066458192,
+                        0.007610618625659751),
             "dr_half": (0.05540871914861981, 0.020784993994229936, 0.03460419373745505,
                         0.054211268924400494),
             "ipw": (0.020730830190644867, 0.005593177720371591, 0.00035610535857388825,

@@ -16,7 +16,7 @@ from dml_ope import (
 )
 from dml_ope.nuisance import NuisanceConfig
 
-from helpers import random_mdp, random_policy, three_state_mdp, three_state_policies
+from helpers import noisy_lift, random_mdp, random_policy, three_state_mdp, three_state_policies
 
 
 def single_state_dataset(actions, rewards=None):
@@ -42,6 +42,27 @@ def uneven_dataset(n, seed):
     shape = (n, 3)
     return LoggedDataset(states=rng.integers(0, 4, shape), actions=rng.integers(0, 2, shape),
                          rewards=rng.uniform(0.1, 1.0, shape))
+
+
+def dense_q(mean_reward, transitions, eval_policy, horizon, discount):
+    """The dense reference recursion: q_T = mu and q_t = mu + discount * (P @ v_{t+1})."""
+    values = np.empty((horizon + 1,) + mean_reward.shape)
+    values[horizon] = mean_reward
+    for t in range(horizon - 1, -1, -1):
+        v_next = (eval_policy.table * values[t + 1]).sum(axis=1)
+        values[t] = mean_reward + discount * (transitions @ v_next)
+    return values
+
+
+def counted_transitions(data, num_states, num_actions):
+    """The transition table of ``data`` from per-move accumulation, its moves
+    over their row totals with uniform rows where a cell has no moves, and the
+    (S, A) mask of those cells."""
+    moves = np.zeros((num_states, num_actions, num_states))
+    np.add.at(moves, (data.states[:, :-1], data.actions[:, :-1], data.states[:, 1:]), 1.0)
+    totals = moves.sum(axis=2, keepdims=True)
+    trans = np.divide(moves, totals, out=np.full(moves.shape, 1.0 / num_states), where=totals > 0)
+    return trans, totals[..., 0] == 0
 
 
 def fit_per_fold(data, folds, eval_policy, discount, **kwargs):
@@ -174,6 +195,47 @@ class TestQRecursion:
         q1 = q_recursion(mu, mdp.transitions, policy, 2, 0.9)
         q3 = q_recursion(3.0 * mu, mdp.transitions, policy, 2, 0.9)
         assert np.allclose(3.0 * q1.values, q3.values, atol=1e-12)
+
+
+class TestSparseRecursion:
+    """The fit's Q recursion sums over the nonzero moves only; it must match the
+    dense product with the fitted transition table, whose moveless rows are uniform."""
+
+    def test_lift_fit_matches_dense_reference(self):
+        mdp, behavior, evaluation = noisy_lift()
+        data = sample_dataset(mdp, behavior, 1000, np.random.default_rng(21))
+        eta = fit_nuisance(data, evaluation, 0.9, known_behavior=behavior)
+        trans, empty = counted_transitions(data, mdp.num_states, mdp.num_actions)
+        assert np.any(empty) and not np.all(empty)
+        np.testing.assert_allclose(
+            eta.q.values, dense_q(eta.mean_reward, trans, evaluation, data.horizon, 0.9),
+            rtol=0, atol=1e-12)
+        assert np.array_equal(eta.transitions, trans)
+
+    def test_cells_without_moves_take_the_mean_next_value(self):
+        # (1, 0) and (2, 1) are visited only at the last step, so they have no moves.
+        data = LoggedDataset(states=[[0, 1, 2], [0, 2, 2], [1, 0, 1]],
+                             actions=[[0, 1, 0], [0, 0, 1], [1, 1, 0]],
+                             rewards=[[0.3, 1.7, 0.2], [0.9, 0.4, 1.1], [0.6, 0.05, 0.8]])
+        evaluation = random_policy(np.random.default_rng(22), 3, 2)
+        eta = fit_nuisance(data, evaluation, 0.8)
+        trans, empty = counted_transitions(data, 3, 2)
+        assert np.argwhere(empty).tolist() == [[1, 0], [2, 1]]
+        assert np.array_equal(eta.transitions, trans)
+        q = eta.q.values
+        np.testing.assert_allclose(q, dense_q(eta.mean_reward, trans, evaluation, 2, 0.8),
+                                   rtol=0, atol=1e-12)
+        for t in range(2):
+            v_next = (evaluation.table * q[t + 1]).sum(axis=1)
+            np.testing.assert_allclose(q[t][empty], eta.mean_reward[empty] + 0.8 * v_next.mean(),
+                                       rtol=0, atol=1e-12)
+
+    def test_dense_table_goes_through_the_same_recursion(self):
+        mdp, _, evaluation = noisy_lift()
+        mu = mean_reward_table(mdp)
+        np.testing.assert_allclose(
+            q_recursion(mu, mdp.transitions, evaluation, mdp.horizon, 0.9).values,
+            dense_q(mu, mdp.transitions, evaluation, mdp.horizon, 0.9), rtol=0, atol=1e-12)
 
 
 class TestFitNuisances:
