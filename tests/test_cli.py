@@ -248,6 +248,16 @@ class TestEvaluate:
         assert out == ""
         assert f"error: {flag} " in err and rule in err
 
+    def test_discount_checked_before_any_file_is_read(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "evaluate", "--data", str(tmp_path / "missing.jsonl"),
+            "--eval-policy", str(tmp_path / "missing.json"), "--discount", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --discount ") and "must lie in [0, 1]" in err
+        assert "missing" not in err
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_exits_1(self, workspace, capsys, alpha):
         data = self.simulate(workspace, n=10)

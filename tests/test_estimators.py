@@ -168,6 +168,25 @@ class TestPointEstimators:
         assert est.ci_low == est.ci_high == est.value
 
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, float("nan")])
+    @pytest.mark.parametrize("name", [e.value for e in Estimator])
+    def test_level_outside_open_unit_interval_rejected(self, name, level):
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 20, np.random.default_rng(4))
+        eta = fit_nuisance(data, evaluation, 0.9)
+        rng = np.random.default_rng(0)
+        call = {
+            "dm": lambda: dm_estimate(data, eta, evaluation, level=level),
+            "ipw": lambda: ipw_estimate(data, behavior, evaluation, 0.9, level=level),
+            "dr_full": lambda: dr_full_estimate(data, eta, evaluation, 0.9, level=level),
+            "dr_half": lambda: dr_half_estimate(data, evaluation, 0.9, rng, level=level),
+            "dml": lambda: dml_estimate(data, evaluation, 0.9, rng, level=level),
+        }[name]
+        with pytest.raises(ValidationError, match=r"level must lie in \(0, 1\)"):
+            call()
+
+
 class TestDrVariants:
     def test_dr_full_with_zero_q_equals_ipw_on_estimated_behavior(self):
         mdp = three_state_mdp()

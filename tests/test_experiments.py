@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -526,6 +527,22 @@ class TestMseExperiment:
         json.dumps(obj)
         assert obj["replications"] == 2
         assert obj["n_trajectories"] == 80
+
+
+    # The messages are those that the config-file tests in test_cli.py pin.
+    @pytest.mark.parametrize("changes, message", [
+        ({"discount": 1.5}, "experiment config: 'discount' must lie in [0, 1], got 1.5"),
+        ({"level": 1.5}, "experiment config: 'level' must lie in (0, 1), got 1.5"),
+        ({"k_folds": 1}, "nuisance config: 'k_folds' must be >= 2, got 1"),
+        ({"replications": 0}, "experiment config: 'replications' must be >= 1, got 0"),
+        ({"seed": -1}, "experiment config: 'seed' must be >= 0, got -1"),
+        ({"noise_seed": -1}, "noise_states: 'seed' must be >= 0, got -1"),
+        ({"noise_states": -1}, "noise_states: 'count' must be >= 0, got -1"),
+    ], ids=["discount", "level", "k_folds", "replications", "seed", "noise_seed",
+            "noise_count"])
+    def test_direct_config_rejects_bad_parameters(self, changes, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            small_config(**changes)
 
 
 class TestConfigParsing:

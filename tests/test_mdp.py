@@ -91,6 +91,16 @@ class TestValidation:
                 rewards=[[point_mass(0.0)], [point_mass(0.0)]],
             )
 
+    @pytest.mark.parametrize("changes, match", [
+        ({"discount": 1.5}, r"discount must lie in \[0, 1\]"),
+        ({"horizon": -1}, "horizon must be >= 0"),
+    ], ids=["discount_1.5", "horizon_-1"])
+    def test_horizon_and_discount_checked(self, changes, match):
+        fields = dict(num_states=1, num_actions=1, horizon=0, discount=1.0, initial_dist=[1.0],
+                      transitions=[[[1.0]]], rewards=[[point_mass(0.0)]])
+        with pytest.raises(ValidationError, match=match):
+            TabularMdp(**{**fields, **changes})
+
     def test_policy_dimension_mismatch(self):
         mdp = constant_mdp(1)
         with pytest.raises(ValidationError):
