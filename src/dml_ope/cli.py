@@ -20,12 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import cb_efficiency_bound
-from .mdp import ValidationError, load_mdp, sample_dataset
+from .mdp import (ValidationError, check_at_least, check_folds, check_level,
+                  check_unit_interval, load_mdp, read_json, sample_dataset)
 from .nuisance import NuisanceConfig
 from .experiments import (
     cell_from_dict,
     check_estimator_names,
-    check_seed,
     evaluate_dataset,
     experiment_config_from_dict,
     ingest_jsonl,
@@ -101,18 +101,16 @@ def _cmd_simulate(args) -> None:
         raise ValidationError(f"--n {args.n} must be >= 1")
     mdp = load_mdp(args.mdp)
     policy = load_policy(args.policy)
+    mdp.check_policy(policy, "--policy")
     data = sample_dataset(mdp, policy, args.n, np.random.default_rng(args.seed))
     write_jsonl(data, args.output)
 
 
 def _cmd_evaluate(args) -> None:
-    if not 0.0 <= args.discount <= 1.0:
-        raise ValidationError(f"--discount {args.discount} must lie in [0, 1]")
-    if not 0.0 < args.level < 1.0:
-        raise ValidationError(f"--level {args.level} must lie in (0, 1)")
+    check_unit_interval(args.discount, "--discount")
+    check_level(args.level, "--level")
     data = ingest_jsonl(args.data)
-    if not 2 <= args.folds <= data.n:
-        raise ValidationError(f"--folds {args.folds} must lie in [2, {data.n}] for {data.n} rows")
+    check_folds(args.folds, data.n, "--folds")
     eval_policy = load_policy(args.eval_policy)
     behavior = load_policy(args.behavior_policy) if args.behavior_policy else None
     names = tuple(args.estimator) if args.estimator else ("dml",)
@@ -144,8 +142,7 @@ def _cmd_evaluate(args) -> None:
 
 def _cmd_experiment(args) -> None:
     path = Path(args.config)
-    with open(path) as fh:
-        config = experiment_config_from_dict(json.load(fh), base_dir=path.parent)
+    config = read_json(path, lambda obj: experiment_config_from_dict(obj, base_dir=path.parent))
     report = run_mse_experiment(config)
     _emit(report.to_dict(), args.output)
 
@@ -154,18 +151,22 @@ def _cmd_bound(args) -> None:
     mdp = load_mdp(args.mdp)
     behavior = load_policy(args.behavior_policy)
     eval_policy = load_policy(args.eval_policy)
+    mdp.check_policy(behavior, "--behavior-policy")
+    mdp.check_policy(eval_policy, "--eval-policy")
     bound = cb_efficiency_bound(mdp, behavior, eval_policy)
     _emit({"efficiency_bound": bound}, args.output)
+
+
+def _cells_from_list(raw) -> list:
+    if not isinstance(raw, list):
+        raise ValidationError("cells file must be a JSON array")
+    return [cell_from_dict(obj) for obj in raw]
 
 
 def _cmd_rmse(args) -> None:
     if args.sims < 1:
         raise ValidationError(f"--sims {args.sims} must be >= 1")
-    with open(args.cells) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, list):
-        raise ValidationError("cells file must be a JSON array")
-    cells = [cell_from_dict(obj) for obj in raw]
+    cells = read_json(args.cells, _cells_from_list)
     value = relative_rmse(cells)
     report = {"relative_rmse": value, "sims": args.sims}
     if all(c.ope_variance is not None and c.n_ope is not None for c in cells):
@@ -193,9 +194,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 1
     try:
         if "seed" in vars(args):  # before any file is read
-            check_seed(args.seed, "--seed")
+            check_at_least(args.seed, 0, "--seed")
         _COMMANDS[args.command](args)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures map to a distinct exit code

@@ -19,6 +19,7 @@ from .mdp import (
     Policy,
     TabularMdp,
     ValidationError,
+    check_level,
     enumerate_dataset,
     exact_policy_value,
     mean_reward_table,
@@ -88,8 +89,7 @@ class ValueEstimate:
 
 
 def _finalize(scores: np.ndarray, estimator: Estimator, level: float) -> ValueEstimate:
-    if not 0.0 < level < 1.0:
-        raise ValidationError("confidence level must lie in (0, 1)")
+    check_level(level, "level")
     value = float(scores.mean())
     variance = float(np.mean((scores - value) ** 2))
     z = NormalDist().inv_cdf((1.0 + level) / 2.0)

@@ -34,11 +34,16 @@ from .mdp import (
     Policy,
     TabularMdp,
     ValidationError,
+    check_at_least,
+    check_folds,
     check_keys,
+    check_level,
+    check_unit_interval,
     exact_policy_value,
     json_field,
     load_mdp,
     mdp_from_dict,
+    read_json,
     sample_dataset,
 )
 from .nuisance import NuisanceConfig, check_ids, fit_nuisance
@@ -57,14 +62,12 @@ def policy_to_dict(policy: Policy) -> dict:
 
 
 def policy_from_dict(obj: dict) -> Policy:
-    if not isinstance(obj, dict) or "table" not in obj:
-        raise ValidationError("policy spec must be an object with a 'table' field")
+    check_keys(obj, {"table"}, "policy spec")
     return Policy(table=json_field(obj, "table", "policy spec", np.ndarray))
 
 
 def load_policy(path: str | Path) -> Policy:
-    with open(path) as fh:
-        return policy_from_dict(json.load(fh))
+    return read_json(path, policy_from_dict)
 
 
 def _json_cells(column: np.ndarray) -> list[str]:
@@ -159,6 +162,16 @@ def _number_column(values: list, field: str, where, valid, rule: str,
     return column
 
 
+def _text_lines(path: str | Path):
+    """The lines of the UTF-8 text file at ``path``; a directory, or bytes that
+    are not UTF-8, raise a ValidationError that names the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def ingest_jsonl(
     path: str | Path,
     state_map: dict | None = None,
@@ -174,34 +187,33 @@ def ingest_jsonl(
     """
     s_col, a_col, r_col, p_col = [], [], [], []
     lengths, linenos = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(obj, dict):
-                raise ValidationError(
-                    f"{path}: line {lineno}: expected an object with a 'steps' array"
-                )
-            steps = obj.get("steps")
-            if not isinstance(steps, list) or not steps:
-                raise ValidationError(f"{path}: line {lineno}: expected a nonempty 'steps' array")
-            try:
-                for step in steps:
-                    s_col.append(step["s"])
-                    a_col.append(step["a"])
-                    r_col.append(step["r"])
-                    p_col.append(step.get("p"))
-            except (KeyError, TypeError):
-                j = _first(steps, lambda st: not (isinstance(st, dict) and _STEP_KEYS <= st.keys()))
-                raise ValidationError(
-                    f"{path}: line {lineno}: step {j} needs 's', 'a', 'r'"
-                ) from None
-            lengths.append(len(steps))
-            linenos.append(lineno)
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(obj, dict):
+            raise ValidationError(
+                f"{path}: line {lineno}: expected an object with a 'steps' array"
+            )
+        steps = obj.get("steps")
+        if not isinstance(steps, list) or not steps:
+            raise ValidationError(f"{path}: line {lineno}: expected a nonempty 'steps' array")
+        try:
+            for step in steps:
+                s_col.append(step["s"])
+                a_col.append(step["a"])
+                r_col.append(step["r"])
+                p_col.append(step.get("p"))
+        except (KeyError, TypeError):
+            j = _first(steps, lambda st: not (isinstance(st, dict) and _STEP_KEYS <= st.keys()))
+            raise ValidationError(
+                f"{path}: line {lineno}: step {j} needs 's', 'a', 'r'"
+            ) from None
+        lengths.append(len(steps))
+        linenos.append(lineno)
     if not linenos:
         raise ValidationError(f"{path}: empty dataset")
     width = lengths[0]
@@ -241,8 +253,7 @@ def with_noise_states(mdp: TabularMdp, num_noise_states: int, seed: int = 0) -> 
     unchanged while every nuisance table has num_noise_states times as many
     rows to estimate.
     """
-    if num_noise_states < 1:
-        raise ValidationError("need at least one noise state")
+    check_at_least(num_noise_states, 1, "num_noise_states")
     # The noise chain starts uniform; its transition rows are Dirichlet draws from ``seed``.
     rng = np.random.default_rng(seed)
     z_trans = rng.dirichlet(np.ones(num_noise_states), size=num_noise_states)
@@ -276,12 +287,6 @@ def lift_policy(policy: Policy, num_noise_states: int) -> Policy:
 # Single-dataset evaluation
 
 
-def check_seed(seed: int, name: str) -> None:
-    """Reject a negative generator seed; ``name`` is the flag or key it came from."""
-    if seed < 0:
-        raise ValidationError(f"{name} must be >= 0, got {seed}")
-
-
 def check_estimator_names(names, where: str = "estimators") -> None:
     """Reject an empty list, an unknown name and a repeated name; ``where`` names
     the key or flag the list came from."""
@@ -313,20 +318,21 @@ def evaluate_dataset(
     order, and DR-half and DML draw their fold splits from their own child, so
     no estimate depends on which other estimators are named. ``discount`` must
     lie in [0, 1], ``level`` in (0, 1) and ``k_folds`` in [2, data.n], even if
-    no named estimator splits folds, and state and action ids inside the
-    evaluation and known behavior policy tables; all are checked before any fit.
+    no named estimator splits folds, state and action ids inside the evaluation
+    and known behavior policy tables, and the two tables alike in shape; all
+    are checked before any fit.
     """
     check_estimator_names(estimators)
-    if not 0.0 <= discount <= 1.0:
-        raise ValidationError(f"discount must lie in [0, 1], got {discount!r}")
-    if not 0.0 < level < 1.0:
-        raise ValidationError(f"level must lie in (0, 1), got {level!r}")
-    if not 2 <= k_folds <= data.n:
-        raise ValidationError(f"k_folds must lie in [2, {data.n}] for {data.n} rows, "
-                              f"got {k_folds}")
+    check_unit_interval(discount, "discount")
+    check_level(level, "level")
+    check_folds(k_folds, data.n, "k_folds")
     check_ids(data, eval_policy, "evaluation")
     if known_behavior is not None:
         check_ids(data, known_behavior, "behavior")
+        if known_behavior.table.shape != eval_policy.table.shape:
+            raise ValidationError(f"the behavior policy table has shape "
+                                  f"{known_behavior.table.shape}, the evaluation policy table "
+                                  f"{eval_policy.table.shape}")
 
     streams = dict(zip(Estimator, rng.spawn(len(Estimator))))
 
@@ -373,25 +379,21 @@ class ExperimentConfig:
     noise_seed: int = 0
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValidationError(f"experiment config: 'replications' must be >= 1, "
-                                  f"got {self.replications}")
-        if self.k_folds < 2:
-            raise ValidationError(f"nuisance config: 'k_folds' must be >= 2, got {self.k_folds}")
+        check_at_least(self.replications, 1, "experiment config: 'replications'")
+        check_at_least(self.k_folds, 2, "nuisance config: 'k_folds'")
         if self.n_trajectories < self.k_folds:
             raise ValidationError(f"experiment config: 'n_trajectories' must be >= k_folds "
                                   f"({self.k_folds}), got {self.n_trajectories}")
-        if self.discount is not None and not 0.0 <= self.discount <= 1.0:
-            raise ValidationError(f"experiment config: 'discount' must lie in [0, 1], "
-                                  f"got {self.discount!r}")
-        if not 0.0 < self.level < 1.0:
-            raise ValidationError(f"experiment config: 'level' must lie in (0, 1), "
-                                  f"got {self.level!r}")
-        if self.noise_states < 0:
-            raise ValidationError(f"noise_states: 'count' must be >= 0, got {self.noise_states}")
-        check_seed(self.seed, "experiment config: 'seed'")
-        check_seed(self.noise_seed, "noise_states: 'seed'")
+        if self.discount is not None:
+            check_unit_interval(self.discount, "experiment config: 'discount'")
+        check_level(self.level, "experiment config: 'level'")
+        check_at_least(self.noise_states, 0, "noise_states: 'count'")
+        check_at_least(self.seed, 0, "experiment config: 'seed'")
+        check_at_least(self.noise_seed, 0, "noise_states: 'seed'")
         check_estimator_names(self.estimators, "experiment config: 'estimators'")
+        # Against the config's own MDP, before the noise-state lift.
+        for key in ("behavior_policy", "evaluation_policy"):
+            self.mdp.check_policy(getattr(self, key), f"experiment config: '{key}'")
 
     @property
     def effective_discount(self) -> float:
@@ -422,9 +424,9 @@ def experiment_config_from_dict(obj: dict, base_dir: Path | None = None) -> Expe
     check_keys(noise, {"count", "seed"}, "noise_states")
     # The seeds are checked before any MDP or policy file is read.
     seed = json_field(obj, "seed", where, int, 0)
-    check_seed(seed, f"{where}: 'seed'")
+    check_at_least(seed, 0, f"{where}: 'seed'")
     noise_seed = json_field(noise, "seed", "noise_states", int, 0)
-    check_seed(noise_seed, "noise_states: 'seed'")
+    check_at_least(noise_seed, 0, "noise_states: 'seed'")
     base = base_dir or Path(".")
     mdp = _load_component(obj, "mdp", base, load_mdp, mdp_from_dict)
     behavior, evaluation = (_load_component(obj, key, base, load_policy, policy_from_dict)
@@ -572,8 +574,8 @@ class CampaignBatchCell:
         if self.actual == 0:
             raise ValidationError("actual value must be nonzero for relative normalization")
         for name in ("ope_variance", "online_variance"):
-            if getattr(self, name) is not None and getattr(self, name) < 0:
-                raise ValidationError(f"cell: '{name}' must be >= 0, got {getattr(self, name)}")
+            if getattr(self, name) is not None:
+                check_at_least(getattr(self, name), 0, f"cell: '{name}'")
         if self.n_ope is not None and self.n_ope <= 0:
             raise ValidationError(f"cell: 'n_ope' must be positive, got {self.n_ope}")
 
@@ -614,8 +616,7 @@ def relative_rmse_se(
     estimate draw uses its estimated asymptotic variance, the actual draw uses
     the online variance (defaulting to the binary-reward value actual*(1-actual)).
     """
-    if sims < 1:
-        raise ValidationError("sims must be >= 1")
+    check_at_least(sims, 1, "sims")
     for c in cells:
         if c.ope_variance is None or c.n_ope is None:
             raise ValidationError("every cell needs ope_variance and n_ope")

@@ -27,6 +27,30 @@ class EnumerationCapError(RuntimeError):
     """Exact enumeration would exceed the configured outcome cap."""
 
 
+# Run-parameter rules. Each raises "<name> must ..., got <value>", where ``name``
+# is the flag or key the user gave the value by; NaN fails every rule.
+
+
+def check_unit_interval(value: float, name: str) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{name} must lie in [0, 1], got {value}")
+
+
+def check_level(value: float, name: str) -> None:
+    if not 0.0 < value < 1.0:
+        raise ValidationError(f"{name} must lie in (0, 1), got {value}")
+
+
+def check_folds(k: int, n: int, name: str) -> None:
+    if not 2 <= k <= n:
+        raise ValidationError(f"{name} must lie in [2, {n}] for {n} rows, got {k}")
+
+
+def check_at_least(value: float, low: int, name: str) -> None:
+    if not value >= low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+
+
 def _check_prob_rows(table: np.ndarray, name: str) -> None:
     """Raise for the first row along the last axis that is not a distribution.
 
@@ -123,10 +147,8 @@ class TabularMdp:
     def __post_init__(self):
         if self.num_states < 1 or self.num_actions < 1:
             raise ValidationError("num_states and num_actions must be positive")
-        if self.horizon < 0:
-            raise ValidationError("horizon must be >= 0")
-        if not 0.0 <= self.discount <= 1.0:
-            raise ValidationError("discount must lie in [0, 1]")
+        check_at_least(self.horizon, 0, "horizon")
+        check_unit_interval(self.discount, "discount")
         object.__setattr__(self, "initial_dist", np.asarray(self.initial_dist, dtype=float))
         object.__setattr__(self, "transitions", np.asarray(self.transitions, dtype=float))
         if self.initial_dist.shape != (self.num_states,):
@@ -156,10 +178,10 @@ class TabularMdp:
         object.__setattr__(self, "_transition_cum", _cdf_table(self.transitions))
         object.__setattr__(self, "_reward_cum", _cdf_table(prb))
 
-    def check_policy(self, policy: Policy) -> None:
+    def check_policy(self, policy: Policy, name: str = "policy") -> None:
         if policy.table.shape != (self.num_states, self.num_actions):
             raise ValidationError(
-                f"policy shape {policy.table.shape} does not match MDP "
+                f"{name} shape {policy.table.shape} does not match MDP "
                 f"({self.num_states}, {self.num_actions})"
             )
 
@@ -251,8 +273,7 @@ def sample_dataset(
     ``rng.random(n)``, in that order at each step.
     """
     mdp.check_policy(policy)
-    if n < 1:
-        raise ValidationError("need at least one trajectory")
+    check_at_least(n, 1, "n")
     steps = mdp.horizon + 1
     policy_cum = _cdf_table(policy.table)
     support = mdp._reward_support.reshape(mdp._reward_cum.shape)
@@ -424,6 +445,15 @@ def mdp_from_dict(obj: dict) -> TabularMdp:
     )
 
 
+def read_json(path: str | Path, parse):
+    """``parse`` of the JSON in the UTF-8 file at ``path``; a directory, text that is
+    not UTF-8 JSON and a ValidationError of ``parse`` raise one that names the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (IsADirectoryError, UnicodeDecodeError, json.JSONDecodeError, ValidationError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def load_mdp(path: str | Path) -> TabularMdp:
-    with open(path) as fh:
-        return mdp_from_dict(json.load(fh))
+    return read_json(path, mdp_from_dict)

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import LoggedDataset, Policy, ValidationError
+from .mdp import LoggedDataset, Policy, ValidationError, check_folds
 
 
-class SupportViolationError(ValueError):
+class SupportViolationError(ValidationError):
     """The evaluation policy puts mass on an action the behavior model rules out."""
 
 
@@ -87,10 +87,7 @@ class NuisanceEstimate:
 def make_folds(n_trajectories: int, k: int, rng: np.random.Generator) -> tuple:
     """Uniformly random K-fold partition of {0..N-1} as a tuple of sorted index
     arrays, sizes differing by <= 1; earlier folds get the extras."""
-    if k < 2:
-        raise ValidationError("need at least 2 folds")
-    if k > n_trajectories:
-        raise ValidationError("more folds than trajectories")
+    check_folds(k, n_trajectories, "k")
     perm = rng.permutation(n_trajectories)
     return tuple(np.sort(f) for f in np.array_split(perm, k))
 

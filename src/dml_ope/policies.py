@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import Policy, ValidationError
+from .mdp import Policy, ValidationError, check_at_least, check_unit_interval
 
 
 def epsilon_greedy_policy(scores: np.ndarray, epsilon: float) -> Policy:
@@ -18,8 +18,7 @@ def epsilon_greedy_policy(scores: np.ndarray, epsilon: float) -> Policy:
         raise ValidationError("scores must be a nonempty (S, A) table")
     if not np.all(np.isfinite(scores)):
         raise ValidationError("scores must be finite")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError("epsilon must lie in [0, 1]")
+    check_unit_interval(epsilon, "epsilon")
     num_states, num_actions = scores.shape
     table = np.full((num_states, num_actions), epsilon / num_actions)
     table[np.arange(num_states), scores.argmax(axis=1)] += 1.0 - epsilon
@@ -63,8 +62,7 @@ def thompson_gaussian_policy(
         raise ValidationError("means and variances must be matching (S, A) tables")
     if np.any(variances < 0):
         raise ValidationError("variances must be nonnegative")
-    if draws < 1:
-        raise ValidationError("draws must be >= 1")
+    check_at_least(draws, 1, "draws")
     num_states, num_actions = means.shape
     table = np.empty((num_states, num_actions))
     std = np.sqrt(variances)

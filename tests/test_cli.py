@@ -77,6 +77,28 @@ class TestSimulate:
         assert f"error: --n {n} must be >= 1" in err
         assert not out.exists()
 
+    def test_policy_shape_mismatch_names_the_flag(self, workspace, capsys):
+        (workspace / "four.json").write_text(json.dumps({"table": [[0.5, 0.5]] * 4}))
+        code, out, err = run(
+            capsys, "simulate", "--mdp", str(workspace / "mdp.json"),
+            "--policy", str(workspace / "four.json"), "--n", "5",
+            "--output", str(workspace / "x.jsonl"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: --policy shape (4, 2) does not match MDP (3, 2)\n"
+
+    def test_policy_with_unknown_key_exits_1_naming_the_file(self, workspace, capsys):
+        path = workspace / "extra.json"
+        path.write_text(json.dumps({"table": [[0.5, 0.5]] * 3, "x": 1}))
+        code, out, err = run(
+            capsys, "simulate", "--mdp", str(workspace / "mdp.json"), "--policy", str(path),
+            "--n", "5", "--output", str(workspace / "x.jsonl"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {path}: policy spec: unknown keys ['x']\n"
+
     def test_missing_mdp_file(self, workspace, capsys):
         code, _, err = run(
             capsys, "simulate", "--mdp", str(workspace / "nope.json"),
@@ -258,6 +280,57 @@ class TestEvaluate:
         assert err.startswith("error: --discount ") and "must lie in [0, 1]" in err
         assert "missing" not in err
 
+    @pytest.mark.parametrize("estimator, message", [
+        ("ipw", "zero behavior propensity on a realized action"),
+        ("dml", "behavior policy assigns zero probability to action 1 in state 0 "
+                "while the evaluation policy does not"),
+    ])
+    def test_support_violation_exits_1(self, workspace, capsys, estimator, message):
+        # The data take action 1, which the known behavior policy never takes.
+        data = self.simulate(workspace, n=30)
+        (workspace / "det.json").write_text(json.dumps({"table": [[1.0, 0.0]] * 3}))
+        code, out, err = run(
+            capsys, "evaluate", "--data", str(data),
+            "--eval-policy", str(workspace / "eval.json"),
+            "--behavior-policy", str(workspace / "det.json"),
+            "--discount", "0.9", "--estimator", estimator,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_unsmoothed_estimated_behavior_support_violation_exits_1(self, workspace, capsys):
+        # Logged by a policy that never takes action 1, so --alpha 0 estimates
+        # probability 0 where the evaluation policy has mass.
+        (workspace / "det.json").write_text(json.dumps({"table": [[1.0, 0.0]] * 3}))
+        data = workspace / "det.jsonl"
+        assert cli_main([
+            "simulate", "--mdp", str(workspace / "mdp.json"),
+            "--policy", str(workspace / "det.json"), "--n", "30", "--output", str(data),
+        ]) == 0
+        code, out, err = run(
+            capsys, "evaluate", "--data", str(data),
+            "--eval-policy", str(workspace / "eval.json"), "--discount", "0.9", "--alpha", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: behavior policy assigns zero probability to action 1 ")
+
+    @pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+    def test_unreadable_data_exits_1_naming_the_path(self, workspace, capsys, kind):
+        path = workspace / "bad.jsonl"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"steps": [{"s": 0, "a": 0, "r": 1.0}]}\n{"steps": "\xff"}\n')
+        code, out, err = run(
+            capsys, "evaluate", "--data", str(path),
+            "--eval-policy", str(workspace / "eval.json"), "--discount", "0.9",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: ")
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_exits_1(self, workspace, capsys, alpha):
         data = self.simulate(workspace, n=10)
@@ -372,6 +445,16 @@ class TestExperiment:
         assert code == 1
         assert re.search(match, err)
 
+    @pytest.mark.parametrize("key", ["behavior_policy", "evaluation_policy"])
+    def test_policy_shape_checked_against_the_unlifted_mdp(self, workspace, capsys, key):
+        path = self.small_config(workspace, **{key: {"table": [[0.2, 0.3, 0.5]] * 3},
+                                               "noise_states": {"count": 2}})
+        code, out, err = run(capsys, "experiment", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: {path}: experiment config: '{key}' shape (3, 3) "
+                       "does not match MDP (3, 2)\n")
+
     def test_non_integer_thread_count_exits_1(self, workspace, capsys, monkeypatch):
         path = self.small_config(workspace)
         monkeypatch.setenv("OPE_DML_THREADS", "abc")
@@ -393,6 +476,21 @@ class TestBound:
         )
         assert code == 0
         assert json.loads(out)["efficiency_bound"] > 0.0
+
+    @pytest.mark.parametrize("flag", ["--behavior-policy", "--eval-policy"])
+    def test_policy_shape_mismatch_names_the_flag(self, tmp_path, capsys, flag):
+        behavior, evaluation = bandit_policies()
+        (tmp_path / "mdp.json").write_text(json.dumps(mdp_to_dict(bandit_mdp())))
+        (tmp_path / "behavior.json").write_text(json.dumps(policy_to_dict(behavior)))
+        (tmp_path / "eval.json").write_text(json.dumps(policy_to_dict(evaluation)))
+        (tmp_path / "three.json").write_text(json.dumps({"table": [[0.5, 0.5]] * 3}))
+        args = {"--behavior-policy": str(tmp_path / "behavior.json"),
+                "--eval-policy": str(tmp_path / "eval.json"), flag: str(tmp_path / "three.json")}
+        code, out, err = run(capsys, "bound", "--mdp", str(tmp_path / "mdp.json"),
+                             *(word for item in args.items() for word in item))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {flag} shape (3, 2) does not match MDP (2, 2)\n"
 
     def test_positive_horizon_rejected(self, workspace, capsys):
         code, _, err = run(
@@ -520,3 +618,30 @@ class TestUsage:
         assert code == 1
         assert out == ""
         assert "error: --seed must be >= 0, got -1" in err
+
+
+class TestJsonInputFiles:
+    """The MDP, policy, experiment config and cells files share one reader."""
+
+    @pytest.mark.parametrize("content", [None, b'{"table": "\xff"}', b"{not json"],
+                             ids=["directory", "not_utf8", "not_json"])
+    @pytest.mark.parametrize("which", ["mdp", "policy", "config", "cells"])
+    def test_bad_file_exits_1_naming_the_path(self, workspace, capsys, which, content):
+        bad = workspace / "bad.json"
+        if content is None:
+            bad.mkdir()
+        else:
+            bad.write_bytes(content)
+        simulate = ["simulate", "--mdp", str(workspace / "mdp.json"),
+                    "--policy", str(workspace / "behavior.json"), "--n", "5",
+                    "--output", str(workspace / "x.jsonl")]
+        argv = {
+            "mdp": [*simulate[:2], str(bad), *simulate[3:]],
+            "policy": [*simulate[:4], str(bad), *simulate[5:]],
+            "config": ["experiment", "--config", str(bad)],
+            "cells": ["rmse", "--cells", str(bad)],
+        }[which]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1

@@ -71,6 +71,12 @@ class TestImportanceWeights:
             _weight_matrix(row, evaluation, behavior)
 
 
+    def test_support_violation_is_a_validation_error(self):
+        # A zero propensity where the evaluation policy has mass is bad input.
+        assert issubclass(SupportViolationError, ValidationError)
+        assert issubclass(SupportViolationError, ValueError)
+
+
 class TestScores:
     def test_zero_q_reduces_to_ipw(self):
         mdp = three_state_mdp()

@@ -409,6 +409,17 @@ class TestEvaluateDataset:
         with pytest.raises(ValidationError, match=match):
             evaluate_dataset(data, evaluation, 0.9, names, np.random.default_rng(0))
 
+    def test_known_behavior_shape_must_match_the_evaluation_policy(self, monkeypatch):
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 10, np.random.default_rng(0))
+        wider = Policy(table=[[0.5, 0.5]] * 4)
+        monkeypatch.setattr("dml_ope.experiments.fit_nuisance", None)
+        with pytest.raises(ValidationError, match=re.escape(
+                "the behavior policy table has shape (4, 2), the evaluation policy table (3, 2)")):
+            evaluate_dataset(data, evaluation, 0.9, ("ipw", "dml"), np.random.default_rng(0),
+                             known_behavior=wider)
+
     @pytest.mark.parametrize("discount", [1.5, -1.0, float("nan")])
     def test_discount_outside_unit_interval_rejected(self, discount, monkeypatch):
         mdp = three_state_mdp()

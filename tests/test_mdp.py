@@ -1,4 +1,6 @@
 import hashlib
+import json
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from dml_ope import (
     reward_variance_table,
     sample_dataset,
 )
+from dml_ope.mdp import check_at_least, check_folds, check_level, check_unit_interval
 
 from helpers import (
     bernoulli,
@@ -105,6 +108,39 @@ class TestValidation:
         mdp = constant_mdp(1)
         with pytest.raises(ValidationError):
             sample_dataset(mdp, Policy(table=[[0.5, 0.5]]), 1, np.random.default_rng(0))
+
+
+class TestRunParameterRules:
+    @pytest.mark.parametrize("check, args, message", [
+        (check_unit_interval, (1.5, "gamma"), "gamma must lie in [0, 1], got 1.5"),
+        (check_unit_interval, (float("nan"), "gamma"), "gamma must lie in [0, 1], got nan"),
+        (check_level, (1.0, "--level"), "--level must lie in (0, 1), got 1.0"),
+        (check_level, (float("nan"), "--level"), "--level must lie in (0, 1), got nan"),
+        (check_folds, (1, 5, "k"), "k must lie in [2, 5] for 5 rows, got 1"),
+        (check_folds, (6, 5, "k"), "k must lie in [2, 5] for 5 rows, got 6"),
+        (check_at_least, (-1, 0, "'seed'"), "'seed' must be >= 0, got -1"),
+        (check_at_least, (float("nan"), 0, "x"), "x must be >= 0, got nan"),
+    ])
+    def test_message_names_the_parameter_and_the_value(self, check, args, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            check(*args)
+
+    @pytest.mark.parametrize("check, args", [
+        (check_unit_interval, (0.0, "x")), (check_unit_interval, (1.0, "x")),
+        (check_level, (0.5, "x")), (check_folds, (2, 2, "x")), (check_folds, (5, 5, "x")),
+        (check_at_least, (0, 0, "x")),
+    ])
+    def test_edges_pass(self, check, args):
+        check(*args)
+
+
+class TestReadJson:
+    def test_parse_errors_name_the_path(self, tmp_path):
+        path = tmp_path / "mdp.json"
+        path.write_text(json.dumps({**mdp_to_dict(three_state_mdp()), "discount": 2.0}))
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(str(path))}: discount must lie in"):
+            load_mdp(path)
 
 
 class TestRewardTables:
