@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from helpers import (
     bandit_mdp,
     bandit_policies,
     bernoulli,
+    noisy_lift,
     one_row,
     three_state_mdp,
     three_state_policies,
@@ -123,6 +126,20 @@ class TestScores:
         assert _psi_scores(row, behavior, None, evaluation, 1.0)[0] == pytest.approx(
             6.0, abs=1e-12
         )
+
+    @pytest.mark.parametrize("control, expected", [
+        ("dr", "55dd1289fb3b173b30e80f51246dc4fef80d4664138628c0ddbe46bf135ecfdd"),
+        ("ipw", "62edb9081b5a62b7d496de1dbd8926b54e43f72273b2b161a08035fea5b0199d"),
+    ])
+    def test_lift_score_digests(self, control, expected):
+        # The scores of 2000 rows on the 240-state lift, pinned to the last bit:
+        # with 480 cells a mis-strided table index shows, as it cannot on 6.
+        mdp, behavior, evaluation = noisy_lift()
+        data = sample_dataset(mdp, behavior, 2000, np.random.default_rng(5))
+        eta = fit_nuisance(data, evaluation, mdp.discount)
+        q = eta.q.values if control == "dr" else None
+        scores = _psi_scores(data, eta.behavior, q, evaluation, mdp.discount)
+        assert hashlib.sha256(scores.astype("<f8").tobytes()).hexdigest() == expected
 
 
 class TestPointEstimators:

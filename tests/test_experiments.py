@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 import tempfile
@@ -37,7 +38,7 @@ from dml_ope import (
 )
 from dml_ope import estimators, experiments
 
-from helpers import three_state_mdp, three_state_policies
+from helpers import noisy_lift, three_state_mdp, three_state_policies
 
 
 def small_config(**overrides):
@@ -344,6 +345,23 @@ class TestEvaluateDataset:
                    "std_error": std_error, "ci": ci, "level": 0.95, "n": n}
             for name, (value, variance, std_error, ci, n) in expected.items()
         }
+
+    @pytest.mark.parametrize("known, expected", [
+        (False, "f1d9a0abb931727a71d15ceb3796338eb4a00a5b24aea56ad2c20aa6b9c722b0"),
+        (True, "a43b0df57d792674d3df9a4a8270719c25053eacb17f3faa3ddb7943f04722da"),
+    ], ids=["estimated_behavior", "known_behavior"])
+    def test_lift_report_digests(self, known, expected):
+        # All five reports at k=5 on 2000 rows of the 240-state lift, pinned to
+        # the last bit: with 480 cells a mis-strided table index shows.
+        mdp, behavior, evaluation = noisy_lift()
+        data = sample_dataset(mdp, behavior, 2000, np.random.default_rng(5))
+        names = tuple(e.value for e in Estimator)
+        results = evaluate_dataset(data, evaluation, mdp.discount, names,
+                                   np.random.default_rng(6),
+                                   known_behavior=behavior if known else None, k_folds=5)
+        text = json.dumps({name: est.to_dict() for name, est in results.items()},
+                          sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == expected
 
     def test_fold_splits_do_not_depend_on_the_other_estimators(self):
         # DML and DR-half draw their fold splits from streams of their own, so
