@@ -97,8 +97,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_simulate(args) -> None:
-    if args.n < 1:
-        raise ValidationError(f"--n {args.n} must be >= 1")
+    check_at_least(args.n, 1, "--n")
     mdp = load_mdp(args.mdp)
     policy = load_policy(args.policy)
     mdp.check_policy(policy, "--policy")
@@ -164,8 +163,7 @@ def _cells_from_list(raw) -> list:
 
 
 def _cmd_rmse(args) -> None:
-    if args.sims < 1:
-        raise ValidationError(f"--sims {args.sims} must be >= 1")
+    check_at_least(args.sims, 1, "--sims")
     cells = read_json(args.cells, _cells_from_list)
     value = relative_rmse(cells)
     report = {"relative_rmse": value, "sims": args.sims}

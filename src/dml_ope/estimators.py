@@ -30,6 +30,7 @@ from .nuisance import (
     NuisanceEstimate,
     SupportViolationError,
     check_support,
+    check_table_shape,
     fit_nuisance,
     fit_nuisances,
     make_folds,
@@ -105,13 +106,13 @@ def _finalize(scores: np.ndarray, estimator: Estimator, level: float) -> ValueEs
     )
 
 
-def _weight_matrix(data: LoggedDataset, eval_policy: Policy, behavior: Policy) -> np.ndarray:
-    """Cumulative importance weights rho_t per trajectory, shape (N, T+1)."""
-    pb = behavior.table[data.states, data.actions]
+def _weight_matrix(pe: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Cumulative importance weights rho_t per trajectory, shape (N, T+1), from the
+    evaluation and behavior propensities ``pe`` and ``pb`` of each logged step."""
     if np.any(pb <= 0):
         raise SupportViolationError("zero behavior propensity on a realized action")
-    pe = eval_policy.table[data.states, data.actions]
-    return np.cumprod(pe / pb, axis=1)
+    rho = pe / pb
+    return np.cumprod(rho, axis=1, out=rho)
 
 
 def _psi_scores(
@@ -122,19 +123,25 @@ def _psi_scores(
     discount: float,
 ) -> np.ndarray:
     """Vectorized doubly robust score per trajectory with the (T+1, S, A) Q array
-    ``q`` as control variate; ``q=None`` is the control variate Q = 0, the IPW score."""
+    ``q`` as control variate; ``q=None`` is the control variate Q = 0, the IPW score.
+    Every table is read through the dataset's flat cell index."""
     steps = data.horizon + 1
-    rho = _weight_matrix(data, eval_policy, behavior)
+    sa = data.cells(eval_policy, "evaluation")
+    check_table_shape(behavior.table.shape, eval_policy, "behavior policy")
+    rho = _weight_matrix(eval_policy.table.take(sa), behavior.table.take(sa))
     disc = discount ** np.arange(steps)
     if q is None:
         return (rho * data.rewards * disc).sum(axis=1)
     if q.shape[0] != steps:
         raise ValidationError("q table does not span the dataset horizon")
-    rho_prev = np.concatenate([np.ones((data.n, 1)), rho[:, :-1]], axis=1)
-    t_idx = np.arange(steps)[None, :]
-    q_taken = q[t_idx, data.states, data.actions]
-    v_state = np.einsum("tsa,sa->ts", q, eval_policy.table)[t_idx, data.states]
-    terms = rho * (data.rewards - q_taken) + rho_prev * v_state
+    check_table_shape(q.shape[1:], eval_policy, "per-step q")
+    num_states, num_actions = eval_policy.table.shape
+    sa += np.arange(steps) * (num_states * num_actions)  # t*S*A + s*A + a, into q
+    terms = rho * (data.rewards - q.take(sa))
+    np.add(data.states, np.arange(steps) * num_states, out=sa)  # t*S + s, into v_t(s)
+    rho[:, 1:] = rho[:, :-1]  # rho_{t-1}, with rho_{-1} = 1
+    rho[:, 0] = 1.0
+    terms += rho * np.einsum("tsa,sa->ts", q, eval_policy.table).take(sa)
     return (terms * disc).sum(axis=1)
 
 
@@ -145,8 +152,10 @@ def dm_estimate(
     level: float = 0.95,
 ) -> ValueEstimate:
     """Direct method: average the fitted initial-state value over the data."""
+    data.cells(eval_policy, "evaluation")
+    check_table_shape(eta.q.values.shape[1:], eval_policy, "per-step q")
     v0 = (eval_policy.table * eta.q.values[0]).sum(axis=1)
-    return _finalize(v0[data.states[:, 0]], Estimator.DM, level)
+    return _finalize(v0.take(data.states[:, 0]), Estimator.DM, level)
 
 
 def ipw_estimate(

@@ -46,7 +46,7 @@ from .mdp import (
     read_json,
     sample_dataset,
 )
-from .nuisance import NuisanceConfig, check_ids, fit_nuisance
+from .nuisance import NuisanceConfig, check_table_shape, fit_nuisance
 
 _INT64_MAX = np.iinfo(np.int64).max
 _WRITE_BLOCK_ROWS = 4096
@@ -326,13 +326,10 @@ def evaluate_dataset(
     check_unit_interval(discount, "discount")
     check_level(level, "level")
     check_folds(k_folds, data.n, "k_folds")
-    check_ids(data, eval_policy, "evaluation")
+    data.cells(eval_policy, "evaluation")
     if known_behavior is not None:
-        check_ids(data, known_behavior, "behavior")
-        if known_behavior.table.shape != eval_policy.table.shape:
-            raise ValidationError(f"the behavior policy table has shape "
-                                  f"{known_behavior.table.shape}, the evaluation policy table "
-                                  f"{eval_policy.table.shape}")
+        data.cells(known_behavior, "behavior")
+        check_table_shape(known_behavior.table.shape, eval_policy, "behavior policy")
 
     streams = dict(zip(Estimator, rng.spawn(len(Estimator))))
 
@@ -404,7 +401,11 @@ def _load_component(obj: dict, key: str, base: Path, loader, inline_loader):
     """``obj[key]`` as a path relative to ``base`` or as an inline object."""
     value = obj.get(key)
     if isinstance(value, str):
-        return loader(base / value)
+        path = base / value
+        try:
+            return loader(path)
+        except FileNotFoundError:
+            raise ValidationError(f"experiment config: '{key}': no file at {path}") from None
     if isinstance(value, dict):
         return inline_loader(value)
     raise ValidationError(f"{key} must be a path or an inline object")

@@ -219,6 +219,20 @@ class LoggedDataset:
     def horizon(self) -> int:
         return self.states.shape[1] - 1
 
+    def cells(self, policy: Policy, which: str) -> np.ndarray:
+        """The flat cell index ``states * A + actions`` of every step into ``policy``'s
+        ``(S, A)`` table, shape (N, T+1). Raise first if an id lies outside the table:
+        a negative id would read from its end, and an action id >= A from the next state."""
+        for field, ids, size, what in (("s", self.states, policy.num_states, "states"),
+                                       ("a", self.actions, policy.num_actions, "actions")):
+            low, high = ids.min(), ids.max()
+            if low < 0 or high >= size:
+                raise ValidationError(
+                    f"'{field}' id {low if low < 0 else high} is outside the {which} policy "
+                    f"table of {size} {what}"
+                )
+        return self.states * policy.num_actions + self.actions
+
     def subset(self, indices: np.ndarray) -> "LoggedDataset":
         """The trajectories at ``indices``, without propensities: no score reads them."""
         idx = np.asarray(indices, dtype=np.int64)
@@ -291,7 +305,7 @@ def sample_dataset(
         states[:, t] = s
         actions[:, t] = a
         rewards[:, t] = support[sa, r_idx]
-        props[:, t] = policy.table[s, a]
+        props[:, t] = policy.table.take(sa)
     return LoggedDataset(states=states, actions=actions, rewards=rewards, propensities=props)
 
 

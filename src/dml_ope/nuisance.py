@@ -134,6 +134,7 @@ def q_recursion(
 
 def check_support(behavior: Policy, eval_policy: Policy) -> None:
     """Raise before any score evaluation if pi_e has mass where behavior has none."""
+    check_table_shape(behavior.table.shape, eval_policy, "behavior policy")
     bad = (eval_policy.table > 0) & (behavior.table == 0)
     if np.any(bad):
         s, a = np.argwhere(bad)[0]
@@ -143,17 +144,11 @@ def check_support(behavior: Policy, eval_policy: Policy) -> None:
         )
 
 
-def check_ids(data: LoggedDataset, policy: Policy, which: str) -> None:
-    """Raise if a logged state or action id lies outside ``policy``'s table;
-    negative ids would otherwise index from the end of the table."""
-    for field, ids, size, what in (("s", data.states, policy.num_states, "states"),
-                                   ("a", data.actions, policy.num_actions, "actions")):
-        low, high = ids.min(), ids.max()
-        if low < 0 or high >= size:
-            raise ValidationError(
-                f"'{field}' id {low if low < 0 else high} is outside the {which} policy "
-                f"table of {size} {what}"
-            )
+def check_table_shape(shape: tuple, eval_policy: Policy, name: str) -> None:
+    """Raise unless ``shape``, that of the ``name`` table, is the evaluation policy's."""
+    if shape != eval_policy.table.shape:
+        raise ValidationError(f"the {name} table has shape {shape}, the evaluation policy "
+                              f"table {eval_policy.table.shape}")
 
 
 def _ratio(num: np.ndarray, den: np.ndarray, fallback: float) -> np.ndarray:
@@ -166,10 +161,8 @@ def _count(data: LoggedDataset, eval_policy: Policy) -> tuple:
     and reward sums (rewards summed in row-major order) per ``s*A + a``,
     transition counts per ``(s*A + a)*S + s'``; and the reward total."""
     num_states, num_actions = eval_policy.table.shape
-    # An action id >= A would alias into the next state's cells of the flat index.
-    check_ids(data, eval_policy, "evaluation")
     cells = num_states * num_actions
-    sa = data.states * num_actions + data.actions
+    sa = data.cells(eval_policy, "evaluation")
     moves = (sa[:, :-1] * num_states + data.states[:, 1:]).ravel()
     return (np.bincount(sa.ravel(), minlength=cells),
             np.bincount(sa.ravel(), weights=data.rewards.ravel(), minlength=cells),

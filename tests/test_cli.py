@@ -74,7 +74,7 @@ class TestSimulate:
             "--policy", str(workspace / "behavior.json"), "--n", n, "--output", str(out),
         )
         assert code == 1
-        assert f"error: --n {n} must be >= 1" in err
+        assert f"error: --n must be >= 1, got {n}" in err
         assert not out.exists()
 
     def test_policy_shape_mismatch_names_the_flag(self, workspace, capsys):
@@ -430,6 +430,12 @@ class TestExperiment:
         ({"seed": -1, "mdp": "nope.json"}, "experiment config: 'seed' must be >= 0, got -1"),
         ({"noise_states": {"count": 2, "seed": -1}, "mdp": "nope.json"},
          "noise_states: 'seed' must be >= 0, got -1"),
+        # A component file that does not exist is named by its key and its path.
+        ({"mdp": "x"}, r"config\.json: experiment config: 'mdp': no file at \S*/x\n"),
+        ({"behavior_policy": "x"},
+         r"config\.json: experiment config: 'behavior_policy': no file at \S*/x\n"),
+        ({"evaluation_policy": "x"},
+         r"config\.json: experiment config: 'evaluation_policy': no file at \S*/x\n"),
     ], ids=["missing_n_trajectories", "string_n_trajectories", "non_object_nuisance",
             "top_level_k_folds", "nuisance_seed", "fractional_n_trajectories",
             "boolean_replications", "negative_noise_count", "discount_above_1",
@@ -438,7 +444,8 @@ class TestExperiment:
             "empty_estimators", "repeated_estimators", "level_above_1", "ground_truth_block",
             "one_fold_ipw_only", "zero_replications", "fewer_trajectories_than_folds",
             "number_mdp", "string_mdp_rewards", "short_mdp_rewards_row",
-            "mdp_reward_cell_without_probs", "negative_seed", "negative_noise_seed"])
+            "mdp_reward_cell_without_probs", "negative_seed", "negative_noise_seed",
+            "missing_mdp_file", "missing_behavior_file", "missing_evaluation_file"])
     def test_malformed_config_exits_1_naming_the_key(self, workspace, capsys, change, match):
         path = self.small_config(workspace, **change)
         code, _, err = run(capsys, "experiment", "--config", str(path))
@@ -584,7 +591,7 @@ class TestRmse:
         code, out, err = run(capsys, "rmse", "--cells", str(path), "--sims", "0")
         assert code == 1
         assert out == ""
-        assert "error: --sims 0 must be >= 1" in err
+        assert "error: --sims must be >= 1, got 0" in err
 
     def test_non_array_file(self, tmp_path, capsys):
         path = tmp_path / "cells.json"

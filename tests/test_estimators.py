@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dml_ope import (
     dml_estimate,
     dr_full_estimate,
     dr_half_estimate,
+    evaluate_dataset,
     exact_policy_value,
     fit_nuisance,
     fit_nuisances,
@@ -49,30 +51,34 @@ def zero_q_nuisance(behavior, horizon):
 
 
 class TestImportanceWeights:
+    @staticmethod
+    def weights(row, evaluation, behavior):
+        sa = row.cells(evaluation, "evaluation")
+        return _weight_matrix(evaluation.table.take(sa), behavior.table.take(sa))
+
     def test_identity_weights(self):
         row = one_row(states=[0, 1], actions=[0, 1], rewards=[0.0, 0.0])
         policy = Policy(table=[[0.3, 0.7], [0.6, 0.4]])
-        assert np.allclose(_weight_matrix(row, policy, policy)[0], [1.0, 1.0], atol=1e-15)
+        assert np.allclose(self.weights(row, policy, policy)[0], [1.0, 1.0], atol=1e-15)
 
     def test_uniform_behavior_doubling(self):
         row = one_row(states=[0, 0], actions=[1, 1], rewards=[0.0, 0.0])
         behavior = Policy(table=[[0.5, 0.5]])
         evaluation = Policy(table=[[0.0, 1.0]])
-        assert _weight_matrix(row, evaluation, behavior)[0].tolist() == [2.0, 4.0]
+        assert self.weights(row, evaluation, behavior)[0].tolist() == [2.0, 4.0]
 
     def test_zero_eval_mass_zeroes_weights(self):
         row = one_row(states=[0, 0], actions=[0, 1], rewards=[0.0, 0.0])
         behavior = Policy(table=[[0.5, 0.5]])
         evaluation = Policy(table=[[0.0, 1.0]])
-        assert _weight_matrix(row, evaluation, behavior)[0].tolist() == [0.0, 0.0]
+        assert self.weights(row, evaluation, behavior)[0].tolist() == [0.0, 0.0]
 
     def test_zero_behavior_propensity_raises(self):
         row = one_row(states=[0], actions=[1], rewards=[0.0])
         behavior = Policy(table=[[1.0, 0.0]])
         evaluation = Policy(table=[[0.5, 0.5]])
         with pytest.raises(SupportViolationError):
-            _weight_matrix(row, evaluation, behavior)
-
+            self.weights(row, evaluation, behavior)
 
     def test_support_violation_is_a_validation_error(self):
         # A zero propensity where the evaluation policy has mass is bad input.
@@ -260,6 +266,71 @@ class TestDrVariants:
         assert dml.value == scores.mean()
         assert half.value == scores[folds[0]].mean()
         assert half.n == folds[0].size == 16
+
+
+class TestTableReads:
+    """Direct calls read every table through the dataset's flat cell index, so an
+    id or a table shape that would mis-address it is rejected first."""
+
+    @pytest.mark.parametrize("state, action, match", [
+        (-1, 0, "'s' id -1 is outside the evaluation policy table of 3 states"),
+        (0, -1, "'a' id -1 is outside the evaluation policy table of 2 actions"),
+        (0, 2, "'a' id 2 is outside the evaluation policy table of 2 actions"),
+    ], ids=["negative_state", "negative_action", "action_A"])
+    @pytest.mark.parametrize("name", ["ipw", "dr_full", "dm", "dml"])
+    def test_id_outside_the_evaluation_table_rejected(self, name, state, action, match):
+        # As in evaluate_dataset; -1 would read the table's last row, and
+        # action A the next state's first cell.
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = LoggedDataset(states=[[0, 1, 2], [1, 2, state]],
+                             actions=[[0, 1, 0], [1, 0, action]], rewards=np.ones((2, 3)))
+        eta = true_nuisance(mdp, behavior, evaluation)
+        calls = {
+            "ipw": lambda: ipw_estimate(data, behavior, evaluation, 0.9),
+            "dr_full": lambda: dr_full_estimate(data, eta, evaluation, 0.9),
+            "dm": lambda: dm_estimate(data, eta, evaluation),
+            "dml": lambda: dml_estimate(data, evaluation, 0.9, np.random.default_rng(0)),
+        }
+        with pytest.raises(ValidationError, match=f"^{re.escape(match)}$"):
+            evaluate_dataset(data, evaluation, 0.9, (name,), np.random.default_rng(0))
+        with pytest.raises(ValidationError, match=f"^{re.escape(match)}$"):
+            calls[name]()
+
+    @pytest.mark.parametrize("behavior_table, q_shape, match", [
+        ([[0.2, 0.3, 0.5]] * 3, None,
+         "the behavior policy table has shape (3, 3), the evaluation policy table (3, 2)"),
+        ([[0.5, 0.5]] * 4, None,
+         "the behavior policy table has shape (4, 2), the evaluation policy table (3, 2)"),
+        (None, (3, 3, 3),
+         "the per-step q table has shape (3, 3), the evaluation policy table (3, 2)"),
+        (None, (3, 4, 2),
+         "the per-step q table has shape (4, 2), the evaluation policy table (3, 2)"),
+    ], ids=["behavior_actions", "behavior_states", "q_actions", "q_states"])
+    def test_psi_table_shape_must_match_the_evaluation_policy(self, behavior_table, q_shape,
+                                                              match):
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 10, np.random.default_rng(0))
+        if behavior_table is not None:
+            behavior = Policy(table=behavior_table)
+        q = (true_nuisance(mdp, behavior, evaluation).q.values if q_shape is None
+             else np.zeros(q_shape))
+        with pytest.raises(ValidationError, match=f"^{re.escape(match)}$"):
+            _psi_scores(data, behavior, q, evaluation, 0.9)
+
+    @pytest.mark.parametrize("rows", [4, 1])
+    def test_fit_known_behavior_shape_must_match_the_evaluation_policy(self, rows):
+        # A one-row table would broadcast against the evaluation policy's.
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 10, np.random.default_rng(0))
+        known = Policy(table=[[0.5, 0.5]] * rows)
+        match = f"the behavior policy table has shape ({rows}, 2), the evaluation policy table"
+        with pytest.raises(ValidationError, match=re.escape(match)):
+            fit_nuisance(data, evaluation, 0.9, known_behavior=known)
+        with pytest.raises(ValidationError, match=re.escape(match)):
+            dml_estimate(data, evaluation, 0.9, np.random.default_rng(0), known_behavior=known)
 
 
 class TestDml:
