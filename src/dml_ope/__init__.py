@@ -25,7 +25,6 @@ from .policies import (
 from .nuisance import (
     NuisanceConfig,
     NuisanceEstimate,
-    QTable,
     SupportViolationError,
     fit_nuisance,
     fit_nuisances,
@@ -34,7 +33,6 @@ from .nuisance import (
 )
 from .estimators import (
     Estimator,
-    ScoreKind,
     ValueEstimate,
     cb_efficiency_bound,
     dm_estimate,
@@ -42,7 +40,6 @@ from .estimators import (
     dr_full_estimate,
     dr_half_estimate,
     expected_psi,
-    expected_psi_ipw,
     ipw_estimate,
     orthogonality_derivative,
 )

@@ -45,13 +45,6 @@ class Estimator(str, Enum):
     DML = "dml"
 
 
-class ScoreKind(str, Enum):
-    """Which per-trajectory score the orthogonality check differentiates."""
-
-    DML_PSI = "dml_psi"
-    IPW_PSI = "ipw_psi"
-
-
 @dataclass(frozen=True)
 class ValueEstimate:
     """Point estimate with its variance and normal-approximation CI."""
@@ -153,8 +146,8 @@ def dm_estimate(
 ) -> ValueEstimate:
     """Direct method: average the fitted initial-state value over the data."""
     data.cells(eval_policy, "evaluation")
-    check_table_shape(eta.q.values.shape[1:], eval_policy, "per-step q")
-    v0 = (eval_policy.table * eta.q.values[0]).sum(axis=1)
+    check_table_shape(eta.q.shape[1:], eval_policy, "per-step q")
+    v0 = (eval_policy.table * eta.q[0]).sum(axis=1)
     return _finalize(v0.take(data.states[:, 0]), Estimator.DM, level)
 
 
@@ -177,7 +170,7 @@ def dr_full_estimate(
     level: float = 0.95,
 ) -> ValueEstimate:
     """Doubly robust score averaged over the same data ``eta`` was fit on."""
-    scores = _psi_scores(data, eta.behavior, eta.q.values, eval_policy, discount)
+    scores = _psi_scores(data, eta.behavior, eta.q, eval_policy, discount)
     return _finalize(scores, Estimator.DR_FULL, level)
 
 
@@ -195,7 +188,7 @@ def dr_half_estimate(
     scored, fitted = (data.subset(f) for f in make_folds(data.n, 2, rng))
     eta = fit_nuisance(fitted, eval_policy, discount, known_behavior=known_behavior,
                        config=config)
-    scores = _psi_scores(scored, eta.behavior, eta.q.values, eval_policy, discount)
+    scores = _psi_scores(scored, eta.behavior, eta.q, eval_policy, discount)
     return _finalize(scores, Estimator.DR_HALF, level)
 
 
@@ -221,7 +214,7 @@ def dml_estimate(
                          config=config)
     scores = np.empty(data.n)
     for fold, part, eta in zip(folds, parts, etas):
-        scores[fold] = _psi_scores(part, eta.behavior, eta.q.values, eval_policy, discount)
+        scores[fold] = _psi_scores(part, eta.behavior, eta.q, eval_policy, discount)
     return _finalize(scores, Estimator.DML, level)
 
 
@@ -244,45 +237,38 @@ def cb_efficiency_bound(mdp: TabularMdp, behavior: Policy, eval_policy: Policy) 
 def expected_psi(
     mdp: TabularMdp,
     logging_policy: Policy,
-    eta: NuisanceEstimate,
+    behavior: Policy,
+    q: np.ndarray | None,
     eval_policy: Policy,
 ) -> float:
-    """Exact E_{H~logging_policy}[psi(H; eta)] by trajectory enumeration."""
+    """Exact E_{H~logging_policy}[psi(H; behavior, q)] by trajectory enumeration;
+    ``q=None`` is the IPW score."""
     data, probs = enumerate_dataset(mdp, logging_policy)
-    return float(_psi_scores(data, eta.behavior, eta.q.values, eval_policy, mdp.discount) @ probs)
-
-
-def expected_psi_ipw(
-    mdp: TabularMdp,
-    logging_policy: Policy,
-    behavior_candidate: Policy,
-    eval_policy: Policy,
-) -> float:
-    """Exact E_{H~logging_policy}[psi_ipw(H; behavior_candidate)] by enumeration."""
-    data, probs = enumerate_dataset(mdp, logging_policy)
-    return float(_psi_scores(data, behavior_candidate, None, eval_policy, mdp.discount) @ probs)
+    return float(_psi_scores(data, behavior, q, eval_policy, mdp.discount) @ probs)
 
 
 def orthogonality_derivative(
     mdp: TabularMdp,
     eval_policy: Policy,
-    eta_true: NuisanceEstimate,
-    eta_alt: NuisanceEstimate,
-    score: ScoreKind = ScoreKind.DML_PSI,
+    behavior: Policy,
+    q: np.ndarray | None,
+    alt_behavior: Policy,
+    alt_q: np.ndarray | None,
     step: float = 1e-4,
 ) -> float:
     """Central-difference derivative of the enumerated score expectation along
-    the perturbation direction eta_alt - eta_true, evaluated at the truth.
+    the line from ``(behavior, q)`` to ``(alt_behavior, alt_q)``, at the first pair.
+    ``q = alt_q = None`` differentiates the IPW score.
 
-    ``eta_true.behavior`` must be the true behavior policy: the expectation is
-    taken under it.
+    ``behavior`` must be the true behavior policy: the expectation is taken under it.
     """
-    data, probs = enumerate_dataset(mdp, eta_true.behavior)
+    if (q is None) != (alt_q is None):
+        raise ValidationError("q and alt_q must both be arrays or both be None (IPW)")
+    data, probs = enumerate_dataset(mdp, behavior)
 
     def g(r: float) -> float:
-        behavior = Policy(table=(1 - r) * eta_true.behavior.table + r * eta_alt.behavior.table)
-        q = ((1 - r) * eta_true.q.values + r * eta_alt.q.values
-             if score is ScoreKind.DML_PSI else None)
-        return float(_psi_scores(data, behavior, q, eval_policy, mdp.discount) @ probs)
+        mixed = Policy(table=(1 - r) * behavior.table + r * alt_behavior.table)
+        mixed_q = None if q is None else (1 - r) * q + r * alt_q
+        return float(_psi_scores(data, mixed, mixed_q, eval_policy, mdp.discount) @ probs)
 
     return (g(step) - g(-step)) / (2.0 * step)

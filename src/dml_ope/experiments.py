@@ -4,8 +4,8 @@ standard error, dataset file I/O, and the noisy-nuisance scenario builder.
 Replications draw independent random streams from a splittable seed sequence,
 so results do not depend on execution order. With the OPE_DML_THREADS
 environment variable above 1, the replications are split into one contiguous
-block per worker process; each block builds the scenario once, and the blocks'
-rows are joined in order.
+block per worker process, at most one worker per CPU; each block builds the
+scenario once, and the blocks' rows are joined in order.
 """
 from __future__ import annotations
 
@@ -524,7 +524,7 @@ def run_mse_experiment(config: ExperimentConfig) -> MseReport:
     if workers <= 1:
         rows = _run_replications(config, seeds)
     else:
-        blocks = min(workers, reps)
+        blocks = min(workers, reps, os.cpu_count() or 1)
         bounds = [i * reps // blocks for i in range(blocks + 1)]
         with ProcessPoolExecutor(max_workers=blocks) as pool:
             block_rows = pool.map(_run_replications, [config] * blocks,

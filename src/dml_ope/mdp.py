@@ -196,8 +196,14 @@ class LoggedDataset:
     propensities: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "states", np.asarray(self.states, dtype=np.int64))
-        object.__setattr__(self, "actions", np.asarray(self.actions, dtype=np.int64))
+        for field in ("states", "actions"):
+            ids = np.asarray(getattr(self, field))
+            if ids.dtype.kind not in "biu":  # subset, sampling and ingest pass int64
+                whole = np.isfinite(ids) & (np.floor(ids) == ids)
+                if not whole.all():
+                    raise ValidationError(f"dataset {field} must be integer ids, "
+                                          f"got {ids[~whole][0]}")
+            object.__setattr__(self, field, np.asarray(ids, dtype=np.int64))
         object.__setattr__(self, "rewards", np.asarray(self.rewards, dtype=float))
         if self.states.ndim != 2 or self.states.shape[0] < 1:
             raise ValidationError("dataset must be nonempty")
@@ -207,7 +213,7 @@ class LoggedDataset:
             p = np.asarray(self.propensities, dtype=float)
             if p.shape != self.states.shape:
                 raise ValidationError("propensities shape mismatch")
-            if np.any(p <= 0) or np.any(p > 1):
+            if not np.all((p > 0) & (p <= 1)):
                 raise ValidationError("propensities must lie in (0, 1]")
             object.__setattr__(self, "propensities", p)
 
@@ -401,20 +407,23 @@ def json_field(obj: dict, key: str, where: str, kind=float, default=...):
     """``obj[key]`` as ``kind`` (float, int, str or np.ndarray), or ``default``
     if absent or null (required if ``default`` is ``...``). A float must be a
     finite JSON number and an int an integral one, never a boolean or a string:
-    50.7 or true is an error, not 50 or 1. Errors name the key."""
+    50.7 or true is an error, not 50 or 1. A str must be a JSON string. Errors
+    name the key."""
     value = obj.get(key)
     if value is None:
         if default is ...:
             raise ValidationError(f"{where}: missing field '{key}'")
         return default
-    if kind is str:
-        return str(value)
     if kind is np.ndarray:
         try:
             return np.asarray(value, dtype=float)
         except (TypeError, ValueError):
             raise ValidationError(f"{where}: '{key}' must be an array of numbers") from None
     got = json.dumps(value, default=str)
+    if kind is str:
+        if not isinstance(value, str):
+            raise ValidationError(f"{where}: '{key}' must be a string, got {got}")
+        return value
     number = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if kind is int and not (number and value % 1 == 0):
         raise ValidationError(f"{where}: '{key}' must be an integer, got {got}")

@@ -19,6 +19,7 @@ table is built from its transition counts only when it is read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,42 +47,34 @@ class NuisanceConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class QTable:
-    """Per-step state-action value tables, shape (T+1, S, A)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.ndim != 3:
-            raise ValidationError("q table must have shape (T+1, S, A)")
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("q table entries must be finite")
-
-
 class NuisanceEstimate:
-    """A candidate tuple: behavior policy, per-step Q tables, and the
-    mean-reward and transition tables the Q tables were built from.
+    """A candidate tuple: the behavior policy, the per-step Q tables ``q`` of
+    shape (T+1, S, A), and the nonnegative ``(S, A, S)`` transition weights
+    ``moves`` they were built from (a fit's counts, or probabilities).
 
-    Give either the ``(S, A, S)`` ``transitions`` table or the transition
-    counts ``moves``, shaped alike; from ``moves`` the table is built when it
-    is first read, with uniform rows where a cell has no moves.
+    ``mean_reward`` is ``q_T``; ``transitions`` is built from ``moves`` when
+    first read, with uniform rows where a cell has no moves.
     """
 
-    def __init__(self, behavior: Policy, q: QTable, mean_reward: np.ndarray,
-                 transitions: np.ndarray | None = None, moves: np.ndarray | None = None):
-        self.behavior = behavior
-        self.q = q
-        self.mean_reward = mean_reward
-        self._transitions = transitions
-        self._moves = moves
+    behavior: Policy
+    q: np.ndarray
+    moves: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
+        if self.q.ndim != 3:
+            raise ValidationError("q table must have shape (T+1, S, A)")
+        if not np.all(np.isfinite(self.q)):
+            raise ValidationError("q table entries must be finite")
 
     @property
+    def mean_reward(self) -> np.ndarray:
+        return self.q[-1]
+
+    @cached_property
     def transitions(self) -> np.ndarray:
-        if self._transitions is None:
-            self._transitions = _ratio(self._moves, self._moves.sum(axis=2, keepdims=True),
-                                       1.0 / self._moves.shape[2])
-        return self._transitions
+        moves = self.moves
+        return _ratio(moves, moves.sum(axis=2, keepdims=True), 1.0 / moves.shape[2])
 
 
 def make_folds(n_trajectories: int, k: int, rng: np.random.Generator) -> tuple:
@@ -98,8 +91,8 @@ def q_recursion(
     eval_policy: Policy,
     horizon: int,
     discount: float,
-) -> QTable:
-    """Backward recursion: q_T = mu and
+) -> np.ndarray:
+    """The (T+1, S, A) array of the backward recursion q_T = mu and
     q_t = mu + discount * sum_{s',a'} P(s'|s,a) pi_e(a'|s') q_{t+1}(s',a').
 
     ``transitions`` holds nonnegative ``(S, A, S)`` weights, probabilities or
@@ -129,7 +122,7 @@ def q_recursion(
         moved = np.bincount(sa, weights * v_next.take(s_next), minlength=cells)
         expected = _ratio(moved, totals, v_next.mean()).reshape(num_states, num_actions)
         values[t] = mean_reward + discount * expected
-    return QTable(values=values)
+    return values
 
 
 def check_support(behavior: Policy, eval_policy: Policy) -> None:
@@ -187,7 +180,7 @@ def _fit(tables, horizon: int, eval_policy: Policy, discount: float,
     mu = _ratio(sums.reshape(counts.shape), counts, reward_total / counts.sum())
     moves = next_counts.reshape(num_states, num_actions, num_states)
     q = q_recursion(mu, moves, eval_policy, horizon, discount)
-    return NuisanceEstimate(behavior=behavior, q=q, mean_reward=mu, moves=moves)
+    return NuisanceEstimate(behavior, q, moves)
 
 
 def fit_nuisance(

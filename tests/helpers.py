@@ -74,10 +74,11 @@ def random_policy(rng: np.random.Generator, num_states: int, num_actions: int) -
 
 
 def true_nuisance(mdp: TabularMdp, behavior: Policy, evaluation: Policy) -> NuisanceEstimate:
-    """``behavior`` with the true mean rewards, transitions and Q tables of ``evaluation``."""
-    mu = mean_reward_table(mdp)
-    q = q_recursion(mu, mdp.transitions, evaluation, mdp.horizon, mdp.discount)
-    return NuisanceEstimate(behavior=behavior, q=q, mean_reward=mu, transitions=mdp.transitions)
+    """``behavior`` with the true Q tables of ``evaluation``; the MDP's transition
+    probabilities are its moves."""
+    q = q_recursion(mean_reward_table(mdp), mdp.transitions, evaluation, mdp.horizon,
+                    mdp.discount)
+    return NuisanceEstimate(behavior, q, mdp.transitions)
 
 
 def three_state_mdp(discount: float = 0.9) -> TabularMdp:

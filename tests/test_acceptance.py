@@ -6,6 +6,7 @@ orthogonality, confidence interval coverage, the bandit variance bound, the
 half-split variance ratio, the estimator MSE ordering under noisy nuisances,
 the relative-RMSE metric, and CLI byte determinism.
 """
+import dataclasses
 import json
 
 import numpy as np
@@ -17,9 +18,7 @@ from dml_ope import (
     NuisanceConfig,
     NuisanceEstimate,
     Policy,
-    QTable,
     RewardSpec,
-    ScoreKind,
     TabularMdp,
     cb_efficiency_bound,
     dml_estimate,
@@ -27,7 +26,6 @@ from dml_ope import (
     enumerate_dataset,
     exact_policy_value,
     expected_psi,
-    expected_psi_ipw,
     mdp_to_dict,
     mean_reward_table,
     orthogonality_derivative,
@@ -57,9 +55,9 @@ def check(label: str, ok: bool, detail: str) -> None:
 
 
 def true_nuisance(mdp, behavior, evaluation):
-    mu = mean_reward_table(mdp)
-    q = q_recursion(mu, mdp.transitions, evaluation, mdp.horizon, mdp.discount)
-    return NuisanceEstimate(behavior=behavior, q=q, mean_reward=mu, transitions=mdp.transitions)
+    q = q_recursion(mean_reward_table(mdp), mdp.transitions, evaluation, mdp.horizon,
+                    mdp.discount)
+    return NuisanceEstimate(behavior, q, mdp.transitions)
 
 
 def random_instance(rng):
@@ -79,14 +77,12 @@ def test_value_identity_suite():
         mdp, behavior, evaluation = random_instance(rng)
         value = exact_policy_value(mdp, evaluation)
         eta = true_nuisance(mdp, behavior, evaluation)
-        wild_q = QTable(values=rng.normal(scale=3.0, size=eta.q.values.shape))
-        eta_wild_q = NuisanceEstimate(behavior=behavior, q=wild_q,
-                                      mean_reward=eta.mean_reward, transitions=eta.transitions)
+        eta_wild_q = dataclasses.replace(eta, q=rng.normal(scale=3.0, size=eta.q.shape))
         wrong_b = random_policy(rng, mdp.num_states, mdp.num_actions)
-        eta_wrong_b = NuisanceEstimate(behavior=wrong_b, q=eta.q,
-                                       mean_reward=eta.mean_reward, transitions=eta.transitions)
+        eta_wrong_b = dataclasses.replace(eta, behavior=wrong_b)
         for eta_case in (eta, eta_wild_q, eta_wrong_b):
-            worst = max(worst, abs(expected_psi(mdp, behavior, eta_case, evaluation) - value))
+            worst = max(worst, abs(expected_psi(mdp, behavior, eta_case.behavior, eta_case.q,
+                                                evaluation) - value))
     check("value identities", worst < 1e-10,
           f"max |E[score] - value| = {worst:.2e} over 20 instances x 3 nuisance cases")
 
@@ -117,7 +113,7 @@ def test_step_reweighting_identity_suite():
             worst = max(worst, abs(lhs - rhs))
         # Discounted-return reweighting (the whole-trajectory version).
         value = exact_policy_value(mdp, evaluation)
-        worst = max(worst, abs(expected_psi_ipw(mdp, behavior, behavior, evaluation) - value))
+        worst = max(worst, abs(expected_psi(mdp, behavior, behavior, None, evaluation) - value))
         # Prefix-history functions.
         for t in range(mdp.horizon + 1):
             lhs = float((rho[:, t] * prefix(data_b, t)) @ probs_b)
@@ -142,14 +138,13 @@ def test_orthogonality_suite():
         mdp, behavior, evaluation = random_instance(rng)
         eta = true_nuisance(mdp, behavior, evaluation)
         for _ in range(10):
-            alt = NuisanceEstimate(
+            alt = dataclasses.replace(
+                eta,
                 behavior=random_policy(rng, mdp.num_states, mdp.num_actions),
-                q=QTable(values=rng.normal(size=eta.q.values.shape)),
-                mean_reward=eta.mean_reward,
-                transitions=eta.transitions,
+                q=rng.normal(size=eta.q.shape),
             )
-            deriv = orthogonality_derivative(mdp, evaluation, eta, alt,
-                                             score=ScoreKind.DML_PSI, step=1e-4)
+            deriv = orthogonality_derivative(mdp, evaluation, eta.behavior, eta.q,
+                                             alt.behavior, alt.q, step=1e-4)
             worst_dml = max(worst_dml, abs(deriv))
     # Witness: the weight-only score is sensitive to behavior perturbations.
     witness = TabularMdp(
@@ -160,10 +155,9 @@ def test_orthogonality_suite():
     w_behavior = Policy(table=[[0.5, 0.5]])
     w_eval = Policy(table=[[1.0, 0.0]])
     w_eta = true_nuisance(witness, w_behavior, w_eval)
-    w_alt = NuisanceEstimate(behavior=Policy(table=[[0.75, 0.25]]), q=w_eta.q,
-                             mean_reward=w_eta.mean_reward, transitions=w_eta.transitions)
-    ipw_deriv = abs(orthogonality_derivative(witness, w_eval, w_eta, w_alt,
-                                             score=ScoreKind.IPW_PSI, step=1e-4))
+    w_alt = dataclasses.replace(w_eta, behavior=Policy(table=[[0.75, 0.25]]))
+    ipw_deriv = abs(orthogonality_derivative(witness, w_eval, w_eta.behavior, None,
+                                             w_alt.behavior, None, step=1e-4))
     ok = worst_dml < 1e-6 and ipw_deriv > 1e-3
     check("score orthogonality", ok,
           f"max |orthogonal derivative| = {worst_dml:.2e} over 30 directions, "

@@ -567,6 +567,20 @@ class TestRmse:
         assert "cell: 'estimate' must be a number, got \"x\"" in err
 
     @pytest.mark.parametrize("change, match", [
+        ({"campaign": {"x": [1]}}, "cell: 'campaign' must be a string, got {\"x\": [1]}"),
+        ({"batch": 7}, "cell: 'batch' must be a string, got 7"),
+    ], ids=["object_campaign", "number_batch"])
+    def test_non_string_label_exits_1_naming_the_field(self, tmp_path, capsys, change, match):
+        path = self.cells_file(tmp_path)
+        cells = json.loads(path.read_text())
+        cells[1].update(change)
+        path.write_text(json.dumps(cells))
+        code, out, err = run(capsys, "rmse", "--cells", str(path), "--sims", "100")
+        assert code == 1
+        assert out == ""
+        assert err.strip() == f"error: {path}: {match}"
+
+    @pytest.mark.parametrize("change, match", [
         ({"ope_variance": -0.5}, "cell: 'ope_variance' must be >= 0, got -0.5"),
         ({"n_ope": -100}, "cell: 'n_ope' must be positive, got -100"),
         ({"n_ope": 0}, "cell: 'n_ope' must be positive, got 0"),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 
@@ -9,7 +10,6 @@ from dml_ope import (
     LoggedDataset,
     NuisanceEstimate,
     Policy,
-    QTable,
     SupportViolationError,
     ValidationError,
     cb_efficiency_bound,
@@ -41,13 +41,8 @@ from helpers import (
 
 def zero_q_nuisance(behavior, horizon):
     shape = (horizon + 1,) + behavior.table.shape
-    return NuisanceEstimate(
-        behavior=behavior,
-        q=QTable(values=np.zeros(shape)),
-        mean_reward=np.zeros(behavior.table.shape),
-        transitions=np.full(behavior.table.shape + (behavior.num_states,),
-                            1.0 / behavior.num_states),
-    )
+    return NuisanceEstimate(behavior, np.zeros(shape),
+                            np.ones(behavior.table.shape + (behavior.num_states,)))
 
 
 class TestImportanceWeights:
@@ -92,26 +87,21 @@ class TestScores:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 200, np.random.default_rng(1))
         eta = zero_q_nuisance(behavior, mdp.horizon)
-        assert np.array_equal(_psi_scores(data, behavior, eta.q.values, evaluation, 0.9),
+        assert np.array_equal(_psi_scores(data, behavior, eta.q, evaluation, 0.9),
                               _psi_scores(data, behavior, None, evaluation, 0.9))
 
     def test_hand_evaluated_bandit_score(self):
         # rho_0 = 0.9 / 0.45 = 2, R = 1, q(taken) = 0.5, sum_a pi_e q = 0.6
         row = one_row(states=[0], actions=[0], rewards=[1.0])
-        eta = NuisanceEstimate(
-            behavior=Policy(table=[[0.45, 0.55]]),
-            q=QTable(values=[[[0.5, 1.5]]]),
-            mean_reward=np.array([[0.5, 1.5]]),
-            transitions=np.ones((1, 2, 1)),
-        )
+        eta = NuisanceEstimate(Policy(table=[[0.45, 0.55]]), [[[0.5, 1.5]]], np.ones((1, 2, 1)))
         evaluation = Policy(table=[[0.9, 0.1]])
-        assert _psi_scores(row, eta.behavior, eta.q.values, evaluation, 1.0)[0] == pytest.approx(
+        assert _psi_scores(row, eta.behavior, eta.q, evaluation, 1.0)[0] == pytest.approx(
             1.6, abs=1e-12
         )
         # The one-step Q table cannot score a two-step row.
         two_steps = one_row(states=[0, 0], actions=[0, 0], rewards=[1.0, 1.0])
         with pytest.raises(ValidationError, match="q table does not span the dataset horizon"):
-            _psi_scores(two_steps, eta.behavior, eta.q.values, evaluation, 1.0)
+            _psi_scores(two_steps, eta.behavior, eta.q, evaluation, 1.0)
 
     def test_ipw_identity_policy_gives_return(self):
         mdp = three_state_mdp()
@@ -143,7 +133,7 @@ class TestScores:
         mdp, behavior, evaluation = noisy_lift()
         data = sample_dataset(mdp, behavior, 2000, np.random.default_rng(5))
         eta = fit_nuisance(data, evaluation, mdp.discount)
-        q = eta.q.values if control == "dr" else None
+        q = eta.q if control == "dr" else None
         scores = _psi_scores(data, eta.behavior, q, evaluation, mdp.discount)
         assert hashlib.sha256(scores.astype("<f8").tobytes()).hexdigest() == expected
 
@@ -154,12 +144,7 @@ class TestPointEstimators:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 50, np.random.default_rng(2))
         eta = zero_q_nuisance(behavior, mdp.horizon)
-        eta = NuisanceEstimate(
-            behavior=eta.behavior,
-            q=QTable(values=np.full_like(eta.q.values, 4.2)),
-            mean_reward=eta.mean_reward,
-            transitions=eta.transitions,
-        )
+        eta = dataclasses.replace(eta, q=np.full_like(eta.q, 4.2))
         est = dm_estimate(data, eta, evaluation)
         assert est.value == pytest.approx(4.2, abs=1e-12)
         assert est.variance == pytest.approx(0.0, abs=1e-12)
@@ -245,7 +230,7 @@ class TestDrVariants:
         perm = np.random.default_rng(rng_seed).permutation(n)
         idx = np.sort(perm[:(n + 1) // 2])
         eta = fit_nuisance(data.subset(np.sort(perm[(n + 1) // 2:])), evaluation, 0.9)
-        expected = _psi_scores(data.subset(idx), eta.behavior, eta.q.values, evaluation,
+        expected = _psi_scores(data.subset(idx), eta.behavior, eta.q, evaluation,
                                0.9).mean()
         assert est.value == pytest.approx(float(expected), abs=1e-12)
         assert est.n == (n + 1) // 2
@@ -260,7 +245,7 @@ class TestDrVariants:
         parts = [data.subset(f) for f in folds]
         scores = np.empty(data.n)
         for fold, part, eta in zip(folds, parts, fit_nuisances(parts, evaluation, 0.9)):
-            scores[fold] = _psi_scores(part, eta.behavior, eta.q.values, evaluation, 0.9)
+            scores[fold] = _psi_scores(part, eta.behavior, eta.q, evaluation, 0.9)
         dml = dml_estimate(data, evaluation, 0.9, np.random.default_rng(5))
         half = dr_half_estimate(data, evaluation, 0.9, np.random.default_rng(5))
         assert dml.value == scores.mean()
@@ -314,7 +299,7 @@ class TestTableReads:
         data = sample_dataset(mdp, behavior, 10, np.random.default_rng(0))
         if behavior_table is not None:
             behavior = Policy(table=behavior_table)
-        q = (true_nuisance(mdp, behavior, evaluation).q.values if q_shape is None
+        q = (true_nuisance(mdp, behavior, evaluation).q if q_shape is None
              else np.zeros(q_shape))
         with pytest.raises(ValidationError, match=f"^{re.escape(match)}$"):
             _psi_scores(data, behavior, q, evaluation, 0.9)
@@ -341,7 +326,7 @@ class TestDml:
         # DML with one injected nuisance for every fold is DR-full on that nuisance.
         eta = true_nuisance(mdp, behavior, behavior)
         est = dr_full_estimate(data, eta, behavior, 0.9)
-        scores = _psi_scores(data, eta.behavior, eta.q.values, behavior, 0.9)
+        scores = _psi_scores(data, eta.behavior, eta.q, behavior, 0.9)
         assert est.value == pytest.approx(float(scores.mean()), abs=1e-10)
         assert est.variance == pytest.approx(float(((scores - scores.mean()) ** 2).mean()),
                                              abs=1e-10)

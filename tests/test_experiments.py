@@ -538,6 +538,34 @@ class TestMseExperiment:
         two = json.dumps(run_mse_experiment(config).to_dict(), sort_keys=True)
         assert one == two
 
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+    def test_workers_clamped_to_the_cpu_count(self, monkeypatch, cpus, workers):
+        # A serial stand-in for the pool records the worker count and starts no process.
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        config = small_config(replications=8, estimators=("dml", "ipw"))
+        monkeypatch.setenv("OPE_DML_THREADS", "1")
+        one = json.dumps(run_mse_experiment(config).to_dict(), sort_keys=True)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("OPE_DML_THREADS", "64")
+        many = json.dumps(run_mse_experiment(config).to_dict(), sort_keys=True)
+        assert started == [workers]
+        assert many == one
+
     def test_single_replication_has_no_se(self):
         report = run_mse_experiment(small_config(replications=1))
         res = report.results[Estimator.DML.value]

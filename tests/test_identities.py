@@ -7,14 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dml_ope import (
-    NuisanceEstimate,
     Policy,
-    QTable,
-    ScoreKind,
+    ValidationError,
     enumerate_dataset,
     exact_policy_value,
     expected_psi,
-    expected_psi_ipw,
     orthogonality_derivative,
 )
 from dml_ope.estimators import _psi_scores
@@ -39,7 +36,8 @@ class TestValueIdentities:
             mdp, behavior, evaluation = random_instance(rng)
             eta = true_nuisance(mdp, behavior, evaluation)
             value = exact_policy_value(mdp, evaluation)
-            assert expected_psi(mdp, behavior, eta, evaluation) == pytest.approx(value, abs=1e-10)
+            assert expected_psi(mdp, behavior, behavior, eta.q,
+                                evaluation) == pytest.approx(value, abs=1e-10)
 
     def test_control_variate_any_q(self):
         # True behavior policy plus an arbitrary q keeps the expectation exact.
@@ -47,11 +45,9 @@ class TestValueIdentities:
         for _ in range(5):
             mdp, behavior, evaluation = random_instance(rng)
             eta = true_nuisance(mdp, behavior, evaluation)
-            wild_q = QTable(values=rng.normal(scale=3.0, size=eta.q.values.shape))
-            eta_wild = NuisanceEstimate(behavior=behavior, q=wild_q,
-                                        mean_reward=eta.mean_reward, transitions=eta.transitions)
+            wild_q = rng.normal(scale=3.0, size=eta.q.shape)
             value = exact_policy_value(mdp, evaluation)
-            assert expected_psi(mdp, behavior, eta_wild, evaluation) == pytest.approx(
+            assert expected_psi(mdp, behavior, behavior, wild_q, evaluation) == pytest.approx(
                 value, abs=1e-10
             )
 
@@ -62,19 +58,16 @@ class TestValueIdentities:
             mdp, behavior, evaluation = random_instance(rng)
             eta = true_nuisance(mdp, behavior, evaluation)
             wrong_behavior = random_policy(rng, mdp.num_states, mdp.num_actions)
-            eta_wrong = NuisanceEstimate(behavior=wrong_behavior, q=eta.q,
-                                         mean_reward=eta.mean_reward, transitions=eta.transitions)
             value = exact_policy_value(mdp, evaluation)
-            assert expected_psi(mdp, behavior, eta_wrong, evaluation) == pytest.approx(
-                value, abs=1e-10
-            )
+            assert expected_psi(mdp, behavior, wrong_behavior, eta.q,
+                                evaluation) == pytest.approx(value, abs=1e-10)
 
     def test_ipw_identity_with_true_behavior(self):
         rng = np.random.default_rng(104)
         for _ in range(5):
             mdp, behavior, evaluation = random_instance(rng)
             value = exact_policy_value(mdp, evaluation)
-            assert expected_psi_ipw(mdp, behavior, behavior, evaluation) == pytest.approx(
+            assert expected_psi(mdp, behavior, behavior, None, evaluation) == pytest.approx(
                 value, abs=1e-10
             )
 
@@ -91,8 +84,9 @@ class TestValueIdentities:
                                            for _ in range(3))
         eta = true_nuisance(mdp, candidate, evaluation)
         value = exact_policy_value(mdp, evaluation)
-        assert expected_psi(mdp, behavior, eta, evaluation) == pytest.approx(value, abs=1e-10)
-        assert expected_psi_ipw(mdp, behavior, behavior, evaluation) == pytest.approx(
+        assert expected_psi(mdp, behavior, eta.behavior, eta.q,
+                            evaluation) == pytest.approx(value, abs=1e-10)
+        assert expected_psi(mdp, behavior, behavior, None, evaluation) == pytest.approx(
             value, abs=1e-10
         )
 
@@ -167,7 +161,7 @@ class TestBanditSpecialization:
         mdp, behavior, evaluation = random_instance(rng, horizon=0)
         eta = true_nuisance(mdp, behavior, evaluation)
         data, _ = enumerate_dataset(mdp, behavior)
-        scores = _psi_scores(data, behavior, eta.q.values, evaluation, mdp.discount)
+        scores = _psi_scores(data, behavior, eta.q, evaluation, mdp.discount)
         mu = eta.mean_reward
         s0, a0 = data.states[:, 0], data.actions[:, 0]
         weight = evaluation.table[s0, a0] / behavior.table[s0, a0]
@@ -183,21 +177,16 @@ class TestOrthogonality:
         behavior = random_policy(rng, 3, 2)
         evaluation = random_policy(rng, 3, 2)
         eta = true_nuisance(mdp, behavior, evaluation)
-        assert orthogonality_derivative(mdp, evaluation, eta, eta) == 0.0
+        assert orthogonality_derivative(mdp, evaluation, behavior, eta.q, behavior, eta.q) == 0.0
 
     def test_dml_score_is_orthogonal(self):
         rng = np.random.default_rng(132)
         mdp, behavior, evaluation = random_instance(rng)
         eta = true_nuisance(mdp, behavior, evaluation)
         for _ in range(5):
-            alt = NuisanceEstimate(
-                behavior=random_policy(rng, mdp.num_states, mdp.num_actions),
-                q=QTable(values=rng.normal(size=eta.q.values.shape)),
-                mean_reward=eta.mean_reward,
-                transitions=eta.transitions,
-            )
-            deriv = orthogonality_derivative(mdp, evaluation, eta, alt,
-                                             score=ScoreKind.DML_PSI, step=1e-4)
+            alt_behavior = random_policy(rng, mdp.num_states, mdp.num_actions)
+            deriv = orthogonality_derivative(mdp, evaluation, behavior, eta.q, alt_behavior,
+                                             rng.normal(size=eta.q.shape), step=1e-4)
             assert abs(deriv) < 1e-6
 
     def test_ipw_score_is_not_orthogonal(self):
@@ -211,13 +200,18 @@ class TestOrthogonality:
         )
         behavior = Policy(table=[[0.5, 0.5]])
         evaluation = Policy(table=[[1.0, 0.0]])
-        eta = true_nuisance(mdp, behavior, evaluation)
-        alt = NuisanceEstimate(
-            behavior=Policy(table=[[0.75, 0.25]]),
-            q=eta.q,
-            mean_reward=eta.mean_reward,
-            transitions=eta.transitions,
-        )
-        deriv = orthogonality_derivative(mdp, evaluation, eta, alt,
-                                         score=ScoreKind.IPW_PSI, step=1e-4)
+        deriv = orthogonality_derivative(mdp, evaluation, behavior, None,
+                                         Policy(table=[[0.75, 0.25]]), None, step=1e-4)
         assert abs(deriv) > 1e-3
+
+    @pytest.mark.parametrize("none_side", ["q", "alt_q"])
+    def test_exactly_one_q_none_rejected(self, none_side):
+        # q = alt_q = None is the IPW score; one None alone names no score.
+        mdp = three_state_mdp()
+        rng = np.random.default_rng(133)
+        behavior = random_policy(rng, 3, 2)
+        evaluation = random_policy(rng, 3, 2)
+        q = true_nuisance(mdp, behavior, evaluation).q
+        qs = (None, q) if none_side == "q" else (q, None)
+        with pytest.raises(ValidationError, match="q and alt_q must both be arrays or both be"):
+            orthogonality_derivative(mdp, evaluation, behavior, qs[0], behavior, qs[1])

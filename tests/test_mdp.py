@@ -7,6 +7,7 @@ import pytest
 
 from dml_ope import (
     EnumerationCapError,
+    LoggedDataset,
     Policy,
     RewardSpec,
     TabularMdp,
@@ -103,6 +104,28 @@ class TestValidation:
                       transitions=[[[1.0]]], rewards=[[point_mass(0.0)]])
         with pytest.raises(ValidationError, match=match):
             TabularMdp(**{**fields, **changes})
+
+    @pytest.mark.parametrize("field, ids, bad", [
+        ("states", [[0.7, 1.9]], "0.7"),
+        ("actions", [[0.0, 1.5]], "1.5"),
+        ("states", [[0.0, float("nan")]], "nan"),
+        ("actions", [[float("inf"), 0.0]], "inf"),
+    ], ids=["fractional_state", "fractional_action", "nan_state", "inf_action"])
+    def test_dataset_ids_must_be_integral(self, field, ids, bad):
+        # A float id used to be truncated: [[0.7, 1.9]] read as states [[0, 1]].
+        columns = {"states": [[0, 1]], "actions": [[0, 1]], field: ids}
+        match = re.escape(f"dataset {field} must be integer ids, got {bad}")
+        with pytest.raises(ValidationError, match=f"^{match}$"):
+            LoggedDataset(**columns, rewards=[[0.0, 0.0]])
+        # Whole floats are ids.
+        assert LoggedDataset(states=[[0.0, 2.0]], actions=[[1.0, 0.0]],
+                             rewards=[[0.0, 0.0]]).states.tolist() == [[0, 2]]
+
+    @pytest.mark.parametrize("p", [float("nan"), 0.0, 1.5, -0.1])
+    def test_dataset_propensities_in_unit_interval(self, p):
+        with pytest.raises(ValidationError, match=re.escape("propensities must lie in (0, 1]")):
+            LoggedDataset(states=[[0, 1]], actions=[[0, 1]], rewards=[[0.0, 0.0]],
+                          propensities=[[0.5, p]])
 
     def test_policy_dimension_mismatch(self):
         mdp = constant_mdp(1)

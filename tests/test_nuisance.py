@@ -3,6 +3,7 @@ import pytest
 
 from dml_ope import (
     LoggedDataset,
+    NuisanceEstimate,
     Policy,
     SupportViolationError,
     ValidationError,
@@ -153,12 +154,22 @@ class TestRewardAndTransitionEstimates:
         assert np.allclose(trans, 0.25, atol=1e-12)
 
 
+class TestNuisanceEstimate:
+    def test_q_must_be_three_dimensional(self):
+        with pytest.raises(ValidationError, match=r"^q table must have shape \(T\+1, S, A\)$"):
+            NuisanceEstimate(Policy(table=[[0.5, 0.5]]), np.zeros((1, 2)), np.ones((1, 2, 1)))
+
+    def test_q_must_be_finite(self):
+        with pytest.raises(ValidationError, match="^q table entries must be finite$"):
+            NuisanceEstimate(Policy(table=[[0.5, 0.5]]), [[[0.0, np.nan]]], np.ones((1, 2, 1)))
+
+
 class TestQRecursion:
     def test_horizon_zero_is_mean_reward(self):
         mdp = three_state_mdp()
         mu = mean_reward_table(mdp)
         q = q_recursion(mu, mdp.transitions, three_state_policies()[1], 0, 0.9)
-        assert np.allclose(q.values[0], mu, atol=1e-12)
+        assert np.allclose(q[0], mu, atol=1e-12)
         with pytest.raises(ValidationError, match="transitions shape does not match mean_reward"):
             q_recursion(mu, mdp.transitions[:2], three_state_policies()[1], 0, 0.9)
         with pytest.raises(ValidationError, match="eval policy shape does not match mean_reward"):
@@ -169,7 +180,7 @@ class TestQRecursion:
         mu = mean_reward_table(mdp)
         q = q_recursion(mu, mdp.transitions, three_state_policies()[1], 2, 0.0)
         for t in range(3):
-            assert np.allclose(q.values[t], mu, atol=1e-12)
+            assert np.allclose(q[t], mu, atol=1e-12)
 
     def test_matches_enumeration_conditionals(self):
         # q_0(s, a) equals the enumeration expectation of the discounted return
@@ -186,7 +197,7 @@ class TestQRecursion:
             for a in range(2):
                 mask = (data.states[:, 0] == s) & (data.actions[:, 0] == a)
                 cond = float(returns[mask] @ probs[mask] / probs[mask].sum())
-                assert q.values[0, s, a] == pytest.approx(cond, abs=1e-10)
+                assert q[0, s, a] == pytest.approx(cond, abs=1e-10)
 
     def test_linear_in_mean_reward(self):
         mdp = three_state_mdp()
@@ -194,7 +205,7 @@ class TestQRecursion:
         mu = mean_reward_table(mdp)
         q1 = q_recursion(mu, mdp.transitions, policy, 2, 0.9)
         q3 = q_recursion(3.0 * mu, mdp.transitions, policy, 2, 0.9)
-        assert np.allclose(3.0 * q1.values, q3.values, atol=1e-12)
+        assert np.allclose(3.0 * q1, q3, atol=1e-12)
 
 
 class TestSparseRecursion:
@@ -208,7 +219,7 @@ class TestSparseRecursion:
         trans, empty = counted_transitions(data, mdp.num_states, mdp.num_actions)
         assert np.any(empty) and not np.all(empty)
         np.testing.assert_allclose(
-            eta.q.values, dense_q(eta.mean_reward, trans, evaluation, data.horizon, 0.9),
+            eta.q, dense_q(eta.mean_reward, trans, evaluation, data.horizon, 0.9),
             rtol=0, atol=1e-12)
         assert np.array_equal(eta.transitions, trans)
 
@@ -222,7 +233,7 @@ class TestSparseRecursion:
         trans, empty = counted_transitions(data, 3, 2)
         assert np.argwhere(empty).tolist() == [[1, 0], [2, 1]]
         assert np.array_equal(eta.transitions, trans)
-        q = eta.q.values
+        q = eta.q
         np.testing.assert_allclose(q, dense_q(eta.mean_reward, trans, evaluation, 2, 0.8),
                                    rtol=0, atol=1e-12)
         for t in range(2):
@@ -234,7 +245,7 @@ class TestSparseRecursion:
         mdp, _, evaluation = noisy_lift()
         mu = mean_reward_table(mdp)
         np.testing.assert_allclose(
-            q_recursion(mu, mdp.transitions, evaluation, mdp.horizon, 0.9).values,
+            q_recursion(mu, mdp.transitions, evaluation, mdp.horizon, 0.9),
             dense_q(mu, mdp.transitions, evaluation, mdp.horizon, 0.9), rtol=0, atol=1e-12)
 
 
@@ -263,7 +274,7 @@ class TestFitNuisances:
         )
         etas_mut = fit_per_fold(mutated, folds, evaluation, 0.9)
         assert np.array_equal(etas[1].mean_reward, etas_mut[1].mean_reward)
-        assert np.array_equal(etas[1].q.values, etas_mut[1].q.values)
+        assert np.array_equal(etas[1].q, etas_mut[1].q)
 
     def test_monte_carlo_consistency(self):
         mdp = three_state_mdp()
@@ -309,7 +320,7 @@ class TestCountTables:
 
     @staticmethod
     def tables(eta):
-        return (eta.behavior.table, eta.q.values, eta.mean_reward, eta.transitions)
+        return (eta.behavior.table, eta.q, eta.mean_reward, eta.transitions)
 
     @pytest.mark.parametrize("known", [False, True], ids=["estimated", "known"])
     def test_two_folds_equal_per_fold_fits_bit_for_bit(self, known):
