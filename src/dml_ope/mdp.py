@@ -199,6 +199,7 @@ class LoggedDataset:
         for field in ("states", "actions"):
             ids = np.asarray(getattr(self, field))
             if ids.dtype.kind not in "biu":  # subset, sampling and ingest pass int64
+                ids = ids.astype(float)
                 whole = np.isfinite(ids) & (np.floor(ids) == ids)
                 if not whole.all():
                     raise ValidationError(f"dataset {field} must be integer ids, "
