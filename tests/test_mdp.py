@@ -284,6 +284,54 @@ class TestPinnedDraws:
                 digest(data.rewards, "<f8"), digest(data.propensities, "<f8")) == expected
 
 
+# Cells of 1, 2 and 3 reward outcomes, as the JSON spec gives them.
+MIXED_WIDTH = {
+    "num_states": 2, "num_actions": 2, "horizon": 2, "discount": 0.9,
+    "initial_dist": [0.6, 0.4],
+    "transitions": [[[0.7, 0.3], [0.2, 0.8]], [[0.45, 0.55], [0.9, 0.1]]],
+    "rewards": [[{"support": [1.3], "probs": [1.0]},
+                 {"support": [-0.6, 1.1], "probs": [0.35, 0.65]}],
+                [{"support": [-1.1, 0.3, 2.7], "probs": [0.15, 0.6, 0.25]},
+                 {"support": [0.1, 0.7], "probs": [0.55, 0.45]}]],
+}
+MIXED_WIDTH_POLICY = Policy(table=[[0.35, 0.65], [0.8, 0.2]])
+
+
+class TestPinnedRewards:
+    """The reward tables, DP values and enumeration read from the reward model,
+    pinned on the 240-state lift and on a mixed-width MDP so that a change to how
+    rewards are stored must keep every byte."""
+
+    def test_mixed_width_tables_and_value(self):
+        mdp = mdp_from_dict(MIXED_WIDTH)
+        assert exact_policy_value(mdp, MIXED_WIDTH_POLICY) == 1.9127354150375
+        assert (digest(mean_reward_table(mdp), "<f8"),
+                digest(reward_variance_table(mdp), "<f8")) == (
+            "42ed8a492c8f7442999553ac9ff9bf12291cddc06d480697f21c4bf9cc327fd4",
+            "9876199ce15b4995f5ff37edbc3f44c66701e5c990ea241d28e32d2585c75644")
+
+    def test_mixed_width_enumeration(self):
+        data, probs = enumerate_dataset(mdp_from_dict(MIXED_WIDTH), MIXED_WIDTH_POLICY)
+        assert data.n == 512
+        assert (digest(data.rewards, "<f8"), digest(probs, "<f8")) == (
+            "bb7751cef60edbdf8d6f8806f137883bbfaeabd9c29b2f4e51db6743eb10fa14",
+            "5b1b985077aa85a668ef94879cb8ed7731fbe5669a9d08fdbf7cda5abf99b7d6")
+
+    def test_lift_tables_and_values(self):
+        mdp, behavior, evaluation = noisy_lift()
+        values = np.array([exact_policy_value(mdp, behavior), exact_policy_value(mdp, evaluation)])
+        assert values.tolist() == [1.9337433425000001, 5.464742319999999]
+        assert (digest(mean_reward_table(mdp), "<f8"),
+                digest(reward_variance_table(mdp), "<f8")) == (
+            "b09520337ffce66bbe67a5fcbb813ef2d4302f1498ad53cf1dd03ba76d434655",
+            "49e31b944532a0e1c9a942732cdf61ebd338b55e03213289f2c56787cb1ed4f0")
+
+    def test_lift_json(self):
+        text = json.dumps(mdp_to_dict(noisy_lift()[0]))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8514d78b4de3f6012091526b0de66c2c5207072b5e06d625830886aee22dc6bc")
+
+
 class TestEnumeration:
     def test_degenerate_chain(self):
         data, probs = enumerate_dataset(constant_mdp(0), Policy(table=[[1.0]]))
