@@ -4,7 +4,6 @@ from .mdp import (
     EnumerationCapError,
     LoggedDataset,
     Policy,
-    RewardSpec,
     TabularMdp,
     ValidationError,
     enumerate_dataset,

@@ -4,8 +4,9 @@ standard error, dataset file I/O, and the noisy-nuisance scenario builder.
 Replications draw independent random streams from a splittable seed sequence,
 so results do not depend on execution order. With the OPE_DML_THREADS
 environment variable above 1, the replications are split into one contiguous
-block per worker process, at most one worker per CPU; each block builds the
-scenario once, and the blocks' rows are joined in order.
+block per worker process, at most one worker per CPU and per replication; each
+block builds the scenario once, and the blocks' rows are joined in order. A
+single block runs in the calling process.
 """
 from __future__ import annotations
 
@@ -103,12 +104,12 @@ def _first(values: list, bad) -> int:
     return next(k for k, x in enumerate(values) if bad(x))
 
 
-def _label_ids(labels: list, provided: dict | None, field: str, kind: str, where) -> np.ndarray:
+def _label_ids(labels: list, field: str, kind: str, where) -> np.ndarray:
     """Map one label column to integer ids.
 
     JSON integers are their own ids and strings map to dense ids in sorted
-    order, unless ``provided`` maps the labels. Booleans, other numbers and a
-    column mixing integers with strings are rejected.
+    order. Booleans, other numbers and a column mixing integers with strings
+    are rejected.
     """
     types = set(map(type, labels))
     if not types <= {int, str}:
@@ -117,13 +118,6 @@ def _label_ids(labels: list, provided: dict | None, field: str, kind: str, where
             f"{where(k)}: '{field}' must be an integer or string {kind} label, "
             f"got {json.dumps(labels[k])}"
         )
-    if provided is not None:
-        if not set(labels) <= provided.keys():
-            k = _first(labels, lambda x: x not in provided)
-            raise ValidationError(
-                f"{where(k)}: '{field}': {kind} label map is missing {json.dumps(labels[k])}"
-            )
-        return np.array(list(map(provided.__getitem__, labels)), dtype=np.int64)
     if len(types) > 1:
         k = _first(labels, lambda x: type(x) is not type(labels[0]))
         raise ValidationError(f"{where(k)}: '{field}' mixes integer and string {kind} labels")
@@ -172,16 +166,12 @@ def _text_lines(path: str | Path):
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def ingest_jsonl(
-    path: str | Path,
-    state_map: dict | None = None,
-    action_map: dict | None = None,
-) -> LoggedDataset:
+def ingest_jsonl(path: str | Path) -> LoggedDataset:
     """Read a trajectory-per-line JSONL file into a LoggedDataset.
 
     Steps are gathered into flat per-field lists, checked column by column and
-    reshaped to (N, T+1) once. String state/action labels are mapped through
-    the provided maps, or through maps inferred in sorted label order. Horizons
+    reshaped to (N, T+1) once. String state/action labels map to dense ids in
+    sorted label order, separately for states and actions. Horizons
     must be uniform; propensities are kept only if every step of every
     trajectory carries one. Errors name the file, line, step and field.
     """
@@ -227,8 +217,8 @@ def ingest_jsonl(
     def where(k: int) -> str:
         return f"{path}: line {linenos[k // width]}: step {k % width}"
 
-    states = _label_ids(s_col, state_map, "s", "state", where)
-    actions = _label_ids(a_col, action_map, "a", "action", where)
+    states = _label_ids(s_col, "s", "state", where)
+    actions = _label_ids(a_col, "a", "action", where)
     rewards = _number_column(r_col, "r", where, np.isfinite, "must be finite")
     props = _number_column(p_col, "p", where, lambda p: (p > 0) & (p <= 1),
                            "propensity must lie in (0, 1]", nullable=True)
@@ -262,11 +252,6 @@ def with_noise_states(mdp: TabularMdp, num_noise_states: int, seed: int = 0) -> 
     transitions = np.empty((big_s, mdp.num_actions, big_s))
     for a in range(mdp.num_actions):
         transitions[:, a, :] = np.kron(mdp.transitions[:, a, :], z_trans)
-    rewards = [
-        [mdp.rewards[s][a] for a in range(mdp.num_actions)]
-        for s in range(mdp.num_states)
-        for _ in range(num_noise_states)
-    ]
     return TabularMdp(
         num_states=big_s,
         num_actions=mdp.num_actions,
@@ -274,7 +259,8 @@ def with_noise_states(mdp: TabularMdp, num_noise_states: int, seed: int = 0) -> 
         discount=mdp.discount,
         initial_dist=initial,
         transitions=transitions,
-        rewards=rewards,
+        reward_support=np.repeat(mdp.reward_support, num_noise_states, axis=0),
+        reward_probs=np.repeat(mdp.reward_probs, num_noise_states, axis=0),
     )
 
 
@@ -521,10 +507,10 @@ def run_mse_experiment(config: ExperimentConfig) -> MseReport:
     truth = ground_truth_value(config)
     reps = config.replications
     seeds = np.random.SeedSequence(config.seed).spawn(reps)
-    if workers <= 1:
+    blocks = min(max(workers, 1), reps, os.cpu_count() or 1)
+    if blocks == 1:
         rows = _run_replications(config, seeds)
     else:
-        blocks = min(workers, reps, os.cpu_count() or 1)
         bounds = [i * reps // blocks for i in range(blocks + 1)]
         with ProcessPoolExecutor(max_workers=blocks) as pool:
             block_rows = pool.map(_run_replications, [config] * blocks,

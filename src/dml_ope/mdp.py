@@ -83,31 +83,6 @@ def _cdf_table(probs: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class RewardSpec:
-    """Finite-support reward distribution for one (state, action) pair."""
-
-    support: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "support", np.asarray(self.support, dtype=float))
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-        if self.support.ndim != 1 or self.support.shape != self.probs.shape:
-            raise ValidationError("reward support and probs must be 1-d and equal length")
-        if not np.all(np.isfinite(self.support)):
-            raise ValidationError("reward support must be finite")
-        _check_prob_rows(self.probs, "reward probs")
-
-    @property
-    def mean(self) -> float:
-        return float(self.support @ self.probs)
-
-    @property
-    def variance(self) -> float:
-        return float(((self.support - self.mean) ** 2) @ self.probs)
-
-
-@dataclass(frozen=True, eq=False)
 class Policy:
     """State-indexed action distribution table, shape (num_states, num_actions)."""
 
@@ -133,7 +108,10 @@ class TabularMdp:
     """Finite state/action MDP with finite-support rewards and a fixed horizon.
 
     ``horizon`` is the last step index; trajectories have ``horizon + 1`` steps.
-    ``discount`` has no default: it must be chosen explicitly.
+    ``discount`` has no default: it must be chosen explicitly. The reward of
+    ``(s, a)`` is ``reward_support[s, a, i]`` with probability
+    ``reward_probs[s, a, i]``; a cell with fewer than ``W`` outcomes is padded
+    with outcome 0.0 at probability 0.
     """
 
     num_states: int
@@ -142,11 +120,26 @@ class TabularMdp:
     discount: float
     initial_dist: np.ndarray
     transitions: np.ndarray  # (S, A, S)
-    rewards: tuple  # rewards[s][a] -> RewardSpec
+    reward_support: np.ndarray  # (S, A, W)
+    reward_probs: np.ndarray  # (S, A, W)
 
     def __post_init__(self):
         if self.num_states < 1 or self.num_actions < 1:
             raise ValidationError("num_states and num_actions must be positive")
+        for field in ("reward_support", "reward_probs"):
+            object.__setattr__(self, field,
+                               np.ascontiguousarray(getattr(self, field), dtype=float))
+        support, probs = self.reward_support, self.reward_probs
+        if (support.ndim != 3 or support.shape[:2] != (self.num_states, self.num_actions)
+                or probs.shape != support.shape):
+            raise ValidationError(
+                f"reward_support {support.shape} and reward_probs {probs.shape} must share "
+                f"one (S, A, W) shape with (S, A) = ({self.num_states}, {self.num_actions})")
+        finite = np.isfinite(support).all(axis=2)
+        if not finite.all():
+            s, a = np.argwhere(~finite)[0]
+            raise ValidationError(f"rewards[{s}][{a}]: reward support must be finite")
+        _check_prob_rows(probs, "rewards[{}][{}]: reward probs")
         check_at_least(self.horizon, 0, "horizon")
         check_unit_interval(self.discount, "discount")
         object.__setattr__(self, "initial_dist", np.asarray(self.initial_dist, dtype=float))
@@ -157,26 +150,11 @@ class TabularMdp:
         if self.transitions.shape != (self.num_states, self.num_actions, self.num_states):
             raise ValidationError("transitions has wrong shape")
         _check_prob_rows(self.transitions, "transitions[{}][{}]")
-        rewards = tuple(tuple(row) for row in self.rewards)
-        if len(rewards) != self.num_states or any(len(row) != self.num_actions for row in rewards):
-            raise ValidationError("rewards must be defined for every (state, action) pair")
-        object.__setattr__(self, "rewards", rewards)
-        # Padded reward arrays for vectorized sampling/enumeration.
-        width = max(spec.support.size for row in rewards for spec in row)
-        sup = np.zeros((self.num_states, self.num_actions, width))
-        prb = np.zeros((self.num_states, self.num_actions, width))
-        for s in range(self.num_states):
-            for a in range(self.num_actions):
-                spec = rewards[s][a]
-                sup[s, a, : spec.support.size] = spec.support
-                prb[s, a, : spec.probs.size] = spec.probs
-        object.__setattr__(self, "_reward_support", sup)
-        object.__setattr__(self, "_reward_probs", prb)
         # CDF tables for sampling: the initial distribution's one row, then one
         # row per flat (s * A + a) index.
         object.__setattr__(self, "_initial_cum", _cdf_table(self.initial_dist))
         object.__setattr__(self, "_transition_cum", _cdf_table(self.transitions))
-        object.__setattr__(self, "_reward_cum", _cdf_table(prb))
+        object.__setattr__(self, "_reward_cum", _cdf_table(probs))
 
     def check_policy(self, policy: Policy, name: str = "policy") -> None:
         if policy.table.shape != (self.num_states, self.num_actions):
@@ -206,10 +184,18 @@ class LoggedDataset:
                                           f"got {ids[~whole][0]}")
             object.__setattr__(self, field, np.asarray(ids, dtype=np.int64))
         object.__setattr__(self, "rewards", np.asarray(self.rewards, dtype=float))
-        if self.states.ndim != 2 or self.states.shape[0] < 1:
+        if self.states.ndim != 2:
+            raise ValidationError(f"dataset states must be a 2-d (N, T+1) array, "
+                                  f"got shape {self.states.shape}")
+        if self.states.shape[0] < 1:
             raise ValidationError("dataset must be nonempty")
+        if self.states.shape[1] < 1:
+            raise ValidationError("dataset states must hold at least one step per row")
         if self.actions.shape != self.states.shape or self.rewards.shape != self.states.shape:
             raise ValidationError("dataset arrays must share one (N, T+1) shape")
+        if not np.isfinite(self.rewards).all():
+            raise ValidationError(f"dataset rewards must be finite, "
+                                  f"got {self.rewards[~np.isfinite(self.rewards)][0]}")
         if self.propensities is not None:
             p = np.asarray(self.propensities, dtype=float)
             if p.shape != self.states.shape:
@@ -250,14 +236,21 @@ class LoggedDataset:
         )
 
 
+def _cell_dot(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """``values[s, a] @ probs[s, a]`` for every cell, as one stacked matmul: it sums
+    in the order of a per-cell dot, which ``(values * probs).sum(-1)`` does not."""
+    return (values[..., None, :] @ probs[..., None])[..., 0, 0]
+
+
 def mean_reward_table(mdp: TabularMdp) -> np.ndarray:
     """Exact mean reward per (state, action)."""
-    return np.array([[spec.mean for spec in row] for row in mdp.rewards])
+    return _cell_dot(mdp.reward_support, mdp.reward_probs)
 
 
 def reward_variance_table(mdp: TabularMdp) -> np.ndarray:
     """Exact reward variance per (state, action)."""
-    return np.array([[spec.variance for spec in row] for row in mdp.rewards])
+    deviation = mdp.reward_support - mean_reward_table(mdp)[..., None]
+    return _cell_dot(deviation**2, mdp.reward_probs)
 
 
 def _inverse_cdf(cum: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -297,7 +290,7 @@ def sample_dataset(
     check_at_least(n, 1, "n")
     steps = mdp.horizon + 1
     policy_cum = _cdf_table(policy.table)
-    support = mdp._reward_support.reshape(mdp._reward_cum.shape)
+    support = mdp.reward_support.reshape(mdp._reward_cum.shape)
     states = np.empty((n, steps), dtype=np.int64)
     actions = np.empty((n, steps), dtype=np.int64)
     rewards = np.empty((n, steps))
@@ -359,8 +352,9 @@ def enumerate_dataset(
         states = np.column_stack([states, s])
         _, a = expand(policy.table[states[:, -1]])
         actions = np.column_stack([actions, a])
-        parent, r_idx = expand(mdp._reward_probs[states[:, -1], actions[:, -1]])
-        rewards = np.column_stack([rewards, mdp._reward_support[states[:, -1], actions[:, -1], r_idx]])
+        parent, r_idx = expand(mdp.reward_probs[states[:, -1], actions[:, -1]])
+        rewards = np.column_stack(
+            [rewards, mdp.reward_support[states[:, -1], actions[:, -1], r_idx]])
 
     props = policy.table[states, actions]
     data = LoggedDataset(states=states, actions=actions, rewards=rewards, propensities=props)
@@ -389,8 +383,8 @@ def mdp_to_dict(mdp: TabularMdp) -> dict:
         "initial_dist": mdp.initial_dist.tolist(),
         "transitions": mdp.transitions.tolist(),
         "rewards": [
-            [{"support": spec.support.tolist(), "probs": spec.probs.tolist()} for spec in row]
-            for row in mdp.rewards
+            [{"support": support, "probs": probs} for support, probs in zip(*row)]
+            for row in zip(mdp.reward_support.tolist(), mdp.reward_probs.tolist())
         ],
     }
 
@@ -418,7 +412,7 @@ def json_field(obj: dict, key: str, where: str, kind=float, default=...):
     if kind is np.ndarray:
         try:
             return np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"{where}: '{key}' must be an array of numbers") from None
     got = json.dumps(value, default=str)
     if kind is str:
@@ -442,22 +436,29 @@ def mdp_from_dict(obj: dict) -> TabularMdp:
                      "initial_dist", "transitions", "rewards"}, where)
     num_states = json_field(obj, "num_states", where, int)
     num_actions = json_field(obj, "num_actions", where, int)
-    rewards = []
     raw_rewards = obj.get("rewards")
     if not isinstance(raw_rewards, list) or len(raw_rewards) != num_states:
         raise ValidationError(f"{where}: 'rewards' must be an array with one row per state")
+    cells = {}  # (s, a) -> (support, probs), 1-d and of equal length
     for s, row in enumerate(raw_rewards):
         if not isinstance(row, list) or len(row) != num_actions:
             raise ValidationError(f"rewards[{s}]: expected one entry per action")
-        specs = []
         for a, cell in enumerate(row):
             try:
-                specs.append(RewardSpec(support=cell["support"], probs=cell["probs"]))
-            except ValidationError as exc:
-                raise ValidationError(f"rewards[{s}][{a}]: {exc}") from exc
-            except (KeyError, TypeError, ValueError):
+                support, probs = (np.asarray(cell[k], dtype=float) for k in ("support", "probs"))
+            except (KeyError, TypeError, ValueError, OverflowError):
                 raise ValidationError(f"rewards[{s}][{a}] needs numeric 'support' and 'probs'")
-        rewards.append(specs)
+            if support.ndim != 1 or support.shape != probs.shape:
+                raise ValidationError(
+                    f"rewards[{s}][{a}]: reward support and probs must be 1-d and equal length")
+            cells[s, a] = support, probs
+    width = max((support.size for support, _ in cells.values()), default=0)
+    # num_actions < 0 only comes with no rows, and TabularMdp rejects it.
+    shape = (num_states, max(num_actions, 0), width)
+    reward_support, reward_probs = np.zeros(shape), np.zeros(shape)
+    for (s, a), (support, probs) in cells.items():
+        reward_support[s, a, :support.size] = support
+        reward_probs[s, a, :probs.size] = probs
     return TabularMdp(
         num_states=num_states,
         num_actions=num_actions,
@@ -465,7 +466,8 @@ def mdp_from_dict(obj: dict) -> TabularMdp:
         discount=json_field(obj, "discount", where),
         initial_dist=json_field(obj, "initial_dist", where, np.ndarray),
         transitions=json_field(obj, "transitions", where, np.ndarray),
-        rewards=rewards,
+        reward_support=reward_support,
+        reward_probs=reward_probs,
     )
 
 

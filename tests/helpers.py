@@ -10,7 +10,6 @@ from dml_ope import (
     LoggedDataset,
     NuisanceEstimate,
     Policy,
-    RewardSpec,
     TabularMdp,
     experiment_config_from_dict,
     lift_policy,
@@ -35,12 +34,17 @@ def row_steps(data: LoggedDataset, i: int = 0) -> list[tuple]:
                     data.rewards[i].tolist(), props))
 
 
-def bernoulli(p: float) -> RewardSpec:
-    return RewardSpec(support=[0.0, 1.0], probs=[1.0 - p, p])
+def bernoulli(p) -> dict:
+    """TabularMdp's reward keywords for a reward of 1 with probability ``p[s][a]``, else 0."""
+    p = np.asarray(p, dtype=float)
+    return {"reward_support": np.broadcast_to([0.0, 1.0], p.shape + (2,)),
+            "reward_probs": np.stack([1.0 - p, p], axis=-1)}
 
 
-def point_mass(r: float) -> RewardSpec:
-    return RewardSpec(support=[r], probs=[1.0])
+def point_mass(r) -> dict:
+    """TabularMdp's reward keywords for the reward ``r[s][a]`` with probability 1."""
+    r = np.asarray(r, dtype=float)
+    return {"reward_support": r[..., None], "reward_probs": np.ones(r.shape + (1,))}
 
 
 def random_mdp(
@@ -52,10 +56,8 @@ def random_mdp(
 ) -> TabularMdp:
     """Random enumerable MDP with Bernoulli rewards, click rates in [0.1, 0.9]."""
     transitions = rng.dirichlet(np.ones(num_states), size=(num_states, num_actions))
-    rewards = [
-        [bernoulli(rng.uniform(0.1, 0.9)) for _ in range(num_actions)]
-        for _ in range(num_states)
-    ]
+    click_rates = [[rng.uniform(0.1, 0.9) for _ in range(num_actions)]
+                   for _ in range(num_states)]
     return TabularMdp(
         num_states=num_states,
         num_actions=num_actions,
@@ -63,7 +65,7 @@ def random_mdp(
         discount=discount,
         initial_dist=rng.dirichlet(np.ones(num_states)),
         transitions=transitions,
-        rewards=rewards,
+        **bernoulli(click_rates),
     )
 
 
@@ -90,11 +92,6 @@ def three_state_mdp(discount: float = 0.9) -> TabularMdp:
             [[0.5, 0.25, 0.25], [0.3, 0.3, 0.4]],
         ]
     )
-    rewards = [
-        [bernoulli(0.7), bernoulli(0.3)],
-        [bernoulli(0.5), bernoulli(0.6)],
-        [bernoulli(0.2), bernoulli(0.8)],
-    ]
     return TabularMdp(
         num_states=3,
         num_actions=2,
@@ -102,7 +99,7 @@ def three_state_mdp(discount: float = 0.9) -> TabularMdp:
         discount=discount,
         initial_dist=[0.5, 0.3, 0.2],
         transitions=transitions,
-        rewards=rewards,
+        **bernoulli([[0.7, 0.3], [0.5, 0.6], [0.2, 0.8]]),
     )
 
 
@@ -114,10 +111,6 @@ def three_state_policies() -> tuple[Policy, Policy]:
 
 def bandit_mdp() -> TabularMdp:
     """Horizon-0 (contextual bandit) instance with two contexts and two arms."""
-    rewards = [
-        [bernoulli(0.6), bernoulli(0.3)],
-        [bernoulli(0.4), bernoulli(0.8)],
-    ]
     return TabularMdp(
         num_states=2,
         num_actions=2,
@@ -125,7 +118,7 @@ def bandit_mdp() -> TabularMdp:
         discount=1.0,
         initial_dist=[0.55, 0.45],
         transitions=np.full((2, 2, 2), 0.5),
-        rewards=rewards,
+        **bernoulli([[0.6, 0.3], [0.4, 0.8]]),
     )
 
 

@@ -18,7 +18,6 @@ from dml_ope import (
     NuisanceConfig,
     NuisanceEstimate,
     Policy,
-    RewardSpec,
     TabularMdp,
     cb_efficiency_bound,
     dml_estimate,
@@ -150,7 +149,7 @@ def test_orthogonality_suite():
     witness = TabularMdp(
         num_states=1, num_actions=2, horizon=0, discount=1.0,
         initial_dist=[1.0], transitions=np.full((1, 2, 1), 1.0),
-        rewards=[[bernoulli(1.0), bernoulli(0.0)]],
+        **bernoulli([[1.0, 0.0]]),
     )
     w_behavior = Policy(table=[[0.5, 0.5]])
     w_eval = Policy(table=[[1.0, 0.0]])
@@ -217,11 +216,7 @@ def noisy_nuisance_config() -> ExperimentConfig:
     known behavior policy rarely logs the actions the evaluation policy takes.
     """
     d = 0.8
-
-    def spread(m):
-        return RewardSpec(support=[m - d, m + d], probs=[0.5, 0.5])
-
-    means = [[0.2, 2.6], [0.4, 1.8], [0.2, 3.0]]
+    means = np.array([[0.2, 2.6], [0.4, 1.8], [0.2, 3.0]])
     mdp = TabularMdp(
         num_states=3, num_actions=2, horizon=2, discount=0.9,
         initial_dist=[0.5, 0.3, 0.2],
@@ -230,7 +225,8 @@ def noisy_nuisance_config() -> ExperimentConfig:
             [[0.3, 0.5, 0.2], [0.2, 0.2, 0.6]],
             [[0.5, 0.25, 0.25], [0.1, 0.3, 0.6]],
         ]),
-        rewards=[[spread(m) for m in row] for row in means],
+        reward_support=np.stack([means - d, means + d], axis=-1),
+        reward_probs=np.full((3, 2, 2), 0.5),
     )
     return ExperimentConfig(
         mdp=mdp,

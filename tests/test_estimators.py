@@ -154,7 +154,8 @@ class TestPointEstimators:
         mdp = bandit_mdp()
         mdp = type(mdp)(
             num_states=2, num_actions=2, horizon=0, discount=1.0,
-            initial_dist=[0.25, 0.75], transitions=mdp.transitions, rewards=mdp.rewards,
+            initial_dist=[0.25, 0.75], transitions=mdp.transitions,
+            reward_support=mdp.reward_support, reward_probs=mdp.reward_probs,
         )
         behavior, evaluation = bandit_policies()
         eta = true_nuisance(mdp, behavior, evaluation)
@@ -364,7 +365,7 @@ class TestEfficiencyBound:
         mdp = type(bandit_mdp())(
             num_states=1, num_actions=1, horizon=0, discount=1.0,
             initial_dist=[1.0], transitions=np.ones((1, 1, 1)),
-            rewards=[[bernoulli(1.0)]],
+            **bernoulli([[1.0]]),
         )
         point = Policy(table=[[1.0]])
         assert cb_efficiency_bound(mdp, point, point) == 0.0
@@ -373,7 +374,7 @@ class TestEfficiencyBound:
         mdp = type(bandit_mdp())(
             num_states=1, num_actions=1, horizon=0, discount=1.0,
             initial_dist=[1.0], transitions=np.ones((1, 1, 1)),
-            rewards=[[bernoulli(0.7)]],
+            **bernoulli([[0.7]]),
         )
         point = Policy(table=[[1.0]])
         assert cb_efficiency_bound(mdp, point, point) == pytest.approx(0.21, abs=1e-12)

@@ -196,7 +196,7 @@ class TestOrthogonality:
         mdp = type(mdp)(
             num_states=1, num_actions=2, horizon=0, discount=1.0,
             initial_dist=[1.0], transitions=np.full((1, 2, 1), 1.0),
-            rewards=[[bernoulli(1.0), bernoulli(0.0)]],
+            **bernoulli([[1.0, 0.0]]),
         )
         behavior = Policy(table=[[0.5, 0.5]])
         evaluation = Policy(table=[[1.0, 0.0]])

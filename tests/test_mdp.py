@@ -9,7 +9,6 @@ from dml_ope import (
     EnumerationCapError,
     LoggedDataset,
     Policy,
-    RewardSpec,
     TabularMdp,
     ValidationError,
     enumerate_dataset,
@@ -42,18 +41,54 @@ def constant_mdp(horizon: int, reward: float = 1.0, discount: float = 1.0) -> Ta
         discount=discount,
         initial_dist=[1.0],
         transitions=np.ones((1, 1, 1)),
-        rewards=[[point_mass(reward)]],
+        **point_mass([[reward]]),
     )
+
+
+def one_cell_mdp(support: list, probs: list) -> TabularMdp:
+    """One state, one action and horizon 0, with one reward distribution."""
+    return TabularMdp(num_states=1, num_actions=1, horizon=0, discount=1.0, initial_dist=[1.0],
+                      transitions=np.ones((1, 1, 1)), reward_support=[[support]],
+                      reward_probs=[[probs]])
 
 
 class TestValidation:
     def test_reward_spec_probs_must_sum_to_one(self):
         with pytest.raises(ValidationError):
-            RewardSpec(support=[0.0, 1.0], probs=[0.5, 0.4])
+            one_cell_mdp([0.0, 1.0], [0.5, 0.4])
 
     def test_reward_spec_rejects_infinite_support(self):
         with pytest.raises(ValidationError):
-            RewardSpec(support=[np.inf], probs=[1.0])
+            one_cell_mdp([np.inf], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_support_names_the_cell(self, bad):
+        support = np.zeros((2, 3, 2))
+        support[1, 2, 1] = bad
+        with pytest.raises(ValidationError,
+                           match=r"^rewards\[1\]\[2\]: reward support must be finite$"):
+            TabularMdp(num_states=2, num_actions=3, horizon=0, discount=1.0,
+                       initial_dist=[0.5, 0.5], transitions=np.full((2, 3, 2), 0.5),
+                       reward_support=support, reward_probs=np.full((2, 3, 2), 0.5))
+
+    @pytest.mark.parametrize("support_shape, probs_shape", [
+        ((2, 3, 2), (2, 3, 3)), ((2, 3, 2), (2, 3)), ((3, 2, 2), (3, 2, 2)), ((2, 3), (2, 3)),
+    ], ids=["widths", "probs_2d", "swapped_cells", "both_2d"])
+    def test_reward_shape_mismatch_names_both_arrays(self, support_shape, probs_shape):
+        message = (f"reward_support {support_shape} and reward_probs {probs_shape} must share "
+                   f"one (S, A, W) shape with (S, A) = (2, 3)")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            TabularMdp(num_states=2, num_actions=3, horizon=0, discount=1.0,
+                       initial_dist=[0.5, 0.5], transitions=np.full((2, 3, 2), 0.5),
+                       reward_support=np.zeros(support_shape), reward_probs=np.ones(probs_shape))
+
+    @pytest.mark.parametrize("num_states, num_actions", [(0, 2), (0, -2), (2, 0)])
+    def test_empty_spec_exits_on_the_counts(self, num_states, num_actions):
+        obj = {**mdp_to_dict(three_state_mdp()), "num_states": num_states,
+               "num_actions": num_actions, "rewards": [[]] * num_states}
+        with pytest.raises(ValidationError,
+                           match="^num_states and num_actions must be positive$"):
+            mdp_from_dict(obj)
 
     def test_policy_rows_must_be_distributions(self):
         with pytest.raises(ValidationError):
@@ -70,7 +105,7 @@ class TestValidation:
     ], ids=["negative", "bad_sum", "nan"])
     def test_reward_probs_checked(self, probs, match):
         with pytest.raises(ValidationError, match=match):
-            RewardSpec(support=[0.0, 1.0], probs=probs)
+            one_cell_mdp([0.0, 1.0], probs)
 
     @pytest.mark.parametrize("initial, match", [
         ([1.2, -0.2], r"initial_dist has negative entries"),
@@ -82,7 +117,7 @@ class TestValidation:
             TabularMdp(
                 num_states=2, num_actions=1, horizon=0, discount=1.0,
                 initial_dist=initial, transitions=np.full((2, 1, 2), 0.5),
-                rewards=[[point_mass(0.0)], [point_mass(0.0)]],
+                **point_mass([[0.0], [0.0]]),
             )
 
     def test_transition_rows_checked_with_path(self):
@@ -92,7 +127,7 @@ class TestValidation:
             TabularMdp(
                 num_states=2, num_actions=1, horizon=0, discount=1.0,
                 initial_dist=[0.5, 0.5], transitions=bad,
-                rewards=[[point_mass(0.0)], [point_mass(0.0)]],
+                **point_mass([[0.0], [0.0]]),
             )
 
     @pytest.mark.parametrize("changes, match", [
@@ -101,7 +136,7 @@ class TestValidation:
     ], ids=["discount_1.5", "horizon_-1"])
     def test_horizon_and_discount_checked(self, changes, match):
         fields = dict(num_states=1, num_actions=1, horizon=0, discount=1.0, initial_dist=[1.0],
-                      transitions=[[[1.0]]], rewards=[[point_mass(0.0)]])
+                      transitions=[[[1.0]]], **point_mass([[0.0]]))
         with pytest.raises(ValidationError, match=match):
             TabularMdp(**{**fields, **changes})
 
@@ -126,6 +161,23 @@ class TestValidation:
         with pytest.raises(ValidationError, match=re.escape("propensities must lie in (0, 1]")):
             LoggedDataset(states=[[0, 1]], actions=[[0, 1]], rewards=[[0.0, 0.0]],
                           propensities=[[0.5, p]])
+
+    @pytest.mark.parametrize("columns, message", [
+        ({"states": [0, 1], "actions": [0, 1], "rewards": [0.0, 0.0]},
+         "dataset states must be a 2-d (N, T+1) array, got shape (2,)"),
+        ({"states": np.zeros((3, 0)), "actions": np.zeros((3, 0)), "rewards": np.zeros((3, 0))},
+         "dataset states must hold at least one step per row"),
+        ({"states": [[0, 1]], "actions": [[0, 1]], "rewards": [[0.0, float("nan")]]},
+         "dataset rewards must be finite, got nan"),
+        ({"states": [[0, 1]], "actions": [[0, 1]], "rewards": [[float("inf"), 1.0]]},
+         "dataset rewards must be finite, got inf"),
+        ({"states": [[0], [1]], "actions": [[0], [1]], "rewards": [[1.0], [-np.inf]]},
+         "dataset rewards must be finite, got -inf"),
+    ], ids=["one_dimensional", "no_steps", "nan_reward", "inf_reward", "neg_inf_reward"])
+    def test_dataset_no_estimator_can_score_rejected(self, columns, message):
+        # Each was accepted, and failed later in an estimator or a nuisance check.
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            LoggedDataset(**columns)
 
     def test_policy_dimension_mismatch(self):
         mdp = constant_mdp(1)
@@ -171,7 +223,7 @@ class TestRewardTables:
         mdp = TabularMdp(
             num_states=1, num_actions=1, horizon=0, discount=1.0,
             initial_dist=[1.0], transitions=np.ones((1, 1, 1)),
-            rewards=[[bernoulli(0.7)]],
+            **bernoulli([[0.7]]),
         )
         assert mean_reward_table(mdp)[0, 0] == pytest.approx(0.7, abs=1e-12)
         assert reward_variance_table(mdp)[0, 0] == pytest.approx(0.21, abs=1e-12)
@@ -182,11 +234,13 @@ class TestRewardTables:
         assert reward_variance_table(mdp)[0, 0] == 0.0
 
     def test_three_point_mean(self):
-        spec = RewardSpec(support=[-1.0, 0.0, 2.0], probs=[0.25, 0.5, 0.25])
-        assert spec.mean == pytest.approx(0.25, abs=1e-12)
+        mdp = one_cell_mdp([-1.0, 0.0, 2.0], [0.25, 0.5, 0.25])
+        assert mean_reward_table(mdp)[0, 0] == pytest.approx(0.25, abs=1e-12)
 
     def test_bernoulli_half_variance(self):
-        assert bernoulli(0.5).variance == pytest.approx(0.25, abs=1e-12)
+        support, probs = bernoulli([[0.5]]).values()
+        mdp = one_cell_mdp(support[0, 0], probs[0, 0])
+        assert reward_variance_table(mdp)[0, 0] == pytest.approx(0.25, abs=1e-12)
 
 
 class TestSampling:
@@ -208,7 +262,7 @@ class TestSampling:
         mdp = TabularMdp(
             num_states=2, num_actions=1, horizon=0, discount=1.0,
             initial_dist=[0.5, 0.5], transitions=np.full((2, 1, 2), 0.5),
-            rewards=[[point_mass(0.0)], [point_mass(0.0)]],
+            **point_mass([[0.0], [0.0]]),
         )
         data = sample_dataset(mdp, Policy(table=[[1.0], [1.0]]), 100_000,
                               np.random.default_rng(17))
@@ -232,11 +286,11 @@ class TestSampling:
                 return np.full(n, 1 - 2**-53)
 
         short = [0.5, 0.5 - 5e-13, 0.0]
-        rewards = [[RewardSpec(support=[1.0, 2.0], probs=short[:2])] * 3 for _ in range(3)]
-        rewards[2][0] = RewardSpec(support=[0.0, 1.0, 2.0], probs=[0.25, 0.5, 0.25])
+        support, probs = np.tile([1.0, 2.0, 0.0], (3, 3, 1)), np.tile(short, (3, 3, 1))
+        support[2, 0], probs[2, 0] = [0.0, 1.0, 2.0], [0.25, 0.5, 0.25]
         mdp = TabularMdp(num_states=3, num_actions=3, horizon=1, discount=1.0,
                          initial_dist=short, transitions=np.tile(short, (3, 3, 1)),
-                         rewards=rewards)
+                         reward_support=support, reward_probs=probs)
         data = sample_dataset(mdp, Policy(table=[short] * 3), 4, LargestDraw())
         assert row_steps(data) == [(1, 1, 2.0, 0.5 - 5e-13)] * 2
         assert np.all(data.states == 1) and np.all(data.rewards == 2.0)
@@ -344,7 +398,7 @@ class TestEnumeration:
         mdp = TabularMdp(
             num_states=1, num_actions=2, horizon=1, discount=1.0,
             initial_dist=[1.0], transitions=np.ones((1, 2, 1)),
-            rewards=[[point_mass(0.0), point_mass(1.0)]],
+            **point_mass([[0.0, 1.0]]),
         )
         _, probs = enumerate_dataset(mdp, Policy(table=[[0.5, 0.5]]))
         assert len(probs) == 4
@@ -399,12 +453,39 @@ class TestSerialization:
         loaded = load_mdp(path)
         assert np.array_equal(loaded.transitions, mdp.transitions)
         assert np.array_equal(loaded.initial_dist, mdp.initial_dist)
-        assert loaded.rewards[2][1].probs.tolist() == mdp.rewards[2][1].probs.tolist()
+        assert np.array_equal(loaded.reward_support, mdp.reward_support)
+        assert np.array_equal(loaded.reward_probs, mdp.reward_probs)
+
+    def test_mixed_width_round_trip(self):
+        mdp = mdp_from_dict(MIXED_WIDTH)
+        # Shorter cells are padded to the widest cell with outcome 0.0 at probability 0.
+        assert mdp.reward_support.shape == (2, 2, 3)
+        assert mdp.reward_support[0].tolist() == [[1.3, 0.0, 0.0], [-0.6, 1.1, 0.0]]
+        assert mdp.reward_probs[0].tolist() == [[1.0, 0.0, 0.0], [0.35, 0.65, 0.0]]
+        obj = mdp_to_dict(mdp)
+        assert obj["rewards"][0][0] == {"support": [1.3, 0.0, 0.0], "probs": [1.0, 0.0, 0.0]}
+        back = mdp_from_dict(obj)
+        for field in ("initial_dist", "transitions", "reward_support", "reward_probs"):
+            assert np.array_equal(getattr(back, field), getattr(mdp, field))
+        assert mdp_to_dict(back) == obj
 
     def test_error_names_path(self):
         obj = mdp_to_dict(three_state_mdp())
         obj["rewards"][1][0]["probs"] = [0.3, 0.3]
         with pytest.raises(ValidationError, match=r"rewards\[1\]\[0\]"):
+            mdp_from_dict(obj)
+
+    def test_integer_beyond_the_float_range_rejected(self):
+        # json.loads reads 1e400 written as digits as an int that no float holds.
+        obj = mdp_to_dict(three_state_mdp())
+        obj["rewards"][1][0]["support"] = [0, 10**400]
+        with pytest.raises(ValidationError,
+                           match=r"^rewards\[1\]\[0\] needs numeric 'support' and 'probs'$"):
+            mdp_from_dict(obj)
+        obj = mdp_to_dict(three_state_mdp())
+        obj["initial_dist"] = [10**400, 0, 0]
+        with pytest.raises(ValidationError,
+                           match="^MDP spec: 'initial_dist' must be an array of numbers$"):
             mdp_from_dict(obj)
 
     def test_unknown_fields_rejected(self):

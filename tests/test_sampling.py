@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dml_ope import Policy, RewardSpec, TabularMdp, sample_dataset
+from dml_ope import Policy, TabularMdp, mdp_from_dict, sample_dataset
 from dml_ope.mdp import _inverse_cdf
 
 from helpers import noisy_lift, point_mass
@@ -38,9 +38,9 @@ def reference_sample(mdp: TabularMdp, policy: Policy, n: int, rng: np.random.Gen
         else:
             s = draw(mdp.transitions[states[:, t - 1], actions[:, t - 1]])
         a = draw(policy.table[s])
-        r_idx = draw(mdp._reward_probs[s, a])
+        r_idx = draw(mdp.reward_probs[s, a])
         states[:, t], actions[:, t] = s, a
-        rewards[:, t] = mdp._reward_support[s, a, r_idx]
+        rewards[:, t] = mdp.reward_support[s, a, r_idx]
     return states, actions, rewards, policy.table[states, actions]
 
 
@@ -72,18 +72,18 @@ class TestSearchEdges:
         assert_search_matches(probs, u)
 
     def test_padded_reward_rows_with_trailing_zeros(self):
-        mdp = TabularMdp(
-            num_states=1, num_actions=3, horizon=1, discount=1.0, initial_dist=[1.0],
-            transitions=np.ones((1, 3, 1)),
-            rewards=[[point_mass(2.0),
-                      RewardSpec(support=[0.0, 1.0], probs=[0.3, 0.7]),
-                      RewardSpec(support=[-1.0, 0.0, 5.0, 9.0], probs=[0.1, 0.2, 0.3, 0.4])]],
-        )
-        assert mdp._reward_probs[0, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
+        mdp = mdp_from_dict({
+            "num_states": 1, "num_actions": 3, "horizon": 1, "discount": 1.0,
+            "initial_dist": [1.0], "transitions": [[[1.0], [1.0], [1.0]]],
+            "rewards": [[{"support": [2.0], "probs": [1.0]},
+                         {"support": [0.0, 1.0], "probs": [0.3, 0.7]},
+                         {"support": [-1.0, 0.0, 5.0, 9.0], "probs": [0.1, 0.2, 0.3, 0.4]}]],
+        })
+        assert mdp.reward_probs[0, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
         cum = mdp._reward_cum
         u = np.concatenate([cum.ravel(), np.nextafter(cum.ravel(), 2.0),
                             np.linspace(0.0, 1.0, 101)])
-        assert_search_matches(mdp._reward_probs.reshape(3, 4), u)
+        assert_search_matches(mdp.reward_probs.reshape(3, 4), u)
         for seed in range(5):
             assert_same_draws(mdp, Policy(table=[[0.2, 0.3, 0.5]]), 200, seed)
 
@@ -106,7 +106,7 @@ class TestSearchEdges:
         mdp = TabularMdp(
             num_states=2, num_actions=1, horizon=2, discount=1.0, initial_dist=[0.4, 0.6],
             transitions=[[[0.5, 0.5]], [[0.9, 0.1]]],
-            rewards=[[point_mass(1.0)], [point_mass(-2.0)]],
+            **point_mass([[1.0], [-2.0]]),
         )
         for seed in range(5):
             assert_same_draws(mdp, Policy(table=[[1.0], [1.0]]), 50, seed)
@@ -134,18 +134,19 @@ def small_scenarios(draw):
         for _ in range(num_actions):
             width = draw(st.integers(1, 3))
             support = draw(st.lists(st.integers(-3, 3), min_size=width, max_size=width))
-            row.append(RewardSpec(support=support, probs=draw(distribution(width))))
+            row.append({"support": support, "probs": draw(distribution(width)).tolist()})
         rewards.append(row)
-    mdp = TabularMdp(
-        num_states=num_states,
-        num_actions=num_actions,
-        horizon=draw(st.integers(0, 2)),
-        discount=1.0,
-        initial_dist=draw(distribution(num_states)),
-        transitions=[[draw(distribution(num_states)) for _ in range(num_actions)]
-                     for _ in range(num_states)],
-        rewards=rewards,
-    )
+    # The JSON spec format takes cells of different widths and pads them.
+    mdp = mdp_from_dict({
+        "num_states": num_states,
+        "num_actions": num_actions,
+        "horizon": draw(st.integers(0, 2)),
+        "discount": 1.0,
+        "initial_dist": draw(distribution(num_states)).tolist(),
+        "transitions": [[draw(distribution(num_states)).tolist() for _ in range(num_actions)]
+                        for _ in range(num_states)],
+        "rewards": rewards,
+    })
     policy = Policy(table=[draw(distribution(num_actions)) for _ in range(num_states)])
     return mdp, policy
 
