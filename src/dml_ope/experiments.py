@@ -35,6 +35,7 @@ from .mdp import (
     Policy,
     TabularMdp,
     ValidationError,
+    check_array_bytes,
     check_at_least,
     check_folds,
     check_keys,
@@ -371,6 +372,14 @@ class ExperimentConfig:
             check_unit_interval(self.discount, "experiment config: 'discount'")
         check_level(self.level, "experiment config: 'level'")
         check_at_least(self.noise_states, 0, "noise_states: 'count'")
+        check_array_bytes(self.replications, 8 * self.replications,
+                          "experiment config: 'replications'")
+        check_array_bytes(self.n_trajectories, 8 * (self.mdp.horizon + 1) * self.n_trajectories,
+                          "experiment config: 'n_trajectories'")
+        # The noise-state lift's largest array is its (S*k, A, S*k) transition table.
+        lifted_states = self.mdp.num_states * self.noise_states
+        check_array_bytes(self.noise_states, 8 * self.mdp.num_actions * lifted_states**2,
+                          "noise_states: 'count'")
         check_at_least(self.seed, 0, "experiment config: 'seed'")
         check_at_least(self.noise_seed, 0, "noise_states: 'seed'")
         check_estimator_names(self.estimators, "experiment config: 'estimators'")

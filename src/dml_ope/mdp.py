@@ -51,6 +51,14 @@ def check_at_least(value: float, low: int, name: str) -> None:
         raise ValidationError(f"{name} must be >= {low}, got {value}")
 
 
+def check_array_bytes(value: int, nbytes: int, name: str) -> None:
+    """Raise, before anything is allocated, if ``value`` asks for an array of
+    ``nbytes`` bytes, more than numpy can shape."""
+    if nbytes > np.iinfo(np.intp).max:
+        raise ValidationError(f"{name} must fit one numpy array of at most "
+                              f"{np.iinfo(np.intp).max} bytes, got {value} ({nbytes} bytes)")
+
+
 def _check_prob_rows(table: np.ndarray, name: str) -> None:
     """Raise for the first row along the last axis that is not a distribution.
 

@@ -75,12 +75,19 @@ def random_policy(rng: np.random.Generator, num_states: int, num_actions: int) -
     return Policy(table=table / table.sum(axis=1, keepdims=True))
 
 
+def move_pair(table) -> tuple:
+    """The move pair of a dense ``(S, A, S)`` weight table: its nonzero flat
+    indices and their weights."""
+    idx = np.flatnonzero(table)
+    return idx, np.ravel(table)[idx]
+
+
 def true_nuisance(mdp: TabularMdp, behavior: Policy, evaluation: Policy) -> NuisanceEstimate:
-    """``behavior`` with the true Q tables of ``evaluation``; the MDP's transition
-    probabilities are its moves."""
-    q = q_recursion(mean_reward_table(mdp), mdp.transitions, evaluation, mdp.horizon,
-                    mdp.discount)
-    return NuisanceEstimate(behavior, q, mdp.transitions)
+    """``behavior`` with the true Q tables of ``evaluation``, from the MDP's
+    transition probabilities."""
+    q = q_recursion(mean_reward_table(mdp), move_pair(mdp.transitions), evaluation,
+                    mdp.horizon, mdp.discount)
+    return NuisanceEstimate(behavior, q)
 
 
 def three_state_mdp(discount: float = 0.9) -> TabularMdp:

@@ -41,6 +41,7 @@ from helpers import (
     bandit_mdp,
     bandit_policies,
     bernoulli,
+    move_pair,
     random_mdp,
     random_policy,
     three_state_mdp,
@@ -54,9 +55,9 @@ def check(label: str, ok: bool, detail: str) -> None:
 
 
 def true_nuisance(mdp, behavior, evaluation):
-    q = q_recursion(mean_reward_table(mdp), mdp.transitions, evaluation, mdp.horizon,
-                    mdp.discount)
-    return NuisanceEstimate(behavior, q, mdp.transitions)
+    q = q_recursion(mean_reward_table(mdp), move_pair(mdp.transitions), evaluation,
+                    mdp.horizon, mdp.discount)
+    return NuisanceEstimate(behavior, q)
 
 
 def random_instance(rng):

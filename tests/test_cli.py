@@ -12,6 +12,12 @@ from helpers import bandit_mdp, bandit_policies, noisy_lift, three_state_mdp, th
 _MDP = mdp_to_dict(three_state_mdp())
 
 
+def too_big(name, value, nbytes):
+    """The error for a count that needs an array larger than numpy can shape."""
+    return (f"{name} must fit one numpy array of at most {2**63 - 1} bytes, "
+            f"got {value} ({nbytes} bytes)")
+
+
 @pytest.fixture
 def workspace(tmp_path):
     mdp = three_state_mdp()
@@ -75,6 +81,19 @@ class TestSimulate:
         )
         assert code == 1
         assert f"error: --n must be >= 1, got {n}" in err
+        assert not out.exists()
+
+    # Counts numpy refuses at the shape: beyond an intp, and (N, 3) int64 columns
+    # past numpy's byte limit.
+    @pytest.mark.parametrize("n", [10**20, 2**59])
+    def test_huge_count_exits_1_naming_the_flag(self, workspace, capsys, n):
+        out = workspace / "x.jsonl"
+        code, _, err = run(
+            capsys, "simulate", "--mdp", str(workspace / "mdp.json"),
+            "--policy", str(workspace / "behavior.json"), "--n", str(n), "--output", str(out),
+        )
+        assert code == 1
+        assert err == f"error: {too_big('--n', n, 24 * n)}\n"
         assert not out.exists()
 
     def test_policy_shape_mismatch_names_the_flag(self, workspace, capsys):
@@ -394,6 +413,10 @@ class TestExperiment:
          "experiment config: 'n_trajectories' must be an integer, got 50.7"),
         ({"replications": True}, "experiment config: 'replications' must be an integer, got true"),
         ({"noise_states": {"count": -1}}, "noise_states: 'count' must be >= 0, got -1"),
+        ({"noise_states": {"count": 2**63}},
+         re.escape(too_big("noise_states: 'count'", 2**63, 16 * (3 * 2**63) ** 2))),
+        ({"n_trajectories": 10**20},
+         re.escape(too_big("experiment config: 'n_trajectories'", 10**20, 24 * 10**20))),
         ({"discount": 1.5}, "experiment config: 'discount' must lie in \\[0, 1\\], got 1.5"),
         ({"mdp": {**_MDP, "num_states": 3.7}}, "MDP spec: 'num_states' must be an integer, got 3.7"),
         ({"estimators": 5},
@@ -438,7 +461,8 @@ class TestExperiment:
          r"config\.json: experiment config: 'evaluation_policy': no file at \S*/x\n"),
     ], ids=["missing_n_trajectories", "string_n_trajectories", "non_object_nuisance",
             "top_level_k_folds", "nuisance_seed", "fractional_n_trajectories",
-            "boolean_replications", "negative_noise_count", "discount_above_1",
+            "boolean_replications", "negative_noise_count", "huge_noise_count",
+            "huge_n_trajectories", "discount_above_1",
             "fractional_mdp_num_states", "number_estimators", "string_estimators",
             "string_mdp_transitions", "string_policy_table", "nuisance_fit_subsample",
             "empty_estimators", "repeated_estimators", "level_above_1", "ground_truth_block",
@@ -606,6 +630,15 @@ class TestRmse:
         assert code == 1
         assert out == ""
         assert "error: --sims must be >= 1, got 0" in err
+
+    @pytest.mark.parametrize("sims", [2**63, 2**62])
+    def test_huge_sims_exits_1_naming_the_flag(self, tmp_path, capsys, sims):
+        # Two cells: a (sims, 2) array of draws, which numpy refuses at the shape.
+        path = self.cells_file(tmp_path)
+        code, out, err = run(capsys, "rmse", "--cells", str(path), "--sims", str(sims))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {too_big('--sims', sims, 16 * sims)}\n"
 
     def test_non_array_file(self, tmp_path, capsys):
         path = tmp_path / "cells.json"

@@ -41,8 +41,7 @@ from helpers import (
 
 def zero_q_nuisance(behavior, horizon):
     shape = (horizon + 1,) + behavior.table.shape
-    return NuisanceEstimate(behavior, np.zeros(shape),
-                            np.ones(behavior.table.shape + (behavior.num_states,)))
+    return NuisanceEstimate(behavior, np.zeros(shape))
 
 
 class TestImportanceWeights:
@@ -93,7 +92,7 @@ class TestScores:
     def test_hand_evaluated_bandit_score(self):
         # rho_0 = 0.9 / 0.45 = 2, R = 1, q(taken) = 0.5, sum_a pi_e q = 0.6
         row = one_row(states=[0], actions=[0], rewards=[1.0])
-        eta = NuisanceEstimate(Policy(table=[[0.45, 0.55]]), [[[0.5, 1.5]]], np.ones((1, 2, 1)))
+        eta = NuisanceEstimate(Policy(table=[[0.45, 0.55]]), [[[0.5, 1.5]]])
         evaluation = Policy(table=[[0.9, 0.1]])
         assert _psi_scores(row, eta.behavior, eta.q, evaluation, 1.0)[0] == pytest.approx(
             1.6, abs=1e-12

@@ -1,5 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dml_ope import (
     LoggedDataset,
@@ -15,9 +20,11 @@ from dml_ope import (
     q_recursion,
     sample_dataset,
 )
-from dml_ope.nuisance import NuisanceConfig
+from dml_ope import nuisance
+from dml_ope.nuisance import NuisanceConfig, _count, _merge
 
-from helpers import noisy_lift, random_mdp, random_policy, three_state_mdp, three_state_policies
+from helpers import (move_pair, noisy_lift, random_mdp, random_policy, three_state_mdp,
+                     three_state_policies)
 
 
 def single_state_dataset(actions, rewards=None):
@@ -30,10 +37,15 @@ def single_state_dataset(actions, rewards=None):
     )
 
 
+def action_zero(num_states, num_actions):
+    """The evaluation policy that always plays action 0."""
+    return Policy(table=np.eye(num_actions)[np.zeros(num_states, dtype=int)])
+
+
 def fit_tables(data, num_states, num_actions, smoothing=0.5):
     """fit_nuisance under an evaluation policy that always plays action 0."""
-    eval_policy = Policy(table=np.eye(num_actions)[np.zeros(num_states, dtype=int)])
-    return fit_nuisance(data, eval_policy, 1.0, config=NuisanceConfig(smoothing_alpha=smoothing))
+    return fit_nuisance(data, action_zero(num_states, num_actions), 1.0,
+                        config=NuisanceConfig(smoothing_alpha=smoothing))
 
 
 def uneven_dataset(n, seed):
@@ -55,15 +67,30 @@ def dense_q(mean_reward, transitions, eval_policy, horizon, discount):
     return values
 
 
+def transition_table(moves):
+    """The transitions of an (S, A, S) table of moves, its moves over their row
+    totals with uniform rows where a cell has no moves, and the (S, A) mask of
+    those cells."""
+    totals = moves.sum(axis=2, keepdims=True)
+    trans = np.divide(moves, totals, out=np.full(moves.shape, 1.0 / moves.shape[2]),
+                      where=totals > 0)
+    return trans, totals[..., 0] == 0
+
+
 def counted_transitions(data, num_states, num_actions):
-    """The transition table of ``data`` from per-move accumulation, its moves
-    over their row totals with uniform rows where a cell has no moves, and the
-    (S, A) mask of those cells."""
+    """The transition table of ``data`` from per-move accumulation, and its mask
+    of cells without moves."""
     moves = np.zeros((num_states, num_actions, num_states))
     np.add.at(moves, (data.states[:, :-1], data.actions[:, :-1], data.states[:, 1:]), 1.0)
-    totals = moves.sum(axis=2, keepdims=True)
-    trans = np.divide(moves, totals, out=np.full(moves.shape, 1.0 / num_states), where=totals > 0)
-    return trans, totals[..., 0] == 0
+    return transition_table(moves)
+
+
+def fitted_transitions(data, num_states, num_actions):
+    """The transition table of the move pair a fit of ``data`` counts."""
+    idx, counts = _count(data, action_zero(num_states, num_actions))[1]
+    moves = np.zeros(num_states * num_actions * num_states)
+    moves[idx] = counts
+    return transition_table(moves.reshape(num_states, num_actions, num_states))[0]
 
 
 def fit_per_fold(data, folds, eval_policy, discount, **kwargs):
@@ -73,6 +100,16 @@ def fit_per_fold(data, folds, eval_policy, discount, **kwargs):
                      eval_policy, discount, **kwargs)
         for k in range(len(folds))
     ]
+
+
+def complement_moves(data, folds, eval_policy):
+    """For each fold, the move pair ``fit_nuisances`` merges from the other
+    folds' pairs, and the pair counted on the complement's rows."""
+    size = eval_policy.table.size * eval_policy.table.shape[0]
+    pairs = [_count(data.subset(f), eval_policy)[1] for f in folds]
+    return [(_merge(tuple(pairs[:k] + pairs[k + 1:]), size),
+             _count(data.subset(np.concatenate(folds[:k] + folds[k + 1:])), eval_policy)[1])
+            for k in range(len(folds))]
 
 
 class TestFolds:
@@ -145,40 +182,67 @@ class TestRewardAndTransitionEstimates:
             actions=np.zeros((3, 2), dtype=int),
             rewards=np.zeros((3, 2)),
         )
-        trans = fit_tables(data, 3, 1).transitions
+        trans = fitted_transitions(data, 3, 1)
         assert np.allclose(trans[0, 0], [0.0, 2 / 3, 1 / 3], atol=1e-12)
 
     def test_unobserved_transition_uniform(self):
         data = single_state_dataset([0])
-        trans = fit_tables(data, 4, 1).transitions
+        trans = fitted_transitions(data, 4, 1)
         assert np.allclose(trans, 0.25, atol=1e-12)
 
 
 class TestNuisanceEstimate:
     def test_q_must_be_three_dimensional(self):
         with pytest.raises(ValidationError, match=r"^q table must have shape \(T\+1, S, A\)$"):
-            NuisanceEstimate(Policy(table=[[0.5, 0.5]]), np.zeros((1, 2)), np.ones((1, 2, 1)))
+            NuisanceEstimate(Policy(table=[[0.5, 0.5]]), np.zeros((1, 2)))
 
     def test_q_must_be_finite(self):
         with pytest.raises(ValidationError, match="^q table entries must be finite$"):
-            NuisanceEstimate(Policy(table=[[0.5, 0.5]]), [[[0.0, np.nan]]], np.ones((1, 2, 1)))
+            NuisanceEstimate(Policy(table=[[0.5, 0.5]]), [[[0.0, np.nan]]])
 
 
 class TestQRecursion:
     def test_horizon_zero_is_mean_reward(self):
         mdp = three_state_mdp()
         mu = mean_reward_table(mdp)
-        q = q_recursion(mu, mdp.transitions, three_state_policies()[1], 0, 0.9)
+        q = q_recursion(mu, move_pair(mdp.transitions), three_state_policies()[1], 0, 0.9)
         assert np.allclose(q[0], mu, atol=1e-12)
-        with pytest.raises(ValidationError, match="transitions shape does not match mean_reward"):
-            q_recursion(mu, mdp.transitions[:2], three_state_policies()[1], 0, 0.9)
         with pytest.raises(ValidationError, match="eval policy shape does not match mean_reward"):
-            q_recursion(mu, mdp.transitions, Policy(table=[[0.5, 0.5]]), 0, 0.9)
+            q_recursion(mu, move_pair(mdp.transitions), Policy(table=[[0.5, 0.5]]), 0, 0.9)
+
+    @pytest.mark.parametrize("moves, message", [
+        # A pair of a larger table: the dense shape mismatch of a transition table.
+        (move_pair(np.ones((4, 2, 4))), r"lie in \[0, S\*A\*S\) = \[0, 18\), got 0 to 31"),
+        (([0, 1], [1.0]), r"two 1-d arrays of one length, got shapes \(2,\) and \(1,\)"),
+        ((np.zeros((1, 2), dtype=int), np.ones((1, 2))), "two 1-d arrays"),
+        (([2, 1], [1.0, 1.0]), "strictly increasing integers"),
+        (([1, 1], [1.0, 1.0]), "strictly increasing integers"),
+        (([0.0, 1.0], [1.0, 1.0]), "strictly increasing integers"),
+        (([-1, 3], [1.0, 1.0]), r"\[0, 18\), got -1 to 3"),
+        (([3, 18], [1.0, 1.0]), r"\[0, 18\), got 3 to 18"),
+        (([0, 1], [1.0, -0.5]), "finite and >= 0"),
+        (([0, 1], [np.nan, 1.0]), "finite and >= 0"),
+        (([0, 1], [1.0, np.inf]), "finite and >= 0"),
+    ], ids=["larger-table", "lengths", "2-d", "decreasing", "repeated", "float-index",
+            "negative-index", "index-past-end", "negative-weight", "nan-weight", "inf-weight"])
+    def test_malformed_move_pair_named(self, moves, message):
+        mu = mean_reward_table(three_state_mdp())
+        with pytest.raises(ValidationError, match=message):
+            q_recursion(mu, moves, three_state_policies()[1], 2, 0.9)
+
+    def test_moves_of_zero_weight_change_nothing(self):
+        mdp = three_state_mdp()
+        mu = mean_reward_table(mdp)
+        idx, weights = move_pair(mdp.transitions)
+        policy = three_state_policies()[1]
+        np.testing.assert_array_equal(
+            q_recursion(mu, (idx, np.where(idx % 2 == 0, weights, 0.0)), policy, 2, 0.9),
+            q_recursion(mu, (idx[idx % 2 == 0], weights[idx % 2 == 0]), policy, 2, 0.9))
 
     def test_zero_discount_collapses(self):
         mdp = three_state_mdp()
         mu = mean_reward_table(mdp)
-        q = q_recursion(mu, mdp.transitions, three_state_policies()[1], 2, 0.0)
+        q = q_recursion(mu, move_pair(mdp.transitions), three_state_policies()[1], 2, 0.0)
         for t in range(3):
             assert np.allclose(q[t], mu, atol=1e-12)
 
@@ -188,7 +252,7 @@ class TestQRecursion:
         rng = np.random.default_rng(5)
         mdp = random_mdp(rng, 2, 2, 1)
         policy = random_policy(rng, 2, 2)
-        q = q_recursion(mean_reward_table(mdp), mdp.transitions, policy,
+        q = q_recursion(mean_reward_table(mdp), move_pair(mdp.transitions), policy,
                         mdp.horizon, mdp.discount)
         data, probs = enumerate_dataset(mdp, policy)
         disc = mdp.discount ** np.arange(mdp.horizon + 1)
@@ -203,8 +267,8 @@ class TestQRecursion:
         mdp = three_state_mdp()
         policy = three_state_policies()[1]
         mu = mean_reward_table(mdp)
-        q1 = q_recursion(mu, mdp.transitions, policy, 2, 0.9)
-        q3 = q_recursion(3.0 * mu, mdp.transitions, policy, 2, 0.9)
+        q1 = q_recursion(mu, move_pair(mdp.transitions), policy, 2, 0.9)
+        q3 = q_recursion(3.0 * mu, move_pair(mdp.transitions), policy, 2, 0.9)
         assert np.allclose(3.0 * q1, q3, atol=1e-12)
 
 
@@ -221,7 +285,7 @@ class TestSparseRecursion:
         np.testing.assert_allclose(
             eta.q, dense_q(eta.mean_reward, trans, evaluation, data.horizon, 0.9),
             rtol=0, atol=1e-12)
-        assert np.array_equal(eta.transitions, trans)
+        assert np.array_equal(fitted_transitions(data, mdp.num_states, mdp.num_actions), trans)
 
     def test_cells_without_moves_take_the_mean_next_value(self):
         # (1, 0) and (2, 1) are visited only at the last step, so they have no moves.
@@ -232,7 +296,7 @@ class TestSparseRecursion:
         eta = fit_nuisance(data, evaluation, 0.8)
         trans, empty = counted_transitions(data, 3, 2)
         assert np.argwhere(empty).tolist() == [[1, 0], [2, 1]]
-        assert np.array_equal(eta.transitions, trans)
+        assert np.array_equal(fitted_transitions(data, 3, 2), trans)
         q = eta.q
         np.testing.assert_allclose(q, dense_q(eta.mean_reward, trans, evaluation, 2, 0.8),
                                    rtol=0, atol=1e-12)
@@ -245,7 +309,7 @@ class TestSparseRecursion:
         mdp, _, evaluation = noisy_lift()
         mu = mean_reward_table(mdp)
         np.testing.assert_allclose(
-            q_recursion(mu, mdp.transitions, evaluation, mdp.horizon, 0.9),
+            q_recursion(mu, move_pair(mdp.transitions), evaluation, mdp.horizon, 0.9),
             dense_q(mu, mdp.transitions, evaluation, mdp.horizon, 0.9), rtol=0, atol=1e-12)
 
 
@@ -312,15 +376,16 @@ class TestFitNuisances:
         smoothed = counts + 0.5
         assert np.array_equal(eta.behavior.table, smoothed / smoothed.sum(axis=1, keepdims=True))
         assert np.array_equal(eta.mean_reward, sums / counts)
-        assert np.array_equal(eta.transitions, moves / moves.sum(axis=2, keepdims=True))
+        assert np.array_equal(fitted_transitions(data, 3, 2),
+                              moves / moves.sum(axis=2, keepdims=True))
 
 
 class TestCountTables:
-    FIELDS = ("behavior", "q", "mean_reward", "transitions")
+    FIELDS = ("behavior", "q", "mean_reward")
 
     @staticmethod
     def tables(eta):
-        return (eta.behavior.table, eta.q, eta.mean_reward, eta.transitions)
+        return (eta.behavior.table, eta.q, eta.mean_reward)
 
     @pytest.mark.parametrize("known", [False, True], ids=["estimated", "known"])
     def test_two_folds_equal_per_fold_fits_bit_for_bit(self, known):
@@ -336,6 +401,8 @@ class TestCountTables:
             assert np.array_equal(fit.mean_reward[4], np.full(2, ref.mean_reward[4, 0]))
             for name, got, want in zip(self.FIELDS, self.tables(fit), self.tables(ref)):
                 assert np.array_equal(got, want), name
+        for merged, counted in complement_moves(data, folds, evaluation):
+            assert all(np.array_equal(got, want) for got, want in zip(merged, counted))
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_more_folds_match_per_fold_fits(self, k):
@@ -348,10 +415,110 @@ class TestCountTables:
         for fit, ref in zip(fits, reference, strict=True):
             for got, want in zip(self.tables(fit), self.tables(ref)):
                 np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        for merged, counted in complement_moves(data, folds, evaluation):
+            assert all(np.array_equal(got, want) for got, want in zip(merged, counted))
 
     def test_unobserved_reward_cell_falls_back_to_mean_reward(self):
         data = uneven_dataset(30, seed=7)
         evaluation = random_policy(np.random.default_rng(8), 5, 2)
         eta = fit_nuisance(data, evaluation, 0.9)
         assert np.array_equal(eta.mean_reward[4], np.full(2, data.rewards.mean()))
-        assert np.array_equal(eta.transitions[4], np.full((2, 5), 0.2))
+        # State 4's cells have no moves, so they take mean(v_{t+1}): uniform rows.
+        assert not np.any(_count(data, evaluation)[1][0] // 10 == 4)
+        for t in range(data.horizon):
+            v_next = (evaluation.table * eta.q[t + 1]).sum(axis=1)
+            assert np.array_equal(eta.q[t, 4], eta.mean_reward[4] + 0.9 * v_next.mean())
+
+
+# SORT_DIVISOR values that send every count and merge of at least one move to
+# np.unique, or to the dense table.
+ROUTES = {"sorted": 0, "dense": 2**62}
+
+
+@st.composite
+def keyed_parts(draw):
+    """A table shape (S, A) and 2-4 parts of one horizon >= 1, each of random
+    rows whose flat move keys are ``(s*A + a)*S + s'``."""
+    num_states, num_actions = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    steps = draw(st.integers(2, 4))
+    parts = []
+    for _ in range(draw(st.integers(2, 4))):
+        n = draw(st.integers(1, 12))
+        ids = [draw(st.lists(st.integers(0, high - 1), min_size=n * steps, max_size=n * steps))
+               for high in (num_states, num_actions)]
+        states, actions = (np.reshape(x, (n, steps)) for x in ids)
+        parts.append(LoggedDataset(states=states, actions=actions, rewards=np.zeros((n, steps))))
+    return num_states, num_actions, parts
+
+
+def dense_pair(parts, num_states, num_actions):
+    """The move pair of the sum of each part's np.bincount of its move keys."""
+    size = num_states * num_actions * num_states
+    total = sum(np.bincount(((p.states[:, :-1] * num_actions + p.actions[:, :-1]) * num_states
+                             + p.states[:, 1:]).ravel(), minlength=size) for p in parts)
+    idx = np.flatnonzero(total)
+    return idx, total[idx]
+
+
+def assert_pairs_equal(got, want):
+    assert all(g.dtype == np.int64 for g in got)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+class TestMovePairs:
+    """Both routes of the size rule give one pair: the sorted nonzero flat
+    indices and int64 counts of a dense np.bincount."""
+
+    @settings(deadline=None)
+    @given(keyed_parts())
+    def test_count_routes_agree(self, drawn):
+        num_states, num_actions, parts = drawn
+        policy = action_zero(num_states, num_actions)
+        for part in parts:
+            for divisor in ROUTES.values():
+                with mock.patch.object(nuisance, "SORT_DIVISOR", divisor):
+                    pair = _count(part, policy)[1]
+                assert_pairs_equal(pair, dense_pair([part], num_states, num_actions))
+
+    @settings(deadline=None)
+    @given(keyed_parts())
+    def test_merge_routes_agree(self, drawn):
+        num_states, num_actions, parts = drawn
+        pairs = tuple(_count(p, action_zero(num_states, num_actions))[1] for p in parts)
+        for divisor in ROUTES.values():
+            with mock.patch.object(nuisance, "SORT_DIVISOR", divisor):
+                merged = _merge(pairs, num_states * num_actions * num_states)
+            assert_pairs_equal(merged, dense_pair(parts, num_states, num_actions))
+
+    def test_parts_straddling_the_rule_match_per_fold_fits_bit_for_bit(self):
+        # 5 states, 2 actions: 50 cells, so under SORT_DIVISOR = 6 the 2- and 4-move
+        # parts and their 6-move merge are sorted, and the 80-move part and the
+        # merges that hold it go through the dense table. Rewards in eighths sum
+        # exactly in any order, so only the move pairs could make the fits differ.
+        uneven = uneven_dataset(43, seed=9)
+        data = LoggedDataset(states=uneven.states, actions=uneven.actions,
+                             rewards=np.round(uneven.rewards * 8) / 8)
+        evaluation = random_policy(np.random.default_rng(10), 5, 2)
+        folds = (np.arange(0, 1), np.arange(1, 3), np.arange(3, 43))
+        parts = [data.subset(f) for f in folds]
+        moves = [p.n * p.horizon for p in parts]
+        assert nuisance.SORT_DIVISOR == 6 and moves == [2, 4, 80]
+        fits = fit_nuisances(parts, evaluation, 0.9)
+        for fit, ref in zip(fits, fit_per_fold(data, folds, evaluation, 0.9), strict=True):
+            for got, want in zip(TestCountTables.tables(fit), TestCountTables.tables(ref)):
+                assert np.array_equal(got, want)
+        for merged, counted in complement_moves(data, folds, evaluation):
+            assert_pairs_equal(merged, counted)
+
+    def test_small_fit_builds_no_dense_move_table(self):
+        # The lift's S*A*S = 115,200 cells take 921,600 bytes as a dense int64 table.
+        mdp, _, evaluation = noisy_lift()
+        data = sample_dataset(mdp, evaluation, 1000, np.random.default_rng(23))
+        parts = [data.subset(f) for f in make_folds(data.n, 2, np.random.default_rng(24))]
+        tracemalloc.start()
+        try:
+            fit_nuisances(parts, evaluation, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mdp.num_states * mdp.num_actions * mdp.num_states * 8
