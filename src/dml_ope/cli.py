@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import cb_efficiency_bound
-from .mdp import (ValidationError, check_array_bytes, check_at_least, check_folds,
-                  check_level, check_unit_interval, load_mdp, read_json, sample_dataset)
+from .mdp import (ValidationError, check_at_least, check_folds, check_level,
+                  check_unit_interval, load_mdp, read_json, sample_dataset, sized_by)
 from .nuisance import NuisanceConfig
 from .experiments import (
     cell_from_dict,
@@ -99,10 +99,10 @@ def _build_parser() -> _Parser:
 def _cmd_simulate(args) -> None:
     check_at_least(args.n, 1, "--n")
     mdp = load_mdp(args.mdp)
-    check_array_bytes(args.n, 8 * args.n * (mdp.horizon + 1), "--n")
     policy = load_policy(args.policy)
     mdp.check_policy(policy, "--policy")
-    data = sample_dataset(mdp, policy, args.n, np.random.default_rng(args.seed))
+    with sized_by(args.n, "--n"):
+        data = sample_dataset(mdp, policy, args.n, np.random.default_rng(args.seed))
     write_jsonl(data, args.output)
 
 
@@ -166,13 +166,13 @@ def _cells_from_list(raw) -> list:
 def _cmd_rmse(args) -> None:
     check_at_least(args.sims, 1, "--sims")
     cells = read_json(args.cells, _cells_from_list)
-    check_array_bytes(args.sims, 8 * args.sims * len(cells), "--sims")
     value = relative_rmse(cells)
     report = {"relative_rmse": value, "sims": args.sims}
     if all(c.ope_variance is not None and c.n_ope is not None for c in cells):
-        report["standard_error"] = relative_rmse_se(
-            cells, np.random.default_rng(args.seed), sims=args.sims
-        )
+        with sized_by(args.sims, "--sims"):
+            report["standard_error"] = relative_rmse_se(
+                cells, np.random.default_rng(args.seed), sims=args.sims
+            )
     _emit(report, args.output)
 
 

@@ -35,7 +35,6 @@ from .mdp import (
     Policy,
     TabularMdp,
     ValidationError,
-    check_array_bytes,
     check_at_least,
     check_folds,
     check_keys,
@@ -47,6 +46,7 @@ from .mdp import (
     mdp_from_dict,
     read_json,
     sample_dataset,
+    sized_by,
 )
 from .nuisance import NuisanceConfig, check_table_shape, fit_nuisance
 
@@ -372,14 +372,6 @@ class ExperimentConfig:
             check_unit_interval(self.discount, "experiment config: 'discount'")
         check_level(self.level, "experiment config: 'level'")
         check_at_least(self.noise_states, 0, "noise_states: 'count'")
-        check_array_bytes(self.replications, 8 * self.replications,
-                          "experiment config: 'replications'")
-        check_array_bytes(self.n_trajectories, 8 * (self.mdp.horizon + 1) * self.n_trajectories,
-                          "experiment config: 'n_trajectories'")
-        # The noise-state lift's largest array is its (S*k, A, S*k) transition table.
-        lifted_states = self.mdp.num_states * self.noise_states
-        check_array_bytes(self.noise_states, 8 * self.mdp.num_actions * lifted_states**2,
-                          "noise_states: 'count'")
         check_at_least(self.seed, 0, "experiment config: 'seed'")
         check_at_least(self.noise_seed, 0, "noise_states: 'seed'")
         check_estimator_names(self.estimators, "experiment config: 'estimators'")
@@ -476,7 +468,8 @@ class MseReport:
 def _scenario(config: ExperimentConfig) -> tuple[TabularMdp, Policy, Policy]:
     mdp, behavior, evaluation = config.mdp, config.behavior_policy, config.evaluation_policy
     if config.noise_states > 0:
-        mdp = with_noise_states(mdp, config.noise_states, config.noise_seed)
+        with sized_by(config.noise_states, "noise_states: 'count'"):
+            mdp = with_noise_states(mdp, config.noise_states, config.noise_seed)
         behavior = lift_policy(behavior, config.noise_states)
         evaluation = lift_policy(evaluation, config.noise_states)
     return mdp, behavior, evaluation
@@ -489,7 +482,8 @@ def _run_replications(config: ExperimentConfig, seeds: list) -> list[dict[str, f
     rows = []
     for seed_seq in seeds:
         rng = np.random.default_rng(seed_seq)  # samples from child 0; estimators from 1 on
-        data = sample_dataset(mdp, behavior, config.n_trajectories, *rng.spawn(1))
+        with sized_by(config.n_trajectories, "experiment config: 'n_trajectories'"):
+            data = sample_dataset(mdp, behavior, config.n_trajectories, *rng.spawn(1))
         results = evaluate_dataset(
             data, evaluation, config.effective_discount, config.estimators, rng,
             known_behavior=known, k_folds=config.k_folds, config=config.nuisance,
@@ -513,8 +507,11 @@ def run_mse_experiment(config: ExperimentConfig) -> MseReport:
         workers = int(threads)
     except ValueError:
         raise ValidationError(f"OPE_DML_THREADS must be an integer, got {threads!r}") from None
-    truth = ground_truth_value(config)
     reps = config.replications
+    # The estimates' table is allocated before the seed list, which grows with reps.
+    with sized_by(reps, "experiment config: 'replications'"):
+        estimates = np.empty((len(config.estimators), reps))
+    truth = ground_truth_value(config)
     seeds = np.random.SeedSequence(config.seed).spawn(reps)
     blocks = min(max(workers, 1), reps, os.cpu_count() or 1)
     if blocks == 1:
@@ -526,17 +523,17 @@ def run_mse_experiment(config: ExperimentConfig) -> MseReport:
                                   [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
             rows = [row for block in block_rows for row in block]
     results = {}
-    for name in config.estimators:
-        estimates = np.array([row[name] for row in rows])
-        errors_sq = (estimates - truth) ** 2
+    for name, column in zip(config.estimators, estimates):
+        column[:] = [row[name] for row in rows]
+        errors_sq = (column - truth) ** 2
         mse = float(errors_sq.mean())
         se = float(errors_sq.std(ddof=1) / np.sqrt(reps)) if reps > 1 else None
         results[name] = EstimatorMse(
             estimator=name,
             mse=mse,
             se_of_mse=se,
-            bias=float(estimates.mean() - truth),
-            variance=float(estimates.var()),
+            bias=float(column.mean() - truth),
+            variance=float(column.var()),
             replications=reps,
         )
     return MseReport(

@@ -10,6 +10,7 @@ import json
 import math
 import numbers
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,12 +52,17 @@ def check_at_least(value: float, low: int, name: str) -> None:
         raise ValidationError(f"{name} must be >= {low}, got {value}")
 
 
-def check_array_bytes(value: int, nbytes: int, name: str) -> None:
-    """Raise, before anything is allocated, if ``value`` asks for an array of
-    ``nbytes`` bytes, more than numpy can shape."""
-    if nbytes > np.iinfo(np.intp).max:
-        raise ValidationError(f"{name} must fit one numpy array of at most "
-                              f"{np.iinfo(np.intp).max} bytes, got {value} ({nbytes} bytes)")
+@contextmanager
+def sized_by(value: int, name: str):
+    """Re-raise numpy's refusal to shape or allocate an array in the block, whose
+    size ``value`` set, as a ValidationError naming ``name``."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (MemoryError, ValueError) as exc:
+        raise ValidationError(f"{name} must size arrays numpy can allocate ({exc}), "
+                              f"got {value}") from None
 
 
 def _check_prob_rows(table: np.ndarray, name: str) -> None:

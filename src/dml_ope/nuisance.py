@@ -11,11 +11,11 @@ mean reward, uniform transitions, and uniform (or smoothed) behavior rows so
 the Q recursion is defined everywhere. A fit is the record ``(behavior, q)``.
 
 Transition counts are a move pair: the sorted flat indices ``(s*A + a)*S + s'``
-of the observed moves and their int64 counts. While ``moves * SORT_DIVISOR <
-S*A*S`` the moves are sorted (``np.unique``), else counted in one dense table,
-and a complement merges its parts' pairs by the same rule. The Q recursion
-runs over the pair, so a step costs at most min(n*T, S*A*S) operations; a
-cell without moves takes the mean of the next step's values, the uniform row.
+of the observed moves and their int64 counts, sorted by ``np.unique`` while
+``moves * SORT_DIVISOR < S*A*S``, else counted in one dense table, as are the
+pairs of a complement of two or more parts. The Q recursion runs over the
+pair, so a step costs at most min(n*T, S*A*S) operations; a cell without
+moves takes the mean of the next step's values, the uniform row.
 """
 from __future__ import annotations
 
@@ -166,13 +166,10 @@ def _count(data: LoggedDataset, eval_policy: Policy) -> tuple:
 
 
 def _merge(pairs: tuple, size: int) -> tuple:
-    """The move pair of the sum of ``pairs`` by the size rule: sorted, or added
-    into one dense table, which is exact as each pair's indices are distinct."""
+    """The move pair of the sum of ``pairs``: one pair as it is, more added into
+    one int64 table, which is exact as each pair's indices are distinct."""
     if len(pairs) == 1:
         return pairs[0]
-    if sum(i.size for i, _ in pairs) * SORT_DIVISOR < size:
-        idx, inverse = np.unique(np.concatenate([i for i, _ in pairs]), return_inverse=True)
-        return idx, np.bincount(inverse, np.concatenate([c for _, c in pairs])).astype(np.int64)
     dense = np.zeros(size, dtype=np.int64)
     for i, c in pairs:
         dense[i] += c

@@ -12,10 +12,11 @@ from helpers import bandit_mdp, bandit_policies, noisy_lift, three_state_mdp, th
 _MDP = mdp_to_dict(three_state_mdp())
 
 
-def too_big(name, value, nbytes):
-    """The error for a count that needs an array larger than numpy can shape."""
-    return (f"{name} must fit one numpy array of at most {2**63 - 1} bytes, "
-            f"got {value} ({nbytes} bytes)")
+def too_big(name, value):
+    """The pattern of the error for a count whose arrays numpy refuses, with
+    numpy's own reason left open."""
+    return re.escape(f"{name} must size arrays numpy can allocate (") + r".+" + re.escape(
+        f"), got {value}")
 
 
 @pytest.fixture
@@ -93,7 +94,7 @@ class TestSimulate:
             "--policy", str(workspace / "behavior.json"), "--n", str(n), "--output", str(out),
         )
         assert code == 1
-        assert err == f"error: {too_big('--n', n, 24 * n)}\n"
+        assert re.fullmatch(f"error: {too_big('--n', n)}\n", err)
         assert not out.exists()
 
     def test_policy_shape_mismatch_names_the_flag(self, workspace, capsys):
@@ -413,10 +414,9 @@ class TestExperiment:
          "experiment config: 'n_trajectories' must be an integer, got 50.7"),
         ({"replications": True}, "experiment config: 'replications' must be an integer, got true"),
         ({"noise_states": {"count": -1}}, "noise_states: 'count' must be >= 0, got -1"),
-        ({"noise_states": {"count": 2**63}},
-         re.escape(too_big("noise_states: 'count'", 2**63, 16 * (3 * 2**63) ** 2))),
-        ({"n_trajectories": 10**20},
-         re.escape(too_big("experiment config: 'n_trajectories'", 10**20, 24 * 10**20))),
+        ({"noise_states": {"count": 2**63}}, too_big("noise_states: 'count'", 2**63)),
+        ({"n_trajectories": 10**20}, too_big("experiment config: 'n_trajectories'", 10**20)),
+        ({"replications": 2**63}, too_big("experiment config: 'replications'", 2**63)),
         ({"discount": 1.5}, "experiment config: 'discount' must lie in \\[0, 1\\], got 1.5"),
         ({"mdp": {**_MDP, "num_states": 3.7}}, "MDP spec: 'num_states' must be an integer, got 3.7"),
         ({"estimators": 5},
@@ -462,7 +462,7 @@ class TestExperiment:
     ], ids=["missing_n_trajectories", "string_n_trajectories", "non_object_nuisance",
             "top_level_k_folds", "nuisance_seed", "fractional_n_trajectories",
             "boolean_replications", "negative_noise_count", "huge_noise_count",
-            "huge_n_trajectories", "discount_above_1",
+            "huge_n_trajectories", "huge_replications", "discount_above_1",
             "fractional_mdp_num_states", "number_estimators", "string_estimators",
             "string_mdp_transitions", "string_policy_table", "nuisance_fit_subsample",
             "empty_estimators", "repeated_estimators", "level_above_1", "ground_truth_block",
@@ -638,7 +638,7 @@ class TestRmse:
         code, out, err = run(capsys, "rmse", "--cells", str(path), "--sims", str(sims))
         assert code == 1
         assert out == ""
-        assert err == f"error: {too_big('--sims', sims, 16 * sims)}\n"
+        assert re.fullmatch(f"error: {too_big('--sims', sims)}\n", err)
 
     def test_non_array_file(self, tmp_path, capsys):
         path = tmp_path / "cells.json"

@@ -585,19 +585,23 @@ class TestMseExperiment:
         ({"seed": -1}, "experiment config: 'seed' must be >= 0, got -1"),
         ({"noise_seed": -1}, "noise_states: 'seed' must be >= 0, got -1"),
         ({"noise_states": -1}, "noise_states: 'count' must be >= 0, got -1"),
-        # Sizes numpy refuses at the shape; the largest arrays are the (R,) estimates,
-        # the (N, T+1) columns and the lift's (3k, 2, 3k) transitions.
-        ({"replications": 2**63}, f"experiment config: 'replications' must fit one numpy "
-         f"array of at most {2**63 - 1} bytes, got {2**63} ({8 * 2**63} bytes)"),
-        ({"n_trajectories": 2**63}, f"experiment config: 'n_trajectories' must fit one numpy "
-         f"array of at most {2**63 - 1} bytes, got {2**63} ({24 * 2**63} bytes)"),
-        ({"noise_states": 2**63}, f"noise_states: 'count' must fit one numpy array of at most "
-         f"{2**63 - 1} bytes, got {2**63} ({16 * (3 * 2**63) ** 2} bytes)"),
     ], ids=["discount", "level", "k_folds", "replications", "seed", "noise_seed",
-            "noise_count", "huge_replications", "huge_n_trajectories", "huge_noise_count"])
+            "noise_count"])
     def test_direct_config_rejects_bad_parameters(self, changes, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             small_config(**changes)
+
+    # Counts whose arrays numpy refuses at the shape: the (1, R) estimates, allocated
+    # before the R seeds, the (N, T+1) columns and the lift's noise chain.
+    @pytest.mark.parametrize("changes, name", [
+        ({"replications": 2**63}, "experiment config: 'replications'"),
+        ({"n_trajectories": 2**63}, "experiment config: 'n_trajectories'"),
+        ({"noise_states": 2**63}, "noise_states: 'count'"),
+    ], ids=["replications", "n_trajectories", "noise_count"])
+    def test_huge_count_named_when_its_arrays_are_refused(self, changes, name):
+        pattern = re.escape(f"{name} must size arrays numpy can allocate (") + r".+\), got "
+        with pytest.raises(ValidationError, match=f"^{pattern}{2**63}$"):
+            run_mse_experiment(small_config(**changes))
 
 
 class TestConfigParsing:

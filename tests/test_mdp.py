@@ -20,7 +20,7 @@ from dml_ope import (
     reward_variance_table,
     sample_dataset,
 )
-from dml_ope.mdp import check_at_least, check_folds, check_level, check_unit_interval
+from dml_ope.mdp import check_at_least, check_folds, check_level, check_unit_interval, sized_by
 
 from helpers import (
     bernoulli,
@@ -207,6 +207,21 @@ class TestRunParameterRules:
     ])
     def test_edges_pass(self, check, args):
         check(*args)
+
+    # numpy's MemoryError comes before any page is touched; here it is raised by
+    # hand, so nothing is allocated.
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 21.3 PiB"),
+                                       ValueError("Maximum allowed dimension exceeded")])
+    def test_refused_allocation_names_the_count(self, error):
+        message = f"--n must size arrays numpy can allocate ({error}), got {10**15}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            with sized_by(10**15, "--n"):
+                raise error
+
+    def test_validation_error_in_a_sized_block_passes_unchanged(self):
+        with pytest.raises(ValidationError, match="^x must be >= 1, got 0$"):
+            with sized_by(5, "--n"):
+                check_at_least(0, 1, "x")
 
 
 class TestReadJson:

@@ -430,8 +430,8 @@ class TestCountTables:
             assert np.array_equal(eta.q[t, 4], eta.mean_reward[4] + 0.9 * v_next.mean())
 
 
-# SORT_DIVISOR values that send every count and merge of at least one move to
-# np.unique, or to the dense table.
+# SORT_DIVISOR values that send every count of at least one move to np.unique,
+# or to the dense table.
 ROUTES = {"sorted": 0, "dense": 2**62}
 
 
@@ -466,8 +466,8 @@ def assert_pairs_equal(got, want):
 
 
 class TestMovePairs:
-    """Both routes of the size rule give one pair: the sorted nonzero flat
-    indices and int64 counts of a dense np.bincount."""
+    """Both routes of the size rule, and the merge of two or more pairs, give the
+    sorted nonzero flat indices and int64 counts of a dense np.bincount."""
 
     @settings(deadline=None)
     @given(keyed_parts())
@@ -482,19 +482,17 @@ class TestMovePairs:
 
     @settings(deadline=None)
     @given(keyed_parts())
-    def test_merge_routes_agree(self, drawn):
+    def test_merge_is_the_dense_sum(self, drawn):
         num_states, num_actions, parts = drawn
         pairs = tuple(_count(p, action_zero(num_states, num_actions))[1] for p in parts)
-        for divisor in ROUTES.values():
-            with mock.patch.object(nuisance, "SORT_DIVISOR", divisor):
-                merged = _merge(pairs, num_states * num_actions * num_states)
-            assert_pairs_equal(merged, dense_pair(parts, num_states, num_actions))
+        merged = _merge(pairs, num_states * num_actions * num_states)
+        assert_pairs_equal(merged, dense_pair(parts, num_states, num_actions))
 
     def test_parts_straddling_the_rule_match_per_fold_fits_bit_for_bit(self):
         # 5 states, 2 actions: 50 cells, so under SORT_DIVISOR = 6 the 2- and 4-move
-        # parts and their 6-move merge are sorted, and the 80-move part and the
-        # merges that hold it go through the dense table. Rewards in eighths sum
-        # exactly in any order, so only the move pairs could make the fits differ.
+        # parts are sorted and the 80-move part goes through the dense table; each
+        # complement merges two of the three pairs. Rewards in eighths sum exactly
+        # in any order, so only the move pairs could make the fits differ.
         uneven = uneven_dataset(43, seed=9)
         data = LoggedDataset(states=uneven.states, actions=uneven.actions,
                              rewards=np.round(uneven.rewards * 8) / 8)
