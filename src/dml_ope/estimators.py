@@ -29,9 +29,10 @@ from .nuisance import (
     NuisanceConfig,
     NuisanceEstimate,
     SupportViolationError,
+    _count,
+    _fit,
     check_support,
     check_table_shape,
-    fit_nuisance,
     fit_nuisances,
     make_folds,
 )
@@ -108,34 +109,36 @@ def _weight_matrix(pe: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return np.cumprod(rho, axis=1, out=rho)
 
 
-def _psi_scores(
-    data: LoggedDataset,
-    behavior: Policy,
-    q: np.ndarray | None,
-    eval_policy: Policy,
-    discount: float,
-) -> np.ndarray:
-    """Vectorized doubly robust score per trajectory with the (T+1, S, A) Q array
-    ``q`` as control variate; ``q=None`` is the control variate Q = 0, the IPW score.
-    Every table is read through the dataset's flat cell index."""
-    steps = data.horizon + 1
-    sa = data.cells(eval_policy, "evaluation")
-    check_table_shape(behavior.table.shape, eval_policy, "behavior policy")
-    rho = _weight_matrix(eval_policy.table.take(sa), behavior.table.take(sa))
-    disc = discount ** np.arange(steps)
-    if q is None:
-        return (rho * data.rewards * disc).sum(axis=1)
+def _check_q(q: np.ndarray, steps: int, eval_policy: Policy) -> None:
+    """Raise unless ``q`` holds one (S, A) table of ``eval_policy``'s shape per step."""
     if q.shape[0] != steps:
         raise ValidationError("q table does not span the dataset horizon")
     check_table_shape(q.shape[1:], eval_policy, "per-step q")
-    num_states, num_actions = eval_policy.table.shape
-    sa += np.arange(steps) * (num_states * num_actions)  # t*S*A + s*A + a, into q
-    terms = rho * (data.rewards - q.take(sa))
-    np.add(data.states, np.arange(steps) * num_states, out=sa)  # t*S + s, into v_t(s)
+
+
+def _psi_scores(sa: np.ndarray, states: np.ndarray, rewards: np.ndarray, behavior: Policy,
+                q: np.ndarray | None, eval_policy: Policy, discount: float) -> np.ndarray:
+    """Vectorized doubly robust score per trajectory of the row set ``(sa, states,
+    rewards)`` with the (T+1, S, A) Q array ``q`` as control variate; ``q=None`` is the
+    IPW score, Q = 0. Every table is read through the cell index ``sa``, left unchanged."""
+    t = np.arange(sa.shape[1])
+    check_table_shape(behavior.table.shape, eval_policy, "behavior policy")
+    rho = _weight_matrix(eval_policy.table.take(sa), behavior.table.take(sa))
+    disc = discount ** t
+    if q is None:
+        return (rho * rewards * disc).sum(axis=1)
+    _check_q(q, t.size, eval_policy)
+    terms = rho * (rewards - q.reshape(t.size, -1).T[sa, t])  # q_t(s_t, a_t)
     rho[:, 1:] = rho[:, :-1]  # rho_{t-1}, with rho_{-1} = 1
     rho[:, 0] = 1.0
-    terms += rho * np.einsum("tsa,sa->ts", q, eval_policy.table).take(sa)
+    terms += rho * np.einsum("tsa,sa->ts", q, eval_policy.table).T[states, t]  # v_t(s_t)
     return (terms * disc).sum(axis=1)
+
+
+def _fold_rows(data: LoggedDataset, eval_policy: Policy, folds: tuple) -> list:
+    """Each fold's row set ``(sa, states, rewards)`` of one cell index; take beats indexing."""
+    sa = data.cells(eval_policy, "evaluation")
+    return [tuple(x.take(fold, axis=0) for x in (sa, data.states, data.rewards)) for fold in folds]
 
 
 def dm_estimate(
@@ -146,7 +149,7 @@ def dm_estimate(
 ) -> ValueEstimate:
     """Direct method: average the fitted initial-state value over the data."""
     data.cells(eval_policy, "evaluation")
-    check_table_shape(eta.q.shape[1:], eval_policy, "per-step q")
+    _check_q(eta.q, data.horizon + 1, eval_policy)
     v0 = (eval_policy.table * eta.q[0]).sum(axis=1)
     return _finalize(v0.take(data.states[:, 0]), Estimator.DM, level)
 
@@ -158,7 +161,8 @@ def ipw_estimate(
     discount: float,
     level: float = 0.95,
 ) -> ValueEstimate:
-    scores = _psi_scores(data, behavior, None, eval_policy, discount)
+    scores = _psi_scores(data.cells(eval_policy, "evaluation"), data.states, data.rewards,
+                         behavior, None, eval_policy, discount)
     return _finalize(scores, Estimator.IPW, level)
 
 
@@ -170,7 +174,8 @@ def dr_full_estimate(
     level: float = 0.95,
 ) -> ValueEstimate:
     """Doubly robust score averaged over the same data ``eta`` was fit on."""
-    scores = _psi_scores(data, eta.behavior, eta.q, eval_policy, discount)
+    scores = _psi_scores(data.cells(eval_policy, "evaluation"), data.states, data.rewards,
+                         eta.behavior, eta.q, eval_policy, discount)
     return _finalize(scores, Estimator.DR_FULL, level)
 
 
@@ -185,10 +190,10 @@ def dr_half_estimate(
 ) -> ValueEstimate:
     """Score fold 0 of a 2-fold split, its first (n+1)//2 rows, with nuisances
     fitted on fold 1: DML's fold-0 fit at k_folds=2."""
-    scored, fitted = (data.subset(f) for f in make_folds(data.n, 2, rng))
-    eta = fit_nuisance(fitted, eval_policy, discount, known_behavior=known_behavior,
-                       config=config)
-    scores = _psi_scores(scored, eta.behavior, eta.q, eval_policy, discount)
+    scored, fitted = _fold_rows(data, eval_policy, make_folds(data.n, 2, rng))
+    eta = _fit(*_count(*fitted, eval_policy), data.horizon, eval_policy, discount,
+               known_behavior, config)
+    scores = _psi_scores(*scored, eta.behavior, eta.q, eval_policy, discount)
     return _finalize(scores, Estimator.DR_HALF, level)
 
 
@@ -209,12 +214,12 @@ def dml_estimate(
     which matches the per-fold double average whenever the folds are equal-sized.
     """
     folds = make_folds(data.n, k_folds, rng)
-    parts = [data.subset(fold) for fold in folds]
+    parts = _fold_rows(data, eval_policy, folds)
     etas = fit_nuisances(parts, eval_policy, discount, known_behavior=known_behavior,
                          config=config)
     scores = np.empty(data.n)
     for fold, part, eta in zip(folds, parts, etas):
-        scores[fold] = _psi_scores(part, eta.behavior, eta.q, eval_policy, discount)
+        scores[fold] = _psi_scores(*part, eta.behavior, eta.q, eval_policy, discount)
     return _finalize(scores, Estimator.DML, level)
 
 
@@ -244,7 +249,8 @@ def expected_psi(
     """Exact E_{H~logging_policy}[psi(H; behavior, q)] by trajectory enumeration;
     ``q=None`` is the IPW score."""
     data, probs = enumerate_dataset(mdp, logging_policy)
-    return float(_psi_scores(data, behavior, q, eval_policy, mdp.discount) @ probs)
+    rows = data.cells(eval_policy, "evaluation"), data.states, data.rewards
+    return float(_psi_scores(*rows, behavior, q, eval_policy, mdp.discount) @ probs)
 
 
 def orthogonality_derivative(
@@ -262,13 +268,16 @@ def orthogonality_derivative(
 
     ``behavior`` must be the true behavior policy: the expectation is taken under it.
     """
-    if (q is None) != (alt_q is None):
-        raise ValidationError("q and alt_q must both be arrays or both be None (IPW)")
+    if np.shape(alt_q) != np.shape(q) or alt_behavior.table.shape != behavior.table.shape:
+        raise ValidationError(f"q and alt_q must both be arrays or both be None (IPW), each alt "
+                              f"shaped as its base: got q {np.shape(q)}, alt_q {np.shape(alt_q)}, "
+                              f"behavior {behavior.table.shape}, alt {alt_behavior.table.shape}")
     data, probs = enumerate_dataset(mdp, behavior)
+    rows = data.cells(eval_policy, "evaluation"), data.states, data.rewards
 
     def g(r: float) -> float:
         mixed = Policy(table=(1 - r) * behavior.table + r * alt_behavior.table)
         mixed_q = None if q is None else (1 - r) * q + r * alt_q
-        return float(_psi_scores(data, mixed, mixed_q, eval_policy, mdp.discount) @ probs)
+        return float(_psi_scores(*rows, mixed, mixed_q, eval_policy, mdp.discount) @ probs)
 
     return (g(step) - g(-step)) / (2.0 * step)

@@ -190,7 +190,7 @@ class LoggedDataset:
     def __post_init__(self):
         for field in ("states", "actions"):
             ids = np.asarray(getattr(self, field))
-            if ids.dtype.kind not in "biu":  # subset, sampling and ingest pass int64
+            if ids.dtype.kind not in "biu":  # sampling and ingest pass int64
                 ids = ids.astype(float)
                 whole = np.isfinite(ids) & (np.floor(ids) == ids)
                 if not whole.all():
@@ -239,15 +239,6 @@ class LoggedDataset:
                     f"table of {size} {what}"
                 )
         return self.states * policy.num_actions + self.actions
-
-    def subset(self, indices: np.ndarray) -> "LoggedDataset":
-        """The trajectories at ``indices``, without propensities: no score reads them."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return LoggedDataset(
-            states=self.states[idx],
-            actions=self.actions[idx],
-            rewards=self.rewards[idx],
-        )
 
 
 def _cell_dot(values: np.ndarray, probs: np.ndarray) -> np.ndarray:

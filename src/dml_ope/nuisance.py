@@ -149,20 +149,20 @@ def _ratio(num: np.ndarray, den: np.ndarray, fallback: float) -> np.ndarray:
     return np.divide(num, den, out=np.full(num.shape, fallback), where=den > 0)
 
 
-def _count(data: LoggedDataset, eval_policy: Policy) -> tuple:
-    """The additive count tables of ``data``, visit counts and reward sums
-    (rewards summed in row-major order) per ``s*A + a`` and the reward total;
-    and the move pair of its transitions ``(s*A + a)*S + s'``."""
+def _count(sa: np.ndarray, states: np.ndarray, rewards: np.ndarray,
+           eval_policy: Policy) -> tuple:
+    """The count tables of a row set, its cell index ``sa``, states and rewards:
+    visit counts and reward sums (rewards summed in row-major order) per ``s*A + a``
+    and the reward total; and the move pair of its transitions ``(s*A + a)*S + s'``."""
     num_states, num_actions = eval_policy.table.shape
     cells = num_states * num_actions
-    sa = data.cells(eval_policy, "evaluation")
-    moves = (sa[:, :-1] * num_states + data.states[:, 1:]).ravel()
+    moves = (sa[:, :-1] * num_states + states[:, 1:]).ravel()
     size = cells * num_states
     pair = (np.unique(moves, return_counts=True) if moves.size * SORT_DIVISOR < size
             else _nonzero(np.bincount(moves, minlength=size)))
     return (np.bincount(sa.ravel(), minlength=cells),
-            np.bincount(sa.ravel(), weights=data.rewards.ravel(), minlength=cells),
-            data.rewards.sum()), pair
+            np.bincount(sa.ravel(), weights=rewards.ravel(), minlength=cells),
+            rewards.sum()), pair
 
 
 def _merge(pairs: tuple, size: int) -> tuple:
@@ -208,8 +208,8 @@ def fit_nuisance(
     config: NuisanceConfig = NuisanceConfig(),
 ) -> NuisanceEstimate:
     """Fit one nuisance tuple on every row of ``data``; the fit draws nothing."""
-    return _fit(*_count(data, eval_policy), data.horizon, eval_policy, discount,
-                known_behavior, config)
+    return _fit(*_count(data.cells(eval_policy, "evaluation"), data.states, data.rewards,
+                        eval_policy), data.horizon, eval_policy, discount, known_behavior, config)
 
 
 def fit_nuisances(
@@ -219,12 +219,12 @@ def fit_nuisances(
     known_behavior: Policy | None = None,
     config: NuisanceConfig = NuisanceConfig(),
 ) -> list[NuisanceEstimate]:
-    """For each of ``parts`` (at least two datasets of one horizon), the fit on
-    the other parts: their count tables, each counted once, summed in part
-    order, and their move pairs merged."""
+    """For each of ``parts`` (at least two row sets ``(sa, states, rewards)`` of
+    one horizon, as ``_count`` takes), the fit on the other parts: their count
+    tables, each counted once, summed in part order, and their move pairs merged."""
     size = eval_policy.table.size * eval_policy.table.shape[0]
-    tables, moves = zip(*(_count(part, eval_policy) for part in parts))
+    tables, moves = zip(*(_count(*part, eval_policy) for part in parts))
     return [_fit([sum(column[1:], column[0]) for column in zip(*tables[:k], *tables[k + 1:])],
-                 _merge(moves[:k] + moves[k + 1:], size), part.horizon, eval_policy, discount,
-                 known_behavior, config)
-            for k, part in enumerate(parts)]
+                 _merge(moves[:k] + moves[k + 1:], size), sa.shape[1] - 1, eval_policy,
+                 discount, known_behavior, config)
+            for k, (sa, _, _) in enumerate(parts)]

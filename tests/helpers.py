@@ -26,6 +26,21 @@ def one_row(states: list, actions: list, rewards: list) -> LoggedDataset:
     return LoggedDataset(states=[states], actions=[actions], rewards=[rewards])
 
 
+def select(data: LoggedDataset, indices) -> LoggedDataset:
+    """The trajectories of ``data`` at ``indices``, without propensities."""
+    return LoggedDataset(states=data.states[indices], actions=data.actions[indices],
+                         rewards=data.rewards[indices])
+
+
+def row_set(data: LoggedDataset, policy: Policy, indices=slice(None)) -> tuple:
+    """The row set ``(sa, states, rewards)`` of ``data``'s rows at ``indices`` (all
+    rows by default) under ``policy``'s table: the arrays of one fold that the
+    estimators gather once and pass to ``_count``, ``fit_nuisances`` and
+    ``_psi_scores``."""
+    sa = data.cells(policy, "evaluation")
+    return sa[indices], data.states[indices], data.rewards[indices]
+
+
 def row_steps(data: LoggedDataset, i: int = 0) -> list[tuple]:
     """(state, action, reward, propensity) tuples of row ``i``; propensity None if unlogged."""
     steps = data.horizon + 1

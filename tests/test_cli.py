@@ -648,6 +648,57 @@ class TestRmse:
         assert "array" in err
 
 
+class TestOutputPath:
+    """Every subcommand that writes a report or a dataset names an output path it
+    cannot open and exits 1, after its work and before anything is written."""
+
+    @staticmethod
+    def argv(workspace, command):
+        bandit = workspace / "bandit.json"
+        bandit.write_text(json.dumps(mdp_to_dict(bandit_mdp())))
+        (workspace / "bandit_behavior.json").write_text(
+            json.dumps(policy_to_dict(bandit_policies()[0])))
+        (workspace / "bandit_eval.json").write_text(
+            json.dumps(policy_to_dict(bandit_policies()[1])))
+        (workspace / "config.json").write_text(json.dumps({
+            "mdp": "mdp.json", "behavior_policy": "behavior.json",
+            "evaluation_policy": "eval.json", "n_trajectories": 40, "replications": 3}))
+        (workspace / "cells.json").write_text(json.dumps([
+            {"campaign": "a", "batch": "1", "estimate": 0.55, "actual": 0.5,
+             "n_impressions": 10_000}]))
+        simulate = ["simulate", "--mdp", str(workspace / "mdp.json"),
+                    "--policy", str(workspace / "behavior.json"), "--n", "20"]
+        assert cli_main(simulate + ["--output", str(workspace / "data.jsonl")]) == 0
+        return {
+            "simulate": simulate,
+            "evaluate": ["evaluate", "--data", str(workspace / "data.jsonl"),
+                         "--eval-policy", str(workspace / "eval.json"), "--discount", "0.9"],
+            "experiment": ["experiment", "--config", str(workspace / "config.json")],
+            "bound": ["bound", "--mdp", str(bandit),
+                      "--behavior-policy", str(workspace / "bandit_behavior.json"),
+                      "--eval-policy", str(workspace / "bandit_eval.json")],
+            "rmse": ["rmse", "--cells", str(workspace / "cells.json"), "--sims", "100"],
+        }[command]
+
+    @pytest.mark.parametrize("kind, reason", [
+        ("directory", "[Errno 21] Is a directory"),
+        ("missing_parent", "[Errno 2] No such file or directory"),
+    ], ids=["directory", "missing_parent"])
+    @pytest.mark.parametrize("command", ["simulate", "evaluate", "experiment", "bound", "rmse"])
+    def test_unwritable_output_exits_1_naming_the_path(self, workspace, capsys, command, kind,
+                                                       reason):
+        argv = self.argv(workspace, command)
+        output = workspace / "out"
+        if kind == "directory":
+            output.mkdir()
+        else:
+            output = output / "report.json"
+        code, out, err = run(capsys, *argv, "--output", str(output))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {reason}: '{output}'\n"
+
+
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         code, _, err = run(capsys)

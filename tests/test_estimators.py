@@ -33,6 +33,8 @@ from helpers import (
     bernoulli,
     noisy_lift,
     one_row,
+    row_set,
+    select,
     three_state_mdp,
     three_state_policies,
     true_nuisance,
@@ -86,21 +88,21 @@ class TestScores:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 200, np.random.default_rng(1))
         eta = zero_q_nuisance(behavior, mdp.horizon)
-        assert np.array_equal(_psi_scores(data, behavior, eta.q, evaluation, 0.9),
-                              _psi_scores(data, behavior, None, evaluation, 0.9))
+        rows = row_set(data, evaluation)
+        assert np.array_equal(_psi_scores(*rows, behavior, eta.q, evaluation, 0.9),
+                              _psi_scores(*rows, behavior, None, evaluation, 0.9))
 
     def test_hand_evaluated_bandit_score(self):
         # rho_0 = 0.9 / 0.45 = 2, R = 1, q(taken) = 0.5, sum_a pi_e q = 0.6
         row = one_row(states=[0], actions=[0], rewards=[1.0])
         eta = NuisanceEstimate(Policy(table=[[0.45, 0.55]]), [[[0.5, 1.5]]])
         evaluation = Policy(table=[[0.9, 0.1]])
-        assert _psi_scores(row, eta.behavior, eta.q, evaluation, 1.0)[0] == pytest.approx(
-            1.6, abs=1e-12
-        )
+        score = _psi_scores(*row_set(row, evaluation), eta.behavior, eta.q, evaluation, 1.0)
+        assert score[0] == pytest.approx(1.6, abs=1e-12)
         # The one-step Q table cannot score a two-step row.
         two_steps = one_row(states=[0, 0], actions=[0, 0], rewards=[1.0, 1.0])
         with pytest.raises(ValidationError, match="q table does not span the dataset horizon"):
-            _psi_scores(two_steps, eta.behavior, eta.q, evaluation, 1.0)
+            _psi_scores(*row_set(two_steps, evaluation), eta.behavior, eta.q, evaluation, 1.0)
 
     def test_ipw_identity_policy_gives_return(self):
         mdp = three_state_mdp()
@@ -108,9 +110,9 @@ class TestScores:
         data = sample_dataset(mdp, behavior, 20, np.random.default_rng(5))
         disc = 0.9 ** np.arange(3)
         for i in range(20):
-            row = data.subset([i])
-            expected = float((row.rewards[0] * disc).sum())
-            assert _psi_scores(row, behavior, None, behavior, 0.9)[0] == pytest.approx(
+            rows = row_set(data, behavior, [i])
+            expected = float((data.rewards[i] * disc).sum())
+            assert _psi_scores(*rows, behavior, None, behavior, 0.9)[0] == pytest.approx(
                 expected, abs=1e-12
             )
 
@@ -118,9 +120,8 @@ class TestScores:
         row = one_row(states=[0, 0], actions=[1, 1], rewards=[1.0, 1.0])
         behavior = Policy(table=[[0.5, 0.5]])
         evaluation = Policy(table=[[0.0, 1.0]])
-        assert _psi_scores(row, behavior, None, evaluation, 1.0)[0] == pytest.approx(
-            6.0, abs=1e-12
-        )
+        score = _psi_scores(*row_set(row, evaluation), behavior, None, evaluation, 1.0)
+        assert score[0] == pytest.approx(6.0, abs=1e-12)
 
     @pytest.mark.parametrize("control, expected", [
         ("dr", "55dd1289fb3b173b30e80f51246dc4fef80d4664138628c0ddbe46bf135ecfdd"),
@@ -133,7 +134,8 @@ class TestScores:
         data = sample_dataset(mdp, behavior, 2000, np.random.default_rng(5))
         eta = fit_nuisance(data, evaluation, mdp.discount)
         q = eta.q if control == "dr" else None
-        scores = _psi_scores(data, eta.behavior, q, evaluation, mdp.discount)
+        scores = _psi_scores(*row_set(data, evaluation), eta.behavior, q, evaluation,
+                             mdp.discount)
         assert hashlib.sha256(scores.astype("<f8").tobytes()).hexdigest() == expected
 
 
@@ -147,6 +149,19 @@ class TestPointEstimators:
         est = dm_estimate(data, eta, evaluation)
         assert est.value == pytest.approx(4.2, abs=1e-12)
         assert est.variance == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("steps", [1, 4])
+    def test_q_of_another_horizon_rejected(self, steps):
+        # A one-step Q on 3-step rows would read its step-0 table as the value.
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 5, np.random.default_rng(2))
+        eta = NuisanceEstimate(behavior, np.ones((steps, 3, 2)))
+        for call in (lambda: dm_estimate(data, eta, evaluation),
+                     lambda: dr_full_estimate(data, eta, evaluation, 0.9)):
+            with pytest.raises(ValidationError,
+                               match="^q table does not span the dataset horizon$"):
+                call()
 
     def test_dm_exact_on_enumeration_weighted_initial_states(self):
         # Initial distribution (0.25, 0.75) realized exactly by 1 + 3 copies.
@@ -229,9 +244,9 @@ class TestDrVariants:
         est = dr_half_estimate(data, evaluation, 0.9, np.random.default_rng(rng_seed))
         perm = np.random.default_rng(rng_seed).permutation(n)
         idx = np.sort(perm[:(n + 1) // 2])
-        eta = fit_nuisance(data.subset(np.sort(perm[(n + 1) // 2:])), evaluation, 0.9)
-        expected = _psi_scores(data.subset(idx), eta.behavior, eta.q, evaluation,
-                               0.9).mean()
+        eta = fit_nuisance(select(data, np.sort(perm[(n + 1) // 2:])), evaluation, 0.9)
+        expected = _psi_scores(*row_set(data, evaluation, idx), eta.behavior, eta.q,
+                               evaluation, 0.9).mean()
         assert est.value == pytest.approx(float(expected), abs=1e-12)
         assert est.n == (n + 1) // 2
 
@@ -242,10 +257,10 @@ class TestDrVariants:
         data = LoggedDataset(sampled.states, sampled.actions,
                              np.random.default_rng(11).uniform(size=sampled.rewards.shape))
         folds = make_folds(data.n, 2, np.random.default_rng(5))
-        parts = [data.subset(f) for f in folds]
+        parts = [row_set(data, evaluation, f) for f in folds]
         scores = np.empty(data.n)
         for fold, part, eta in zip(folds, parts, fit_nuisances(parts, evaluation, 0.9)):
-            scores[fold] = _psi_scores(part, eta.behavior, eta.q, evaluation, 0.9)
+            scores[fold] = _psi_scores(*part, eta.behavior, eta.q, evaluation, 0.9)
         dml = dml_estimate(data, evaluation, 0.9, np.random.default_rng(5))
         half = dr_half_estimate(data, evaluation, 0.9, np.random.default_rng(5))
         assert dml.value == scores.mean()
@@ -302,7 +317,7 @@ class TestTableReads:
         q = (true_nuisance(mdp, behavior, evaluation).q if q_shape is None
              else np.zeros(q_shape))
         with pytest.raises(ValidationError, match=f"^{re.escape(match)}$"):
-            _psi_scores(data, behavior, q, evaluation, 0.9)
+            _psi_scores(*row_set(data, evaluation), behavior, q, evaluation, 0.9)
 
     @pytest.mark.parametrize("rows", [4, 1])
     def test_fit_known_behavior_shape_must_match_the_evaluation_policy(self, rows):
@@ -326,7 +341,7 @@ class TestDml:
         # DML with one injected nuisance for every fold is DR-full on that nuisance.
         eta = true_nuisance(mdp, behavior, behavior)
         est = dr_full_estimate(data, eta, behavior, 0.9)
-        scores = _psi_scores(data, eta.behavior, eta.q, behavior, 0.9)
+        scores = _psi_scores(*row_set(data, behavior), eta.behavior, eta.q, behavior, 0.9)
         assert est.value == pytest.approx(float(scores.mean()), abs=1e-10)
         assert est.variance == pytest.approx(float(((scores - scores.mean()) ** 2).mean()),
                                              abs=1e-10)
@@ -357,6 +372,60 @@ class TestDml:
         assert est.ci_high - est.value == pytest.approx(half, abs=1e-12)
         assert est.value - est.ci_low == pytest.approx(half, abs=1e-12)
         assert est.estimator is Estimator.DML
+
+
+class TestFoldRows:
+    """A fold is a set of row indices: DML and DR-half gather each fold's rows of one
+    cell index once and pass them to both its fit and its score."""
+
+    @pytest.mark.parametrize("known", [False, True], ids=["estimated", "known"])
+    def test_cells_calls_do_not_grow_with_the_folds(self, monkeypatch, known):
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 40, np.random.default_rng(3))
+        cells, calls = LoggedDataset.cells, []
+        monkeypatch.setattr(LoggedDataset, "cells",
+                            lambda self, *a: calls.append(1) or cells(self, *a))
+        counts = []
+        for k in (2, 5):
+            calls.clear()
+            evaluate_dataset(data, evaluation, 0.9, tuple(e.value for e in Estimator),
+                             np.random.default_rng(4), known_behavior=behavior if known else None,
+                             k_folds=k)
+            counts.append(len(calls))
+        # One validating call per table, then one per public estimator and the full fit.
+        assert counts == ([8, 8] if known else [7, 7])
+
+    @pytest.mark.parametrize("name", ["dml", "dr_half"])
+    def test_cross_fits_build_no_dataset(self, monkeypatch, name):
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 40, np.random.default_rng(3))
+        built = []
+        post_init = LoggedDataset.__post_init__
+        monkeypatch.setattr(LoggedDataset, "__post_init__",
+                            lambda self: built.append(1) or post_init(self))
+        call = {"dml": lambda: dml_estimate(data, evaluation, 0.9, np.random.default_rng(4),
+                                            k_folds=5),
+                "dr_half": lambda: dr_half_estimate(data, evaluation, 0.9,
+                                                    np.random.default_rng(4))}[name]
+        assert call().n > 0
+        assert built == []
+        assert not hasattr(LoggedDataset, "subset")
+
+    @pytest.mark.parametrize("control", ["dr", "ipw"])
+    def test_scores_leave_the_cell_index_unchanged(self, control):
+        # DML passes one fold's cell index to its fit and then to its score.
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 30, np.random.default_rng(6))
+        q = true_nuisance(mdp, behavior, evaluation).q if control == "dr" else None
+        sa, states, rewards = row_set(data, evaluation, np.arange(0, 30, 2))
+        kept = sa.copy()
+        first = _psi_scores(sa, states, rewards, behavior, q, evaluation, 0.9)
+        assert np.array_equal(sa, kept)
+        assert np.array_equal(_psi_scores(sa, states, rewards, behavior, q, evaluation, 0.9),
+                              first)
 
 
 class TestEfficiencyBound:

@@ -451,7 +451,7 @@ class TestEvaluateDataset:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 50, np.random.default_rng(0))
         fits = []
-        for module, name in [(experiments, "fit_nuisance"), (estimators, "fit_nuisance"),
+        for module, name in [(experiments, "fit_nuisance"), (estimators, "_fit"),
                              (estimators, "fit_nuisances")]:
             fit = getattr(module, name)
             monkeypatch.setattr(module, name,

@@ -1,6 +1,8 @@
 """Enumeration-based identity checks for the doubly robust score: exactness of
 the value identity, robustness to either nuisance, step-wise reweighting
 identities, and the numerical orthogonality of the score."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from dml_ope import (
 )
 from dml_ope.estimators import _psi_scores
 
-from helpers import bernoulli, random_mdp, random_policy, three_state_mdp, true_nuisance
+from helpers import bernoulli, random_mdp, random_policy, row_set, three_state_mdp, true_nuisance
 
 
 def random_instance(rng, horizon=None):
@@ -161,7 +163,8 @@ class TestBanditSpecialization:
         mdp, behavior, evaluation = random_instance(rng, horizon=0)
         eta = true_nuisance(mdp, behavior, evaluation)
         data, _ = enumerate_dataset(mdp, behavior)
-        scores = _psi_scores(data, behavior, eta.q, evaluation, mdp.discount)
+        scores = _psi_scores(*row_set(data, evaluation), behavior, eta.q, evaluation,
+                             mdp.discount)
         mu = eta.mean_reward
         s0, a0 = data.states[:, 0], data.actions[:, 0]
         weight = evaluation.table[s0, a0] / behavior.table[s0, a0]
@@ -203,6 +206,24 @@ class TestOrthogonality:
         deriv = orthogonality_derivative(mdp, evaluation, behavior, None,
                                          Policy(table=[[0.75, 0.25]]), None, step=1e-4)
         assert abs(deriv) > 1e-3
+
+    @pytest.mark.parametrize("alt, match", [
+        ("alt_q", "each alt shaped as its base: got q (3, 3, 2), alt_q (1, 3, 2), "
+                  "behavior (3, 2), alt (3, 2)"),
+        ("alt_behavior", "each alt shaped as its base: got q (3, 3, 2), alt_q (3, 3, 2), "
+                         "behavior (3, 2), alt (1, 2)"),
+    ], ids=["alt_q", "alt_behavior"])
+    def test_alt_shaped_unlike_its_base_rejected(self, alt, match):
+        # Either would broadcast against its base along the line.
+        mdp = three_state_mdp()
+        rng = np.random.default_rng(134)
+        behavior = random_policy(rng, 3, 2)
+        evaluation = random_policy(rng, 3, 2)
+        q = true_nuisance(mdp, behavior, evaluation).q
+        alts = {"alt_behavior": behavior, "alt_q": q, alt: (
+            q[:1] if alt == "alt_q" else Policy(table=[[0.5, 0.5]]))}
+        with pytest.raises(ValidationError, match=f"{re.escape(match)}$"):
+            orthogonality_derivative(mdp, evaluation, behavior, q, **alts)
 
     @pytest.mark.parametrize("none_side", ["q", "alt_q"])
     def test_exactly_one_q_none_rejected(self, none_side):

@@ -23,8 +23,8 @@ from dml_ope import (
 from dml_ope import nuisance
 from dml_ope.nuisance import NuisanceConfig, _count, _merge
 
-from helpers import (move_pair, noisy_lift, random_mdp, random_policy, three_state_mdp,
-                     three_state_policies)
+from helpers import (move_pair, noisy_lift, random_mdp, random_policy, row_set, select,
+                     three_state_mdp, three_state_policies)
 
 
 def single_state_dataset(actions, rewards=None):
@@ -87,7 +87,8 @@ def counted_transitions(data, num_states, num_actions):
 
 def fitted_transitions(data, num_states, num_actions):
     """The transition table of the move pair a fit of ``data`` counts."""
-    idx, counts = _count(data, action_zero(num_states, num_actions))[1]
+    policy = action_zero(num_states, num_actions)
+    idx, counts = _count(*row_set(data, policy), policy)[1]
     moves = np.zeros(num_states * num_actions * num_states)
     moves[idx] = counts
     return transition_table(moves.reshape(num_states, num_actions, num_states))[0]
@@ -96,7 +97,7 @@ def fitted_transitions(data, num_states, num_actions):
 def fit_per_fold(data, folds, eval_policy, discount, **kwargs):
     """One fit per fold on its complement, the other folds in fold order."""
     return [
-        fit_nuisance(data.subset(np.concatenate(folds[:k] + folds[k + 1:])),
+        fit_nuisance(select(data, np.concatenate(folds[:k] + folds[k + 1:])),
                      eval_policy, discount, **kwargs)
         for k in range(len(folds))
     ]
@@ -106,9 +107,10 @@ def complement_moves(data, folds, eval_policy):
     """For each fold, the move pair ``fit_nuisances`` merges from the other
     folds' pairs, and the pair counted on the complement's rows."""
     size = eval_policy.table.size * eval_policy.table.shape[0]
-    pairs = [_count(data.subset(f), eval_policy)[1] for f in folds]
+    pairs = [_count(*row_set(data, eval_policy, f), eval_policy)[1] for f in folds]
     return [(_merge(tuple(pairs[:k] + pairs[k + 1:]), size),
-             _count(data.subset(np.concatenate(folds[:k] + folds[k + 1:])), eval_policy)[1])
+             _count(*row_set(data, eval_policy, np.concatenate(folds[:k] + folds[k + 1:])),
+                    eval_policy)[1])
             for k in range(len(folds))]
 
 
@@ -393,7 +395,7 @@ class TestCountTables:
         evaluation = random_policy(np.random.default_rng(1), 5, 2)
         behavior = random_policy(np.random.default_rng(2), 5, 2) if known else None
         folds = make_folds(data.n, 2, np.random.default_rng(3))
-        fits = fit_nuisances([data.subset(f) for f in folds], evaluation, 0.9,
+        fits = fit_nuisances([row_set(data, evaluation, f) for f in folds], evaluation, 0.9,
                              known_behavior=behavior)
         reference = fit_per_fold(data, folds, evaluation, 0.9, known_behavior=behavior)
         for fit, ref in zip(fits, reference, strict=True):
@@ -409,7 +411,7 @@ class TestCountTables:
         data = uneven_dataset(200, seed=4)
         evaluation = random_policy(np.random.default_rng(5), 5, 2)
         folds = make_folds(data.n, k, np.random.default_rng(6))
-        fits = fit_nuisances([data.subset(f) for f in folds], evaluation, 0.9)
+        fits = fit_nuisances([row_set(data, evaluation, f) for f in folds], evaluation, 0.9)
         reference = fit_per_fold(data, folds, evaluation, 0.9)
         assert len(fits) == k
         for fit, ref in zip(fits, reference, strict=True):
@@ -424,7 +426,7 @@ class TestCountTables:
         eta = fit_nuisance(data, evaluation, 0.9)
         assert np.array_equal(eta.mean_reward[4], np.full(2, data.rewards.mean()))
         # State 4's cells have no moves, so they take mean(v_{t+1}): uniform rows.
-        assert not np.any(_count(data, evaluation)[1][0] // 10 == 4)
+        assert not np.any(_count(*row_set(data, evaluation), evaluation)[1][0] // 10 == 4)
         for t in range(data.horizon):
             v_next = (evaluation.table * eta.q[t + 1]).sum(axis=1)
             assert np.array_equal(eta.q[t, 4], eta.mean_reward[4] + 0.9 * v_next.mean())
@@ -477,14 +479,15 @@ class TestMovePairs:
         for part in parts:
             for divisor in ROUTES.values():
                 with mock.patch.object(nuisance, "SORT_DIVISOR", divisor):
-                    pair = _count(part, policy)[1]
+                    pair = _count(*row_set(part, policy), policy)[1]
                 assert_pairs_equal(pair, dense_pair([part], num_states, num_actions))
 
     @settings(deadline=None)
     @given(keyed_parts())
     def test_merge_is_the_dense_sum(self, drawn):
         num_states, num_actions, parts = drawn
-        pairs = tuple(_count(p, action_zero(num_states, num_actions))[1] for p in parts)
+        policy = action_zero(num_states, num_actions)
+        pairs = tuple(_count(*row_set(p, policy), policy)[1] for p in parts)
         merged = _merge(pairs, num_states * num_actions * num_states)
         assert_pairs_equal(merged, dense_pair(parts, num_states, num_actions))
 
@@ -498,8 +501,8 @@ class TestMovePairs:
                              rewards=np.round(uneven.rewards * 8) / 8)
         evaluation = random_policy(np.random.default_rng(10), 5, 2)
         folds = (np.arange(0, 1), np.arange(1, 3), np.arange(3, 43))
-        parts = [data.subset(f) for f in folds]
-        moves = [p.n * p.horizon for p in parts]
+        parts = [row_set(data, evaluation, f) for f in folds]
+        moves = [f.size * data.horizon for f in folds]
         assert nuisance.SORT_DIVISOR == 6 and moves == [2, 4, 80]
         fits = fit_nuisances(parts, evaluation, 0.9)
         for fit, ref in zip(fits, fit_per_fold(data, folds, evaluation, 0.9), strict=True):
@@ -512,7 +515,8 @@ class TestMovePairs:
         # The lift's S*A*S = 115,200 cells take 921,600 bytes as a dense int64 table.
         mdp, _, evaluation = noisy_lift()
         data = sample_dataset(mdp, evaluation, 1000, np.random.default_rng(23))
-        parts = [data.subset(f) for f in make_folds(data.n, 2, np.random.default_rng(24))]
+        parts = [row_set(data, evaluation, f)
+                 for f in make_folds(data.n, 2, np.random.default_rng(24))]
         tracemalloc.start()
         try:
             fit_nuisances(parts, evaluation, 0.9)

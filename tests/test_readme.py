@@ -22,9 +22,8 @@ def test_library_tour_runs(capsys):
     assert ci_low <= value <= ci_high
 
 
-# Code spans that call something but name no library object: a formula and an
-# example on a dataset variable.
-NOT_NAMES = {"mean(v_{t+1})", "data.subset([i])"}
+# Code spans that call something but name no library object: a formula.
+NOT_NAMES = {"mean(v_{t+1})"}
 
 
 def test_called_names_exist():
