@@ -139,6 +139,56 @@ class TestScores:
         assert hashlib.sha256(scores.astype("<f8").tobytes()).hexdigest() == expected
 
 
+class TestZeroBehaviorCells:
+    # The behavior policy never takes action 1 in state 0, where the evaluation
+    # policy has mass. Only a realized step on that cell is an error.
+    behavior = Policy(table=[[1.0, 0.0], [0.5, 0.5]])
+    evaluation = Policy(table=[[0.5, 0.5], [0.25, 0.75]])
+    message = "^zero behavior propensity on a realized action$"
+
+    def test_unvisited_zero_cell_scores(self):
+        data = LoggedDataset(states=[[0, 1], [1, 0]], actions=[[0, 1], [1, 0]],
+                             rewards=[[1.0, 2.0], [0.5, -1.0]])
+        rows = row_set(data, self.evaluation)
+        # rho = [0.5, 0.75] and [1.5, 0.75]; with Q = 1, v = 1 at every step.
+        ipw = _psi_scores(*rows, self.behavior, None, self.evaluation, 1.0)
+        assert ipw.tolist() == [2.0, 0.0]
+        eta = NuisanceEstimate(self.behavior, np.ones((2, 2, 2)))
+        dr = _psi_scores(*rows, eta.behavior, eta.q, self.evaluation, 1.0)
+        assert dr.tolist() == [2.25, 0.25]
+        # Neither estimator checks the evaluation policy's support.
+        assert ipw_estimate(data, self.behavior, self.evaluation, 1.0).value == 1.0
+        assert dr_full_estimate(data, eta, self.evaluation, 1.0).value == 1.25
+
+    @pytest.mark.parametrize("horizon, step", [(0, 0), (2, 0), (2, 1), (2, 2)])
+    def test_realized_zero_cell_raises(self, horizon, step):
+        states, actions = [1] * (horizon + 1), [0] * (horizon + 1)
+        states[step], actions[step] = 0, 1
+        data = LoggedDataset(states=[[1] * (horizon + 1), states],
+                             actions=[[1] * (horizon + 1), actions],
+                             rewards=np.ones((2, horizon + 1)))
+        rows = row_set(data, self.evaluation)
+        eta = NuisanceEstimate(self.behavior, np.ones((horizon + 1, 2, 2)))
+        for q in (None, eta.q):
+            with pytest.raises(SupportViolationError, match=self.message):
+                _psi_scores(*rows, self.behavior, q, self.evaluation, 0.9)
+        with pytest.raises(SupportViolationError, match=self.message):
+            ipw_estimate(data, self.behavior, self.evaluation, 0.9)
+        with pytest.raises(SupportViolationError, match=self.message):
+            dr_full_estimate(data, eta, self.evaluation, 0.9)
+
+    def test_raise_order(self):
+        # The behavior shape is checked first, then the realized zero, then Q.
+        data = one_row(states=[0, 1], actions=[1, 0], rewards=[0.0, 1.0])
+        rows = row_set(data, self.evaluation)
+        with pytest.raises(ValidationError, match="behavior policy table has shape"):
+            _psi_scores(*rows, Policy(table=[[1.0, 0.0]]), None, self.evaluation, 0.9)
+        with pytest.raises(SupportViolationError, match=self.message):
+            _psi_scores(*rows, self.behavior, np.ones((3, 2, 2)), self.evaluation, 0.9)
+        with pytest.raises(ValidationError, match="q table does not span"):
+            _psi_scores(*rows, self.evaluation, np.ones((3, 2, 2)), self.evaluation, 0.9)
+
+
 class TestPointEstimators:
     def test_dm_constant_q(self):
         mdp = three_state_mdp()
