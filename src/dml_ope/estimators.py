@@ -100,15 +100,6 @@ def _finalize(scores: np.ndarray, estimator: Estimator, level: float) -> ValueEs
     )
 
 
-def _weight_matrix(pe: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Cumulative importance weights rho_t per trajectory, shape (N, T+1), from the
-    evaluation and behavior propensities ``pe`` and ``pb`` of each logged step."""
-    if np.any(pb <= 0):
-        raise SupportViolationError("zero behavior propensity on a realized action")
-    rho = pe / pb
-    return np.cumprod(rho, axis=1, out=rho)
-
-
 def _check_q(q: np.ndarray, steps: int, eval_policy: Policy) -> None:
     """Raise unless ``q`` holds one (S, A) table of ``eval_policy``'s shape per step."""
     if q.shape[0] != steps:
@@ -120,19 +111,30 @@ def _psi_scores(sa: np.ndarray, states: np.ndarray, rewards: np.ndarray, behavio
                 q: np.ndarray | None, eval_policy: Policy, discount: float) -> np.ndarray:
     """Vectorized doubly robust score per trajectory of the row set ``(sa, states,
     rewards)`` with the (T+1, S, A) Q array ``q`` as control variate; ``q=None`` is the
-    IPW score, Q = 0. Every table is read through the cell index ``sa``, left unchanged."""
-    t = np.arange(sa.shape[1])
+    IPW score, Q = 0. It walks the steps on columns of the cell index ``sa``, left
+    unchanged: rho_t = rho_{t-1} * pe/pb, and step t adds
+    disc_t * (rho_t * (r_t - q_t(s_t, a_t)) + rho_{t-1} * v_t(s_t))."""
     check_table_shape(behavior.table.shape, eval_policy, "behavior policy")
-    rho = _weight_matrix(eval_policy.table.take(sa), behavior.table.take(sa))
-    disc = discount ** t
-    if q is None:
-        return (rho * rewards * disc).sum(axis=1)
-    _check_q(q, t.size, eval_policy)
-    terms = rho * (rewards - q.reshape(t.size, -1).T[sa, t])  # q_t(s_t, a_t)
-    rho[:, 1:] = rho[:, :-1]  # rho_{t-1}, with rho_{-1} = 1
-    rho[:, 0] = 1.0
-    terms += rho * np.einsum("tsa,sa->ts", q, eval_policy.table).T[states, t]  # v_t(s_t)
-    return (terms * disc).sum(axis=1)
+    zero = behavior.table <= 0
+    if zero.any() and zero.take(sa).any():
+        raise SupportViolationError("zero behavior propensity on a realized action")
+    ratio = np.divide(eval_policy.table, behavior.table, out=np.zeros(zero.shape), where=~zero)
+    steps = sa.shape[1]
+    if q is not None:
+        _check_q(q, steps, eval_policy)
+        v = np.einsum("tsa,sa->ts", q, eval_policy.table)
+    disc = discount ** np.arange(steps)
+    # Sum as numpy sums a row: below 8 steps in order, from 8 in pairwise lanes.
+    psi = np.zeros((sa.shape[0], 1 if steps < 8 else steps))
+    rho_prev = 1.0
+    for t in range(steps):
+        rho = ratio.take(sa[:, t]) * rho_prev
+        term = rho * rewards[:, t] if q is None else (
+            (rewards[:, t] - q[t].take(sa[:, t])) * rho + v[t].take(states[:, t]) * rho_prev)
+        term *= disc[t]
+        psi[:, t % psi.shape[1]] += term
+        rho_prev = rho
+    return psi.sum(axis=1)
 
 
 def _fold_rows(data: LoggedDataset, eval_policy: Policy, folds: tuple) -> list:

@@ -25,7 +25,7 @@ from dml_ope import (
     make_folds,
     sample_dataset,
 )
-from dml_ope.estimators import _psi_scores, _weight_matrix
+from dml_ope.estimators import _psi_scores
 
 from helpers import (
     bandit_mdp,
@@ -49,8 +49,13 @@ def zero_q_nuisance(behavior, horizon):
 class TestImportanceWeights:
     @staticmethod
     def weights(row, evaluation, behavior):
-        sa = row.cells(evaluation, "evaluation")
-        return _weight_matrix(evaluation.table.take(sa), behavior.table.take(sa))
+        """The (1, T+1) weights rho_t of the 1-row ``row``: rho_t is the IPW score at
+        discount 1 of its trajectory with the one nonzero reward 1.0 at step t."""
+        steps = row.horizon + 1
+        rows = LoggedDataset(states=np.repeat(row.states, steps, axis=0),
+                             actions=np.repeat(row.actions, steps, axis=0),
+                             rewards=np.eye(steps))
+        return _psi_scores(*row_set(rows, evaluation), behavior, None, evaluation, 1.0)[None]
 
     def test_identity_weights(self):
         row = one_row(states=[0, 1], actions=[0, 1], rewards=[0.0, 0.0])
