@@ -124,7 +124,8 @@ def _psi_scores(sa: np.ndarray, states: np.ndarray, rewards: np.ndarray, behavio
         _check_q(q, steps, eval_policy)
         v = np.einsum("tsa,sa->ts", q, eval_policy.table)
     disc = discount ** np.arange(steps)
-    # Sum as numpy sums a row: below 8 steps in order, from 8 in pairwise lanes.
+    # The bytes of numpy's row sum: it adds fewer than 8 steps in order from 0.0, so
+    # one column collects them; from 8 it adds in pairwise lanes, so each step is kept.
     psi = np.zeros((sa.shape[0], 1 if steps < 8 else steps))
     rho_prev = 1.0
     for t in range(steps):
