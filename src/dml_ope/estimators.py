@@ -15,7 +15,6 @@ from statistics import NormalDist
 import numpy as np
 
 from .mdp import (
-    LoggedDataset,
     Policy,
     TabularMdp,
     ValidationError,
@@ -138,52 +137,48 @@ def _psi_scores(sa: np.ndarray, states: np.ndarray, rewards: np.ndarray, behavio
     return psi.sum(axis=1)
 
 
-def _fold_rows(data: LoggedDataset, eval_policy: Policy, folds: tuple) -> list:
-    """Each fold's row set ``(sa, states, rewards)`` of one cell index; take beats indexing."""
-    sa = data.cells(eval_policy, "evaluation")
-    return [tuple(x.take(fold, axis=0) for x in (sa, data.states, data.rewards)) for fold in folds]
+def _fold_rows(rows: tuple, folds: tuple) -> list:
+    """Each fold's row set ``(sa, states, rewards)`` of ``rows``; take beats indexing."""
+    return [tuple(x.take(fold, axis=0) for x in rows) for fold in folds]
 
 
 def dm_estimate(
-    data: LoggedDataset,
+    rows: tuple,
     eta: NuisanceEstimate,
     eval_policy: Policy,
     level: float = 0.95,
 ) -> ValueEstimate:
-    """Direct method: average the fitted initial-state value over the data."""
-    data.cells(eval_policy, "evaluation")
-    _check_q(eta.q, data.horizon + 1, eval_policy)
+    """Direct method: average the fitted initial-state value over the row set."""
+    _check_q(eta.q, rows[0].shape[1], eval_policy)
     v0 = (eval_policy.table * eta.q[0]).sum(axis=1)
-    return _finalize(v0.take(data.states[:, 0]), Estimator.DM, level)
+    return _finalize(v0.take(rows[1][:, 0]), Estimator.DM, level)
 
 
 def ipw_estimate(
-    data: LoggedDataset,
+    rows: tuple,
     behavior: Policy,
     eval_policy: Policy,
     discount: float,
     level: float = 0.95,
 ) -> ValueEstimate:
-    scores = _psi_scores(data.cells(eval_policy, "evaluation"), data.states, data.rewards,
-                         behavior, None, eval_policy, discount)
+    scores = _psi_scores(*rows, behavior, None, eval_policy, discount)
     return _finalize(scores, Estimator.IPW, level)
 
 
 def dr_full_estimate(
-    data: LoggedDataset,
+    rows: tuple,
     eta: NuisanceEstimate,
     eval_policy: Policy,
     discount: float,
     level: float = 0.95,
 ) -> ValueEstimate:
-    """Doubly robust score averaged over the same data ``eta`` was fit on."""
-    scores = _psi_scores(data.cells(eval_policy, "evaluation"), data.states, data.rewards,
-                         eta.behavior, eta.q, eval_policy, discount)
+    """Doubly robust score averaged over the same rows ``eta`` was fit on."""
+    scores = _psi_scores(*rows, eta.behavior, eta.q, eval_policy, discount)
     return _finalize(scores, Estimator.DR_FULL, level)
 
 
 def dr_half_estimate(
-    data: LoggedDataset,
+    rows: tuple,
     eval_policy: Policy,
     discount: float,
     rng: np.random.Generator,
@@ -193,15 +188,16 @@ def dr_half_estimate(
 ) -> ValueEstimate:
     """Score fold 0 of a 2-fold split, its first (n+1)//2 rows, with nuisances
     fitted on fold 1: DML's fold-0 fit at k_folds=2."""
-    scored, fitted = _fold_rows(data, eval_policy, make_folds(data.n, 2, rng))
-    eta = _fit(*_count(*fitted, eval_policy), data.horizon, eval_policy, discount,
+    n, steps = rows[0].shape
+    scored, fitted = _fold_rows(rows, make_folds(n, 2, rng))
+    eta = _fit(*_count(*fitted, eval_policy), steps - 1, eval_policy, discount,
                known_behavior, config)
     scores = _psi_scores(*scored, eta.behavior, eta.q, eval_policy, discount)
     return _finalize(scores, Estimator.DR_HALF, level)
 
 
 def dml_estimate(
-    data: LoggedDataset,
+    rows: tuple,
     eval_policy: Policy,
     discount: float,
     rng: np.random.Generator,
@@ -216,11 +212,12 @@ def dml_estimate(
     folds (``fit_nuisances``); the value is the pooled mean of all N scores,
     which matches the per-fold double average whenever the folds are equal-sized.
     """
-    folds = make_folds(data.n, k_folds, rng)
-    parts = _fold_rows(data, eval_policy, folds)
+    n = rows[0].shape[0]
+    folds = make_folds(n, k_folds, rng)
+    parts = _fold_rows(rows, folds)
     etas = fit_nuisances(parts, eval_policy, discount, known_behavior=known_behavior,
                          config=config)
-    scores = np.empty(data.n)
+    scores = np.empty(n)
     for fold, part, eta in zip(folds, parts, etas):
         scores[fold] = _psi_scores(*part, eta.behavior, eta.q, eval_policy, discount)
     return _finalize(scores, Estimator.DML, level)

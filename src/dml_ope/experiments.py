@@ -299,21 +299,22 @@ def evaluate_dataset(
 ) -> dict[str, ValueEstimate]:
     """Run the named estimators on one logged dataset.
 
-    DM and DR-full use the full-data nuisance fit, which is built once; IPW
-    uses the known behavior policy if supplied, else that fit's behavior
-    estimate. ``rng`` spawns one child per member of ``Estimator``, in that
-    order, and DR-half and DML draw their fold splits from their own child, so
-    no estimate depends on which other estimators are named. ``discount`` must
-    lie in [0, 1], ``level`` in (0, 1) and ``k_folds`` in [2, data.n], even if
-    no named estimator splits folds, state and action ids inside the evaluation
-    and known behavior policy tables, and the two tables alike in shape; all
-    are checked before any fit.
+    ``data.cells`` checks the ids and builds the row set ``(sa, states, rewards)``
+    that every estimator takes, once. DM and DR-full use the full-data nuisance
+    fit, also built once; IPW uses the known behavior policy if supplied, else
+    that fit's behavior. ``rng`` spawns one child per member of ``Estimator``, in
+    that order, and DR-half and DML draw their fold splits from their own child,
+    so no estimate depends on which other estimators are named. ``discount`` must
+    lie in [0, 1], ``level`` in (0, 1) and ``k_folds`` in [2, data.n], even if no
+    named estimator splits folds, state and action ids inside the evaluation and
+    known behavior policy tables, and the two tables alike in shape; all are
+    checked before any fit.
     """
     check_estimator_names(estimators)
     check_unit_interval(discount, "discount")
     check_level(level, "level")
     check_folds(k_folds, data.n, "k_folds")
-    data.cells(eval_policy, "evaluation")
+    rows = data.cells(eval_policy, "evaluation"), data.states, data.rewards
     if known_behavior is not None:
         data.cells(known_behavior, "behavior")
         check_table_shape(known_behavior.table.shape, eval_policy, "behavior policy")
@@ -326,15 +327,15 @@ def evaluate_dataset(
                             config=config)
 
     run = {
-        Estimator.DM: lambda: dm_estimate(data, full(), eval_policy, level=level),
-        Estimator.IPW: lambda: ipw_estimate(data, known_behavior or full().behavior, eval_policy,
+        Estimator.DM: lambda: dm_estimate(rows, full(), eval_policy, level=level),
+        Estimator.IPW: lambda: ipw_estimate(rows, known_behavior or full().behavior, eval_policy,
                                             discount, level=level),
-        Estimator.DR_FULL: lambda: dr_full_estimate(data, full(), eval_policy, discount,
+        Estimator.DR_FULL: lambda: dr_full_estimate(rows, full(), eval_policy, discount,
                                                     level=level),
-        Estimator.DR_HALF: lambda: dr_half_estimate(data, eval_policy, discount,
+        Estimator.DR_HALF: lambda: dr_half_estimate(rows, eval_policy, discount,
                                                     streams[Estimator.DR_HALF], level=level,
                                                     known_behavior=known_behavior, config=config),
-        Estimator.DML: lambda: dml_estimate(data, eval_policy, discount, streams[Estimator.DML],
+        Estimator.DML: lambda: dml_estimate(rows, eval_policy, discount, streams[Estimator.DML],
                                             k_folds=k_folds, known_behavior=known_behavior,
                                             config=config, level=level),
     }

@@ -44,6 +44,7 @@ from helpers import (
     move_pair,
     random_mdp,
     random_policy,
+    row_set,
     three_state_mdp,
     three_state_policies,
 )
@@ -173,7 +174,7 @@ def test_ci_coverage():
     for child in np.random.SeedSequence(42).spawn(reps):
         rng = np.random.default_rng(child)
         data = sample_dataset(mdp, behavior, n, rng)
-        est = dml_estimate(data, evaluation, 0.9, rng, k_folds=2)
+        est = dml_estimate(row_set(data, evaluation), evaluation, 0.9, rng, k_folds=2)
         hits += est.covers(truth)
     coverage = hits / reps
     check("confidence interval coverage", 0.92 <= coverage <= 0.97,
@@ -187,8 +188,9 @@ def _bandit_dml_and_half_values(reps: int, n: int):
     for child in np.random.SeedSequence(7).spawn(reps):
         rng = np.random.default_rng(child)
         data = sample_dataset(mdp, behavior, n, rng)
-        dml_vals.append(dml_estimate(data, evaluation, 1.0, rng, k_folds=2).value)
-        half_vals.append(dr_half_estimate(data, evaluation, 1.0, rng).value)
+        dml_vals.append(dml_estimate(row_set(data, evaluation), evaluation, 1.0, rng,
+                                     k_folds=2).value)
+        half_vals.append(dr_half_estimate(row_set(data, evaluation), evaluation, 1.0, rng).value)
     return np.array(dml_vals), np.array(half_vals)
 
 

@@ -162,8 +162,8 @@ class TestZeroBehaviorCells:
         dr = _psi_scores(*rows, eta.behavior, eta.q, self.evaluation, 1.0)
         assert dr.tolist() == [2.25, 0.25]
         # Neither estimator checks the evaluation policy's support.
-        assert ipw_estimate(data, self.behavior, self.evaluation, 1.0).value == 1.0
-        assert dr_full_estimate(data, eta, self.evaluation, 1.0).value == 1.25
+        assert ipw_estimate(rows, self.behavior, self.evaluation, 1.0).value == 1.0
+        assert dr_full_estimate(rows, eta, self.evaluation, 1.0).value == 1.25
 
     @pytest.mark.parametrize("horizon, step", [(0, 0), (2, 0), (2, 1), (2, 2)])
     def test_realized_zero_cell_raises(self, horizon, step):
@@ -178,9 +178,9 @@ class TestZeroBehaviorCells:
             with pytest.raises(SupportViolationError, match=self.message):
                 _psi_scores(*rows, self.behavior, q, self.evaluation, 0.9)
         with pytest.raises(SupportViolationError, match=self.message):
-            ipw_estimate(data, self.behavior, self.evaluation, 0.9)
+            ipw_estimate(rows, self.behavior, self.evaluation, 0.9)
         with pytest.raises(SupportViolationError, match=self.message):
-            dr_full_estimate(data, eta, self.evaluation, 0.9)
+            dr_full_estimate(rows, eta, self.evaluation, 0.9)
 
     def test_raise_order(self):
         # The behavior shape is checked first, then the realized zero, then Q.
@@ -201,7 +201,7 @@ class TestPointEstimators:
         data = sample_dataset(mdp, behavior, 50, np.random.default_rng(2))
         eta = zero_q_nuisance(behavior, mdp.horizon)
         eta = dataclasses.replace(eta, q=np.full_like(eta.q, 4.2))
-        est = dm_estimate(data, eta, evaluation)
+        est = dm_estimate(row_set(data, evaluation), eta, evaluation)
         assert est.value == pytest.approx(4.2, abs=1e-12)
         assert est.variance == pytest.approx(0.0, abs=1e-12)
 
@@ -212,8 +212,9 @@ class TestPointEstimators:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 5, np.random.default_rng(2))
         eta = NuisanceEstimate(behavior, np.ones((steps, 3, 2)))
-        for call in (lambda: dm_estimate(data, eta, evaluation),
-                     lambda: dr_full_estimate(data, eta, evaluation, 0.9)):
+        rows = row_set(data, evaluation)
+        for call in (lambda: dm_estimate(rows, eta, evaluation),
+                     lambda: dr_full_estimate(rows, eta, evaluation, 0.9)):
             with pytest.raises(ValidationError,
                                match="^q table does not span the dataset horizon$"):
                 call()
@@ -233,21 +234,21 @@ class TestPointEstimators:
             actions=np.zeros((4, 1), dtype=int),
             rewards=np.zeros((4, 1)),
         )
-        est = dm_estimate(data, eta, evaluation)
+        est = dm_estimate(row_set(data, evaluation), eta, evaluation)
         assert est.value == pytest.approx(exact_policy_value(mdp, evaluation), abs=1e-10)
 
     def test_ipw_matches_mean_return_on_policy(self):
         mdp = three_state_mdp()
         behavior, _ = three_state_policies()
         data = sample_dataset(mdp, behavior, 400, np.random.default_rng(3))
-        est = ipw_estimate(data, behavior, behavior, 0.9)
+        est = ipw_estimate(row_set(data, behavior), behavior, behavior, 0.9)
         disc = 0.9 ** np.arange(3)
         assert est.value == pytest.approx(float((data.rewards * disc).sum(1).mean()), abs=1e-12)
 
     def test_identical_trajectories_zero_variance(self):
         data = LoggedDataset(states=[[0]] * 5, actions=[[0]] * 5, rewards=[[1.0]] * 5)
         behavior = Policy(table=[[0.5, 0.5]])
-        est = ipw_estimate(data, behavior, behavior, 1.0)
+        est = ipw_estimate(row_set(data, behavior), behavior, behavior, 1.0)
         assert est.variance == 0.0
         assert est.ci_low == est.ci_high == est.value
 
@@ -259,13 +260,13 @@ class TestPointEstimators:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 20, np.random.default_rng(4))
         eta = fit_nuisance(data, evaluation, 0.9)
-        rng = np.random.default_rng(0)
+        rows, rng = row_set(data, evaluation), np.random.default_rng(0)
         call = {
-            "dm": lambda: dm_estimate(data, eta, evaluation, level=level),
-            "ipw": lambda: ipw_estimate(data, behavior, evaluation, 0.9, level=level),
-            "dr_full": lambda: dr_full_estimate(data, eta, evaluation, 0.9, level=level),
-            "dr_half": lambda: dr_half_estimate(data, evaluation, 0.9, rng, level=level),
-            "dml": lambda: dml_estimate(data, evaluation, 0.9, rng, level=level),
+            "dm": lambda: dm_estimate(rows, eta, evaluation, level=level),
+            "ipw": lambda: ipw_estimate(rows, behavior, evaluation, 0.9, level=level),
+            "dr_full": lambda: dr_full_estimate(rows, eta, evaluation, 0.9, level=level),
+            "dr_half": lambda: dr_half_estimate(rows, evaluation, 0.9, rng, level=level),
+            "dml": lambda: dml_estimate(rows, evaluation, 0.9, rng, level=level),
         }[name]
         with pytest.raises(ValidationError, match=r"level must lie in \(0, 1\)"):
             call()
@@ -278,8 +279,9 @@ class TestDrVariants:
         data = sample_dataset(mdp, behavior, 100, np.random.default_rng(4))
         fitted_behavior = fit_nuisance(data, evaluation, 0.9).behavior
         eta = zero_q_nuisance(fitted_behavior, mdp.horizon)
-        dr = dr_full_estimate(data, eta, evaluation, 0.9)
-        ipw = ipw_estimate(data, fitted_behavior, evaluation, 0.9)
+        rows = row_set(data, evaluation)
+        dr = dr_full_estimate(rows, eta, evaluation, 0.9)
+        ipw = ipw_estimate(rows, fitted_behavior, evaluation, 0.9)
         assert dr.value == pytest.approx(ipw.value, abs=1e-12)
         assert dr.variance == pytest.approx(ipw.variance, abs=1e-12)
 
@@ -287,7 +289,7 @@ class TestDrVariants:
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 2, np.random.default_rng(7))
-        est = dr_half_estimate(data, evaluation, 0.9, np.random.default_rng(1))
+        est = dr_half_estimate(row_set(data, evaluation), evaluation, 0.9, np.random.default_rng(1))
         assert est.n == 1
 
     @pytest.mark.parametrize("n", [10, 11])
@@ -296,7 +298,8 @@ class TestDrVariants:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, n, np.random.default_rng(8))
         rng_seed = 42
-        est = dr_half_estimate(data, evaluation, 0.9, np.random.default_rng(rng_seed))
+        est = dr_half_estimate(row_set(data, evaluation), evaluation, 0.9,
+                               np.random.default_rng(rng_seed))
         perm = np.random.default_rng(rng_seed).permutation(n)
         idx = np.sort(perm[:(n + 1) // 2])
         eta = fit_nuisance(select(data, np.sort(perm[(n + 1) // 2:])), evaluation, 0.9)
@@ -316,16 +319,18 @@ class TestDrVariants:
         scores = np.empty(data.n)
         for fold, part, eta in zip(folds, parts, fit_nuisances(parts, evaluation, 0.9)):
             scores[fold] = _psi_scores(*part, eta.behavior, eta.q, evaluation, 0.9)
-        dml = dml_estimate(data, evaluation, 0.9, np.random.default_rng(5))
-        half = dr_half_estimate(data, evaluation, 0.9, np.random.default_rng(5))
+        rows = row_set(data, evaluation)
+        dml = dml_estimate(rows, evaluation, 0.9, np.random.default_rng(5))
+        half = dr_half_estimate(rows, evaluation, 0.9, np.random.default_rng(5))
         assert dml.value == scores.mean()
         assert half.value == scores[folds[0]].mean()
         assert half.n == folds[0].size == 16
 
 
 class TestTableReads:
-    """Direct calls read every table through the dataset's flat cell index, so an
-    id or a table shape that would mis-address it is rejected first."""
+    """Every table is read through the flat cell index of the row set that
+    ``LoggedDataset.cells`` builds, so an id that would mis-address it is rejected
+    when the row set is built, and a table shape before any read."""
 
     @pytest.mark.parametrize("state, action, match", [
         (-1, 0, "'s' id -1 is outside the evaluation policy table of 3 states"),
@@ -342,15 +347,15 @@ class TestTableReads:
                              actions=[[0, 1, 0], [1, 0, action]], rewards=np.ones((2, 3)))
         eta = true_nuisance(mdp, behavior, evaluation)
         calls = {
-            "ipw": lambda: ipw_estimate(data, behavior, evaluation, 0.9),
-            "dr_full": lambda: dr_full_estimate(data, eta, evaluation, 0.9),
-            "dm": lambda: dm_estimate(data, eta, evaluation),
-            "dml": lambda: dml_estimate(data, evaluation, 0.9, np.random.default_rng(0)),
+            "ipw": lambda rows: ipw_estimate(rows, behavior, evaluation, 0.9),
+            "dr_full": lambda rows: dr_full_estimate(rows, eta, evaluation, 0.9),
+            "dm": lambda rows: dm_estimate(rows, eta, evaluation),
+            "dml": lambda rows: dml_estimate(rows, evaluation, 0.9, np.random.default_rng(0)),
         }
         with pytest.raises(ValidationError, match=f"^{re.escape(match)}$"):
             evaluate_dataset(data, evaluation, 0.9, (name,), np.random.default_rng(0))
         with pytest.raises(ValidationError, match=f"^{re.escape(match)}$"):
-            calls[name]()
+            calls[name](row_set(data, evaluation))
 
     @pytest.mark.parametrize("behavior_table, q_shape, match", [
         ([[0.2, 0.3, 0.5]] * 3, None,
@@ -385,7 +390,8 @@ class TestTableReads:
         with pytest.raises(ValidationError, match=re.escape(match)):
             fit_nuisance(data, evaluation, 0.9, known_behavior=known)
         with pytest.raises(ValidationError, match=re.escape(match)):
-            dml_estimate(data, evaluation, 0.9, np.random.default_rng(0), known_behavior=known)
+            dml_estimate(row_set(data, evaluation), evaluation, 0.9, np.random.default_rng(0),
+                         known_behavior=known)
 
 
 class TestDml:
@@ -395,7 +401,7 @@ class TestDml:
         data = sample_dataset(mdp, behavior, 100, np.random.default_rng(9))
         # DML with one injected nuisance for every fold is DR-full on that nuisance.
         eta = true_nuisance(mdp, behavior, behavior)
-        est = dr_full_estimate(data, eta, behavior, 0.9)
+        est = dr_full_estimate(row_set(data, behavior), eta, behavior, 0.9)
         scores = _psi_scores(*row_set(data, behavior), eta.behavior, eta.q, behavior, 0.9)
         assert est.value == pytest.approx(float(scores.mean()), abs=1e-10)
         assert est.variance == pytest.approx(float(((scores - scores.mean()) ** 2).mean()),
@@ -405,8 +411,9 @@ class TestDml:
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 80, np.random.default_rng(10))
-        a = dml_estimate(data, evaluation, 0.9, np.random.default_rng(5), k_folds=4)
-        b = dml_estimate(data, evaluation, 0.9, np.random.default_rng(5), k_folds=4)
+        rows = row_set(data, evaluation)
+        a = dml_estimate(rows, evaluation, 0.9, np.random.default_rng(5), k_folds=4)
+        b = dml_estimate(rows, evaluation, 0.9, np.random.default_rng(5), k_folds=4)
         assert a == b
 
     def test_k_larger_than_n_rejected(self):
@@ -414,13 +421,15 @@ class TestDml:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 3, np.random.default_rng(11))
         with pytest.raises(ValidationError):
-            dml_estimate(data, evaluation, 0.9, np.random.default_rng(0), k_folds=4)
+            dml_estimate(row_set(data, evaluation), evaluation, 0.9, np.random.default_rng(0),
+                         k_folds=4)
 
     def test_ci_half_width_formula(self):
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 100, np.random.default_rng(12))
-        est = dml_estimate(data, evaluation, 0.9, np.random.default_rng(3), level=0.9)
+        est = dml_estimate(row_set(data, evaluation), evaluation, 0.9, np.random.default_rng(3),
+                           level=0.9)
         from statistics import NormalDist
 
         half = NormalDist().inv_cdf(0.95) * np.sqrt(est.variance / est.n)
@@ -448,21 +457,22 @@ class TestFoldRows:
                              np.random.default_rng(4), known_behavior=behavior if known else None,
                              k_folds=k)
             counts.append(len(calls))
-        # One validating call per table, then one per public estimator and the full fit.
-        assert counts == ([8, 8] if known else [7, 7])
+        # One call per table: the evaluation table's builds the row set that every
+        # estimator takes, and the full fit indexes its dataset once more.
+        assert counts == ([3, 3] if known else [2, 2])
 
     @pytest.mark.parametrize("name", ["dml", "dr_half"])
     def test_cross_fits_build_no_dataset(self, monkeypatch, name):
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
-        data = sample_dataset(mdp, behavior, 40, np.random.default_rng(3))
+        rows = row_set(sample_dataset(mdp, behavior, 40, np.random.default_rng(3)), evaluation)
         built = []
         post_init = LoggedDataset.__post_init__
         monkeypatch.setattr(LoggedDataset, "__post_init__",
                             lambda self: built.append(1) or post_init(self))
-        call = {"dml": lambda: dml_estimate(data, evaluation, 0.9, np.random.default_rng(4),
+        call = {"dml": lambda: dml_estimate(rows, evaluation, 0.9, np.random.default_rng(4),
                                             k_folds=5),
-                "dr_half": lambda: dr_half_estimate(data, evaluation, 0.9,
+                "dr_half": lambda: dr_half_estimate(rows, evaluation, 0.9,
                                                     np.random.default_rng(4))}[name]
         assert call().n > 0
         assert built == []

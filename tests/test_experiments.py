@@ -38,7 +38,7 @@ from dml_ope import (
 )
 from dml_ope import estimators, experiments
 
-from helpers import noisy_lift, three_state_mdp, three_state_policies
+from helpers import noisy_lift, row_set, three_state_mdp, three_state_policies
 
 
 def small_config(**overrides):
@@ -380,7 +380,8 @@ class TestEvaluateDataset:
         data = sample_dataset(mdp, behavior, 60, np.random.default_rng(3))
         results = evaluate_dataset(data, evaluation, 0.9, ("dm", "dr_full"),
                                    np.random.default_rng(4))
-        fresh = dr_full_estimate(data, fit_nuisance(data, evaluation, 0.9), evaluation, 0.9)
+        fresh = dr_full_estimate(row_set(data, evaluation), fit_nuisance(data, evaluation, 0.9),
+                                 evaluation, 0.9)
         assert results["dr_full"].to_dict() == fresh.to_dict()
 
     @pytest.mark.parametrize("states, actions, behavior, match", [

@@ -123,7 +123,7 @@ def test_step_walk_equals_reference_rule(case):
     assert_same_scores(row_set(data, evaluation, slice(None, None, 2)), behavior, q,
                        evaluation, discount)
     # The row sets of non-contiguous folds, as the cross-fit gathers them.
-    for part in _fold_rows(data, evaluation, folds):
+    for part in _fold_rows(whole, folds):
         assert_same_scores(part, behavior, q, evaluation, discount)
 
 
