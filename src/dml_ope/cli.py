@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import cb_efficiency_bound
-from .mdp import (ValidationError, check_at_least, check_folds, check_level,
-                  check_unit_interval, load_mdp, read_json, sample_dataset, sized_by)
+from .mdp import (ValidationError, check_at_least, check_finite_nonnegative, check_folds,
+                  check_level, check_unit_interval, load_mdp, read_json, sample_dataset,
+                  sized_by)
 from .nuisance import NuisanceConfig
 from .experiments import (
     cell_from_dict,
@@ -109,6 +110,7 @@ def _cmd_simulate(args) -> None:
 def _cmd_evaluate(args) -> None:
     check_unit_interval(args.discount, "--discount")
     check_level(args.level, "--level")
+    check_finite_nonnegative(args.alpha, "--alpha")
     data = ingest_jsonl(args.data)
     check_folds(args.folds, data.n, "--folds")
     eval_policy = load_policy(args.eval_policy)

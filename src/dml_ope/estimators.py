@@ -85,6 +85,8 @@ class ValueEstimate:
 def _finalize(scores: np.ndarray, estimator: Estimator, level: float) -> ValueEstimate:
     check_level(level, "level")
     value = float(scores.mean())
+    if not np.isfinite(value):
+        raise ValidationError(f"{estimator.value} scores are not finite: their mean is {value}")
     variance = float(np.mean((scores - value) ** 2))
     z = NormalDist().inv_cdf((1.0 + level) / 2.0)
     half = z * np.sqrt(variance / scores.size)

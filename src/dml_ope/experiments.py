@@ -36,6 +36,7 @@ from .mdp import (
     TabularMdp,
     ValidationError,
     check_at_least,
+    check_finite_nonnegative,
     check_folds,
     check_keys,
     check_level,
@@ -411,9 +412,11 @@ def experiment_config_from_dict(obj: dict, base_dir: Path | None = None) -> Expe
         raise ValidationError("nuisance.behavior_policy must be 'known' or 'estimated'")
     noise = obj.get("noise_states", {})
     check_keys(noise, {"count", "seed"}, "noise_states")
-    # The seeds are checked before any MDP or policy file is read.
+    # The seeds and the smoothing are checked before any MDP or policy file is read.
     seed = json_field(obj, "seed", where, int, 0)
     check_at_least(seed, 0, f"{where}: 'seed'")
+    alpha = json_field(nuisance_obj, "smoothing_alpha", "nuisance config", default=0.5)
+    check_finite_nonnegative(alpha, "nuisance config: 'smoothing_alpha'")
     noise_seed = json_field(noise, "seed", "noise_states", int, 0)
     check_at_least(noise_seed, 0, "noise_states: 'seed'")
     base = base_dir or Path(".")
@@ -436,10 +439,7 @@ def experiment_config_from_dict(obj: dict, base_dir: Path | None = None) -> Expe
         discount=json_field(obj, "discount", where, float, None),
         level=json_field(obj, "level", where, float, 0.95),
         behavior_known=(behavior_mode == "known"),
-        nuisance=NuisanceConfig(
-            smoothing_alpha=json_field(nuisance_obj, "smoothing_alpha", "nuisance config",
-                                       default=0.5),
-        ),
+        nuisance=NuisanceConfig(smoothing_alpha=alpha),
         noise_states=json_field(noise, "count", "noise_states", int, 0),
         noise_seed=noise_seed,
     )

@@ -52,6 +52,11 @@ def check_at_least(value: float, low: int, name: str) -> None:
         raise ValidationError(f"{name} must be >= {low}, got {value}")
 
 
+def check_finite_nonnegative(value: float, name: str) -> None:
+    if not 0 <= value < np.inf:
+        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+
+
 @contextmanager
 def sized_by(value: int, name: str):
     """Re-raise numpy's refusal to shape or allocate an array in the block, whose

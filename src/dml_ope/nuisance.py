@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import LoggedDataset, Policy, ValidationError, check_folds
+from .mdp import LoggedDataset, Policy, ValidationError, check_finite_nonnegative, check_folds
 
 # The size rule: on the 240-state lift's 115,200 cells, sorting the moves won
 # at 12k (0.15 vs 0.39 ms) and lost to the dense table at 24k (0.37 vs 0.27 ms).
@@ -45,9 +45,7 @@ class NuisanceConfig:
     smoothing_alpha: float = 0.5
 
     def __post_init__(self):
-        if not 0 <= self.smoothing_alpha < np.inf:
-            raise ValidationError(f"smoothing_alpha must be finite and >= 0, "
-                                  f"got {self.smoothing_alpha!r}")
+        check_finite_nonnegative(self.smoothing_alpha, "smoothing_alpha")
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 
+import numpy as np
 import pytest
 
 from dml_ope import mdp_to_dict, policy_to_dict
@@ -266,6 +267,19 @@ class TestEvaluate:
         assert code == 1
         assert "'a' id 1 is outside the behavior policy table of 1 actions" in err
 
+    def test_non_finite_scores_exit_1_naming_the_estimator(self, workspace, capsys):
+        # The weight 0.8 / 0.6 on a reward of 1.7e308 overflows the IPW score.
+        lines = [{"steps": [{"s": 0, "a": 0, "r": 1.7e308}]},
+                 {"steps": [{"s": 1, "a": 0, "r": 0.0}]}]
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = self.evaluate_file(
+                workspace, capsys, lines, "--behavior-policy", str(workspace / "behavior.json"),
+                "--estimator", "ipw",
+            )
+        assert code == 1
+        assert out == ""
+        assert err == "error: ipw scores are not finite: their mean is inf\n"
+
     @pytest.mark.parametrize("flag, value, rule", [
         ("--discount", "1.5", "must lie in [0, 1]"),
         ("--discount", "-0.1", "must lie in [0, 1]"),
@@ -351,7 +365,7 @@ class TestEvaluate:
         assert out == ""
         assert err.startswith(f"error: {path}: ")
 
-    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
     def test_non_finite_alpha_exits_1(self, workspace, capsys, alpha):
         data = self.simulate(workspace, n=10)
         code, out, err = run(
@@ -361,7 +375,18 @@ class TestEvaluate:
         )
         assert code == 1
         assert out == ""
-        assert f"smoothing_alpha must be finite and >= 0, got {alpha}" in err
+        assert f"error: --alpha must be finite and >= 0, got {float(alpha)}" in err
+
+    def test_alpha_checked_before_any_file_is_read(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "evaluate", "--data", str(tmp_path / "missing.jsonl"),
+            "--eval-policy", str(tmp_path / "missing.json"), "--discount", "0.9",
+            "--alpha", "-1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --alpha must be finite and >= 0, got -1.0")
+        assert "missing" not in err
 
 
 class TestExperiment:
@@ -453,6 +478,8 @@ class TestExperiment:
         ({"seed": -1, "mdp": "nope.json"}, "experiment config: 'seed' must be >= 0, got -1"),
         ({"noise_states": {"count": 2, "seed": -1}, "mdp": "nope.json"},
          "noise_states: 'seed' must be >= 0, got -1"),
+        ({"nuisance": {"smoothing_alpha": -1}, "mdp": "nope.json"},
+         "nuisance config: 'smoothing_alpha' must be finite and >= 0, got -1.0"),
         # A component file that does not exist is named by its key and its path.
         ({"mdp": "x"}, r"config\.json: experiment config: 'mdp': no file at \S*/x\n"),
         ({"behavior_policy": "x"},
@@ -469,6 +496,7 @@ class TestExperiment:
             "one_fold_ipw_only", "zero_replications", "fewer_trajectories_than_folds",
             "number_mdp", "string_mdp_rewards", "short_mdp_rewards_row",
             "mdp_reward_cell_without_probs", "negative_seed", "negative_noise_seed",
+            "negative_smoothing_alpha",
             "missing_mdp_file", "missing_behavior_file", "missing_evaluation_file"])
     def test_malformed_config_exits_1_naming_the_key(self, workspace, capsys, change, match):
         path = self.small_config(workspace, **change)

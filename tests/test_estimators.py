@@ -252,6 +252,20 @@ class TestPointEstimators:
         assert est.variance == 0.0
         assert est.ci_low == est.ci_high == est.value
 
+    # Weights 1.5 on action 0 and 0.5 on action 1.
+    @pytest.mark.parametrize("actions, rewards, mean", [
+        ([0, 1], [1.7e308, 0.0], "inf"),
+        ([0, 0], [1.7e308, -1.7e308], "nan"),
+        ([1, 1, 1], [1.7e308] * 3, "inf"),
+    ], ids=["infinite_score", "opposite_infinite_scores", "finite_scores_sum_past_max"])
+    def test_non_finite_scores_raise_naming_the_estimator(self, actions, rewards, mean):
+        data = LoggedDataset(states=[[0]] * len(actions), actions=[[a] for a in actions],
+                             rewards=[[r] for r in rewards])
+        behavior, evaluation = Policy(table=[[0.5, 0.5]]), Policy(table=[[0.75, 0.25]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValidationError, match=f"^ipw scores are not finite: their mean is {mean}$"):
+            ipw_estimate(row_set(data, evaluation), behavior, evaluation, 1.0)
+
 
     @pytest.mark.parametrize("level", [0.0, 1.0, float("nan")])
     @pytest.mark.parametrize("name", [e.value for e in Estimator])

@@ -158,6 +158,12 @@ class TestBehaviorEstimate:
         policy = fit_tables(data, 2, 2, smoothing=0.0).behavior
         assert np.allclose(policy.table[1], [0.5, 0.5], atol=1e-12)
 
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+    def test_smoothing_must_be_finite_and_nonnegative(self, alpha):
+        with pytest.raises(ValidationError,
+                           match=f"^smoothing_alpha must be finite and >= 0, got {alpha}$"):
+            NuisanceConfig(smoothing_alpha=alpha)
+
     def test_smoothed_rows_positive_and_normalized(self):
         data = sample_dataset(three_state_mdp(), three_state_policies()[0], 40,
                               np.random.default_rng(3))
