@@ -20,7 +20,8 @@ from dml_ope import (
     reward_variance_table,
     sample_dataset,
 )
-from dml_ope.mdp import check_at_least, check_folds, check_level, check_unit_interval, sized_by
+from dml_ope.mdp import (check_at_least, check_finite_nonnegative, check_folds, check_level,
+                         check_unit_interval, sized_by)
 
 from helpers import (
     bernoulli,
@@ -195,6 +196,9 @@ class TestRunParameterRules:
         (check_folds, (6, 5, "k"), "k must lie in [2, 5] for 5 rows, got 6"),
         (check_at_least, (-1, 0, "'seed'"), "'seed' must be >= 0, got -1"),
         (check_at_least, (float("nan"), 0, "x"), "x must be >= 0, got nan"),
+        (check_finite_nonnegative, (-1.0, "--alpha"), "--alpha must be finite and >= 0, got -1.0"),
+        (check_finite_nonnegative, (float("inf"), "a"), "a must be finite and >= 0, got inf"),
+        (check_finite_nonnegative, (float("nan"), "a"), "a must be finite and >= 0, got nan"),
     ])
     def test_message_names_the_parameter_and_the_value(self, check, args, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -203,7 +207,7 @@ class TestRunParameterRules:
     @pytest.mark.parametrize("check, args", [
         (check_unit_interval, (0.0, "x")), (check_unit_interval, (1.0, "x")),
         (check_level, (0.5, "x")), (check_folds, (2, 2, "x")), (check_folds, (5, 5, "x")),
-        (check_at_least, (0, 0, "x")),
+        (check_at_least, (0, 0, "x")), (check_finite_nonnegative, (0.0, "x")),
     ])
     def test_edges_pass(self, check, args):
         check(*args)
