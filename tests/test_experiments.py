@@ -79,7 +79,51 @@ def logged_arrays(draw) -> LoggedDataset:
     )
 
 
+@st.composite
+def repeating_arrays(draw) -> LoggedDataset:
+    """(N, T+1) arrays of 1 to 9 steps whose cells come from small pools, so values
+    repeat within a block; each pool holds its field's edge values."""
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 9)))
+
+    def column(edges, elements, dtype):
+        pool = edges + draw(st.lists(elements, max_size=3))
+        cells = st.lists(st.sampled_from(pool), min_size=shape[0] * shape[1],
+                         max_size=shape[0] * shape[1])
+        return np.array(draw(cells), dtype=dtype).reshape(shape)
+
+    int64_max = int(np.iinfo(np.int64).max)
+    labels = st.integers(0, int64_max)
+    return LoggedDataset(
+        states=column([0, 1, int64_max], labels, np.int64),
+        actions=column([0, int64_max], labels, np.int64),
+        rewards=column([-0.0, 0.0, 5e-324, 1e308, -1e308],
+                       st.floats(allow_nan=False, allow_infinity=False), float),
+        propensities=(column([1.0, 5e-324], st.floats(0.0, 1.0, exclude_min=True), float)
+                      if draw(st.booleans()) else None),
+    )
+
+
 class TestJsonlRoundTrip:
+    @settings(deadline=None)
+    @given(repeating_arrays(), st.integers(1, 3))
+    def test_every_line_is_json_dumps_of_its_row(self, data, block_rows):
+        # Blocks of 1-3 rows end inside the data, so cells shared across a block
+        # boundary are encoded in both blocks.
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "_WRITE_BLOCK_ROWS", block_rows)
+            path = Path(tmp) / "data.jsonl"
+            write_jsonl(data, path)
+            text = path.read_text()
+        props = data.propensities if data.propensities is not None else np.full(
+            data.states.shape, None)
+        expected = "".join(
+            json.dumps({"steps": [{"s": s, "a": a, "r": r, "p": p}
+                                  for s, a, r, p in zip(*row)]}) + "\n"
+            for row in zip(data.states.tolist(), data.actions.tolist(),
+                           data.rewards.tolist(), props.tolist())
+        )
+        assert text == expected
+
     @settings(deadline=None)
     @given(logged_arrays())
     def test_round_trip_keeps_every_array(self, data):
