@@ -73,33 +73,38 @@ def load_policy(path: str | Path) -> Policy:
     return read_json(path, policy_from_dict)
 
 
-def _json_cells(column: np.ndarray) -> list[str]:
-    """The JSON text of each entry, exactly as json.dumps writes it in a list."""
-    return json.dumps(column.ravel().tolist())[1:-1].split(", ")
+def _json_cells(column: np.ndarray) -> np.ndarray:
+    """The JSON text of each entry, exactly as json.dumps writes it in a list.
+
+    Only the distinct values are encoded, one json.dumps call for all of them;
+    floats are told apart by their bits, so -0.0 and 0.0 keep their own text.
+    """
+    flat = column.ravel()
+    key = flat.view(np.int64) if flat.dtype.kind == "f" else flat
+    distinct, inverse = np.unique(key, return_inverse=True)
+    texts = json.dumps(distinct.view(flat.dtype).tolist())[1:-1].split(", ")
+    return np.array(texts, dtype=object)[inverse].reshape(column.shape)
 
 
 def write_jsonl(data: LoggedDataset, path: str | Path) -> None:
     """Emit one {"steps": [{"s", "a", "r", "p"}, ...]} object per trajectory.
 
-    Each field of a block of rows is encoded by one json.dumps call and split
-    into per-step cells, so the bytes equal json.dumps of every line's object;
-    ``p`` is null when the dataset carries no propensities. Encoding by block
-    keeps the per-step strings of only one block in memory.
+    A block of rows is one ``(rows, T+1, 9)`` array of text pieces: each step's
+    four field texts between constant separators. It is written with one join,
+    so the bytes equal json.dumps of every line's object; ``p`` is null when
+    the dataset carries no propensities. Encoding by block keeps the pieces of
+    only one block in memory.
     """
-    width = data.horizon + 1
+    pieces = np.empty((min(data.n, _WRITE_BLOCK_ROWS), data.horizon + 1, 9), dtype=object)
+    pieces[:, :, 0::2] = ['}, {"s": ', ', "a": ', ', "r": ', ', "p": ', ""]
+    pieces[:, 0, 0], pieces[:, -1, 8] = '{"steps": [{"s": ', "}]}\n"
+    fields = (data.states, data.actions, data.rewards, data.propensities)
     with open(path, "w") as fh:
         for start in range(0, data.n, _WRITE_BLOCK_ROWS):
-            rows = slice(start, start + _WRITE_BLOCK_ROWS)
-            cells = [_json_cells(col[rows]) for col in (data.states, data.actions, data.rewards)]
-            cells.append(
-                _json_cells(data.propensities[rows]) if data.propensities is not None
-                else ["null"] * len(cells[0])
-            )
-            steps = list(map('{{"s": {}, "a": {}, "r": {}, "p": {}}}'.format, *cells))
-            fh.writelines(
-                '{"steps": [' + ", ".join(steps[i:i + width]) + "]}\n"
-                for i in range(0, len(steps), width)
-            )
+            rows, block = slice(start, start + _WRITE_BLOCK_ROWS), pieces[:data.n - start]
+            for k, col in enumerate(fields):
+                block[:, :, 2 * k + 1] = "null" if col is None else _json_cells(col[rows])
+            fh.write("".join(block.ravel().tolist()))
 
 
 def _first(values: list, bad) -> int:
