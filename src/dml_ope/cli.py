@@ -198,7 +198,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         if "seed" in vars(args):  # before any file is read
             check_at_least(args.seed, 0, "--seed")
         _COMMANDS[args.command](args)
-    except (ValidationError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ValidationError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures map to a distinct exit code

@@ -87,7 +87,11 @@ def _finalize(scores: np.ndarray, estimator: Estimator, level: float) -> ValueEs
     value = float(scores.mean())
     if not np.isfinite(value):
         raise ValidationError(f"{estimator.value} scores are not finite: their mean is {value}")
-    variance = float(np.mean((scores - value) ** 2))
+    with np.errstate(over="ignore"):
+        variance = float(np.mean((scores - value) ** 2))
+    if not np.isfinite(variance):
+        raise ValidationError(f"{estimator.value} scores are not finite: their variance is "
+                              f"{variance}")
     z = NormalDist().inv_cdf((1.0 + level) / 2.0)
     half = z * np.sqrt(variance / scores.size)
     return ValueEstimate(

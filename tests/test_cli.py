@@ -280,6 +280,19 @@ class TestEvaluate:
         assert out == ""
         assert err == "error: ipw scores are not finite: their mean is inf\n"
 
+    def test_infinite_variance_exits_1_naming_the_estimator(self, workspace, capsys):
+        # On-policy rows: the scores 1e200 and -1e200 have mean 0 and an
+        # overflowing variance, which JSON cannot hold.
+        lines = [{"steps": [{"s": 0, "a": 0, "r": 1e200}]},
+                 {"steps": [{"s": 0, "a": 0, "r": -1e200}]}]
+        code, out, err = self.evaluate_file(
+            workspace, capsys, lines, "--behavior-policy", str(workspace / "eval.json"),
+            "--estimator", "ipw",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: ipw scores are not finite: their variance is inf\n"
+
     @pytest.mark.parametrize("flag, value, rule", [
         ("--discount", "1.5", "must lie in [0, 1]"),
         ("--discount", "-0.1", "must lie in [0, 1]"),
@@ -678,7 +691,8 @@ class TestRmse:
 
 class TestOutputPath:
     """Every subcommand that writes a report or a dataset names an output path it
-    cannot open and exits 1, after its work and before anything is written."""
+    cannot open and exits 1, after its work and before anything is written. A
+    path under a regular file, read or written, exits 1 naming it."""
 
     @staticmethod
     def argv(workspace, command):
@@ -725,6 +739,24 @@ class TestOutputPath:
         assert code == 1
         assert out == ""
         assert err == f"error: {reason}: '{output}'\n"
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--output"), ("evaluate", "--data"), ("evaluate", "--output"),
+        ("experiment", "--config"), ("bound", "--mdp"),
+    ], ids=["simulate_output", "evaluate_data", "evaluate_output", "experiment_config",
+            "bound_mdp"])
+    def test_path_under_a_regular_file_exits_1_naming_it(self, workspace, capsys, command,
+                                                        flag):
+        argv = self.argv(workspace, command)
+        path = workspace / "eval.json" / "x.json"  # eval.json is a regular file
+        if flag in argv:
+            argv[argv.index(flag) + 1] = str(path)
+        else:
+            argv += [flag, str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: [Errno 20] Not a directory: '{path}'\n"
 
 
 class TestUsage:

@@ -266,6 +266,15 @@ class TestPointEstimators:
                 ValidationError, match=f"^ipw scores are not finite: their mean is {mean}$"):
             ipw_estimate(row_set(data, evaluation), behavior, evaluation, 1.0)
 
+    def test_infinite_variance_raises_naming_the_estimator(self):
+        # On-policy weights are 1: the mean of 1e200 and -1e200 is 0, but the
+        # squared deviations overflow. No overflow warning may escape either.
+        data = LoggedDataset(states=[[0], [0]], actions=[[0], [1]], rewards=[[1e200], [-1e200]])
+        policy = Policy(table=[[0.5, 0.5]])
+        with pytest.raises(ValidationError,
+                           match="^ipw scores are not finite: their variance is inf$"):
+            ipw_estimate(row_set(data, policy), policy, policy, 1.0)
+
 
     @pytest.mark.parametrize("level", [0.0, 1.0, float("nan")])
     @pytest.mark.parametrize("name", [e.value for e in Estimator])
