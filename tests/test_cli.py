@@ -8,7 +8,8 @@ import pytest
 from dml_ope import mdp_to_dict, policy_to_dict
 from dml_ope.cli import cli_main
 
-from helpers import bandit_mdp, bandit_policies, noisy_lift, three_state_mdp, three_state_policies
+from helpers import (NOISY_CONFIG, bandit_mdp, bandit_policies, noisy_lift, three_state_mdp,
+                     three_state_policies)
 
 _MDP = mdp_to_dict(three_state_mdp())
 
@@ -533,6 +534,37 @@ class TestExperiment:
         code, _, err = run(capsys, "experiment", "--config", str(path))
         assert code == 1
         assert "OPE_DML_THREADS must be an integer, got 'abc'" in err
+
+
+class TestNoisyConfigPins:
+    """The ``experiment`` report on configs/noisy_nuisance.json at 37 replications,
+    pinned to the byte for both behavior sources and two fold counts, at one and
+    at two workers."""
+
+    DIGESTS = {
+        ("known", 2): "f4b5700fd137e11e9299d624bdd3b40356f5c0c7d52245bbee26feb1e1e10ff2",
+        ("known", 3): "79d7e005b3d8a32ab4742518b95d7081a906d862215ad2bc992635635f23a5bb",
+        ("estimated", 2): "3e008687e96237cac2ff10cef27a9c858b6c6151a73ea29bd30467b9f6396305",
+        ("estimated", 3): "b014bfe320eb9c5d76c6c34cfac7c3c25fee7e0e22b3aff9b0028c7d4c746116",
+    }
+
+    @staticmethod
+    def report(tmp_path, capsys, behavior: str, k_folds: int) -> bytes:
+        config = json.loads(NOISY_CONFIG.read_text())
+        config["replications"] = 37
+        config["nuisance"].update(behavior_policy=behavior, k_folds=k_folds)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "experiment", "--config", str(path))
+        assert (code, err) == (0, "")
+        return out.encode()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("behavior, k_folds", list(DIGESTS))
+    def test_report_digest(self, tmp_path, capsys, monkeypatch, behavior, k_folds, threads):
+        monkeypatch.setenv("OPE_DML_THREADS", threads)
+        out = self.report(tmp_path, capsys, behavior, k_folds)
+        assert hashlib.sha256(out).hexdigest() == self.DIGESTS[behavior, k_folds]
 
 
 class TestBound:
