@@ -28,12 +28,12 @@ from .nuisance import (
     NuisanceConfig,
     NuisanceEstimate,
     SupportViolationError,
+    _complements,
     _count,
     _fit,
+    _folds,
     check_support,
     check_table_shape,
-    fit_nuisances,
-    make_folds,
 )
 
 
@@ -82,27 +82,28 @@ class ValueEstimate:
         }
 
 
-def _finalize(scores: np.ndarray, estimator: Estimator, level: float) -> ValueEstimate:
+def _finalize(scores: np.ndarray, estimator: Estimator, level: float) -> list[ValueEstimate]:
+    """The estimate of each of R stacked score rows (R, n): the mean, the plug-in
+    variance and the normal-approximation CI at ``level``. Each row's mean and
+    variance must be finite; the first that is not is named."""
     check_level(level, "level")
-    value = float(scores.mean())
-    if not np.isfinite(value):
-        raise ValidationError(f"{estimator.value} scores are not finite: their mean is {value}")
+    values = scores.mean(axis=-1)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValidationError(f"{estimator.value} scores are not finite: their mean is "
+                              f"{float(values[bad[0]])}")
     with np.errstate(over="ignore"):
-        variance = float(np.mean((scores - value) ** 2))
-    if not np.isfinite(variance):
+        variances = np.mean((scores - values[:, None]) ** 2, axis=-1)
+    bad = np.flatnonzero(~np.isfinite(variances))
+    if bad.size:
         raise ValidationError(f"{estimator.value} scores are not finite: their variance is "
-                              f"{variance}")
-    z = NormalDist().inv_cdf((1.0 + level) / 2.0)
-    half = z * np.sqrt(variance / scores.size)
-    return ValueEstimate(
-        value=value,
-        variance=variance,
-        n=scores.size,
-        ci_low=value - half,
-        ci_high=value + half,
-        estimator=estimator,
-        level=level,
-    )
+                              f"{float(variances[bad[0]])}")
+    n = scores.shape[-1]
+    halves = NormalDist().inv_cdf((1.0 + level) / 2.0) * np.sqrt(variances / n)
+    return [ValueEstimate(value=float(value), variance=float(variance), n=n,
+                          ci_low=float(value - half), ci_high=float(value + half),
+                          estimator=estimator, level=level)
+            for value, variance, half in zip(values, variances, halves)]
 
 
 def _check_q(q: np.ndarray, steps: int, eval_policy: Policy) -> None:
@@ -112,40 +113,199 @@ def _check_q(q: np.ndarray, steps: int, eval_policy: Policy) -> None:
     check_table_shape(q.shape[1:], eval_policy, "per-step q")
 
 
+def _ratios(behavior: np.ndarray, eval_policy: Policy, sa: np.ndarray) -> np.ndarray:
+    """The flat table of pe/pb for R stacked row sets, to read with their cell
+    index ``sa`` (R, n, T+1), offset by r*S*A; ``behavior`` is one (S, A) table or
+    R stacked ones. Raise if a row visits a cell of zero behavior propensity."""
+    pb = np.broadcast_to(behavior, sa.shape[:1] + eval_policy.table.shape)
+    zero = pb <= 0
+    if zero.any() and zero.ravel().take(sa).any():
+        raise SupportViolationError("zero behavior propensity on a realized action")
+    return np.divide(eval_policy.table, pb, out=np.zeros(zero.shape), where=~zero).ravel()
+
+
+def _control(q: np.ndarray, eval_policy: Policy) -> tuple:
+    """The Q control variate of R stacked (T+1, R, S, A) tables, as per-step flat
+    tables read with the offset cell index: q_t, and v_t(s) = sum_a pe(a|s) q_t(s, a)
+    repeated over the actions of s."""
+    v = np.einsum("trsa,sa->trs", q, eval_policy.table)
+    steps = q.shape[0]
+    return (q.reshape(steps, -1),
+            np.repeat(v, eval_policy.num_actions, axis=-1).reshape(steps, -1))
+
+
+def _walk(sa: np.ndarray, rewards: np.ndarray, ratio: np.ndarray, controls: list,
+          discount: float) -> list:
+    """The doubly robust scores (R, n) of R stacked row sets for each of
+    ``controls``: a ``_control`` pair, or None for the IPW score, Q = 0. One walk
+    over the steps on columns of the offset cell index ``sa`` serves them all:
+    rho_t = rho_{t-1} * pe/pb, and step t adds
+    disc_t * (rho_t * (r_t - q_t(s_t, a_t)) + rho_{t-1} * v_t(s_t))."""
+    steps = sa.shape[-1]
+    disc = discount ** np.arange(steps)
+    # The bytes of numpy's row sum: it adds fewer than 8 steps in order from 0.0, so
+    # one column collects them; from 8 it adds in pairwise lanes, so each step is kept.
+    psis = [np.zeros(sa.shape[:-1] + (1 if steps < 8 else steps,)) for _ in controls]
+    rho_prev = 1.0
+    for t in range(steps):
+        cell, reward = sa[..., t], rewards[..., t]
+        rho = ratio.take(cell) * rho_prev
+        for psi, control in zip(psis, controls):
+            if control is None:
+                term = rho * reward
+            else:
+                q, v = control
+                term = (reward - q[t].take(cell)) * rho + v[t].take(cell) * rho_prev
+            term *= disc[t]
+            psi[..., t % psi.shape[-1]] += term
+        rho_prev = rho
+    return [psi.sum(axis=-1) for psi in psis]
+
+
 def _psi_scores(sa: np.ndarray, states: np.ndarray, rewards: np.ndarray, behavior: Policy,
                 q: np.ndarray | None, eval_policy: Policy, discount: float) -> np.ndarray:
     """Vectorized doubly robust score per trajectory of the row set ``(sa, states,
     rewards)`` with the (T+1, S, A) Q array ``q`` as control variate; ``q=None`` is the
-    IPW score, Q = 0. It walks the steps on columns of the cell index ``sa``, left
-    unchanged: rho_t = rho_{t-1} * pe/pb, and step t adds
-    disc_t * (rho_t * (r_t - q_t(s_t, a_t)) + rho_{t-1} * v_t(s_t))."""
+    IPW score, Q = 0. The walk reads v_t(s_t) by the cell index, not ``states``."""
     check_table_shape(behavior.table.shape, eval_policy, "behavior policy")
-    zero = behavior.table <= 0
-    if zero.any() and zero.take(sa).any():
-        raise SupportViolationError("zero behavior propensity on a realized action")
-    ratio = np.divide(eval_policy.table, behavior.table, out=np.zeros(zero.shape), where=~zero)
-    steps = sa.shape[1]
+    ratio = _ratios(behavior.table, eval_policy, sa[None])
     if q is not None:
-        _check_q(q, steps, eval_policy)
-        v = np.einsum("tsa,sa->ts", q, eval_policy.table)
-    disc = discount ** np.arange(steps)
-    # The bytes of numpy's row sum: it adds fewer than 8 steps in order from 0.0, so
-    # one column collects them; from 8 it adds in pairwise lanes, so each step is kept.
-    psi = np.zeros((sa.shape[0], 1 if steps < 8 else steps))
-    rho_prev = 1.0
-    for t in range(steps):
-        rho = ratio.take(sa[:, t]) * rho_prev
-        term = rho * rewards[:, t] if q is None else (
-            (rewards[:, t] - q[t].take(sa[:, t])) * rho + v[t].take(states[:, t]) * rho_prev)
-        term *= disc[t]
-        psi[:, t % psi.shape[1]] += term
-        rho_prev = rho
-    return psi.sum(axis=1)
+        _check_q(q, sa.shape[1], eval_policy)
+        q = _control(q[:, None], eval_policy)
+    return _walk(sa[None], rewards[None], ratio, [q], discount)[0][0]
 
 
-def _fold_rows(rows: tuple, folds: tuple) -> list:
-    """Each fold's row set ``(sa, states, rewards)`` of ``rows``; take beats indexing."""
-    return [tuple(x.take(fold, axis=0) for x in rows) for fold in folds]
+def _fold_rows(rows: tuple, folds: list) -> list:
+    """Each fold's rows of the arrays ``rows``: of (n, T+1) arrays by 1-d folds, or
+    of R stacked ones (R, n, T+1) by (R, n_k) folds, each row of which indexes its
+    own replication's rows; take beats indexing."""
+    n = rows[0].shape[-2]
+    return [tuple(x.reshape(-1, x.shape[-1]).take(_offset(fold, n).ravel(), axis=0)
+                  .reshape(fold.shape + x.shape[-1:]) for x in rows) for fold in folds]
+
+
+def _offset(index: np.ndarray, step: int) -> np.ndarray:
+    """``index`` (R, ...) with row r offset by r*step, into R stacked tables."""
+    if index.ndim < 2 or len(index) == 1:
+        return index
+    return index + (np.arange(len(index)) * step).reshape((-1,) + (1,) * (index.ndim - 1))
+
+
+def _cells(states: np.ndarray, actions: np.ndarray, eval_policy: Policy) -> np.ndarray:
+    """The cell index ``s*A + a`` of R stacked datasets (R, n, T+1), replication r's
+    offset by r*S*A into the R stacked (S, A) tables; one replication's is not offset."""
+    sa = states * eval_policy.num_actions
+    sa += actions
+    return _offset(sa, eval_policy.table.size)
+
+
+def _fold_set(columns: tuple, fold: np.ndarray, eval_policy: Policy) -> tuple:
+    """The row set ``(sa, states, rewards)`` of one (R, n_k) fold of R stacked
+    datasets' columns ``(states, actions, rewards)``."""
+    states, actions, rewards = _fold_rows(columns, [fold])[0]
+    return _cells(states, actions, eval_policy), states, rewards
+
+
+def _columns(rows: tuple, eval_policy: Policy) -> tuple:
+    """The columns ``(states, actions, rewards)`` of a row set, as one replication."""
+    sa, states, rewards = rows
+    return states[None], (sa - states * eval_policy.num_actions)[None], rewards[None]
+
+
+def _dm_scores(sa: np.ndarray, q: np.ndarray, eval_policy: Policy) -> np.ndarray:
+    """The fitted initial-state value of each stacked row, v_0(s_0), read by its cell."""
+    v0 = (eval_policy.table * q[0]).sum(axis=-1)
+    return np.repeat(v0, eval_policy.num_actions, axis=-1).ravel().take(sa[..., 0])
+
+
+def _full_data(columns: tuple, wanted: set, eval_policy: Policy, discount: float,
+               known_behavior: Policy | None, config: NuisanceConfig, level: float) -> dict:
+    """DM, IPW and DR-full, those ``wanted``, of R stacked datasets' columns. DM and
+    DR-full score on the full-data fit; IPW reads the known behavior, else that
+    fit's, the table DR-full reads, so the two share one walk. The full cell index
+    is built here and released on return."""
+    if not wanted & {Estimator.DM, Estimator.IPW, Estimator.DR_FULL}:
+        return {}
+    states, actions, rewards = columns
+    sa = _cells(states, actions, eval_policy)
+    behavior = None if known_behavior is None else known_behavior.table
+    if wanted & {Estimator.DM, Estimator.DR_FULL} or behavior is None:
+        behavior, q = _fit(*_count(sa, states, rewards, eval_policy), sa.shape[-1] - 1,
+                           eval_policy, discount, known_behavior, config)
+    done = {}
+    if Estimator.DM in wanted:
+        done[Estimator.DM] = _finalize(_dm_scores(sa, q, eval_policy), Estimator.DM, level)
+    walked = [e for e in (Estimator.IPW, Estimator.DR_FULL) if e in wanted]
+    if walked:
+        controls = [None if e is Estimator.IPW else _control(q, eval_policy) for e in walked]
+        ratio = _ratios(behavior, eval_policy, sa)
+        for e, scores in zip(walked, _walk(sa, rewards, ratio, controls, discount)):
+            done[e] = _finalize(scores, e, level)
+    return done
+
+
+def _dr_half(columns: tuple, rngs: list, eval_policy: Policy, discount: float,
+             known_behavior: Policy | None, config: NuisanceConfig, level: float) -> list:
+    """``dr_half_estimate`` of R stacked datasets' columns, replication r splitting
+    with ``rngs[r]``."""
+    scored, fitted = _folds(columns[0].shape[1], 2, rngs)
+    behavior, q = _fit(*_count(*_fold_set(columns, fitted, eval_policy), eval_policy),
+                       columns[0].shape[-1] - 1, eval_policy, discount, known_behavior, config)
+    sa, _, rewards = _fold_set(columns, scored, eval_policy)
+    scores = _walk(sa, rewards, _ratios(behavior, eval_policy, sa), [_control(q, eval_policy)],
+                   discount)[0]
+    return _finalize(scores, Estimator.DR_HALF, level)
+
+
+def _dml(columns: tuple, rngs: list, k_folds: int, eval_policy: Policy, discount: float,
+         known_behavior: Policy | None, config: NuisanceConfig, level: float) -> list:
+    """``dml_estimate`` of R stacked datasets' columns, replication r splitting with
+    ``rngs[r]``. Each fold is gathered and counted in turn; its states are dropped
+    then, as the walk reads only its cell index and rewards."""
+    reps, n, steps = columns[0].shape
+    folds = _folds(n, k_folds, rngs)
+    parts, tables, pairs = [], [], []
+    for fold in folds:
+        sa, states, rewards = _fold_set(columns, fold, eval_policy)
+        part_tables, pair = _count(sa, states, rewards, eval_policy)
+        parts.append((sa, rewards))
+        tables.append(part_tables)
+        pairs.append(pair)
+    size = reps * eval_policy.table.size * eval_policy.num_states
+    scores = np.empty((reps, n))
+    for fold, (sa, rewards), (part_tables, moves) in zip(folds, parts,
+                                                         _complements(tables, pairs, size)):
+        behavior, q = _fit(part_tables, moves, steps - 1, eval_policy, discount,
+                           known_behavior, config)
+        psi = _walk(sa, rewards, _ratios(behavior, eval_policy, sa), [_control(q, eval_policy)],
+                    discount)[0]
+        np.put_along_axis(scores, fold, psi, axis=1)
+    return _finalize(scores, Estimator.DML, level)
+
+
+def _estimate(columns: tuple, rngs: list, names, eval_policy: Policy, discount: float,
+              known_behavior: Policy | None, k_folds: int, config: NuisanceConfig,
+              level: float) -> dict:
+    """The named estimates of R stacked datasets, their columns ``(states, actions,
+    rewards)`` of shape (R, n, T+1), whose ids the caller has checked: for each
+    name, in the order of ``names``, the list of R estimates.
+
+    Replication r's generator ``rngs[r]`` spawns one child per member of
+    ``Estimator``, in that order, and DR-half and DML split their folds with their
+    own child, so no estimate depends on the other names or on the run order. The
+    full-data estimators run first; DR-half and DML then build the cell index of
+    each fold they gather, so the full one is not held while they fit.
+    """
+    wanted = {Estimator(name) for name in names}
+    streams = [dict(zip(Estimator, rng.spawn(len(Estimator)))) for rng in rngs]
+    done = _full_data(columns, wanted, eval_policy, discount, known_behavior, config, level)
+    if Estimator.DR_HALF in wanted:
+        done[Estimator.DR_HALF] = _dr_half(columns, [s[Estimator.DR_HALF] for s in streams],
+                                           eval_policy, discount, known_behavior, config, level)
+    if Estimator.DML in wanted:
+        done[Estimator.DML] = _dml(columns, [s[Estimator.DML] for s in streams], k_folds,
+                                   eval_policy, discount, known_behavior, config, level)
+    return {name: done[Estimator(name)] for name in names}
 
 
 def dm_estimate(
@@ -156,8 +316,8 @@ def dm_estimate(
 ) -> ValueEstimate:
     """Direct method: average the fitted initial-state value over the row set."""
     _check_q(eta.q, rows[0].shape[1], eval_policy)
-    v0 = (eval_policy.table * eta.q[0]).sum(axis=1)
-    return _finalize(v0.take(rows[1][:, 0]), Estimator.DM, level)
+    return _finalize(_dm_scores(rows[0][None], eta.q[:, None], eval_policy), Estimator.DM,
+                     level)[0]
 
 
 def ipw_estimate(
@@ -168,7 +328,7 @@ def ipw_estimate(
     level: float = 0.95,
 ) -> ValueEstimate:
     scores = _psi_scores(*rows, behavior, None, eval_policy, discount)
-    return _finalize(scores, Estimator.IPW, level)
+    return _finalize(scores[None], Estimator.IPW, level)[0]
 
 
 def dr_full_estimate(
@@ -180,7 +340,7 @@ def dr_full_estimate(
 ) -> ValueEstimate:
     """Doubly robust score averaged over the same rows ``eta`` was fit on."""
     scores = _psi_scores(*rows, eta.behavior, eta.q, eval_policy, discount)
-    return _finalize(scores, Estimator.DR_FULL, level)
+    return _finalize(scores[None], Estimator.DR_FULL, level)[0]
 
 
 def dr_half_estimate(
@@ -194,12 +354,8 @@ def dr_half_estimate(
 ) -> ValueEstimate:
     """Score fold 0 of a 2-fold split, its first (n+1)//2 rows, with nuisances
     fitted on fold 1: DML's fold-0 fit at k_folds=2."""
-    n, steps = rows[0].shape
-    scored, fitted = _fold_rows(rows, make_folds(n, 2, rng))
-    eta = _fit(*_count(*fitted, eval_policy), steps - 1, eval_policy, discount,
-               known_behavior, config)
-    scores = _psi_scores(*scored, eta.behavior, eta.q, eval_policy, discount)
-    return _finalize(scores, Estimator.DR_HALF, level)
+    return _dr_half(_columns(rows, eval_policy), [rng], eval_policy, discount, known_behavior,
+                    config, level)[0]
 
 
 def dml_estimate(
@@ -215,18 +371,11 @@ def dml_estimate(
     """Cross-fitted doubly robust estimator with the pooled variance estimator.
 
     Each fold's rows are cut once and scored with nuisances fitted on the other
-    folds (``fit_nuisances``); the value is the pooled mean of all N scores,
-    which matches the per-fold double average whenever the folds are equal-sized.
+    folds; the value is the pooled mean of all N scores, which matches the
+    per-fold double average whenever the folds are equal-sized.
     """
-    n = rows[0].shape[0]
-    folds = make_folds(n, k_folds, rng)
-    parts = _fold_rows(rows, folds)
-    etas = fit_nuisances(parts, eval_policy, discount, known_behavior=known_behavior,
-                         config=config)
-    scores = np.empty(n)
-    for fold, part, eta in zip(folds, parts, etas):
-        scores[fold] = _psi_scores(*part, eta.behavior, eta.q, eval_policy, discount)
-    return _finalize(scores, Estimator.DML, level)
+    return _dml(_columns(rows, eval_policy), [rng], k_folds, eval_policy, discount,
+                known_behavior, config, level)[0]
 
 
 def cb_efficiency_bound(mdp: TabularMdp, behavior: Policy, eval_policy: Policy) -> float:
@@ -235,7 +384,7 @@ def cb_efficiency_bound(mdp: TabularMdp, behavior: Policy, eval_policy: Policy) 
         raise ValidationError("efficiency bound requires horizon 0")
     mdp.check_policy(behavior)
     mdp.check_policy(eval_policy)
-    check_support(behavior, eval_policy)
+    check_support(behavior.table, eval_policy)
     mu = mean_reward_table(mdp)
     var_r = reward_variance_table(mdp)
     value = exact_policy_value(mdp, eval_policy)

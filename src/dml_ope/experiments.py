@@ -7,11 +7,16 @@ environment variable above 1, the replications are split into one contiguous
 block per worker process, at most one worker per CPU and per replication; each
 block builds the scenario once, and the blocks' rows are joined in order. A
 single block runs in the calling process.
+
+A block runs its replications in chunks of ``max(1, ROW_BUDGET // n)``. A
+chunk is sampled, counted, fitted and scored as one stack of (R, n, T+1) row
+sets, each replication with its own generator, folds and estimator streams,
+so every replication's estimates are those of ``evaluate_dataset`` on its
+dataset; the budget bounds the memory of a chunk.
 """
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -21,20 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import (
-    Estimator,
-    ValueEstimate,
-    dm_estimate,
-    dml_estimate,
-    dr_full_estimate,
-    dr_half_estimate,
-    ipw_estimate,
-)
+from .estimators import Estimator, ValueEstimate, _estimate
 from .mdp import (
     LoggedDataset,
     Policy,
     TabularMdp,
     ValidationError,
+    _sample,
     check_at_least,
     check_finite_nonnegative,
     check_folds,
@@ -46,12 +44,15 @@ from .mdp import (
     load_mdp,
     mdp_from_dict,
     read_json,
-    sample_dataset,
     sized_by,
 )
-from .nuisance import NuisanceConfig, check_table_shape, fit_nuisance
+from .nuisance import NuisanceConfig, check_table_shape
 
 _INT64_MAX = np.iinfo(np.int64).max
+# Trajectories per chunk of stacked replications. A larger chunk spreads each numpy
+# call's fixed cost over more replications; at 8,192 its arrays stay a few MiB
+# (BENCH_stacked_replications.json probes 2^12 to 2^15).
+ROW_BUDGET = 8192
 _WRITE_BLOCK_ROWS = 4096
 _STEP_KEYS = {"s", "a", "r"}
 
@@ -303,49 +304,33 @@ def evaluate_dataset(
     config: NuisanceConfig = NuisanceConfig(),
     level: float = 0.95,
 ) -> dict[str, ValueEstimate]:
-    """Run the named estimators on one logged dataset.
+    """Run the named estimators on one logged dataset: the one-replication case of
+    the stacked kernels that run the MSE study.
 
-    ``data.cells`` checks the ids and builds the row set ``(sa, states, rewards)``
-    that every estimator takes, once. DM and DR-full use the full-data nuisance
-    fit, also built once; IPW uses the known behavior policy if supplied, else
-    that fit's behavior. ``rng`` spawns one child per member of ``Estimator``, in
+    The ids are checked once per table. DM and DR-full use the full-data nuisance
+    fit, built once; IPW uses the known behavior policy if supplied, else that
+    fit's behavior, and shares DR-full's step walk. DR-half and DML run last and
+    build each fold's cell index from its own rows, so the full cell index is not
+    held while they fit. ``rng`` spawns one child per member of ``Estimator``, in
     that order, and DR-half and DML draw their fold splits from their own child,
-    so no estimate depends on which other estimators are named. ``discount`` must
-    lie in [0, 1], ``level`` in (0, 1) and ``k_folds`` in [2, data.n], even if no
-    named estimator splits folds, state and action ids inside the evaluation and
-    known behavior policy tables, and the two tables alike in shape; all are
-    checked before any fit.
+    so no estimate depends on which other estimators are named or on the order in
+    which they run. ``discount`` must lie in [0, 1], ``level`` in (0, 1) and
+    ``k_folds`` in [2, data.n], even if no named estimator splits folds, state and
+    action ids inside the evaluation and known behavior policy tables, and the two
+    tables alike in shape; all are checked before any fit.
     """
     check_estimator_names(estimators)
     check_unit_interval(discount, "discount")
     check_level(level, "level")
     check_folds(k_folds, data.n, "k_folds")
-    rows = data.cells(eval_policy, "evaluation"), data.states, data.rewards
+    data.check_ids(eval_policy, "evaluation")
     if known_behavior is not None:
-        data.cells(known_behavior, "behavior")
+        data.check_ids(known_behavior, "behavior")
         check_table_shape(known_behavior.table.shape, eval_policy, "behavior policy")
-
-    streams = dict(zip(Estimator, rng.spawn(len(Estimator))))
-
-    @functools.cache
-    def full():
-        return fit_nuisance(data, eval_policy, discount, known_behavior=known_behavior,
-                            config=config)
-
-    run = {
-        Estimator.DM: lambda: dm_estimate(rows, full(), eval_policy, level=level),
-        Estimator.IPW: lambda: ipw_estimate(rows, known_behavior or full().behavior, eval_policy,
-                                            discount, level=level),
-        Estimator.DR_FULL: lambda: dr_full_estimate(rows, full(), eval_policy, discount,
-                                                    level=level),
-        Estimator.DR_HALF: lambda: dr_half_estimate(rows, eval_policy, discount,
-                                                    streams[Estimator.DR_HALF], level=level,
-                                                    known_behavior=known_behavior, config=config),
-        Estimator.DML: lambda: dml_estimate(rows, eval_policy, discount, streams[Estimator.DML],
-                                            k_folds=k_folds, known_behavior=known_behavior,
-                                            config=config, level=level),
-    }
-    return {name: run[name]() for name in estimators}
+    columns = data.states[None], data.actions[None], data.rewards[None]
+    results = _estimate(columns, [rng], estimators, eval_policy, discount, known_behavior,
+                        k_folds, config, level)
+    return {name: estimates[0] for name, estimates in results.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -482,20 +467,27 @@ def _scenario(config: ExperimentConfig) -> tuple[TabularMdp, Policy, Policy]:
 
 
 def _run_replications(config: ExperimentConfig, seeds: list) -> list[dict[str, float]]:
-    """The estimates of each replication in ``seeds``, in order, on one scenario build."""
+    """The estimates of each replication in ``seeds``, in order, on one scenario build.
+
+    The replications run in chunks of ``max(1, ROW_BUDGET // n)``: a chunk is
+    sampled, fitted and scored as one stack of (R, n, T+1) row sets, and a
+    replication's estimates are those ``evaluate_dataset`` gives its dataset.
+    """
     mdp, behavior, evaluation = _scenario(config)
     known = behavior if config.behavior_known else None
+    n = config.n_trajectories
+    chunk = max(1, ROW_BUDGET // n)
     rows = []
-    for seed_seq in seeds:
-        rng = np.random.default_rng(seed_seq)  # samples from child 0; estimators from 1 on
-        with sized_by(config.n_trajectories, "experiment config: 'n_trajectories'"):
-            data = sample_dataset(mdp, behavior, config.n_trajectories, *rng.spawn(1))
-        results = evaluate_dataset(
-            data, evaluation, config.effective_discount, config.estimators, rng,
-            known_behavior=known, k_folds=config.k_folds, config=config.nuisance,
-            level=config.level,
-        )
-        rows.append({name: est.value for name, est in results.items()})
+    for start in range(0, len(seeds), chunk):
+        # A replication samples from child 0 of its seed and estimates from child 1 on.
+        rngs = [np.random.default_rng(seed_seq) for seed_seq in seeds[start:start + chunk]]
+        with sized_by(n, "experiment config: 'n_trajectories'"):
+            *columns, _ = _sample(mdp, behavior, n, [rng.spawn(1)[0] for rng in rngs])
+        results = _estimate(columns, rngs, config.estimators, evaluation,
+                            config.effective_discount, known, config.k_folds, config.nuisance,
+                            config.level)
+        rows += [{name: results[name][r].value for name in config.estimators}
+                 for r in range(len(rngs))]
     return rows
 
 

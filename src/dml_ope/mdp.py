@@ -231,10 +231,10 @@ class LoggedDataset:
     def horizon(self) -> int:
         return self.states.shape[1] - 1
 
-    def cells(self, policy: Policy, which: str) -> np.ndarray:
-        """The flat cell index ``states * A + actions`` of every step into ``policy``'s
-        ``(S, A)`` table, shape (N, T+1). Raise first if an id lies outside the table:
-        a negative id would read from its end, and an action id >= A from the next state."""
+    def check_ids(self, policy: Policy, which: str) -> None:
+        """Raise unless every state and action id lies inside ``policy``'s ``(S, A)``
+        table: a negative id would read from its end, and an action id >= A from the
+        next state."""
         for field, ids, size, what in (("s", self.states, policy.num_states, "states"),
                                        ("a", self.actions, policy.num_actions, "actions")):
             low, high = ids.min(), ids.max()
@@ -243,6 +243,11 @@ class LoggedDataset:
                     f"'{field}' id {low if low < 0 else high} is outside the {which} policy "
                     f"table of {size} {what}"
                 )
+
+    def cells(self, policy: Policy, which: str) -> np.ndarray:
+        """The flat cell index ``states * A + actions`` of every step into ``policy``'s
+        ``(S, A)`` table, shape (N, T+1), after ``check_ids``."""
+        self.check_ids(policy, which)
         return self.states * policy.num_actions + self.actions
 
 
@@ -296,27 +301,42 @@ def sample_dataset(
     Every state, action and reward index is one inverse-CDF draw from
     ``rng.random(n)``, in that order at each step.
     """
+    states, actions, rewards, props = (x[0] for x in _sample(mdp, policy, n, [rng]))
+    return LoggedDataset(states=states, actions=actions, rewards=rewards, propensities=props)
+
+
+def _sample(mdp: TabularMdp, policy: Policy, n: int, rngs: list) -> tuple:
+    """``sample_dataset`` for each generator of ``rngs``, stacked: the states,
+    actions, rewards and propensities of ``n`` trajectories per generator, as
+    (R, n, T+1) arrays. Each generator fills its own ``random(n)`` for the state,
+    action and reward draws of a step, so a replication's draws do not depend on
+    the others; the inverse-CDF searches run once over all R*n rows."""
     mdp.check_policy(policy)
     check_at_least(n, 1, "n")
-    steps = mdp.horizon + 1
+    shape = (len(rngs), n, mdp.horizon + 1)
+    states = np.empty(shape, dtype=np.int64)
+    actions = np.empty(shape, dtype=np.int64)
+    rewards = np.empty(shape)
+    props = np.empty(shape)
     policy_cum = _cdf_table(policy.table)
     support = mdp.reward_support.reshape(mdp._reward_cum.shape)
-    states = np.empty((n, steps), dtype=np.int64)
-    actions = np.empty((n, steps), dtype=np.int64)
-    rewards = np.empty((n, steps))
-    props = np.empty((n, steps))
-    sa = np.zeros(n, dtype=np.int64)  # at t = 0, row 0 of the one-row initial table
-    for t in range(steps):
+
+    def draws() -> np.ndarray:
+        u = [rng.random(n) for rng in rngs]
+        return u[0] if len(u) == 1 else np.concatenate(u)
+
+    sa = np.zeros(len(rngs) * n, dtype=np.int64)  # at t = 0, row 0 of the one-row initial table
+    for t in range(shape[2]):
         cum = mdp._initial_cum if t == 0 else mdp._transition_cum
-        s = _inverse_cdf(cum, sa, rng.random(n))
-        a = _inverse_cdf(policy_cum, s, rng.random(n))
+        s = _inverse_cdf(cum, sa, draws())
+        a = _inverse_cdf(policy_cum, s, draws())
         sa = s * mdp.num_actions + a
-        r_idx = _inverse_cdf(mdp._reward_cum, sa, rng.random(n))
-        states[:, t] = s
-        actions[:, t] = a
-        rewards[:, t] = support[sa, r_idx]
-        props[:, t] = policy.table.take(sa)
-    return LoggedDataset(states=states, actions=actions, rewards=rewards, propensities=props)
+        r_idx = _inverse_cdf(mdp._reward_cum, sa, draws())
+        states[..., t] = s.reshape(shape[:2])
+        actions[..., t] = a.reshape(shape[:2])
+        rewards[..., t] = support[sa, r_idx].reshape(shape[:2])
+        props[..., t] = policy.table.take(sa).reshape(shape[:2])
+    return states, actions, rewards, props
 
 
 def enumerate_dataset(

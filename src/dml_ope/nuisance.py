@@ -16,14 +16,21 @@ of the observed moves and their int64 counts, sorted by ``np.unique`` while
 pairs of a complement of two or more parts. The Q recursion runs over the
 pair, so a step costs at most min(n*T, S*A*S) operations; a cell without
 moves takes the mean of the next step's values, the uniform row.
+
+The private kernels (``_folds``, ``_count``, ``_fit``, ``_q_tables``) also take
+R stacked row sets of shape (R, n, T+1), one per replication, whose cell
+indices are offset by r*S*A: a visit bin or move index then belongs to one
+replication, and each row of a table is that replication's own fit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import LoggedDataset, Policy, ValidationError, check_finite_nonnegative, check_folds
+from .mdp import (LoggedDataset, Policy, ValidationError, _check_prob_rows,
+                  check_finite_nonnegative, check_folds)
 
 # The size rule: on the 240-state lift's 115,200 cells, sorting the moves won
 # at 12k (0.15 vs 0.39 ms) and lost to the dense table at 24k (0.37 vs 0.27 ms).
@@ -71,9 +78,15 @@ class NuisanceEstimate:
 def make_folds(n_trajectories: int, k: int, rng: np.random.Generator) -> tuple:
     """Uniformly random K-fold partition of {0..N-1} as a tuple of sorted index
     arrays, sizes differing by <= 1; earlier folds get the extras."""
-    check_folds(k, n_trajectories, "k")
-    perm = rng.permutation(n_trajectories)
-    return tuple(np.sort(f) for f in np.array_split(perm, k))
+    return tuple(fold[0] for fold in _folds(n_trajectories, k, [rng]))
+
+
+def _folds(n: int, k: int, rngs: list) -> list:
+    """``make_folds`` for each generator of ``rngs``, stacked: k arrays of shape
+    (R, n_k), row r the sorted indices of replication r's fold."""
+    check_folds(k, n, "k")
+    perms = np.stack([rng.permutation(n) for rng in rngs])
+    return [np.sort(fold, axis=1) for fold in np.array_split(perms, k, axis=1)]
 
 
 def q_recursion(
@@ -92,12 +105,20 @@ def q_recursion(
     and a row of total 0 is uniform. A dense ``(S, A, S)`` table ``P`` passes
     as ``(np.flatnonzero(P), P.ravel()[np.flatnonzero(P)])``.
     """
-    mean_reward = np.asarray(mean_reward, dtype=float)
+    return _q_tables(np.asarray(mean_reward, dtype=float)[None], moves, eval_policy, horizon,
+                     discount)[:, 0]
+
+
+def _q_tables(mu: np.ndarray, moves: tuple, eval_policy: Policy, horizon: int,
+              discount: float) -> np.ndarray:
+    """``q_recursion`` of R stacked mean-reward tables ``mu`` (R, S, A), shape
+    (T+1, R, S, A). The move pair holds the moves of all R, each replication's
+    indices offset by r*S*A*S, so one ``bincount`` per step serves them all."""
     idx, weights = np.asarray(moves[0]), np.asarray(moves[1])
-    num_states, num_actions = mean_reward.shape
+    reps, num_states, num_actions = mu.shape
     if eval_policy.table.shape != (num_states, num_actions):
         raise ValidationError("eval policy shape does not match mean_reward")
-    cells = num_states * num_actions
+    cells = reps * num_states * num_actions
     if idx.ndim != 1 or idx.shape != weights.shape:
         raise ValidationError(f"moves must be two 1-d arrays of one length, got shapes "
                               f"{idx.shape} and {weights.shape}")
@@ -111,24 +132,27 @@ def q_recursion(
     # // on the index is faster than divmod.
     sa = idx // num_states
     s_next = idx - sa * num_states
+    if reps > 1:  # into the (R*S,) values of all replications
+        s_next += sa // (num_states * num_actions) * num_states
     weights = weights.astype(float)
-    totals = np.bincount(sa, weights, minlength=cells)
-    values = np.empty((horizon + 1, num_states, num_actions))
-    values[horizon] = mean_reward
+    totals = np.bincount(sa, weights, minlength=cells).reshape(reps, -1)
+    values = np.empty((horizon + 1, reps, num_states, num_actions))
+    values[horizon] = mu
     for t in range(horizon - 1, -1, -1):
-        v_next = (eval_policy.table * values[t + 1]).sum(axis=1)
-        moved = np.bincount(sa, weights * v_next.take(s_next), minlength=cells)
-        expected = _ratio(moved, totals, v_next.mean()).reshape(num_states, num_actions)
-        values[t] = mean_reward + discount * expected
+        v_next = (eval_policy.table * values[t + 1]).sum(axis=2)
+        moved = np.bincount(sa, weights * v_next.ravel().take(s_next), minlength=cells)
+        expected = _ratio(moved.reshape(reps, -1), totals, v_next.mean(axis=1, keepdims=True))
+        values[t] = mu + discount * expected.reshape(mu.shape)
     return values
 
 
-def check_support(behavior: Policy, eval_policy: Policy) -> None:
-    """Raise before any score evaluation if pi_e has mass where behavior has none."""
-    check_table_shape(behavior.table.shape, eval_policy, "behavior policy")
-    bad = (eval_policy.table > 0) & (behavior.table == 0)
+def check_support(behavior: np.ndarray, eval_policy: Policy) -> None:
+    """Raise before any score evaluation if pi_e has mass where the behavior table,
+    one (S, A) table or R stacked ones, has none."""
+    check_table_shape(behavior.shape[-2:], eval_policy, "behavior policy")
+    bad = (eval_policy.table > 0) & (behavior == 0)
     if np.any(bad):
-        s, a = np.argwhere(bad)[0]
+        *_, s, a = np.argwhere(bad)[0]
         raise SupportViolationError(
             f"behavior policy assigns zero probability to action {a} in state {s} "
             "while the evaluation policy does not"
@@ -149,18 +173,30 @@ def _ratio(num: np.ndarray, den: np.ndarray, fallback: float) -> np.ndarray:
 
 def _count(sa: np.ndarray, states: np.ndarray, rewards: np.ndarray,
            eval_policy: Policy) -> tuple:
-    """The count tables of a row set, its cell index ``sa``, states and rewards:
-    visit counts and reward sums (rewards summed in row-major order) per ``s*A + a``
-    and the reward total; and the move pair of its transitions ``(s*A + a)*S + s'``."""
+    """The count tables of a row set, its cell index ``sa``, states and rewards
+    of shape (n, T+1): visit counts and reward sums per ``s*A + a`` and the reward
+    total; and the move pair of its transitions ``(s*A + a)*S + s'``. Of R stacked
+    row sets (R, n, T+1), whose cell indices are offset by r*S*A, the tables gain a
+    leading R axis and the one move pair's indices are offset by r*S*A*S; a bin
+    then sums only its own replication's rewards, in row-major order."""
     num_states, num_actions = eval_policy.table.shape
-    cells = num_states * num_actions
-    moves = (sa[:, :-1] * num_states + states[:, 1:]).ravel()
+    lead = sa.shape[:-2]
+    cells = math.prod(lead) * num_states * num_actions
+    moves = (sa[..., :-1] * num_states + states[..., 1:]).ravel()
     size = cells * num_states
     pair = (np.unique(moves, return_counts=True) if moves.size * SORT_DIVISOR < size
             else _nonzero(np.bincount(moves, minlength=size)))
-    return (np.bincount(sa.ravel(), minlength=cells),
-            np.bincount(sa.ravel(), weights=rewards.ravel(), minlength=cells),
-            rewards.sum()), pair
+    return (np.bincount(sa.ravel(), minlength=cells).reshape(lead + (-1,)),
+            np.bincount(sa.ravel(), weights=rewards.ravel(), minlength=cells).reshape(lead + (-1,)),
+            rewards.sum(axis=(-2, -1))), pair
+
+
+def _complements(tables: tuple, pairs: tuple, size: int):
+    """For each part, the count tables of the other parts, summed in part order,
+    and their move pairs merged; ``size`` is the flat move table's."""
+    for k in range(len(tables)):
+        yield ([sum(column[1:], column[0]) for column in zip(*tables[:k], *tables[k + 1:])],
+               _merge(pairs[:k] + pairs[k + 1:], size))
 
 
 def _merge(pairs: tuple, size: int) -> tuple:
@@ -181,21 +217,32 @@ def _nonzero(dense: np.ndarray) -> tuple:
 
 
 def _fit(tables, moves: tuple, horizon: int, eval_policy: Policy, discount: float,
-         known_behavior: Policy | None, config: NuisanceConfig) -> NuisanceEstimate:
-    """The nuisance record of a row set's count tables and move pair; unobserved
-    reward cells fall back to its mean reward, the reward total over the visits."""
+         known_behavior: Policy | None, config: NuisanceConfig) -> tuple:
+    """The nuisances of R row sets from their count tables, as ``_count`` stacks
+    them, and their move pair: the behavior tables, the known (S, A) one or the
+    fitted (R, S, A) ones, and the Q tables (T+1, R, S, A). Unobserved reward cells
+    fall back to the row set's mean reward, its reward total over its visits."""
     counts, sums, reward_total = tables
     num_states, num_actions = eval_policy.table.shape
-    counts = counts.reshape(num_states, num_actions)
+    counts = counts.reshape(-1, num_states, num_actions)
     if known_behavior is not None:
-        behavior = known_behavior
+        behavior = known_behavior.table
     else:
         smoothed = counts + config.smoothing_alpha
-        behavior = Policy(table=_ratio(smoothed, smoothed.sum(axis=1, keepdims=True),
-                                       1.0 / num_actions))
+        behavior = _ratio(smoothed, smoothed.sum(axis=-1, keepdims=True), 1.0 / num_actions)
+        _check_prob_rows(behavior, "policy row {1}")
     check_support(behavior, eval_policy)
-    mu = _ratio(sums.reshape(counts.shape), counts, reward_total / counts.sum())
-    return NuisanceEstimate(behavior, q_recursion(mu, moves, eval_policy, horizon, discount))
+    fallback = np.reshape(reward_total / counts.sum(axis=(1, 2)), (-1, 1, 1))
+    q = _q_tables(_ratio(sums.reshape(counts.shape), counts, fallback), moves, eval_policy,
+                  horizon, discount)
+    if not np.all(np.isfinite(q)):
+        raise ValidationError("q table entries must be finite")
+    return behavior, q
+
+
+def _estimate_record(behavior: np.ndarray, q: np.ndarray) -> NuisanceEstimate:
+    """The record of a one-replication ``_fit``."""
+    return NuisanceEstimate(Policy(table=behavior.reshape(q.shape[2:])), q[:, 0])
 
 
 def fit_nuisance(
@@ -206,8 +253,9 @@ def fit_nuisance(
     config: NuisanceConfig = NuisanceConfig(),
 ) -> NuisanceEstimate:
     """Fit one nuisance tuple on every row of ``data``; the fit draws nothing."""
-    return _fit(*_count(data.cells(eval_policy, "evaluation"), data.states, data.rewards,
-                        eval_policy), data.horizon, eval_policy, discount, known_behavior, config)
+    return _estimate_record(*_fit(*_count(data.cells(eval_policy, "evaluation"), data.states,
+                                          data.rewards, eval_policy),
+                                  data.horizon, eval_policy, discount, known_behavior, config))
 
 
 def fit_nuisances(
@@ -221,8 +269,7 @@ def fit_nuisances(
     one horizon, as ``_count`` takes), the fit on the other parts: their count
     tables, each counted once, summed in part order, and their move pairs merged."""
     size = eval_policy.table.size * eval_policy.table.shape[0]
-    tables, moves = zip(*(_count(*part, eval_policy) for part in parts))
-    return [_fit([sum(column[1:], column[0]) for column in zip(*tables[:k], *tables[k + 1:])],
-                 _merge(moves[:k] + moves[k + 1:], size), sa.shape[1] - 1, eval_policy,
-                 discount, known_behavior, config)
-            for k, (sa, _, _) in enumerate(parts)]
+    tables, pairs = zip(*(_count(*part, eval_policy) for part in parts))
+    horizon = parts[0][0].shape[-1] - 1
+    return [_estimate_record(*_fit(t, m, horizon, eval_policy, discount, known_behavior, config))
+            for t, m in _complements(tables, pairs, size)]

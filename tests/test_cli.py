@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from dml_ope import mdp_to_dict, policy_to_dict
+from dml_ope import experiments, mdp_to_dict, policy_to_dict
 from dml_ope.cli import cli_main
 
 from helpers import (NOISY_CONFIG, bandit_mdp, bandit_policies, noisy_lift, three_state_mdp,
@@ -563,6 +563,16 @@ class TestNoisyConfigPins:
     @pytest.mark.parametrize("behavior, k_folds", list(DIGESTS))
     def test_report_digest(self, tmp_path, capsys, monkeypatch, behavior, k_folds, threads):
         monkeypatch.setenv("OPE_DML_THREADS", threads)
+        out = self.report(tmp_path, capsys, behavior, k_folds)
+        assert hashlib.sha256(out).hexdigest() == self.DIGESTS[behavior, k_folds]
+
+    @pytest.mark.parametrize("replications", [1, 3, 37])
+    @pytest.mark.parametrize("behavior, k_folds", list(DIGESTS))
+    def test_chunk_size_leaves_the_report(self, tmp_path, capsys, monkeypatch, behavior, k_folds,
+                                          replications):
+        # Chunks of 1 replication, of 3 with a remainder of 1, and one chunk of all 37.
+        monkeypatch.setenv("OPE_DML_THREADS", "1")
+        monkeypatch.setattr(experiments, "ROW_BUDGET", replications * 1000)
         out = self.report(tmp_path, capsys, behavior, k_folds)
         assert hashlib.sha256(out).hexdigest() == self.DIGESTS[behavior, k_folds]
 

@@ -25,7 +25,8 @@ from dml_ope import (
     make_folds,
     sample_dataset,
 )
-from dml_ope.estimators import _psi_scores
+from dml_ope import estimators
+from dml_ope.estimators import _control, _finalize, _psi_scores, _ratios, _walk
 
 from helpers import (
     bandit_mdp,
@@ -33,6 +34,8 @@ from helpers import (
     bernoulli,
     noisy_lift,
     one_row,
+    random_mdp,
+    random_policy,
     row_set,
     select,
     three_state_mdp,
@@ -470,19 +473,21 @@ class TestFoldRows:
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 40, np.random.default_rng(3))
-        cells, calls = LoggedDataset.cells, []
-        monkeypatch.setattr(LoggedDataset, "cells",
-                            lambda self, *a: calls.append(1) or cells(self, *a))
+        calls = []
+        for method in ("cells", "check_ids"):
+            original = getattr(LoggedDataset, method)
+            monkeypatch.setattr(LoggedDataset, method, lambda self, *a, method=method,
+                                original=original: calls.append(method) or original(self, *a))
         counts = []
         for k in (2, 5):
             calls.clear()
             evaluate_dataset(data, evaluation, 0.9, tuple(e.value for e in Estimator),
                              np.random.default_rng(4), known_behavior=behavior if known else None,
                              k_folds=k)
-            counts.append(len(calls))
-        # One call per table: the evaluation table's builds the row set that every
-        # estimator takes, and the full fit indexes its dataset once more.
-        assert counts == ([3, 3] if known else [2, 2])
+            counts.append(calls.copy())
+        # One id check per table. The estimators build the cell index from the
+        # checked columns, the full one once and each fold's from its own rows.
+        assert counts == [["check_ids"] * (2 if known else 1)] * 2
 
     @pytest.mark.parametrize("name", ["dml", "dr_half"])
     def test_cross_fits_build_no_dataset(self, monkeypatch, name):
@@ -540,3 +545,57 @@ class TestEfficiencyBound:
         behavior, evaluation = three_state_policies()
         with pytest.raises(ValidationError, match="horizon 0"):
             cb_efficiency_bound(mdp, behavior, evaluation)
+
+
+class TestStackedScores:
+    """The score walk and the finalize step of R stacked row sets give each
+    replication the bytes of its own call."""
+
+    @pytest.mark.parametrize("horizon", [2, 9], ids=["one_column", "pairwise_lanes"])
+    @pytest.mark.parametrize("known", [False, True], ids=["fitted", "known"])
+    def test_ipw_and_dr_full_share_one_walk(self, horizon, known):
+        # IPW and DR-full read one behavior table, so one walk computes rho for
+        # both; each score equals its own _psi_scores call to the bit.
+        rng = np.random.default_rng(horizon)
+        mdp = random_mdp(rng, 4, 3, horizon)
+        behavior, evaluation = random_policy(rng, 4, 3), random_policy(rng, 4, 3)
+        data = sample_dataset(mdp, behavior, 500, np.random.default_rng(1))
+        rows = row_set(data, evaluation)
+        eta = fit_nuisance(data, evaluation, 0.9, known_behavior=behavior if known else None)
+        sa = rows[0][None]
+        ipw, dr = _walk(sa, rows[2][None], _ratios(eta.behavior.table, evaluation, sa),
+                        [None, _control(eta.q[:, None], evaluation)], 0.9)
+        separate = [_psi_scores(*rows, eta.behavior, q, evaluation, 0.9) for q in (None, eta.q)]
+        assert [ipw[0].tobytes(), dr[0].tobytes()] == [s.tobytes() for s in separate]
+
+    @pytest.mark.parametrize("known", [False, True], ids=["fitted", "known"])
+    def test_evaluate_dataset_builds_one_ratio_table_for_ipw_and_dr_full(self, monkeypatch,
+                                                                        known):
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 60, np.random.default_rng(2))
+        ratios, calls = estimators._ratios, []
+        monkeypatch.setattr(estimators, "_ratios",
+                            lambda *a: calls.append(1) or ratios(*a))
+        results = evaluate_dataset(data, evaluation, 0.9, ("dr_full", "ipw"),
+                                   np.random.default_rng(3),
+                                   known_behavior=behavior if known else None)
+        assert len(calls) == 1
+        assert list(results) == ["dr_full", "ipw"]
+        eta = fit_nuisance(data, evaluation, 0.9, known_behavior=behavior if known else None)
+        rows = row_set(data, evaluation)
+        assert results["ipw"] == ipw_estimate(rows, eta.behavior, evaluation, 0.9)
+        assert results["dr_full"] == dr_full_estimate(rows, eta, evaluation, 0.9)
+
+    @pytest.mark.parametrize("n", [1, 7, 1000, 5000])
+    def test_finalize_rows_as_alone(self, n):
+        scores = np.random.default_rng(n).standard_normal((5, n)) * 10.0 ** np.arange(5)[:, None]
+        stacked = _finalize(scores, Estimator.DML, 0.9)
+        assert stacked == [_finalize(row[None], Estimator.DML, 0.9)[0] for row in scores]
+
+    def test_finalize_names_the_first_bad_replication(self):
+        scores = np.ones((3, 4))
+        scores[1, 0], scores[2, 0] = np.inf, np.nan
+        with pytest.raises(ValidationError,
+                           match=r"^dml scores are not finite: their mean is inf$"):
+            _finalize(scores, Estimator.DML, 0.9)

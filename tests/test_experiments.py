@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from dml_ope import (
     Estimator,
     ExperimentConfig,
     LoggedDataset,
+    NuisanceConfig,
     Policy,
     ValidationError,
     cell_from_dict,
@@ -38,7 +40,8 @@ from dml_ope import (
 )
 from dml_ope import estimators, experiments
 
-from helpers import noisy_lift, row_set, three_state_mdp, three_state_policies
+from helpers import (NOISY_CONFIG, noisy_lift, random_mdp, random_policy, row_set,
+                     three_state_mdp, three_state_policies)
 
 
 def small_config(**overrides):
@@ -466,7 +469,7 @@ class TestEvaluateDataset:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 10, np.random.default_rng(0))
         wider = Policy(table=[[0.5, 0.5]] * 4)
-        monkeypatch.setattr("dml_ope.experiments.fit_nuisance", None)
+        monkeypatch.setattr("dml_ope.estimators._fit", None)
         with pytest.raises(ValidationError, match=re.escape(
                 "the behavior policy table has shape (4, 2), the evaluation policy table (3, 2)")):
             evaluate_dataset(data, evaluation, 0.9, ("ipw", "dml"), np.random.default_rng(0),
@@ -478,7 +481,7 @@ class TestEvaluateDataset:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 10, np.random.default_rng(0))
         # The check comes before any fit.
-        monkeypatch.setattr("dml_ope.experiments.fit_nuisance", None)
+        monkeypatch.setattr("dml_ope.estimators._fit", None)
         with pytest.raises(ValidationError,
                            match=rf"discount must lie in \[0, 1\], got {discount!r}"):
             evaluate_dataset(data, evaluation, discount, tuple(e.value for e in Estimator),
@@ -496,11 +499,9 @@ class TestEvaluateDataset:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 50, np.random.default_rng(0))
         fits = []
-        for module, name in [(experiments, "fit_nuisance"), (estimators, "_fit"),
-                             (estimators, "fit_nuisances")]:
-            fit = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda *a, fit=fit, **k: fits.append(1) or fit(*a, **k))
+        fit = estimators._fit
+        monkeypatch.setattr(estimators, "_fit",
+                            lambda *a, **k: fits.append(1) or fit(*a, **k))
         with pytest.raises(ValidationError, match=match):
             evaluate_dataset(data, evaluation, 0.9, names, np.random.default_rng(0), **changes)
         assert len(fits) == 0
@@ -647,6 +648,65 @@ class TestMseExperiment:
         pattern = re.escape(f"{name} must size arrays numpy can allocate (") + r".+\), got "
         with pytest.raises(ValidationError, match=f"^{pattern}{2**63}$"):
             run_mse_experiment(small_config(**changes))
+
+
+class TestStackedReplications:
+    """The MSE study runs its replications in chunks, each one stack of row sets;
+    ``evaluate_dataset`` is the one-replication case of the same kernels."""
+
+    @pytest.mark.parametrize("known", [False, True], ids=["estimated", "known"])
+    def test_each_replication_of_a_stack_is_its_dataset_alone(self, known):
+        # Horizon 9: the scores' row sums add in numpy's pairwise lanes.
+        rng = np.random.default_rng(21)
+        mdp = random_mdp(rng, 4, 2, 9)
+        behavior, evaluation = random_policy(rng, 4, 2), random_policy(rng, 4, 2)
+        names = tuple(e.value for e in Estimator)
+        seeds = [22, 23, 24]
+        datasets = [sample_dataset(mdp, behavior, 50, np.random.default_rng(s)) for s in seeds]
+        columns = tuple(np.stack([getattr(d, f) for d in datasets])
+                        for f in ("states", "actions", "rewards"))
+        known_behavior = behavior if known else None
+        stacked = estimators._estimate(columns, [np.random.default_rng(s) for s in seeds], names,
+                                       evaluation, 0.9, known_behavior, 3, NuisanceConfig(),
+                                       0.95)
+        for r, (data, seed) in enumerate(zip(datasets, seeds)):
+            alone = evaluate_dataset(data, evaluation, 0.9, names, np.random.default_rng(seed),
+                                     known_behavior=known_behavior, k_folds=3)
+            assert {name: stacked[name][r].to_dict() for name in names} == {
+                name: est.to_dict() for name, est in alone.items()}
+
+    def test_full_cell_index_is_not_held_while_the_folds_fit(self):
+        # All five estimators at k=5 on 1e5 rows of the lift. Holding the full
+        # (N, T+1) int64 cell index while DML fitted on its fold copies peaked at
+        # 6.40 such arrays; the folds now build their own cell index.
+        mdp, behavior, evaluation = noisy_lift()
+        data = sample_dataset(mdp, behavior, 100_000, np.random.default_rng(8))
+        names = tuple(e.value for e in Estimator)
+        tracemalloc.start()
+        try:
+            evaluate_dataset(data, evaluation, mdp.discount, names, np.random.default_rng(9),
+                             k_folds=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (6.39 - 1.0) * data.states.nbytes
+
+    def test_a_chunk_bounds_the_memory_of_the_study(self):
+        # 64 replications at n=1,000 run in chunks of ROW_BUDGET // n, so they
+        # peak no higher than 8 do, beyond their list of estimates.
+        with open(NOISY_CONFIG) as fh:
+            config = experiment_config_from_dict(json.load(fh), base_dir=NOISY_CONFIG.parent)
+        assert experiments.ROW_BUDGET // config.n_trajectories == 8
+        peaks = []
+        for reps in (8, 64):
+            seeds = np.random.SeedSequence(4).spawn(reps)
+            tracemalloc.start()
+            try:
+                experiments._run_replications(config, seeds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**20
 
 
 class TestConfigParsing:

@@ -21,7 +21,8 @@ from dml_ope import (
     sample_dataset,
 )
 from dml_ope import nuisance
-from dml_ope.nuisance import NuisanceConfig, _count, _merge
+from dml_ope.estimators import _cells
+from dml_ope.nuisance import NuisanceConfig, _count, _fit, _merge
 
 from helpers import (move_pair, noisy_lift, random_mdp, random_policy, row_set, select,
                      three_state_mdp, three_state_policies)
@@ -530,3 +531,59 @@ class TestMovePairs:
         finally:
             tracemalloc.stop()
         assert peak < mdp.num_states * mdp.num_actions * mdp.num_states * 8
+
+
+class TestStackedFits:
+    """R row sets counted and fitted as one stack, their cell indices offset by
+    r*S*A, give each replication the tables, move pair and Q of its own fit, to
+    the bit: a bin sums only its own rows, and every row sum is numpy's pairwise
+    sum of that replication alone."""
+
+    @staticmethod
+    def stacked(datasets, policy):
+        columns = [np.stack([getattr(d, f) for d in datasets])
+                   for f in ("states", "actions", "rewards")]
+        return _cells(columns[0], columns[1], policy), columns[0], columns[2]
+
+    @pytest.mark.parametrize("scenario, n", [("lift", 40), ("lift", 1000), ("small", 300)],
+                             ids=["lift_40", "lift_1000", "small_dense"])
+    @pytest.mark.parametrize("known", [False, True], ids=["estimated", "known"])
+    def test_each_replication_fits_as_alone(self, scenario, n, known):
+        if scenario == "lift":
+            mdp, behavior, evaluation = noisy_lift()
+        else:  # 5 states, 2 actions: every count takes the dense route
+            rng = np.random.default_rng(9)
+            mdp = random_mdp(rng, 5, 2, 3)
+            behavior, evaluation = random_policy(rng, 5, 2), random_policy(rng, 5, 2)
+        datasets = [sample_dataset(mdp, behavior, n, np.random.default_rng(seed))
+                    for seed in range(4)]
+        known_behavior = behavior if known else None
+        size = evaluation.table.size * mdp.num_states
+        tables, (idx, counts) = _count(*self.stacked(datasets, evaluation), evaluation)
+        fit = _fit(tables, (idx, counts), mdp.horizon, evaluation, 0.9, known_behavior,
+                   NuisanceConfig())
+        for r, data in enumerate(datasets):
+            own_tables, own_pair = _count(*row_set(data, evaluation), evaluation)
+            for got, want in zip(tables, own_tables):
+                assert got[r].tobytes() == want.tobytes()
+            mine = (idx >= r * size) & (idx < (r + 1) * size)
+            assert (idx[mine] - r * size).tobytes() == own_pair[0].tobytes()
+            assert counts[mine].tobytes() == own_pair[1].tobytes()
+            behavior_r, q_r = _fit(own_tables, own_pair, mdp.horizon, evaluation, 0.9,
+                                   known_behavior, NuisanceConfig())
+            assert fit[1][:, r].tobytes() == q_r[:, 0].tobytes()
+            got_behavior = fit[0] if known else fit[0][r]
+            assert got_behavior.tobytes() == behavior_r.reshape(got_behavior.shape).tobytes()
+
+    def test_support_checked_in_every_replication(self):
+        # Only the second replication's fit leaves a cell of the evaluation
+        # policy's support unvisited; its fit raises the message of a lone fit.
+        data = [single_state_dataset([0, 1, 0]), single_state_dataset([0, 0, 0])]
+        evaluation = Policy(table=[[0.5, 0.5]])
+        config = NuisanceConfig(smoothing_alpha=0.0)
+        with pytest.raises(SupportViolationError) as alone:
+            fit_nuisance(data[1], evaluation, 1.0, config=config)
+        rows = self.stacked(data, evaluation)
+        with pytest.raises(SupportViolationError) as stacked:
+            _fit(*_count(*rows, evaluation), 0, evaluation, 1.0, None, config)
+        assert str(stacked.value) == str(alone.value)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dml_ope import Policy, TabularMdp, mdp_from_dict, sample_dataset
-from dml_ope.mdp import _inverse_cdf
+from dml_ope.mdp import _inverse_cdf, _sample
 
 from helpers import noisy_lift, point_mass
 
@@ -156,3 +156,18 @@ def small_scenarios(draw):
 def test_sample_dataset_equals_reference_rule(scenario, n, seed):
     mdp, policy = scenario
     assert_same_draws(mdp, policy, n, seed)
+
+
+@settings(deadline=None)
+@given(small_scenarios(), st.integers(1, 30), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_stacked_draws_equal_each_generators_own(scenario, n, reps, seed):
+    # Each replication's rows of one stacked call are those sample_dataset
+    # draws from its generator alone.
+    mdp, policy = scenario
+    seeds = np.random.SeedSequence(seed).spawn(reps)
+    stacked = _sample(mdp, policy, n, [np.random.default_rng(s) for s in seeds])
+    for r, s in enumerate(seeds):
+        data = sample_dataset(mdp, policy, n, np.random.default_rng(s))
+        for got, want in zip(stacked, (data.states, data.actions, data.rewards,
+                                       data.propensities)):
+            assert got[r].tobytes() == want.tobytes()
