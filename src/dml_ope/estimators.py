@@ -199,37 +199,21 @@ def _cells(states: np.ndarray, actions: np.ndarray, eval_policy: Policy) -> np.n
     return _offset(sa, eval_policy.table.size)
 
 
-def _fold_set(columns: tuple, fold: np.ndarray, eval_policy: Policy) -> tuple:
-    """The row set ``(sa, states, rewards)`` of one (R, n_k) fold of R stacked
-    datasets' columns ``(states, actions, rewards)``."""
-    states, actions, rewards = _fold_rows(columns, [fold])[0]
-    return _cells(states, actions, eval_policy), states, rewards
-
-
-def _columns(rows: tuple, eval_policy: Policy) -> tuple:
-    """The columns ``(states, actions, rewards)`` of a row set, as one replication."""
-    sa, states, rewards = rows
-    return states[None], (sa - states * eval_policy.num_actions)[None], rewards[None]
-
-
 def _dm_scores(sa: np.ndarray, q: np.ndarray, eval_policy: Policy) -> np.ndarray:
     """The fitted initial-state value of each stacked row, v_0(s_0), read by its cell."""
     v0 = (eval_policy.table * q[0]).sum(axis=-1)
     return np.repeat(v0, eval_policy.num_actions, axis=-1).ravel().take(sa[..., 0])
 
 
-def _full_data(columns: tuple, wanted: set, eval_policy: Policy, discount: float,
+def _full_data(rows: tuple, wanted: set, eval_policy: Policy, discount: float,
                known_behavior: Policy | None, config: NuisanceConfig, level: float) -> dict:
-    """DM, IPW and DR-full, those ``wanted``, of R stacked datasets' columns. DM and
-    DR-full score on the full-data fit; IPW reads the known behavior, else that
-    fit's, the table DR-full reads, so the two share one walk. The full cell index
-    is built here and released on return."""
-    if not wanted & {Estimator.DM, Estimator.IPW, Estimator.DR_FULL}:
-        return {}
-    states, actions, rewards = columns
-    sa = _cells(states, actions, eval_policy)
+    """DM, IPW and DR-full, those ``wanted``, of R stacked row sets. DM and DR-full
+    score on the full-data fit; IPW reads the known behavior, else that fit's, the
+    table DR-full reads, so the two share one walk."""
+    sa, states, rewards = rows
     behavior = None if known_behavior is None else known_behavior.table
-    if wanted & {Estimator.DM, Estimator.DR_FULL} or behavior is None:
+    if wanted & {Estimator.DM, Estimator.DR_FULL} or (behavior is None
+                                                      and Estimator.IPW in wanted):
         behavior, q = _fit(*_count(sa, states, rewards, eval_policy), sa.shape[-1] - 1,
                            eval_policy, discount, known_behavior, config)
     done = {}
@@ -244,29 +228,30 @@ def _full_data(columns: tuple, wanted: set, eval_policy: Policy, discount: float
     return done
 
 
-def _dr_half(columns: tuple, rngs: list, eval_policy: Policy, discount: float,
+def _dr_half(rows: tuple, rngs: list, eval_policy: Policy, discount: float,
              known_behavior: Policy | None, config: NuisanceConfig, level: float) -> list:
-    """``dr_half_estimate`` of R stacked datasets' columns, replication r splitting
-    with ``rngs[r]``."""
-    scored, fitted = _folds(columns[0].shape[1], 2, rngs)
-    behavior, q = _fit(*_count(*_fold_set(columns, fitted, eval_policy), eval_policy),
-                       columns[0].shape[-1] - 1, eval_policy, discount, known_behavior, config)
-    sa, _, rewards = _fold_set(columns, scored, eval_policy)
+    """``dr_half_estimate`` of R stacked row sets, replication r splitting with
+    ``rngs[r]``. The fitted fold's rows are released before the scored fold's are
+    gathered, and the walk reads no states."""
+    scored, fitted = _folds(rows[0].shape[1], 2, rngs)
+    behavior, q = _fit(*_count(*_fold_rows(rows, [fitted])[0], eval_policy),
+                       rows[0].shape[-1] - 1, eval_policy, discount, known_behavior, config)
+    sa, rewards = _fold_rows(rows[::2], [scored])[0]
     scores = _walk(sa, rewards, _ratios(behavior, eval_policy, sa), [_control(q, eval_policy)],
                    discount)[0]
     return _finalize(scores, Estimator.DR_HALF, level)
 
 
-def _dml(columns: tuple, rngs: list, k_folds: int, eval_policy: Policy, discount: float,
+def _dml(cells: list, columns: tuple, folds: list, eval_policy: Policy, discount: float,
          known_behavior: Policy | None, config: NuisanceConfig, level: float) -> list:
-    """``dml_estimate`` of R stacked datasets' columns, replication r splitting with
-    ``rngs[r]``. Each fold is gathered and counted in turn; its states are dropped
+    """``dml_estimate`` of R stacked row sets, given as the cell index of each
+    (R, n_k) fold in ``folds`` and the full ``(states, rewards)``. Each fold's
+    states and rewards are gathered and counted in turn, and its states dropped
     then, as the walk reads only its cell index and rewards."""
     reps, n, steps = columns[0].shape
-    folds = _folds(n, k_folds, rngs)
     parts, tables, pairs = [], [], []
-    for fold in folds:
-        sa, states, rewards = _fold_set(columns, fold, eval_policy)
+    for fold, sa in zip(folds, cells):
+        states, rewards = _fold_rows(columns, [fold])[0]
         part_tables, pair = _count(sa, states, rewards, eval_policy)
         parts.append((sa, rewards))
         tables.append(part_tables)
@@ -293,18 +278,24 @@ def _estimate(columns: tuple, rngs: list, names, eval_policy: Policy, discount: 
     Replication r's generator ``rngs[r]`` spawns one child per member of
     ``Estimator``, in that order, and DR-half and DML split their folds with their
     own child, so no estimate depends on the other names or on the run order. The
-    full-data estimators run first; DR-half and DML then build the cell index of
-    each fold they gather, so the full one is not held while they fit.
+    full cell index is built here once. DML runs last, and the full index is
+    released once its folds' cell indices are gathered, before they are fitted.
     """
     wanted = {Estimator(name) for name in names}
     streams = [dict(zip(Estimator, rng.spawn(len(Estimator)))) for rng in rngs]
-    done = _full_data(columns, wanted, eval_policy, discount, known_behavior, config, level)
+    states, actions, rewards = columns
+    sa = _cells(states, actions, eval_policy)
+    rows = sa, states, rewards
+    done = _full_data(rows, wanted, eval_policy, discount, known_behavior, config, level)
     if Estimator.DR_HALF in wanted:
-        done[Estimator.DR_HALF] = _dr_half(columns, [s[Estimator.DR_HALF] for s in streams],
+        done[Estimator.DR_HALF] = _dr_half(rows, [s[Estimator.DR_HALF] for s in streams],
                                            eval_policy, discount, known_behavior, config, level)
     if Estimator.DML in wanted:
-        done[Estimator.DML] = _dml(columns, [s[Estimator.DML] for s in streams], k_folds,
-                                   eval_policy, discount, known_behavior, config, level)
+        folds = _folds(states.shape[1], k_folds, [s[Estimator.DML] for s in streams])
+        cells = [part for part, in _fold_rows((sa,), folds)]
+        del rows, sa
+        done[Estimator.DML] = _dml(cells, (states, rewards), folds, eval_policy, discount,
+                                   known_behavior, config, level)
     return {name: done[Estimator(name)] for name in names}
 
 
@@ -354,8 +345,8 @@ def dr_half_estimate(
 ) -> ValueEstimate:
     """Score fold 0 of a 2-fold split, its first (n+1)//2 rows, with nuisances
     fitted on fold 1: DML's fold-0 fit at k_folds=2."""
-    return _dr_half(_columns(rows, eval_policy), [rng], eval_policy, discount, known_behavior,
-                    config, level)[0]
+    return _dr_half(tuple(x[None] for x in rows), [rng], eval_policy, discount,
+                    known_behavior, config, level)[0]
 
 
 def dml_estimate(
@@ -374,8 +365,10 @@ def dml_estimate(
     folds; the value is the pooled mean of all N scores, which matches the
     per-fold double average whenever the folds are equal-sized.
     """
-    return _dml(_columns(rows, eval_policy), [rng], k_folds, eval_policy, discount,
-                known_behavior, config, level)[0]
+    sa, states, rewards = (x[None] for x in rows)
+    folds = _folds(sa.shape[1], k_folds, [rng])
+    return _dml([part for part, in _fold_rows((sa,), folds)], (states, rewards), folds,
+                eval_policy, discount, known_behavior, config, level)[0]
 
 
 def cb_efficiency_bound(mdp: TabularMdp, behavior: Policy, eval_policy: Policy) -> float:

@@ -309,9 +309,9 @@ def evaluate_dataset(
 
     The ids are checked once per table. DM and DR-full use the full-data nuisance
     fit, built once; IPW uses the known behavior policy if supplied, else that
-    fit's behavior, and shares DR-full's step walk. DR-half and DML run last and
-    build each fold's cell index from its own rows, so the full cell index is not
-    held while they fit. ``rng`` spawns one child per member of ``Estimator``, in
+    fit's behavior, and shares DR-full's step walk. DML runs last, and the full
+    cell index is released once its folds' cell indices are gathered, before they
+    are fitted. ``rng`` spawns one child per member of ``Estimator``, in
     that order, and DR-half and DML draw their fold splits from their own child,
     so no estimate depends on which other estimators are named or on the order in
     which they run. ``discount`` must lie in [0, 1], ``level`` in (0, 1) and

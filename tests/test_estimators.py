@@ -485,8 +485,8 @@ class TestFoldRows:
                              np.random.default_rng(4), known_behavior=behavior if known else None,
                              k_folds=k)
             counts.append(calls.copy())
-        # One id check per table. The estimators build the cell index from the
-        # checked columns, the full one once and each fold's from its own rows.
+        # One id check per table. The estimators build the full cell index once
+        # from the checked columns and gather each fold's from it.
         assert counts == [["check_ids"] * (2 if known else 1)] * 2
 
     @pytest.mark.parametrize("name", ["dml", "dr_half"])
