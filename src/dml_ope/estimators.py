@@ -236,7 +236,7 @@ def _dr_half(rows: tuple, rngs: list, eval_policy: Policy, discount: float,
     scored, fitted = _folds(rows[0].shape[1], 2, rngs)
     behavior, q = _fit(*_count(*_fold_rows(rows, [fitted])[0], eval_policy),
                        rows[0].shape[-1] - 1, eval_policy, discount, known_behavior, config)
-    sa, rewards = _fold_rows(rows[::2], [scored])[0]
+    sa, rewards = _fold_rows((rows[0], rows[2]), [scored])[0]
     scores = _walk(sa, rewards, _ratios(behavior, eval_policy, sa), [_control(q, eval_policy)],
                    discount)[0]
     return _finalize(scores, Estimator.DR_HALF, level)
