@@ -678,7 +678,7 @@ class TestStackedReplications:
     def test_full_cell_index_is_not_held_while_the_folds_fit(self):
         # All five estimators at k=5 on 1e5 rows of the lift. Holding the full
         # (N, T+1) int64 cell index while DML fitted on its fold copies peaked at
-        # 6.40 such arrays; the folds now build their own cell index.
+        # 6.40 such arrays; it must peak at least one array lower.
         mdp, behavior, evaluation = noisy_lift()
         data = sample_dataset(mdp, behavior, 100_000, np.random.default_rng(8))
         names = tuple(e.value for e in Estimator)
