@@ -176,9 +176,9 @@ def _psi_scores(sa: np.ndarray, states: np.ndarray, rewards: np.ndarray, behavio
 
 
 def _fold_rows(rows: tuple, folds: list) -> list:
-    """Each fold's rows of the arrays ``rows``: of (n, T+1) arrays by 1-d folds, or
-    of R stacked ones (R, n, T+1) by (R, n_k) folds, each row of which indexes its
-    own replication's rows; take beats indexing."""
+    """Each fold's rows of the R stacked arrays ``rows`` (R, n, T+1), by (R, n_k)
+    folds, each row of which indexes its own replication's rows; take beats
+    indexing."""
     n = rows[0].shape[-2]
     return [tuple(x.reshape(-1, x.shape[-1]).take(_offset(fold, n).ravel(), axis=0)
                   .reshape(fold.shape + x.shape[-1:]) for x in rows) for fold in folds]
@@ -186,7 +186,7 @@ def _fold_rows(rows: tuple, folds: list) -> list:
 
 def _offset(index: np.ndarray, step: int) -> np.ndarray:
     """``index`` (R, ...) with row r offset by r*step, into R stacked tables."""
-    if index.ndim < 2 or len(index) == 1:
+    if len(index) == 1:
         return index
     return index + (np.arange(len(index)) * step).reshape((-1,) + (1,) * (index.ndim - 1))
 
@@ -256,10 +256,10 @@ def _dml(cells: list, columns: tuple, folds: list, eval_policy: Policy, discount
         parts.append((sa, rewards))
         tables.append(part_tables)
         pairs.append(pair)
-    size = reps * eval_policy.table.size * eval_policy.num_states
+    size = eval_policy.table.size * eval_policy.num_states
     scores = np.empty((reps, n))
     for fold, (sa, rewards), (part_tables, moves) in zip(folds, parts,
-                                                         _complements(tables, pairs, size)):
+                                                         _complements(tables, pairs, size, reps)):
         behavior, q = _fit(part_tables, moves, steps - 1, eval_policy, discount,
                            known_behavior, config)
         psi = _walk(sa, rewards, _ratios(behavior, eval_policy, sa), [_control(q, eval_policy)],

@@ -8,11 +8,14 @@ block per worker process, at most one worker per CPU and per replication; each
 block builds the scenario once, and the blocks' rows are joined in order. A
 single block runs in the calling process.
 
-A block runs its replications in chunks of ``max(1, ROW_BUDGET // n)``. A
-chunk is sampled, counted, fitted and scored as one stack of (R, n, T+1) row
+A block runs its replications in chunks of ``max(1, ROW_BUDGET // max(n, S*A))``.
+A chunk is sampled, counted, fitted and scored as one stack of (R, n, T+1) row
 sets, each replication with its own generator, folds and estimator streams,
 so every replication's estimates are those of ``evaluate_dataset`` on its
-dataset; the budget bounds the memory of a chunk.
+dataset. A replication's arrays are its rows, n per step, and its (S, A)
+tables, S*A cells per step, so the budget bounds a chunk's arrays at
+ROW_BUDGET cells per step, whatever n and S*A; a cross-fit complement merges
+its move counts in one replication's S*A*S table at a time.
 """
 from __future__ import annotations
 
@@ -49,9 +52,9 @@ from .mdp import (
 from .nuisance import NuisanceConfig, check_table_shape
 
 _INT64_MAX = np.iinfo(np.int64).max
-# Trajectories per chunk of stacked replications. A larger chunk spreads each numpy
-# call's fixed cost over more replications; at 8,192 its arrays stay a few MiB
-# (BENCH_stacked_replications.json probes 2^12 to 2^15).
+# Rows, or table cells, per step of a chunk of stacked replications. A larger chunk
+# spreads each numpy call's fixed cost over more replications; at 8,192 its arrays
+# stay a few MiB (BENCH_stacked_replications.json probes 2^12 to 2^15).
 ROW_BUDGET = 8192
 _WRITE_BLOCK_ROWS = 4096
 _STEP_KEYS = {"s", "a", "r"}
@@ -469,14 +472,14 @@ def _scenario(config: ExperimentConfig) -> tuple[TabularMdp, Policy, Policy]:
 def _run_replications(config: ExperimentConfig, seeds: list) -> list[dict[str, float]]:
     """The estimates of each replication in ``seeds``, in order, on one scenario build.
 
-    The replications run in chunks of ``max(1, ROW_BUDGET // n)``: a chunk is
-    sampled, fitted and scored as one stack of (R, n, T+1) row sets, and a
-    replication's estimates are those ``evaluate_dataset`` gives its dataset.
+    The replications run in chunks of ``max(1, ROW_BUDGET // max(n, S*A))``: a
+    chunk is sampled, fitted and scored as one stack of (R, n, T+1) row sets, and
+    a replication's estimates are those ``evaluate_dataset`` gives its dataset.
     """
     mdp, behavior, evaluation = _scenario(config)
     known = behavior if config.behavior_known else None
     n = config.n_trajectories
-    chunk = max(1, ROW_BUDGET // n)
+    chunk = max(1, ROW_BUDGET // max(n, evaluation.table.size))
     rows = []
     for start in range(0, len(seeds), chunk):
         # A replication samples from child 0 of its seed and estimates from child 1 on.

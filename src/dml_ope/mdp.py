@@ -87,6 +87,12 @@ def _check_prob_rows(table: np.ndarray, name: str) -> None:
         raise ValidationError(f"{where} sums to {float(rows[i].sum())!r}, expected 1")
 
 
+def check_policy_rows(table: np.ndarray) -> None:
+    """Raise for the first state whose action row of ``table``, one (S, A) policy
+    table or R stacked ones, is not a distribution, naming the state."""
+    _check_prob_rows(table, f"policy row {{{table.ndim - 2}}}")
+
+
 def _cdf_table(probs: np.ndarray) -> np.ndarray:
     """The row-wise ``cumsum`` of ``probs`` along its last axis, as a 2-d table.
 
@@ -111,7 +117,7 @@ class Policy:
         object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
         if self.table.ndim != 2 or self.table.shape[1] < 1:
             raise ValidationError("policy table must be 2-d with at least one action")
-        _check_prob_rows(self.table, "policy row {}")
+        check_policy_rows(self.table)
 
     @property
     def num_states(self) -> int:

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (LoggedDataset, Policy, ValidationError, _check_prob_rows,
-                  check_finite_nonnegative, check_folds)
+from .mdp import (LoggedDataset, Policy, ValidationError, check_finite_nonnegative,
+                  check_folds, check_policy_rows)
 
 # The size rule: on the 240-state lift's 115,200 cells, sorting the moves won
 # at 12k (0.15 vs 0.39 ms) and lost to the dense table at 24k (0.37 vs 0.27 ms).
@@ -67,12 +67,17 @@ class NuisanceEstimate:
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         if self.q.ndim != 3:
             raise ValidationError("q table must have shape (T+1, S, A)")
-        if not np.all(np.isfinite(self.q)):
-            raise ValidationError("q table entries must be finite")
+        _check_finite_q(self.q)
 
     @property
     def mean_reward(self) -> np.ndarray:
         return self.q[-1]
+
+
+def _check_finite_q(q: np.ndarray) -> None:
+    """Raise unless every entry of the Q tables ``q`` is finite."""
+    if not np.all(np.isfinite(q)):
+        raise ValidationError("q table entries must be finite")
 
 
 def make_folds(n_trajectories: int, k: int, rng: np.random.Generator) -> tuple:
@@ -191,23 +196,34 @@ def _count(sa: np.ndarray, states: np.ndarray, rewards: np.ndarray,
             rewards.sum(axis=(-2, -1))), pair
 
 
-def _complements(tables: tuple, pairs: tuple, size: int):
+def _complements(tables: tuple, pairs: tuple, size: int, reps: int = 1):
     """For each part, the count tables of the other parts, summed in part order,
-    and their move pairs merged; ``size`` is the flat move table's."""
+    and their move pairs merged; ``size`` is one replication's flat move table's."""
     for k in range(len(tables)):
         yield ([sum(column[1:], column[0]) for column in zip(*tables[:k], *tables[k + 1:])],
-               _merge(pairs[:k] + pairs[k + 1:], size))
+               _merge(pairs[:k] + pairs[k + 1:], size, reps))
 
 
-def _merge(pairs: tuple, size: int) -> tuple:
-    """The move pair of the sum of ``pairs``: one pair as it is, more added into
-    one int64 table, which is exact as each pair's indices are distinct."""
+def _merge(pairs: tuple, size: int, reps: int = 1) -> tuple:
+    """The move pair of the sum of ``pairs`` of ``reps`` stacked replications:
+    one pair as it is, more added into one int64 table of ``size`` cells, a
+    replication at a time, which is exact as each pair's indices are distinct.
+    The table is one replication's, so a chunk's merge needs no more memory."""
     if len(pairs) == 1:
         return pairs[0]
-    dense = np.zeros(size, dtype=np.int64)
-    for i, c in pairs:
-        dense[i] += c
-    return _nonzero(dense)
+    cuts = [np.searchsorted(i, np.arange(reps + 1) * size) for i, _ in pairs]
+    dense = np.empty(size, dtype=np.int64)
+    idx, counts = [], []
+    for r in range(reps):
+        dense.fill(0)
+        for (i, c), cut in zip(pairs, cuts):
+            at = slice(cut[r], cut[r + 1])
+            dense[i[at] - r * size] += c[at]
+        found, found_counts = _nonzero(dense)
+        found += r * size
+        idx.append(found)
+        counts.append(found_counts)
+    return (idx[0], counts[0]) if reps == 1 else (np.concatenate(idx), np.concatenate(counts))
 
 
 def _nonzero(dense: np.ndarray) -> tuple:
@@ -230,13 +246,12 @@ def _fit(tables, moves: tuple, horizon: int, eval_policy: Policy, discount: floa
     else:
         smoothed = counts + config.smoothing_alpha
         behavior = _ratio(smoothed, smoothed.sum(axis=-1, keepdims=True), 1.0 / num_actions)
-        _check_prob_rows(behavior, "policy row {1}")
+        check_policy_rows(behavior)
     check_support(behavior, eval_policy)
     fallback = np.reshape(reward_total / counts.sum(axis=(1, 2)), (-1, 1, 1))
     q = _q_tables(_ratio(sums.reshape(counts.shape), counts, fallback), moves, eval_policy,
                   horizon, discount)
-    if not np.all(np.isfinite(q)):
-        raise ValidationError("q table entries must be finite")
+    _check_finite_q(q)
     return behavior, q
 
 

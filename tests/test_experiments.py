@@ -691,12 +691,19 @@ class TestStackedReplications:
             tracemalloc.stop()
         assert peak <= (6.39 - 1.0) * data.states.nbytes
 
-    def test_a_chunk_bounds_the_memory_of_the_study(self):
-        # 64 replications at n=1,000 run in chunks of ROW_BUDGET // n, so they
-        # peak no higher than 8 do, beyond their list of estimates.
+    @pytest.mark.parametrize("n, k_folds, chunk", [(1000, 2, 8), (10, 5, 17)])
+    def test_a_chunk_bounds_the_memory_of_the_study(self, n, k_folds, chunk):
+        # 64 replications run in chunks of ROW_BUDGET // max(n, S*A): of 8 at
+        # n=1,000, and of 17 at n=10 on the lift's 480 cells, where the (S, A)
+        # tables, not the rows, size a replication. A 5-fold complement merges its
+        # move counts in one replication's S*A*S table at a time. So 64 peak no
+        # higher than 8 do, beyond their list of estimates and 9 more
+        # replications' tables.
         with open(NOISY_CONFIG) as fh:
             config = experiment_config_from_dict(json.load(fh), base_dir=NOISY_CONFIG.parent)
-        assert experiments.ROW_BUDGET // config.n_trajectories == 8
+        config = dataclasses.replace(config, n_trajectories=n, k_folds=k_folds)
+        _, _, evaluation = experiments._scenario(config)
+        assert experiments.ROW_BUDGET // max(n, evaluation.table.size) == chunk
         peaks = []
         for reps in (8, 64):
             seeds = np.random.SeedSequence(4).spawn(reps)

@@ -498,6 +498,27 @@ class TestMovePairs:
         merged = _merge(pairs, num_states * num_actions * num_states)
         assert_pairs_equal(merged, dense_pair(parts, num_states, num_actions))
 
+    @settings(deadline=None)
+    @given(keyed_parts())
+    def test_stacked_merge_is_each_replications_dense_sum(self, drawn):
+        # m stacked replications of m - 1 pairs: replication r's k-th pair is part
+        # (k + r) mod m's, its indices offset by r*S*A*S, so each leaves out another part.
+        num_states, num_actions, parts = drawn
+        policy = action_zero(num_states, num_actions)
+        size = num_states * num_actions * num_states
+        pairs = [_count(*row_set(p, policy), policy)[1] for p in parts]
+        m = len(parts)
+
+        def stack(blocks):
+            return tuple(np.concatenate(column) for column in zip(*blocks))
+
+        stacked = tuple(stack([(pairs[(k + r) % m][0] + r * size, pairs[(k + r) % m][1])
+                               for r in range(m)]) for k in range(m - 1))
+        own = [dense_pair([parts[(k + r) % m] for k in range(m - 1)], num_states, num_actions)
+               for r in range(m)]
+        want = stack([(idx + r * size, counts) for r, (idx, counts) in enumerate(own)])
+        assert_pairs_equal(_merge(stacked, size, m), want)
+
     def test_parts_straddling_the_rule_match_per_fold_fits_bit_for_bit(self):
         # 5 states, 2 actions: 50 cells, so under SORT_DIVISOR = 6 the 2- and 4-move
         # parts are sorted and the 80-move part goes through the dense table; each

@@ -20,11 +20,10 @@ from dml_ope import (
     SupportViolationError,
     ValidationError,
     fit_nuisance,
-    make_folds,
     sample_dataset,
 )
 from dml_ope.estimators import _check_q, _fold_rows, _psi_scores
-from dml_ope.nuisance import check_table_shape
+from dml_ope.nuisance import _folds, check_table_shape
 
 from helpers import noisy_lift, random_mdp, row_set
 
@@ -109,7 +108,7 @@ def scoring_cases(draw):
     behavior = logging if draw(st.booleans()) else policy(draw, num_states, num_actions)
     evaluation = policy(draw, num_states, num_actions)
     q = entries(rng, (horizon + 1, num_states, num_actions)) if draw(st.booleans()) else None
-    folds = make_folds(data.n, 2, rng) if data.n >= 2 else (np.arange(1),)
+    folds = _folds(data.n, 2, [rng]) if data.n >= 2 else [np.arange(1)[None]]
     return data, behavior, evaluation, q, folds, draw(st.sampled_from([0.0, 0.5, 1.0]))
 
 
@@ -123,8 +122,8 @@ def test_step_walk_equals_reference_rule(case):
     assert_same_scores(row_set(data, evaluation, slice(None, None, 2)), behavior, q,
                        evaluation, discount)
     # The row sets of non-contiguous folds, as the cross-fit gathers them.
-    for part in _fold_rows(whole, folds):
-        assert_same_scores(part, behavior, q, evaluation, discount)
+    for part in _fold_rows(tuple(x[None] for x in whole), folds):
+        assert_same_scores(tuple(x[0] for x in part), behavior, q, evaluation, discount)
 
 
 @pytest.fixture(scope="module")
