@@ -2,9 +2,10 @@
 the contextual-bandit efficiency bound, and the numerical orthogonality check.
 
 The doubly robust score combines cumulative importance weights with a
-Q-function control variate; the DML estimator cross-fits its nuisances and
-reports a normal-approximation confidence interval from the pooled score
-variance.
+Q-function control variate; the DML estimator cross-fits its nuisances through
+``nuisance._cross_fits`` and reports a normal-approximation confidence interval
+from the pooled score variance. Every estimator takes the row set ``(sa,
+rewards)``, the cell index and rewards; DR-half and DML gather a fold's once.
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ from .nuisance import (
     NuisanceConfig,
     NuisanceEstimate,
     SupportViolationError,
-    _complements,
     _count,
+    _cross_fits,
     _fit,
     _folds,
     check_support,
@@ -162,11 +163,11 @@ def _walk(sa: np.ndarray, rewards: np.ndarray, ratio: np.ndarray, controls: list
     return [psi.sum(axis=-1) for psi in psis]
 
 
-def _psi_scores(sa: np.ndarray, states: np.ndarray, rewards: np.ndarray, behavior: Policy,
-                q: np.ndarray | None, eval_policy: Policy, discount: float) -> np.ndarray:
-    """Vectorized doubly robust score per trajectory of the row set ``(sa, states,
-    rewards)`` with the (T+1, S, A) Q array ``q`` as control variate; ``q=None`` is the
-    IPW score, Q = 0. The walk reads v_t(s_t) by the cell index, not ``states``."""
+def _psi_scores(sa: np.ndarray, rewards: np.ndarray, behavior: Policy, q: np.ndarray | None,
+                eval_policy: Policy, discount: float) -> np.ndarray:
+    """Vectorized doubly robust score per trajectory of the row set ``(sa, rewards)``
+    with the (T+1, S, A) Q array ``q`` as control variate; ``q=None`` is the IPW
+    score, Q = 0. The walk reads v_t(s_t) by the cell index."""
     check_table_shape(behavior.table.shape, eval_policy, "behavior policy")
     ratio = _ratios(behavior.table, eval_policy, sa[None])
     if q is not None:
@@ -210,11 +211,11 @@ def _full_data(rows: tuple, wanted: set, eval_policy: Policy, discount: float,
     """DM, IPW and DR-full, those ``wanted``, of R stacked row sets. DM and DR-full
     score on the full-data fit; IPW reads the known behavior, else that fit's, the
     table DR-full reads, so the two share one walk."""
-    sa, states, rewards = rows
+    sa, rewards = rows
     behavior = None if known_behavior is None else known_behavior.table
     if wanted & {Estimator.DM, Estimator.DR_FULL} or (behavior is None
                                                       and Estimator.IPW in wanted):
-        behavior, q = _fit(*_count(sa, states, rewards, eval_policy), sa.shape[-1] - 1,
+        behavior, q = _fit(*_count(sa, rewards, eval_policy), sa.shape[-1] - 1,
                            eval_policy, discount, known_behavior, config)
     done = {}
     if Estimator.DM in wanted:
@@ -232,38 +233,28 @@ def _dr_half(rows: tuple, rngs: list, eval_policy: Policy, discount: float,
              known_behavior: Policy | None, config: NuisanceConfig, level: float) -> list:
     """``dr_half_estimate`` of R stacked row sets, replication r splitting with
     ``rngs[r]``. The fitted fold's rows are released before the scored fold's are
-    gathered, and the walk reads no states."""
+    gathered."""
     scored, fitted = _folds(rows[0].shape[1], 2, rngs)
     behavior, q = _fit(*_count(*_fold_rows(rows, [fitted])[0], eval_policy),
                        rows[0].shape[-1] - 1, eval_policy, discount, known_behavior, config)
-    sa, rewards = _fold_rows((rows[0], rows[2]), [scored])[0]
+    sa, rewards = _fold_rows(rows, [scored])[0]
     scores = _walk(sa, rewards, _ratios(behavior, eval_policy, sa), [_control(q, eval_policy)],
                    discount)[0]
     return _finalize(scores, Estimator.DR_HALF, level)
 
 
-def _dml(cells: list, columns: tuple, folds: list, eval_policy: Policy, discount: float,
+def _dml(cells: list, rewards: np.ndarray, folds: list, eval_policy: Policy, discount: float,
          known_behavior: Policy | None, config: NuisanceConfig, level: float) -> list:
     """``dml_estimate`` of R stacked row sets, given as the cell index of each
-    (R, n_k) fold in ``folds`` and the full ``(states, rewards)``. Each fold's
-    states and rewards are gathered and counted in turn, and its states dropped
-    then, as the walk reads only its cell index and rewards."""
-    reps, n, steps = columns[0].shape
-    parts, tables, pairs = [], [], []
-    for fold, sa in zip(folds, cells):
-        states, rewards = _fold_rows(columns, [fold])[0]
-        part_tables, pair = _count(sa, states, rewards, eval_policy)
-        parts.append((sa, rewards))
-        tables.append(part_tables)
-        pairs.append(pair)
-    size = eval_policy.table.size * eval_policy.num_states
-    scores = np.empty((reps, n))
-    for fold, (sa, rewards), (part_tables, moves) in zip(folds, parts,
-                                                         _complements(tables, pairs, size, reps)):
-        behavior, q = _fit(part_tables, moves, steps - 1, eval_policy, discount,
-                           known_behavior, config)
-        psi = _walk(sa, rewards, _ratios(behavior, eval_policy, sa), [_control(q, eval_policy)],
-                    discount)[0]
+    (R, n_k) fold in ``folds`` and the full rewards (R, n, T+1). Each fold's
+    rewards are gathered once, for its count and its walk, and the fold is scored
+    with ``_cross_fits``'s fit on the other folds."""
+    parts = list(zip(cells, [part for part, in _fold_rows((rewards,), folds)]))
+    scores = np.empty(rewards.shape[:2])
+    fits = _cross_fits(parts, eval_policy, discount, known_behavior, config)
+    for fold, (sa, fold_rewards), (behavior, q) in zip(folds, parts, fits):
+        psi = _walk(sa, fold_rewards, _ratios(behavior, eval_policy, sa),
+                    [_control(q, eval_policy)], discount)[0]
         np.put_along_axis(scores, fold, psi, axis=1)
     return _finalize(scores, Estimator.DML, level)
 
@@ -285,7 +276,7 @@ def _estimate(columns: tuple, rngs: list, names, eval_policy: Policy, discount: 
     streams = [dict(zip(Estimator, rng.spawn(len(Estimator)))) for rng in rngs]
     states, actions, rewards = columns
     sa = _cells(states, actions, eval_policy)
-    rows = sa, states, rewards
+    rows = sa, rewards
     done = _full_data(rows, wanted, eval_policy, discount, known_behavior, config, level)
     if Estimator.DR_HALF in wanted:
         done[Estimator.DR_HALF] = _dr_half(rows, [s[Estimator.DR_HALF] for s in streams],
@@ -294,7 +285,7 @@ def _estimate(columns: tuple, rngs: list, names, eval_policy: Policy, discount: 
         folds = _folds(states.shape[1], k_folds, [s[Estimator.DML] for s in streams])
         cells = [part for part, in _fold_rows((sa,), folds)]
         del rows, sa
-        done[Estimator.DML] = _dml(cells, (states, rewards), folds, eval_policy, discount,
+        done[Estimator.DML] = _dml(cells, rewards, folds, eval_policy, discount,
                                    known_behavior, config, level)
     return {name: done[Estimator(name)] for name in names}
 
@@ -365,10 +356,10 @@ def dml_estimate(
     folds; the value is the pooled mean of all N scores, which matches the
     per-fold double average whenever the folds are equal-sized.
     """
-    sa, states, rewards = (x[None] for x in rows)
+    sa, rewards = (x[None] for x in rows)
     folds = _folds(sa.shape[1], k_folds, [rng])
-    return _dml([part for part, in _fold_rows((sa,), folds)], (states, rewards), folds,
-                eval_policy, discount, known_behavior, config, level)[0]
+    return _dml([part for part, in _fold_rows((sa,), folds)], rewards, folds, eval_policy,
+                discount, known_behavior, config, level)[0]
 
 
 def cb_efficiency_bound(mdp: TabularMdp, behavior: Policy, eval_policy: Policy) -> float:
@@ -397,7 +388,7 @@ def expected_psi(
     """Exact E_{H~logging_policy}[psi(H; behavior, q)] by trajectory enumeration;
     ``q=None`` is the IPW score."""
     data, probs = enumerate_dataset(mdp, logging_policy)
-    rows = data.cells(eval_policy, "evaluation"), data.states, data.rewards
+    rows = data.cells(eval_policy, "evaluation"), data.rewards
     return float(_psi_scores(*rows, behavior, q, eval_policy, mdp.discount) @ probs)
 
 
@@ -421,7 +412,7 @@ def orthogonality_derivative(
                               f"shaped as its base: got q {np.shape(q)}, alt_q {np.shape(alt_q)}, "
                               f"behavior {behavior.table.shape}, alt {alt_behavior.table.shape}")
     data, probs = enumerate_dataset(mdp, behavior)
-    rows = data.cells(eval_policy, "evaluation"), data.states, data.rewards
+    rows = data.cells(eval_policy, "evaluation"), data.rewards
 
     def g(r: float) -> float:
         mixed = Policy(table=(1 - r) * behavior.table + r * alt_behavior.table)

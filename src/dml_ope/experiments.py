@@ -5,8 +5,8 @@ Replications draw independent random streams from a splittable seed sequence,
 so results do not depend on execution order. With the OPE_DML_THREADS
 environment variable above 1, the replications are split into one contiguous
 block per worker process, at most one worker per CPU and per replication; each
-block builds the scenario once, and the blocks' rows are joined in order. A
-single block runs in the calling process.
+block builds the scenario once, and the blocks' estimates fill one table in
+order. A single block runs in the calling process.
 
 A block runs its replications in chunks of ``max(1, ROW_BUDGET // max(n, S*A))``.
 A chunk is sampled, counted, fitted and scored as one stack of (R, n, T+1) row
@@ -469,8 +469,8 @@ def _scenario(config: ExperimentConfig) -> tuple[TabularMdp, Policy, Policy]:
     return mdp, behavior, evaluation
 
 
-def _run_replications(config: ExperimentConfig, seeds: list) -> list[dict[str, float]]:
-    """The estimates of each replication in ``seeds``, in order, on one scenario build.
+def _run_replications(config: ExperimentConfig, seeds: list) -> np.ndarray:
+    """The (estimators, replications) estimates of ``seeds``, on one scenario build.
 
     The replications run in chunks of ``max(1, ROW_BUDGET // max(n, S*A))``: a
     chunk is sampled, fitted and scored as one stack of (R, n, T+1) row sets, and
@@ -480,7 +480,7 @@ def _run_replications(config: ExperimentConfig, seeds: list) -> list[dict[str, f
     known = behavior if config.behavior_known else None
     n = config.n_trajectories
     chunk = max(1, ROW_BUDGET // max(n, evaluation.table.size))
-    rows = []
+    values = np.empty((len(config.estimators), len(seeds)))
     for start in range(0, len(seeds), chunk):
         # A replication samples from child 0 of its seed and estimates from child 1 on.
         rngs = [np.random.default_rng(seed_seq) for seed_seq in seeds[start:start + chunk]]
@@ -489,9 +489,9 @@ def _run_replications(config: ExperimentConfig, seeds: list) -> list[dict[str, f
         results = _estimate(columns, rngs, config.estimators, evaluation,
                             config.effective_discount, known, config.k_folds, config.nuisance,
                             config.level)
-        rows += [{name: results[name][r].value for name in config.estimators}
-                 for r in range(len(rngs))]
-    return rows
+        values[:, start:start + chunk] = [[e.value for e in results[name]]
+                                          for name in config.estimators]
+    return values
 
 
 def ground_truth_value(config: ExperimentConfig) -> float:
@@ -516,16 +516,16 @@ def run_mse_experiment(config: ExperimentConfig) -> MseReport:
     seeds = np.random.SeedSequence(config.seed).spawn(reps)
     blocks = min(max(workers, 1), reps, os.cpu_count() or 1)
     if blocks == 1:
-        rows = _run_replications(config, seeds)
+        estimates[:] = _run_replications(config, seeds)
     else:
         bounds = [i * reps // blocks for i in range(blocks + 1)]
         with ProcessPoolExecutor(max_workers=blocks) as pool:
-            block_rows = pool.map(_run_replications, [config] * blocks,
-                                  [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
-            rows = [row for block in block_rows for row in block]
+            done = pool.map(_run_replications, [config] * blocks,
+                            [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+            for lo, hi, block in zip(bounds, bounds[1:], done):
+                estimates[:, lo:hi] = block
     results = {}
     for name, column in zip(config.estimators, estimates):
-        column[:] = [row[name] for row in rows]
         errors_sq = (column - truth) ** 2
         mse = float(errors_sq.mean())
         se = float(errors_sq.std(ddof=1) / np.sqrt(reps)) if reps > 1 else None

@@ -2,10 +2,11 @@
 backward Q recursion.
 
 All nuisance models are tabular and time-invariant: counts are pooled across
-steps. A fit first counts its rows into additive tables (visit counts, reward
-sums, transition counts, reward total), then fits from them. A cross-fit
-complement's tables are the sum of the other folds' tables, so
-``fit_nuisances`` counts each fold once; DR-half's single fit on fold 1 is
+steps. A fit first counts a row set ``(sa, rewards)``, its cell index ``s*A + a``
+and rewards, into additive tables (visit counts, reward sums, transition counts
+with s' read from the next cell, reward total), then fits from them. A cross-fit
+complement's tables are the sum of the other folds' tables, so ``_cross_fits``,
+the one cross-fit path, counts each fold once; DR-half's single fit on fold 1 is
 DML's fold-0 fit at two folds. Unobserved cells fall back to the fitted rows'
 mean reward, uniform transitions, and uniform (or smoothed) behavior rows so
 the Q recursion is defined everywhere. A fit is the record ``(behavior, q)``.
@@ -17,14 +18,13 @@ pairs of a complement of two or more parts. The Q recursion runs over the
 pair, so a step costs at most min(n*T, S*A*S) operations; a cell without
 moves takes the mean of the next step's values, the uniform row.
 
-The private kernels (``_folds``, ``_count``, ``_fit``, ``_q_tables``) also take
-R stacked row sets of shape (R, n, T+1), one per replication, whose cell
-indices are offset by r*S*A: a visit bin or move index then belongs to one
-replication, and each row of a table is that replication's own fit.
+The private kernels (``_folds``, ``_count``, ``_cross_fits``, ``_fit``,
+``_q_tables``) take R stacked row sets (R, n, T+1), one per replication, whose
+cell indices are offset by r*S*A, so a bin or move index belongs to one
+replication; the public functions add the leading axis to one row set.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,32 +176,40 @@ def _ratio(num: np.ndarray, den: np.ndarray, fallback: float) -> np.ndarray:
     return np.divide(num, den, out=np.full(num.shape, fallback), where=den > 0)
 
 
-def _count(sa: np.ndarray, states: np.ndarray, rewards: np.ndarray,
-           eval_policy: Policy) -> tuple:
-    """The count tables of a row set, its cell index ``sa``, states and rewards
-    of shape (n, T+1): visit counts and reward sums per ``s*A + a`` and the reward
-    total; and the move pair of its transitions ``(s*A + a)*S + s'``. Of R stacked
-    row sets (R, n, T+1), whose cell indices are offset by r*S*A, the tables gain a
-    leading R axis and the one move pair's indices are offset by r*S*A*S; a bin
-    then sums only its own replication's rewards, in row-major order."""
+def _count(sa: np.ndarray, rewards: np.ndarray, eval_policy: Policy) -> tuple:
+    """The count tables of R stacked row sets, their cell indices ``sa``, offset by
+    r*S*A, and rewards (R, n, T+1): visit counts and reward sums per replication
+    and ``s*A + a``, and the reward totals; and the one move pair of their
+    transitions ``(s*A + a)*S + s'``, offset by r*S*A*S. A move's next state s' is
+    read from its next cell; a bin sums only its own replication's rewards, in
+    row-major order."""
     num_states, num_actions = eval_policy.table.shape
-    lead = sa.shape[:-2]
-    cells = math.prod(lead) * num_states * num_actions
-    moves = (sa[..., :-1] * num_states + states[..., 1:]).ravel()
+    reps = len(sa)
+    cells = reps * eval_policy.table.size
+    moves = sa[:, :, :-1] * num_states
+    moves += sa[:, :, 1:] // num_actions  # r*S + s', a gather from a state table is slower
+    if reps > 1:
+        moves -= np.arange(0, reps * num_states, num_states).reshape(-1, 1, 1)
     size = cells * num_states
     pair = (np.unique(moves, return_counts=True) if moves.size * SORT_DIVISOR < size
-            else _nonzero(np.bincount(moves, minlength=size)))
-    return (np.bincount(sa.ravel(), minlength=cells).reshape(lead + (-1,)),
-            np.bincount(sa.ravel(), weights=rewards.ravel(), minlength=cells).reshape(lead + (-1,)),
+            else _nonzero(np.bincount(moves.ravel(), minlength=size)))
+    return (np.bincount(sa.ravel(), minlength=cells).reshape(reps, -1),
+            np.bincount(sa.ravel(), weights=rewards.ravel(), minlength=cells).reshape(reps, -1),
             rewards.sum(axis=(-2, -1))), pair
 
 
-def _complements(tables: tuple, pairs: tuple, size: int, reps: int = 1):
-    """For each part, the count tables of the other parts, summed in part order,
-    and their move pairs merged; ``size`` is one replication's flat move table's."""
-    for k in range(len(tables)):
-        yield ([sum(column[1:], column[0]) for column in zip(*tables[:k], *tables[k + 1:])],
-               _merge(pairs[:k] + pairs[k + 1:], size, reps))
+def _cross_fits(parts: list, eval_policy: Policy, discount: float,
+                known_behavior: Policy | None, config: NuisanceConfig):
+    """For each of ``parts``, two or more stacked row sets of one horizon, the
+    ``_fit`` on the others: each part is counted once, and a complement's tables
+    are the others' summed in part order, its move pair theirs merged."""
+    reps, _, steps = parts[0][0].shape
+    size = eval_policy.table.size * eval_policy.num_states
+    tables, pairs = zip(*(_count(*part, eval_policy) for part in parts))
+    for k in range(len(parts)):
+        yield _fit([sum(column[1:], column[0]) for column in zip(*tables[:k], *tables[k + 1:])],
+                   _merge(pairs[:k] + pairs[k + 1:], size, reps), steps - 1, eval_policy,
+                   discount, known_behavior, config)
 
 
 def _merge(pairs: tuple, size: int, reps: int = 1) -> tuple:
@@ -268,9 +276,9 @@ def fit_nuisance(
     config: NuisanceConfig = NuisanceConfig(),
 ) -> NuisanceEstimate:
     """Fit one nuisance tuple on every row of ``data``; the fit draws nothing."""
-    return _estimate_record(*_fit(*_count(data.cells(eval_policy, "evaluation"), data.states,
-                                          data.rewards, eval_policy),
-                                  data.horizon, eval_policy, discount, known_behavior, config))
+    rows = data.cells(eval_policy, "evaluation")[None], data.rewards[None]
+    return _estimate_record(*_fit(*_count(*rows, eval_policy), data.horizon, eval_policy,
+                                  discount, known_behavior, config))
 
 
 def fit_nuisances(
@@ -280,11 +288,8 @@ def fit_nuisances(
     known_behavior: Policy | None = None,
     config: NuisanceConfig = NuisanceConfig(),
 ) -> list[NuisanceEstimate]:
-    """For each of ``parts`` (at least two row sets ``(sa, states, rewards)`` of
-    one horizon, as ``_count`` takes), the fit on the other parts: their count
-    tables, each counted once, summed in part order, and their move pairs merged."""
-    size = eval_policy.table.size * eval_policy.table.shape[0]
-    tables, pairs = zip(*(_count(*part, eval_policy) for part in parts))
-    horizon = parts[0][0].shape[-1] - 1
-    return [_estimate_record(*_fit(t, m, horizon, eval_policy, discount, known_behavior, config))
-            for t, m in _complements(tables, pairs, size)]
+    """For each of ``parts``, at least two row sets ``(sa, rewards)`` of one
+    horizon, their cell indices and rewards (n_k, T+1), the fit on the other parts."""
+    stacked = [tuple(x[None] for x in part) for part in parts]
+    return [_estimate_record(*fit) for fit in _cross_fits(stacked, eval_policy, discount,
+                                                          known_behavior, config)]

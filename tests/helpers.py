@@ -33,12 +33,11 @@ def select(data: LoggedDataset, indices) -> LoggedDataset:
 
 
 def row_set(data: LoggedDataset, policy: Policy, indices=slice(None)) -> tuple:
-    """The row set ``(sa, states, rewards)`` of ``data``'s rows at ``indices`` (all
-    rows by default) under ``policy``'s table: the arrays of one fold that the
-    estimators gather once and pass to ``_count``, ``fit_nuisances`` and
-    ``_psi_scores``."""
-    sa = data.cells(policy, "evaluation")
-    return sa[indices], data.states[indices], data.rewards[indices]
+    """The row set ``(sa, rewards)`` of ``data``'s rows at ``indices`` (all rows by
+    default) under ``policy``'s table: the cell index and rewards of one fold that
+    the estimators gather once and pass to ``fit_nuisances`` and ``_psi_scores``,
+    and, with a leading replication axis, to ``_count``."""
+    return data.cells(policy, "evaluation")[indices], data.rewards[indices]
 
 
 def row_steps(data: LoggedDataset, i: int = 0) -> list[tuple]:

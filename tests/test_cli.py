@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from dml_ope import experiments, mdp_to_dict, policy_to_dict
+from dml_ope import cli, experiments, mdp_to_dict, policy_to_dict
 from dml_ope.cli import cli_main
 
 from helpers import (NOISY_CONFIG, bandit_mdp, bandit_policies, noisy_lift, three_state_mdp,
@@ -825,6 +825,40 @@ class TestUsage:
         assert code == 1
         assert out == ""
         assert "error: --seed must be >= 0, got -1" in err
+
+
+class TestErrorExits:
+    @pytest.mark.parametrize("key, message", [
+        ("initial_dist", "initial_dist has wrong shape"),
+        ("transitions", "transitions has wrong shape"),
+    ])
+    def test_mdp_array_of_wrong_shape_exits_1(self, workspace, capsys, key, message):
+        spec = json.loads((workspace / "mdp.json").read_text())
+        spec[key] = spec[key][:-1]
+        bad = workspace / "bad_mdp.json"
+        bad.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "simulate", "--mdp", str(bad),
+                             "--policy", str(workspace / "behavior.json"), "--n", "5",
+                             "--output", str(workspace / "x.jsonl"))
+        assert (code, out, err) == (1, "", f"error: {bad}: {message}\n")
+
+    @pytest.mark.parametrize("impressions", [0, -10])
+    def test_impressions_not_positive_exits_1(self, tmp_path, capsys, impressions):
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps([{"campaign": "a", "batch": "1", "estimate": 0.5,
+                                     "actual": 0.5, "n_impressions": impressions}]))
+        code, out, err = run(capsys, "rmse", "--cells", str(path))
+        assert (code, out, err) == (1, "", f"error: {path}: n_impressions must be positive\n")
+
+    def test_unexpected_exception_exits_2(self, workspace, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", boom)
+        code, out, err = run(capsys, "simulate", "--mdp", str(workspace / "mdp.json"),
+                             "--policy", str(workspace / "behavior.json"), "--n", "5",
+                             "--output", str(workspace / "x.jsonl"))
+        assert (code, out, err) == (2, "", "runtime error: boom\n")
 
 
 class TestJsonInputFiles:

@@ -12,6 +12,7 @@ from dml_ope import (
     Policy,
     SupportViolationError,
     ValidationError,
+    ValueEstimate,
     cb_efficiency_bound,
     dm_estimate,
     dml_estimate,
@@ -513,12 +514,25 @@ class TestFoldRows:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 30, np.random.default_rng(6))
         q = true_nuisance(mdp, behavior, evaluation).q if control == "dr" else None
-        sa, states, rewards = row_set(data, evaluation, np.arange(0, 30, 2))
+        sa, rewards = row_set(data, evaluation, np.arange(0, 30, 2))
         kept = sa.copy()
-        first = _psi_scores(sa, states, rewards, behavior, q, evaluation, 0.9)
+        first = _psi_scores(sa, rewards, behavior, q, evaluation, 0.9)
         assert np.array_equal(sa, kept)
-        assert np.array_equal(_psi_scores(sa, states, rewards, behavior, q, evaluation, 0.9),
-                              first)
+        assert np.array_equal(_psi_scores(sa, rewards, behavior, q, evaluation, 0.9), first)
+
+
+class TestValueEstimate:
+    @pytest.mark.parametrize("changes, message", [
+        ({"variance": -1e-12}, "variance must be nonnegative"),
+        ({"ci_low": 0.6}, "confidence interval must contain the point estimate"),
+        ({"ci_high": 0.4}, "confidence interval must contain the point estimate"),
+    ], ids=["negative_variance", "above_the_value", "below_the_value"])
+    def test_invariants(self, changes, message):
+        fields = dict(value=0.5, variance=0.1, n=10, ci_low=0.3, ci_high=0.7,
+                      estimator=Estimator.DML, level=0.95)
+        assert ValueEstimate(**fields).covers(0.5)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ValueEstimate(**{**fields, **changes})
 
 
 class TestEfficiencyBound:
@@ -563,7 +577,7 @@ class TestStackedScores:
         rows = row_set(data, evaluation)
         eta = fit_nuisance(data, evaluation, 0.9, known_behavior=behavior if known else None)
         sa = rows[0][None]
-        ipw, dr = _walk(sa, rows[2][None], _ratios(eta.behavior.table, evaluation, sa),
+        ipw, dr = _walk(sa, rows[1][None], _ratios(eta.behavior.table, evaluation, sa),
                         [None, _control(eta.q[:, None], evaluation)], 0.9)
         separate = [_psi_scores(*rows, eta.behavior, q, evaluation, 0.9) for q in (None, eta.q)]
         assert [ipw[0].tobytes(), dr[0].tobytes()] == [s.tobytes() for s in separate]

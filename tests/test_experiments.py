@@ -38,7 +38,7 @@ from dml_ope import (
     with_noise_states,
     write_jsonl,
 )
-from dml_ope import estimators, experiments
+from dml_ope import estimators, experiments, nuisance
 
 from helpers import (NOISY_CONFIG, noisy_lift, random_mdp, random_policy, row_set,
                      three_state_mdp, three_state_policies)
@@ -470,6 +470,7 @@ class TestEvaluateDataset:
         data = sample_dataset(mdp, behavior, 10, np.random.default_rng(0))
         wider = Policy(table=[[0.5, 0.5]] * 4)
         monkeypatch.setattr("dml_ope.estimators._fit", None)
+        monkeypatch.setattr("dml_ope.nuisance._fit", None)  # the cross-fits' name
         with pytest.raises(ValidationError, match=re.escape(
                 "the behavior policy table has shape (4, 2), the evaluation policy table (3, 2)")):
             evaluate_dataset(data, evaluation, 0.9, ("ipw", "dml"), np.random.default_rng(0),
@@ -482,6 +483,7 @@ class TestEvaluateDataset:
         data = sample_dataset(mdp, behavior, 10, np.random.default_rng(0))
         # The check comes before any fit.
         monkeypatch.setattr("dml_ope.estimators._fit", None)
+        monkeypatch.setattr("dml_ope.nuisance._fit", None)  # the cross-fits' name
         with pytest.raises(ValidationError,
                            match=rf"discount must lie in \[0, 1\], got {discount!r}"):
             evaluate_dataset(data, evaluation, discount, tuple(e.value for e in Estimator),
@@ -500,8 +502,9 @@ class TestEvaluateDataset:
         data = sample_dataset(mdp, behavior, 50, np.random.default_rng(0))
         fits = []
         fit = estimators._fit
-        monkeypatch.setattr(estimators, "_fit",
-                            lambda *a, **k: fits.append(1) or fit(*a, **k))
+        # DML fits through nuisance._fit, the others through estimators._fit.
+        for module in (estimators, nuisance):
+            monkeypatch.setattr(module, "_fit", lambda *a, **k: fits.append(1) or fit(*a, **k))
         with pytest.raises(ValidationError, match=match):
             evaluate_dataset(data, evaluation, 0.9, names, np.random.default_rng(0), **changes)
         assert len(fits) == 0
@@ -790,6 +793,11 @@ class TestRelativeRmse:
         cells_a = [self.cell(0.9, 1.0, 10.0), self.cell(2.4, 2.0, 30.0)]
         cells_b = [self.cell(4.5, 5.0, 10.0), self.cell(12.0, 10.0, 30.0)]
         assert relative_rmse(cells_a) == pytest.approx(relative_rmse(cells_b), abs=1e-12)
+
+    @pytest.mark.parametrize("weight", [0.0, -5.0])
+    def test_impressions_must_be_positive(self, weight):
+        with pytest.raises(ValidationError, match="^n_impressions must be positive$"):
+            self.cell(1.0, 1.0, weight)
 
     def test_huge_weights_do_not_overflow(self):
         # Impression counts whose sum exceeds the largest double.

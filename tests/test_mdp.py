@@ -121,6 +121,17 @@ class TestValidation:
                 **point_mass([[0.0], [0.0]]),
             )
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"initial_dist": [1.0]}, "initial_dist has wrong shape"),
+        ({"transitions": np.full((2, 1, 1), 1.0)}, "transitions has wrong shape"),
+    ], ids=["initial_dist", "transitions"])
+    def test_mdp_array_shapes_checked(self, changes, message):
+        fields = dict(num_states=2, num_actions=1, horizon=0, discount=1.0,
+                      initial_dist=[0.5, 0.5], transitions=np.full((2, 1, 2), 0.5),
+                      **point_mass([[0.0], [0.0]]))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            TabularMdp(**{**fields, **changes})
+
     def test_transition_rows_checked_with_path(self):
         bad = np.ones((2, 1, 2)) * 0.5
         bad[1, 0] = [0.7, 0.7]
@@ -177,6 +188,20 @@ class TestValidation:
     ], ids=["one_dimensional", "no_steps", "nan_reward", "inf_reward", "neg_inf_reward"])
     def test_dataset_no_estimator_can_score_rejected(self, columns, message):
         # Each was accepted, and failed later in an estimator or a nuisance check.
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            LoggedDataset(**columns)
+
+    @pytest.mark.parametrize("columns, message", [
+        ({"states": np.zeros((0, 2)), "actions": np.zeros((0, 2)), "rewards": np.zeros((0, 2))},
+         "dataset must be nonempty"),
+        ({"states": [[0, 1]], "actions": [[0, 1, 0]], "rewards": [[0.0, 0.0]]},
+         "dataset arrays must share one (N, T+1) shape"),
+        ({"states": [[0, 1]], "actions": [[0, 1]], "rewards": [[0.0], [0.0]]},
+         "dataset arrays must share one (N, T+1) shape"),
+        ({"states": [[0, 1]], "actions": [[0, 1]], "rewards": [[0.0, 0.0]],
+          "propensities": [[0.5]]}, "propensities shape mismatch"),
+    ], ids=["no_rows", "actions_shape", "rewards_shape", "propensities_shape"])
+    def test_dataset_shapes_checked(self, columns, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             LoggedDataset(**columns)
 

@@ -28,6 +28,12 @@ from helpers import (move_pair, noisy_lift, random_mdp, random_policy, row_set, 
                      three_state_mdp, three_state_policies)
 
 
+def stacked_row_set(data, policy, indices=slice(None)):
+    """``row_set`` as one replication of stacked rows (1, n, T+1), as ``_count``
+    takes them."""
+    return tuple(x[None] for x in row_set(data, policy, indices))
+
+
 def single_state_dataset(actions, rewards=None):
     n = len(actions)
     rewards = rewards if rewards is not None else [0.0] * n
@@ -89,7 +95,7 @@ def counted_transitions(data, num_states, num_actions):
 def fitted_transitions(data, num_states, num_actions):
     """The transition table of the move pair a fit of ``data`` counts."""
     policy = action_zero(num_states, num_actions)
-    idx, counts = _count(*row_set(data, policy), policy)[1]
+    idx, counts = _count(*stacked_row_set(data, policy), policy)[1]
     moves = np.zeros(num_states * num_actions * num_states)
     moves[idx] = counts
     return transition_table(moves.reshape(num_states, num_actions, num_states))[0]
@@ -108,10 +114,10 @@ def complement_moves(data, folds, eval_policy):
     """For each fold, the move pair ``fit_nuisances`` merges from the other
     folds' pairs, and the pair counted on the complement's rows."""
     size = eval_policy.table.size * eval_policy.table.shape[0]
-    pairs = [_count(*row_set(data, eval_policy, f), eval_policy)[1] for f in folds]
+    pairs = [_count(*stacked_row_set(data, eval_policy, f), eval_policy)[1] for f in folds]
     return [(_merge(tuple(pairs[:k] + pairs[k + 1:]), size),
-             _count(*row_set(data, eval_policy, np.concatenate(folds[:k] + folds[k + 1:])),
-                    eval_policy)[1])
+             _count(*stacked_row_set(data, eval_policy,
+                                     np.concatenate(folds[:k] + folds[k + 1:])), eval_policy)[1])
             for k in range(len(folds))]
 
 
@@ -433,7 +439,8 @@ class TestCountTables:
         eta = fit_nuisance(data, evaluation, 0.9)
         assert np.array_equal(eta.mean_reward[4], np.full(2, data.rewards.mean()))
         # State 4's cells have no moves, so they take mean(v_{t+1}): uniform rows.
-        assert not np.any(_count(*row_set(data, evaluation), evaluation)[1][0] // 10 == 4)
+        moves = _count(*stacked_row_set(data, evaluation), evaluation)[1][0]
+        assert not np.any(moves // 10 == 4)
         for t in range(data.horizon):
             v_next = (evaluation.table * eta.q[t + 1]).sum(axis=1)
             assert np.array_equal(eta.q[t, 4], eta.mean_reward[4] + 0.9 * v_next.mean())
@@ -486,7 +493,7 @@ class TestMovePairs:
         for part in parts:
             for divisor in ROUTES.values():
                 with mock.patch.object(nuisance, "SORT_DIVISOR", divisor):
-                    pair = _count(*row_set(part, policy), policy)[1]
+                    pair = _count(*stacked_row_set(part, policy), policy)[1]
                 assert_pairs_equal(pair, dense_pair([part], num_states, num_actions))
 
     @settings(deadline=None)
@@ -494,7 +501,7 @@ class TestMovePairs:
     def test_merge_is_the_dense_sum(self, drawn):
         num_states, num_actions, parts = drawn
         policy = action_zero(num_states, num_actions)
-        pairs = tuple(_count(*row_set(p, policy), policy)[1] for p in parts)
+        pairs = tuple(_count(*stacked_row_set(p, policy), policy)[1] for p in parts)
         merged = _merge(pairs, num_states * num_actions * num_states)
         assert_pairs_equal(merged, dense_pair(parts, num_states, num_actions))
 
@@ -506,7 +513,7 @@ class TestMovePairs:
         num_states, num_actions, parts = drawn
         policy = action_zero(num_states, num_actions)
         size = num_states * num_actions * num_states
-        pairs = [_count(*row_set(p, policy), policy)[1] for p in parts]
+        pairs = [_count(*stacked_row_set(p, policy), policy)[1] for p in parts]
         m = len(parts)
 
         def stack(blocks):
@@ -564,7 +571,7 @@ class TestStackedFits:
     def stacked(datasets, policy):
         columns = [np.stack([getattr(d, f) for d in datasets])
                    for f in ("states", "actions", "rewards")]
-        return _cells(columns[0], columns[1], policy), columns[0], columns[2]
+        return _cells(columns[0], columns[1], policy), columns[2]
 
     @pytest.mark.parametrize("scenario, n", [("lift", 40), ("lift", 1000), ("small", 300)],
                              ids=["lift_40", "lift_1000", "small_dense"])
@@ -584,7 +591,7 @@ class TestStackedFits:
         fit = _fit(tables, (idx, counts), mdp.horizon, evaluation, 0.9, known_behavior,
                    NuisanceConfig())
         for r, data in enumerate(datasets):
-            own_tables, own_pair = _count(*row_set(data, evaluation), evaluation)
+            own_tables, own_pair = _count(*stacked_row_set(data, evaluation), evaluation)
             for got, want in zip(tables, own_tables):
                 assert got[r].tobytes() == want.tobytes()
             mine = (idx >= r * size) & (idx < (r + 1) * size)
@@ -595,6 +602,28 @@ class TestStackedFits:
             assert fit[1][:, r].tobytes() == q_r[:, 0].tobytes()
             got_behavior = fit[0] if known else fit[0][r]
             assert got_behavior.tobytes() == behavior_r.reshape(got_behavior.shape).tobytes()
+
+    @pytest.mark.parametrize("reps", [1, 3])
+    @pytest.mark.parametrize("scenario", ["A1", "A2", "A3", "lift"])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_next_state_read_from_the_cell_index(self, scenario, reps, route):
+        # _count reads a move's next state s' from its next cell, sa // A less the
+        # replication's r*S. The reference keeps the formula that read the states
+        # column: sa[..., :-1]*S + states[..., 1:], offset by r*S*A*S through sa.
+        if scenario == "lift":
+            mdp, behavior, evaluation = noisy_lift()
+        else:
+            num_actions = int(scenario[1])
+            rng = np.random.default_rng(num_actions)
+            mdp = random_mdp(rng, 5, num_actions, 3)
+            behavior, evaluation = (random_policy(rng, 5, num_actions) for _ in range(2))
+        datasets = [sample_dataset(mdp, behavior, 200, np.random.default_rng(seed))
+                    for seed in range(reps)]
+        sa, rewards = self.stacked(datasets, evaluation)
+        states = np.stack([d.states for d in datasets])
+        want = np.unique(sa[..., :-1] * mdp.num_states + states[..., 1:], return_counts=True)
+        with mock.patch.object(nuisance, "SORT_DIVISOR", ROUTES[route]):
+            assert_pairs_equal(_count(sa, rewards, evaluation)[1], want)
 
     def test_support_checked_in_every_replication(self):
         # Only the second replication's fit leaves a cell of the evaluation

@@ -1,4 +1,5 @@
 import math
+import re
 from statistics import NormalDist
 
 import numpy as np
@@ -107,3 +108,22 @@ class TestThompsonGaussian:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValidationError):
             thompson_gaussian_policy([[0.0]], [[-1.0]], np.random.default_rng(0))
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: epsilon_greedy_policy([1.0, 2.0], 0.1), "scores must be a nonempty (S, A) table"),
+        (lambda: epsilon_greedy_policy(np.zeros((2, 0)), 0.1),
+         "scores must be a nonempty (S, A) table"),
+        (lambda: epsilon_greedy_policy([[1.0, np.nan]], 0.1), "scores must be finite"),
+        (lambda: softmax_policy([[np.inf, 0.0]]), "scores must be finite"),
+        (lambda: greedy_policy([[0.0, np.nan]]), "means must be finite"),
+        (lambda: thompson_gaussian_policy([[0.0, 1.0]], [[1.0]], np.random.default_rng(0)),
+         "means and variances must be matching (S, A) tables"),
+        (lambda: thompson_gaussian_policy([0.0], [1.0], np.random.default_rng(0)),
+         "means and variances must be matching (S, A) tables"),
+    ], ids=["epsilon_1d", "epsilon_no_actions", "epsilon_nan", "softmax_inf", "greedy_nan",
+            "thompson_shapes", "thompson_1d"])
+    def test_message(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()

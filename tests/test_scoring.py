@@ -4,7 +4,9 @@ The reference rule takes the evaluation and behavior propensities of every
 logged step into ``(N, T+1)`` arrays, divides them, takes ``cumprod`` along the
 steps, gathers ``q_t(s_t, a_t)`` and ``v_t(s_t)`` by row and step, and sums each
 row with numpy. The step walk must return the same bytes and dtype for every
-row set, and raise the same errors.
+row set, and raise the same errors. The reference reads ``v_t(s_t)`` by the
+dataset's own states, passed beside the row set ``(sa, rewards)``, where the walk
+reads it by the cell index.
 """
 import re
 import tracemalloc
@@ -37,7 +39,8 @@ def reference_weights(pe: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return np.cumprod(rho, axis=1, out=rho)
 
 
-def reference_scores(sa, states, rewards, behavior, q, eval_policy, discount):
+def reference_scores(rows, states, behavior, q, eval_policy, discount):
+    sa, rewards = rows
     t = np.arange(sa.shape[1])
     check_table_shape(behavior.table.shape, eval_policy, "behavior policy")
     rho = reference_weights(eval_policy.table.take(sa), behavior.table.take(sa))
@@ -52,9 +55,9 @@ def reference_scores(sa, states, rewards, behavior, q, eval_policy, discount):
     return (terms * disc).sum(axis=1)
 
 
-def assert_same_scores(rows, behavior, q, evaluation, discount):
+def assert_same_scores(rows, states, behavior, q, evaluation, discount):
     try:
-        want = reference_scores(*rows, behavior, q, evaluation, discount)
+        want = reference_scores(rows, states, behavior, q, evaluation, discount)
     except ValidationError as err:
         with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
             _psi_scores(*rows, behavior, q, evaluation, discount)
@@ -117,13 +120,15 @@ def scoring_cases(draw):
 def test_step_walk_equals_reference_rule(case):
     data, behavior, evaluation, q, folds, discount = case
     whole = row_set(data, evaluation)
-    assert_same_scores(whole, behavior, q, evaluation, discount)
+    assert_same_scores(whole, data.states, behavior, q, evaluation, discount)
     # Every other row, as strided views.
-    assert_same_scores(row_set(data, evaluation, slice(None, None, 2)), behavior, q,
-                       evaluation, discount)
+    every_other = slice(None, None, 2)
+    assert_same_scores(row_set(data, evaluation, every_other), data.states[every_other],
+                       behavior, q, evaluation, discount)
     # The row sets of non-contiguous folds, as the cross-fit gathers them.
-    for part in _fold_rows(tuple(x[None] for x in whole), folds):
-        assert_same_scores(tuple(x[0] for x in part), behavior, q, evaluation, discount)
+    for *part, states in _fold_rows(tuple(x[None] for x in (*whole, data.states)), folds):
+        assert_same_scores(tuple(x[0] for x in part), states[0], behavior, q, evaluation,
+                           discount)
 
 
 @pytest.fixture(scope="module")
