@@ -298,6 +298,111 @@ class TestJsonlRoundTrip:
             ingest_jsonl(path)
 
 
+_CORPUS_BASE = LoggedDataset(
+    states=[[0, 2, 1], [1, 1, 0], [2, 0, 0], [0, 1, 2], [1, 2, 2]],
+    actions=[[1, 0, 1], [0, 0, 1], [1, 1, 0], [0, 1, 1], [1, 0, 0]],
+    rewards=[[1.0, 0.0, -0.6000000000000001], [2.5, -0.0, 1.0], [0.0, 3.0, 1e-310],
+             [1.0, 1.0, 0.0], [-2.0, 0.5, 1.0]],
+    propensities=[[0.25, 1.0, 0.5], [0.1, 0.75, 0.3], [0.6, 0.4, 1.0], [0.5, 0.5, 0.2],
+                  [0.9, 0.35, 0.15]],
+)
+
+
+def _redump(text: str, dump=json.dumps, edit=lambda line, step, st: st, lines=None) -> str:
+    """``text``'s lines decoded and written again by ``dump``, each step passed
+    through ``edit(line, step, step_dict)``; ``lines`` picks the lines to rewrite."""
+    out = []
+    for i, line in enumerate(text.splitlines()):
+        if lines is None or i in lines:
+            steps = [edit(i, j, st) for j, st in enumerate(json.loads(line)["steps"])]
+            line = dump({"steps": steps})
+        out.append(line + "\n")
+    return "".join(out)
+
+
+def _set(line: int, step: int, key: str, value):
+    """An ``edit`` for ``_redump`` that sets ``key`` of one step to ``value``."""
+    return lambda i, j, st: {**st, key: value} if (i, j) == (line, step) else st
+
+
+# Valid JSONL files that write_jsonl never writes, each derived from its file of
+# _CORPUS_BASE.
+NON_CANONICAL_EDITS = {
+    "keys_reordered": lambda t: _redump(t, edit=lambda i, j, st: dict(reversed(st.items()))),
+    "compact_separators": lambda t: _redump(t, lambda o: json.dumps(o, separators=(",", ":"))),
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "blank_lines": lambda t: "\n" + t.replace("\n", "\n\n"),
+    "trailing_spaces": lambda t: t.replace("\n", "  \n"),
+    "integer_rewards": lambda t: _redump(t, edit=lambda i, j, st: {
+        **st, "r": int(st["r"]) if float(st["r"]).is_integer() else st["r"]}),
+    "string_labels": lambda t: _redump(t, edit=lambda i, j, st: {
+        **st, "s": f"state{st['s']}", "a": ["show", "hide"][st["a"]]}),
+    "p_omitted": lambda t: _redump(t, edit=lambda i, j, st: {k: st[k] for k in "sar"}),
+    "p_null_on_one_step": lambda t: _redump(t, edit=_set(2, 1, "p", None)),
+    "last_line_respaced": lambda t: _redump(
+        t, lambda o: json.dumps(o, separators=(",", ":")), lines={4}),
+}
+
+
+def arrays_digest(data: LoggedDataset) -> str:
+    """The sha256 of a dataset's four arrays: dtype, shape and bytes, or "none"."""
+    h = hashlib.sha256()
+    for x in (data.states, data.actions, data.rewards, data.propensities):
+        h.update(b"none" if x is None else f"{x.dtype}{x.shape}".encode() + x.tobytes())
+    return h.hexdigest()
+
+
+class TestGeneralParserPins:
+    """The arrays and messages of files that are valid or invalid JSONL but that
+    write_jsonl does not write as they are, pinned on the line-by-line parser."""
+
+    # _CORPUS_BASE itself, and without its propensities.
+    BASE_DIGEST = "fa97c8d6b7c1137bfa6296f9db388eedac9947f24d0cf581840a63e6f5ac9dc6"
+    NO_P_DIGEST = "d3502f626b6af6600766508b046ac9e57fe63f959138d0c49734b829317150cd"
+
+    @pytest.mark.parametrize("block_rows", [2, 4096])
+    @pytest.mark.parametrize("edit, expected", [
+        ("keys_reordered", BASE_DIGEST),
+        ("compact_separators", BASE_DIGEST),
+        ("crlf", BASE_DIGEST),
+        ("blank_lines", BASE_DIGEST),
+        ("trailing_spaces", BASE_DIGEST),
+        ("integer_rewards", "047519f14fb3d3f2f2a5d18981f542223181b2442a9097c85c35837790ac501b"),
+        ("string_labels", "be39947b204ce90d3d7779e40a308652d5469f4ea673d149aedad588a2c8a38f"),
+        ("p_omitted", NO_P_DIGEST),
+        ("p_null_on_one_step", NO_P_DIGEST),
+        ("last_line_respaced", BASE_DIGEST),
+    ])
+    def test_non_canonical_file_arrays(self, tmp_path, monkeypatch, block_rows, edit, expected):
+        monkeypatch.setattr(experiments, "_WRITE_BLOCK_ROWS", block_rows)
+        path = tmp_path / "d.jsonl"
+        write_jsonl(_CORPUS_BASE, path)
+        path.write_bytes(NON_CANONICAL_EDITS[edit](path.read_text()).encode())
+        assert arrays_digest(ingest_jsonl(path)) == expected
+
+    @pytest.mark.parametrize("block_rows", [2, 4096])
+    @pytest.mark.parametrize("line, step, key, value, message", [
+        (3, 1, "p", 0.0, "line 4: step 1: 'p' propensity must lie in (0, 1], got 0.0"),
+        (1, 2, "r", float("nan"), "line 2: step 2: 'r' must be finite, got NaN"),
+        (4, 0, "a", -1, "line 5: step 0: 'a' integer action label -1 is negative or too large"),
+        (2, 2, "s", 2**63, "line 3: step 2: 's' integer state label 9223372036854775808 "
+                           "is negative or too large"),
+        (0, 1, "s", True, "line 1: step 1: 's' must be an integer or string state label, "
+                          "got true"),
+    ], ids=["zero_p", "nan_r", "negative_label", "label_past_int64", "boolean_label"])
+    def test_canonical_looking_bad_file_message(self, tmp_path, monkeypatch, block_rows,
+                                                line, step, key, value, message):
+        # json.dumps writes each bad value in the writer's own form, so only the
+        # value rules tell these files from write_jsonl's.
+        monkeypatch.setattr(experiments, "_WRITE_BLOCK_ROWS", block_rows)
+        path = tmp_path / "d.jsonl"
+        write_jsonl(_CORPUS_BASE, path)
+        path.write_text(_redump(path.read_text(), edit=_set(line, step, key, value)))
+        with pytest.raises(ValidationError) as info:
+            ingest_jsonl(path)
+        assert str(info.value) == f"{path}: {message}"
+
+
 class TestNoiseStates:
     def test_value_preserved_under_lifting(self):
         mdp = three_state_mdp()
