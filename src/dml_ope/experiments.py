@@ -25,6 +25,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import count, islice
 from pathlib import Path
 
 import numpy as np
@@ -90,25 +91,31 @@ def _json_cells(column: np.ndarray) -> np.ndarray:
     return np.array(texts, dtype=object)[inverse].reshape(column.shape)
 
 
-def write_jsonl(data: LoggedDataset, path: str | Path) -> None:
-    """Emit one {"steps": [{"s", "a", "r", "p"}, ...]} object per trajectory.
+def _jsonl_block(states, actions, rewards, propensities) -> str:
+    """The lines of one block of rows, each json.dumps of its row's
+    {"steps": [{"s", "a", "r", "p"}, ...]} object; ``p`` is null when
+    ``propensities`` is None.
 
-    A block of rows is one ``(rows, T+1, 9)`` array of text pieces: each step's
-    four field texts between constant separators. It is written with one join,
-    so the bytes equal json.dumps of every line's object; ``p`` is null when
-    the dataset carries no propensities. Encoding by block keeps the pieces of
-    only one block in memory.
+    The block is one ``(rows, T+1, 9)`` array of text pieces, each step's four
+    field texts between constant separators, joined once.
     """
-    pieces = np.empty((min(data.n, _WRITE_BLOCK_ROWS), data.horizon + 1, 9), dtype=object)
+    pieces = np.empty(states.shape + (9,), dtype=object)
     pieces[:, :, 0::2] = ['}, {"s": ', ', "a": ', ', "r": ', ', "p": ', ""]
     pieces[:, 0, 0], pieces[:, -1, 8] = '{"steps": [{"s": ', "}]}\n"
+    for k, col in enumerate((states, actions, rewards, propensities)):
+        pieces[:, :, 2 * k + 1] = "null" if col is None else _json_cells(col)
+    return "".join(pieces.ravel().tolist())
+
+
+def write_jsonl(data: LoggedDataset, path: str | Path) -> None:
+    """Emit one {"steps": [{"s", "a", "r", "p"}, ...]} object per trajectory, a
+    ``_jsonl_block`` of ``_WRITE_BLOCK_ROWS`` rows at a time, so the bytes equal
+    json.dumps of every line's object and only one block's text is held."""
     fields = (data.states, data.actions, data.rewards, data.propensities)
     with open(path, "w") as fh:
         for start in range(0, data.n, _WRITE_BLOCK_ROWS):
-            rows, block = slice(start, start + _WRITE_BLOCK_ROWS), pieces[:data.n - start]
-            for k, col in enumerate(fields):
-                block[:, :, 2 * k + 1] = "null" if col is None else _json_cells(col[rows])
-            fh.write("".join(block.ravel().tolist()))
+            rows = slice(start, start + _WRITE_BLOCK_ROWS)
+            fh.write(_jsonl_block(*(None if col is None else col[rows] for col in fields)))
 
 
 def _first(values: list, bad) -> int:
@@ -177,8 +184,87 @@ def _text_lines(path: str | Path):
         raise ValidationError(f"{path}: {exc}") from None
 
 
+def _decode(tokens: list, convert, dtype) -> np.ndarray:
+    """``tokens`` as an array of ``dtype``, each distinct token converted once."""
+    lookup = dict(zip(dict.fromkeys(tokens), count()))
+    values = np.array(list(map(convert, lookup)), dtype=dtype)
+    return values.take(np.fromiter(map(lookup.__getitem__, tokens), np.intp, len(tokens)))
+
+
+def _canonical_block(text: bytes, lines: int) -> tuple | None:
+    """The four (lines, T+1) arrays of ``text`` if it is the ``_jsonl_block`` of
+    arrays that pass ``_ingest_lines``'s value rules, else None; a token that is
+    not a number raises ValueError or OverflowError.
+
+    With the brackets, braces, quotes, colons and commas deleted, a step is the
+    eight tokens ``s S a A r R p P``; ``p`` is null on every step or on none.
+    """
+    tokens = text.replace(b'{"steps": [', b"").translate(None, b'{}[]":,').split()
+    width, rest = divmod(len(tokens), 8 * lines)
+    r_tokens, p_tokens = tokens[5::8], tokens[7::8]
+    distinct = len(set(r_tokens)) + len(set(p_tokens))
+    # Parsing and encoding a distinct float again costs more than json.loads of its
+    # cell once about a third of a block's float cells are distinct; a thousand
+    # distinct floats cost a few ms.
+    if rest or not width or distinct > 1000 and 3 * distinct > 2 * len(r_tokens):
+        return None
+    states, actions = (_decode(tokens[k::8], int, np.int64) for k in (1, 3))
+    rewards = _decode(r_tokens, float, float)
+    props = None if p_tokens.count(b"null") == len(p_tokens) else _decode(p_tokens, float, float)
+    if (min(states.min(), actions.min()) < 0 or not np.isfinite(rewards).all()
+            or props is not None and not np.all((props > 0) & (props <= 1))):
+        return None
+    arrays = tuple(x if x is None else x.reshape(lines, width)
+                   for x in (states, actions, rewards, props))
+    return arrays if _jsonl_block(*arrays).encode() == text else None
+
+
+def _read_canonical(path: str | Path) -> LoggedDataset | None:
+    """The dataset of a regular file that write_jsonl wrote, else None.
+
+    The file is read ``_WRITE_BLOCK_ROWS`` lines at a time, and each block must
+    be the ``_canonical_block`` of its arrays, all of one width and all with or
+    all without propensities. Equal bytes make each line json.dumps of its row,
+    which json.loads reads back to the same ints and float bits, so
+    ``_ingest_lines`` would build the same arrays. Nothing here raises: a file
+    that cannot be opened, or is not regular, is left to ``_ingest_lines``.
+    """
+    if not os.path.isfile(path):
+        return None  # a pipe could not be read again
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return None
+    blocks = []
+    with fh:
+        while lines := list(islice(fh, _WRITE_BLOCK_ROWS)):
+            try:
+                block = _canonical_block(b"".join(lines), len(lines))
+            except (ValueError, OverflowError):
+                return None
+            if block is None or blocks and (block[0].shape[1], block[3] is None) != (
+                    blocks[0][0].shape[1], blocks[0][3] is None):
+                return None
+            blocks.append(block)
+    if not blocks:
+        return None
+    return LoggedDataset(*(None if col[0] is None else np.concatenate(col)
+                           for col in zip(*blocks)))
+
+
 def ingest_jsonl(path: str | Path) -> LoggedDataset:
     """Read a trajectory-per-line JSONL file into a LoggedDataset.
+
+    A file that write_jsonl wrote is read by ``_read_canonical``, at numpy speed;
+    any other file by ``_ingest_lines``, from its first line. Both give the same
+    arrays, and every error is ``_ingest_lines``'s.
+    """
+    data = _read_canonical(path)
+    return _ingest_lines(path) if data is None else data
+
+
+def _ingest_lines(path: str | Path) -> LoggedDataset:
+    """``ingest_jsonl`` of any file, one ``json.loads`` per line.
 
     Steps are gathered into flat per-field lists, checked column by column and
     reshaped to (N, T+1) once. String state/action labels map to dense ids in

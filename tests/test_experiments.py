@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -336,12 +338,37 @@ NON_CANONICAL_EDITS = {
     "integer_rewards": lambda t: _redump(t, edit=lambda i, j, st: {
         **st, "r": int(st["r"]) if float(st["r"]).is_integer() else st["r"]}),
     "string_labels": lambda t: _redump(t, edit=lambda i, j, st: {
-        **st, "s": f"state{st['s']}", "a": ["show", "hide"][st["a"]]}),
+        **st, "s": f"state{st['s']}", "a": {0: "show", 1: "hide"}.get(st["a"], str(st["a"]))}),
     "p_omitted": lambda t: _redump(t, edit=lambda i, j, st: {k: st[k] for k in "sar"}),
-    "p_null_on_one_step": lambda t: _redump(t, edit=_set(2, 1, "p", None)),
+    "p_null_on_one_step": lambda t: _redump(t, edit=_set(t.count("\n") - 1, 0, "p", None)),
     "last_line_respaced": lambda t: _redump(
-        t, lambda o: json.dumps(o, separators=(",", ":")), lines={4}),
+        t, lambda o: json.dumps(o, separators=(",", ":")), lines={t.count("\n") - 1}),
 }
+
+
+def _drop_last_step(text: str) -> str:
+    *head, last = text.splitlines(keepends=True)
+    obj = json.loads(last)
+    obj["steps"].pop()
+    return "".join(head) + json.dumps(obj) + "\n"
+
+
+# Edits after which json.dumps still writes each line in write_jsonl's form: the
+# first five are invalid values, the next a step with an unknown key in place of
+# 'r', and the last two a width or propensities that change from line to line.
+CANONICAL_LOOKING_EDITS = {
+    "zero_p": lambda t: _redump(t, edit=_set(0, 0, "p", 0.0)),
+    "nan_r": lambda t: _redump(t, edit=_set(0, 0, "r", float("nan"))),
+    "negative_label": lambda t: _redump(t, edit=_set(0, 0, "a", -1)),
+    "label_past_int64": lambda t: _redump(t, edit=_set(0, 0, "s", 2**63)),
+    "boolean_label": lambda t: _redump(t, edit=_set(0, 0, "s", True)),
+    "r_key_renamed": lambda t: _redump(t, edit=lambda i, j, st: {
+        k if (i, j, k) != (0, 0, "r") else "reward": v for k, v in st.items()}),
+    "p_null_after_the_first_line": lambda t: _redump(
+        t, edit=lambda i, j, st: {**st, "p": None} if i else st),
+    "last_line_one_step_short": _drop_last_step,
+}
+FILE_EDITS = {**NON_CANONICAL_EDITS, **CANONICAL_LOOKING_EDITS}
 
 
 def arrays_digest(data: LoggedDataset) -> str:
@@ -401,6 +428,104 @@ class TestGeneralParserPins:
         with pytest.raises(ValidationError) as info:
             ingest_jsonl(path)
         assert str(info.value) == f"{path}: {message}"
+
+
+def _outcome(read, path) -> tuple:
+    """What ``read(path)`` gives: its arrays' digest, or its ValidationError's message."""
+    try:
+        return "arrays", arrays_digest(read(path))
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+# A mutation's byte: one of the bytes JSON numbers, literals and the writer's
+# separators are made of, or any byte.
+MUTATION_BYTES = st.one_of(st.sampled_from(b'0123456789+-.eE{}[]":, \n\rnulatrsfNIy'),
+                           st.integers(0, 255))
+
+
+class TestCanonicalIngest:
+    """``ingest_jsonl`` reads write_jsonl's files through ``_read_canonical`` and
+    every file as ``_ingest_lines`` reads it."""
+
+    @settings(deadline=None)
+    @given(st.one_of(logged_arrays(), repeating_arrays()), st.integers(1, 3))
+    def test_writer_output_takes_the_fast_path(self, data, block_rows):
+        def refuse(path):
+            raise AssertionError(f"{path} was read line by line")
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "_WRITE_BLOCK_ROWS", block_rows)
+            mp.setattr(experiments, "_ingest_lines", refuse)
+            path = Path(tmp) / "data.jsonl"
+            write_jsonl(data, path)
+            assert arrays_digest(ingest_jsonl(path)) == arrays_digest(data)
+
+    @settings(deadline=None, max_examples=250)
+    @given(st.one_of(logged_arrays(), repeating_arrays()), st.integers(1, 3), st.data())
+    def test_a_mutated_file_reads_as_the_line_parser_reads_it(self, data, block_rows, draws):
+        # One byte deleted, inserted or replaced, or one corpus edit, anywhere in a
+        # file of blocks of 1-3 rows.
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "_WRITE_BLOCK_ROWS", block_rows)
+            path = Path(tmp) / "data.jsonl"
+            write_jsonl(data, path)
+            text = path.read_bytes()
+            if draws.draw(st.booleans()):
+                edit = FILE_EDITS[draws.draw(st.sampled_from(sorted(FILE_EDITS)))]
+                text = edit(text.decode()).encode()
+            else:
+                kind = draws.draw(st.sampled_from(["delete", "insert", "replace"]))
+                at = draws.draw(st.integers(0, len(text) - (kind != "insert")))
+                byte = b"" if kind == "delete" else bytes([draws.draw(MUTATION_BYTES)])
+                text = text[:at] + byte + text[at + (kind != "insert"):]
+            path.write_bytes(text)
+            assert _outcome(ingest_jsonl, path) == _outcome(experiments._ingest_lines, path)
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    @pytest.mark.parametrize("edit", sorted(FILE_EDITS))
+    def test_a_corpus_edit_reads_as_the_line_parser_reads_it(self, tmp_path, monkeypatch,
+                                                             block_rows, edit):
+        monkeypatch.setattr(experiments, "_WRITE_BLOCK_ROWS", block_rows)
+        path = tmp_path / "d.jsonl"
+        write_jsonl(_CORPUS_BASE, path)
+        path.write_bytes(FILE_EDITS[edit](path.read_text()).encode())
+        assert _outcome(ingest_jsonl, path) == _outcome(experiments._ingest_lines, path)
+
+    def test_a_block_of_mostly_distinct_floats_is_read_line_by_line(self, tmp_path,
+                                                                    monkeypatch):
+        # 2,000 distinct rewards in one block: encoding them again would cost more
+        # than parsing their lines.
+        rng = np.random.default_rng(3)
+        data = LoggedDataset(states=np.zeros((1000, 2), dtype=np.int64),
+                             actions=np.zeros((1000, 2), dtype=np.int64),
+                             rewards=rng.standard_normal((1000, 2)))
+        path = tmp_path / "d.jsonl"
+        write_jsonl(data, path)
+        ingest_lines, read = experiments._ingest_lines, []
+        monkeypatch.setattr(experiments, "_ingest_lines",
+                            lambda p: read.append(p) or ingest_lines(p))
+        assert arrays_digest(ingest_jsonl(path)) == arrays_digest(data)
+        assert read == [path]
+
+    def test_a_pipe_is_opened_once(self, tmp_path):
+        path, pipe = tmp_path / "d.jsonl", tmp_path / "pipe"
+        write_jsonl(_CORPUS_BASE, path)
+        os.mkfifo(pipe)
+        loaded = []
+
+        def feed():
+            with open(pipe, "wb") as fh:
+                fh.write(path.read_bytes())
+
+        threads = [threading.Thread(target=feed, daemon=True),
+                   threading.Thread(target=lambda: loaded.append(ingest_jsonl(pipe)),
+                                    daemon=True)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert [arrays_digest(x) for x in loaded] == [TestGeneralParserPins.BASE_DIGEST]
 
 
 class TestNoiseStates:
