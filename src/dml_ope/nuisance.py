@@ -164,6 +164,16 @@ def check_support(behavior: np.ndarray, eval_policy: Policy) -> None:
         )
 
 
+def check_cells(sa: np.ndarray, eval_policy: Policy) -> None:
+    """Raise unless every cell id of the row set's index ``sa`` lies in [0, S*A) of
+    ``eval_policy``'s table: a negative id would read from its end."""
+    size = eval_policy.table.size
+    if sa.size and not 0 <= sa.min() <= sa.max() < size:
+        bad = sa.min() if sa.min() < 0 else sa.max()
+        raise ValidationError(f"cell id {bad} is outside the evaluation policy table of "
+                              f"{size} cells")
+
+
 def check_table_shape(shape: tuple, eval_policy: Policy, name: str) -> None:
     """Raise unless ``shape``, that of the ``name`` table, is the evaluation policy's."""
     if shape != eval_policy.table.shape:
@@ -290,6 +300,8 @@ def fit_nuisances(
 ) -> list[NuisanceEstimate]:
     """For each of ``parts``, at least two row sets ``(sa, rewards)`` of one
     horizon, their cell indices and rewards (n_k, T+1), the fit on the other parts."""
+    for sa, _ in parts:
+        check_cells(sa, eval_policy)
     stacked = [tuple(x[None] for x in part) for part in parts]
     return [_estimate_record(*fit) for fit in _cross_fits(stacked, eval_policy, discount,
                                                           known_behavior, config)]

@@ -299,6 +299,33 @@ class TestPointEstimators:
             call()
 
 
+class TestCellIndexChecks:
+    """A public row-set function rejects a cell id outside [0, S*A), which numpy
+    would read from the table's end (-1) or past it."""
+
+    CALLS = {
+        "fit_nuisances": lambda rows, eta, ev, rng: fit_nuisances([rows, rows], ev, 0.9),
+        "dm": lambda rows, eta, ev, rng: dm_estimate(rows, eta, ev),
+        "ipw": lambda rows, eta, ev, rng: ipw_estimate(rows, eta.behavior, ev, 0.9),
+        "dr_full": lambda rows, eta, ev, rng: dr_full_estimate(rows, eta, ev, 0.9),
+        "dr_half": lambda rows, eta, ev, rng: dr_half_estimate(rows, ev, 0.9, rng),
+        "dml": lambda rows, eta, ev, rng: dml_estimate(rows, ev, 0.9, rng),
+    }
+
+    @pytest.mark.parametrize("bad", [-1, 6], ids=["minus_one", "table_size"])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_cell_id_outside_the_table_rejected(self, name, bad):
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 20, np.random.default_rng(4))
+        eta = fit_nuisance(data, evaluation, 0.9)
+        sa, rewards = row_set(data, evaluation)
+        sa[7, 1] = bad
+        with pytest.raises(ValidationError, match=f"cell id {bad} is outside the evaluation "
+                                                  f"policy table of 6 cells"):
+            self.CALLS[name]((sa, rewards), eta, evaluation, np.random.default_rng(0))
+
+
 class TestDrVariants:
     def test_dr_full_with_zero_q_equals_ipw_on_estimated_behavior(self):
         mdp = three_state_mdp()
