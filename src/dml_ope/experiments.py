@@ -78,39 +78,25 @@ def load_policy(path: str | Path) -> Policy:
     return read_json(path, policy_from_dict)
 
 
-def _json_cells(column: np.ndarray) -> np.ndarray:
-    """The JSON text of each entry, exactly as json.dumps writes it in a list.
-
-    Only the distinct values are encoded, one json.dumps call for all of them;
-    floats are told apart by their bits, so -0.0 and 0.0 keep their own text.
-    """
-    flat = column.ravel()
-    key = flat.view(np.int64) if flat.dtype.kind == "f" else flat
-    distinct, inverse = np.unique(key, return_inverse=True)
-    texts = json.dumps(distinct.view(flat.dtype).tolist())[1:-1].split(", ")
-    return np.array(texts, dtype=object)[inverse].reshape(column.shape)
-
-
 def _jsonl_block(states, actions, rewards, propensities) -> str:
-    """The lines of one block of rows, each json.dumps of its row's
-    {"steps": [{"s", "a", "r", "p"}, ...]} object; ``p`` is null when
-    ``propensities`` is None.
-
-    The block is one ``(rows, T+1, 9)`` array of text pieces, each step's four
-    field texts between constant separators, joined once.
-    """
+    """The lines of a block of rows, each json.dumps of its row's {"steps": [{"s",
+    "a", "r", "p"}, ...]} object, ``p`` null without propensities: one join of a
+    ``(rows, T+1, 9)`` array of the field texts between constant separators. A
+    field's distinct values, floats told apart by their bits so that -0.0 and 0.0
+    keep their own text, are encoded by one json.dumps call."""
     pieces = np.empty(states.shape + (9,), dtype=object)
     pieces[:, :, 0::2] = ['}, {"s": ', ', "a": ', ', "r": ', ', "p": ', ""]
     pieces[:, 0, 0], pieces[:, -1, 8] = '{"steps": [{"s": ', "}]}\n"
-    for k, col in enumerate((states, actions, rewards, propensities)):
-        pieces[:, :, 2 * k + 1] = "null" if col is None else _json_cells(col)
+    pieces[:, :, 7] = "null"
+    for k, col in enumerate((states, actions, rewards, propensities)[:4 - (propensities is None)]):
+        distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        texts = json.dumps(distinct.view(col.dtype).tolist())[1:-1].split(", ")
+        pieces[:, :, 2 * k + 1] = np.array(texts, dtype=object)[inverse].reshape(col.shape)
     return "".join(pieces.ravel().tolist())
 
 
 def write_jsonl(data: LoggedDataset, path: str | Path) -> None:
-    """Emit one {"steps": [{"s", "a", "r", "p"}, ...]} object per trajectory, a
-    ``_jsonl_block`` of ``_WRITE_BLOCK_ROWS`` rows at a time, so the bytes equal
-    json.dumps of every line's object and only one block's text is held."""
+    """Emit one ``_jsonl_block`` per ``_WRITE_BLOCK_ROWS`` rows."""
     fields = (data.states, data.actions, data.rewards, data.propensities)
     with open(path, "w") as fh:
         for start in range(0, data.n, _WRITE_BLOCK_ROWS):
@@ -192,85 +178,53 @@ def _decode(tokens: list, convert, dtype) -> np.ndarray:
 
 
 def _canonical_block(text: bytes, lines: int) -> tuple | None:
-    """The four (lines, T+1) arrays of ``text`` if it is the ``_jsonl_block`` of
-    arrays that pass ``_ingest_lines``'s value rules, else None; a token that is
-    not a number raises ValueError or OverflowError.
-
-    With the brackets, braces, quotes, colons and commas deleted, a step is the
-    eight tokens ``s S a A r R p P``; ``p`` is null on every step or on none.
-    """
+    """The arrays of ``text``, ``lines`` lines, if it is their ``_jsonl_block`` and
+    they pass ``_ingest_lines``'s value rules; else None, or a ValueError or
+    OverflowError. Without ``{}[]":,`` a step is the tokens ``s S a A r R p P``."""
     tokens = text.replace(b'{"steps": [', b"").translate(None, b'{}[]":,').split()
     width, rest = divmod(len(tokens), 8 * lines)
-    r_tokens, p_tokens = tokens[5::8], tokens[7::8]
-    distinct = len(set(r_tokens)) + len(set(p_tokens))
-    # Parsing and encoding a distinct float again costs more than json.loads of its
-    # cell once about a third of a block's float cells are distinct; a thousand
-    # distinct floats cost a few ms.
-    if rest or not width or distinct > 1000 and 3 * distinct > 2 * len(r_tokens):
+    r, p = tokens[5::8], tokens[7::8]
+    distinct = len(set(r)) + len(set(p))  # past a third of the floats, json.loads is faster
+    if rest or not width or distinct > 1000 and 3 * distinct > 2 * len(r):
         return None
-    states, actions = (_decode(tokens[k::8], int, np.int64) for k in (1, 3))
-    rewards = _decode(r_tokens, float, float)
-    props = None if p_tokens.count(b"null") == len(p_tokens) else _decode(p_tokens, float, float)
-    if (min(states.min(), actions.min()) < 0 or not np.isfinite(rewards).all()
-            or props is not None and not np.all((props > 0) & (props <= 1))):
-        return None
-    arrays = tuple(x if x is None else x.reshape(lines, width)
-                   for x in (states, actions, rewards, props))
-    return arrays if _jsonl_block(*arrays).encode() == text else None
-
-
-def _read_canonical(path: str | Path) -> LoggedDataset | None:
-    """The dataset of a regular file that write_jsonl wrote, else None.
-
-    The file is read ``_WRITE_BLOCK_ROWS`` lines at a time, and each block must
-    be the ``_canonical_block`` of its arrays, all of one width and all with or
-    all without propensities. Equal bytes make each line json.dumps of its row,
-    which json.loads reads back to the same ints and float bits, so
-    ``_ingest_lines`` would build the same arrays. Nothing here raises: a file
-    that cannot be opened, or is not regular, is left to ``_ingest_lines``.
-    """
-    if not os.path.isfile(path):
-        return None  # a pipe could not be read again
-    try:
-        fh = open(path, "rb")
-    except OSError:
-        return None
-    blocks = []
-    with fh:
-        while lines := list(islice(fh, _WRITE_BLOCK_ROWS)):
-            try:
-                block = _canonical_block(b"".join(lines), len(lines))
-            except (ValueError, OverflowError):
-                return None
-            if block is None or blocks and (block[0].shape[1], block[3] is None) != (
-                    blocks[0][0].shape[1], blocks[0][3] is None):
-                return None
-            blocks.append(block)
-    if not blocks:
-        return None
-    return LoggedDataset(*(None if col[0] is None else np.concatenate(col)
-                           for col in zip(*blocks)))
+    s, a = (_decode(tokens[k::8], int, np.int64) for k in (1, 3))
+    r = _decode(r, float, float)
+    p = None if p.count(b"null") == len(p) else _decode(p, float, float)
+    arrays = tuple(x if x is None else x.reshape(lines, width) for x in (s, a, r, p))
+    valid = (min(s.min(), a.min()) >= 0 and np.isfinite(r).all()
+             and (p is None or np.all((p > 0) & (p <= 1))))
+    return arrays if valid and _jsonl_block(*arrays).encode() == text else None
 
 
 def ingest_jsonl(path: str | Path) -> LoggedDataset:
     """Read a trajectory-per-line JSONL file into a LoggedDataset.
 
-    A file that write_jsonl wrote is read by ``_read_canonical``, at numpy speed;
-    any other file by ``_ingest_lines``, from its first line. Both give the same
-    arrays, and every error is ``_ingest_lines``'s.
+    A regular file of ``_canonical_block``s of ``_WRITE_BLOCK_ROWS`` lines, as
+    write_jsonl writes, is read at numpy speed; any other file, from its first
+    line, by ``_ingest_lines``, which gives the same arrays and raises every error.
     """
-    data = _read_canonical(path)
-    return _ingest_lines(path) if data is None else data
+    if not os.path.isfile(path):
+        return _ingest_lines(path)  # a pipe could not be read twice
+    blocks = []
+    try:
+        with open(path, "rb") as fh:
+            while None not in blocks and (lines := list(islice(fh, _WRITE_BLOCK_ROWS))):
+                blocks.append(_canonical_block(b"".join(lines), len(lines)))
+        if blocks and None not in blocks:  # two widths fail to concatenate
+            return LoggedDataset(*(None if any(x is None for x in col) else np.concatenate(col)
+                                   for col in zip(*blocks)))
+    except (OSError, ValueError, OverflowError):
+        pass
+    return _ingest_lines(path)
 
 
 def _ingest_lines(path: str | Path) -> LoggedDataset:
-    """``ingest_jsonl`` of any file, one ``json.loads`` per line.
-
-    Steps are gathered into flat per-field lists, checked column by column and
-    reshaped to (N, T+1) once. String state/action labels map to dense ids in
-    sorted label order, separately for states and actions. Horizons
-    must be uniform; propensities are kept only if every step of every
-    trajectory carries one. Errors name the file, line, step and field.
+    """``ingest_jsonl`` of any JSONL file, one ``json.loads`` per line. Steps are
+    gathered into flat per-field lists, checked column by column and reshaped to
+    (N, T+1) once. String state/action labels map to dense ids in sorted label
+    order, separately for states and actions. Horizons must be uniform;
+    propensities are kept only if every step of every trajectory carries one.
+    Errors name the file, line, step and field.
     """
     s_col, a_col, r_col, p_col = [], [], [], []
     lengths, linenos = [], []

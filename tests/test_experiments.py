@@ -445,7 +445,7 @@ MUTATION_BYTES = st.one_of(st.sampled_from(b'0123456789+-.eE{}[]":, \n\rnulatrsf
 
 
 class TestCanonicalIngest:
-    """``ingest_jsonl`` reads write_jsonl's files through ``_read_canonical`` and
+    """``ingest_jsonl`` reads write_jsonl's files by ``_canonical_block`` and
     every file as ``_ingest_lines`` reads it."""
 
     @settings(deadline=None)
