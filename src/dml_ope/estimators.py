@@ -260,30 +260,28 @@ def _dml(cells: list, rewards: np.ndarray, folds: list, eval_policy: Policy, dis
     return _finalize(scores, Estimator.DML, level)
 
 
-def _estimate(columns: tuple, rngs: list, names, eval_policy: Policy, discount: float,
+def _estimate(columns: tuple, rngs: dict, names, eval_policy: Policy, discount: float,
               known_behavior: Policy | None, k_folds: int, config: NuisanceConfig,
               level: float) -> dict:
     """The named estimates of R stacked datasets, their columns ``(states, actions,
     rewards)`` of shape (R, n, T+1), whose ids the caller has checked: for each
     name, in the order of ``names``, the list of R estimates.
 
-    Replication r's generator ``rngs[r]`` spawns one child per member of
-    ``Estimator``, in that order, and DR-half and DML split their folds with their
-    own child, so no estimate depends on the other names or on the run order. The
-    full cell index is built here once. DML runs last, and the full index is
-    released once its folds' cell indices are gathered, before they are fitted.
+    ``rngs`` maps DR-half and DML, those named, to one generator per replication,
+    from which they split their folds; the other estimators draw nothing. The full
+    cell index is built here once. DML runs last, and the full index is released
+    once its folds' cell indices are gathered, before they are fitted.
     """
     wanted = {Estimator(name) for name in names}
-    streams = [dict(zip(Estimator, rng.spawn(len(Estimator)))) for rng in rngs]
     states, actions, rewards = columns
     sa = _cells(states, actions, eval_policy)
     rows = sa, rewards
     done = _full_data(rows, wanted, eval_policy, discount, known_behavior, config, level)
     if Estimator.DR_HALF in wanted:
-        done[Estimator.DR_HALF] = _dr_half(rows, [s[Estimator.DR_HALF] for s in streams],
-                                           eval_policy, discount, known_behavior, config, level)
+        done[Estimator.DR_HALF] = _dr_half(rows, rngs[Estimator.DR_HALF], eval_policy,
+                                           discount, known_behavior, config, level)
     if Estimator.DML in wanted:
-        folds = _folds(states.shape[1], k_folds, [s[Estimator.DML] for s in streams])
+        folds = _folds(states.shape[1], k_folds, rngs[Estimator.DML])
         cells = [part for part, in _fold_rows((sa,), folds)]
         del rows, sa
         done[Estimator.DML] = _dml(cells, rewards, folds, eval_policy, discount,

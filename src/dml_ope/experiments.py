@@ -371,7 +371,8 @@ def evaluate_dataset(
         data.check_ids(known_behavior, "behavior")
         check_table_shape(known_behavior.table.shape, eval_policy, "behavior policy")
     columns = data.states[None], data.actions[None], data.rewards[None]
-    results = _estimate(columns, [rng], estimators, eval_policy, discount, known_behavior,
+    rngs = {e: [child] for e, child in zip(Estimator, rng.spawn(len(Estimator)))}
+    results = _estimate(columns, rngs, estimators, eval_policy, discount, known_behavior,
                         k_folds, config, level)
     return {name: estimates[0] for name, estimates in results.items()}
 
@@ -509,6 +510,12 @@ def _scenario(config: ExperimentConfig) -> tuple[TabularMdp, Policy, Policy]:
     return mdp, behavior, evaluation
 
 
+def _child(seed: np.random.SeedSequence, key: int) -> np.random.Generator:
+    """The generator of ``seed``'s child ``key``: that of its ``key``-th spawn."""
+    return np.random.default_rng(np.random.SeedSequence(
+        seed.entropy, spawn_key=seed.spawn_key + (key,), pool_size=seed.pool_size))
+
+
 def _run_replications(config: ExperimentConfig, seeds: list) -> np.ndarray:
     """The (estimators, replications) estimates of ``seeds``, on one scenario build.
 
@@ -521,11 +528,16 @@ def _run_replications(config: ExperimentConfig, seeds: list) -> np.ndarray:
     n = config.n_trajectories
     chunk = max(1, ROW_BUDGET // max(n, evaluation.table.size))
     values = np.empty((len(config.estimators), len(seeds)))
+    # A replication samples from child 0 of its seed, and the estimator in place e of
+    # Estimator splits its folds from child 1 + e, as evaluate_dataset's spawn
+    # numbers them; only the children that draw are built.
+    drawing = {e: 1 + list(Estimator).index(e) for e in (Estimator.DR_HALF, Estimator.DML)
+               if e.value in config.estimators}
     for start in range(0, len(seeds), chunk):
-        # A replication samples from child 0 of its seed and estimates from child 1 on.
-        rngs = [np.random.default_rng(seed_seq) for seed_seq in seeds[start:start + chunk]]
+        block = seeds[start:start + chunk]
         with sized_by(n, "experiment config: 'n_trajectories'"):
-            *columns, _ = _sample(mdp, behavior, n, [rng.spawn(1)[0] for rng in rngs])
+            *columns, _ = _sample(mdp, behavior, n, [_child(seed, 0) for seed in block])
+        rngs = {e: [_child(seed, key) for seed in block] for e, key in drawing.items()}
         results = _estimate(columns, rngs, config.estimators, evaluation,
                             config.effective_discount, known, config.k_folds, config.nuisance,
                             config.level)

@@ -899,14 +899,24 @@ class TestStackedReplications:
         columns = tuple(np.stack([getattr(d, f) for d in datasets])
                         for f in ("states", "actions", "rewards"))
         known_behavior = behavior if known else None
-        stacked = estimators._estimate(columns, [np.random.default_rng(s) for s in seeds], names,
-                                       evaluation, 0.9, known_behavior, 3, NuisanceConfig(),
-                                       0.95)
+        streams = [np.random.default_rng(s).spawn(len(Estimator)) for s in seeds]
+        rngs = {e: [children[k] for children in streams] for k, e in enumerate(Estimator)}
+        stacked = estimators._estimate(columns, rngs, names, evaluation, 0.9, known_behavior, 3,
+                                       NuisanceConfig(), 0.95)
         for r, (data, seed) in enumerate(zip(datasets, seeds)):
             alone = evaluate_dataset(data, evaluation, 0.9, names, np.random.default_rng(seed),
                                      known_behavior=known_behavior, k_folds=3)
             assert {name: stacked[name][r].to_dict() for name in names} == {
                 name: est.to_dict() for name, est in alone.items()}
+
+    def test_a_child_by_key_is_the_spawned_child(self):
+        # The study builds only the children that draw; each must be the stream
+        # that spawning all of them gives.
+        seed = np.random.SeedSequence(5).spawn(3)[2]
+        spawned = np.random.default_rng(seed).spawn(1 + len(Estimator))
+        for key in range(1 + len(Estimator)):
+            assert (experiments._child(seed, key).random(4).tolist()
+                    == spawned[key].random(4).tolist())
 
     def test_full_cell_index_is_not_held_while_the_folds_fit(self):
         # All five estimators at k=5 on 1e5 rows of the lift. Holding the full
