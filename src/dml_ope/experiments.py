@@ -78,30 +78,29 @@ def load_policy(path: str | Path) -> Policy:
     return read_json(path, policy_from_dict)
 
 
-def _jsonl_block(states, actions, rewards, propensities) -> str:
-    """The lines of a block of rows, each json.dumps of its row's {"steps": [{"s",
-    "a", "r", "p"}, ...]} object, ``p`` null without propensities: one join of a
-    ``(rows, T+1, 9)`` array of the field texts between constant separators. A
-    field's distinct values, floats told apart by their bits so that -0.0 and 0.0
-    keep their own text, are encoded by one json.dumps call."""
-    pieces = np.empty(states.shape + (9,), dtype=object)
+def _jsonl_blocks(states, actions, rewards, propensities):
+    """Yield the lines of each block of ``_WRITE_BLOCK_ROWS`` rows, each json.dumps
+    of its row's {"steps": [{"s", "a", "r", "p"}, ...]} object, ``p`` null without
+    propensities: one join of a ``(rows, T+1, 9)`` array, kept across blocks, of the
+    field texts between constant separators. A field's distinct values, floats told
+    apart by their bits so that -0.0 and 0.0 keep their text, take one json.dumps."""
+    fields = (states, actions, rewards, propensities)[:4 - (propensities is None)]
+    pieces = np.empty((min(len(states), _WRITE_BLOCK_ROWS), states.shape[1], 9), dtype=object)
     pieces[:, :, 0::2] = ['}, {"s": ', ', "a": ', ', "r": ', ', "p": ', ""]
-    pieces[:, 0, 0], pieces[:, -1, 8] = '{"steps": [{"s": ', "}]}\n"
-    pieces[:, :, 7] = "null"
-    for k, col in enumerate((states, actions, rewards, propensities)[:4 - (propensities is None)]):
-        distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        texts = json.dumps(distinct.view(col.dtype).tolist())[1:-1].split(", ")
-        pieces[:, :, 2 * k + 1] = np.array(texts, dtype=object)[inverse].reshape(col.shape)
-    return "".join(pieces.ravel().tolist())
+    pieces[:, 0, 0], pieces[:, -1, 8], pieces[:, :, 7] = '{"steps": [{"s": ', "}]}\n", "null"
+    for start in range(0, len(states), _WRITE_BLOCK_ROWS):
+        block = pieces[:len(states) - start]
+        for k, col in enumerate(x[start:start + _WRITE_BLOCK_ROWS] for x in fields):
+            distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
+            texts = json.dumps(distinct.view(col.dtype).tolist())[1:-1].split(", ")
+            block[:, :, 2 * k + 1] = np.array(texts, dtype=object)[inverse].reshape(col.shape)
+        yield "".join(block.ravel().tolist())
 
 
 def write_jsonl(data: LoggedDataset, path: str | Path) -> None:
-    """Emit one ``_jsonl_block`` per ``_WRITE_BLOCK_ROWS`` rows."""
-    fields = (data.states, data.actions, data.rewards, data.propensities)
+    """Emit one {"steps": [{"s", "a", "r", "p"}, ...]} object per trajectory."""
     with open(path, "w") as fh:
-        for start in range(0, data.n, _WRITE_BLOCK_ROWS):
-            rows = slice(start, start + _WRITE_BLOCK_ROWS)
-            fh.write(_jsonl_block(*(None if col is None else col[rows] for col in fields)))
+        fh.writelines(_jsonl_blocks(data.states, data.actions, data.rewards, data.propensities))
 
 
 def _first(values: list, bad) -> int:
@@ -178,7 +177,7 @@ def _decode(tokens: list, convert, dtype) -> np.ndarray:
 
 
 def _canonical_block(text: bytes, lines: int) -> tuple | None:
-    """The arrays of ``text``, ``lines`` lines, if it is their ``_jsonl_block`` and
+    """The arrays of ``text``, ``lines`` lines, if it is their ``_jsonl_blocks`` and
     they pass ``_ingest_lines``'s value rules; else None, or a ValueError or
     OverflowError. Without ``{}[]":,`` a step is the tokens ``s S a A r R p P``."""
     tokens = text.replace(b'{"steps": [', b"").translate(None, b'{}[]":,').split()
@@ -193,7 +192,7 @@ def _canonical_block(text: bytes, lines: int) -> tuple | None:
     arrays = tuple(x if x is None else x.reshape(lines, width) for x in (s, a, r, p))
     valid = (min(s.min(), a.min()) >= 0 and np.isfinite(r).all()
              and (p is None or np.all((p > 0) & (p <= 1))))
-    return arrays if valid and _jsonl_block(*arrays).encode() == text else None
+    return arrays if valid and next(_jsonl_blocks(*arrays)).encode() == text else None
 
 
 def ingest_jsonl(path: str | Path) -> LoggedDataset:
