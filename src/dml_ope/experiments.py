@@ -204,17 +204,17 @@ def ingest_jsonl(path: str | Path) -> LoggedDataset:
     """
     if not os.path.isfile(path):
         return _ingest_lines(path)  # a pipe could not be read twice
-    blocks = []
+    blocks, columns = [], None
     try:
         with open(path, "rb") as fh:
             while None not in blocks and (lines := list(islice(fh, _WRITE_BLOCK_ROWS))):
                 blocks.append(_canonical_block(b"".join(lines), len(lines)))
         if blocks and None not in blocks:  # two widths fail to concatenate
-            return LoggedDataset(*(None if any(x is None for x in col) else np.concatenate(col)
-                                   for col in zip(*blocks)))
+            columns = [None if any(x is None for x in col) else np.concatenate(col)
+                       for col in zip(*blocks)]
     except (OSError, ValueError, OverflowError):
         pass
-    return _ingest_lines(path)
+    return _ingest_lines(path) if columns is None else LoggedDataset(*columns)
 
 
 def _ingest_lines(path: str | Path) -> LoggedDataset:
