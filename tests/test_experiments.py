@@ -327,8 +327,8 @@ def _set(line: int, step: int, key: str, value):
     return lambda i, j, st: {**st, key: value} if (i, j) == (line, step) else st
 
 
-# Valid JSONL files that write_jsonl never writes, each derived from its file of
-# _CORPUS_BASE.
+# Edits that turn a file of write_jsonl into a valid JSONL file that write_jsonl
+# never writes.
 NON_CANONICAL_EDITS = {
     "keys_reordered": lambda t: _redump(t, edit=lambda i, j, st: dict(reversed(st.items()))),
     "compact_separators": lambda t: _redump(t, lambda o: json.dumps(o, separators=(",", ":"))),
