@@ -182,23 +182,22 @@ def _fold_rows(rows: tuple, folds: list) -> list:
     folds, each row of which indexes its own replication's rows; take beats
     indexing."""
     n = rows[0].shape[-2]
-    return [tuple(x.reshape(-1, x.shape[-1]).take(_offset(fold, n).ravel(), axis=0)
+    return [tuple(x.reshape(-1, x.shape[-1]).take((fold + _offset(fold, n)).ravel(), axis=0)
                   .reshape(fold.shape + x.shape[-1:]) for x in rows) for fold in folds]
 
 
 def _offset(index: np.ndarray, step: int) -> np.ndarray:
-    """``index`` (R, ...) with row r offset by r*step, into R stacked tables."""
-    if len(index) == 1:
-        return index
-    return index + (np.arange(len(index)) * step).reshape((-1,) + (1,) * (index.ndim - 1))
+    """The offset r*step of row r of ``index`` (R, ...), to add into R stacked tables."""
+    return (np.arange(len(index)) * step).reshape((-1,) + (1,) * (index.ndim - 1))
 
 
 def _cells(states: np.ndarray, actions: np.ndarray, eval_policy: Policy) -> np.ndarray:
     """The cell index ``s*A + a`` of R stacked datasets (R, n, T+1), replication r's
-    offset by r*S*A into the R stacked (S, A) tables; one replication's is not offset."""
+    offset by r*S*A into the R stacked (S, A) tables."""
     sa = states * eval_policy.num_actions
     sa += actions
-    return _offset(sa, eval_policy.table.size)
+    sa += _offset(sa, eval_policy.table.size)
+    return sa
 
 
 def _dm_scores(sa: np.ndarray, q: np.ndarray, eval_policy: Policy) -> np.ndarray:

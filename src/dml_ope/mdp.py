@@ -328,8 +328,7 @@ def _sample(mdp: TabularMdp, policy: Policy, n: int, rngs: list) -> tuple:
     support = mdp.reward_support.reshape(mdp._reward_cum.shape)
 
     def draws() -> np.ndarray:
-        u = [rng.random(n) for rng in rngs]
-        return u[0] if len(u) == 1 else np.concatenate(u)
+        return np.concatenate([rng.random(n) for rng in rngs])
 
     sa = np.zeros(len(rngs) * n, dtype=np.int64)  # at t = 0, row 0 of the one-row initial table
     for t in range(shape[2]):

@@ -18,10 +18,10 @@ pairs of a complement of two or more parts. The Q recursion runs over the
 pair, so a step costs at most min(n*T, S*A*S) operations; a cell without
 moves takes the mean of the next step's values, the uniform row.
 
-The private kernels (``_folds``, ``_count``, ``_cross_fits``, ``_fit``,
-``_q_tables``) take R stacked row sets (R, n, T+1), one per replication, whose
-cell indices are offset by r*S*A, so a bin or move index belongs to one
-replication; the public functions add the leading axis to one row set.
+The private kernels (``_folds``, ``_count``, ``_cross_fits``, ``_fit``, ``_q_tables``)
+take R stacked row sets (R, n, T+1), one per replication, whose cell indices are
+offset by r*S*A, so a bin or move index belongs to one replication; one row set
+is R = 1. The kernels check nothing: the public functions check a caller's input.
 """
 from __future__ import annotations
 
@@ -110,35 +110,36 @@ def q_recursion(
     and a row of total 0 is uniform. A dense ``(S, A, S)`` table ``P`` passes
     as ``(np.flatnonzero(P), P.ravel()[np.flatnonzero(P)])``.
     """
-    return _q_tables(np.asarray(mean_reward, dtype=float)[None], moves, eval_policy, horizon,
-                     discount)[:, 0]
-
-
-def _q_tables(mu: np.ndarray, moves: tuple, eval_policy: Policy, horizon: int,
-              discount: float) -> np.ndarray:
-    """``q_recursion`` of R stacked mean-reward tables ``mu`` (R, S, A), shape
-    (T+1, R, S, A). The move pair holds the moves of all R, each replication's
-    indices offset by r*S*A*S, so one ``bincount`` per step serves them all."""
     idx, weights = np.asarray(moves[0]), np.asarray(moves[1])
-    reps, num_states, num_actions = mu.shape
-    if eval_policy.table.shape != (num_states, num_actions):
+    mean_reward = np.asarray(mean_reward, dtype=float)
+    if mean_reward.shape != eval_policy.table.shape:
         raise ValidationError("eval policy shape does not match mean_reward")
-    cells = reps * num_states * num_actions
+    size = eval_policy.table.size * eval_policy.num_states
     if idx.ndim != 1 or idx.shape != weights.shape:
         raise ValidationError(f"moves must be two 1-d arrays of one length, got shapes "
                               f"{idx.shape} and {weights.shape}")
     if idx.dtype.kind not in "iu" or np.any(idx[1:] <= idx[:-1]):
         raise ValidationError("move indices must be strictly increasing integers")
-    if idx.size and not (0 <= idx[0] and idx[-1] < cells * num_states):
-        raise ValidationError(f"move indices must lie in [0, S*A*S) = [0, {cells * num_states}), "
+    if idx.size and not (0 <= idx[0] and idx[-1] < size):
+        raise ValidationError(f"move indices must lie in [0, S*A*S) = [0, {size}), "
                               f"got {idx[0]} to {idx[-1]}")
     if not np.all(np.isfinite(weights) & (weights >= 0)):
         raise ValidationError("move weights must be finite and >= 0")
-    # // on the index is faster than divmod.
+    return _q_tables(mean_reward[None], (idx, weights), eval_policy, horizon, discount)[:, 0]
+
+
+def _q_tables(mu: np.ndarray, moves: tuple, eval_policy: Policy, horizon: int,
+              discount: float) -> np.ndarray:
+    """``q_recursion``, unchecked, of R stacked mean-reward tables ``mu`` (R, S, A),
+    shape (T+1, R, S, A). The move pair holds the moves of all R, each replication's
+    indices offset by r*S*A*S, so one ``bincount`` per step serves them all."""
+    idx, weights = moves
+    reps, num_states, num_actions = mu.shape
+    cells = reps * num_states * num_actions
+    # // on the index is faster than divmod; s' goes into the (R*S,) values of all R.
     sa = idx // num_states
     s_next = idx - sa * num_states
-    if reps > 1:  # into the (R*S,) values of all replications
-        s_next += sa // (num_states * num_actions) * num_states
+    s_next += sa // (num_states * num_actions) * num_states
     weights = weights.astype(float)
     totals = np.bincount(sa, weights, minlength=cells).reshape(reps, -1)
     values = np.empty((horizon + 1, reps, num_states, num_actions))
@@ -198,8 +199,7 @@ def _count(sa: np.ndarray, rewards: np.ndarray, eval_policy: Policy) -> tuple:
     cells = reps * eval_policy.table.size
     moves = sa[:, :, :-1] * num_states
     moves += sa[:, :, 1:] // num_actions  # r*S + s', a gather from a state table is slower
-    if reps > 1:
-        moves -= np.arange(0, reps * num_states, num_states).reshape(-1, 1, 1)
+    moves -= np.arange(0, reps * num_states, num_states).reshape(-1, 1, 1)
     size = cells * num_states
     pair = (np.unique(moves, return_counts=True) if moves.size * SORT_DIVISOR < size
             else _nonzero(np.bincount(moves.ravel(), minlength=size)))
@@ -241,7 +241,7 @@ def _merge(pairs: tuple, size: int, reps: int = 1) -> tuple:
         found += r * size
         idx.append(found)
         counts.append(found_counts)
-    return (idx[0], counts[0]) if reps == 1 else (np.concatenate(idx), np.concatenate(counts))
+    return np.concatenate(idx), np.concatenate(counts)
 
 
 def _nonzero(dense: np.ndarray) -> tuple:
