@@ -20,6 +20,7 @@ from .mdp import (
     TabularMdp,
     ValidationError,
     check_level,
+    check_unit_interval,
     enumerate_dataset,
     exact_policy_value,
     mean_reward_table,
@@ -295,7 +296,7 @@ def dm_estimate(
     level: float = 0.95,
 ) -> ValueEstimate:
     """Direct method: average the fitted initial-state value over the row set."""
-    check_cells(rows[0], eval_policy)
+    check_cells(rows, eval_policy)
     _check_q(eta.q, rows[0].shape[1], eval_policy)
     return _finalize(_dm_scores(rows[0][None], eta.q[:, None], eval_policy), Estimator.DM,
                      level)[0]
@@ -308,7 +309,8 @@ def ipw_estimate(
     discount: float,
     level: float = 0.95,
 ) -> ValueEstimate:
-    check_cells(rows[0], eval_policy)
+    check_unit_interval(discount, "discount")
+    check_cells(rows, eval_policy)
     scores = _psi_scores(*rows, behavior, None, eval_policy, discount)
     return _finalize(scores[None], Estimator.IPW, level)[0]
 
@@ -321,7 +323,8 @@ def dr_full_estimate(
     level: float = 0.95,
 ) -> ValueEstimate:
     """Doubly robust score averaged over the same rows ``eta`` was fit on."""
-    check_cells(rows[0], eval_policy)
+    check_unit_interval(discount, "discount")
+    check_cells(rows, eval_policy)
     scores = _psi_scores(*rows, eta.behavior, eta.q, eval_policy, discount)
     return _finalize(scores[None], Estimator.DR_FULL, level)[0]
 
@@ -337,7 +340,8 @@ def dr_half_estimate(
 ) -> ValueEstimate:
     """Score fold 0 of a 2-fold split, its first (n+1)//2 rows, with nuisances
     fitted on fold 1: DML's fold-0 fit at k_folds=2."""
-    check_cells(rows[0], eval_policy)
+    check_unit_interval(discount, "discount")
+    check_cells(rows, eval_policy)
     return _dr_half(tuple(x[None] for x in rows), [rng], eval_policy, discount,
                     known_behavior, config, level)[0]
 
@@ -358,7 +362,8 @@ def dml_estimate(
     folds; the value is the pooled mean of all N scores, which matches the
     per-fold double average whenever the folds are equal-sized.
     """
-    check_cells(rows[0], eval_policy)
+    check_unit_interval(discount, "discount")
+    check_cells(rows, eval_policy)
     sa, rewards = (x[None] for x in rows)
     folds = _folds(sa.shape[1], k_folds, [rng])
     return _dml([part for part, in _fold_rows((sa,), folds)], rewards, folds, eval_policy,

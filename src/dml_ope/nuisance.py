@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import (LoggedDataset, Policy, ValidationError, check_finite_nonnegative,
-                  check_folds, check_policy_rows)
+                  check_folds, check_policy_rows, check_unit_interval)
 
 # The size rule: on the 240-state lift's 115,200 cells, sorting the moves won
 # at 12k (0.15 vs 0.39 ms) and lost to the dense table at 24k (0.37 vs 0.27 ms).
@@ -108,12 +108,16 @@ def q_recursion(
     indices ``(s*A + a)*S + s'`` and their finite nonnegative transition
     weights, counts or probabilities. P(.|s,a) is row (s, a) over its total,
     and a row of total 0 is uniform. A dense ``(S, A, S)`` table ``P`` passes
-    as ``(np.flatnonzero(P), P.ravel()[np.flatnonzero(P)])``.
+    as ``(np.flatnonzero(P), P.ravel()[np.flatnonzero(P)])``. ``mean_reward``
+    must be finite and ``discount`` in [0, 1]; Q tables that overflow raise.
     """
     idx, weights = np.asarray(moves[0]), np.asarray(moves[1])
     mean_reward = np.asarray(mean_reward, dtype=float)
     if mean_reward.shape != eval_policy.table.shape:
         raise ValidationError("eval policy shape does not match mean_reward")
+    if not np.all(np.isfinite(mean_reward)):
+        raise ValidationError("mean_reward entries must be finite")
+    check_unit_interval(discount, "discount")
     size = eval_policy.table.size * eval_policy.num_states
     if idx.ndim != 1 or idx.shape != weights.shape:
         raise ValidationError(f"moves must be two 1-d arrays of one length, got shapes "
@@ -125,7 +129,10 @@ def q_recursion(
                               f"got {idx[0]} to {idx[-1]}")
     if not np.all(np.isfinite(weights) & (weights >= 0)):
         raise ValidationError("move weights must be finite and >= 0")
-    return _q_tables(mean_reward[None], (idx, weights), eval_policy, horizon, discount)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        q = _q_tables(mean_reward[None], (idx, weights), eval_policy, horizon, discount)[:, 0]
+    _check_finite_q(q)
+    return q
 
 
 def _q_tables(mu: np.ndarray, moves: tuple, eval_policy: Policy, horizon: int,
@@ -165,14 +172,29 @@ def check_support(behavior: np.ndarray, eval_policy: Policy) -> None:
         )
 
 
-def check_cells(sa: np.ndarray, eval_policy: Policy) -> None:
-    """Raise unless every cell id of the row set's index ``sa`` lies in [0, S*A) of
-    ``eval_policy``'s table: a negative id would read from its end."""
+def check_cells(rows: tuple, eval_policy: Policy) -> None:
+    """Raise unless the row set ``rows`` is a cell index ``sa``, a nonempty 2-d
+    signed integer array (n, T+1), and rewards of its shape, and every cell id
+    lies in [0, S*A) of ``eval_policy``'s table: a negative id would read from
+    its end."""
+    sa, rewards = rows
+    if not (isinstance(sa, np.ndarray) and sa.dtype.kind == "i" and sa.ndim == 2
+            and min(sa.shape) > 0):
+        raise ValidationError(f"a row set's cell index must be a nonempty 2-d signed integer "
+                              f"array (n, T+1), got {_form(sa)}")
+    if not (isinstance(rewards, np.ndarray) and rewards.shape == sa.shape):
+        raise ValidationError(f"a row set's rewards must be an array of its cell index's shape "
+                              f"{sa.shape}, got {_form(rewards)}")
     size = eval_policy.table.size
-    if sa.size and not 0 <= sa.min() <= sa.max() < size:
+    if not 0 <= sa.min() <= sa.max() < size:
         bad = sa.min() if sa.min() < 0 else sa.max()
         raise ValidationError(f"cell id {bad} is outside the evaluation policy table of "
                               f"{size} cells")
+
+
+def _form(x) -> str:
+    """What a caller passed as an array, for a message."""
+    return f"shape {x.shape} of {x.dtype}" if isinstance(x, np.ndarray) else f"a {type(x).__name__}"
 
 
 def check_table_shape(shape: tuple, eval_policy: Policy, name: str) -> None:
@@ -286,6 +308,7 @@ def fit_nuisance(
     config: NuisanceConfig = NuisanceConfig(),
 ) -> NuisanceEstimate:
     """Fit one nuisance tuple on every row of ``data``; the fit draws nothing."""
+    check_unit_interval(discount, "discount")
     rows = data.cells(eval_policy, "evaluation")[None], data.rewards[None]
     return _estimate_record(*_fit(*_count(*rows, eval_policy), data.horizon, eval_policy,
                                   discount, known_behavior, config))
@@ -300,8 +323,14 @@ def fit_nuisances(
 ) -> list[NuisanceEstimate]:
     """For each of ``parts``, at least two row sets ``(sa, rewards)`` of one
     horizon, their cell indices and rewards (n_k, T+1), the fit on the other parts."""
-    for sa, _ in parts:
-        check_cells(sa, eval_policy)
+    check_unit_interval(discount, "discount")
+    if len(parts) < 2:
+        raise ValidationError(f"fit_nuisances needs two or more parts, got {len(parts)}")
+    for part in parts:
+        check_cells(part, eval_policy)
+    horizons = sorted({sa.shape[1] - 1 for sa, _ in parts})
+    if len(horizons) > 1:
+        raise ValidationError(f"the parts must share one horizon, got horizons {horizons}")
     stacked = [tuple(x[None] for x in part) for part in parts]
     return [_estimate_record(*fit) for fit in _cross_fits(stacked, eval_policy, discount,
                                                           known_behavior, config)]

@@ -1,12 +1,15 @@
 import dataclasses
 import hashlib
+import inspect
 import re
 
 import numpy as np
 import pytest
 
+import dml_ope
 from dml_ope import (
     Estimator,
+    ExperimentConfig,
     LoggedDataset,
     NuisanceEstimate,
     Policy,
@@ -24,6 +27,8 @@ from dml_ope import (
     fit_nuisances,
     ipw_estimate,
     make_folds,
+    mean_reward_table,
+    q_recursion,
     sample_dataset,
 )
 from dml_ope import estimators
@@ -33,6 +38,7 @@ from helpers import (
     bandit_mdp,
     bandit_policies,
     bernoulli,
+    move_pair,
     noisy_lift,
     one_row,
     random_mdp,
@@ -299,9 +305,64 @@ class TestPointEstimators:
             call()
 
 
+def takes_discount(obj) -> bool:
+    try:
+        return "discount" in inspect.signature(obj).parameters
+    except (TypeError, ValueError):  # a class without a signature, such as an exception
+        return False
+
+
+DISCOUNTED = sorted(name for name in dml_ope.__all__ if takes_discount(getattr(dml_ope, name)))
+
+
+class TestDiscountRule:
+    """Every public callable that takes a discount rejects one outside [0, 1] by
+    the run-parameter rule, before it fits or scores anything."""
+
+    CALLS = {
+        "ExperimentConfig": lambda s, d: ExperimentConfig(
+            mdp=s.mdp, behavior_policy=s.behavior, evaluation_policy=s.evaluation,
+            n_trajectories=200, replications=1, discount=d),
+        "TabularMdp": lambda s, d: dataclasses.replace(s.mdp, discount=d),
+        "dml_estimate": lambda s, d: dml_estimate(s.rows, s.evaluation, d, s.rng),
+        "dr_full_estimate": lambda s, d: dr_full_estimate(s.rows, s.eta, s.evaluation, d),
+        "dr_half_estimate": lambda s, d: dr_half_estimate(s.rows, s.evaluation, d, s.rng),
+        "evaluate_dataset": lambda s, d: evaluate_dataset(s.data, s.evaluation, d, ("dml",),
+                                                          s.rng),
+        "fit_nuisance": lambda s, d: fit_nuisance(s.data, s.evaluation, d),
+        "fit_nuisances": lambda s, d: fit_nuisances([s.rows, s.rows], s.evaluation, d),
+        "ipw_estimate": lambda s, d: ipw_estimate(s.rows, s.behavior, s.evaluation, d),
+        "q_recursion": lambda s, d: q_recursion(mean_reward_table(s.mdp),
+                                                move_pair(s.mdp.transitions), s.evaluation,
+                                                s.mdp.horizon, d),
+    }
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 200, np.random.default_rng(4))
+        return dataclasses.make_dataclass("Scenario", ["mdp", "behavior", "evaluation", "data",
+                                                       "rows", "eta", "rng"])(
+            mdp, behavior, evaluation, data, row_set(data, evaluation),
+            fit_nuisance(data, evaluation, 0.9), np.random.default_rng(0))
+
+    def test_every_discounted_callable_has_a_call(self):
+        assert set(DISCOUNTED) == set(self.CALLS)
+
+    @pytest.mark.parametrize("discount", [2.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", DISCOUNTED)
+    def test_discount_outside_unit_interval_rejected(self, scenario, name, discount):
+        assert name in self.CALLS, f"{name} takes a discount, but no call here passes one"
+        with pytest.raises(ValidationError,
+                           match=rf"discount'? must lie in \[0, 1\], got {discount}$"):
+            self.CALLS[name](scenario, discount)
+
+
 class TestCellIndexChecks:
-    """A public row-set function rejects a cell id outside [0, S*A), which numpy
-    would read from the table's end (-1) or past it."""
+    """A public row-set function rejects a row set that is not a nonempty 2-d
+    signed integer cell index with rewards of its shape, and a cell id outside
+    [0, S*A), which numpy would read from the table's end (-1) or past it."""
 
     CALLS = {
         "fit_nuisances": lambda rows, eta, ev, rng: fit_nuisances([rows, rows], ev, 0.9),
@@ -324,6 +385,43 @@ class TestCellIndexChecks:
         with pytest.raises(ValidationError, match=f"cell id {bad} is outside the evaluation "
                                                   f"policy table of 6 cells"):
             self.CALLS[name]((sa, rewards), eta, evaluation, np.random.default_rng(0))
+
+    @staticmethod
+    def call_on(name, reshape):
+        """Call ``name`` on the 20-row row set as ``reshape(sa, rewards)`` returns it."""
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 20, np.random.default_rng(4))
+        eta = fit_nuisance(data, evaluation, 0.9)
+        rows = reshape(*row_set(data, evaluation))
+        TestCellIndexChecks.CALLS[name](rows, eta, evaluation, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("reshape, got", [
+        (lambda sa, r: (sa[:, 0], r[:, 0]), r"shape \(20,\) of int64"),
+        (lambda sa, r: (sa[None], r[None]), r"shape \(1, 20, 3\) of int64"),
+        (lambda sa, r: (sa.astype(float), r), r"shape \(20, 3\) of float64"),
+        (lambda sa, r: (sa.astype(np.uint64), r), r"shape \(20, 3\) of uint64"),
+        (lambda sa, r: (sa.tolist(), r), "a list"),
+        (lambda sa, r: (sa[:0], r[:0]), r"shape \(0, 3\) of int64"),
+        (lambda sa, r: (sa[:, :0], r[:, :0]), r"shape \(20, 0\) of int64"),
+    ], ids=["1-d", "3-d", "float", "unsigned", "list", "no_rows", "no_steps"])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_malformed_cell_index_rejected(self, name, reshape, got):
+        with pytest.raises(ValidationError, match=f"a row set's cell index must be a nonempty "
+                                                  f"2-d signed integer array \\(n, T\\+1\\), "
+                                                  f"got {got}$"):
+            self.call_on(name, reshape)
+
+    @pytest.mark.parametrize("reshape, got", [
+        (lambda sa, r: (sa, r[:, :2]), r"shape \(20, 2\) of float64"),
+        (lambda sa, r: (sa, r[:5]), r"shape \(5, 3\) of float64"),
+        (lambda sa, r: (sa, r.tolist()), "a list"),
+    ], ids=["fewer_steps", "fewer_rows", "list"])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_rewards_of_another_shape_rejected(self, name, reshape, got):
+        with pytest.raises(ValidationError, match=f"a row set's rewards must be an array of its "
+                                                  f"cell index's shape \\(20, 3\\), got {got}$"):
+            self.call_on(name, reshape)
 
 
 class TestDrVariants:

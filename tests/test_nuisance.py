@@ -245,6 +245,29 @@ class TestQRecursion:
         with pytest.raises(ValidationError, match=message):
             q_recursion(mu, moves, three_state_policies()[1], 2, 0.9)
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 3, 2), (2, 3)], ids=["1-d", "3-d", "transposed"])
+    def test_mean_reward_of_another_shape_named(self, shape):
+        mdp = three_state_mdp()
+        with pytest.raises(ValidationError, match="eval policy shape does not match mean_reward"):
+            q_recursion(np.zeros(shape), move_pair(mdp.transitions), three_state_policies()[1],
+                        2, 0.9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_mean_reward_named(self, bad):
+        mdp = three_state_mdp()
+        mu = mean_reward_table(mdp)
+        mu[1, 0] = bad
+        with pytest.raises(ValidationError, match="mean_reward entries must be finite"):
+            q_recursion(mu, move_pair(mdp.transitions), three_state_policies()[1], 2, 0.9)
+
+    def test_overflowing_q_tables_named(self):
+        # Finite entries of 1e308 overflow at q_1 = mu + 0.9 * E[v_2]; the recursion
+        # raises the fit's message rather than numpy's overflow warning.
+        mdp = three_state_mdp()
+        with pytest.raises(ValidationError, match="q table entries must be finite"):
+            q_recursion(np.full((3, 2), 1e308), move_pair(mdp.transitions),
+                        three_state_policies()[1], 2, 0.9)
+
     def test_moves_of_zero_weight_change_nothing(self):
         mdp = three_state_mdp()
         mu = mean_reward_table(mdp)
@@ -329,6 +352,24 @@ class TestSparseRecursion:
 
 
 class TestFitNuisances:
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_parts_rejected(self, count):
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        rows = row_set(sample_dataset(mdp, behavior, 10, np.random.default_rng(2)), evaluation)
+        with pytest.raises(ValidationError,
+                           match=f"fit_nuisances needs two or more parts, got {count}"):
+            fit_nuisances([rows] * count, evaluation, 0.9)
+
+    def test_parts_of_different_horizons_rejected(self):
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        sa, rewards = row_set(sample_dataset(mdp, behavior, 10, np.random.default_rng(2)),
+                              evaluation)
+        with pytest.raises(ValidationError,
+                           match=r"the parts must share one horizon, got horizons \[1, 2\]"):
+            fit_nuisances([(sa, rewards), (sa[:, :2], rewards[:, :2])], evaluation, 0.9)
+
     def test_known_behavior_passthrough(self):
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
@@ -559,6 +600,57 @@ class TestMovePairs:
         finally:
             tracemalloc.stop()
         assert peak < mdp.num_states * mdp.num_actions * mdp.num_states * 8
+
+
+@st.composite
+def stacked_parts(draw):
+    """A table shape (S, A), a replication count R of 1 or 3, and 2-3 parts of
+    one horizon >= 0: each the stacked cell index (R, n, T+1), offset by r*S*A,
+    and zero rewards of R row sets of random ids."""
+    num_states, num_actions = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    reps, steps = draw(st.sampled_from([1, 3])), draw(st.integers(1, 4))
+    policy = action_zero(num_states, num_actions)
+    parts = []
+    for _ in range(draw(st.integers(2, 3))):
+        shape = (reps, draw(st.integers(1, 12)), steps)
+        size = reps * shape[1] * steps
+        states, actions = (np.reshape(draw(st.lists(st.integers(0, high - 1), min_size=size,
+                                                    max_size=size)), shape)
+                           for high in (num_states, num_actions))
+        parts.append((_cells(states, actions, policy), np.zeros(shape)))
+    return policy, reps, parts
+
+
+class TestMovePairForm:
+    """The move pairs that ``_count`` and ``_merge`` build are of the form
+    ``q_recursion`` checks a caller's pair for, so ``_q_tables`` takes them
+    unchecked: integer indices, strictly increasing and in [0, R*S*A*S), and
+    positive int64 counts that sum to the number of moves."""
+
+    @staticmethod
+    def assert_form(pair, size, moves):
+        idx, counts = pair
+        assert idx.dtype.kind == "i" and counts.dtype == np.int64
+        assert idx.ndim == 1 and idx.shape == counts.shape
+        assert np.all(idx[1:] > idx[:-1])
+        assert idx.size == 0 or (idx[0] >= 0 and idx[-1] < size)
+        assert np.all(counts > 0) and counts.sum() == moves
+
+    @settings(deadline=None)
+    @given(stacked_parts())
+    def test_counted_and_merged_pairs_are_checked_form(self, drawn):
+        policy, reps, parts = drawn
+        num_states = policy.num_states
+        size = policy.table.size * num_states
+        moves = [sa[..., 1:].size for sa, _ in parts]
+        for divisor in ROUTES.values():
+            with mock.patch.object(nuisance, "SORT_DIVISOR", divisor):
+                pairs = [_count(*part, policy)[1] for part in parts]
+            for pair, count in zip(pairs, moves):
+                self.assert_form(pair, reps * size, count)
+            for m in range(2, len(parts) + 1):
+                self.assert_form(_merge(tuple(pairs[:m]), size, reps), reps * size,
+                                 sum(moves[:m]))
 
 
 class TestStackedFits:
