@@ -36,6 +36,7 @@ from .mdp import (
     Policy,
     TabularMdp,
     ValidationError,
+    _policy_value,
     _sample,
     check_at_least,
     check_finite_nonnegative,
@@ -43,7 +44,6 @@ from .mdp import (
     check_keys,
     check_level,
     check_unit_interval,
-    exact_policy_value,
     json_field,
     load_mdp,
     mdp_from_dict,
@@ -548,8 +548,7 @@ def _run_replications(config: ExperimentConfig, seeds: list) -> np.ndarray:
 def ground_truth_value(config: ExperimentConfig) -> float:
     """The evaluation policy's exact value on the scenario at the estimators' discount."""
     mdp, _, evaluation = _scenario(config)
-    return exact_policy_value(dataclasses.replace(mdp, discount=config.effective_discount),
-                              evaluation)
+    return _policy_value(mdp, evaluation, config.effective_discount)
 
 
 def run_mse_experiment(config: ExperimentConfig) -> MseReport:

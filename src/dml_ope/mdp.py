@@ -13,11 +13,20 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 PROB_TOL = 1e-12
 DEFAULT_ENUMERATION_CAP = 10_000_000
+# A guide's bucket lookup costs about one level of a plain search (7.5 against
+# 6.3 ms per level on average, per 5e5 draws from the 240-state lift's
+# transitions), so a table keeps its guide only when it saves two levels or more.
+GUIDE_COST_LEVELS = 2
+# A guide is built this many cumulative entries at a time; at 1 << 18, the whole
+# 240-state lift's transitions at once, the MSE-study benchmark's peak RSS read
+# 2.5 MiB higher.
+GUIDE_BLOCK = 1 << 15
 
 
 class ValidationError(ValueError):
@@ -93,18 +102,102 @@ def check_policy_rows(table: np.ndarray) -> None:
     _check_prob_rows(table, f"policy row {{{table.ndim - 2}}}")
 
 
-def _cdf_table(probs: np.ndarray) -> np.ndarray:
-    """The row-wise ``cumsum`` of ``probs`` along its last axis, as a 2-d table.
+class CdfTable(NamedTuple):
+    """A sampler's cumulative table, searched by ``_inverse_cdf``.
+
+    ``entries`` (R, stride) holds the first ``W - 1`` cumulative sums of each row
+    of a ``(R, W)`` cumulative table, then ``+inf`` up to the stride, so no probe
+    reads another row: a search of ``levels`` probes from index ``i`` reads up to
+    ``i + 2**levels - 2``. ``guide`` is None, or (R, G + 2) with ``guide[r, j]``
+    the count of those entries ``<= (j - 1) / G``, G a power of two.
+    """
+
+    entries: np.ndarray
+    guide: np.ndarray | None
+    levels: int
+
+
+def _cdf_table(probs: np.ndarray) -> CdfTable:
+    """The search table of the row-wise ``cumsum`` of ``probs`` along its last axis.
 
     Each row's entries from its last positive-probability index onward are set
     to exactly 1.0: a row may sum to less than 1 within ``PROB_TOL``, and no
     draw ``u < 1`` may then land past that index on a zero-probability entry.
     """
     rows = probs.reshape(-1, probs.shape[-1])
-    cum = np.cumsum(rows, axis=1)
     last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
-    cum[np.arange(rows.shape[1]) >= last[:, None]] = 1.0
-    return cum
+
+    def cumulative(first: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        cum = np.cumsum(rows[first:stop], axis=1, out=out)
+        cum[np.arange(rows.shape[1]) >= last[first:stop, None]] = 1.0
+        return cum
+
+    return _search_table(rows.shape, cumulative)
+
+
+def _search_table(shape: tuple, cumulative) -> CdfTable:
+    """The ``CdfTable`` of an (R, W) table of non-decreasing rows of entries >= 0,
+    whose rows ``first:stop`` ``cumulative(first, stop, out=None)`` returns, written
+    into ``out`` if given.
+
+    The guide reads the rows a block at a time, and the rows are then written
+    into the entries, so no full-size copy of the table is made besides them.
+    A plain search takes ``(W - 1).bit_length()`` levels from each row's start;
+    a table wide enough for a guide to save ``GUIDE_COST_LEVELS`` of them keeps
+    the one ``_guide`` builds.
+    """
+    num_rows, width = shape
+    guide, levels = None, (width - 1).bit_length()
+    if levels > GUIDE_COST_LEVELS:
+        guide, levels = _guide(shape, cumulative, levels)
+    entries = np.empty((num_rows, (1 << levels) + (0 if guide is None else width - 1)))
+    cumulative(0, num_rows, out=entries[:, :width])  # the stride is at least W
+    entries[:, width - 1:] = np.inf
+    return CdfTable(entries, guide, levels)
+
+
+def _guide(shape: tuple, cumulative, levels: int) -> tuple:
+    """The guide of ``_search_table``'s rows and its search levels, or
+    ``(None, levels)`` if it would not save ``GUIDE_COST_LEVELS`` of the plain
+    search's ``levels``.
+
+    The bucket ``j = ceil(u * G)``, clipped to [0, G + 1], holds every ``u`` with
+    ``(j - 1) / G < u <= j / G`` (the last bucket ``u > 1``, the first ``u <= 0``),
+    so its answer is at least ``guide[r, j]`` and exceeds it by at most the
+    entries strictly inside the bucket, its window. An entry on an edge
+    ``j / G``, such as a run of 0s or of the 1.0s that end a row, widens no
+    window. A guided search takes the levels of the widest window. The rows are
+    taken ``GUIDE_BLOCK`` entries at a time, so no temporary outgrows that.
+    """
+    num_rows, width = shape
+    buckets = 1 << (width - 2).bit_length()  # G, the smallest power of two >= W - 1
+    span = buckets + 3
+    guide = np.empty((num_rows, buckets + 2), dtype=np.min_scalar_type(width - 1))
+    guided = 0
+    block = max(1, GUIDE_BLOCK // width)
+    for first in range(0, num_rows, block):
+        # Exact, as G is a power of two; entries above 1 fall inside bucket G + 1.
+        scaled = cumulative(first, first + block)[:, :-1] * buckets
+        np.minimum(scaled, buckets + 0.5, out=scaled)
+        keys = np.ceil(scaled)
+        edge = keys == scaled
+        # Row r's entry x takes slot r * (G + 3) + ceil(x * G) + 1, so the cumsum
+        # of the row's slot counts is its guide, with one slot to spare.
+        keys += np.arange(1, len(keys) * span, span, dtype=float)[:, None]
+        slots = keys.astype(np.intp)
+        # The rows are sorted, so a window of m entries is a key that repeats at
+        # a distance of m - 1; an edge entry's key is NaN and equals none. While
+        # the guide is worth keeping, m <= (W - 1) / 2, less than one row.
+        np.copyto(keys, np.nan, where=edge)
+        flat = keys.ravel()
+        while (guided + GUIDE_COST_LEVELS <= levels
+               and np.any(flat[(1 << guided) - 1:] == flat[:flat.size + 1 - (1 << guided)])):
+            guided += 1
+        if guided + GUIDE_COST_LEVELS > levels:
+            return None, levels
+        counts = np.bincount(slots.ravel(), minlength=len(keys) * span).reshape(-1, span)
+        np.cumsum(counts[:, :-1], axis=1, out=guide[first:first + block])
+    return guide, guided
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,9 +270,9 @@ class TabularMdp:
         _check_prob_rows(self.transitions, "transitions[{}][{}]")
         # CDF tables for sampling: the initial distribution's one row, then one
         # row per flat (s * A + a) index.
-        object.__setattr__(self, "_initial_cum", _cdf_table(self.initial_dist))
-        object.__setattr__(self, "_transition_cum", _cdf_table(self.transitions))
-        object.__setattr__(self, "_reward_cum", _cdf_table(probs))
+        object.__setattr__(self, "_initial_cdf", _cdf_table(self.initial_dist))
+        object.__setattr__(self, "_transition_cdf", _cdf_table(self.transitions))
+        object.__setattr__(self, "_reward_cdf", _cdf_table(probs))
 
     def check_policy(self, policy: Policy, name: str = "policy") -> None:
         if policy.table.shape != (self.num_states, self.num_actions):
@@ -274,28 +367,41 @@ def reward_variance_table(mdp: TabularMdp) -> np.ndarray:
     return _cell_dot(deviation**2, mdp.reward_probs)
 
 
-def _inverse_cdf(cum: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """For each ``k``, the first ``i`` with ``cum[rows[k], i] >= u[k]``, clamped to ``W - 1``.
+def _inverse_cdf(table: CdfTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each ``k``, the first ``i`` with ``cum[rows[k], i] >= u[k]``, clamped to ``W - 1``,
+    where ``cum`` (R, W) is the cumulative table that ``table`` was built from.
 
-    ``cum`` holds row-wise cumulative sums of distributions, shape ``(R, W)``.
-    A branchless binary search runs over all ``k`` at once on the first
-    ``W - 1`` entries of each row, which is the clamp to ``W - 1``. The rows
-    are non-decreasing, so the result equals the count of entries below ``u``,
-    ``min((u[:, None] > cum[rows]).sum(1), W - 1)``, without the ``(n, W)``
-    gather.
+    A branchless search runs over all ``k`` at once on the first ``W - 1``
+    entries of each row, which is the clamp to ``W - 1``. It counts the entries
+    below ``u`` from a start, in ``table.levels`` probes of 2**(levels-1), ..., 1
+    entries: from the row's start, or from ``guide[r, j]``, the count of entries
+    ``<= (j - 1) / G < u`` for ``j = ceil(u * G)`` clipped to [0, G + 1], which
+    is exact because G is a power of two. The rows are non-decreasing, so the
+    result equals ``min((u[:, None] > cum[rows]).sum(1), W - 1)`` without the
+    ``(n, W)`` gather.
     """
-    width = cum.shape[1]
-    if width == 1:
-        return np.zeros_like(rows)
-    flat = cum.ravel()
-    start = rows * width
-    pos = start.copy()
-    size = width - 1
-    while size > 1:
-        half = size // 2
-        np.add(pos, half, out=pos, where=flat[pos + half] < u)
-        size -= half
-    pos += flat[pos] < u
+    entries, guide, levels = table
+    start = rows * entries.shape[1]
+    if guide is None:
+        pos = start.copy()
+    else:
+        span = guide.shape[1]
+        with np.errstate(over="ignore"):  # u * G = inf lands in the last bucket
+            j = u * (span - 2)
+        np.ceil(j, out=j)
+        np.fmax(j, 0.0, out=j)  # fmax, not clip: a NaN u goes to bucket 0
+        np.fmin(j, span - 1, out=j)
+        key = rows * span
+        np.add(key, j, out=key, casting="unsafe")  # j is integral
+        del j  # neither array stays alive through the search
+        pos = start + guide.ravel()[key]
+        del key
+    flat = entries.ravel()
+    for level in range(levels - 1, 0, -1):
+        step = 1 << level
+        np.add(pos, step, out=pos, where=flat[step - 1:][pos] < u)
+    if levels:
+        pos += flat[pos] < u
     return pos - start
 
 
@@ -324,19 +430,19 @@ def _sample(mdp: TabularMdp, policy: Policy, n: int, rngs: list) -> tuple:
     actions = np.empty(shape, dtype=np.int64)
     rewards = np.empty(shape)
     props = np.empty(shape)
-    policy_cum = _cdf_table(policy.table)
-    support = mdp.reward_support.reshape(mdp._reward_cum.shape)
+    policy_cdf = _cdf_table(policy.table)
+    support = mdp.reward_support.reshape(-1, mdp.reward_support.shape[2])
 
     def draws() -> np.ndarray:
         return np.concatenate([rng.random(n) for rng in rngs])
 
     sa = np.zeros(len(rngs) * n, dtype=np.int64)  # at t = 0, row 0 of the one-row initial table
     for t in range(shape[2]):
-        cum = mdp._initial_cum if t == 0 else mdp._transition_cum
-        s = _inverse_cdf(cum, sa, draws())
-        a = _inverse_cdf(policy_cum, s, draws())
+        cdf = mdp._initial_cdf if t == 0 else mdp._transition_cdf
+        s = _inverse_cdf(cdf, sa, draws())
+        a = _inverse_cdf(policy_cdf, s, draws())
         sa = s * mdp.num_actions + a
-        r_idx = _inverse_cdf(mdp._reward_cum, sa, draws())
+        r_idx = _inverse_cdf(mdp._reward_cdf, sa, draws())
         states[..., t] = s.reshape(shape[:2])
         actions[..., t] = a.reshape(shape[:2])
         rewards[..., t] = support[sa, r_idx].reshape(shape[:2])
@@ -399,12 +505,17 @@ def enumerate_dataset(
 def exact_policy_value(mdp: TabularMdp, policy: Policy) -> float:
     """Exact discounted value of ``policy`` via backward dynamic programming."""
     mdp.check_policy(policy)
+    return _policy_value(mdp, policy, mdp.discount)
+
+
+def _policy_value(mdp: TabularMdp, policy: Policy, discount: float) -> float:
+    """``exact_policy_value`` at ``discount`` in place of the MDP's, unchecked."""
     mu = mean_reward_table(mdp)
     v_next = np.zeros(mdp.num_states)
     for t in range(mdp.horizon, -1, -1):
         q = mu.copy()
         if t < mdp.horizon:
-            q += mdp.discount * (mdp.transitions @ v_next)
+            q += discount * (mdp.transitions @ v_next)
         v_next = (policy.table * q).sum(axis=1)
     return float(mdp.initial_dist @ v_next)
 

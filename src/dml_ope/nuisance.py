@@ -25,12 +25,14 @@ is R = 1. The kernels check nothing: the public functions check a caller's input
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (LoggedDataset, Policy, ValidationError, check_finite_nonnegative,
-                  check_folds, check_policy_rows, check_unit_interval)
+from .mdp import (LoggedDataset, Policy, ValidationError, check_at_least,
+                  check_finite_nonnegative, check_folds, check_policy_rows,
+                  check_unit_interval)
 
 # The size rule: on the 240-state lift's 115,200 cells, sorting the moves won
 # at 12k (0.15 vs 0.39 ms) and lost to the dense table at 24k (0.37 vs 0.27 ms).
@@ -109,8 +111,12 @@ def q_recursion(
     weights, counts or probabilities. P(.|s,a) is row (s, a) over its total,
     and a row of total 0 is uniform. A dense ``(S, A, S)`` table ``P`` passes
     as ``(np.flatnonzero(P), P.ravel()[np.flatnonzero(P)])``. ``mean_reward``
-    must be finite and ``discount`` in [0, 1]; Q tables that overflow raise.
+    must be finite, ``horizon`` an integer >= 0 and ``discount`` in [0, 1]; Q
+    tables that overflow raise.
     """
+    if not isinstance(horizon, numbers.Integral) or isinstance(horizon, bool):
+        raise ValidationError(f"horizon must be an integer, got {horizon!r}")
+    check_at_least(horizon, 0, "horizon")
     idx, weights = np.asarray(moves[0]), np.asarray(moves[1])
     mean_reward = np.asarray(mean_reward, dtype=float)
     if mean_reward.shape != eval_policy.table.shape:
@@ -225,9 +231,11 @@ def _count(sa: np.ndarray, rewards: np.ndarray, eval_policy: Policy) -> tuple:
     size = cells * num_states
     pair = (np.unique(moves, return_counts=True) if moves.size * SORT_DIVISOR < size
             else _nonzero(np.bincount(moves.ravel(), minlength=size)))
+    with np.errstate(over="ignore"):  # an infinite total fails _fit's Q check
+        total = rewards.sum(axis=(-2, -1))
     return (np.bincount(sa.ravel(), minlength=cells).reshape(reps, -1),
             np.bincount(sa.ravel(), weights=rewards.ravel(), minlength=cells).reshape(reps, -1),
-            rewards.sum(axis=(-2, -1))), pair
+            total), pair
 
 
 def _cross_fits(parts: list, eval_policy: Policy, discount: float,
@@ -288,9 +296,10 @@ def _fit(tables, moves: tuple, horizon: int, eval_policy: Policy, discount: floa
         behavior = _ratio(smoothed, smoothed.sum(axis=-1, keepdims=True), 1.0 / num_actions)
         check_policy_rows(behavior)
     check_support(behavior, eval_policy)
-    fallback = np.reshape(reward_total / counts.sum(axis=(1, 2)), (-1, 1, 1))
-    q = _q_tables(_ratio(sums.reshape(counts.shape), counts, fallback), moves, eval_policy,
-                  horizon, discount)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        fallback = np.reshape(reward_total / counts.sum(axis=(1, 2)), (-1, 1, 1))
+        q = _q_tables(_ratio(sums.reshape(counts.shape), counts, fallback), moves, eval_policy,
+                      horizon, discount)
     _check_finite_q(q)
     return behavior, q
 

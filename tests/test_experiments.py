@@ -20,6 +20,7 @@ from dml_ope import (
     LoggedDataset,
     NuisanceConfig,
     Policy,
+    TabularMdp,
     ValidationError,
     cell_from_dict,
     dr_full_estimate,
@@ -846,6 +847,26 @@ class TestMseExperiment:
         rebuilt = mdp_from_dict({**mdp_to_dict(config.mdp), "discount": 0.5})
         assert ground_truth_value(config) == pytest.approx(
             exact_policy_value(rebuilt, config.evaluation_policy), abs=1e-12)
+
+    def test_dp_truth_builds_only_the_scenario(self, monkeypatch):
+        # The truth at the override discount is computed on the lifted MDP as
+        # built, with no second TabularMdp for the discount alone.
+        config = dataclasses.replace(
+            experiment_config_from_dict(json.loads(NOISY_CONFIG.read_text()),
+                                        base_dir=NOISY_CONFIG.parent), discount=0.5)
+        lifted = experiments._scenario(config)
+        built = []
+        post_init = TabularMdp.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(TabularMdp, "__post_init__", counted)
+        value = ground_truth_value(config)
+        assert len(built) == 1
+        rebuilt = mdp_from_dict({**mdp_to_dict(lifted[0]), "discount": 0.5})
+        assert value == exact_policy_value(rebuilt, lifted[2])
 
     def test_report_serializes(self):
         report = run_mse_experiment(small_config(replications=2))

@@ -268,6 +268,23 @@ class TestQRecursion:
             q_recursion(np.full((3, 2), 1e308), move_pair(mdp.transitions),
                         three_state_policies()[1], 2, 0.9)
 
+    @pytest.mark.parametrize("horizon, message", [
+        (-1, "horizon must be >= 0, got -1"),
+        (2.0, "horizon must be an integer, got 2.0"),
+        (True, "horizon must be an integer, got True"),
+    ], ids=["negative", "float", "bool"])
+    def test_malformed_horizon_named(self, horizon, message):
+        mdp = three_state_mdp()
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            q_recursion(mean_reward_table(mdp), move_pair(mdp.transitions),
+                        three_state_policies()[1], horizon, 0.9)
+
+    def test_numpy_integer_horizon_accepted(self):
+        mdp = three_state_mdp()
+        args = mean_reward_table(mdp), move_pair(mdp.transitions), three_state_policies()[1]
+        np.testing.assert_array_equal(q_recursion(*args, np.int64(2), 0.9),
+                                      q_recursion(*args, 2, 0.9))
+
     def test_moves_of_zero_weight_change_nothing(self):
         mdp = three_state_mdp()
         mu = mean_reward_table(mdp)
@@ -369,6 +386,18 @@ class TestFitNuisances:
         with pytest.raises(ValidationError,
                            match=r"the parts must share one horizon, got horizons \[1, 2\]"):
             fit_nuisances([(sa, rewards), (sa[:, :2], rewards[:, :2])], evaluation, 0.9)
+
+    def test_overflowing_rewards_named(self):
+        # Rewards of 1e308 overflow the reward total and the Q tables; the fits
+        # raise the Q check's message, not numpy's overflow warning.
+        evaluation = three_state_policies()[1]
+        data = LoggedDataset(states=[[0, 1, 2]] * 4, actions=[[0, 1, 0]] * 4,
+                             rewards=np.full((4, 3), 1e308))
+        with pytest.raises(ValidationError, match="^q table entries must be finite$"):
+            fit_nuisance(data, evaluation, 0.9)
+        sa, rewards = row_set(data, evaluation)
+        with pytest.raises(ValidationError, match="^q table entries must be finite$"):
+            fit_nuisances([(sa[:2], rewards[:2]), (sa[2:], rewards[2:])], evaluation, 0.9)
 
     def test_known_behavior_passthrough(self):
         mdp = three_state_mdp()
