@@ -630,6 +630,24 @@ class TestEvaluateDataset:
                           sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == expected
 
+    @pytest.mark.parametrize("known, expected", [
+        (False, "be36042c3a7962b8235c727245c04125fdb219428b35b4d6340728098ca61ef4"),
+        (True, "9faf720896fb86700cf5452178b01c0e16997c94a914ab344217b7c1d4c629a4"),
+    ], ids=["estimated_behavior", "known_behavior"])
+    def test_lift_report_digests_across_row_blocks(self, known, expected):
+        # All five reports at k=5 on 3 * 8192 + 5 rows of the 240-state lift,
+        # pinned to the last bit: the full-data walk of IPW and DR-full crosses
+        # three edges of the step walk's 8,192-row blocks, and DR-half's one.
+        mdp, behavior, evaluation = noisy_lift()
+        data = sample_dataset(mdp, behavior, 3 * 8192 + 5, np.random.default_rng(5))
+        names = tuple(e.value for e in Estimator)
+        results = evaluate_dataset(data, evaluation, mdp.discount, names,
+                                   np.random.default_rng(6),
+                                   known_behavior=behavior if known else None, k_folds=5)
+        text = json.dumps({name: est.to_dict() for name, est in results.items()},
+                          sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == expected
+
     def test_fold_splits_do_not_depend_on_the_other_estimators(self):
         # DML and DR-half draw their fold splits from streams of their own, so
         # each report is the same alone, beside the other, or beside dm, ipw and

@@ -24,7 +24,15 @@ from dml_ope import (
     fit_nuisance,
     sample_dataset,
 )
-from dml_ope.estimators import _check_q, _fold_rows, _psi_scores
+from dml_ope.estimators import (
+    _cells,
+    _check_q,
+    _control,
+    _fold_rows,
+    _psi_scores,
+    _ratios,
+    _walk,
+)
 from dml_ope.nuisance import _folds, check_table_shape
 
 from helpers import noisy_lift, random_mdp, row_set
@@ -129,6 +137,40 @@ def test_step_walk_equals_reference_rule(case):
     for *part, states in _fold_rows(tuple(x[None] for x in (*whole, data.states)), folds):
         assert_same_scores(tuple(x[0] for x in part), states[0], behavior, q, evaluation,
                            discount)
+
+
+def full_support_policy(rng: np.random.Generator, num_states: int, num_actions: int) -> Policy:
+    return Policy(table=rng.dirichlet(np.ones(num_actions), size=num_states))
+
+
+@pytest.mark.parametrize("horizon", [2, 8])
+@pytest.mark.parametrize("replications", [1, 3])
+@pytest.mark.parametrize("n", [8191, 8192, 8193, 2 * 8192 + 1])
+def test_stacked_walk_across_row_blocks_equals_reference_rule(n, replications, horizon):
+    # Row sets on either side of the walk's block edges at 8,192 rows, stacked
+    # as the study stacks replications, each with its own behavior table and
+    # Q: every replication's IPW and DR scores equal the reference rule's. Rows
+    # of 9 steps take numpy's pairwise lanes.
+    rng = np.random.default_rng([n, replications, horizon])
+    num_states, num_actions = 4, 3
+    mdp = random_mdp(rng, num_states, num_actions, horizon)
+    evaluation = full_support_policy(rng, num_states, num_actions)
+    behaviors = [full_support_policy(rng, num_states, num_actions)
+                 for _ in range(replications)]
+    datasets = [with_rewards(sample_dataset(mdp, b, n, rng), rng) for b in behaviors]
+    qs = entries(rng, (horizon + 1, replications, num_states, num_actions))
+    states, actions, rewards = (np.stack([getattr(d, name) for d in datasets])
+                                for name in ("states", "actions", "rewards"))
+    sa = _cells(states, actions, evaluation)
+    ratio = _ratios(np.stack([b.table for b in behaviors]), evaluation, sa)
+    ipw, dr = _walk(sa, rewards, ratio, [None, _control(qs, evaluation)], mdp.discount)
+    for r, data in enumerate(datasets):
+        rows = row_set(data, evaluation)
+        for got, q in ((ipw[r], None), (dr[r], qs[:, r])):
+            want = reference_scores(rows, data.states, behaviors[r], q, evaluation,
+                                    mdp.discount)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
