@@ -40,6 +40,14 @@ from .nuisance import (
 )
 
 
+# Rows, or table cells, per step of a chunk of the MSE study's stacked replications,
+# and rows per block of the step walk. A larger chunk spreads each numpy call's fixed
+# cost over more replications; at 8,192 its arrays stay a few MiB
+# (BENCH_stacked_replications.json probes 2^12 to 2^15), and a block's step columns,
+# 64 KiB each, stay in a core's L2 cache (BENCH_blocked_walk.json sweeps 2^10 to 2^15).
+ROW_BUDGET = 8192
+
+
 class Estimator(str, Enum):
     DM = "dm"
     IPW = "ipw"
@@ -90,17 +98,14 @@ def _finalize(scores: np.ndarray, estimator: Estimator, level: float) -> list[Va
     variance and the normal-approximation CI at ``level``. Each row's mean and
     variance must be finite; the first that is not is named."""
     check_level(level, "level")
-    values = scores.mean(axis=-1)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValidationError(f"{estimator.value} scores are not finite: their mean is "
-                              f"{float(values[bad[0]])}")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = scores.mean(axis=-1)
         variances = np.mean((scores - values[:, None]) ** 2, axis=-1)
-    bad = np.flatnonzero(~np.isfinite(variances))
-    if bad.size:
-        raise ValidationError(f"{estimator.value} scores are not finite: their variance is "
-                              f"{float(variances[bad[0]])}")
+    for name, stats in (("mean", values), ("variance", variances)):
+        bad = np.flatnonzero(~np.isfinite(stats))
+        if bad.size:
+            raise ValidationError(f"{estimator.value} scores are not finite: their {name} is "
+                                  f"{float(stats[bad[0]])}")
     n = scores.shape[-1]
     halves = NormalDist().inv_cdf((1.0 + level) / 2.0) * np.sqrt(variances / n)
     return [ValueEstimate(value=float(value), variance=float(variance), n=n,
@@ -143,26 +148,39 @@ def _walk(sa: np.ndarray, rewards: np.ndarray, ratio: np.ndarray, controls: list
     ``controls``: a ``_control`` pair, or None for the IPW score, Q = 0. One walk
     over the steps on columns of the offset cell index ``sa`` serves them all:
     rho_t = rho_{t-1} * pe/pb, and step t adds
-    disc_t * (rho_t * (r_t - q_t(s_t, a_t)) + rho_{t-1} * v_t(s_t))."""
+    disc_t * (rho_t * (r_t - q_t(s_t, a_t)) + rho_{t-1} * v_t(s_t)).
+
+    Each row's cells carry their replication's offset, so the R row sets are
+    walked as one (R*n, T+1) row set, ROW_BUDGET rows (views) at a time, and a
+    block's columns stay in cache; a row's arithmetic does not depend on its block.
+    A score that overflows is left infinite for ``_finalize`` to name."""
     steps = sa.shape[-1]
     disc = discount ** np.arange(steps)
-    # The bytes of numpy's row sum: it adds fewer than 8 steps in order from 0.0, so
-    # one column collects them; from 8 it adds in pairwise lanes, so each step is kept.
-    psis = [np.zeros(sa.shape[:-1] + (1 if steps < 8 else steps,)) for _ in controls]
-    rho_prev = 1.0
-    for t in range(steps):
-        cell, reward = sa[..., t], rewards[..., t]
-        rho = ratio.take(cell) * rho_prev
-        for psi, control in zip(psis, controls):
-            if control is None:
-                term = rho * reward
-            else:
-                q, v = control
-                term = (reward - q[t].take(cell)) * rho + v[t].take(cell) * rho_prev
-            term *= disc[t]
-            psi[..., t % psi.shape[-1]] += term
-        rho_prev = rho
-    return [psi.sum(axis=-1) for psi in psis]
+    rows = sa.reshape(-1, steps), rewards.reshape(-1, steps)
+    scores = [np.empty(len(rows[0])) for _ in controls]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(rows[0]), ROW_BUDGET):
+            block_sa, block_rewards = (x[start:start + ROW_BUDGET] for x in rows)
+            # The bytes of numpy's row sum: it adds fewer than 8 steps in order from 0.0,
+            # so one column collects them; from 8 it adds in pairwise lanes, so each step
+            # is kept.
+            psis = [np.zeros((len(block_sa), 1 if steps < 8 else steps)) for _ in controls]
+            rho_prev = 1.0
+            for t in range(steps):
+                cell, reward = block_sa[:, t], block_rewards[:, t]
+                rho = ratio.take(cell) * rho_prev
+                for psi, control in zip(psis, controls):
+                    if control is None:
+                        term = rho * reward
+                    else:
+                        q, v = control
+                        term = (reward - q[t].take(cell)) * rho + v[t].take(cell) * rho_prev
+                    term *= disc[t]
+                    psi[:, t % psi.shape[-1]] += term
+                rho_prev = rho
+            for score, psi in zip(scores, psis):
+                psi.sum(axis=-1, out=score[start:start + ROW_BUDGET])
+    return [score.reshape(sa.shape[:-1]) for score in scores]
 
 
 def _psi_scores(sa: np.ndarray, rewards: np.ndarray, behavior: Policy, q: np.ndarray | None,

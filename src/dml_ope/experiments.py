@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import Estimator, ValueEstimate, _estimate
+from .estimators import ROW_BUDGET, Estimator, ValueEstimate, _estimate
 from .mdp import (
     LoggedDataset,
     Policy,
@@ -53,10 +53,6 @@ from .mdp import (
 from .nuisance import NuisanceConfig, check_table_shape
 
 _INT64_MAX = np.iinfo(np.int64).max
-# Rows, or table cells, per step of a chunk of stacked replications. A larger chunk
-# spreads each numpy call's fixed cost over more replications; at 8,192 its arrays
-# stay a few MiB (BENCH_stacked_replications.json probes 2^12 to 2^15).
-ROW_BUDGET = 8192
 _WRITE_BLOCK_ROWS = 4096
 _STEP_KEYS = {"s", "a", "r"}
 

@@ -272,11 +272,10 @@ class TestEvaluate:
         # The weight 0.8 / 0.6 on a reward of 1.7e308 overflows the IPW score.
         lines = [{"steps": [{"s": 0, "a": 0, "r": 1.7e308}]},
                  {"steps": [{"s": 1, "a": 0, "r": 0.0}]}]
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = self.evaluate_file(
-                workspace, capsys, lines, "--behavior-policy", str(workspace / "behavior.json"),
-                "--estimator", "ipw",
-            )
+        code, out, err = self.evaluate_file(
+            workspace, capsys, lines, "--behavior-policy", str(workspace / "behavior.json"),
+            "--estimator", "ipw",
+        )
         assert code == 1
         assert out == ""
         assert err == "error: ipw scores are not finite: their mean is inf\n"

@@ -272,9 +272,26 @@ class TestPointEstimators:
         data = LoggedDataset(states=[[0]] * len(actions), actions=[[a] for a in actions],
                              rewards=[[r] for r in rewards])
         behavior, evaluation = Policy(table=[[0.5, 0.5]]), Policy(table=[[0.75, 0.25]])
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                ValidationError, match=f"^ipw scores are not finite: their mean is {mean}$"):
+        with pytest.raises(ValidationError,
+                           match=f"^ipw scores are not finite: their mean is {mean}$"):
             ipw_estimate(row_set(data, evaluation), behavior, evaluation, 1.0)
+
+    @pytest.mark.parametrize("entry", ["ipw_estimate", "evaluate_dataset"])
+    def test_overflowing_rewards_named(self, entry):
+        # Rewards of 1e308 overflow each row's IPW score in the step walk; the
+        # estimate names the score, and no numpy overflow warning escapes first.
+        behavior, evaluation = three_state_policies()
+        data = LoggedDataset(states=[[0, 1, 2]] * 4, actions=[[0, 1, 0]] * 4,
+                             rewards=np.full((4, 3), 1e308))
+        call = {
+            "ipw_estimate": lambda: ipw_estimate(row_set(data, evaluation), behavior,
+                                                 evaluation, 0.9),
+            "evaluate_dataset": lambda: evaluate_dataset(data, evaluation, 0.9, ("ipw",),
+                                                         np.random.default_rng(0),
+                                                         known_behavior=behavior),
+        }[entry]
+        with pytest.raises(ValidationError, match="^ipw scores are not finite: their mean is inf$"):
+            call()
 
     def test_infinite_variance_raises_naming_the_estimator(self):
         # On-policy weights are 1: the mean of 1e200 and -1e200 is 0, but the
