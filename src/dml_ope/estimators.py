@@ -124,12 +124,14 @@ def _check_q(q: np.ndarray, steps: int, eval_policy: Policy) -> None:
 def _ratios(behavior: np.ndarray, eval_policy: Policy, sa: np.ndarray) -> np.ndarray:
     """The flat table of pe/pb for R stacked row sets, to read with their cell
     index ``sa`` (R, n, T+1), offset by r*S*A; ``behavior`` is one (S, A) table or
-    R stacked ones. Raise if a row visits a cell of zero behavior propensity."""
+    R stacked ones. Raise if a row visits a cell of zero behavior propensity; a
+    ratio that overflows is left infinite, for ``_finalize`` to name its scores."""
     pb = np.broadcast_to(behavior, sa.shape[:1] + eval_policy.table.shape)
     zero = pb <= 0
     if zero.any() and zero.ravel().take(sa).any():
         raise SupportViolationError("zero behavior propensity on a realized action")
-    return np.divide(eval_policy.table, pb, out=np.zeros(zero.shape), where=~zero).ravel()
+    with np.errstate(over="ignore"):
+        return np.divide(eval_policy.table, pb, out=np.zeros(zero.shape), where=~zero).ravel()
 
 
 def _control(q: np.ndarray, eval_policy: Policy) -> tuple:
@@ -156,11 +158,12 @@ def _walk(sa: np.ndarray, rewards: np.ndarray, ratio: np.ndarray, controls: list
     A score that overflows is left infinite for ``_finalize`` to name."""
     steps = sa.shape[-1]
     disc = discount ** np.arange(steps)
-    rows = sa.reshape(-1, steps), rewards.reshape(-1, steps)
-    scores = [np.empty(len(rows[0])) for _ in controls]
+    sa_rows, reward_rows = sa.reshape(-1, steps), rewards.reshape(-1, steps)
+    scores = [np.empty(len(sa_rows)) for _ in controls]
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(rows[0]), ROW_BUDGET):
-            block_sa, block_rewards = (x[start:start + ROW_BUDGET] for x in rows)
+        for start in range(0, len(sa_rows), ROW_BUDGET):
+            block = slice(start, start + ROW_BUDGET)
+            block_sa, block_rewards = sa_rows[block], reward_rows[block]
             # The bytes of numpy's row sum: it adds fewer than 8 steps in order from 0.0,
             # so one column collects them; from 8 it adds in pairwise lanes, so each step
             # is kept.
@@ -179,7 +182,7 @@ def _walk(sa: np.ndarray, rewards: np.ndarray, ratio: np.ndarray, controls: list
                     psi[:, t % psi.shape[-1]] += term
                 rho_prev = rho
             for score, psi in zip(scores, psis):
-                psi.sum(axis=-1, out=score[start:start + ROW_BUDGET])
+                psi.sum(axis=-1, out=score[block])
     return [score.reshape(sa.shape[:-1]) for score in scores]
 
 

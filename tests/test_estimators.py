@@ -277,12 +277,18 @@ class TestPointEstimators:
             ipw_estimate(row_set(data, evaluation), behavior, evaluation, 1.0)
 
     @pytest.mark.parametrize("entry", ["ipw_estimate", "evaluate_dataset"])
-    def test_overflowing_rewards_named(self, entry):
-        # Rewards of 1e308 overflow each row's IPW score in the step walk; the
-        # estimate names the score, and no numpy overflow warning escapes first.
-        behavior, evaluation = three_state_policies()
-        data = LoggedDataset(states=[[0, 1, 2]] * 4, actions=[[0, 1, 0]] * 4,
-                             rewards=np.full((4, 3), 1e308))
+    @pytest.mark.parametrize("cause", ["rewards", "propensity"])
+    def test_overflowing_scores_named(self, cause, entry):
+        # Rewards of 1e308 overflow the IPW score in the step walk, and a
+        # behavior propensity of 5e-324 the weight 0.5 / 5e-324; the estimate
+        # names the score, and no numpy overflow warning escapes first.
+        if cause == "rewards":
+            behavior, evaluation = three_state_policies()
+            data = LoggedDataset(states=[[0, 1, 2]] * 4, actions=[[0, 1, 0]] * 4,
+                                 rewards=np.full((4, 3), 1e308))
+        else:
+            behavior, evaluation = Policy(table=[[5e-324, 1.0]]), Policy(table=[[0.5, 0.5]])
+            data = LoggedDataset(states=[[0]] * 3, actions=[[0], [1], [1]], rewards=[[1.0]] * 3)
         call = {
             "ipw_estimate": lambda: ipw_estimate(row_set(data, evaluation), behavior,
                                                  evaluation, 0.9),
@@ -290,7 +296,8 @@ class TestPointEstimators:
                                                          np.random.default_rng(0),
                                                          known_behavior=behavior),
         }[entry]
-        with pytest.raises(ValidationError, match="^ipw scores are not finite: their mean is inf$"):
+        with pytest.raises(ValidationError,
+                           match="^ipw scores are not finite: their mean is inf$"):
             call()
 
     def test_infinite_variance_raises_naming_the_estimator(self):

@@ -35,7 +35,7 @@ from dml_ope.estimators import (
 )
 from dml_ope.nuisance import _folds, check_table_shape
 
-from helpers import noisy_lift, random_mdp, row_set
+from helpers import noisy_lift, random_mdp, random_policy, row_set
 
 
 def reference_weights(pe: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -139,10 +139,6 @@ def test_step_walk_equals_reference_rule(case):
                            discount)
 
 
-def full_support_policy(rng: np.random.Generator, num_states: int, num_actions: int) -> Policy:
-    return Policy(table=rng.dirichlet(np.ones(num_actions), size=num_states))
-
-
 @pytest.mark.parametrize("horizon", [2, 8])
 @pytest.mark.parametrize("replications", [1, 3])
 @pytest.mark.parametrize("n", [8191, 8192, 8193, 2 * 8192 + 1])
@@ -154,8 +150,8 @@ def test_stacked_walk_across_row_blocks_equals_reference_rule(n, replications, h
     rng = np.random.default_rng([n, replications, horizon])
     num_states, num_actions = 4, 3
     mdp = random_mdp(rng, num_states, num_actions, horizon)
-    evaluation = full_support_policy(rng, num_states, num_actions)
-    behaviors = [full_support_policy(rng, num_states, num_actions)
+    evaluation = random_policy(rng, num_states, num_actions)
+    behaviors = [random_policy(rng, num_states, num_actions)
                  for _ in range(replications)]
     datasets = [with_rewards(sample_dataset(mdp, b, n, rng), rng) for b in behaviors]
     qs = entries(rng, (horizon + 1, replications, num_states, num_actions))
