@@ -159,15 +159,16 @@ def _walk(sa: np.ndarray, rewards: np.ndarray, ratio: np.ndarray, controls: list
     steps = sa.shape[-1]
     disc = discount ** np.arange(steps)
     sa_rows, reward_rows = sa.reshape(-1, steps), rewards.reshape(-1, steps)
-    scores = [np.empty(len(sa_rows)) for _ in controls]
+    scores = [np.zeros(len(sa_rows)) for _ in controls]
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(sa_rows), ROW_BUDGET):
             block = slice(start, start + ROW_BUDGET)
             block_sa, block_rewards = sa_rows[block], reward_rows[block]
             # The bytes of numpy's row sum: it adds fewer than 8 steps in order from 0.0,
-            # so one column collects them; from 8 it adds in pairwise lanes, so each step
-            # is kept.
-            psis = [np.zeros((len(block_sa), 1 if steps < 8 else steps)) for _ in controls]
+            # so the scores collect them in place; from 8 it adds in pairwise lanes, so
+            # each step is kept and the block's rows are summed.
+            psis = [score[block, None] if steps < 8 else np.zeros((len(block_sa), steps))
+                    for score in scores]
             rho_prev = 1.0
             for t in range(steps):
                 cell, reward = block_sa[:, t], block_rewards[:, t]
@@ -181,8 +182,9 @@ def _walk(sa: np.ndarray, rewards: np.ndarray, ratio: np.ndarray, controls: list
                     term *= disc[t]
                     psi[:, t % psi.shape[-1]] += term
                 rho_prev = rho
-            for score, psi in zip(scores, psis):
-                psi.sum(axis=-1, out=score[block])
+            if steps >= 8:
+                for score, psi in zip(scores, psis):
+                    psi.sum(axis=-1, out=score[block])
     return [score.reshape(sa.shape[:-1]) for score in scores]
 
 

@@ -200,5 +200,5 @@ def test_peak_memory_in_row_columns(lift_rows, control, columns):
 @pytest.mark.parametrize("control", ["dr", "ipw"])
 def test_blocked_walk_peak_memory(lift_rows, control):
     # The walk takes 8,192 of the 50,000 rows at a time, so beside the scores
-    # it holds one block's columns: it peaks at 2.2 (DR) and 2.0 (IPW).
+    # it holds one block's columns: it peaks at 2.0 (DR) and 1.7 (IPW).
     assert peak_columns(lift_rows, control) <= 3.0
