@@ -3,8 +3,6 @@ import argparse
 import importlib.util
 import json
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -19,26 +17,33 @@ spec.loader.exec_module(ab)
 FUNCTIONS = ["write", "ingest", "sample", "chunk"]
 
 
-def run_ops(change: Path, ops: list) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, str(TOOL), "ops", str(ROOT), str(change),
-                           "--op", *ops, "--rounds", "1", "--smoke"],
-                          capture_output=True, text=True, timeout=120)
+@pytest.fixture
+def run_ops(monkeypatch, capsys):
+    """``ops`` of this tree against ``change``, one round at small sizes: its exit
+    code, its report and its standard error."""
+    monkeypatch.setattr(ab, "SIZES", {"bench": 300, "distinct": 50, "setup": 500, "chunk": 50})
+
+    def run(change: Path, ops: list) -> tuple:
+        code = ab.ops(argparse.Namespace(parent=ROOT, change=change, op=ops, rounds=1))
+        out = capsys.readouterr()
+        return code, json.loads(out.out), out.err
+    return run
 
 
-def test_same_tree_on_both_sides_gives_equal_digests():
-    out = run_ops(ROOT, FUNCTIONS)
-    assert out.returncode == 0, out.stderr
-    report = json.loads(out.stdout)
+def test_same_tree_on_both_sides_gives_equal_digests(run_ops):
+    code, report, err = run_ops(ROOT, FUNCTIONS)
+    assert code == 0, err
     assert all(report[op] for op in FUNCTIONS)
     for op in FUNCTIONS:
         for result in report[op].values():
             assert result["equal"] and result["problems"] == []
             assert result["sha256"]["parent"] == result["sha256"]["change"]
             assert len(result["sha256"]["parent"]) == 1
-            assert result["bound"] is None and "within_bound" not in result
+            assert result["bound"] is None
+            assert "claim_met" not in result and "within_bound" not in result
 
 
-def test_a_writer_that_appends_one_byte_exits_1_naming_write(tmp_path):
+def test_a_writer_that_appends_one_byte_exits_1_naming_write(tmp_path, run_ops):
     shutil.copytree(ROOT / "src" / "dml_ope", tmp_path / "src" / "dml_ope",
                     ignore=shutil.ignore_patterns("__pycache__"))
     module = tmp_path / "src" / "dml_ope" / "experiments.py"
@@ -48,10 +53,10 @@ def test_a_writer_that_appends_one_byte_exits_1_naming_write(tmp_path):
         "    _write_jsonl(data, path)\n"
         "    with open(path, 'a') as fh:\n"
         "        fh.write(' ')\n"))
-    out = run_ops(tmp_path, ["write"])
-    assert out.returncode == 1
-    assert "write" in out.stderr
-    assert not any(r["equal"] for r in json.loads(out.stdout)["write"].values())
+    code, report, err = run_ops(tmp_path, ["write"])
+    assert code == 1
+    assert "write" in err
+    assert not any(r["equal"] for r in report["write"].values())
 
 
 HIGHER = {"better": "higher", "bound": 0.24}
@@ -124,3 +129,25 @@ def test_pairs_keeps_the_pairs_before_a_failed_run(tmp_path, monkeypatch):
                                      "stderr": ["Traceback", "RuntimeError: boom"]}]
     assert entry["metrics"]["traj_per_s"]["change_better_pairs"] == 2
     assert entry["failed_share"] == {"parent": 0.0, "change": 0.0}
+
+
+@pytest.mark.parametrize("failed_seed, claim", [(None, True), (3, False)])
+def test_a_failed_run_of_the_change_denies_the_claim(tmp_path, monkeypatch, failed_seed, claim):
+    def run_benchmark(tree, workload, seed, seconds):
+        if tree.name == "change" and seed == failed_seed:
+            return {"exit_code": 1, "stderr": ["RuntimeError: boom"]}
+        value = 100.0 + (50.0 if tree.name == "change" else seed % 3)
+        return {"attempted": 4, "failed": 0,
+                "metrics": {m["name"]: {"value": value} for m in ab.SPEC["end_to_end"]}}
+
+    monkeypatch.setattr(ab, "run_benchmark", run_benchmark)
+    out = tmp_path / "pairs.json"
+    args = argparse.Namespace(parent=Path("parent"), change=Path("change"), pairs=11, seed=1,
+                              seconds=1.0, workloads=["experiment_noisy_1w"], out=out)
+    assert ab.pairs(args) == (0 if claim else 1)
+    entry = json.loads(out.read_text())["untraced"]["experiment_noisy_1w"]
+    traj = entry["metrics"]["traj_per_s"]
+    # The change won every pair that ran to the end, by far more than the IQR.
+    assert traj["change_better_pairs"] == entry["pairs"] >= 10
+    assert traj["change_median"] - traj["parent_median"] > traj["parent_iqr"]
+    assert traj["claim_met"] is claim

@@ -2,22 +2,23 @@
 
     python3 tools/ab.py pairs PARENT_TREE CHANGE_TREE --out FILE [--workloads W ...]
         [--pairs 10] [--seed 6101] [--seconds 25]
-    python3 tools/ab.py ops PARENT_TREE CHANGE_TREE --op NAME [NAME ...] [--rounds 15] [--smoke]
+    python3 tools/ab.py ops PARENT_TREE CHANGE_TREE --op NAME [NAME ...] [--rounds 15]
 
 Both modes run the two trees in pairs, the side that runs first alternating
 from pair to pair, so that each side runs first in half the pairs (a seeded
 shuffle of 15 rounds can put one side first 11 times, and any gain from
 running first would then tilt the wins). Both summarize a metric alike: each
 side's values, medians and quartiles, the pairs the change won (ties count
-for neither), and verdicts.
+for neither), and, for a metric with a bound, verdicts.
 
 ``pairs`` runs each tree's own ``benchmarks/run.py --workload W --seed S
 --seconds T --trace 0``, one pair of runs per seed (seeds ``--seed`` on). For
 every end-to-end metric of ``BENCHMARK.json`` it gives three verdicts:
 
 - ``claim_met``: at least ten pairs, the change won nine tenths of them, its
-  median is better than the parent's by more than the parent's IQR, and it
-  failed no larger share of operations;
+  median is better than the parent's by more than the parent's IQR, it
+  failed no larger share of operations, and no run of the change exited
+  non-zero;
 - ``within_bound``: the change's median is no worse than the parent's by more
   than the metric's bound;
 - ``unresolved``: the parent's IQR is wider than the bound, relative to its
@@ -27,7 +28,8 @@ The entries go per workload under ``untraced`` in the JSON object in
 ``--out``, which keeps its other keys and is written again after every pair.
 A run that exits non-zero is recorded under ``failed_runs`` with its side,
 seed, exit code and last lines of standard error, its pair is left out of the
-summary, and the tool exits 1 once every pair has run.
+values summarized (a failed run of the change still denies ``claim_met``),
+and the tool exits 1 once every pair has run.
 
 ``ops`` imports each tree's ``src/dml_ope`` into this process under its own
 name (every import inside the package is relative) and runs each operation
@@ -48,14 +50,13 @@ name (every import inside the package is relative) and runs each operation
   ``mdp._sample`` of 1,000 trajectories for each of the eight children of
   seed 9.
 
-Each tree builds its own lift. ``--smoke`` runs the workloads at
-``run.py``'s smoke sizes and the other operations at tiny sizes. The report
-gives per operation the summary of each call's milliseconds with its
-``claim_met`` (an operation has no bound), the sha256 of each tree's outputs
-(a file's bytes, or the dtype, shape and bytes of each array and each
-generator's next draw) and the problems a workload's ``check`` found. The
-tool exits 1, naming the operation, if the two trees' outputs differ or a
-check fails.
+Each tree builds its own lift. The report gives per operation the summary of
+each call's milliseconds, with no verdict (an operation has no bound, and
+unscaled wall time on a shared machine is too noisy to claim from), the
+sha256 of each tree's outputs (a file's bytes, or the dtype, shape and bytes
+of each array and each generator's next draw) and the problems a workload's
+``check`` found. The tool exits 1, naming the operation, if the two trees'
+outputs differ or a check fails.
 """
 from __future__ import annotations
 
@@ -79,8 +80,7 @@ WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 CONFIG = ROOT / "configs" / "noisy_nuisance.json"
 SIDES = ("parent", "change")
 SEED = 7
-SIZES = {"full": {"bench": 25_000, "distinct": 5_000, "setup": 50_000, "chunk": 1_000},
-         "smoke": {"bench": 300, "distinct": 50, "setup": 500, "chunk": 50}}
+SIZES = {"bench": 25_000, "distinct": 5_000, "setup": 50_000, "chunk": 1_000}
 STDERR_LINES = 20
 OP_MS = {"better": "lower", "bound": None}  # an operation's wall time
 
@@ -97,8 +97,8 @@ def quartiles(values: list) -> list:
 
 
 def summarize(metric: dict, parent: list, change: list, more_failures: bool = False) -> dict:
-    """Paired values of one metric, their summary and verdicts: ``claim_met``, and
-    with a ``bound``, ``within_bound`` and ``unresolved``."""
+    """Paired values of one metric, their summary and, when it has a ``bound``,
+    the verdicts ``claim_met``, ``within_bound`` and ``unresolved``."""
     lower = metric["better"] == "lower"
     sign = -1 if lower else 1  # sign * (c - p) > 0: the change is better
     p_med, c_med = statistics.median(parent), statistics.median(change)
@@ -111,10 +111,10 @@ def summarize(metric: dict, parent: list, change: list, more_failures: bool = Fa
         "change": change, "parent_median": p_med, "change_median": c_med,
         "parent_quartiles": p_q, "parent_iqr": iqr, "change_quartiles": quartiles(change),
         "relative_change": round(relative, 4), "change_better_pairs": wins,
-        "claim_met": (len(parent) >= 10 and wins >= 0.9 * len(parent)
-                      and sign * (c_med - p_med) > iqr and not more_failures),
     }
     if metric["bound"] is not None:
+        summary["claim_met"] = (len(parent) >= 10 and wins >= 0.9 * len(parent)
+                                and sign * (c_med - p_med) > iqr and not more_failures)
         summary["within_bound"] = -sign * relative <= metric["bound"]
         summary["unresolved"] = (iqr / abs(p_med) > metric["bound"] and
                                  min(sign * c for c in change) <= max(sign * p for p in parent))
@@ -143,7 +143,9 @@ def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def workload_entry(runs: list) -> dict:
-    """The summary of one workload's pairs so far; a pair with a failed run is left out."""
+    """The summary of one workload's pairs so far. A pair with a failed run is
+    left out of the values, but a failed run of the change counts as failing
+    more operations than the parent, so that it denies ``claim_met``."""
     done = [r for r in runs if "exit_code" not in r["parent"] and "exit_code" not in r["change"]]
     entry = {
         "pairs": len(done), "seeds": [r["seed"] for r in done],
@@ -157,10 +159,11 @@ def workload_entry(runs: list) -> dict:
         return entry
     share = {side: entry["failed_ops"][side] / entry["attempted_ops"][side] for side in SIDES}
     entry["failed_share"] = share
+    more_failures = (share["change"] > share["parent"]
+                     or any(f["side"] == "change" for f in entry["failed_runs"]))
     for metric in SPEC["end_to_end"]:
         values = [[r[side]["metrics"][metric["name"]]["value"] for r in done] for side in SIDES]
-        entry["metrics"][metric["name"]] = summarize(metric, *values,
-                                                     share["change"] > share["parent"])
+        entry["metrics"][metric["name"]] = summarize(metric, *values, more_failures)
     return entry
 
 
@@ -207,6 +210,8 @@ def load_tree(tree: Path, side: str, bench: bool) -> tuple:
     """``tree``'s ``src/dml_ope`` imported as the package ``ope_<side>`` and, with
     ``bench``, its ``benchmarks/run.py`` run on that package, else None."""
     name = f"ope_{side}"
+    for key in [k for k in sys.modules if k.split(".")[0] == name]:
+        del sys.modules[key]  # a tree loaded before under this name
     package = load_module(name, tree / "src" / "dml_ope" / "__init__.py", package=True)
     if not bench:
         return package, None
@@ -214,6 +219,8 @@ def load_tree(tree: Path, side: str, bench: bool) -> tuple:
     saved = sys.path[:]
     # run.py imports the package as dml_ope, and spans and speed from its own directory.
     sys.path.insert(0, str(tree / "benchmarks"))
+    shadowed = {k: sys.modules.pop(k) for k in list(sys.modules)
+                if k.split(".")[0] in ("dml_ope", "spans", "speed")}
     sys.modules["dml_ope"] = package
     try:
         return package, load_module(f"{name}_run", tree / "benchmarks" / "run.py")
@@ -221,6 +228,7 @@ def load_tree(tree: Path, side: str, bench: bool) -> tuple:
         sys.path[:] = saved
         for key in [k for k in sys.modules if k.split(".")[0] in ("dml_ope", "spans", "speed")]:
             del sys.modules[key]
+        sys.modules.update(shadowed)
 
 
 def scenario(ope) -> tuple:
@@ -232,11 +240,11 @@ def scenario(ope) -> tuple:
             ope.experiments.lift_policy(config.behavior_policy, k))
 
 
-def datasets(ope, sizes: dict) -> dict:
+def datasets(ope) -> dict:
     lifted, behavior = scenario(ope)
-    bench = ope.sample_dataset(lifted, behavior, sizes["bench"], np.random.default_rng(SEED))
+    bench = ope.sample_dataset(lifted, behavior, SIZES["bench"], np.random.default_rng(SEED))
     rng = np.random.default_rng(11)
-    shape = (sizes["distinct"], 4)
+    shape = (SIZES["distinct"], 4)
     labels = rng.choice(2**62, size=(2, *shape), replace=False)
     rewards = rng.standard_normal(shape)
     props = rng.uniform(0.01, 1.0, shape)
@@ -259,44 +267,42 @@ def write(ope, data, path: Path) -> Path:
     return path
 
 
-def setup_10x50k(ope, lifted, behavior, sizes: dict) -> tuple:
+def setup_10x50k(ope, lifted, behavior) -> tuple:
     rng = np.random.default_rng(SEED)
-    return [ope.sample_dataset(lifted, behavior, sizes["setup"], rng) for _ in range(10)], rng
+    return [ope.sample_dataset(lifted, behavior, SIZES["setup"], rng) for _ in range(10)], rng
 
 
-def chunk_8x1000(ope, lifted, behavior, sizes: dict) -> tuple:
+def chunk_8x1000(ope, lifted, behavior) -> tuple:
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(9).spawn(8)]
-    return ope.mdp._sample(lifted, behavior, sizes["chunk"], rngs), rngs
+    return ope.mdp._sample(lifted, behavior, SIZES["chunk"], rngs), rngs
 
 
-def cases(op: str, trees: dict, tmp: Path, smoke: bool) -> dict:
+def cases(op: str, trees: dict, tmp: Path) -> dict:
     """Per case of ``op``: a call per side that returns the output to digest, and a
     check per side of that output, or None."""
-    sizes = SIZES["smoke" if smoke else "full"]
     packages = {side: ope for side, (ope, _) in trees.items()}
     if op in WORKLOADS:
         calls, checks = {}, {}
         for side, (_, run) in trees.items():
             (tmp / side).mkdir()
-            workload = run.WORKLOADS[op](run.Seeds.derive(SEED),
-                                         run.SMOKE if smoke else run.FULL, tmp / side)
+            workload = run.WORKLOADS[op](run.Seeds.derive(SEED), run.FULL, tmp / side)
             workload.setup()
             calls[side], checks[side] = workload.op, workload.check
         return {op: (calls, checks)}
     if op == "write":
         return {name: ({side: functools.partial(write, ope, data, tmp / f"{side}.jsonl")
                         for side, ope in packages.items()}, None)
-                for name, data in datasets(packages["change"], sizes).items()}
+                for name, data in datasets(packages["change"]).items()}
     if op == "ingest":
         paths = {name: write(packages["change"], data, tmp / f"{name}.jsonl")
-                 for name, data in datasets(packages["change"], sizes).items()}
+                 for name, data in datasets(packages["change"]).items()}
         reordered = paths["bench_25k_keys_reordered"] = tmp / "bench_25k_keys_reordered.jsonl"
         reordered.write_text(keys_reordered(paths["bench_25k"].read_text()))
         return {name: ({side: functools.partial(ope.ingest_jsonl, path)
                         for side, ope in packages.items()}, None)
                 for name, path in paths.items()}
     shape = setup_10x50k if op == "sample" else chunk_8x1000
-    return {shape.__name__: ({side: functools.partial(shape, ope, *scenario(ope), sizes)
+    return {shape.__name__: ({side: functools.partial(shape, ope, *scenario(ope))
                               for side, ope in packages.items()}, None)}
 
 
@@ -350,12 +356,11 @@ def ops(args) -> int:
     bench = any(op in WORKLOADS for op in args.op)
     trees = {side: load_tree(tree.resolve(), side, bench)
              for side, tree in zip(SIDES, (args.parent, args.change))}
-    report = {"sizes": "smoke" if args.smoke else "full"}
+    report = {}
     for op in args.op:
         with tempfile.TemporaryDirectory() as tmp:
             report[op] = {name: alternate(calls, checks, args.rounds)
-                          for name, (calls, checks) in cases(op, trees, Path(tmp),
-                                                             args.smoke).items()}
+                          for name, (calls, checks) in cases(op, trees, Path(tmp)).items()}
     print(json.dumps(report, indent=1))
     bad = [op if name == op else f"{op} {name}" for op in args.op
            for name, r in report[op].items() if not r["equal"] or r["problems"]]
@@ -388,7 +393,6 @@ def main() -> int:
     o.add_argument("--op", nargs="+", required=True,
                    choices=WORKLOADS + ["write", "ingest", "sample", "chunk"])
     o.add_argument("--rounds", type=positive, default=15)
-    o.add_argument("--smoke", action="store_true")
     args = parser.parse_args()
     return pairs(args) if args.mode == "pairs" else ops(args)
 
