@@ -1,6 +1,7 @@
 """Shared builders for test MDP instances and policies."""
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -38,6 +39,16 @@ def row_set(data: LoggedDataset, policy: Policy, indices=slice(None)) -> tuple:
     the estimators gather once and pass to ``fit_nuisances`` and ``_psi_scores``,
     and, with a leading replication axis, to ``_count``."""
     return data.cells(policy, "evaluation")[indices], data.rewards[indices]
+
+
+def digest(value) -> str:
+    """The sha256 hex digest of ``value``: an array's little-endian float64 bytes,
+    anything else's JSON text with sorted keys."""
+    if isinstance(value, np.ndarray):
+        raw = value.astype("<f8").tobytes()
+    else:
+        raw = json.dumps(value, sort_keys=True).encode()
+    return hashlib.sha256(raw).hexdigest()
 
 
 def row_steps(data: LoggedDataset, i: int = 0) -> list[tuple]:

@@ -41,6 +41,7 @@ from helpers import (
     bandit_mdp,
     bandit_policies,
     bernoulli,
+    digest,
     move_pair,
     random_mdp,
     random_policy,
@@ -165,20 +166,32 @@ def test_orthogonality_suite():
           f"weight-only witness derivative = {ipw_deriv:.3f}")
 
 
+# The sha256 of each gate's estimates: the DML reports of test_ci_coverage, and
+# the bandit's DML and DR-half values by replication count.
+CI_COVERAGE_DIGEST = "7b49dfb16ad139a887a571b86c917ab26304df05feb7192caa75ce43d9d02189"
+BANDIT_DIGESTS = {
+    1000: "9a31672c3225812c4d69226f18339a4291fc45ce6b4de98f14248e0fb77b963b",
+    500: "d0ee73cf22ee4ded3381d7a3b24d1fdbd28f5ddbd664e36114e2fdc140c0b895",
+}
+
+
 def test_ci_coverage():
     reps, n = 1000, 5000
     mdp = three_state_mdp()
     behavior, evaluation = three_state_policies()
     truth = exact_policy_value(mdp, evaluation)
-    hits = 0
+    hits, reports = 0, []
     for child in np.random.SeedSequence(42).spawn(reps):
         rng = np.random.default_rng(child)
         data = sample_dataset(mdp, behavior, n, rng)
         est = dml_estimate(row_set(data, evaluation), evaluation, 0.9, rng, k_folds=2)
         hits += est.covers(truth)
+        reports.append(est.to_dict())
     coverage = hits / reps
     check("confidence interval coverage", 0.92 <= coverage <= 0.97,
           f"95% CI coverage = {coverage:.3f} over {reps} replications of N={n}")
+    # The estimates themselves, to the last bit.
+    assert digest(reports) == CI_COVERAGE_DIGEST
 
 
 def _bandit_dml_and_half_values(reps: int, n: int):
@@ -199,10 +212,11 @@ def test_bandit_variance_bound():
     mdp = bandit_mdp()
     behavior, evaluation = bandit_policies()
     bound = cb_efficiency_bound(mdp, behavior, evaluation)
-    vals, _ = _bandit_dml_and_half_values(reps, n)
+    vals, halves = _bandit_dml_and_half_values(reps, n)
     ratio = n * vals.var() / bound
     check("bandit variance bound", 0.85 <= ratio <= 1.15,
           f"N x var / bound = {ratio:.3f} over {reps} replications of N={n}")
+    assert digest(np.stack([vals, halves])) == BANDIT_DIGESTS[reps]
 
 
 def test_half_split_variance_ratio():
@@ -211,6 +225,7 @@ def test_half_split_variance_ratio():
     ratio = halves.var() / vals.var()
     check("half-split variance ratio", 1.5 <= ratio <= 2.5,
           f"var(half-split) / var(cross-fit) = {ratio:.2f} over {reps} replications")
+    assert digest(np.stack([vals, halves])) == BANDIT_DIGESTS[reps]
 
 
 def noisy_nuisance_config() -> ExperimentConfig:

@@ -38,6 +38,7 @@ from helpers import (
     bandit_mdp,
     bandit_policies,
     bernoulli,
+    digest,
     move_pair,
     noisy_lift,
     one_row,
@@ -152,6 +153,54 @@ class TestScores:
         scores = _psi_scores(*row_set(data, evaluation), eta.behavior, q, evaluation,
                              mdp.discount)
         assert hashlib.sha256(scores.astype("<f8").tobytes()).hexdigest() == expected
+
+
+class TestLiftDigests:
+    """Each public estimator's report, the cross-fitted Q tables and the exact Q
+    recursion on 3,000 rows of the 240-state lift, pinned to the last bit."""
+
+    DIGESTS = {
+        "dm": "379fe56b5d7c45359e6519a54e6d1b98aa701e99192569ccd839645e5c0d9fbf",
+        "ipw": "50c5d9d403b6eccbc40906cbc24af88d07bf3453f7ac572d2e87f60b3241e5cd",
+        "dr_full": "b9ac5a30ce4d8f0f92803d1f083c671224160e2076130efeba8d288db5e253f1",
+        "dr_half": "aa96c18a13cf1cae518da22a187c26d8a3d3c4d2d402344c7400d431d7f1dfca",
+        "dml": "e235a42dcbe68aa38293c01984c6161ed658cd3230930526887f6d74c83e4796",
+    }
+
+    @pytest.fixture(scope="class")
+    def lift(self):
+        mdp, behavior, evaluation = noisy_lift()
+        data = sample_dataset(mdp, behavior, 3000, np.random.default_rng(31))
+        return mdp, behavior, evaluation, data
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_estimate_digests(self, lift, name):
+        mdp, behavior, evaluation, data = lift
+        eta = fit_nuisance(data, evaluation, mdp.discount)
+        rows, rng = row_set(data, evaluation), np.random.default_rng(32)
+        call = {
+            "dm": lambda: dm_estimate(rows, eta, evaluation, level=0.9),
+            "ipw": lambda: ipw_estimate(rows, behavior, evaluation, mdp.discount),
+            "dr_full": lambda: dr_full_estimate(rows, eta, evaluation, mdp.discount),
+            "dr_half": lambda: dr_half_estimate(rows, evaluation, mdp.discount, rng,
+                                                known_behavior=behavior),
+            "dml": lambda: dml_estimate(rows, evaluation, mdp.discount, rng, k_folds=3),
+        }[name]
+        assert digest(call().to_dict()) == self.DIGESTS[name]
+
+    def test_cross_fit_q_digest(self, lift):
+        mdp, _, evaluation, data = lift
+        folds = make_folds(data.n, 3, np.random.default_rng(33))
+        fits = fit_nuisances([row_set(data, evaluation, f) for f in folds], evaluation,
+                             mdp.discount)
+        assert digest(np.stack([eta.q for eta in fits])) == (
+            "14c96b91e6b6e55258c1105c03687ac3c134367f06e82e1f9f3462a45f201584")
+
+    def test_q_recursion_digest(self, lift):
+        mdp, _, evaluation, _ = lift
+        q = q_recursion(mean_reward_table(mdp), move_pair(mdp.transitions), evaluation,
+                        mdp.horizon, mdp.discount)
+        assert digest(q) == "c93be74a9b844f68a48ac63b089f1f53056b54a97b9619f9f1a66505d569f4b1"
 
 
 class TestZeroBehaviorCells:
