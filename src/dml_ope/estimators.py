@@ -4,8 +4,9 @@ the contextual-bandit efficiency bound, and the numerical orthogonality check.
 The doubly robust score combines cumulative importance weights with a
 Q-function control variate; the DML estimator cross-fits its nuisances through
 ``nuisance._cross_fits`` and reports a normal-approximation confidence interval
-from the pooled score variance. Every estimator takes the row set ``(sa,
-rewards)``, the cell index and rewards; DR-half and DML gather a fold's once.
+from the pooled score variance. Every public estimator takes a ``LoggedDataset``
+and builds its row set ``(sa, rewards)``, the cell index and rewards, once; the
+private kernels take the row set, and DR-half and DML gather a fold's once.
 """
 from __future__ import annotations
 
@@ -16,9 +17,11 @@ from statistics import NormalDist
 import numpy as np
 
 from .mdp import (
+    LoggedDataset,
     Policy,
     TabularMdp,
     ValidationError,
+    check_folds,
     check_level,
     check_unit_interval,
     enumerate_dataset,
@@ -34,7 +37,6 @@ from .nuisance import (
     _cross_fits,
     _fit,
     _folds,
-    check_cells,
     check_support,
     check_table_shape,
 )
@@ -313,33 +315,33 @@ def _estimate(columns: tuple, rngs: dict, names, eval_policy: Policy, discount: 
 
 
 def dm_estimate(
-    rows: tuple,
+    data: LoggedDataset,
     eta: NuisanceEstimate,
     eval_policy: Policy,
     level: float = 0.95,
 ) -> ValueEstimate:
-    """Direct method: average the fitted initial-state value over the row set."""
-    check_cells(rows, eval_policy)
-    _check_q(eta.q, rows[0].shape[1], eval_policy)
-    return _finalize(_dm_scores(rows[0][None], eta.q[:, None], eval_policy), Estimator.DM,
+    """Direct method: average the fitted initial-state value over the dataset."""
+    sa = data.cells(eval_policy, "evaluation")
+    _check_q(eta.q, data.horizon + 1, eval_policy)
+    return _finalize(_dm_scores(sa[None], eta.q[:, None], eval_policy), Estimator.DM,
                      level)[0]
 
 
 def ipw_estimate(
-    rows: tuple,
+    data: LoggedDataset,
     behavior: Policy,
     eval_policy: Policy,
     discount: float,
     level: float = 0.95,
 ) -> ValueEstimate:
     check_unit_interval(discount, "discount")
-    check_cells(rows, eval_policy)
-    scores = _psi_scores(*rows, behavior, None, eval_policy, discount)
+    scores = _psi_scores(data.cells(eval_policy, "evaluation"), data.rewards, behavior, None,
+                         eval_policy, discount)
     return _finalize(scores[None], Estimator.IPW, level)[0]
 
 
 def dr_full_estimate(
-    rows: tuple,
+    data: LoggedDataset,
     eta: NuisanceEstimate,
     eval_policy: Policy,
     discount: float,
@@ -347,13 +349,13 @@ def dr_full_estimate(
 ) -> ValueEstimate:
     """Doubly robust score averaged over the same rows ``eta`` was fit on."""
     check_unit_interval(discount, "discount")
-    check_cells(rows, eval_policy)
-    scores = _psi_scores(*rows, eta.behavior, eta.q, eval_policy, discount)
+    scores = _psi_scores(data.cells(eval_policy, "evaluation"), data.rewards, eta.behavior,
+                         eta.q, eval_policy, discount)
     return _finalize(scores[None], Estimator.DR_FULL, level)[0]
 
 
 def dr_half_estimate(
-    rows: tuple,
+    data: LoggedDataset,
     eval_policy: Policy,
     discount: float,
     rng: np.random.Generator,
@@ -364,13 +366,14 @@ def dr_half_estimate(
     """Score fold 0 of a 2-fold split, its first (n+1)//2 rows, with nuisances
     fitted on fold 1: DML's fold-0 fit at k_folds=2."""
     check_unit_interval(discount, "discount")
-    check_cells(rows, eval_policy)
-    return _dr_half(tuple(x[None] for x in rows), [rng], eval_policy, discount,
-                    known_behavior, config, level)[0]
+    if data.n < 2:
+        raise ValidationError(f"dr_half_estimate needs 2 rows or more, got {data.n}")
+    rows = data.cells(eval_policy, "evaluation")[None], data.rewards[None]
+    return _dr_half(rows, [rng], eval_policy, discount, known_behavior, config, level)[0]
 
 
 def dml_estimate(
-    rows: tuple,
+    data: LoggedDataset,
     eval_policy: Policy,
     discount: float,
     rng: np.random.Generator,
@@ -386,11 +389,11 @@ def dml_estimate(
     per-fold double average whenever the folds are equal-sized.
     """
     check_unit_interval(discount, "discount")
-    check_cells(rows, eval_policy)
-    sa, rewards = (x[None] for x in rows)
-    folds = _folds(sa.shape[1], k_folds, [rng])
-    return _dml([part for part, in _fold_rows((sa,), folds)], rewards, folds, eval_policy,
-                discount, known_behavior, config, level)[0]
+    check_folds(k_folds, data.n, "k_folds")
+    sa = data.cells(eval_policy, "evaluation")[None]
+    folds = _folds(data.n, k_folds, [rng])
+    return _dml([part for part, in _fold_rows((sa,), folds)], data.rewards[None], folds,
+                eval_policy, discount, known_behavior, config, level)[0]
 
 
 def cb_efficiency_bound(mdp: TabularMdp, behavior: Policy, eval_policy: Policy) -> float:

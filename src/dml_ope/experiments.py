@@ -41,6 +41,7 @@ from .mdp import (
     check_at_least,
     check_finite_nonnegative,
     check_folds,
+    check_integer,
     check_keys,
     check_level,
     check_unit_interval,
@@ -289,7 +290,7 @@ def with_noise_states(mdp: TabularMdp, num_noise_states: int, seed: int = 0) -> 
     unchanged while every nuisance table has num_noise_states times as many
     rows to estimate.
     """
-    check_at_least(num_noise_states, 1, "num_noise_states")
+    check_integer(num_noise_states, "num_noise_states", 1)
     # The noise chain starts uniform; its transition rows are Dirichlet draws from ``seed``.
     rng = np.random.default_rng(seed)
     z_trans = rng.dirichlet(np.ones(num_noise_states), size=num_noise_states)
@@ -394,17 +395,18 @@ class ExperimentConfig:
     noise_seed: int = 0
 
     def __post_init__(self):
-        check_at_least(self.replications, 1, "experiment config: 'replications'")
-        check_at_least(self.k_folds, 2, "nuisance config: 'k_folds'")
+        check_integer(self.replications, "experiment config: 'replications'", 1)
+        check_integer(self.k_folds, "nuisance config: 'k_folds'", 2)
+        check_integer(self.n_trajectories, "experiment config: 'n_trajectories'")
         if self.n_trajectories < self.k_folds:
             raise ValidationError(f"experiment config: 'n_trajectories' must be >= k_folds "
                                   f"({self.k_folds}), got {self.n_trajectories}")
         if self.discount is not None:
             check_unit_interval(self.discount, "experiment config: 'discount'")
         check_level(self.level, "experiment config: 'level'")
-        check_at_least(self.noise_states, 0, "noise_states: 'count'")
-        check_at_least(self.seed, 0, "experiment config: 'seed'")
-        check_at_least(self.noise_seed, 0, "noise_states: 'seed'")
+        check_integer(self.noise_states, "noise_states: 'count'", 0)
+        check_integer(self.seed, "experiment config: 'seed'", 0)
+        check_integer(self.noise_seed, "noise_states: 'seed'", 0)
         check_estimator_names(self.estimators, "experiment config: 'estimators'")
         # Against the config's own MDP, before the noise-state lift.
         for key in ("behavior_policy", "evaluation_policy"):
@@ -656,7 +658,7 @@ def relative_rmse_se(
     estimate draw uses its estimated asymptotic variance, the actual draw uses
     the online variance (defaulting to the binary-reward value actual*(1-actual)).
     """
-    check_at_least(sims, 1, "sims")
+    check_integer(sims, "sims", 1)
     for c in cells:
         if c.ope_variance is None or c.n_ope is None:
             raise ValidationError("every cell needs ope_variance and n_ope")

@@ -52,6 +52,7 @@ def check_level(value: float, name: str) -> None:
 
 
 def check_folds(k: int, n: int, name: str) -> None:
+    check_integer(k, name)
     if not 2 <= k <= n:
         raise ValidationError(f"{name} must lie in [2, {n}] for {n} rows, got {k}")
 
@@ -59,6 +60,14 @@ def check_folds(k: int, n: int, name: str) -> None:
 def check_at_least(value: float, low: int, name: str) -> None:
     if not value >= low:
         raise ValidationError(f"{name} must be >= {low}, got {value}")
+
+
+def check_integer(value: int, name: str, low: float = -math.inf) -> None:
+    """The rule of every count, size and seed: an integer that is not a bool, at
+    least ``low``. numpy refuses a float as a size, and reads True as 1."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    check_at_least(value, low, name)
 
 
 def check_finite_nonnegative(value: float, name: str) -> None:
@@ -242,6 +251,8 @@ class TabularMdp:
     reward_probs: np.ndarray  # (S, A, W)
 
     def __post_init__(self):
+        for field in ("num_states", "num_actions", "horizon"):
+            check_integer(getattr(self, field), field)
         if self.num_states < 1 or self.num_actions < 1:
             raise ValidationError("num_states and num_actions must be positive")
         for field in ("reward_support", "reward_probs"):
@@ -424,7 +435,7 @@ def _sample(mdp: TabularMdp, policy: Policy, n: int, rngs: list) -> tuple:
     action and reward draws of a step, so a replication's draws do not depend on
     the others; the inverse-CDF searches run once over all R*n rows."""
     mdp.check_policy(policy)
-    check_at_least(n, 1, "n")
+    check_integer(n, "n", 1)
     shape = (len(rngs), n, mdp.horizon + 1)
     states = np.empty(shape, dtype=np.int64)
     actions = np.empty(shape, dtype=np.int64)

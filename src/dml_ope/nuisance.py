@@ -21,18 +21,17 @@ moves takes the mean of the next step's values, the uniform row.
 The private kernels (``_folds``, ``_count``, ``_cross_fits``, ``_fit``, ``_q_tables``)
 take R stacked row sets (R, n, T+1), one per replication, whose cell indices are
 offset by r*S*A, so a bin or move index belongs to one replication; one row set
-is R = 1. The kernels check nothing: the public functions check a caller's input.
+is R = 1. The kernels check nothing: the public functions take datasets and
+(S, A, S) tables, and check them.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (LoggedDataset, Policy, ValidationError, check_at_least,
-                  check_finite_nonnegative, check_folds, check_policy_rows,
-                  check_unit_interval)
+from .mdp import (LoggedDataset, Policy, ValidationError, check_finite_nonnegative,
+                  check_folds, check_integer, check_policy_rows, check_unit_interval)
 
 # The size rule: on the 240-state lift's 115,200 cells, sorting the moves won
 # at 12k (0.15 vs 0.39 ms) and lost to the dense table at 24k (0.37 vs 0.27 ms).
@@ -85,20 +84,21 @@ def _check_finite_q(q: np.ndarray) -> None:
 def make_folds(n_trajectories: int, k: int, rng: np.random.Generator) -> tuple:
     """Uniformly random K-fold partition of {0..N-1} as a tuple of sorted index
     arrays, sizes differing by <= 1; earlier folds get the extras."""
+    check_integer(n_trajectories, "n_trajectories")
+    check_folds(k, n_trajectories, "k")
     return tuple(fold[0] for fold in _folds(n_trajectories, k, [rng]))
 
 
 def _folds(n: int, k: int, rngs: list) -> list:
     """``make_folds`` for each generator of ``rngs``, stacked: k arrays of shape
     (R, n_k), row r the sorted indices of replication r's fold."""
-    check_folds(k, n, "k")
     perms = np.stack([rng.permutation(n) for rng in rngs])
     return [np.sort(fold, axis=1) for fold in np.array_split(perms, k, axis=1)]
 
 
 def q_recursion(
     mean_reward: np.ndarray,
-    moves: tuple,
+    transitions: np.ndarray,
     eval_policy: Policy,
     horizon: int,
     discount: float,
@@ -106,37 +106,28 @@ def q_recursion(
     """The (T+1, S, A) array of the backward recursion q_T = mu and
     q_t = mu + discount * sum_{s',a'} P(s'|s,a) pi_e(a'|s') q_{t+1}(s',a').
 
-    ``moves`` is a pair of equal-length arrays: strictly increasing flat
-    indices ``(s*A + a)*S + s'`` and their finite nonnegative transition
-    weights, counts or probabilities. P(.|s,a) is row (s, a) over its total,
-    and a row of total 0 is uniform. A dense ``(S, A, S)`` table ``P`` passes
-    as ``(np.flatnonzero(P), P.ravel()[np.flatnonzero(P)])``. ``mean_reward``
-    must be finite, ``horizon`` an integer >= 0 and ``discount`` in [0, 1]; Q
-    tables that overflow raise.
+    ``transitions`` is an (S, A, S) table of finite nonnegative weights, counts
+    or probabilities: P(.|s,a) is row (s, a) over its total, and a row of total
+    0 is uniform. ``mean_reward`` must be finite, ``horizon`` an integer >= 0
+    and ``discount`` in [0, 1]; Q tables that overflow raise.
     """
-    if not isinstance(horizon, numbers.Integral) or isinstance(horizon, bool):
-        raise ValidationError(f"horizon must be an integer, got {horizon!r}")
-    check_at_least(horizon, 0, "horizon")
-    idx, weights = np.asarray(moves[0]), np.asarray(moves[1])
+    check_integer(horizon, "horizon", 0)
     mean_reward = np.asarray(mean_reward, dtype=float)
     if mean_reward.shape != eval_policy.table.shape:
         raise ValidationError("eval policy shape does not match mean_reward")
     if not np.all(np.isfinite(mean_reward)):
         raise ValidationError("mean_reward entries must be finite")
     check_unit_interval(discount, "discount")
-    size = eval_policy.table.size * eval_policy.num_states
-    if idx.ndim != 1 or idx.shape != weights.shape:
-        raise ValidationError(f"moves must be two 1-d arrays of one length, got shapes "
-                              f"{idx.shape} and {weights.shape}")
-    if idx.dtype.kind not in "iu" or np.any(idx[1:] <= idx[:-1]):
-        raise ValidationError("move indices must be strictly increasing integers")
-    if idx.size and not (0 <= idx[0] and idx[-1] < size):
-        raise ValidationError(f"move indices must lie in [0, S*A*S) = [0, {size}), "
-                              f"got {idx[0]} to {idx[-1]}")
-    if not np.all(np.isfinite(weights) & (weights >= 0)):
-        raise ValidationError("move weights must be finite and >= 0")
+    transitions = np.asarray(transitions, dtype=float)
+    shape = eval_policy.table.shape + (eval_policy.num_states,)
+    if transitions.shape != shape:
+        raise ValidationError(f"transitions must have shape (S, A, S) = {shape}, "
+                              f"got {transitions.shape}")
+    if not np.all(np.isfinite(transitions) & (transitions >= 0)):
+        raise ValidationError("transition weights must be finite and >= 0")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-        q = _q_tables(mean_reward[None], (idx, weights), eval_policy, horizon, discount)[:, 0]
+        q = _q_tables(mean_reward[None], _nonzero(transitions.ravel()), eval_policy, horizon,
+                      discount)[:, 0]
     _check_finite_q(q)
     return q
 
@@ -176,31 +167,6 @@ def check_support(behavior: np.ndarray, eval_policy: Policy) -> None:
             f"behavior policy assigns zero probability to action {a} in state {s} "
             "while the evaluation policy does not"
         )
-
-
-def check_cells(rows: tuple, eval_policy: Policy) -> None:
-    """Raise unless the row set ``rows`` is a cell index ``sa``, a nonempty 2-d
-    signed integer array (n, T+1), and rewards of its shape, and every cell id
-    lies in [0, S*A) of ``eval_policy``'s table: a negative id would read from
-    its end."""
-    sa, rewards = rows
-    if not (isinstance(sa, np.ndarray) and sa.dtype.kind == "i" and sa.ndim == 2
-            and min(sa.shape) > 0):
-        raise ValidationError(f"a row set's cell index must be a nonempty 2-d signed integer "
-                              f"array (n, T+1), got {_form(sa)}")
-    if not (isinstance(rewards, np.ndarray) and rewards.shape == sa.shape):
-        raise ValidationError(f"a row set's rewards must be an array of its cell index's shape "
-                              f"{sa.shape}, got {_form(rewards)}")
-    size = eval_policy.table.size
-    if not 0 <= sa.min() <= sa.max() < size:
-        bad = sa.min() if sa.min() < 0 else sa.max()
-        raise ValidationError(f"cell id {bad} is outside the evaluation policy table of "
-                              f"{size} cells")
-
-
-def _form(x) -> str:
-    """What a caller passed as an array, for a message."""
-    return f"shape {x.shape} of {x.dtype}" if isinstance(x, np.ndarray) else f"a {type(x).__name__}"
 
 
 def check_table_shape(shape: tuple, eval_policy: Policy, name: str) -> None:
@@ -330,16 +296,15 @@ def fit_nuisances(
     known_behavior: Policy | None = None,
     config: NuisanceConfig = NuisanceConfig(),
 ) -> list[NuisanceEstimate]:
-    """For each of ``parts``, at least two row sets ``(sa, rewards)`` of one
-    horizon, their cell indices and rewards (n_k, T+1), the fit on the other parts."""
+    """For each of ``parts``, two or more datasets of one horizon, the fit on
+    the other parts."""
     check_unit_interval(discount, "discount")
     if len(parts) < 2:
         raise ValidationError(f"fit_nuisances needs two or more parts, got {len(parts)}")
-    for part in parts:
-        check_cells(part, eval_policy)
-    horizons = sorted({sa.shape[1] - 1 for sa, _ in parts})
+    horizons = sorted({part.horizon for part in parts})
     if len(horizons) > 1:
         raise ValidationError(f"the parts must share one horizon, got horizons {horizons}")
-    stacked = [tuple(x[None] for x in part) for part in parts]
+    stacked = [(part.cells(eval_policy, "evaluation")[None], part.rewards[None])
+               for part in parts]
     return [_estimate_record(*fit) for fit in _cross_fits(stacked, eval_policy, discount,
                                                           known_behavior, config)]

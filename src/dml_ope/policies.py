@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import Policy, ValidationError, check_at_least, check_unit_interval
+from .mdp import Policy, ValidationError, check_integer, check_unit_interval
 
 
 def epsilon_greedy_policy(scores: np.ndarray, epsilon: float) -> Policy:
@@ -62,7 +62,7 @@ def thompson_gaussian_policy(
         raise ValidationError("means and variances must be matching (S, A) tables")
     if np.any(variances < 0):
         raise ValidationError("variances must be nonnegative")
-    check_at_least(draws, 1, "draws")
+    check_integer(draws, "draws", 1)
     num_states, num_actions = means.shape
     table = np.empty((num_states, num_actions))
     std = np.sqrt(variances)

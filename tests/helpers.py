@@ -33,14 +33,6 @@ def select(data: LoggedDataset, indices) -> LoggedDataset:
                          rewards=data.rewards[indices])
 
 
-def row_set(data: LoggedDataset, policy: Policy, indices=slice(None)) -> tuple:
-    """The row set ``(sa, rewards)`` of ``data``'s rows at ``indices`` (all rows by
-    default) under ``policy``'s table: the cell index and rewards of one fold that
-    the estimators gather once and pass to ``fit_nuisances`` and ``_psi_scores``,
-    and, with a leading replication axis, to ``_count``."""
-    return data.cells(policy, "evaluation")[indices], data.rewards[indices]
-
-
 def digest(value) -> str:
     """The sha256 hex digest of ``value``: an array's little-endian float64 bytes,
     anything else's JSON text with sorted keys."""
@@ -100,18 +92,11 @@ def random_policy(rng: np.random.Generator, num_states: int, num_actions: int) -
     return Policy(table=table / table.sum(axis=1, keepdims=True))
 
 
-def move_pair(table) -> tuple:
-    """The move pair of a dense ``(S, A, S)`` weight table: its nonzero flat
-    indices and their weights."""
-    idx = np.flatnonzero(table)
-    return idx, np.ravel(table)[idx]
-
-
 def true_nuisance(mdp: TabularMdp, behavior: Policy, evaluation: Policy) -> NuisanceEstimate:
     """``behavior`` with the true Q tables of ``evaluation``, from the MDP's
     transition probabilities."""
-    q = q_recursion(mean_reward_table(mdp), move_pair(mdp.transitions), evaluation,
-                    mdp.horizon, mdp.discount)
+    q = q_recursion(mean_reward_table(mdp), mdp.transitions, evaluation, mdp.horizon,
+                    mdp.discount)
     return NuisanceEstimate(behavior, q)
 
 

@@ -16,7 +16,6 @@ from dml_ope import (
     CampaignBatchCell,
     ExperimentConfig,
     NuisanceConfig,
-    NuisanceEstimate,
     Policy,
     TabularMdp,
     cb_efficiency_bound,
@@ -26,10 +25,8 @@ from dml_ope import (
     exact_policy_value,
     expected_psi,
     mdp_to_dict,
-    mean_reward_table,
     orthogonality_derivative,
     policy_to_dict,
-    q_recursion,
     relative_rmse,
     relative_rmse_se,
     run_mse_experiment,
@@ -42,24 +39,17 @@ from helpers import (
     bandit_policies,
     bernoulli,
     digest,
-    move_pair,
     random_mdp,
     random_policy,
-    row_set,
     three_state_mdp,
     three_state_policies,
+    true_nuisance,
 )
 
 
 def check(label: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
     assert ok, f"{label}: {detail}"
-
-
-def true_nuisance(mdp, behavior, evaluation):
-    q = q_recursion(mean_reward_table(mdp), move_pair(mdp.transitions), evaluation,
-                    mdp.horizon, mdp.discount)
-    return NuisanceEstimate(behavior, q)
 
 
 def random_instance(rng):
@@ -184,7 +174,7 @@ def test_ci_coverage():
     for child in np.random.SeedSequence(42).spawn(reps):
         rng = np.random.default_rng(child)
         data = sample_dataset(mdp, behavior, n, rng)
-        est = dml_estimate(row_set(data, evaluation), evaluation, 0.9, rng, k_folds=2)
+        est = dml_estimate(data, evaluation, 0.9, rng, k_folds=2)
         hits += est.covers(truth)
         reports.append(est.to_dict())
     coverage = hits / reps
@@ -201,9 +191,8 @@ def _bandit_dml_and_half_values(reps: int, n: int):
     for child in np.random.SeedSequence(7).spawn(reps):
         rng = np.random.default_rng(child)
         data = sample_dataset(mdp, behavior, n, rng)
-        dml_vals.append(dml_estimate(row_set(data, evaluation), evaluation, 1.0, rng,
-                                     k_folds=2).value)
-        half_vals.append(dr_half_estimate(row_set(data, evaluation), evaluation, 1.0, rng).value)
+        dml_vals.append(dml_estimate(data, evaluation, 1.0, rng, k_folds=2).value)
+        half_vals.append(dr_half_estimate(data, evaluation, 1.0, rng).value)
     return np.array(dml_vals), np.array(half_vals)
 
 

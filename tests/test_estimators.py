@@ -39,17 +39,22 @@ from helpers import (
     bandit_policies,
     bernoulli,
     digest,
-    move_pair,
     noisy_lift,
     one_row,
     random_mdp,
     random_policy,
-    row_set,
     select,
     three_state_mdp,
     three_state_policies,
     true_nuisance,
 )
+
+
+def psi(data, behavior, q, evaluation, discount):
+    """``_psi_scores`` of every row of ``data``, whose cell index reads
+    ``evaluation``'s table."""
+    return _psi_scores(data.cells(evaluation, "evaluation"), data.rewards, behavior, q,
+                       evaluation, discount)
 
 
 def zero_q_nuisance(behavior, horizon):
@@ -66,7 +71,7 @@ class TestImportanceWeights:
         rows = LoggedDataset(states=np.repeat(row.states, steps, axis=0),
                              actions=np.repeat(row.actions, steps, axis=0),
                              rewards=np.eye(steps))
-        return _psi_scores(*row_set(rows, evaluation), behavior, None, evaluation, 1.0)[None]
+        return psi(rows, behavior, None, evaluation, 1.0)[None]
 
     def test_identity_weights(self):
         row = one_row(states=[0, 1], actions=[0, 1], rewards=[0.0, 0.0])
@@ -104,21 +109,20 @@ class TestScores:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 200, np.random.default_rng(1))
         eta = zero_q_nuisance(behavior, mdp.horizon)
-        rows = row_set(data, evaluation)
-        assert np.array_equal(_psi_scores(*rows, behavior, eta.q, evaluation, 0.9),
-                              _psi_scores(*rows, behavior, None, evaluation, 0.9))
+        assert np.array_equal(psi(data, behavior, eta.q, evaluation, 0.9),
+                              psi(data, behavior, None, evaluation, 0.9))
 
     def test_hand_evaluated_bandit_score(self):
         # rho_0 = 0.9 / 0.45 = 2, R = 1, q(taken) = 0.5, sum_a pi_e q = 0.6
         row = one_row(states=[0], actions=[0], rewards=[1.0])
         eta = NuisanceEstimate(Policy(table=[[0.45, 0.55]]), [[[0.5, 1.5]]])
         evaluation = Policy(table=[[0.9, 0.1]])
-        score = _psi_scores(*row_set(row, evaluation), eta.behavior, eta.q, evaluation, 1.0)
+        score = psi(row, eta.behavior, eta.q, evaluation, 1.0)
         assert score[0] == pytest.approx(1.6, abs=1e-12)
         # The one-step Q table cannot score a two-step row.
         two_steps = one_row(states=[0, 0], actions=[0, 0], rewards=[1.0, 1.0])
         with pytest.raises(ValidationError, match="q table does not span the dataset horizon"):
-            _psi_scores(*row_set(two_steps, evaluation), eta.behavior, eta.q, evaluation, 1.0)
+            psi(two_steps, eta.behavior, eta.q, evaluation, 1.0)
 
     def test_ipw_identity_policy_gives_return(self):
         mdp = three_state_mdp()
@@ -126,9 +130,8 @@ class TestScores:
         data = sample_dataset(mdp, behavior, 20, np.random.default_rng(5))
         disc = 0.9 ** np.arange(3)
         for i in range(20):
-            rows = row_set(data, behavior, [i])
             expected = float((data.rewards[i] * disc).sum())
-            assert _psi_scores(*rows, behavior, None, behavior, 0.9)[0] == pytest.approx(
+            assert psi(select(data, [i]), behavior, None, behavior, 0.9)[0] == pytest.approx(
                 expected, abs=1e-12
             )
 
@@ -136,7 +139,7 @@ class TestScores:
         row = one_row(states=[0, 0], actions=[1, 1], rewards=[1.0, 1.0])
         behavior = Policy(table=[[0.5, 0.5]])
         evaluation = Policy(table=[[0.0, 1.0]])
-        score = _psi_scores(*row_set(row, evaluation), behavior, None, evaluation, 1.0)
+        score = psi(row, behavior, None, evaluation, 1.0)
         assert score[0] == pytest.approx(6.0, abs=1e-12)
 
     @pytest.mark.parametrize("control, expected", [
@@ -150,7 +153,7 @@ class TestScores:
         data = sample_dataset(mdp, behavior, 2000, np.random.default_rng(5))
         eta = fit_nuisance(data, evaluation, mdp.discount)
         q = eta.q if control == "dr" else None
-        scores = _psi_scores(*row_set(data, evaluation), eta.behavior, q, evaluation,
+        scores = psi(data, eta.behavior, q, evaluation,
                              mdp.discount)
         assert hashlib.sha256(scores.astype("<f8").tobytes()).hexdigest() == expected
 
@@ -177,29 +180,28 @@ class TestLiftDigests:
     def test_estimate_digests(self, lift, name):
         mdp, behavior, evaluation, data = lift
         eta = fit_nuisance(data, evaluation, mdp.discount)
-        rows, rng = row_set(data, evaluation), np.random.default_rng(32)
+        rng = np.random.default_rng(32)
         call = {
-            "dm": lambda: dm_estimate(rows, eta, evaluation, level=0.9),
-            "ipw": lambda: ipw_estimate(rows, behavior, evaluation, mdp.discount),
-            "dr_full": lambda: dr_full_estimate(rows, eta, evaluation, mdp.discount),
-            "dr_half": lambda: dr_half_estimate(rows, evaluation, mdp.discount, rng,
+            "dm": lambda: dm_estimate(data, eta, evaluation, level=0.9),
+            "ipw": lambda: ipw_estimate(data, behavior, evaluation, mdp.discount),
+            "dr_full": lambda: dr_full_estimate(data, eta, evaluation, mdp.discount),
+            "dr_half": lambda: dr_half_estimate(data, evaluation, mdp.discount, rng,
                                                 known_behavior=behavior),
-            "dml": lambda: dml_estimate(rows, evaluation, mdp.discount, rng, k_folds=3),
+            "dml": lambda: dml_estimate(data, evaluation, mdp.discount, rng, k_folds=3),
         }[name]
         assert digest(call().to_dict()) == self.DIGESTS[name]
 
     def test_cross_fit_q_digest(self, lift):
         mdp, _, evaluation, data = lift
         folds = make_folds(data.n, 3, np.random.default_rng(33))
-        fits = fit_nuisances([row_set(data, evaluation, f) for f in folds], evaluation,
-                             mdp.discount)
+        fits = fit_nuisances([select(data, f) for f in folds], evaluation, mdp.discount)
         assert digest(np.stack([eta.q for eta in fits])) == (
             "14c96b91e6b6e55258c1105c03687ac3c134367f06e82e1f9f3462a45f201584")
 
     def test_q_recursion_digest(self, lift):
         mdp, _, evaluation, _ = lift
-        q = q_recursion(mean_reward_table(mdp), move_pair(mdp.transitions), evaluation,
-                        mdp.horizon, mdp.discount)
+        q = q_recursion(mean_reward_table(mdp), mdp.transitions, evaluation, mdp.horizon,
+                        mdp.discount)
         assert digest(q) == "c93be74a9b844f68a48ac63b089f1f53056b54a97b9619f9f1a66505d569f4b1"
 
 
@@ -213,16 +215,15 @@ class TestZeroBehaviorCells:
     def test_unvisited_zero_cell_scores(self):
         data = LoggedDataset(states=[[0, 1], [1, 0]], actions=[[0, 1], [1, 0]],
                              rewards=[[1.0, 2.0], [0.5, -1.0]])
-        rows = row_set(data, self.evaluation)
         # rho = [0.5, 0.75] and [1.5, 0.75]; with Q = 1, v = 1 at every step.
-        ipw = _psi_scores(*rows, self.behavior, None, self.evaluation, 1.0)
+        ipw = psi(data, self.behavior, None, self.evaluation, 1.0)
         assert ipw.tolist() == [2.0, 0.0]
         eta = NuisanceEstimate(self.behavior, np.ones((2, 2, 2)))
-        dr = _psi_scores(*rows, eta.behavior, eta.q, self.evaluation, 1.0)
+        dr = psi(data, eta.behavior, eta.q, self.evaluation, 1.0)
         assert dr.tolist() == [2.25, 0.25]
         # Neither estimator checks the evaluation policy's support.
-        assert ipw_estimate(rows, self.behavior, self.evaluation, 1.0).value == 1.0
-        assert dr_full_estimate(rows, eta, self.evaluation, 1.0).value == 1.25
+        assert ipw_estimate(data, self.behavior, self.evaluation, 1.0).value == 1.0
+        assert dr_full_estimate(data, eta, self.evaluation, 1.0).value == 1.25
 
     @pytest.mark.parametrize("horizon, step", [(0, 0), (2, 0), (2, 1), (2, 2)])
     def test_realized_zero_cell_raises(self, horizon, step):
@@ -231,26 +232,24 @@ class TestZeroBehaviorCells:
         data = LoggedDataset(states=[[1] * (horizon + 1), states],
                              actions=[[1] * (horizon + 1), actions],
                              rewards=np.ones((2, horizon + 1)))
-        rows = row_set(data, self.evaluation)
         eta = NuisanceEstimate(self.behavior, np.ones((horizon + 1, 2, 2)))
         for q in (None, eta.q):
             with pytest.raises(SupportViolationError, match=self.message):
-                _psi_scores(*rows, self.behavior, q, self.evaluation, 0.9)
+                psi(data, self.behavior, q, self.evaluation, 0.9)
         with pytest.raises(SupportViolationError, match=self.message):
-            ipw_estimate(rows, self.behavior, self.evaluation, 0.9)
+            ipw_estimate(data, self.behavior, self.evaluation, 0.9)
         with pytest.raises(SupportViolationError, match=self.message):
-            dr_full_estimate(rows, eta, self.evaluation, 0.9)
+            dr_full_estimate(data, eta, self.evaluation, 0.9)
 
     def test_raise_order(self):
         # The behavior shape is checked first, then the realized zero, then Q.
         data = one_row(states=[0, 1], actions=[1, 0], rewards=[0.0, 1.0])
-        rows = row_set(data, self.evaluation)
         with pytest.raises(ValidationError, match="behavior policy table has shape"):
-            _psi_scores(*rows, Policy(table=[[1.0, 0.0]]), None, self.evaluation, 0.9)
+            psi(data, Policy(table=[[1.0, 0.0]]), None, self.evaluation, 0.9)
         with pytest.raises(SupportViolationError, match=self.message):
-            _psi_scores(*rows, self.behavior, np.ones((3, 2, 2)), self.evaluation, 0.9)
+            psi(data, self.behavior, np.ones((3, 2, 2)), self.evaluation, 0.9)
         with pytest.raises(ValidationError, match="q table does not span"):
-            _psi_scores(*rows, self.evaluation, np.ones((3, 2, 2)), self.evaluation, 0.9)
+            psi(data, self.evaluation, np.ones((3, 2, 2)), self.evaluation, 0.9)
 
 
 class TestPointEstimators:
@@ -260,7 +259,7 @@ class TestPointEstimators:
         data = sample_dataset(mdp, behavior, 50, np.random.default_rng(2))
         eta = zero_q_nuisance(behavior, mdp.horizon)
         eta = dataclasses.replace(eta, q=np.full_like(eta.q, 4.2))
-        est = dm_estimate(row_set(data, evaluation), eta, evaluation)
+        est = dm_estimate(data, eta, evaluation)
         assert est.value == pytest.approx(4.2, abs=1e-12)
         assert est.variance == pytest.approx(0.0, abs=1e-12)
 
@@ -271,9 +270,8 @@ class TestPointEstimators:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 5, np.random.default_rng(2))
         eta = NuisanceEstimate(behavior, np.ones((steps, 3, 2)))
-        rows = row_set(data, evaluation)
-        for call in (lambda: dm_estimate(rows, eta, evaluation),
-                     lambda: dr_full_estimate(rows, eta, evaluation, 0.9)):
+        for call in (lambda: dm_estimate(data, eta, evaluation),
+                     lambda: dr_full_estimate(data, eta, evaluation, 0.9)):
             with pytest.raises(ValidationError,
                                match="^q table does not span the dataset horizon$"):
                 call()
@@ -293,21 +291,21 @@ class TestPointEstimators:
             actions=np.zeros((4, 1), dtype=int),
             rewards=np.zeros((4, 1)),
         )
-        est = dm_estimate(row_set(data, evaluation), eta, evaluation)
+        est = dm_estimate(data, eta, evaluation)
         assert est.value == pytest.approx(exact_policy_value(mdp, evaluation), abs=1e-10)
 
     def test_ipw_matches_mean_return_on_policy(self):
         mdp = three_state_mdp()
         behavior, _ = three_state_policies()
         data = sample_dataset(mdp, behavior, 400, np.random.default_rng(3))
-        est = ipw_estimate(row_set(data, behavior), behavior, behavior, 0.9)
+        est = ipw_estimate(data, behavior, behavior, 0.9)
         disc = 0.9 ** np.arange(3)
         assert est.value == pytest.approx(float((data.rewards * disc).sum(1).mean()), abs=1e-12)
 
     def test_identical_trajectories_zero_variance(self):
         data = LoggedDataset(states=[[0]] * 5, actions=[[0]] * 5, rewards=[[1.0]] * 5)
         behavior = Policy(table=[[0.5, 0.5]])
-        est = ipw_estimate(row_set(data, behavior), behavior, behavior, 1.0)
+        est = ipw_estimate(data, behavior, behavior, 1.0)
         assert est.variance == 0.0
         assert est.ci_low == est.ci_high == est.value
 
@@ -323,7 +321,7 @@ class TestPointEstimators:
         behavior, evaluation = Policy(table=[[0.5, 0.5]]), Policy(table=[[0.75, 0.25]])
         with pytest.raises(ValidationError,
                            match=f"^ipw scores are not finite: their mean is {mean}$"):
-            ipw_estimate(row_set(data, evaluation), behavior, evaluation, 1.0)
+            ipw_estimate(data, behavior, evaluation, 1.0)
 
     @pytest.mark.parametrize("entry", ["ipw_estimate", "evaluate_dataset"])
     @pytest.mark.parametrize("cause", ["rewards", "propensity"])
@@ -339,7 +337,7 @@ class TestPointEstimators:
             behavior, evaluation = Policy(table=[[5e-324, 1.0]]), Policy(table=[[0.5, 0.5]])
             data = LoggedDataset(states=[[0]] * 3, actions=[[0], [1], [1]], rewards=[[1.0]] * 3)
         call = {
-            "ipw_estimate": lambda: ipw_estimate(row_set(data, evaluation), behavior,
+            "ipw_estimate": lambda: ipw_estimate(data, behavior,
                                                  evaluation, 0.9),
             "evaluate_dataset": lambda: evaluate_dataset(data, evaluation, 0.9, ("ipw",),
                                                          np.random.default_rng(0),
@@ -356,7 +354,7 @@ class TestPointEstimators:
         policy = Policy(table=[[0.5, 0.5]])
         with pytest.raises(ValidationError,
                            match="^ipw scores are not finite: their variance is inf$"):
-            ipw_estimate(row_set(data, policy), policy, policy, 1.0)
+            ipw_estimate(data, policy, policy, 1.0)
 
 
     @pytest.mark.parametrize("level", [0.0, 1.0, float("nan")])
@@ -366,13 +364,13 @@ class TestPointEstimators:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 20, np.random.default_rng(4))
         eta = fit_nuisance(data, evaluation, 0.9)
-        rows, rng = row_set(data, evaluation), np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         call = {
-            "dm": lambda: dm_estimate(rows, eta, evaluation, level=level),
-            "ipw": lambda: ipw_estimate(rows, behavior, evaluation, 0.9, level=level),
-            "dr_full": lambda: dr_full_estimate(rows, eta, evaluation, 0.9, level=level),
-            "dr_half": lambda: dr_half_estimate(rows, evaluation, 0.9, rng, level=level),
-            "dml": lambda: dml_estimate(rows, evaluation, 0.9, rng, level=level),
+            "dm": lambda: dm_estimate(data, eta, evaluation, level=level),
+            "ipw": lambda: ipw_estimate(data, behavior, evaluation, 0.9, level=level),
+            "dr_full": lambda: dr_full_estimate(data, eta, evaluation, 0.9, level=level),
+            "dr_half": lambda: dr_half_estimate(data, evaluation, 0.9, rng, level=level),
+            "dml": lambda: dml_estimate(data, evaluation, 0.9, rng, level=level),
         }[name]
         with pytest.raises(ValidationError, match=r"level must lie in \(0, 1\)"):
             call()
@@ -397,17 +395,16 @@ class TestDiscountRule:
             mdp=s.mdp, behavior_policy=s.behavior, evaluation_policy=s.evaluation,
             n_trajectories=200, replications=1, discount=d),
         "TabularMdp": lambda s, d: dataclasses.replace(s.mdp, discount=d),
-        "dml_estimate": lambda s, d: dml_estimate(s.rows, s.evaluation, d, s.rng),
-        "dr_full_estimate": lambda s, d: dr_full_estimate(s.rows, s.eta, s.evaluation, d),
-        "dr_half_estimate": lambda s, d: dr_half_estimate(s.rows, s.evaluation, d, s.rng),
+        "dml_estimate": lambda s, d: dml_estimate(s.data, s.evaluation, d, s.rng),
+        "dr_full_estimate": lambda s, d: dr_full_estimate(s.data, s.eta, s.evaluation, d),
+        "dr_half_estimate": lambda s, d: dr_half_estimate(s.data, s.evaluation, d, s.rng),
         "evaluate_dataset": lambda s, d: evaluate_dataset(s.data, s.evaluation, d, ("dml",),
                                                           s.rng),
         "fit_nuisance": lambda s, d: fit_nuisance(s.data, s.evaluation, d),
-        "fit_nuisances": lambda s, d: fit_nuisances([s.rows, s.rows], s.evaluation, d),
-        "ipw_estimate": lambda s, d: ipw_estimate(s.rows, s.behavior, s.evaluation, d),
-        "q_recursion": lambda s, d: q_recursion(mean_reward_table(s.mdp),
-                                                move_pair(s.mdp.transitions), s.evaluation,
-                                                s.mdp.horizon, d),
+        "fit_nuisances": lambda s, d: fit_nuisances([s.data, s.data], s.evaluation, d),
+        "ipw_estimate": lambda s, d: ipw_estimate(s.data, s.behavior, s.evaluation, d),
+        "q_recursion": lambda s, d: q_recursion(mean_reward_table(s.mdp), s.mdp.transitions,
+                                                s.evaluation, s.mdp.horizon, d),
     }
 
     @pytest.fixture(scope="class")
@@ -416,9 +413,9 @@ class TestDiscountRule:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 200, np.random.default_rng(4))
         return dataclasses.make_dataclass("Scenario", ["mdp", "behavior", "evaluation", "data",
-                                                       "rows", "eta", "rng"])(
-            mdp, behavior, evaluation, data, row_set(data, evaluation),
-            fit_nuisance(data, evaluation, 0.9), np.random.default_rng(0))
+                                                       "eta", "rng"])(
+            mdp, behavior, evaluation, data, fit_nuisance(data, evaluation, 0.9),
+            np.random.default_rng(0))
 
     def test_every_discounted_callable_has_a_call(self):
         assert set(DISCOUNTED) == set(self.CALLS)
@@ -433,68 +430,54 @@ class TestDiscountRule:
 
 
 class TestCellIndexChecks:
-    """A public row-set function rejects a row set that is not a nonempty 2-d
-    signed integer cell index with rewards of its shape, and a cell id outside
-    [0, S*A), which numpy would read from the table's end (-1) or past it."""
+    """A public estimator or fit reads the ids of the dataset it is given: one
+    outside the evaluation policy table, which numpy would read from the table's
+    end (-1) or past it, is rejected, and ids of another type give the result of
+    their int64 values."""
 
     CALLS = {
-        "fit_nuisances": lambda rows, eta, ev, rng: fit_nuisances([rows, rows], ev, 0.9),
-        "dm": lambda rows, eta, ev, rng: dm_estimate(rows, eta, ev),
-        "ipw": lambda rows, eta, ev, rng: ipw_estimate(rows, eta.behavior, ev, 0.9),
-        "dr_full": lambda rows, eta, ev, rng: dr_full_estimate(rows, eta, ev, 0.9),
-        "dr_half": lambda rows, eta, ev, rng: dr_half_estimate(rows, ev, 0.9, rng),
-        "dml": lambda rows, eta, ev, rng: dml_estimate(rows, ev, 0.9, rng),
+        "fit_nuisances": lambda data, eta, ev, rng: fit_nuisances([data, data], ev, 0.9),
+        "dm": lambda data, eta, ev, rng: dm_estimate(data, eta, ev),
+        "ipw": lambda data, eta, ev, rng: ipw_estimate(data, eta.behavior, ev, 0.9),
+        "dr_full": lambda data, eta, ev, rng: dr_full_estimate(data, eta, ev, 0.9),
+        "dr_half": lambda data, eta, ev, rng: dr_half_estimate(data, ev, 0.9, rng),
+        "dml": lambda data, eta, ev, rng: dml_estimate(data, ev, 0.9, rng),
     }
 
-    @pytest.mark.parametrize("bad", [-1, 6], ids=["minus_one", "table_size"])
+    @pytest.mark.parametrize("field, bad, message", [
+        ("actions", -1, "'a' id -1 is outside the evaluation policy table of 2 actions"),
+        ("states", 3, "'s' id 3 is outside the evaluation policy table of 3 states"),
+    ], ids=["minus_one", "table_size"])
     @pytest.mark.parametrize("name", list(CALLS))
-    def test_cell_id_outside_the_table_rejected(self, name, bad):
+    def test_cell_id_outside_the_table_rejected(self, name, field, bad, message):
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 20, np.random.default_rng(4))
         eta = fit_nuisance(data, evaluation, 0.9)
-        sa, rewards = row_set(data, evaluation)
-        sa[7, 1] = bad
-        with pytest.raises(ValidationError, match=f"cell id {bad} is outside the evaluation "
-                                                  f"policy table of 6 cells"):
-            self.CALLS[name]((sa, rewards), eta, evaluation, np.random.default_rng(0))
+        columns = {f: getattr(data, f).copy() for f in ("states", "actions", "rewards")}
+        columns[field][7, 1] = bad
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            self.CALLS[name](LoggedDataset(**columns), eta, evaluation, np.random.default_rng(0))
 
-    @staticmethod
-    def call_on(name, reshape):
-        """Call ``name`` on the 20-row row set as ``reshape(sa, rewards)`` returns it."""
+    @pytest.mark.parametrize("convert", [lambda x: x.astype(float), lambda x: x.astype(np.uint64),
+                                         lambda x: x.tolist()],
+                             ids=["whole_floats", "unsigned", "lists"])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_ids_of_another_type_give_the_same_result(self, name, convert):
+        # A cell index of these types was rejected as a row set; a dataset reads
+        # them as the int64 ids they are.
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 20, np.random.default_rng(4))
         eta = fit_nuisance(data, evaluation, 0.9)
-        rows = reshape(*row_set(data, evaluation))
-        TestCellIndexChecks.CALLS[name](rows, eta, evaluation, np.random.default_rng(0))
+        same = LoggedDataset(states=convert(data.states), actions=convert(data.actions),
+                             rewards=data.rewards.tolist())
 
-    @pytest.mark.parametrize("reshape, got", [
-        (lambda sa, r: (sa[:, 0], r[:, 0]), r"shape \(20,\) of int64"),
-        (lambda sa, r: (sa[None], r[None]), r"shape \(1, 20, 3\) of int64"),
-        (lambda sa, r: (sa.astype(float), r), r"shape \(20, 3\) of float64"),
-        (lambda sa, r: (sa.astype(np.uint64), r), r"shape \(20, 3\) of uint64"),
-        (lambda sa, r: (sa.tolist(), r), "a list"),
-        (lambda sa, r: (sa[:0], r[:0]), r"shape \(0, 3\) of int64"),
-        (lambda sa, r: (sa[:, :0], r[:, :0]), r"shape \(20, 0\) of int64"),
-    ], ids=["1-d", "3-d", "float", "unsigned", "list", "no_rows", "no_steps"])
-    @pytest.mark.parametrize("name", list(CALLS))
-    def test_malformed_cell_index_rejected(self, name, reshape, got):
-        with pytest.raises(ValidationError, match=f"a row set's cell index must be a nonempty "
-                                                  f"2-d signed integer array \\(n, T\\+1\\), "
-                                                  f"got {got}$"):
-            self.call_on(name, reshape)
+        def result(ds):
+            got = self.CALLS[name](ds, eta, evaluation, np.random.default_rng(0))
+            return [e.q.tobytes() for e in got] if isinstance(got, list) else got.to_dict()
 
-    @pytest.mark.parametrize("reshape, got", [
-        (lambda sa, r: (sa, r[:, :2]), r"shape \(20, 2\) of float64"),
-        (lambda sa, r: (sa, r[:5]), r"shape \(5, 3\) of float64"),
-        (lambda sa, r: (sa, r.tolist()), "a list"),
-    ], ids=["fewer_steps", "fewer_rows", "list"])
-    @pytest.mark.parametrize("name", list(CALLS))
-    def test_rewards_of_another_shape_rejected(self, name, reshape, got):
-        with pytest.raises(ValidationError, match=f"a row set's rewards must be an array of its "
-                                                  f"cell index's shape \\(20, 3\\), got {got}$"):
-            self.call_on(name, reshape)
+        assert result(same) == result(data)
 
 
 class TestDrVariants:
@@ -504,9 +487,8 @@ class TestDrVariants:
         data = sample_dataset(mdp, behavior, 100, np.random.default_rng(4))
         fitted_behavior = fit_nuisance(data, evaluation, 0.9).behavior
         eta = zero_q_nuisance(fitted_behavior, mdp.horizon)
-        rows = row_set(data, evaluation)
-        dr = dr_full_estimate(rows, eta, evaluation, 0.9)
-        ipw = ipw_estimate(rows, fitted_behavior, evaluation, 0.9)
+        dr = dr_full_estimate(data, eta, evaluation, 0.9)
+        ipw = ipw_estimate(data, fitted_behavior, evaluation, 0.9)
         assert dr.value == pytest.approx(ipw.value, abs=1e-12)
         assert dr.variance == pytest.approx(ipw.variance, abs=1e-12)
 
@@ -514,8 +496,11 @@ class TestDrVariants:
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 2, np.random.default_rng(7))
-        est = dr_half_estimate(row_set(data, evaluation), evaluation, 0.9, np.random.default_rng(1))
+        est = dr_half_estimate(data, evaluation, 0.9, np.random.default_rng(1))
         assert est.n == 1
+        with pytest.raises(ValidationError,
+                           match=r"^dr_half_estimate needs 2 rows or more, got 1$"):
+            dr_half_estimate(select(data, [0]), evaluation, 0.9, np.random.default_rng(1))
 
     @pytest.mark.parametrize("n", [10, 11])
     def test_dr_half_scores_first_half(self, n):
@@ -523,13 +508,12 @@ class TestDrVariants:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, n, np.random.default_rng(8))
         rng_seed = 42
-        est = dr_half_estimate(row_set(data, evaluation), evaluation, 0.9,
+        est = dr_half_estimate(data, evaluation, 0.9,
                                np.random.default_rng(rng_seed))
         perm = np.random.default_rng(rng_seed).permutation(n)
         idx = np.sort(perm[:(n + 1) // 2])
         eta = fit_nuisance(select(data, np.sort(perm[(n + 1) // 2:])), evaluation, 0.9)
-        expected = _psi_scores(*row_set(data, evaluation, idx), eta.behavior, eta.q,
-                               evaluation, 0.9).mean()
+        expected = psi(select(data, idx), eta.behavior, eta.q, evaluation, 0.9).mean()
         assert est.value == pytest.approx(float(expected), abs=1e-12)
         assert est.n == (n + 1) // 2
 
@@ -540,13 +524,12 @@ class TestDrVariants:
         data = LoggedDataset(sampled.states, sampled.actions,
                              np.random.default_rng(11).uniform(size=sampled.rewards.shape))
         folds = make_folds(data.n, 2, np.random.default_rng(5))
-        parts = [row_set(data, evaluation, f) for f in folds]
+        parts = [select(data, f) for f in folds]
         scores = np.empty(data.n)
         for fold, part, eta in zip(folds, parts, fit_nuisances(parts, evaluation, 0.9)):
-            scores[fold] = _psi_scores(*part, eta.behavior, eta.q, evaluation, 0.9)
-        rows = row_set(data, evaluation)
-        dml = dml_estimate(rows, evaluation, 0.9, np.random.default_rng(5))
-        half = dr_half_estimate(rows, evaluation, 0.9, np.random.default_rng(5))
+            scores[fold] = psi(part, eta.behavior, eta.q, evaluation, 0.9)
+        dml = dml_estimate(data, evaluation, 0.9, np.random.default_rng(5))
+        half = dr_half_estimate(data, evaluation, 0.9, np.random.default_rng(5))
         assert dml.value == scores.mean()
         assert half.value == scores[folds[0]].mean()
         assert half.n == folds[0].size == 16
@@ -572,15 +555,15 @@ class TestTableReads:
                              actions=[[0, 1, 0], [1, 0, action]], rewards=np.ones((2, 3)))
         eta = true_nuisance(mdp, behavior, evaluation)
         calls = {
-            "ipw": lambda rows: ipw_estimate(rows, behavior, evaluation, 0.9),
-            "dr_full": lambda rows: dr_full_estimate(rows, eta, evaluation, 0.9),
-            "dm": lambda rows: dm_estimate(rows, eta, evaluation),
-            "dml": lambda rows: dml_estimate(rows, evaluation, 0.9, np.random.default_rng(0)),
+            "ipw": lambda: ipw_estimate(data, behavior, evaluation, 0.9),
+            "dr_full": lambda: dr_full_estimate(data, eta, evaluation, 0.9),
+            "dm": lambda: dm_estimate(data, eta, evaluation),
+            "dml": lambda: dml_estimate(data, evaluation, 0.9, np.random.default_rng(0)),
         }
         with pytest.raises(ValidationError, match=f"^{re.escape(match)}$"):
             evaluate_dataset(data, evaluation, 0.9, (name,), np.random.default_rng(0))
         with pytest.raises(ValidationError, match=f"^{re.escape(match)}$"):
-            calls[name](row_set(data, evaluation))
+            calls[name]()
 
     @pytest.mark.parametrize("behavior_table, q_shape, match", [
         ([[0.2, 0.3, 0.5]] * 3, None,
@@ -602,7 +585,7 @@ class TestTableReads:
         q = (true_nuisance(mdp, behavior, evaluation).q if q_shape is None
              else np.zeros(q_shape))
         with pytest.raises(ValidationError, match=f"^{re.escape(match)}$"):
-            _psi_scores(*row_set(data, evaluation), behavior, q, evaluation, 0.9)
+            psi(data, behavior, q, evaluation, 0.9)
 
     @pytest.mark.parametrize("rows", [4, 1])
     def test_fit_known_behavior_shape_must_match_the_evaluation_policy(self, rows):
@@ -615,7 +598,7 @@ class TestTableReads:
         with pytest.raises(ValidationError, match=re.escape(match)):
             fit_nuisance(data, evaluation, 0.9, known_behavior=known)
         with pytest.raises(ValidationError, match=re.escape(match)):
-            dml_estimate(row_set(data, evaluation), evaluation, 0.9, np.random.default_rng(0),
+            dml_estimate(data, evaluation, 0.9, np.random.default_rng(0),
                          known_behavior=known)
 
 
@@ -626,8 +609,8 @@ class TestDml:
         data = sample_dataset(mdp, behavior, 100, np.random.default_rng(9))
         # DML with one injected nuisance for every fold is DR-full on that nuisance.
         eta = true_nuisance(mdp, behavior, behavior)
-        est = dr_full_estimate(row_set(data, behavior), eta, behavior, 0.9)
-        scores = _psi_scores(*row_set(data, behavior), eta.behavior, eta.q, behavior, 0.9)
+        est = dr_full_estimate(data, eta, behavior, 0.9)
+        scores = psi(data, eta.behavior, eta.q, behavior, 0.9)
         assert est.value == pytest.approx(float(scores.mean()), abs=1e-10)
         assert est.variance == pytest.approx(float(((scores - scores.mean()) ** 2).mean()),
                                              abs=1e-10)
@@ -636,24 +619,26 @@ class TestDml:
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 80, np.random.default_rng(10))
-        rows = row_set(data, evaluation)
-        a = dml_estimate(rows, evaluation, 0.9, np.random.default_rng(5), k_folds=4)
-        b = dml_estimate(rows, evaluation, 0.9, np.random.default_rng(5), k_folds=4)
+        a = dml_estimate(data, evaluation, 0.9, np.random.default_rng(5), k_folds=4)
+        b = dml_estimate(data, evaluation, 0.9, np.random.default_rng(5), k_folds=4)
         assert a == b
 
-    def test_k_larger_than_n_rejected(self):
+    @pytest.mark.parametrize("k_folds, message", [
+        (4, "k_folds must lie in [2, 3] for 3 rows, got 4"),
+        (2.5, "k_folds must be an integer, got 2.5"),
+    ], ids=["above_rows", "fractional"])
+    def test_bad_k_folds_named(self, k_folds, message):
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 3, np.random.default_rng(11))
-        with pytest.raises(ValidationError):
-            dml_estimate(row_set(data, evaluation), evaluation, 0.9, np.random.default_rng(0),
-                         k_folds=4)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            dml_estimate(data, evaluation, 0.9, np.random.default_rng(0), k_folds=k_folds)
 
     def test_ci_half_width_formula(self):
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 100, np.random.default_rng(12))
-        est = dml_estimate(row_set(data, evaluation), evaluation, 0.9, np.random.default_rng(3),
+        est = dml_estimate(data, evaluation, 0.9, np.random.default_rng(3),
                            level=0.9)
         from statistics import NormalDist
 
@@ -692,14 +677,14 @@ class TestFoldRows:
     def test_cross_fits_build_no_dataset(self, monkeypatch, name):
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
-        rows = row_set(sample_dataset(mdp, behavior, 40, np.random.default_rng(3)), evaluation)
+        data = sample_dataset(mdp, behavior, 40, np.random.default_rng(3))
         built = []
         post_init = LoggedDataset.__post_init__
         monkeypatch.setattr(LoggedDataset, "__post_init__",
                             lambda self: built.append(1) or post_init(self))
-        call = {"dml": lambda: dml_estimate(rows, evaluation, 0.9, np.random.default_rng(4),
+        call = {"dml": lambda: dml_estimate(data, evaluation, 0.9, np.random.default_rng(4),
                                             k_folds=5),
-                "dr_half": lambda: dr_half_estimate(rows, evaluation, 0.9,
+                "dr_half": lambda: dr_half_estimate(data, evaluation, 0.9,
                                                     np.random.default_rng(4))}[name]
         assert call().n > 0
         assert built == []
@@ -712,7 +697,7 @@ class TestFoldRows:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 30, np.random.default_rng(6))
         q = true_nuisance(mdp, behavior, evaluation).q if control == "dr" else None
-        sa, rewards = row_set(data, evaluation, np.arange(0, 30, 2))
+        sa, rewards = data.cells(evaluation, "evaluation")[::2], data.rewards[::2]
         kept = sa.copy()
         first = _psi_scores(sa, rewards, behavior, q, evaluation, 0.9)
         assert np.array_equal(sa, kept)
@@ -772,12 +757,11 @@ class TestStackedScores:
         mdp = random_mdp(rng, 4, 3, horizon)
         behavior, evaluation = random_policy(rng, 4, 3), random_policy(rng, 4, 3)
         data = sample_dataset(mdp, behavior, 500, np.random.default_rng(1))
-        rows = row_set(data, evaluation)
         eta = fit_nuisance(data, evaluation, 0.9, known_behavior=behavior if known else None)
-        sa = rows[0][None]
-        ipw, dr = _walk(sa, rows[1][None], _ratios(eta.behavior.table, evaluation, sa),
+        sa = data.cells(evaluation, "evaluation")[None]
+        ipw, dr = _walk(sa, data.rewards[None], _ratios(eta.behavior.table, evaluation, sa),
                         [None, _control(eta.q[:, None], evaluation)], 0.9)
-        separate = [_psi_scores(*rows, eta.behavior, q, evaluation, 0.9) for q in (None, eta.q)]
+        separate = [psi(data, eta.behavior, q, evaluation, 0.9) for q in (None, eta.q)]
         assert [ipw[0].tobytes(), dr[0].tobytes()] == [s.tobytes() for s in separate]
 
     @pytest.mark.parametrize("known", [False, True], ids=["fitted", "known"])
@@ -795,9 +779,8 @@ class TestStackedScores:
         assert len(calls) == 1
         assert list(results) == ["dr_full", "ipw"]
         eta = fit_nuisance(data, evaluation, 0.9, known_behavior=behavior if known else None)
-        rows = row_set(data, evaluation)
-        assert results["ipw"] == ipw_estimate(rows, eta.behavior, evaluation, 0.9)
-        assert results["dr_full"] == dr_full_estimate(rows, eta, evaluation, 0.9)
+        assert results["ipw"] == ipw_estimate(data, eta.behavior, evaluation, 0.9)
+        assert results["dr_full"] == dr_full_estimate(data, eta, evaluation, 0.9)
 
     @pytest.mark.parametrize("n", [1, 7, 1000, 5000])
     def test_finalize_rows_as_alone(self, n):

@@ -43,8 +43,8 @@ from dml_ope import (
 )
 from dml_ope import estimators, experiments, nuisance
 
-from helpers import (NOISY_CONFIG, noisy_lift, random_mdp, random_policy, row_set,
-                     three_state_mdp, three_state_policies)
+from helpers import (NOISY_CONFIG, noisy_lift, random_mdp, random_policy, three_state_mdp,
+                     three_state_policies)
 
 
 def small_config(**overrides):
@@ -676,8 +676,7 @@ class TestEvaluateDataset:
         data = sample_dataset(mdp, behavior, 60, np.random.default_rng(3))
         results = evaluate_dataset(data, evaluation, 0.9, ("dm", "dr_full"),
                                    np.random.default_rng(4))
-        fresh = dr_full_estimate(row_set(data, evaluation), fit_nuisance(data, evaluation, 0.9),
-                                 evaluation, 0.9)
+        fresh = dr_full_estimate(data, fit_nuisance(data, evaluation, 0.9), evaluation, 0.9)
         assert results["dr_full"].to_dict() == fresh.to_dict()
 
     @pytest.mark.parametrize("states, actions, behavior, match", [
@@ -742,9 +741,11 @@ class TestEvaluateDataset:
         (("ipw",), {"k_folds": 1}, r"k_folds must lie in \[2, 50\] for 50 rows, got 1"),
         (("dm", "ipw", "dr_full"), {"k_folds": 500},
          r"k_folds must lie in \[2, 50\] for 50 rows, got 500"),
+        (("dml",), {"k_folds": 2.5}, r"^k_folds must be an integer, got 2\.5$"),
         (("dml",), {"level": float("nan")}, r"level must lie in \(0, 1\), got nan"),
         (("dr_full", "dr_half"), {"level": 1.0}, r"level must lie in \(0, 1\), got 1.0"),
-    ], ids=["one_fold_ipw", "folds_above_rows", "level_nan_dml", "level_1"])
+    ], ids=["one_fold_ipw", "folds_above_rows", "fractional_folds", "level_nan_dml",
+            "level_1"])
     def test_folds_and_level_checked_before_any_fit(self, names, changes, match, monkeypatch):
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
@@ -903,8 +904,17 @@ class TestMseExperiment:
         ({"seed": -1}, "experiment config: 'seed' must be >= 0, got -1"),
         ({"noise_seed": -1}, "noise_states: 'seed' must be >= 0, got -1"),
         ({"noise_states": -1}, "noise_states: 'count' must be >= 0, got -1"),
+        # Each ran before: k_folds=2.5 as 2 folds, the others to numpy's TypeError.
+        ({"k_folds": 2.5}, "nuisance config: 'k_folds' must be an integer, got 2.5"),
+        ({"replications": True}, "experiment config: 'replications' must be an integer, "
+                                 "got True"),
+        ({"n_trajectories": 10.5}, "experiment config: 'n_trajectories' must be an integer, "
+                                   "got 10.5"),
+        ({"noise_states": 1.5}, "noise_states: 'count' must be an integer, got 1.5"),
+        ({"seed": 1.5}, "experiment config: 'seed' must be an integer, got 1.5"),
     ], ids=["discount", "level", "k_folds", "replications", "seed", "noise_seed",
-            "noise_count"])
+            "noise_count", "k_folds_fractional", "replications_bool",
+            "n_trajectories_fractional", "noise_count_fractional", "seed_fractional"])
     def test_direct_config_rejects_bad_parameters(self, changes, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             small_config(**changes)

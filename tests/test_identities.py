@@ -18,7 +18,7 @@ from dml_ope import (
 )
 from dml_ope.estimators import _psi_scores
 
-from helpers import bernoulli, random_mdp, random_policy, row_set, three_state_mdp, true_nuisance
+from helpers import bernoulli, random_mdp, random_policy, three_state_mdp, true_nuisance
 
 
 def random_instance(rng, horizon=None):
@@ -163,8 +163,8 @@ class TestBanditSpecialization:
         mdp, behavior, evaluation = random_instance(rng, horizon=0)
         eta = true_nuisance(mdp, behavior, evaluation)
         data, _ = enumerate_dataset(mdp, behavior)
-        scores = _psi_scores(*row_set(data, evaluation), behavior, eta.q, evaluation,
-                             mdp.discount)
+        scores = _psi_scores(data.cells(evaluation, "evaluation"), data.rewards, behavior,
+                             eta.q, evaluation, mdp.discount)
         mu = eta.mean_reward
         s0, a0 = data.states[:, 0], data.actions[:, 0]
         weight = evaluation.table[s0, a0] / behavior.table[s0, a0]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -17,11 +18,14 @@ from dml_ope import (
     mdp_from_dict,
     mdp_to_dict,
     mean_reward_table,
+    relative_rmse_se,
     reward_variance_table,
     sample_dataset,
+    thompson_gaussian_policy,
+    with_noise_states,
 )
-from dml_ope.mdp import (check_at_least, check_finite_nonnegative, check_folds, check_level,
-                         check_unit_interval, sized_by)
+from dml_ope.mdp import (check_at_least, check_finite_nonnegative, check_folds, check_integer,
+                         check_level, check_unit_interval, sized_by)
 
 from helpers import (
     bernoulli,
@@ -219,6 +223,11 @@ class TestRunParameterRules:
         (check_level, (float("nan"), "--level"), "--level must lie in (0, 1), got nan"),
         (check_folds, (1, 5, "k"), "k must lie in [2, 5] for 5 rows, got 1"),
         (check_folds, (6, 5, "k"), "k must lie in [2, 5] for 5 rows, got 6"),
+        (check_folds, (2.5, 5, "k"), "k must be an integer, got 2.5"),
+        (check_folds, (True, 5, "k"), "k must be an integer, got True"),
+        (check_integer, (2.0, "n"), "n must be an integer, got 2.0"),
+        (check_integer, (False, "n"), "n must be an integer, got False"),
+        (check_integer, (0, "n", 1), "n must be >= 1, got 0"),
         (check_at_least, (-1, 0, "'seed'"), "'seed' must be >= 0, got -1"),
         (check_at_least, (float("nan"), 0, "x"), "x must be >= 0, got nan"),
         (check_finite_nonnegative, (-1.0, "--alpha"), "--alpha must be finite and >= 0, got -1.0"),
@@ -233,6 +242,7 @@ class TestRunParameterRules:
         (check_unit_interval, (0.0, "x")), (check_unit_interval, (1.0, "x")),
         (check_level, (0.5, "x")), (check_folds, (2, 2, "x")), (check_folds, (5, 5, "x")),
         (check_at_least, (0, 0, "x")), (check_finite_nonnegative, (0.0, "x")),
+        (check_integer, (np.int64(3), "x", 3)), (check_integer, (-5, "x")),
     ])
     def test_edges_pass(self, check, args):
         check(*args)
@@ -246,6 +256,31 @@ class TestRunParameterRules:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             with sized_by(10**15, "--n"):
                 raise error
+
+    # Each ran before: True as 1, a fractional size to numpy's TypeError, and
+    # num_states=3.0 as 3.
+    @pytest.mark.parametrize("call, message", [
+        (lambda: dataclasses.replace(three_state_mdp(), horizon=True),
+         "horizon must be an integer, got True"),
+        (lambda: dataclasses.replace(three_state_mdp(), horizon=1.5),
+         "horizon must be an integer, got 1.5"),
+        (lambda: dataclasses.replace(three_state_mdp(), num_states=3.0),
+         "num_states must be an integer, got 3.0"),
+        (lambda: dataclasses.replace(three_state_mdp(), num_actions=2.0),
+         "num_actions must be an integer, got 2.0"),
+        (lambda: sample_dataset(three_state_mdp(), Policy(table=[[0.5, 0.5]] * 3), True,
+                                np.random.default_rng(0)), "n must be an integer, got True"),
+        (lambda: with_noise_states(three_state_mdp(), 1.5),
+         "num_noise_states must be an integer, got 1.5"),
+        (lambda: relative_rmse_se([], np.random.default_rng(0), sims=2.5),
+         "sims must be an integer, got 2.5"),
+        (lambda: thompson_gaussian_policy([[0.0]], [[1.0]], np.random.default_rng(0), draws=2.5),
+         "draws must be an integer, got 2.5"),
+    ], ids=["horizon_bool", "horizon_fractional", "num_states_float", "num_actions_float",
+            "sample_n_bool", "noise_states_fractional", "sims_fractional", "draws_fractional"])
+    def test_library_sizes_must_be_integers(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_validation_error_in_a_sized_block_passes_unchanged(self):
         with pytest.raises(ValidationError, match="^x must be >= 1, got 0$"):

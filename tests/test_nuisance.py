@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -24,14 +25,17 @@ from dml_ope import nuisance
 from dml_ope.estimators import _cells
 from dml_ope.nuisance import NuisanceConfig, _count, _fit, _merge
 
-from helpers import (move_pair, noisy_lift, random_mdp, random_policy, row_set, select,
-                     three_state_mdp, three_state_policies)
+from helpers import (noisy_lift, random_mdp, random_policy, select, three_state_mdp,
+                     three_state_policies)
 
 
-def stacked_row_set(data, policy, indices=slice(None)):
-    """``row_set`` as one replication of stacked rows (1, n, T+1), as ``_count``
-    takes them."""
-    return tuple(x[None] for x in row_set(data, policy, indices))
+def stacked(datasets, policy):
+    """The stacked row set of ``datasets``, one replication each: the cell index
+    (R, n, T+1) under ``policy``'s table, offset by r*S*A, and the rewards, as
+    ``_count`` takes them."""
+    columns = [np.stack([getattr(d, f) for d in datasets])
+               for f in ("states", "actions", "rewards")]
+    return _cells(columns[0], columns[1], policy), columns[2]
 
 
 def single_state_dataset(actions, rewards=None):
@@ -95,7 +99,7 @@ def counted_transitions(data, num_states, num_actions):
 def fitted_transitions(data, num_states, num_actions):
     """The transition table of the move pair a fit of ``data`` counts."""
     policy = action_zero(num_states, num_actions)
-    idx, counts = _count(*stacked_row_set(data, policy), policy)[1]
+    idx, counts = _count(*stacked([data], policy), policy)[1]
     moves = np.zeros(num_states * num_actions * num_states)
     moves[idx] = counts
     return transition_table(moves.reshape(num_states, num_actions, num_states))[0]
@@ -114,10 +118,10 @@ def complement_moves(data, folds, eval_policy):
     """For each fold, the move pair ``fit_nuisances`` merges from the other
     folds' pairs, and the pair counted on the complement's rows."""
     size = eval_policy.table.size * eval_policy.table.shape[0]
-    pairs = [_count(*stacked_row_set(data, eval_policy, f), eval_policy)[1] for f in folds]
+    pairs = [_count(*stacked([select(data, f)], eval_policy), eval_policy)[1] for f in folds]
     return [(_merge(tuple(pairs[:k] + pairs[k + 1:]), size),
-             _count(*stacked_row_set(data, eval_policy,
-                                     np.concatenate(folds[:k] + folds[k + 1:])), eval_policy)[1])
+             _count(*stacked([select(data, np.concatenate(folds[:k] + folds[k + 1:]))],
+                             eval_policy), eval_policy)[1])
             for k in range(len(folds))]
 
 
@@ -137,11 +141,16 @@ class TestFolds:
         b = make_folds(20, 4, np.random.default_rng(7))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValidationError):
-            make_folds(3, 1, np.random.default_rng(0))
-        with pytest.raises(ValidationError):
-            make_folds(3, 4, np.random.default_rng(0))
+    @pytest.mark.parametrize("n, k, message", [
+        (3, 1, "k must lie in [2, 3] for 3 rows, got 1"),
+        (3, 4, "k must lie in [2, 3] for 3 rows, got 4"),
+        (5, 2.5, "k must be an integer, got 2.5"),
+        (5.0, 2, "n_trajectories must be an integer, got 5.0"),
+    ], ids=["one", "above_rows", "fractional", "float_rows"])
+    def test_rejects_bad_k(self, n, k, message):
+        # A fractional k would split into floor(k) folds.
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make_folds(n, k, np.random.default_rng(0))
 
 
 class TestBehaviorEstimate:
@@ -220,36 +229,32 @@ class TestQRecursion:
     def test_horizon_zero_is_mean_reward(self):
         mdp = three_state_mdp()
         mu = mean_reward_table(mdp)
-        q = q_recursion(mu, move_pair(mdp.transitions), three_state_policies()[1], 0, 0.9)
+        q = q_recursion(mu, mdp.transitions, three_state_policies()[1], 0, 0.9)
         assert np.allclose(q[0], mu, atol=1e-12)
         with pytest.raises(ValidationError, match="eval policy shape does not match mean_reward"):
-            q_recursion(mu, move_pair(mdp.transitions), Policy(table=[[0.5, 0.5]]), 0, 0.9)
+            q_recursion(mu, mdp.transitions, Policy(table=[[0.5, 0.5]]), 0, 0.9)
 
-    @pytest.mark.parametrize("moves, message", [
-        # A pair of a larger table: the dense shape mismatch of a transition table.
-        (move_pair(np.ones((4, 2, 4))), r"lie in \[0, S\*A\*S\) = \[0, 18\), got 0 to 31"),
-        (([0, 1], [1.0]), r"two 1-d arrays of one length, got shapes \(2,\) and \(1,\)"),
-        ((np.zeros((1, 2), dtype=int), np.ones((1, 2))), "two 1-d arrays"),
-        (([2, 1], [1.0, 1.0]), "strictly increasing integers"),
-        (([1, 1], [1.0, 1.0]), "strictly increasing integers"),
-        (([0.0, 1.0], [1.0, 1.0]), "strictly increasing integers"),
-        (([-1, 3], [1.0, 1.0]), r"\[0, 18\), got -1 to 3"),
-        (([3, 18], [1.0, 1.0]), r"\[0, 18\), got 3 to 18"),
-        (([0, 1], [1.0, -0.5]), "finite and >= 0"),
-        (([0, 1], [np.nan, 1.0]), "finite and >= 0"),
-        (([0, 1], [1.0, np.inf]), "finite and >= 0"),
-    ], ids=["larger-table", "lengths", "2-d", "decreasing", "repeated", "float-index",
-            "negative-index", "index-past-end", "negative-weight", "nan-weight", "inf-weight"])
-    def test_malformed_move_pair_named(self, moves, message):
+    @pytest.mark.parametrize("shape, bad, message", [
+        ((4, 2, 4), None, r"^transitions must have shape \(S, A, S\) = \(3, 2, 3\), "
+                          r"got \(4, 2, 4\)$"),
+        ((3, 2), None, r"got \(3, 2\)$"),
+        ((3, 2, 3), -0.5, "^transition weights must be finite and >= 0$"),
+        ((3, 2, 3), np.nan, "^transition weights must be finite and >= 0$"),
+        ((3, 2, 3), np.inf, "^transition weights must be finite and >= 0$"),
+    ], ids=["larger-table", "2-d", "negative-weight", "nan-weight", "inf-weight"])
+    def test_malformed_transitions_named(self, shape, bad, message):
         mu = mean_reward_table(three_state_mdp())
+        transitions = np.ones(shape)
+        if bad is not None:
+            transitions[0, 1, 2] = bad
         with pytest.raises(ValidationError, match=message):
-            q_recursion(mu, moves, three_state_policies()[1], 2, 0.9)
+            q_recursion(mu, transitions, three_state_policies()[1], 2, 0.9)
 
     @pytest.mark.parametrize("shape", [(3,), (1, 3, 2), (2, 3)], ids=["1-d", "3-d", "transposed"])
     def test_mean_reward_of_another_shape_named(self, shape):
         mdp = three_state_mdp()
         with pytest.raises(ValidationError, match="eval policy shape does not match mean_reward"):
-            q_recursion(np.zeros(shape), move_pair(mdp.transitions), three_state_policies()[1],
+            q_recursion(np.zeros(shape), mdp.transitions, three_state_policies()[1],
                         2, 0.9)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
@@ -258,14 +263,14 @@ class TestQRecursion:
         mu = mean_reward_table(mdp)
         mu[1, 0] = bad
         with pytest.raises(ValidationError, match="mean_reward entries must be finite"):
-            q_recursion(mu, move_pair(mdp.transitions), three_state_policies()[1], 2, 0.9)
+            q_recursion(mu, mdp.transitions, three_state_policies()[1], 2, 0.9)
 
     def test_overflowing_q_tables_named(self):
         # Finite entries of 1e308 overflow at q_1 = mu + 0.9 * E[v_2]; the recursion
         # raises the fit's message rather than numpy's overflow warning.
         mdp = three_state_mdp()
         with pytest.raises(ValidationError, match="q table entries must be finite"):
-            q_recursion(np.full((3, 2), 1e308), move_pair(mdp.transitions),
+            q_recursion(np.full((3, 2), 1e308), mdp.transitions,
                         three_state_policies()[1], 2, 0.9)
 
     @pytest.mark.parametrize("horizon, message", [
@@ -276,28 +281,32 @@ class TestQRecursion:
     def test_malformed_horizon_named(self, horizon, message):
         mdp = three_state_mdp()
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            q_recursion(mean_reward_table(mdp), move_pair(mdp.transitions),
+            q_recursion(mean_reward_table(mdp), mdp.transitions,
                         three_state_policies()[1], horizon, 0.9)
 
     def test_numpy_integer_horizon_accepted(self):
         mdp = three_state_mdp()
-        args = mean_reward_table(mdp), move_pair(mdp.transitions), three_state_policies()[1]
+        args = mean_reward_table(mdp), mdp.transitions, three_state_policies()[1]
         np.testing.assert_array_equal(q_recursion(*args, np.int64(2), 0.9),
                                       q_recursion(*args, 2, 0.9))
 
-    def test_moves_of_zero_weight_change_nothing(self):
+    def test_weights_are_row_proportions(self):
+        # Weights count as their share of their (s, a) row, so a zero weight is
+        # no move and a row of zeros is uniform: the dense recursion with the
+        # rows over their totals.
         mdp = three_state_mdp()
         mu = mean_reward_table(mdp)
-        idx, weights = move_pair(mdp.transitions)
         policy = three_state_policies()[1]
-        np.testing.assert_array_equal(
-            q_recursion(mu, (idx, np.where(idx % 2 == 0, weights, 0.0)), policy, 2, 0.9),
-            q_recursion(mu, (idx[idx % 2 == 0], weights[idx % 2 == 0]), policy, 2, 0.9))
+        weights = np.where(np.arange(18).reshape(3, 2, 3) % 2 == 0, 5.0 * mdp.transitions, 0.0)
+        weights[1, 0] = 0.0
+        np.testing.assert_allclose(
+            q_recursion(mu, weights, policy, 2, 0.9),
+            dense_q(mu, transition_table(weights)[0], policy, 2, 0.9), rtol=0, atol=1e-12)
 
     def test_zero_discount_collapses(self):
         mdp = three_state_mdp()
         mu = mean_reward_table(mdp)
-        q = q_recursion(mu, move_pair(mdp.transitions), three_state_policies()[1], 2, 0.0)
+        q = q_recursion(mu, mdp.transitions, three_state_policies()[1], 2, 0.0)
         for t in range(3):
             assert np.allclose(q[t], mu, atol=1e-12)
 
@@ -307,7 +316,7 @@ class TestQRecursion:
         rng = np.random.default_rng(5)
         mdp = random_mdp(rng, 2, 2, 1)
         policy = random_policy(rng, 2, 2)
-        q = q_recursion(mean_reward_table(mdp), move_pair(mdp.transitions), policy,
+        q = q_recursion(mean_reward_table(mdp), mdp.transitions, policy,
                         mdp.horizon, mdp.discount)
         data, probs = enumerate_dataset(mdp, policy)
         disc = mdp.discount ** np.arange(mdp.horizon + 1)
@@ -322,8 +331,8 @@ class TestQRecursion:
         mdp = three_state_mdp()
         policy = three_state_policies()[1]
         mu = mean_reward_table(mdp)
-        q1 = q_recursion(mu, move_pair(mdp.transitions), policy, 2, 0.9)
-        q3 = q_recursion(3.0 * mu, move_pair(mdp.transitions), policy, 2, 0.9)
+        q1 = q_recursion(mu, mdp.transitions, policy, 2, 0.9)
+        q3 = q_recursion(3.0 * mu, mdp.transitions, policy, 2, 0.9)
         assert np.allclose(3.0 * q1, q3, atol=1e-12)
 
 
@@ -364,7 +373,7 @@ class TestSparseRecursion:
         mdp, _, evaluation = noisy_lift()
         mu = mean_reward_table(mdp)
         np.testing.assert_allclose(
-            q_recursion(mu, move_pair(mdp.transitions), evaluation, mdp.horizon, 0.9),
+            q_recursion(mu, mdp.transitions, evaluation, mdp.horizon, 0.9),
             dense_q(mu, mdp.transitions, evaluation, mdp.horizon, 0.9), rtol=0, atol=1e-12)
 
 
@@ -373,19 +382,20 @@ class TestFitNuisances:
     def test_fewer_than_two_parts_rejected(self, count):
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
-        rows = row_set(sample_dataset(mdp, behavior, 10, np.random.default_rng(2)), evaluation)
+        data = sample_dataset(mdp, behavior, 10, np.random.default_rng(2))
         with pytest.raises(ValidationError,
                            match=f"fit_nuisances needs two or more parts, got {count}"):
-            fit_nuisances([rows] * count, evaluation, 0.9)
+            fit_nuisances([data] * count, evaluation, 0.9)
 
     def test_parts_of_different_horizons_rejected(self):
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
-        sa, rewards = row_set(sample_dataset(mdp, behavior, 10, np.random.default_rng(2)),
-                              evaluation)
+        data = sample_dataset(mdp, behavior, 10, np.random.default_rng(2))
+        shorter = LoggedDataset(states=data.states[:, :2], actions=data.actions[:, :2],
+                                rewards=data.rewards[:, :2])
         with pytest.raises(ValidationError,
                            match=r"the parts must share one horizon, got horizons \[1, 2\]"):
-            fit_nuisances([(sa, rewards), (sa[:, :2], rewards[:, :2])], evaluation, 0.9)
+            fit_nuisances([data, shorter], evaluation, 0.9)
 
     def test_overflowing_rewards_named(self):
         # Rewards of 1e308 overflow the reward total and the Q tables; the fits
@@ -395,9 +405,9 @@ class TestFitNuisances:
                              rewards=np.full((4, 3), 1e308))
         with pytest.raises(ValidationError, match="^q table entries must be finite$"):
             fit_nuisance(data, evaluation, 0.9)
-        sa, rewards = row_set(data, evaluation)
         with pytest.raises(ValidationError, match="^q table entries must be finite$"):
-            fit_nuisances([(sa[:2], rewards[:2]), (sa[2:], rewards[2:])], evaluation, 0.9)
+            fit_nuisances([select(data, slice(0, 2)), select(data, slice(2, 4))], evaluation,
+                          0.9)
 
     def test_known_behavior_passthrough(self):
         mdp = three_state_mdp()
@@ -478,7 +488,7 @@ class TestCountTables:
         evaluation = random_policy(np.random.default_rng(1), 5, 2)
         behavior = random_policy(np.random.default_rng(2), 5, 2) if known else None
         folds = make_folds(data.n, 2, np.random.default_rng(3))
-        fits = fit_nuisances([row_set(data, evaluation, f) for f in folds], evaluation, 0.9,
+        fits = fit_nuisances([select(data, f) for f in folds], evaluation, 0.9,
                              known_behavior=behavior)
         reference = fit_per_fold(data, folds, evaluation, 0.9, known_behavior=behavior)
         for fit, ref in zip(fits, reference, strict=True):
@@ -494,7 +504,7 @@ class TestCountTables:
         data = uneven_dataset(200, seed=4)
         evaluation = random_policy(np.random.default_rng(5), 5, 2)
         folds = make_folds(data.n, k, np.random.default_rng(6))
-        fits = fit_nuisances([row_set(data, evaluation, f) for f in folds], evaluation, 0.9)
+        fits = fit_nuisances([select(data, f) for f in folds], evaluation, 0.9)
         reference = fit_per_fold(data, folds, evaluation, 0.9)
         assert len(fits) == k
         for fit, ref in zip(fits, reference, strict=True):
@@ -509,7 +519,7 @@ class TestCountTables:
         eta = fit_nuisance(data, evaluation, 0.9)
         assert np.array_equal(eta.mean_reward[4], np.full(2, data.rewards.mean()))
         # State 4's cells have no moves, so they take mean(v_{t+1}): uniform rows.
-        moves = _count(*stacked_row_set(data, evaluation), evaluation)[1][0]
+        moves = _count(*stacked([data], evaluation), evaluation)[1][0]
         assert not np.any(moves // 10 == 4)
         for t in range(data.horizon):
             v_next = (evaluation.table * eta.q[t + 1]).sum(axis=1)
@@ -563,7 +573,7 @@ class TestMovePairs:
         for part in parts:
             for divisor in ROUTES.values():
                 with mock.patch.object(nuisance, "SORT_DIVISOR", divisor):
-                    pair = _count(*stacked_row_set(part, policy), policy)[1]
+                    pair = _count(*stacked([part], policy), policy)[1]
                 assert_pairs_equal(pair, dense_pair([part], num_states, num_actions))
 
     @settings(deadline=None)
@@ -571,7 +581,7 @@ class TestMovePairs:
     def test_merge_is_the_dense_sum(self, drawn):
         num_states, num_actions, parts = drawn
         policy = action_zero(num_states, num_actions)
-        pairs = tuple(_count(*stacked_row_set(p, policy), policy)[1] for p in parts)
+        pairs = tuple(_count(*stacked([p], policy), policy)[1] for p in parts)
         merged = _merge(pairs, num_states * num_actions * num_states)
         assert_pairs_equal(merged, dense_pair(parts, num_states, num_actions))
 
@@ -583,18 +593,18 @@ class TestMovePairs:
         num_states, num_actions, parts = drawn
         policy = action_zero(num_states, num_actions)
         size = num_states * num_actions * num_states
-        pairs = [_count(*stacked_row_set(p, policy), policy)[1] for p in parts]
+        pairs = [_count(*stacked([p], policy), policy)[1] for p in parts]
         m = len(parts)
 
         def stack(blocks):
             return tuple(np.concatenate(column) for column in zip(*blocks))
 
-        stacked = tuple(stack([(pairs[(k + r) % m][0] + r * size, pairs[(k + r) % m][1])
+        shifted = tuple(stack([(pairs[(k + r) % m][0] + r * size, pairs[(k + r) % m][1])
                                for r in range(m)]) for k in range(m - 1))
         own = [dense_pair([parts[(k + r) % m] for k in range(m - 1)], num_states, num_actions)
                for r in range(m)]
         want = stack([(idx + r * size, counts) for r, (idx, counts) in enumerate(own)])
-        assert_pairs_equal(_merge(stacked, size, m), want)
+        assert_pairs_equal(_merge(shifted, size, m), want)
 
     def test_parts_straddling_the_rule_match_per_fold_fits_bit_for_bit(self):
         # 5 states, 2 actions: 50 cells, so under SORT_DIVISOR = 6 the 2- and 4-move
@@ -606,7 +616,7 @@ class TestMovePairs:
                              rewards=np.round(uneven.rewards * 8) / 8)
         evaluation = random_policy(np.random.default_rng(10), 5, 2)
         folds = (np.arange(0, 1), np.arange(1, 3), np.arange(3, 43))
-        parts = [row_set(data, evaluation, f) for f in folds]
+        parts = [select(data, f) for f in folds]
         moves = [f.size * data.horizon for f in folds]
         assert nuisance.SORT_DIVISOR == 6 and moves == [2, 4, 80]
         fits = fit_nuisances(parts, evaluation, 0.9)
@@ -620,8 +630,7 @@ class TestMovePairs:
         # The lift's S*A*S = 115,200 cells take 921,600 bytes as a dense int64 table.
         mdp, _, evaluation = noisy_lift()
         data = sample_dataset(mdp, evaluation, 1000, np.random.default_rng(23))
-        parts = [row_set(data, evaluation, f)
-                 for f in make_folds(data.n, 2, np.random.default_rng(24))]
+        parts = [select(data, f) for f in make_folds(data.n, 2, np.random.default_rng(24))]
         tracemalloc.start()
         try:
             fit_nuisances(parts, evaluation, 0.9)
@@ -652,9 +661,9 @@ def stacked_parts(draw):
 
 class TestMovePairForm:
     """The move pairs that ``_count`` and ``_merge`` build are of the form
-    ``q_recursion`` checks a caller's pair for, so ``_q_tables`` takes them
-    unchecked: integer indices, strictly increasing and in [0, R*S*A*S), and
-    positive int64 counts that sum to the number of moves."""
+    ``_q_tables`` reads unchecked, that of ``_nonzero``'s pairs of a dense table:
+    integer indices, strictly increasing and in [0, R*S*A*S), and positive int64
+    counts that sum to the number of moves."""
 
     @staticmethod
     def assert_form(pair, size, moves):
@@ -688,12 +697,6 @@ class TestStackedFits:
     the bit: a bin sums only its own rows, and every row sum is numpy's pairwise
     sum of that replication alone."""
 
-    @staticmethod
-    def stacked(datasets, policy):
-        columns = [np.stack([getattr(d, f) for d in datasets])
-                   for f in ("states", "actions", "rewards")]
-        return _cells(columns[0], columns[1], policy), columns[2]
-
     @pytest.mark.parametrize("scenario, n", [("lift", 40), ("lift", 1000), ("small", 300)],
                              ids=["lift_40", "lift_1000", "small_dense"])
     @pytest.mark.parametrize("known", [False, True], ids=["estimated", "known"])
@@ -708,11 +711,11 @@ class TestStackedFits:
                     for seed in range(4)]
         known_behavior = behavior if known else None
         size = evaluation.table.size * mdp.num_states
-        tables, (idx, counts) = _count(*self.stacked(datasets, evaluation), evaluation)
+        tables, (idx, counts) = _count(*stacked(datasets, evaluation), evaluation)
         fit = _fit(tables, (idx, counts), mdp.horizon, evaluation, 0.9, known_behavior,
                    NuisanceConfig())
         for r, data in enumerate(datasets):
-            own_tables, own_pair = _count(*stacked_row_set(data, evaluation), evaluation)
+            own_tables, own_pair = _count(*stacked([data], evaluation), evaluation)
             for got, want in zip(tables, own_tables):
                 assert got[r].tobytes() == want.tobytes()
             mine = (idx >= r * size) & (idx < (r + 1) * size)
@@ -740,7 +743,7 @@ class TestStackedFits:
             behavior, evaluation = (random_policy(rng, 5, num_actions) for _ in range(2))
         datasets = [sample_dataset(mdp, behavior, 200, np.random.default_rng(seed))
                     for seed in range(reps)]
-        sa, rewards = self.stacked(datasets, evaluation)
+        sa, rewards = stacked(datasets, evaluation)
         states = np.stack([d.states for d in datasets])
         want = np.unique(sa[..., :-1] * mdp.num_states + states[..., 1:], return_counts=True)
         with mock.patch.object(nuisance, "SORT_DIVISOR", ROUTES[route]):
@@ -754,7 +757,7 @@ class TestStackedFits:
         config = NuisanceConfig(smoothing_alpha=0.0)
         with pytest.raises(SupportViolationError) as alone:
             fit_nuisance(data[1], evaluation, 1.0, config=config)
-        rows = self.stacked(data, evaluation)
-        with pytest.raises(SupportViolationError) as stacked:
+        rows = stacked(data, evaluation)
+        with pytest.raises(SupportViolationError) as together:
             _fit(*_count(*rows, evaluation), 0, evaluation, 1.0, None, config)
-        assert str(stacked.value) == str(alone.value)
+        assert str(together.value) == str(alone.value)

@@ -35,7 +35,7 @@ from dml_ope.estimators import (
 )
 from dml_ope.nuisance import _folds, check_table_shape
 
-from helpers import noisy_lift, random_mdp, random_policy, row_set
+from helpers import noisy_lift, random_mdp, random_policy
 
 
 def reference_weights(pe: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -127,11 +127,11 @@ def scoring_cases(draw):
 @given(scoring_cases())
 def test_step_walk_equals_reference_rule(case):
     data, behavior, evaluation, q, folds, discount = case
-    whole = row_set(data, evaluation)
+    whole = data.cells(evaluation, "evaluation"), data.rewards
     assert_same_scores(whole, data.states, behavior, q, evaluation, discount)
     # Every other row, as strided views.
     every_other = slice(None, None, 2)
-    assert_same_scores(row_set(data, evaluation, every_other), data.states[every_other],
+    assert_same_scores(tuple(x[every_other] for x in whole), data.states[every_other],
                        behavior, q, evaluation, discount)
     # The row sets of non-contiguous folds, as the cross-fit gathers them.
     for *part, states in _fold_rows(tuple(x[None] for x in (*whole, data.states)), folds):
@@ -161,7 +161,7 @@ def test_stacked_walk_across_row_blocks_equals_reference_rule(n, replications, h
     ratio = _ratios(np.stack([b.table for b in behaviors]), evaluation, sa)
     ipw, dr = _walk(sa, rewards, ratio, [None, _control(qs, evaluation)], mdp.discount)
     for r, data in enumerate(datasets):
-        rows = row_set(data, evaluation)
+        rows = data.cells(evaluation, "evaluation"), data.rewards
         for got, q in ((ipw[r], None), (dr[r], qs[:, r])):
             want = reference_scores(rows, data.states, behaviors[r], q, evaluation,
                                     mdp.discount)
@@ -174,7 +174,7 @@ def lift_rows():
     mdp, behavior, evaluation = noisy_lift()
     data = sample_dataset(mdp, behavior, 50_000, np.random.default_rng(3))
     eta = fit_nuisance(data, evaluation, mdp.discount)
-    return row_set(data, evaluation), eta, evaluation, mdp.discount
+    return (data.cells(evaluation, "evaluation"), data.rewards), eta, evaluation, mdp.discount
 
 
 def peak_columns(lift_rows, control: str) -> float:
