@@ -241,7 +241,8 @@ def _merge(pairs: tuple, size: int, reps: int = 1) -> tuple:
 
 
 def _nonzero(dense: np.ndarray) -> tuple:
-    """The move pair of a dense count table; flatnonzero is faster on a mask."""
+    """The move pair of a dense table of counts or weights; flatnonzero is faster
+    on a mask."""
     idx = np.flatnonzero(dense != 0)
     return idx, dense[idx]
 

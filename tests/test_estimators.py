@@ -337,8 +337,7 @@ class TestPointEstimators:
             behavior, evaluation = Policy(table=[[5e-324, 1.0]]), Policy(table=[[0.5, 0.5]])
             data = LoggedDataset(states=[[0]] * 3, actions=[[0], [1], [1]], rewards=[[1.0]] * 3)
         call = {
-            "ipw_estimate": lambda: ipw_estimate(data, behavior,
-                                                 evaluation, 0.9),
+            "ipw_estimate": lambda: ipw_estimate(data, behavior, evaluation, 0.9),
             "evaluate_dataset": lambda: evaluate_dataset(data, evaluation, 0.9, ("ipw",),
                                                          np.random.default_rng(0),
                                                          known_behavior=behavior),
@@ -508,8 +507,7 @@ class TestDrVariants:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, n, np.random.default_rng(8))
         rng_seed = 42
-        est = dr_half_estimate(data, evaluation, 0.9,
-                               np.random.default_rng(rng_seed))
+        est = dr_half_estimate(data, evaluation, 0.9, np.random.default_rng(rng_seed))
         perm = np.random.default_rng(rng_seed).permutation(n)
         idx = np.sort(perm[:(n + 1) // 2])
         eta = fit_nuisance(select(data, np.sort(perm[(n + 1) // 2:])), evaluation, 0.9)
@@ -598,8 +596,7 @@ class TestTableReads:
         with pytest.raises(ValidationError, match=re.escape(match)):
             fit_nuisance(data, evaluation, 0.9, known_behavior=known)
         with pytest.raises(ValidationError, match=re.escape(match)):
-            dml_estimate(data, evaluation, 0.9, np.random.default_rng(0),
-                         known_behavior=known)
+            dml_estimate(data, evaluation, 0.9, np.random.default_rng(0), known_behavior=known)
 
 
 class TestDml:
@@ -638,8 +635,7 @@ class TestDml:
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 100, np.random.default_rng(12))
-        est = dml_estimate(data, evaluation, 0.9, np.random.default_rng(3),
-                           level=0.9)
+        est = dml_estimate(data, evaluation, 0.9, np.random.default_rng(3), level=0.9)
         from statistics import NormalDist
 
         half = NormalDist().inv_cdf(0.95) * np.sqrt(est.variance / est.n)
@@ -697,7 +693,8 @@ class TestFoldRows:
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 30, np.random.default_rng(6))
         q = true_nuisance(mdp, behavior, evaluation).q if control == "dr" else None
-        sa, rewards = data.cells(evaluation, "evaluation")[::2], data.rewards[::2]
+        fold = np.arange(0, 30, 2)
+        sa, rewards = data.cells(evaluation, "evaluation")[fold], data.rewards[fold]
         kept = sa.copy()
         first = _psi_scores(sa, rewards, behavior, q, evaluation, 0.9)
         assert np.array_equal(sa, kept)
