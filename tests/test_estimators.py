@@ -446,7 +446,10 @@ class TestCellIndexChecks:
     @pytest.mark.parametrize("field, bad, message", [
         ("actions", -1, "'a' id -1 is outside the evaluation policy table of 2 actions"),
         ("states", 3, "'s' id 3 is outside the evaluation policy table of 3 states"),
-    ], ids=["minus_one", "table_size"])
+        ("states", -1, "'s' id -1 is outside the evaluation policy table of 3 states"),
+        # s * A + 2 is a cell of the next state, inside the (S, A) table.
+        ("actions", 2, "'a' id 2 is outside the evaluation policy table of 2 actions"),
+    ], ids=["minus_one", "table_size", "state_minus_one", "action_table_size"])
     @pytest.mark.parametrize("name", list(CALLS))
     def test_cell_id_outside_the_table_rejected(self, name, field, bad, message):
         mdp = three_state_mdp()

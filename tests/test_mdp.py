@@ -189,7 +189,11 @@ class TestValidation:
          "dataset rewards must be finite, got inf"),
         ({"states": [[0], [1]], "actions": [[0], [1]], "rewards": [[1.0], [-np.inf]]},
          "dataset rewards must be finite, got -inf"),
-    ], ids=["one_dimensional", "no_steps", "nan_reward", "inf_reward", "neg_inf_reward"])
+        ({"states": np.zeros((1, 2, 1)), "actions": np.zeros((1, 2, 1)),
+          "rewards": np.zeros((1, 2, 1))},
+         "dataset states must be a 2-d (N, T+1) array, got shape (1, 2, 1)"),
+    ], ids=["one_dimensional", "no_steps", "nan_reward", "inf_reward", "neg_inf_reward",
+            "three_dimensional"])
     def test_dataset_no_estimator_can_score_rejected(self, columns, message):
         # Each was accepted, and failed later in an estimator or a nuisance check.
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -204,7 +208,12 @@ class TestValidation:
          "dataset arrays must share one (N, T+1) shape"),
         ({"states": [[0, 1]], "actions": [[0, 1]], "rewards": [[0.0, 0.0]],
           "propensities": [[0.5]]}, "propensities shape mismatch"),
-    ], ids=["no_rows", "actions_shape", "rewards_shape", "propensities_shape"])
+        ({"states": [[0, 1]], "actions": [[0, 1]], "rewards": [[0.0]]},
+         "dataset arrays must share one (N, T+1) shape"),
+        ({"states": [[0, 1], [1, 0]], "actions": [[0, 1], [1, 0]], "rewards": [[0.0, 0.0]]},
+         "dataset arrays must share one (N, T+1) shape"),
+    ], ids=["no_rows", "actions_shape", "rewards_shape", "propensities_shape",
+            "rewards_fewer_steps", "rewards_fewer_rows"])
     def test_dataset_shapes_checked(self, columns, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             LoggedDataset(**columns)

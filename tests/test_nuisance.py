@@ -241,7 +241,12 @@ class TestQRecursion:
         ((3, 2, 3), -0.5, "^transition weights must be finite and >= 0$"),
         ((3, 2, 3), np.nan, "^transition weights must be finite and >= 0$"),
         ((3, 2, 3), np.inf, "^transition weights must be finite and >= 0$"),
-    ], ids=["larger-table", "2-d", "negative-weight", "nan-weight", "inf-weight"])
+        ((3, 2, 4), None, r"got \(3, 2, 4\)$"),
+        ((3, 3, 3), None, r"got \(3, 3, 3\)$"),
+        ((3, 2, 3, 1), None, r"got \(3, 2, 3, 1\)$"),
+        ((3, 2, 3), -np.inf, "^transition weights must be finite and >= 0$"),
+    ], ids=["larger-table", "2-d", "negative-weight", "nan-weight", "inf-weight",
+            "next-state-axis", "action-axis", "4-d", "minus-inf-weight"])
     def test_malformed_transitions_named(self, shape, bad, message):
         mu = mean_reward_table(three_state_mdp())
         transitions = np.ones(shape)
