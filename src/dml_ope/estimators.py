@@ -21,6 +21,7 @@ from .mdp import (
     Policy,
     TabularMdp,
     ValidationError,
+    check_dataset,
     check_folds,
     check_level,
     check_unit_interval,
@@ -321,6 +322,7 @@ def dm_estimate(
     level: float = 0.95,
 ) -> ValueEstimate:
     """Direct method: average the fitted initial-state value over the dataset."""
+    check_dataset(data, "data")
     sa = data.cells(eval_policy, "evaluation")
     _check_q(eta.q, data.horizon + 1, eval_policy)
     return _finalize(_dm_scores(sa[None], eta.q[:, None], eval_policy), Estimator.DM,
@@ -334,6 +336,7 @@ def ipw_estimate(
     discount: float,
     level: float = 0.95,
 ) -> ValueEstimate:
+    check_dataset(data, "data")
     check_unit_interval(discount, "discount")
     scores = _psi_scores(data.cells(eval_policy, "evaluation"), data.rewards, behavior, None,
                          eval_policy, discount)
@@ -348,6 +351,7 @@ def dr_full_estimate(
     level: float = 0.95,
 ) -> ValueEstimate:
     """Doubly robust score averaged over the same rows ``eta`` was fit on."""
+    check_dataset(data, "data")
     check_unit_interval(discount, "discount")
     scores = _psi_scores(data.cells(eval_policy, "evaluation"), data.rewards, eta.behavior,
                          eta.q, eval_policy, discount)
@@ -365,6 +369,7 @@ def dr_half_estimate(
 ) -> ValueEstimate:
     """Score fold 0 of a 2-fold split, its first (n+1)//2 rows, with nuisances
     fitted on fold 1: DML's fold-0 fit at k_folds=2."""
+    check_dataset(data, "data")
     check_unit_interval(discount, "discount")
     if data.n < 2:
         raise ValidationError(f"dr_half_estimate needs 2 rows or more, got {data.n}")
@@ -384,16 +389,17 @@ def dml_estimate(
 ) -> ValueEstimate:
     """Cross-fitted doubly robust estimator with the pooled variance estimator.
 
-    Each fold's rows are cut once and scored with nuisances fitted on the other
-    folds; the value is the pooled mean of all N scores, which matches the
-    per-fold double average whenever the folds are equal-sized.
+    ``_estimate``'s DML: each fold's rows are cut once and scored with nuisances
+    fitted on the other folds; the value is the pooled mean of all N scores, which
+    matches the per-fold double average whenever the folds are equal-sized.
     """
+    check_dataset(data, "data")
     check_unit_interval(discount, "discount")
     check_folds(k_folds, data.n, "k_folds")
-    sa = data.cells(eval_policy, "evaluation")[None]
-    folds = _folds(data.n, k_folds, [rng])
-    return _dml([part for part, in _fold_rows((sa,), folds)], data.rewards[None], folds,
-                eval_policy, discount, known_behavior, config, level)[0]
+    data.check_ids(eval_policy, "evaluation")
+    columns = data.states[None], data.actions[None], data.rewards[None]
+    return _estimate(columns, {Estimator.DML: [rng]}, ("dml",), eval_policy, discount,
+                     known_behavior, k_folds, config, level)["dml"][0]
 
 
 def cb_efficiency_bound(mdp: TabularMdp, behavior: Policy, eval_policy: Policy) -> float:

@@ -5,8 +5,8 @@ Replications draw independent random streams from a splittable seed sequence,
 so results do not depend on execution order. With the OPE_DML_THREADS
 environment variable above 1, the replications are split into one contiguous
 block per worker process, at most one worker per CPU and per replication; each
-block builds the scenario once, and the blocks' estimates fill one table in
-order. A single block runs in the calling process.
+block builds the scenario once and returns its ground truth with its estimates,
+which fill one table in order. A single block runs in the calling process.
 
 A block runs its replications in chunks of ``max(1, ROW_BUDGET // max(n, S*A))``.
 A chunk is sampled, counted, fitted and scored as one stack of (R, n, T+1) row
@@ -39,6 +39,7 @@ from .mdp import (
     _policy_value,
     _sample,
     check_at_least,
+    check_dataset,
     check_finite_nonnegative,
     check_folds,
     check_integer,
@@ -96,6 +97,7 @@ def _jsonl_blocks(states, actions, rewards, propensities):
 
 def write_jsonl(data: LoggedDataset, path: str | Path) -> None:
     """Emit one {"steps": [{"s", "a", "r", "p"}, ...]} object per trajectory."""
+    check_dataset(data, "data")
     with open(path, "w") as fh:
         fh.writelines(_jsonl_blocks(data.states, data.actions, data.rewards, data.propensities))
 
@@ -358,6 +360,7 @@ def evaluate_dataset(
     action ids inside the evaluation and known behavior policy tables, and the two
     tables alike in shape; all are checked before any fit.
     """
+    check_dataset(data, "data")
     check_estimator_names(estimators)
     check_unit_interval(discount, "discount")
     check_level(level, "level")
@@ -513,8 +516,9 @@ def _child(seed: np.random.SeedSequence, key: int) -> np.random.Generator:
         seed.entropy, spawn_key=seed.spawn_key + (key,), pool_size=seed.pool_size))
 
 
-def _run_replications(config: ExperimentConfig, seeds: list) -> np.ndarray:
-    """The (estimators, replications) estimates of ``seeds``, on one scenario build.
+def _run_replications(config: ExperimentConfig, seeds: list) -> tuple[float, np.ndarray]:
+    """The truth and the (estimators, replications) estimates of ``seeds``, on one
+    scenario build.
 
     The replications run in chunks of ``max(1, ROW_BUDGET // max(n, S*A))``: a
     chunk is sampled, fitted and scored as one stack of (R, n, T+1) row sets, and
@@ -540,7 +544,7 @@ def _run_replications(config: ExperimentConfig, seeds: list) -> np.ndarray:
                             config.level)
         values[:, start:start + chunk] = [[e.value for e in results[name]]
                                           for name in config.estimators]
-    return values
+    return _policy_value(mdp, evaluation, config.effective_discount), values
 
 
 def ground_truth_value(config: ExperimentConfig) -> float:
@@ -550,7 +554,7 @@ def ground_truth_value(config: ExperimentConfig) -> float:
 
 
 def run_mse_experiment(config: ExperimentConfig) -> MseReport:
-    """Ground truth, then per-replication fresh datasets and estimator runs."""
+    """Per-replication fresh datasets and estimator runs; a block gives the truth."""
     threads = os.environ.get("OPE_DML_THREADS", "1")
     try:
         workers = int(threads)
@@ -560,17 +564,16 @@ def run_mse_experiment(config: ExperimentConfig) -> MseReport:
     # The estimates' table is allocated before the seed list, which grows with reps.
     with sized_by(reps, "experiment config: 'replications'"):
         estimates = np.empty((len(config.estimators), reps))
-    truth = ground_truth_value(config)
     seeds = np.random.SeedSequence(config.seed).spawn(reps)
     blocks = min(max(workers, 1), reps, os.cpu_count() or 1)
     if blocks == 1:
-        estimates[:] = _run_replications(config, seeds)
+        truth, estimates[:] = _run_replications(config, seeds)
     else:
         bounds = [i * reps // blocks for i in range(blocks + 1)]
         with ProcessPoolExecutor(max_workers=blocks) as pool:
             done = pool.map(_run_replications, [config] * blocks,
                             [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
-            for lo, hi, block in zip(bounds, bounds[1:], done):
+            for lo, hi, (truth, block) in zip(bounds, bounds[1:], done):
                 estimates[:, lo:hi] = block
     results = {}
     for name, column in zip(config.estimators, estimates):

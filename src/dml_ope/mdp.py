@@ -75,6 +75,12 @@ def check_finite_nonnegative(value: float, name: str) -> None:
         raise ValidationError(f"{name} must be finite and >= 0, got {value}")
 
 
+def check_dataset(value, name: str) -> None:
+    """The rule of every public call's dataset; the error names the type given."""
+    if not isinstance(value, LoggedDataset):
+        raise ValidationError(f"{name} must be a LoggedDataset, got {type(value).__name__}")
+
+
 @contextmanager
 def sized_by(value: int, name: str):
     """Re-raise numpy's refusal to shape or allocate an array in the block, whose
@@ -304,13 +310,18 @@ class LoggedDataset:
 
     def __post_init__(self):
         for field in ("states", "actions"):
-            ids = np.asarray(getattr(self, field))
-            if ids.dtype.kind not in "biu":  # sampling and ingest pass int64
-                ids = ids.astype(float)
-                whole = np.isfinite(ids) & (np.floor(ids) == ids)
-                if not whole.all():
-                    raise ValidationError(f"dataset {field} must be integer ids, "
-                                          f"got {ids[~whole][0]}")
+            given = ids = np.asarray(getattr(self, field))
+            kind = given.dtype.kind  # sampling and ingest pass int64, kept without a copy
+            if kind == "u":
+                ids = given.astype(np.int64)
+                whole = ids >= 0  # an id past int64's range wraps to a negative one
+            elif kind != "i":  # a bool is no id, and a float must be a whole int64
+                ids = given.astype(float)
+                whole = (kind != "b") & (np.floor(ids) == ids) & (ids >= -2.0**63)
+                whole &= ids < 2.0**63
+            if kind != "i" and not whole.all():
+                raise ValidationError(f"dataset {field} must be integer ids, "
+                                      f"got {given[~whole][0]}")
             object.__setattr__(self, field, np.asarray(ids, dtype=np.int64))
         object.__setattr__(self, "rewards", np.asarray(self.rewards, dtype=float))
         if self.states.ndim != 2:

@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (LoggedDataset, Policy, ValidationError, check_finite_nonnegative,
-                  check_folds, check_integer, check_policy_rows, check_unit_interval)
+from .mdp import (LoggedDataset, Policy, ValidationError, check_dataset,
+                  check_finite_nonnegative, check_folds, check_integer, check_policy_rows,
+                  check_unit_interval)
 
 # The size rule: on the 240-state lift's 115,200 cells, sorting the moves won
 # at 12k (0.15 vs 0.39 ms) and lost to the dense table at 24k (0.37 vs 0.27 ms).
@@ -284,6 +285,7 @@ def fit_nuisance(
     config: NuisanceConfig = NuisanceConfig(),
 ) -> NuisanceEstimate:
     """Fit one nuisance tuple on every row of ``data``; the fit draws nothing."""
+    check_dataset(data, "data")
     check_unit_interval(discount, "discount")
     rows = data.cells(eval_policy, "evaluation")[None], data.rewards[None]
     return _estimate_record(*_fit(*_count(*rows, eval_policy), data.horizon, eval_policy,
@@ -299,6 +301,8 @@ def fit_nuisances(
 ) -> list[NuisanceEstimate]:
     """For each of ``parts``, two or more datasets of one horizon, the fit on
     the other parts."""
+    for k, part in enumerate(parts):
+        check_dataset(part, f"parts[{k}]")
     check_unit_interval(discount, "discount")
     if len(parts) < 2:
         raise ValidationError(f"fit_nuisances needs two or more parts, got {len(parts)}")

@@ -13,11 +13,10 @@ from dml_ope import (
     Policy,
     TabularMdp,
     experiment_config_from_dict,
-    lift_policy,
     mean_reward_table,
     q_recursion,
-    with_noise_states,
 )
+from dml_ope.experiments import _scenario
 
 NOISY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "noisy_nuisance.json"
 
@@ -149,8 +148,4 @@ def noisy_lift() -> tuple[TabularMdp, Policy, Policy]:
     """The noise-state lift of ``configs/noisy_nuisance.json`` (240 product states)
     with its lifted behavior and evaluation policies."""
     with open(NOISY_CONFIG) as fh:
-        config = experiment_config_from_dict(json.load(fh), base_dir=NOISY_CONFIG.parent)
-    count = config.noise_states
-    return (with_noise_states(config.mdp, count, config.noise_seed),
-            lift_policy(config.behavior_policy, count),
-            lift_policy(config.evaluation_policy, count))
+        return _scenario(experiment_config_from_dict(json.load(fh), base_dir=NOISY_CONFIG.parent))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import inspect
+import os
 import re
 
 import numpy as np
@@ -30,6 +31,7 @@ from dml_ope import (
     mean_reward_table,
     q_recursion,
     sample_dataset,
+    write_jsonl,
 )
 from dml_ope import estimators
 from dml_ope.estimators import _control, _finalize, _psi_scores, _ratios, _walk
@@ -480,6 +482,27 @@ class TestCellIndexChecks:
             return [e.q.tobytes() for e in got] if isinstance(got, list) else got.to_dict()
 
         assert result(same) == result(data)
+
+    READERS = {
+        "fit_nuisance": lambda data, eta, ev, rng: fit_nuisance(data, ev, 0.9),
+        "evaluate_dataset": lambda data, eta, ev, rng: evaluate_dataset(data, ev, 0.9, ("dml",),
+                                                                        rng),
+        "write_jsonl": lambda data, eta, ev, rng: write_jsonl(data, os.devnull),
+    }
+
+    @pytest.mark.parametrize("name", [*CALLS, *READERS])
+    def test_a_dataset_of_another_type_is_named(self, name):
+        # The former row-set form ended in AttributeError: 'tuple' object has no
+        # attribute 'n' (or 'horizon', 'cells').
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 20, np.random.default_rng(4))
+        eta = fit_nuisance(data, evaluation, 0.9)
+        rows = data.cells(evaluation, "evaluation"), data.rewards
+        param = "parts[0]" if name == "fit_nuisances" else "data"
+        with pytest.raises(ValidationError,
+                           match=rf"^{re.escape(param)} must be a LoggedDataset, got tuple$"):
+            {**self.CALLS, **self.READERS}[name](rows, eta, evaluation, np.random.default_rng(0))
 
 
 class TestDrVariants:

@@ -23,6 +23,7 @@ from dml_ope import (
     TabularMdp,
     ValidationError,
     cell_from_dict,
+    dml_estimate,
     dr_full_estimate,
     evaluate_dataset,
     exact_policy_value,
@@ -61,6 +62,29 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A serial stand-in for the process pool, which starts no process: the list
+    of the worker counts it is started with."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args):
+            return map(fn, *args)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    return started
 
 
 @st.composite
@@ -827,33 +851,37 @@ class TestMseExperiment:
         assert one == two
 
     @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
-    def test_workers_clamped_to_the_cpu_count(self, monkeypatch, cpus, workers):
-        # A serial stand-in for the pool records the worker count and starts no process.
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *args):
-                return map(fn, *args)
-
+    def test_workers_clamped_to_the_cpu_count(self, monkeypatch, serial_pool, cpus, workers):
         config = small_config(replications=8, estimators=("dml", "ipw"))
         monkeypatch.setenv("OPE_DML_THREADS", "1")
         one = json.dumps(run_mse_experiment(config).to_dict(), sort_keys=True)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         monkeypatch.setenv("OPE_DML_THREADS", "64")
         many = json.dumps(run_mse_experiment(config).to_dict(), sort_keys=True)
         # One block runs in-process and starts no pool.
-        assert started == ([] if workers == 1 else [workers])
+        assert serial_pool == ([] if workers == 1 else [workers])
         assert many == one
+
+    @pytest.mark.parametrize("threads, blocks", [("1", 1), ("2", 2)])
+    def test_each_block_builds_the_lift_once_and_nothing_else_does(
+            self, monkeypatch, serial_pool, threads, blocks):
+        # The truth comes from a block's own scenario: the study built one more
+        # lift for it, 2 on one worker and 3 on two.
+        built = []
+        lift = experiments.with_noise_states
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return lift(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "with_noise_states", counted)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("OPE_DML_THREADS", threads)
+        config = small_config(replications=4, noise_states=3)
+        report = run_mse_experiment(config)
+        assert len(built) == blocks
+        assert serial_pool == ([] if blocks == 1 else [blocks])
+        assert report.ground_truth == ground_truth_value(config)
 
     def test_single_replication_has_no_se(self):
         report = run_mse_experiment(small_config(replications=1))
@@ -983,6 +1011,20 @@ class TestStackedReplications:
             tracemalloc.stop()
         assert peak <= (6.39 - 1.0) * data.states.nbytes
 
+    def test_dml_estimate_does_not_hold_the_full_cell_index_while_the_folds_fit(self):
+        # dml_estimate at k=5 on 1e5 rows of the lift. Its own copy of DML's
+        # sequence, which kept the full (N, T+1) int64 cell index while the folds
+        # fitted, peaked at 5.78 such arrays; it must peak at least one array lower.
+        mdp, behavior, evaluation = noisy_lift()
+        data = sample_dataset(mdp, behavior, 100_000, np.random.default_rng(8))
+        tracemalloc.start()
+        try:
+            dml_estimate(data, evaluation, mdp.discount, np.random.default_rng(9), k_folds=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (5.78 - 1.0) * data.states.nbytes
+
     @pytest.mark.parametrize("n, k_folds, chunk", [(1000, 2, 8), (10, 5, 17)])
     def test_a_chunk_bounds_the_memory_of_the_study(self, n, k_folds, chunk):
         # 64 replications run in chunks of ROW_BUDGET // max(n, S*A): of 8 at
@@ -1051,6 +1093,14 @@ class TestConfigParsing:
         obj = self.config_dict()
         obj["nuisance"]["behavior_policy"] = "guessed"
         with pytest.raises(ValidationError, match="known.*estimated"):
+            experiment_config_from_dict(obj)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_a_discount_that_json_reads_as_non_finite_is_named(self, text):
+        # json.loads reads NaN and the infinities as floats.
+        obj = {**self.config_dict(), "discount": json.loads(text)}
+        with pytest.raises(ValidationError, match=f"^experiment config: 'discount' must be "
+                                                  f"finite, got {text}$"):
             experiment_config_from_dict(obj)
 
     def test_noise_states_block(self):

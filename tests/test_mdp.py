@@ -95,6 +95,12 @@ class TestValidation:
                            match="^num_states and num_actions must be positive$"):
             mdp_from_dict(obj)
 
+    @pytest.mark.parametrize("table", [[0.5, 0.5], [[]]], ids=["one_dimensional", "no_action"])
+    def test_policy_table_must_be_2d_with_an_action(self, table):
+        with pytest.raises(ValidationError,
+                           match="^policy table must be 2-d with at least one action$"):
+            Policy(table=table)
+
     def test_policy_rows_must_be_distributions(self):
         with pytest.raises(ValidationError):
             Policy(table=[[0.5, 0.6]])
@@ -161,7 +167,13 @@ class TestValidation:
         ("actions", [[0.0, 1.5]], "1.5"),
         ("states", [[0.0, float("nan")]], "nan"),
         ("actions", [[float("inf"), 0.0]], "inf"),
-    ], ids=["fractional_state", "fractional_action", "nan_state", "inf_action"])
+        # A bool array was read as ids 1 and 0, and an id past int64's range as
+        # -2**63: silently from uint64, with a RuntimeWarning from a float.
+        ("states", [[True, False]], "True"),
+        ("actions", np.array([[2**63, 0]], dtype=np.uint64), "9223372036854775808"),
+        ("states", [[1e20, 0.0]], "1e+20"),
+    ], ids=["fractional_state", "fractional_action", "nan_state", "inf_action", "bool_state",
+            "uint64_past_int64_action", "float_past_int64_state"])
     def test_dataset_ids_must_be_integral(self, field, ids, bad):
         # A float id used to be truncated: [[0.7, 1.9]] read as states [[0, 1]].
         columns = {"states": [[0, 1]], "actions": [[0, 1]], field: ids}
@@ -574,6 +586,14 @@ class TestSerialization:
         obj["initial_dist"] = [10**400, 0, 0]
         with pytest.raises(ValidationError,
                            match="^MDP spec: 'initial_dist' must be an array of numbers$"):
+            mdp_from_dict(obj)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_a_discount_that_json_reads_as_non_finite_is_named(self, text):
+        # json.loads reads NaN and the infinities as floats.
+        obj = {**mdp_to_dict(three_state_mdp()), "discount": json.loads(text)}
+        with pytest.raises(ValidationError,
+                           match=f"^MDP spec: 'discount' must be finite, got {text}$"):
             mdp_from_dict(obj)
 
     def test_unknown_fields_rejected(self):

@@ -392,6 +392,15 @@ class TestFitNuisances:
                            match=f"fit_nuisances needs two or more parts, got {count}"):
             fit_nuisances([data] * count, evaluation, 0.9)
 
+    def test_a_part_of_another_type_is_named(self):
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 10, np.random.default_rng(2))
+        with pytest.raises(ValidationError,
+                           match=r"^parts\[1\] must be a LoggedDataset, got tuple$"):
+            fit_nuisances([data, (data.cells(evaluation, "evaluation"), data.rewards)],
+                          evaluation, 0.9)
+
     def test_parts_of_different_horizons_rejected(self):
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()

@@ -235,9 +235,7 @@ def scenario(ope) -> tuple:
     """The lift of the noisy-nuisance config and its behavior policy, built by ``ope``."""
     config = ope.experiments.experiment_config_from_dict(json.loads(CONFIG.read_text()),
                                                          base_dir=CONFIG.parent)
-    k = config.noise_states
-    return (ope.experiments.with_noise_states(config.mdp, k, config.noise_seed),
-            ope.experiments.lift_policy(config.behavior_policy, k))
+    return ope.experiments._scenario(config)[:2]
 
 
 def datasets(ope) -> dict:
@@ -253,6 +251,12 @@ def datasets(ope) -> dict:
         "distinct_5k_p": ope.LoggedDataset(labels[0], labels[1], rewards, props),
         "distinct_5k": ope.LoggedDataset(labels[0], labels[1], rewards),
     }
+
+
+def own(ope, data):
+    """``data`` rebuilt from its arrays as a dataset of ``ope``, whose public calls
+    refuse another tree's ``LoggedDataset`` class."""
+    return ope.LoggedDataset(data.states, data.actions, data.rewards, data.propensities)
 
 
 def keys_reordered(text: str) -> str:
@@ -290,7 +294,8 @@ def cases(op: str, trees: dict, tmp: Path) -> dict:
             calls[side], checks[side] = workload.op, workload.check
         return {op: (calls, checks)}
     if op == "write":
-        return {name: ({side: functools.partial(write, ope, data, tmp / f"{side}.jsonl")
+        return {name: ({side: functools.partial(write, ope, own(ope, data),
+                                                tmp / f"{side}.jsonl")
                         for side, ope in packages.items()}, None)
                 for name, data in datasets(packages["change"]).items()}
     if op == "ingest":
