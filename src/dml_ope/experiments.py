@@ -1,12 +1,13 @@
 """Monte Carlo MSE studies, the relative-RMSE metric with its simulation-based
 standard error, dataset file I/O, and the noisy-nuisance scenario builder.
 
-Replications draw independent random streams from a splittable seed sequence,
-so results do not depend on execution order. With the OPE_DML_THREADS
-environment variable above 1, the replications are split into one contiguous
-block per worker process, at most one worker per CPU and per replication; each
-block builds the scenario once and returns its ground truth with its estimates,
-which fill one table in order. A single block runs in the calling process.
+Replication r draws from ``SeedSequence(seed, spawn_key=(r, key))``, the children
+of the r-th spawn of the config's seed, so results do not depend on scheduling.
+With the OPE_DML_THREADS environment variable above 1, the replication indices
+are split into one contiguous range per worker process, at most one worker per
+CPU and per replication; each block builds the scenario once and returns its
+ground truth with its estimates, which fill one table in order. A single block
+runs in the calling process.
 
 A block runs its replications in chunks of ``max(1, ROW_BUDGET // max(n, S*A))``.
 A chunk is sampled, counted, fitted and scored as one stack of (R, n, T+1) row
@@ -24,6 +25,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import count, islice
 from pathlib import Path
@@ -510,15 +512,15 @@ def _scenario(config: ExperimentConfig) -> tuple[TabularMdp, Policy, Policy]:
     return mdp, behavior, evaluation
 
 
-def _child(seed: np.random.SeedSequence, key: int) -> np.random.Generator:
-    """The generator of ``seed``'s child ``key``: that of its ``key``-th spawn."""
-    return np.random.default_rng(np.random.SeedSequence(
-        seed.entropy, spawn_key=seed.spawn_key + (key,), pool_size=seed.pool_size))
+def _child(seed: int, r: int, key: int) -> np.random.Generator:
+    """Replication ``r``'s generator ``key``: child ``key`` of the ``r``-th seed
+    sequence that ``SeedSequence(seed)`` spawns, built from its spawn key alone."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r, key)))
 
 
-def _run_replications(config: ExperimentConfig, seeds: list) -> tuple[float, np.ndarray]:
-    """The truth and the (estimators, replications) estimates of ``seeds``, on one
-    scenario build.
+def _run_replications(config: ExperimentConfig, reps: range) -> tuple[float, np.ndarray]:
+    """The truth and the (estimators, replications) estimates of the replications
+    ``reps``, on one scenario build.
 
     The replications run in chunks of ``max(1, ROW_BUDGET // max(n, S*A))``: a
     chunk is sampled, fitted and scored as one stack of (R, n, T+1) row sets, and
@@ -528,17 +530,17 @@ def _run_replications(config: ExperimentConfig, seeds: list) -> tuple[float, np.
     known = behavior if config.behavior_known else None
     n = config.n_trajectories
     chunk = max(1, ROW_BUDGET // max(n, evaluation.table.size))
-    values = np.empty((len(config.estimators), len(seeds)))
-    # A replication samples from child 0 of its seed, and the estimator in place e of
+    values = np.empty((len(config.estimators), len(reps)))
+    # Replication r samples from its child 0, and the estimator in place e of
     # Estimator splits its folds from child 1 + e, as evaluate_dataset's spawn
     # numbers them; only the children that draw are built.
     drawing = {e: 1 + list(Estimator).index(e) for e in (Estimator.DR_HALF, Estimator.DML)
                if e.value in config.estimators}
-    for start in range(0, len(seeds), chunk):
-        block = seeds[start:start + chunk]
+    for start in range(0, len(reps), chunk):
+        block = reps[start:start + chunk]
         with sized_by(n, "experiment config: 'n_trajectories'"):
-            *columns, _ = _sample(mdp, behavior, n, [_child(seed, 0) for seed in block])
-        rngs = {e: [_child(seed, key) for seed in block] for e, key in drawing.items()}
+            *columns, _ = _sample(mdp, behavior, n, [_child(config.seed, r, 0) for r in block])
+        rngs = {e: [_child(config.seed, r, key) for r in block] for e, key in drawing.items()}
         results = _estimate(columns, rngs, config.estimators, evaluation,
                             config.effective_discount, known, config.k_folds, config.nuisance,
                             config.level)
@@ -561,20 +563,17 @@ def run_mse_experiment(config: ExperimentConfig) -> MseReport:
     except ValueError:
         raise ValidationError(f"OPE_DML_THREADS must be an integer, got {threads!r}") from None
     reps = config.replications
-    # The estimates' table is allocated before the seed list, which grows with reps.
+    # The estimates' table is the one array that grows with reps.
     with sized_by(reps, "experiment config: 'replications'"):
         estimates = np.empty((len(config.estimators), reps))
-    seeds = np.random.SeedSequence(config.seed).spawn(reps)
     blocks = min(max(workers, 1), reps, os.cpu_count() or 1)
-    if blocks == 1:
-        truth, estimates[:] = _run_replications(config, seeds)
-    else:
-        bounds = [i * reps // blocks for i in range(blocks + 1)]
-        with ProcessPoolExecutor(max_workers=blocks) as pool:
-            done = pool.map(_run_replications, [config] * blocks,
-                            [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
-            for lo, hi, (truth, block) in zip(bounds, bounds[1:], done):
-                estimates[:, lo:hi] = block
+    bounds = [i * reps // blocks for i in range(blocks + 1)]
+    # One block runs in the calling process and starts no pool.
+    with ProcessPoolExecutor(max_workers=blocks) if blocks > 1 else nullcontext() as pool:
+        done = (pool.map if pool else map)(_run_replications, [config] * blocks,
+                                           [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+        for lo, hi, (truth, block) in zip(bounds, bounds[1:], done):
+            estimates[:, lo:hi] = block
     results = {}
     for name, column in zip(config.estimators, estimates):
         errors_sq = (column - truth) ** 2

@@ -312,6 +312,11 @@ class LoggedDataset:
         for field in ("states", "actions"):
             given = ids = np.asarray(getattr(self, field))
             kind = given.dtype.kind  # sampling and ingest pass int64, kept without a copy
+            if kind in "OSU":  # text, a bool or None is no number, so no id
+                odd = [x for x in given.ravel().tolist()
+                       if not isinstance(x, numbers.Real) or isinstance(x, bool)]
+                if odd:
+                    raise ValidationError(f"dataset {field} must be integer ids, got {odd[0]!r}")
             if kind == "u":
                 ids = given.astype(np.int64)
                 whole = ids >= 0  # an id past int64's range wraps to a negative one

@@ -11,13 +11,19 @@ import numpy as np
 from .mdp import Policy, ValidationError, check_integer, check_unit_interval
 
 
+def _table(values, name: str) -> np.ndarray:
+    """``values`` as a float (S, A) table of at least one action and finite entries."""
+    table = np.asarray(values, dtype=float)
+    if table.ndim != 2 or table.shape[1] < 1:
+        raise ValidationError(f"{name} must be a nonempty (S, A) table")
+    if not np.all(np.isfinite(table)):
+        raise ValidationError(f"{name} must be finite")
+    return table
+
+
 def epsilon_greedy_policy(scores: np.ndarray, epsilon: float) -> Policy:
     """Argmax action gets 1 - eps + eps/|A|, every other action eps/|A|."""
-    scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 2 or scores.shape[1] < 1:
-        raise ValidationError("scores must be a nonempty (S, A) table")
-    if not np.all(np.isfinite(scores)):
-        raise ValidationError("scores must be finite")
+    scores = _table(scores, "scores")
     check_unit_interval(epsilon, "epsilon")
     num_states, num_actions = scores.shape
     table = np.full((num_states, num_actions), epsilon / num_actions)
@@ -27,9 +33,7 @@ def epsilon_greedy_policy(scores: np.ndarray, epsilon: float) -> Policy:
 
 def softmax_policy(scores: np.ndarray) -> Policy:
     """Row-wise softmax of the scores, computed with max-subtraction."""
-    scores = np.asarray(scores, dtype=float)
-    if not np.all(np.isfinite(scores)):
-        raise ValidationError("scores must be finite")
+    scores = _table(scores, "scores")
     shifted = scores - scores.max(axis=1, keepdims=True)
     weights = np.exp(shifted)
     return Policy(table=weights / weights.sum(axis=1, keepdims=True))
@@ -37,9 +41,7 @@ def softmax_policy(scores: np.ndarray) -> Policy:
 
 def greedy_policy(means: np.ndarray) -> Policy:
     """Deterministic policy placing all mass on the per-state argmax mean."""
-    means = np.asarray(means, dtype=float)
-    if not np.all(np.isfinite(means)):
-        raise ValidationError("means must be finite")
+    means = _table(means, "means")
     table = np.zeros_like(means)
     table[np.arange(means.shape[0]), means.argmax(axis=1)] = 1.0
     return Policy(table=table)
@@ -60,6 +62,7 @@ def thompson_gaussian_policy(
     variances = np.asarray(variances, dtype=float)
     if means.shape != variances.shape or means.ndim != 2:
         raise ValidationError("means and variances must be matching (S, A) tables")
+    means, variances = _table(means, "means"), _table(variances, "variances")
     if np.any(variances < 0):
         raise ValidationError("variances must be nonnegative")
     check_integer(draws, "draws", 1)

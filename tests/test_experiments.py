@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import re
 import tempfile
 import threading
@@ -883,6 +884,37 @@ class TestMseExperiment:
         assert serial_pool == ([] if blocks == 1 else [blocks])
         assert report.ground_truth == ground_truth_value(config)
 
+    def test_a_task_does_not_grow_with_the_replications(self, monkeypatch, serial_pool):
+        # A block is an index range, so a pool task pickles the config and two
+        # bounds; a list of per-replication seeds would grow with the count.
+        sizes = []
+        run = experiments._run_replications
+
+        def measured(config, reps):
+            sizes.append(len(pickle.dumps((config, reps))))
+            return run(config, reps)
+
+        monkeypatch.setattr(experiments, "_run_replications", measured)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("OPE_DML_THREADS", "2")
+        for replications in (8, 64):
+            run_mse_experiment(small_config(replications=replications))
+        assert serial_pool == [2, 2]
+        assert len(sizes) == 4 and len(set(sizes)) == 1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_the_study_spawns_no_seed_list(self, monkeypatch, serial_pool, threads):
+        # Replication r's streams come from its index: the golden report comes
+        # out with every seed sequence's spawn refused.
+        class NoSpawn(np.random.SeedSequence):
+            def spawn(self, n_children):
+                raise AssertionError("the study spawned a seed sequence")
+
+        monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        self.test_golden_report(monkeypatch, threads)
+        assert serial_pool == ([] if threads == "1" else [2])
+
     def test_single_replication_has_no_se(self):
         report = run_mse_experiment(small_config(replications=1))
         res = report.results[Estimator.DML.value]
@@ -948,7 +980,7 @@ class TestMseExperiment:
             small_config(**changes)
 
     # Counts whose arrays numpy refuses at the shape: the (1, R) estimates, allocated
-    # before the R seeds, the (N, T+1) columns and the lift's noise chain.
+    # before any replication runs, the (N, T+1) columns and the lift's noise chain.
     @pytest.mark.parametrize("changes, name", [
         ({"replications": 2**63}, "experiment config: 'replications'"),
         ({"n_trajectories": 2**63}, "experiment config: 'n_trajectories'"),
@@ -987,13 +1019,14 @@ class TestStackedReplications:
                 name: est.to_dict() for name, est in alone.items()}
 
     def test_a_child_by_key_is_the_spawned_child(self):
-        # The study builds only the children that draw; each must be the stream
-        # that spawning all of them gives.
-        seed = np.random.SeedSequence(5).spawn(3)[2]
-        spawned = np.random.default_rng(seed).spawn(1 + len(Estimator))
-        for key in range(1 + len(Estimator)):
-            assert (experiments._child(seed, key).random(4).tolist()
-                    == spawned[key].random(4).tolist())
+        # The study builds only the children that draw, from a replication's index
+        # alone; each must be the stream that spawning all of them gives.
+        for r in (0, 2):
+            seed = np.random.SeedSequence(5).spawn(3)[r]
+            spawned = np.random.default_rng(seed).spawn(1 + len(Estimator))
+            for key in range(1 + len(Estimator)):
+                assert (experiments._child(5, r, key).random(4).tolist()
+                        == spawned[key].random(4).tolist())
 
     def test_full_cell_index_is_not_held_while_the_folds_fit(self):
         # All five estimators at k=5 on 1e5 rows of the lift. Holding the full
@@ -1040,10 +1073,9 @@ class TestStackedReplications:
         assert experiments.ROW_BUDGET // max(n, evaluation.table.size) == chunk
         peaks = []
         for reps in (8, 64):
-            seeds = np.random.SeedSequence(4).spawn(reps)
             tracemalloc.start()
             try:
-                experiments._run_replications(config, seeds)
+                experiments._run_replications(config, range(reps))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -172,17 +172,29 @@ class TestValidation:
         ("states", [[True, False]], "True"),
         ("actions", np.array([[2**63, 0]], dtype=np.uint64), "9223372036854775808"),
         ("states", [[1e20, 0.0]], "1e+20"),
+        ("actions", [[1.0, None]], "None"),
+        # Text was read as the numbers it spells, or ended in numpy's ValueError.
+        ("states", [["1", "2"]], "'1'"),
+        ("actions", [[1, "a"]], "'1'"),
+        ("states", np.array([[0, "1"]], dtype=object), "'1'"),
+        ("actions", np.array([[b"0", b"1"]]), "b'0'"),
+        ("states", np.array([[0, True]], dtype=object), "True"),
     ], ids=["fractional_state", "fractional_action", "nan_state", "inf_action", "bool_state",
-            "uint64_past_int64_action", "float_past_int64_state"])
+            "uint64_past_int64_action", "float_past_int64_state", "none_action",
+            "string_state", "mixed_string_action", "object_string_state", "bytes_action",
+            "object_bool_state"])
     def test_dataset_ids_must_be_integral(self, field, ids, bad):
         # A float id used to be truncated: [[0.7, 1.9]] read as states [[0, 1]].
         columns = {"states": [[0, 1]], "actions": [[0, 1]], field: ids}
         match = re.escape(f"dataset {field} must be integer ids, got {bad}")
         with pytest.raises(ValidationError, match=f"^{match}$"):
             LoggedDataset(**columns, rewards=[[0.0, 0.0]])
-        # Whole floats are ids.
-        assert LoggedDataset(states=[[0.0, 2.0]], actions=[[1.0, 0.0]],
+        # Whole floats and numbers in an object array are ids, and int64 ids are
+        # kept without a copy.
+        assert LoggedDataset(states=[[0.0, 2.0]], actions=np.array([[1, 0]], dtype=object),
                              rewards=[[0.0, 0.0]]).states.tolist() == [[0, 2]]
+        ids = np.array([[0, 1]])
+        assert LoggedDataset(ids, ids, [[0.0, 0.0]]).states is ids
 
     @pytest.mark.parametrize("p", [float("nan"), 0.0, 1.5, -0.1])
     def test_dataset_propensities_in_unit_interval(self, p):

@@ -122,8 +122,27 @@ class TestInputErrors:
          "means and variances must be matching (S, A) tables"),
         (lambda: thompson_gaussian_policy([0.0], [1.0], np.random.default_rng(0)),
          "means and variances must be matching (S, A) tables"),
+        # Each ended in numpy's AxisError or a bare ValueError, or was accepted.
+        (lambda: softmax_policy([1.0, 2.0]), "scores must be a nonempty (S, A) table"),
+        (lambda: softmax_policy(np.zeros((2, 0))), "scores must be a nonempty (S, A) table"),
+        (lambda: greedy_policy([1.0, 2.0]), "means must be a nonempty (S, A) table"),
+        (lambda: greedy_policy(np.zeros((2, 0))), "means must be a nonempty (S, A) table"),
+        (lambda: thompson_gaussian_policy(np.zeros((2, 0)), np.zeros((2, 0)),
+                                          np.random.default_rng(0)),
+         "means must be a nonempty (S, A) table"),
+        (lambda: thompson_gaussian_policy([[0.0, np.nan]], [[1.0, 1.0]],
+                                          np.random.default_rng(0)), "means must be finite"),
+        (lambda: thompson_gaussian_policy([[0.0, 1.0]], [[1.0, np.inf]],
+                                          np.random.default_rng(0)), "variances must be finite"),
+        (lambda: thompson_gaussian_policy([[0.0, 1.0]], [[1.0, -np.inf]],
+                                          np.random.default_rng(0)), "variances must be finite"),
+        (lambda: thompson_gaussian_policy([[0.0, 1.0]], [[1.0, -1.0]],
+                                          np.random.default_rng(0)),
+         "variances must be nonnegative"),
     ], ids=["epsilon_1d", "epsilon_no_actions", "epsilon_nan", "softmax_inf", "greedy_nan",
-            "thompson_shapes", "thompson_1d"])
+            "thompson_shapes", "thompson_1d", "softmax_1d", "softmax_no_actions", "greedy_1d",
+            "greedy_no_actions", "thompson_no_actions", "thompson_nan_mean",
+            "thompson_inf_variance", "thompson_minus_inf_variance", "thompson_negative_variance"])
     def test_message(self, build, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             build()
