@@ -38,6 +38,7 @@ from .nuisance import (
     _cross_fits,
     _fit,
     _folds,
+    _index_dtype,
     check_support,
     check_table_shape,
 )
@@ -220,8 +221,12 @@ def _offset(index: np.ndarray, step: int) -> np.ndarray:
 
 def _cells(states: np.ndarray, actions: np.ndarray, eval_policy: Policy) -> np.ndarray:
     """The cell index ``s*A + a`` of R stacked datasets (R, n, T+1), replication r's
-    offset by r*S*A into the R stacked (S, A) tables."""
-    sa = states * eval_policy.num_actions
+    offset by r*S*A into the R stacked (S, A) tables.
+
+    The index is int32 while R*S*A*(S+1) is below ``nuisance.INDEX_LIMIT``, else
+    int64: ``_count``'s largest move intermediate, R*S*A*S + R*S - 1, then fits."""
+    limit = len(states) * eval_policy.table.size * (eval_policy.num_states + 1)
+    sa = np.multiply(states, eval_policy.num_actions, dtype=_index_dtype(limit))
     sa += actions
     sa += _offset(sa, eval_policy.table.size)
     return sa
@@ -282,7 +287,7 @@ def _dml(cells: list, rewards: np.ndarray, folds: list, eval_policy: Policy, dis
     for fold, (sa, fold_rewards), (behavior, q) in zip(folds, parts, fits):
         psi = _walk(sa, fold_rewards, _ratios(behavior, eval_policy, sa),
                     [_control(q, eval_policy)], discount)[0]
-        np.put_along_axis(scores, fold, psi, axis=1)
+        scores.put(fold + _offset(fold, scores.shape[1]), psi)
     return _finalize(scores, Estimator.DML, level)
 
 

@@ -81,6 +81,24 @@ def check_dataset(value, name: str) -> None:
         raise ValidationError(f"{name} must be a LoggedDataset, got {type(value).__name__}")
 
 
+def as_real(values, rule: str) -> np.ndarray:
+    """``values`` as an array, after raising "<rule>, got <value>" for its first
+    entry that is no real number: text, bytes, a bool, a complex number or None.
+    The dtype's kind decides in O(1), unless the array holds Python objects."""
+    given = np.asarray(values)
+    kind = given.dtype.kind
+    if kind in "iuf":
+        return given
+    if kind == "O":
+        odd = [x for x in given.ravel().tolist()
+               if not isinstance(x, numbers.Real) or isinstance(x, bool)]
+    else:  # text, bytes, bools or complex numbers: no entry is a real number
+        odd = given.ravel()[:1].tolist()
+    if odd:
+        raise ValidationError(f"{rule}, got {odd[0]!r}")
+    return given
+
+
 @contextmanager
 def sized_by(value: int, name: str):
     """Re-raise numpy's refusal to shape or allocate an array in the block, whose
@@ -222,9 +240,12 @@ class Policy:
     table: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
+        table = as_real(self.table, "policy table entries must be real numbers")
+        object.__setattr__(self, "table", np.asarray(table, dtype=float))
         if self.table.ndim != 2 or self.table.shape[1] < 1:
             raise ValidationError("policy table must be 2-d with at least one action")
+        if self.table.shape[0] < 1:
+            raise ValidationError("policy table must hold at least one state")
         check_policy_rows(self.table)
 
     @property
@@ -310,25 +331,24 @@ class LoggedDataset:
 
     def __post_init__(self):
         for field in ("states", "actions"):
-            given = ids = np.asarray(getattr(self, field))
-            kind = given.dtype.kind  # sampling and ingest pass int64, kept without a copy
-            if kind in "OSU":  # text, a bool or None is no number, so no id
-                odd = [x for x in given.ravel().tolist()
-                       if not isinstance(x, numbers.Real) or isinstance(x, bool)]
-                if odd:
-                    raise ValidationError(f"dataset {field} must be integer ids, got {odd[0]!r}")
+            # Sampling and ingest pass int64, kept without a copy.
+            given = ids = as_real(getattr(self, field), f"dataset {field} must be integer ids")
+            kind = given.dtype.kind
             if kind == "u":
                 ids = given.astype(np.int64)
                 whole = ids >= 0  # an id past int64's range wraps to a negative one
-            elif kind != "i":  # a bool is no id, and a float must be a whole int64
+            elif kind != "i":  # a float must be a whole int64
                 ids = given.astype(float)
-                whole = (kind != "b") & (np.floor(ids) == ids) & (ids >= -2.0**63)
+                whole = (np.floor(ids) == ids) & (ids >= -2.0**63)
                 whole &= ids < 2.0**63
             if kind != "i" and not whole.all():
                 raise ValidationError(f"dataset {field} must be integer ids, "
                                       f"got {given[~whole][0]}")
             object.__setattr__(self, field, np.asarray(ids, dtype=np.int64))
-        object.__setattr__(self, "rewards", np.asarray(self.rewards, dtype=float))
+        for field in ("rewards", "propensities"):
+            if getattr(self, field) is not None:
+                given = as_real(getattr(self, field), f"dataset {field} must be real numbers")
+                object.__setattr__(self, field, np.asarray(given, dtype=float))
         if self.states.ndim != 2:
             raise ValidationError(f"dataset states must be a 2-d (N, T+1) array, "
                                   f"got shape {self.states.shape}")
@@ -342,12 +362,11 @@ class LoggedDataset:
             raise ValidationError(f"dataset rewards must be finite, "
                                   f"got {self.rewards[~np.isfinite(self.rewards)][0]}")
         if self.propensities is not None:
-            p = np.asarray(self.propensities, dtype=float)
+            p = self.propensities
             if p.shape != self.states.shape:
                 raise ValidationError("propensities shape mismatch")
             if not np.all((p > 0) & (p <= 1)):
                 raise ValidationError("propensities must lie in (0, 1]")
-            object.__setattr__(self, "propensities", p)
 
     @property
     def n(self) -> int:

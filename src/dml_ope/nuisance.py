@@ -23,6 +23,13 @@ take R stacked row sets (R, n, T+1), one per replication, whose cell indices are
 offset by r*S*A, so a bin or move index belongs to one replication; one row set
 is R = 1. The kernels check nothing: the public functions take datasets and
 (S, A, S) tables, and check them.
+
+Index dtypes: the kernels' cell index, and the moves built from it, are int32
+while R*S*A*(S+1) is below ``INDEX_LIMIT``, and fold members while n is; else
+int64. ``_count`` builds the moves from a step-contiguous (T+1, R, n) copy of
+the cell index, whose columns read about 4x faster than the strided slices of
+(R, n, T+1); neither a sort nor a count depends on the moves' order. Every move
+pair, and the public ``make_folds`` and ``LoggedDataset.cells``, stay int64.
 """
 from __future__ import annotations
 
@@ -37,6 +44,10 @@ from .mdp import (LoggedDataset, Policy, ValidationError, check_dataset,
 # The size rule: on the 240-state lift's 115,200 cells, sorting the moves won
 # at 12k (0.15 vs 0.39 ms) and lost to the dense table at 24k (0.37 vs 0.27 ms).
 SORT_DIVISOR = 6
+# An index is int32 while every value it, or a move index built from it, can take
+# lies below this limit: int32 columns are read, sorted and built faster
+# (BENCH_int32_index.json), and numpy wraps an overflow silently.
+INDEX_LIMIT = 2**31
 
 
 class SupportViolationError(ValidationError):
@@ -87,13 +98,21 @@ def make_folds(n_trajectories: int, k: int, rng: np.random.Generator) -> tuple:
     arrays, sizes differing by <= 1; earlier folds get the extras."""
     check_integer(n_trajectories, "n_trajectories")
     check_folds(k, n_trajectories, "k")
-    return tuple(fold[0] for fold in _folds(n_trajectories, k, [rng]))
+    return tuple(fold[0].astype(np.int64) for fold in _folds(n_trajectories, k, [rng]))
+
+
+def _index_dtype(bound: int) -> type:
+    """The dtype of an index whose values lie below ``bound``: int32 while
+    ``bound`` is below ``INDEX_LIMIT``, else int64."""
+    return np.int32 if bound < INDEX_LIMIT else np.int64
 
 
 def _folds(n: int, k: int, rngs: list) -> list:
     """``make_folds`` for each generator of ``rngs``, stacked: k arrays of shape
-    (R, n_k), row r the sorted indices of replication r's fold."""
-    perms = np.stack([rng.permutation(n) for rng in rngs])
+    (R, n_k), row r the sorted indices of replication r's fold. The permutation
+    is drawn as int64, whose draws are faster, and sorted as int32, faster too,
+    while n is below ``INDEX_LIMIT``."""
+    perms = np.stack([rng.permutation(n) for rng in rngs]).astype(_index_dtype(n))
     return [np.sort(fold, axis=1) for fold in np.array_split(perms, k, axis=1)]
 
 
@@ -188,16 +207,21 @@ def _count(sa: np.ndarray, rewards: np.ndarray, eval_policy: Policy) -> tuple:
     and ``s*A + a``, and the reward totals; and the one move pair of their
     transitions ``(s*A + a)*S + s'``, offset by r*S*A*S. A move's next state s' is
     read from its next cell; a bin sums only its own replication's rewards, in
-    row-major order."""
+    row-major order. The moves take the dtype of ``sa``; the pair's indices are
+    int64 on either route."""
     num_states, num_actions = eval_policy.table.shape
     reps = len(sa)
     cells = reps * eval_policy.table.size
-    moves = sa[:, :, :-1] * num_states
-    moves += sa[:, :, 1:] // num_actions  # r*S + s', a gather from a state table is slower
-    moves -= np.arange(0, reps * num_states, num_states).reshape(-1, 1, 1)
+    steps = np.ascontiguousarray(sa.transpose(2, 0, 1))
+    moves = steps[:-1] * num_states
+    moves += steps[1:] // num_actions  # r*S + s', a gather from a state table is slower
+    moves -= np.arange(0, reps * num_states, num_states).reshape(-1, 1)
     size = cells * num_states
-    pair = (np.unique(moves, return_counts=True) if moves.size * SORT_DIVISOR < size
-            else _nonzero(np.bincount(moves.ravel(), minlength=size)))
+    if moves.size * SORT_DIVISOR < size:
+        idx, counts = np.unique(moves, return_counts=True)
+        pair = idx.astype(np.int64, copy=False), counts
+    else:
+        pair = _nonzero(np.bincount(moves.ravel(), minlength=size))
     with np.errstate(over="ignore"):  # an infinite total fails _fit's Q check
         total = rewards.sum(axis=(-2, -1))
     return (np.bincount(sa.ravel(), minlength=cells).reshape(reps, -1),

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import Policy, ValidationError, check_integer, check_unit_interval
+from .mdp import Policy, ValidationError, as_real, check_integer, check_unit_interval
 
 
 def _table(values, name: str) -> np.ndarray:
-    """``values`` as a float (S, A) table of at least one action and finite entries."""
-    table = np.asarray(values, dtype=float)
-    if table.ndim != 2 or table.shape[1] < 1:
+    """``values`` as a float (S, A) table of real entries, at least one state and
+    one action, all finite."""
+    table = np.asarray(as_real(values, f"{name} must be real numbers"), dtype=float)
+    if table.ndim != 2 or 0 in table.shape:
         raise ValidationError(f"{name} must be a nonempty (S, A) table")
     if not np.all(np.isfinite(table)):
         raise ValidationError(f"{name} must be finite")
@@ -58,9 +59,7 @@ def thompson_gaussian_policy(
     Per state, each action's probability is the frequency (over ``draws``
     rounds) with which its sampled reward attains the maximum.
     """
-    means = np.asarray(means, dtype=float)
-    variances = np.asarray(variances, dtype=float)
-    if means.shape != variances.shape or means.ndim != 2:
+    if np.shape(means) != np.shape(variances) or np.ndim(means) != 2:
         raise ValidationError("means and variances must be matching (S, A) tables")
     means, variances = _table(means, "means"), _table(variances, "variances")
     if np.any(variances < 0):

@@ -101,6 +101,18 @@ class TestValidation:
                            match="^policy table must be 2-d with at least one action$"):
             Policy(table=table)
 
+    @pytest.mark.parametrize("table, message", [
+        (np.zeros((0, 2)), "policy table must hold at least one state"),
+        ([["a"]], "policy table entries must be real numbers, got 'a'"),
+        ([["1"]], "policy table entries must be real numbers, got '1'"),
+        ([[True]], "policy table entries must be real numbers, got True"),
+        ([[1 + 0j]], "policy table entries must be real numbers, got (1+0j)"),
+    ], ids=["no_state", "text", "number_text", "bool", "complex"])
+    def test_policy_table_must_be_real_with_a_state(self, table, message):
+        # Each was accepted as a policy, or ended in numpy's bare ValueError.
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Policy(table=table)
+
     def test_policy_rows_must_be_distributions(self):
         with pytest.raises(ValidationError):
             Policy(table=[[0.5, 0.6]])
@@ -179,10 +191,13 @@ class TestValidation:
         ("states", np.array([[0, "1"]], dtype=object), "'1'"),
         ("actions", np.array([[b"0", b"1"]]), "b'0'"),
         ("states", np.array([[0, True]], dtype=object), "True"),
+        # A complex id lost its imaginary part with only numpy's ComplexWarning.
+        ("states", [[0, 1 + 0j]], "0j"),
+        ("actions", np.array([[0, 1j]], dtype=object), "1j"),
     ], ids=["fractional_state", "fractional_action", "nan_state", "inf_action", "bool_state",
             "uint64_past_int64_action", "float_past_int64_state", "none_action",
             "string_state", "mixed_string_action", "object_string_state", "bytes_action",
-            "object_bool_state"])
+            "object_bool_state", "complex_state", "object_complex_action"])
     def test_dataset_ids_must_be_integral(self, field, ids, bad):
         # A float id used to be truncated: [[0.7, 1.9]] read as states [[0, 1]].
         columns = {"states": [[0, 1]], "actions": [[0, 1]], field: ids}
@@ -195,6 +210,16 @@ class TestValidation:
                              rewards=[[0.0, 0.0]]).states.tolist() == [[0, 2]]
         ids = np.array([[0, 1]])
         assert LoggedDataset(ids, ids, [[0.0, 0.0]]).states is ids
+
+    @pytest.mark.parametrize("field", ["rewards", "propensities"])
+    def test_dataset_values_of_a_numeric_dtype_are_read(self, field):
+        # Integer, unsigned and float arrays, and numbers in an object array.
+        for numbers in ([[1, 1]], np.array([[1, 1]], dtype=np.uint8), [[0.5, 1.0]],
+                        np.array([[0.5, 1]], dtype=object)):
+            columns = {"states": [[0, 1]], "actions": [[0, 1]], "rewards": [[0.0, 0.0]],
+                       field: numbers}
+            data = LoggedDataset(**columns)
+            assert getattr(data, field).tolist() == np.asarray(numbers, dtype=float).tolist()
 
     @pytest.mark.parametrize("p", [float("nan"), 0.0, 1.5, -0.1])
     def test_dataset_propensities_in_unit_interval(self, p):
@@ -216,8 +241,25 @@ class TestValidation:
         ({"states": np.zeros((1, 2, 1)), "actions": np.zeros((1, 2, 1)),
           "rewards": np.zeros((1, 2, 1))},
          "dataset states must be a 2-d (N, T+1) array, got shape (1, 2, 1)"),
+        # Text was read as the numbers it spells, or ended in numpy's ValueError;
+        # a bool read as 1.0 or 0.0, and a complex number lost its imaginary part.
+        *[({"states": [[0, 1]], "actions": [[0, 1]], "rewards": [[0.0, 0.0]], field: values},
+           f"dataset {field} must be real numbers, got {bad}")
+          for field, values, bad in [
+              ("rewards", [["0", "1"]], "'0'"),
+              ("rewards", [["a", "1"]], "'a'"),
+              ("rewards", np.array([[b"0", b"1"]]), "b'0'"),
+              ("rewards", [[True, False]], "True"),
+              ("rewards", [[0.0, 1 + 0j]], "0j"),
+              ("rewards", np.array([[0.0, "1"]], dtype=object), "'1'"),
+              ("rewards", np.array([[0.0, None]], dtype=object), "None"),
+              ("propensities", [["0.5", "1"]], "'0.5'"),
+              ("propensities", [[True, True]], "True"),
+              ("propensities", [[0.5, 1 + 0j]], "(0.5+0j)")]],
     ], ids=["one_dimensional", "no_steps", "nan_reward", "inf_reward", "neg_inf_reward",
-            "three_dimensional"])
+            "three_dimensional", "string_rewards", "text_rewards", "bytes_rewards",
+            "bool_rewards", "complex_rewards", "object_string_reward", "object_none_reward",
+            "string_propensities", "bool_propensities", "complex_propensities"])
     def test_dataset_no_estimator_can_score_rejected(self, columns, message):
         # Each was accepted, and failed later in an estimator or a nuisance check.
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

@@ -139,10 +139,28 @@ class TestInputErrors:
         (lambda: thompson_gaussian_policy([[0.0, 1.0]], [[1.0, -1.0]],
                                           np.random.default_rng(0)),
          "variances must be nonnegative"),
+        # Each returned a policy of no states, or ended in numpy's bare ValueError.
+        (lambda: epsilon_greedy_policy(np.zeros((0, 2)), 0.1),
+         "scores must be a nonempty (S, A) table"),
+        (lambda: softmax_policy(np.zeros((0, 2))), "scores must be a nonempty (S, A) table"),
+        (lambda: greedy_policy(np.zeros((0, 2))), "means must be a nonempty (S, A) table"),
+        (lambda: thompson_gaussian_policy(np.zeros((0, 2)), np.zeros((0, 2)),
+                                          np.random.default_rng(0)),
+         "means must be a nonempty (S, A) table"),
+        (lambda: epsilon_greedy_policy([["1", "0"]], 0.1), "scores must be real numbers, got '1'"),
+        (lambda: softmax_policy([["a"]]), "scores must be real numbers, got 'a'"),
+        (lambda: greedy_policy([[True, False]]), "means must be real numbers, got True"),
+        (lambda: thompson_gaussian_policy([["a"]], [[1.0]], np.random.default_rng(0)),
+         "means must be real numbers, got 'a'"),
+        (lambda: thompson_gaussian_policy([[0.0]], [[1j]], np.random.default_rng(0)),
+         "variances must be real numbers, got 1j"),
     ], ids=["epsilon_1d", "epsilon_no_actions", "epsilon_nan", "softmax_inf", "greedy_nan",
             "thompson_shapes", "thompson_1d", "softmax_1d", "softmax_no_actions", "greedy_1d",
             "greedy_no_actions", "thompson_no_actions", "thompson_nan_mean",
-            "thompson_inf_variance", "thompson_minus_inf_variance", "thompson_negative_variance"])
+            "thompson_inf_variance", "thompson_minus_inf_variance", "thompson_negative_variance",
+            "epsilon_no_states", "softmax_no_states", "greedy_no_states", "thompson_no_states",
+            "epsilon_text", "softmax_text", "greedy_bool", "thompson_text_mean",
+            "thompson_complex_variance"])
     def test_message(self, build, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             build()
