@@ -16,7 +16,7 @@ so every replication's estimates are those of ``evaluate_dataset`` on its
 dataset. A replication's arrays are its rows, n per step, and its (S, A)
 tables, S*A cells per step, so the budget bounds a chunk's arrays at
 ROW_BUDGET cells per step, whatever n and S*A; a cross-fit complement merges
-its move counts in one replication's S*A*S table at a time.
+its move counts by sorting them, or in one replication's S*A*S table at a time.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +59,8 @@ from .nuisance import NuisanceConfig, check_table_shape
 _INT64_MAX = np.iinfo(np.int64).max
 _WRITE_BLOCK_ROWS = 4096
 _STEP_KEYS = {"s", "a", "r"}
+_KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd, so each step is a bijection
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -170,28 +172,93 @@ def _text_lines(path: str | Path):
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _decode(tokens: list, convert, dtype) -> np.ndarray:
-    """``tokens`` as an array of ``dtype``, each distinct token converted once."""
-    lookup = dict(zip(dict.fromkeys(tokens), count()))
-    values = np.array(list(map(convert, lookup)), dtype=dtype)
-    return values.take(np.fromiter(map(lookup.__getitem__, tokens), np.intp, len(tokens)))
+def _spans(buf: np.ndarray, lines: int) -> tuple | None:
+    """The ``(lines, width, 4)`` starts and lengths of the ``s a r p`` values in
+    the bytes ``buf`` as ``_jsonl_blocks`` lays them out, found from the colons
+    and newlines; None where a line does not end in a newline or hold ``1 +
+    4*width`` colons, or a span is not 1 to 24 bytes long (24 is the longest
+    json.dumps float). A value starts 2 bytes after its key's colon and ends 5
+    bytes before the next key's colon (``, "a"``), 7 before the next step's
+    (``}, {"s"``) or 3 before the newline (``}]}``)."""
+    ends, colons = np.flatnonzero(buf == 10), np.flatnonzero(buf == 58)
+    width, rest = divmod(len(colons) // lines - 1, 4)
+    if (len(ends) != lines or ends[-1] != len(buf) - 1 or rest or width < 1
+            or np.any(np.searchsorted(colons, ends) != np.arange(1, lines + 1) * (1 + 4 * width))):
+        return None
+    key_colons = colons.reshape(lines, 1 + 4 * width)[:, 1:].reshape(lines, width, 4)
+    lengths = np.empty_like(key_colons)
+    lengths[..., :3] = key_colons[..., 1:] - 5
+    lengths[:, :-1, 3] = key_colons[:, 1:, 0] - 7
+    lengths[:, -1, 3] = ends - 3
+    starts = key_colons + 2
+    lengths -= starts
+    return (starts, lengths) if 1 <= lengths.min() and lengths.max() <= 24 else None
+
+
+def _ids(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The integers whose decimal digits the spans of ``buf`` hold; a ValueError
+    where a span holds anything but 1 to 19 digits or a number past int64."""
+    if lengths.max() > 19:
+        raise ValueError("an id of more than 19 digits")
+    value, bad = np.zeros(len(starts), np.uint64), False
+    for k in range(lengths.max()):  # the digit worth 10**k, k places from each span's end
+        live = k < lengths
+        digit = buf.take(starts + lengths - 1 - k, mode="clip") - np.uint8(48)
+        bad = bad | live & (digit > 9)
+        value += np.where(live, digit, 0).astype(np.uint64) * np.uint64(10**k)
+    if np.any(bad) or value.max() > _INT64_MAX:
+        raise ValueError("an id that is not int64 digits")
+    return value.view(np.int64)
+
+
+def _text_keys(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """One uint64 per span of ``buf``, ``key * _KEY_MULTIPLIER + word`` over its
+    8-byte words, zero past its end: equal texts give equal keys, and a text of
+    up to 8 bytes its own key; other texts share a key by chance, which the
+    caller's check must catch. The words are indexed in a view of ``buf`` at
+    every byte offset, which reads only them (``take`` would copy the view)."""
+    last = len(buf) - 8
+    words = np.ndarray((last + 1,), "<u8", buffer=buf, strides=(1,))
+    key = np.zeros(len(starts), np.uint64)
+    for at in range(0, lengths.max(), 8):
+        first = starts + at
+        word = words[np.minimum(first, last)]  # past ``last``, the word's top bytes
+        word >>= (8 * np.maximum(first - last, 0)).astype(np.uint64)
+        key = key * _KEY_MULTIPLIER + (word & _BYTE_MASKS[np.clip(lengths - at, 0, 8)])
+    return key
+
+
+def _floats(text: bytes, starts: np.ndarray, lengths: np.ndarray, keys: tuple):
+    """The floats that the spans of ``text`` spell, one ``float`` call per distinct
+    key of ``keys``, ``np.unique``'s keys, first indices and inverse, on the first
+    text that has it; None if every span is ``null``."""
+    _, first, inverse = keys
+    texts = [text[i:i + n] for i, n in zip(starts[first].tolist(), lengths[first].tolist())]
+    if texts == [b"null"]:
+        return None
+    return np.array(list(map(float, texts)), dtype=float).take(inverse)
 
 
 def _canonical_block(text: bytes, lines: int) -> tuple | None:
     """The arrays of ``text``, ``lines`` lines, if it is their ``_jsonl_blocks`` and
     they pass ``_ingest_lines``'s value rules; else None, or a ValueError or
-    OverflowError. Without ``{}[]":,`` a step is the tokens ``s S a A r R p P``."""
-    tokens = text.replace(b'{"steps": [', b"").translate(None, b'{}[]":,').split()
-    width, rest = divmod(len(tokens), 8 * lines)
-    r, p = tokens[5::8], tokens[7::8]
-    distinct = len(set(r)) + len(set(p))  # past a third of the floats, json.loads is faster
-    if rest or not width or distinct > 1000 and 3 * distinct > 2 * len(r):
+    OverflowError. The values are read at their ``_spans``: ids from their
+    digits, floats once per distinct key of their texts."""
+    buf = np.frombuffer(text, np.uint8)
+    spans = _spans(buf, lines)
+    if spans is None:
         return None
-    s, a = (_decode(tokens[k::8], int, np.int64) for k in (1, 3))
-    r = _decode(r, float, float)
-    p = None if p.count(b"null") == len(p) else _decode(p, float, float)
-    arrays = tuple(x if x is None else x.reshape(lines, width) for x in (s, a, r, p))
-    valid = (min(s.min(), a.min()) >= 0 and np.isfinite(r).all()
+    starts, lengths = spans
+    s, a, r, p = ((starts[..., k].ravel(), lengths[..., k].ravel()) for k in range(4))
+    r_keys, p_keys = (np.unique(_text_keys(buf, *x), return_index=True, return_inverse=True)
+                      for x in (r, p))
+    distinct = len(r_keys[0]) + len(p_keys[0])  # past a third of the floats, json.loads is faster
+    if distinct > 1000 and 3 * distinct > 2 * len(r_keys[2]):
+        return None
+    s, a = _ids(buf, *s), _ids(buf, *a)
+    r, p = _floats(text, *r, r_keys), _floats(text, *p, p_keys)
+    arrays = tuple(x if x is None else x.reshape(starts.shape[:2]) for x in (s, a, r, p))
+    valid = (r is not None and min(s.min(), a.min()) >= 0 and np.isfinite(r).all()
              and (p is None or np.all((p > 0) & (p <= 1))))
     return arrays if valid and next(_jsonl_blocks(*arrays)).encode() == text else None
 

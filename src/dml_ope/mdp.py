@@ -282,9 +282,9 @@ class TabularMdp:
             check_integer(getattr(self, field), field)
         if self.num_states < 1 or self.num_actions < 1:
             raise ValidationError("num_states and num_actions must be positive")
-        for field in ("reward_support", "reward_probs"):
-            object.__setattr__(self, field,
-                               np.ascontiguousarray(getattr(self, field), dtype=float))
+        for field in ("initial_dist", "transitions", "reward_support", "reward_probs"):
+            values = as_real(getattr(self, field), f"{field} entries must be real numbers")
+            object.__setattr__(self, field, np.asarray(values, dtype=float, order="C"))
         support, probs = self.reward_support, self.reward_probs
         if (support.ndim != 3 or support.shape[:2] != (self.num_states, self.num_actions)
                 or probs.shape != support.shape):
@@ -298,8 +298,6 @@ class TabularMdp:
         _check_prob_rows(probs, "rewards[{}][{}]: reward probs")
         check_at_least(self.horizon, 0, "horizon")
         check_unit_interval(self.discount, "discount")
-        object.__setattr__(self, "initial_dist", np.asarray(self.initial_dist, dtype=float))
-        object.__setattr__(self, "transitions", np.asarray(self.transitions, dtype=float))
         if self.initial_dist.shape != (self.num_states,):
             raise ValidationError("initial_dist has wrong shape")
         _check_prob_rows(self.initial_dist, "initial_dist")

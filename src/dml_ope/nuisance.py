@@ -13,10 +13,11 @@ the Q recursion is defined everywhere. A fit is the record ``(behavior, q)``.
 
 Transition counts are a move pair: the sorted flat indices ``(s*A + a)*S + s'``
 of the observed moves and their int64 counts, sorted by ``np.unique`` while
-``moves * SORT_DIVISOR < S*A*S``, else counted in one dense table, as are the
-pairs of a complement of two or more parts. The Q recursion runs over the
-pair, so a step costs at most min(n*T, S*A*S) operations; a cell without
-moves takes the mean of the next step's values, the uniform row.
+``moves * SORT_DIVISOR < S*A*S``, else counted in one dense table; the pairs
+of a complement of two or more parts are merged by the same rule. The Q
+recursion runs over the pair, so a step costs at most min(n*T, S*A*S)
+operations; a cell without moves takes the mean of the next step's values,
+the uniform row.
 
 The private kernels (``_folds``, ``_count``, ``_cross_fits``, ``_fit``, ``_q_tables``)
 take R stacked row sets (R, n, T+1), one per replication, whose cell indices are
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (LoggedDataset, Policy, ValidationError, check_dataset,
+from .mdp import (LoggedDataset, Policy, ValidationError, as_real, check_dataset,
                   check_finite_nonnegative, check_folds, check_integer, check_policy_rows,
                   check_unit_interval)
 
@@ -77,7 +78,8 @@ class NuisanceEstimate:
     q: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
+        q = as_real(self.q, "q table entries must be real numbers")
+        object.__setattr__(self, "q", np.asarray(q, dtype=float))
         if self.q.ndim != 3:
             raise ValidationError("q table must have shape (T+1, S, A)")
         _check_finite_q(self.q)
@@ -132,13 +134,15 @@ def q_recursion(
     and ``discount`` in [0, 1]; Q tables that overflow raise.
     """
     check_integer(horizon, "horizon", 0)
-    mean_reward = np.asarray(mean_reward, dtype=float)
+    mean_reward = np.asarray(as_real(mean_reward, "mean_reward entries must be real numbers"),
+                             dtype=float)
     if mean_reward.shape != eval_policy.table.shape:
         raise ValidationError("eval policy shape does not match mean_reward")
     if not np.all(np.isfinite(mean_reward)):
         raise ValidationError("mean_reward entries must be finite")
     check_unit_interval(discount, "discount")
-    transitions = np.asarray(transitions, dtype=float)
+    transitions = np.asarray(as_real(transitions, "transition weights must be real numbers"),
+                             dtype=float)
     shape = eval_policy.table.shape + (eval_policy.num_states,)
     if transitions.shape != shape:
         raise ValidationError(f"transitions must have shape (S, A, S) = {shape}, "
@@ -245,11 +249,18 @@ def _cross_fits(parts: list, eval_policy: Policy, discount: float,
 
 def _merge(pairs: tuple, size: int, reps: int = 1) -> tuple:
     """The move pair of the sum of ``pairs`` of ``reps`` stacked replications:
-    one pair as it is, more added into one int64 table of ``size`` cells, a
-    replication at a time, which is exact as each pair's indices are distinct.
-    The table is one replication's, so a chunk's merge needs no more memory."""
+    one pair as it is; more, by ``_count``'s size rule, sorted and summed per
+    index, or added into one int64 table of ``size`` cells, a replication at a
+    time, which is exact as each pair's indices are distinct. The table is one
+    replication's, so a chunk's merge needs no more memory."""
     if len(pairs) == 1:
         return pairs[0]
+    if sum(len(i) for i, _ in pairs) * SORT_DIVISOR < reps * size:
+        idx, counts = (np.concatenate(column) for column in zip(*pairs))
+        order = np.argsort(idx)
+        idx, counts = idx[order], counts[order]
+        first = np.flatnonzero(np.diff(idx, prepend=-1))
+        return idx[first], np.add.reduceat(counts, first)
     cuts = [np.searchsorted(i, np.arange(reps + 1) * size) for i, _ in pairs]
     dense = np.empty(size, dtype=np.int64)
     idx, counts = [], []

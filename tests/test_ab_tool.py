@@ -59,6 +59,23 @@ def test_a_writer_that_appends_one_byte_exits_1_naming_write(tmp_path, run_ops):
     assert not any(r["equal"] for r in report["write"].values())
 
 
+def test_ingest_cases_of_the_bench_rows_read_alike(run_ops):
+    # The reordered and the re-spaced file hold bench_25k's values: a reader
+    # that gives them other arrays than bench_25k's is wrong.
+    code, report, err = run_ops(ROOT, ["ingest"])
+    assert code == 0, err
+    cases = report["ingest"]
+    assert sorted(cases) == ["bench_25k", "bench_25k_keys_reordered",
+                             "bench_25k_last_line_respaced", "distinct_5k", "distinct_5k_p"]
+    for name in ("bench_25k_keys_reordered", "bench_25k_last_line_respaced"):
+        assert cases[name]["sha256"] == cases["bench_25k"]["sha256"]
+
+
+def test_only_the_last_line_is_respaced():
+    text = '{"steps": [{"s": 0}]}\n{"steps": [{"s": 1}]}\n'
+    assert ab.last_line_respaced(text) == '{"steps": [{"s": 0}]}\n{"steps":[{"s":1}]}\n'
+
+
 HIGHER = {"better": "higher", "bound": 0.24}
 LOWER = {"better": "lower", "bound": 0.25}
 PARENT = [100.0, 101.0, 99.0, 102.0, 98.0, 100.5, 99.5, 101.5, 98.5, 100.0]  # IQR 2.25

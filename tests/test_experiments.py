@@ -534,6 +534,59 @@ class TestCanonicalIngest:
         assert arrays_digest(ingest_jsonl(path)) == arrays_digest(data)
         assert read == [path]
 
+    @pytest.mark.parametrize("data", [
+        LoggedDataset(states=[[9223372036854775807, 0], [1, 9223372036854775806]],
+                      actions=[[0, 9223372036854775807], [1000000000000000000, 1]],
+                      rewards=[[1.0, 0.0], [0.5, 2.0]]),
+        LoggedDataset(states=[[0, 1], [1, 0]], actions=[[0, 1], [1, 1]],
+                      rewards=[[-2.2250738585072014e-308, 2.2250738585072014e-308],
+                               [-1.7976931348623157e+308, -5e-324]],
+                      propensities=[[2.2250738585072014e-308, 1.0],
+                                    [0.30000000000000004, 5e-324]]),
+        LoggedDataset(states=[[0, 1], [1, 0]], actions=[[0, 1], [1, 1]],
+                      rewards=[[-0.0, 0.0], [0.0, -0.0]], propensities=[[1.0, 0.5], [0.5, 1.0]]),
+        LoggedDataset(states=[[0, 1], [1, 0]], actions=[[0, 1], [1, 1]],
+                      rewards=[[1.0, 0.0], [0.5, 2.0]]),
+    ], ids=["int64_max_labels", "24_byte_floats", "signed_zeros", "all_null_p"])
+    def test_an_edge_value_takes_the_fast_path(self, tmp_path, monkeypatch, data):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(data, path)
+        expected = arrays_digest(experiments._ingest_lines(path))
+        assert expected == arrays_digest(data)
+        monkeypatch.setattr(experiments, "_ingest_lines", TestCanonicalIngest._refuse)
+        assert arrays_digest(ingest_jsonl(path)) == expected
+
+    def test_floats_that_share_a_key_are_read_line_by_line(self, tmp_path, monkeypatch):
+        # A multiplier of 0 keys a text by its last 8-byte word alone, so these two
+        # rewards share a key; a collision of the real key is as good as unfindable.
+        data = LoggedDataset(states=[[0, 1]], actions=[[1, 0]],
+                             rewards=[[10000001.5, 20000001.5]])
+        monkeypatch.setattr(experiments, "_KEY_MULTIPLIER", np.uint64(0))
+        buf = np.frombuffer(b"10000001.5 20000001.5", np.uint8)
+        keys = experiments._text_keys(buf, np.array([0, 11]), np.array([10, 10]))
+        assert keys[0] == keys[1]
+        path = tmp_path / "d.jsonl"
+        write_jsonl(data, path)
+        ingest_lines, read = experiments._ingest_lines, []
+        monkeypatch.setattr(experiments, "_ingest_lines",
+                            lambda p: read.append(p) or ingest_lines(p))
+        assert arrays_digest(ingest_jsonl(path)) == arrays_digest(data)
+        assert read == [path]
+
+    def test_the_key_tells_near_texts_apart(self):
+        # The last text ends the buffer, so its word is read from the last 8 bytes.
+        texts = [b"10000001.5", b"20000001.5", b"0.1", b"0.10", b"-0.0", b"0.0", b"null",
+                 b"-2.2250738585072014e-308", b"-2.2250738585072014e-307",
+                 b"1.2345678901234567", b"1.2345678901234576", b"0.1"]
+        starts = np.cumsum([0] + [len(t) + 1 for t in texts[:-1]])
+        buf = np.frombuffer(b" ".join(texts), np.uint8)
+        keys = experiments._text_keys(buf, starts, np.array([len(t) for t in texts])).tolist()
+        assert len(set(keys)) == len(texts) - 1 and keys[2] == keys[-1]
+
+    @staticmethod
+    def _refuse(path):
+        raise AssertionError(f"{path} was read line by line")
+
     def test_a_pipe_is_opened_once(self, tmp_path):
         path, pipe = tmp_path / "d.jsonl", tmp_path / "pipe"
         write_jsonl(_CORPUS_BASE, path)

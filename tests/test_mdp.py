@@ -154,6 +154,33 @@ class TestValidation:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             TabularMdp(**{**fields, **changes})
 
+    @pytest.mark.parametrize("field, values, bad", [
+        ("initial_dist", np.array([True, False]), "True"),
+        ("initial_dist", np.array([0.5, 0.5]) + 0j, "(0.5+0j)"),
+        ("initial_dist", np.array(["0.5", "0.5"]), "'0.5'"),
+        ("transitions", np.full((2, 1, 2), True), "True"),
+        ("transitions", np.full((2, 1, 2), 0.5 + 0j), "(0.5+0j)"),
+        ("transitions", np.full((2, 1, 2), "0.5"), "'0.5'"),
+        ("reward_support", np.full((2, 1, 1), True), "True"),
+        ("reward_support", np.full((2, 1, 1), 1j), "1j"),
+        ("reward_support", np.full((2, 1, 1), "1"), "'1'"),
+        ("reward_probs", np.full((2, 1, 1), True), "True"),
+        ("reward_probs", np.full((2, 1, 1), 1 + 0j), "(1+0j)"),
+        ("reward_probs", np.full((2, 1, 1), "1"), "'1'"),
+    ], ids=["bool_initial_dist", "complex_initial_dist", "text_initial_dist",
+            "bool_transitions", "complex_transitions", "text_transitions",
+            "bool_reward_support", "complex_reward_support", "text_reward_support",
+            "bool_reward_probs", "complex_reward_probs", "text_reward_probs"])
+    def test_mdp_arrays_must_be_real_numbers(self, field, values, bad):
+        # A bool read as 1.0 or 0.0, so [True, False] passed as a distribution, and a
+        # complex number lost its imaginary part with only numpy's ComplexWarning.
+        fields = dict(num_states=2, num_actions=1, horizon=0, discount=1.0,
+                      initial_dist=[0.5, 0.5], transitions=np.full((2, 1, 2), 0.5),
+                      **point_mass([[0.0], [0.0]]))
+        message = f"{field} entries must be real numbers, got {bad}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            TabularMdp(**{**fields, field: values})
+
     def test_transition_rows_checked_with_path(self):
         bad = np.ones((2, 1, 2)) * 0.5
         bad[1, 0] = [0.7, 0.7]

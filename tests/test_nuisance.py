@@ -13,6 +13,7 @@ from dml_ope import (
     Policy,
     SupportViolationError,
     ValidationError,
+    dml_estimate,
     enumerate_dataset,
     fit_nuisance,
     fit_nuisances,
@@ -224,6 +225,18 @@ class TestNuisanceEstimate:
         with pytest.raises(ValidationError, match="^q table entries must be finite$"):
             NuisanceEstimate(Policy(table=[[0.5, 0.5]]), [[[0.0, np.nan]]])
 
+    @pytest.mark.parametrize("q, bad", [
+        (np.array([[[True, False]]]), "True"),
+        (np.array([[[0.5, 1.0]]]) + 0j, "(0.5+0j)"),
+        (np.array([[["0.5", "1"]]]), "'0.5'"),
+    ], ids=["bool", "complex", "text"])
+    def test_q_must_be_real_numbers(self, q, bad):
+        # A bool read as 1.0 or 0.0, a complex number lost its imaginary part with
+        # only numpy's ComplexWarning, and text ended in numpy's bare ValueError.
+        message = f"q table entries must be real numbers, got {bad}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            NuisanceEstimate(Policy(table=[[0.5, 0.5]]), q)
+
 
 class TestQRecursion:
     def test_horizon_zero_is_mean_reward(self):
@@ -269,6 +282,27 @@ class TestQRecursion:
         mu[1, 0] = bad
         with pytest.raises(ValidationError, match="mean_reward entries must be finite"):
             q_recursion(mu, mdp.transitions, three_state_policies()[1], 2, 0.9)
+
+    @pytest.mark.parametrize("argument, kind, bad", [
+        ("mean_reward", bool, "True"),
+        ("mean_reward", complex, "(0.7+0j)"),
+        ("mean_reward", str, "'0.7'"),
+        ("transitions", bool, "True"),
+        ("transitions", complex, "(0.6+0j)"),
+        ("transitions", str, "'0.6'"),
+    ], ids=["bool_mean_reward", "complex_mean_reward", "text_mean_reward",
+            "bool_transitions", "complex_transitions", "text_transitions"])
+    def test_arrays_must_be_real_numbers(self, argument, kind, bad):
+        # A bool read as 1.0 or 0.0, a complex number lost its imaginary part with
+        # only numpy's ComplexWarning, and text was read as the number it spells.
+        mdp = three_state_mdp()
+        arrays = {"mean_reward": mean_reward_table(mdp), "transitions": mdp.transitions}
+        arrays[argument] = arrays[argument].astype(kind)
+        rule = "mean_reward entries" if argument == "mean_reward" else "transition weights"
+        message = f"{rule} must be real numbers, got {bad}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            q_recursion(arrays["mean_reward"], arrays["transitions"],
+                        three_state_policies()[1], 2, 0.9)
 
     def test_overflowing_q_tables_named(self):
         # Finite entries of 1e308 overflow at q_1 = mu + 0.9 * E[v_2]; the recursion
@@ -596,8 +630,10 @@ class TestMovePairs:
         num_states, num_actions, parts = drawn
         policy = action_zero(num_states, num_actions)
         pairs = tuple(_count(*stacked([p], policy), policy)[1] for p in parts)
-        merged = _merge(pairs, num_states * num_actions * num_states)
-        assert_pairs_equal(merged, dense_pair(parts, num_states, num_actions))
+        for divisor in ROUTES.values():
+            with mock.patch.object(nuisance, "SORT_DIVISOR", divisor):
+                merged = _merge(pairs, num_states * num_actions * num_states)
+            assert_pairs_equal(merged, dense_pair(parts, num_states, num_actions))
 
     @settings(deadline=None)
     @given(keyed_parts())
@@ -618,7 +654,9 @@ class TestMovePairs:
         own = [dense_pair([parts[(k + r) % m] for k in range(m - 1)], num_states, num_actions)
                for r in range(m)]
         want = stack([(idx + r * size, counts) for r, (idx, counts) in enumerate(own)])
-        assert_pairs_equal(_merge(shifted, size, m), want)
+        for divisor in ROUTES.values():
+            with mock.patch.object(nuisance, "SORT_DIVISOR", divisor):
+                assert_pairs_equal(_merge(shifted, size, m), want)
 
     def test_parts_straddling_the_rule_match_per_fold_fits_bit_for_bit(self):
         # 5 states, 2 actions: 50 cells, so under SORT_DIVISOR = 6 the 2- and 4-move
@@ -652,6 +690,28 @@ class TestMovePairs:
         finally:
             tracemalloc.stop()
         assert peak < mdp.num_states * mdp.num_actions * mdp.num_states * 8
+
+    def test_a_merge_of_few_moves_builds_no_dense_move_table(self):
+        # DML at k=3 merges two folds' move pairs for each complement: on 30 rows
+        # of a 2,048-state policy, the dense S*A*S int64 table alone is 64 MiB
+        # (72.4 MiB traced), against 0.6 MiB for the whole estimate at k=2.
+        rng = np.random.default_rng(1)
+        num_states = 2048
+        data = LoggedDataset(states=rng.integers(0, num_states, (30, 3)),
+                             actions=rng.integers(0, 2, (30, 3)),
+                             rewards=rng.standard_normal((30, 3)))
+        evaluation = Policy(table=np.full((num_states, 2), 0.5))
+        tracemalloc.start()
+        try:
+            estimate = dml_estimate(data, evaluation, 0.9, np.random.default_rng(2), k_folds=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert estimate.to_dict() == {
+            "estimator": "dml", "value": -0.29488598335919847, "variance": 1.4259757985258128,
+            "std_error": 0.2180195555851059, "ci": [-0.7221964602314344, 0.13242449351303742],
+            "level": 0.95, "n": 30}
 
 
 @st.composite

@@ -42,8 +42,12 @@ name (every import inside the package is relative) and runs each operation
   ``distinct_5k_p`` and ``distinct_5k``, 5,000 x 4 cells in which every label,
   reward and propensity is distinct, with and without propensities;
 - ``ingest``: ``ingest_jsonl`` of those three files, written by the change
-  tree, and of ``bench_25k_keys_reordered``, ``bench_25k`` with each step's
-  keys in reverse order (a valid file that the writer does not write);
+  tree; of ``bench_25k_keys_reordered``, ``bench_25k`` with each step's keys in
+  reverse order (a valid file that the writer does not write); and of
+  ``bench_25k_last_line_respaced``, ``bench_25k`` with no space after its last
+  line's colons, so that only its last block is not the writer's (the worst
+  case of the fast path, which reads every block and then the whole file again
+  line by line);
 - ``sample``: ``setup_10x50k``, the set-up of ``estimate_inmem_5e5``: ten
   ``sample_dataset`` calls of 50,000 trajectories from one generator (seed 7);
 - ``chunk``: ``chunk_8x1000``, one stacked chunk of the MSE study,
@@ -266,6 +270,12 @@ def keys_reordered(text: str) -> str:
                    for line in text.splitlines())
 
 
+def last_line_respaced(text: str) -> str:
+    """``text`` with no space after its last line's colons: the same values."""
+    cut = text.rfind("\n", 0, len(text) - 1) + 1
+    return text[:cut] + text[cut:].replace(": ", ":")
+
+
 def write(ope, data, path: Path) -> Path:
     ope.write_jsonl(data, path)
     return path
@@ -301,8 +311,11 @@ def cases(op: str, trees: dict, tmp: Path) -> dict:
     if op == "ingest":
         paths = {name: write(packages["change"], data, tmp / f"{name}.jsonl")
                  for name, data in datasets(packages["change"]).items()}
-        reordered = paths["bench_25k_keys_reordered"] = tmp / "bench_25k_keys_reordered.jsonl"
-        reordered.write_text(keys_reordered(paths["bench_25k"].read_text()))
+        text = paths["bench_25k"].read_text()
+        for edit in (keys_reordered, last_line_respaced):
+            name = f"bench_25k_{edit.__name__}"
+            paths[name] = tmp / f"{name}.jsonl"
+            paths[name].write_text(edit(text))
         return {name: ({side: functools.partial(ope.ingest_jsonl, path)
                         for side, ope in packages.items()}, None)
                 for name, path in paths.items()}
