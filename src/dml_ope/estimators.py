@@ -21,6 +21,7 @@ from .mdp import (
     Policy,
     TabularMdp,
     ValidationError,
+    _read_array,
     check_dataset,
     check_folds,
     check_level,
@@ -423,6 +424,15 @@ def cb_efficiency_bound(mdp: TabularMdp, behavior: Policy, eval_policy: Policy) 
     return float(mdp.initial_dist @ per_state)
 
 
+def _read_q(q, name: str) -> np.ndarray | None:
+    """The (T+1, S, A) Q tables ``q`` of a public call, read; None is the IPW score."""
+    if q is None:
+        return None
+    shape = f"{name} must be a nonempty (T+1, S, A) array, got shape {{}}"
+    return _read_array(q, f"{name} entries must be real numbers", (shape,) * 4,
+                       f"{name} entries must be finite")
+
+
 def expected_psi(
     mdp: TabularMdp,
     logging_policy: Policy,
@@ -432,6 +442,7 @@ def expected_psi(
 ) -> float:
     """Exact E_{H~logging_policy}[psi(H; behavior, q)] by trajectory enumeration;
     ``q=None`` is the IPW score."""
+    q = _read_q(q, "q")
     data, probs = enumerate_dataset(mdp, logging_policy)
     rows = data.cells(eval_policy, "evaluation"), data.rewards
     return float(_psi_scores(*rows, behavior, q, eval_policy, mdp.discount) @ probs)
@@ -452,6 +463,7 @@ def orthogonality_derivative(
 
     ``behavior`` must be the true behavior policy: the expectation is taken under it.
     """
+    q, alt_q = _read_q(q, "q"), _read_q(alt_q, "alt_q")
     if np.shape(alt_q) != np.shape(q) or alt_behavior.table.shape != behavior.table.shape:
         raise ValidationError(f"q and alt_q must both be arrays or both be None (IPW), each alt "
                               f"shaped as its base: got q {np.shape(q)}, alt_q {np.shape(alt_q)}, "

@@ -42,6 +42,7 @@ from .mdp import (
     _sample,
     check_at_least,
     check_dataset,
+    check_finite,
     check_finite_nonnegative,
     check_folds,
     check_integer,
@@ -680,6 +681,8 @@ class CampaignBatchCell:
     online_variance: float | None = None
 
     def __post_init__(self):
+        for name in ("estimate", "actual", "n_impressions"):
+            check_finite(getattr(self, name), f"cell: '{name}'")
         if self.n_impressions <= 0:
             raise ValidationError("n_impressions must be positive")
         if self.actual == 0:

@@ -38,28 +38,32 @@ class EnumerationCapError(RuntimeError):
 
 
 # Run-parameter rules. Each raises "<name> must ..., got <value>", where ``name``
-# is the flag or key the user gave the value by; NaN fails every rule.
+# is the flag or key the user gave the value by; NaN fails every rule, and a bool,
+# text or None is no real number.
+
+
+def _check(value, name: str, rule: str, holds) -> None:
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    if not holds(value):
+        raise ValidationError(f"{name} must {rule}, got {value}")
 
 
 def check_unit_interval(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name} must lie in [0, 1], got {value}")
+    _check(value, name, "lie in [0, 1]", lambda x: 0.0 <= x <= 1.0)
 
 
 def check_level(value: float, name: str) -> None:
-    if not 0.0 < value < 1.0:
-        raise ValidationError(f"{name} must lie in (0, 1), got {value}")
+    _check(value, name, "lie in (0, 1)", lambda x: 0.0 < x < 1.0)
 
 
 def check_folds(k: int, n: int, name: str) -> None:
     check_integer(k, name)
-    if not 2 <= k <= n:
-        raise ValidationError(f"{name} must lie in [2, {n}] for {n} rows, got {k}")
+    _check(k, name, f"lie in [2, {n}] for {n} rows", lambda x: 2 <= x <= n)
 
 
 def check_at_least(value: float, low: int, name: str) -> None:
-    if not value >= low:
-        raise ValidationError(f"{name} must be >= {low}, got {value}")
+    _check(value, name, f"be >= {low}", lambda x: x >= low)
 
 
 def check_integer(value: int, name: str, low: float = -math.inf) -> None:
@@ -70,9 +74,12 @@ def check_integer(value: int, name: str, low: float = -math.inf) -> None:
     check_at_least(value, low, name)
 
 
+def check_finite(value: float, name: str) -> None:
+    _check(value, name, "be finite", lambda x: abs(x) < np.inf)
+
+
 def check_finite_nonnegative(value: float, name: str) -> None:
-    if not 0 <= value < np.inf:
-        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+    _check(value, name, "be finite and >= 0", lambda x: 0 <= x < np.inf)
 
 
 def check_dataset(value, name: str) -> None:
@@ -81,22 +88,51 @@ def check_dataset(value, name: str) -> None:
         raise ValidationError(f"{name} must be a LoggedDataset, got {type(value).__name__}")
 
 
-def as_real(values, rule: str) -> np.ndarray:
-    """``values`` as an array, after raising "<rule>, got <value>" for its first
-    entry that is no real number: text, bytes, a bool, a complex number or None.
-    The dtype's kind decides in O(1), unless the array holds Python objects."""
-    given = np.asarray(values)
+def _read_array(values, rule: str, dims: tuple = (), finite: str = "",
+                ids: bool = False) -> np.ndarray:
+    """``values``, an array a public call or a JSON field hands the package, as
+    C-ordered floats, or with ``ids`` as int64 ids, kept without a copy if int64.
+
+    The first entry that is no real number (text, bytes, a bool, a complex number,
+    None, a list in a ragged nested list), or with ``ids`` no whole int64, raises
+    "<rule>, got <entry>"; a number no float holds, ``rule`` alone. The dtype's
+    kind decides in O(1) unless the array holds objects, so a bool among numbers,
+    which numpy reads as one, passes. ``dims`` holds the errors, formatted with the
+    shape, for another number of dimensions than ``len(dims) - 1``, then for each
+    axis being empty; ``finite`` the error, formatted with the entry, for a NaN or
+    an infinity.
+    """
+    try:
+        given = np.asarray(values)
+    except ValueError:  # a ragged nested list: its entries, each as one object
+        given = np.fromiter(values, dtype=object)
     kind = given.dtype.kind
-    if kind in "iuf":
-        return given
-    if kind == "O":
-        odd = [x for x in given.ravel().tolist()
-               if not isinstance(x, numbers.Real) or isinstance(x, bool)]
-    else:  # text, bytes, bools or complex numbers: no entry is a real number
-        odd = given.ravel()[:1].tolist()
-    if odd:
-        raise ValidationError(f"{rule}, got {odd[0]!r}")
-    return given
+    if kind not in "iuf":
+        odd = given.ravel()[:1].tolist()  # text, bytes, bools or complex numbers
+        if kind == "O":
+            odd = [x for x in given.ravel().tolist()
+                   if not isinstance(x, numbers.Real) or isinstance(x, bool)]
+        if odd:
+            raise ValidationError(f"{rule}, got {odd[0]!r}")
+    if dims and given.ndim != len(dims) - 1:
+        raise ValidationError(dims[0].format(given.shape))
+    if dims and 0 in given.shape:
+        raise ValidationError(dims[1 + given.shape.index(0)].format(given.shape))
+    if ids and kind in "iu":
+        array = given.astype(np.int64, copy=False)
+        bad = array < 0 if kind == "u" else None  # a uint64 past int64's range wraps
+    else:
+        try:
+            array = np.asarray(given, dtype=float, order="C")
+        except OverflowError:  # its digits may run to hundreds
+            raise ValidationError(rule) from None
+        bad = ~np.isfinite(array) if finite else None
+        if ids:
+            bad = (np.floor(array) != array) | (array < -2.0**63) | (array >= 2.0**63)
+    if bad is not None and bad.any():
+        first = given[bad][:1].tolist()[0]
+        raise ValidationError(f"{rule}, got {first!r}" if ids else finite.format(first))
+    return array.astype(np.int64, copy=False) if ids else array
 
 
 @contextmanager
@@ -240,12 +276,10 @@ class Policy:
     table: np.ndarray
 
     def __post_init__(self):
-        table = as_real(self.table, "policy table entries must be real numbers")
-        object.__setattr__(self, "table", np.asarray(table, dtype=float))
-        if self.table.ndim != 2 or self.table.shape[1] < 1:
-            raise ValidationError("policy table must be 2-d with at least one action")
-        if self.table.shape[0] < 1:
-            raise ValidationError("policy table must hold at least one state")
+        shape = "policy table must be 2-d with at least one action"
+        object.__setattr__(self, "table", _read_array(
+            self.table, "policy table entries must be real numbers",
+            (shape, "policy table must hold at least one state", shape)))
         check_policy_rows(self.table)
 
     @property
@@ -282,9 +316,10 @@ class TabularMdp:
             check_integer(getattr(self, field), field)
         if self.num_states < 1 or self.num_actions < 1:
             raise ValidationError("num_states and num_actions must be positive")
+        # Each shape is checked against (S, A) below.
         for field in ("initial_dist", "transitions", "reward_support", "reward_probs"):
-            values = as_real(getattr(self, field), f"{field} entries must be real numbers")
-            object.__setattr__(self, field, np.asarray(values, dtype=float, order="C"))
+            object.__setattr__(self, field, _read_array(getattr(self, field),
+                                                        f"{field} entries must be real numbers"))
         support, probs = self.reward_support, self.reward_probs
         if (support.ndim != 3 or support.shape[:2] != (self.num_states, self.num_actions)
                 or probs.shape != support.shape):
@@ -328,37 +363,20 @@ class LoggedDataset:
     propensities: np.ndarray | None = None
 
     def __post_init__(self):
-        for field in ("states", "actions"):
-            # Sampling and ingest pass int64, kept without a copy.
-            given = ids = as_real(getattr(self, field), f"dataset {field} must be integer ids")
-            kind = given.dtype.kind
-            if kind == "u":
-                ids = given.astype(np.int64)
-                whole = ids >= 0  # an id past int64's range wraps to a negative one
-            elif kind != "i":  # a float must be a whole int64
-                ids = given.astype(float)
-                whole = (np.floor(ids) == ids) & (ids >= -2.0**63)
-                whole &= ids < 2.0**63
-            if kind != "i" and not whole.all():
-                raise ValidationError(f"dataset {field} must be integer ids, "
-                                      f"got {given[~whole][0]}")
-            object.__setattr__(self, field, np.asarray(ids, dtype=np.int64))
-        for field in ("rewards", "propensities"):
-            if getattr(self, field) is not None:
-                given = as_real(getattr(self, field), f"dataset {field} must be real numbers")
-                object.__setattr__(self, field, np.asarray(given, dtype=float))
-        if self.states.ndim != 2:
-            raise ValidationError(f"dataset states must be a 2-d (N, T+1) array, "
-                                  f"got shape {self.states.shape}")
-        if self.states.shape[0] < 1:
-            raise ValidationError("dataset must be nonempty")
-        if self.states.shape[1] < 1:
-            raise ValidationError("dataset states must hold at least one step per row")
+        # Sampling and ingest pass int64 ids, kept without a copy.
+        fields = ("states", "actions", "rewards", "propensities")
+        for field in fields[:4 - (self.propensities is None)]:
+            rule = "integer ids" if field in ("states", "actions") else "real numbers"
+            object.__setattr__(self, field, _read_array(
+                getattr(self, field), f"dataset {field} must be {rule}",
+                (f"dataset {field} must be a 2-d (N, T+1) array, got shape {{}}",
+                 "dataset must be nonempty" if field == "states" else
+                 f"dataset {field} must hold at least one row",
+                 f"dataset {field} must hold at least one step per row"),
+                "dataset rewards must be finite, got {}" if field == "rewards" else "",
+                ids=rule == "integer ids"))
         if self.actions.shape != self.states.shape or self.rewards.shape != self.states.shape:
             raise ValidationError("dataset arrays must share one (N, T+1) shape")
-        if not np.isfinite(self.rewards).all():
-            raise ValidationError(f"dataset rewards must be finite, "
-                                  f"got {self.rewards[~np.isfinite(self.rewards)][0]}")
         if self.propensities is not None:
             p = self.propensities
             if p.shape != self.states.shape:
@@ -600,10 +618,7 @@ def json_field(obj: dict, key: str, where: str, kind=float, default=...):
             raise ValidationError(f"{where}: missing field '{key}'")
         return default
     if kind is np.ndarray:
-        try:
-            return np.asarray(value, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"{where}: '{key}' must be an array of numbers") from None
+        return _read_array(value, f"{where}: '{key}' must be an array of numbers")
     got = json.dumps(value, default=str)
     if kind is str:
         if not isinstance(value, str):
@@ -634,13 +649,15 @@ def mdp_from_dict(obj: dict) -> TabularMdp:
         if not isinstance(row, list) or len(row) != num_actions:
             raise ValidationError(f"rewards[{s}]: expected one entry per action")
         for a, cell in enumerate(row):
-            try:
-                support, probs = (np.asarray(cell[k], dtype=float) for k in ("support", "probs"))
-            except (KeyError, TypeError, ValueError, OverflowError):
-                raise ValidationError(f"rewards[{s}][{a}] needs numeric 'support' and 'probs'")
-            if support.ndim != 1 or support.shape != probs.shape:
-                raise ValidationError(
-                    f"rewards[{s}][{a}]: reward support and probs must be 1-d and equal length")
+            rule = f"rewards[{s}][{a}] needs numeric 'support' and 'probs'"
+            if not isinstance(cell, dict) or not {"support", "probs"} <= cell.keys():
+                raise ValidationError(rule)
+            equal = (f"rewards[{s}][{a}]: reward support and probs must be 1-d, nonempty and of "
+                     "equal length")
+            support, probs = (_read_array(cell[key], rule, (equal, equal))
+                              for key in ("support", "probs"))
+            if support.shape != probs.shape:
+                raise ValidationError(equal)
             cells[s, a] = support, probs
     width = max((support.size for support, _ in cells.values()), default=0)
     # num_actions < 0 only comes with no rows, and TabularMdp rejects it.

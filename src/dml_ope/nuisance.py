@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (LoggedDataset, Policy, ValidationError, as_real, check_dataset,
+from .mdp import (LoggedDataset, Policy, ValidationError, _read_array, check_dataset,
                   check_finite_nonnegative, check_folds, check_integer, check_policy_rows,
                   check_unit_interval)
 
@@ -78,11 +78,11 @@ class NuisanceEstimate:
     q: np.ndarray
 
     def __post_init__(self):
-        q = as_real(self.q, "q table entries must be real numbers")
-        object.__setattr__(self, "q", np.asarray(q, dtype=float))
-        if self.q.ndim != 3:
-            raise ValidationError("q table must have shape (T+1, S, A)")
-        _check_finite_q(self.q)
+        empty = "q table must hold at least one step, state and action, got shape {}"
+        object.__setattr__(self, "q", _read_array(
+            self.q, "q table entries must be real numbers",
+            ("q table must have shape (T+1, S, A)", empty, empty, empty),
+            "q table entries must be finite"))
 
     @property
     def mean_reward(self) -> np.ndarray:
@@ -134,21 +134,20 @@ def q_recursion(
     and ``discount`` in [0, 1]; Q tables that overflow raise.
     """
     check_integer(horizon, "horizon", 0)
-    mean_reward = np.asarray(as_real(mean_reward, "mean_reward entries must be real numbers"),
-                             dtype=float)
+    mean_reward = _read_array(mean_reward, "mean_reward entries must be real numbers",
+                              finite="mean_reward entries must be finite")
     if mean_reward.shape != eval_policy.table.shape:
         raise ValidationError("eval policy shape does not match mean_reward")
-    if not np.all(np.isfinite(mean_reward)):
-        raise ValidationError("mean_reward entries must be finite")
     check_unit_interval(discount, "discount")
-    transitions = np.asarray(as_real(transitions, "transition weights must be real numbers"),
-                             dtype=float)
+    weights = "transition weights must be finite and >= 0"
+    transitions = _read_array(transitions, "transition weights must be real numbers",
+                              finite=weights)
     shape = eval_policy.table.shape + (eval_policy.num_states,)
     if transitions.shape != shape:
         raise ValidationError(f"transitions must have shape (S, A, S) = {shape}, "
                               f"got {transitions.shape}")
-    if not np.all(np.isfinite(transitions) & (transitions >= 0)):
-        raise ValidationError("transition weights must be finite and >= 0")
+    if not np.all(transitions >= 0):
+        raise ValidationError(weights)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         q = _q_tables(mean_reward[None], _nonzero(transitions.ravel()), eval_policy, horizon,
                       discount)[:, 0]

@@ -8,23 +8,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import Policy, ValidationError, as_real, check_integer, check_unit_interval
+from .mdp import Policy, ValidationError, _read_array, check_integer, check_unit_interval
 
 
-def _table(values, name: str) -> np.ndarray:
-    """``values`` as a float (S, A) table of real entries, at least one state and
-    one action, all finite."""
-    table = np.asarray(as_real(values, f"{name} must be real numbers"), dtype=float)
-    if table.ndim != 2 or 0 in table.shape:
-        raise ValidationError(f"{name} must be a nonempty (S, A) table")
-    if not np.all(np.isfinite(table)):
-        raise ValidationError(f"{name} must be finite")
-    return table
+def _rules(name: str, shape: str = "") -> tuple:
+    """``_read_array``'s rules for the nonempty finite (S, A) table ``name``;
+    ``shape``, if given, is the error for another number of dimensions."""
+    table = f"{name} must be a nonempty (S, A) table"
+    return f"{name} must be real numbers", (shape or table, table, table), f"{name} must be finite"
 
 
 def epsilon_greedy_policy(scores: np.ndarray, epsilon: float) -> Policy:
     """Argmax action gets 1 - eps + eps/|A|, every other action eps/|A|."""
-    scores = _table(scores, "scores")
+    scores = _read_array(scores, *_rules("scores"))
     check_unit_interval(epsilon, "epsilon")
     num_states, num_actions = scores.shape
     table = np.full((num_states, num_actions), epsilon / num_actions)
@@ -34,7 +30,7 @@ def epsilon_greedy_policy(scores: np.ndarray, epsilon: float) -> Policy:
 
 def softmax_policy(scores: np.ndarray) -> Policy:
     """Row-wise softmax of the scores, computed with max-subtraction."""
-    scores = _table(scores, "scores")
+    scores = _read_array(scores, *_rules("scores"))
     shifted = scores - scores.max(axis=1, keepdims=True)
     weights = np.exp(shifted)
     return Policy(table=weights / weights.sum(axis=1, keepdims=True))
@@ -42,7 +38,7 @@ def softmax_policy(scores: np.ndarray) -> Policy:
 
 def greedy_policy(means: np.ndarray) -> Policy:
     """Deterministic policy placing all mass on the per-state argmax mean."""
-    means = _table(means, "means")
+    means = _read_array(means, *_rules("means"))
     table = np.zeros_like(means)
     table[np.arange(means.shape[0]), means.argmax(axis=1)] = 1.0
     return Policy(table=table)
@@ -59,9 +55,11 @@ def thompson_gaussian_policy(
     Per state, each action's probability is the frequency (over ``draws``
     rounds) with which its sampled reward attains the maximum.
     """
-    if np.shape(means) != np.shape(variances) or np.ndim(means) != 2:
-        raise ValidationError("means and variances must be matching (S, A) tables")
-    means, variances = _table(means, "means"), _table(variances, "variances")
+    matching = "means and variances must be matching (S, A) tables"
+    means, variances = (_read_array(values, *_rules(name, matching))
+                        for values, name in ((means, "means"), (variances, "variances")))
+    if means.shape != variances.shape:
+        raise ValidationError(matching)
     if np.any(variances < 0):
         raise ValidationError("variances must be nonnegative")
     check_integer(draws, "draws", 1)

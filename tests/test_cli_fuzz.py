@@ -14,10 +14,12 @@ import copy
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,3 +136,34 @@ def test_one_mutated_field_never_exits_2(mutation):
             for line in err.splitlines():
                 assert line.startswith("error: "), err
                 assert any(name in line for name in names), (keys, err)
+
+
+def _spelled(array: list, form: str) -> list:
+    """The numeric nested list ``array`` with its first number written as a JSON
+    string, or, for ``form`` "true", with every number written as true (numpy
+    reads one true among numbers as 1, a gap the reader leaves open)."""
+    text = json.dumps(array)
+    if form == "true":
+        return json.loads(re.sub(r"[^\[\], ]+", "true", text))
+    return json.loads(re.sub(r"[^\[\], ]+", lambda number: json.dumps(number[0]), text, count=1))
+
+
+@pytest.mark.parametrize("form", ["text", "true"])
+@pytest.mark.parametrize("name, path", [
+    ("mdp.json", ("initial_dist",)), ("mdp.json", ("transitions",)),
+    ("mdp.json", ("rewards", 0, 0, "support")), ("mdp.json", ("rewards", 0, 0, "probs")),
+    ("behavior.json", ("table",)),
+], ids=["initial_dist", "transitions", "reward_support", "reward_probs", "policy_table"])
+def test_a_number_written_as_text_or_true_exits_1(name, path, form):
+    # simulate and evaluate read "0.5" as 0.5 and true as 1.0, and exited 0.
+    doc = copy.deepcopy(_DOCS[name])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = _spelled(parent[path[-1]], form)
+    with tempfile.TemporaryDirectory() as tmp:
+        results = _runs(Path(tmp), name, doc)
+        where = str(Path(tmp) / name)
+    for code, err in results:
+        assert code == 1, err
+        assert err.startswith(f"error: {where}: ") and path[-1] in err, err

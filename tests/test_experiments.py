@@ -1223,6 +1223,16 @@ class TestRelativeRmse:
         with pytest.raises(ValidationError, match="^n_impressions must be positive$"):
             self.cell(1.0, 1.0, weight)
 
+    @pytest.mark.parametrize("field", ["estimate", "actual", "n_impressions"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_number_is_refused(self, field, value):
+        # Each was accepted: relative_rmse returned nan, and an infinite weight
+        # ended in numpy's RuntimeWarning.
+        fields = {"campaign": "c", "batch": "b", "estimate": 1.0, "actual": 1.0,
+                  "n_impressions": 10.0, field: value}
+        with pytest.raises(ValidationError, match=f"^cell: '{field}' must be finite, got {value}$"):
+            CampaignBatchCell(**fields)
+
     def test_huge_weights_do_not_overflow(self):
         # Impression counts whose sum exceeds the largest double.
         huge = [self.cell(0.55, 0.5, 1e308), self.cell(0.42, 0.45, 1e308)]

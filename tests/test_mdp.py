@@ -9,10 +9,12 @@ import pytest
 from dml_ope import (
     EnumerationCapError,
     LoggedDataset,
+    NuisanceConfig,
     Policy,
     TabularMdp,
     ValidationError,
     enumerate_dataset,
+    evaluate_dataset,
     exact_policy_value,
     load_mdp,
     mdp_from_dict,
@@ -35,7 +37,17 @@ from helpers import (
     random_policy,
     row_steps,
     three_state_mdp,
+    three_state_policies,
 )
+
+
+def _evaluate(**changes) -> dict:
+    """``evaluate_dataset`` of 20 three-state rows by IPW, with ``changes`` to its
+    discount and level."""
+    behavior, evaluation = three_state_policies()
+    data = sample_dataset(three_state_mdp(), behavior, 20, np.random.default_rng(0))
+    return evaluate_dataset(data, evaluation, rng=np.random.default_rng(1),
+                            **{"discount": 0.9, "estimators": ("ipw",), **changes})
 
 
 def constant_mdp(horizon: int, reward: float = 1.0, discount: float = 1.0) -> TabularMdp:
@@ -348,6 +360,37 @@ class TestRunParameterRules:
     ])
     def test_edges_pass(self, check, args):
         check(*args)
+
+    @pytest.mark.parametrize("check, low", [
+        (check_unit_interval, ()), (check_level, ()), (check_finite_nonnegative, ()),
+        (check_at_least, (0,)),
+    ], ids=["unit_interval", "level", "finite_nonnegative", "at_least"])
+    @pytest.mark.parametrize("value", ["0.5", None, True, b"1", [0.5]],
+                             ids=["text", "none", "bool", "bytes", "list"])
+    def test_a_scalar_rule_refuses_a_bool_or_a_non_number(self, check, low, value):
+        # Text and None ended in a bare TypeError, and True read as 1.
+        message = f"x must be a real number, got {value!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            check(value, *low, "x")
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: _evaluate(discount="0.5"),
+         "discount must be a real number, got '0.5'"),
+        (lambda: _evaluate(discount=True),
+         "discount must be a real number, got True"),
+        (lambda: _evaluate(level=None),
+         "level must be a real number, got None"),
+        (lambda: dataclasses.replace(three_state_mdp(), discount="0.9"),
+         "discount must be a real number, got '0.9'"),
+        (lambda: NuisanceConfig(smoothing_alpha="1"),
+         "smoothing_alpha must be a real number, got '1'"),
+        (lambda: NuisanceConfig(smoothing_alpha=True),
+         "smoothing_alpha must be a real number, got True"),
+    ], ids=["text_discount", "bool_discount", "none_level", "text_mdp_discount",
+            "text_smoothing_alpha", "bool_smoothing_alpha"])
+    def test_a_public_scalar_must_be_a_real_number(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()
 
     # numpy's MemoryError comes before any page is touched; here it is raised by
     # hand, so nothing is allocated.
