@@ -21,7 +21,6 @@ from .mdp import (
     Policy,
     TabularMdp,
     ValidationError,
-    _read_array,
     check_dataset,
     check_folds,
     check_level,
@@ -42,6 +41,7 @@ from .nuisance import (
     _index_dtype,
     check_support,
     check_table_shape,
+    read_q,
 )
 
 
@@ -424,15 +424,6 @@ def cb_efficiency_bound(mdp: TabularMdp, behavior: Policy, eval_policy: Policy) 
     return float(mdp.initial_dist @ per_state)
 
 
-def _read_q(q, name: str) -> np.ndarray | None:
-    """The (T+1, S, A) Q tables ``q`` of a public call, read; None is the IPW score."""
-    if q is None:
-        return None
-    shape = f"{name} must be a nonempty (T+1, S, A) array, got shape {{}}"
-    return _read_array(q, f"{name} entries must be real numbers", (shape,) * 4,
-                       f"{name} entries must be finite")
-
-
 def expected_psi(
     mdp: TabularMdp,
     logging_policy: Policy,
@@ -442,7 +433,7 @@ def expected_psi(
 ) -> float:
     """Exact E_{H~logging_policy}[psi(H; behavior, q)] by trajectory enumeration;
     ``q=None`` is the IPW score."""
-    q = _read_q(q, "q")
+    q = None if q is None else read_q(q, "q")
     data, probs = enumerate_dataset(mdp, logging_policy)
     rows = data.cells(eval_policy, "evaluation"), data.rewards
     return float(_psi_scores(*rows, behavior, q, eval_policy, mdp.discount) @ probs)
@@ -463,7 +454,8 @@ def orthogonality_derivative(
 
     ``behavior`` must be the true behavior policy: the expectation is taken under it.
     """
-    q, alt_q = _read_q(q, "q"), _read_q(alt_q, "alt_q")
+    q, alt_q = (None if x is None else read_q(x, name)
+                for x, name in ((q, "q"), (alt_q, "alt_q")))
     if np.shape(alt_q) != np.shape(q) or alt_behavior.table.shape != behavior.table.shape:
         raise ValidationError(f"q and alt_q must both be arrays or both be None (IPW), each alt "
                               f"shaped as its base: got q {np.shape(q)}, alt_q {np.shape(alt_q)}, "

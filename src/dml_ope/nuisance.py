@@ -78,15 +78,20 @@ class NuisanceEstimate:
     q: np.ndarray
 
     def __post_init__(self):
-        empty = "q table must hold at least one step, state and action, got shape {}"
-        object.__setattr__(self, "q", _read_array(
-            self.q, "q table entries must be real numbers",
-            ("q table must have shape (T+1, S, A)", empty, empty, empty),
-            "q table entries must be finite"))
+        object.__setattr__(self, "q", read_q(self.q, "q table"))
 
     @property
     def mean_reward(self) -> np.ndarray:
         return self.q[-1]
+
+
+def read_q(q, name: str) -> np.ndarray:
+    """The (T+1, S, A) Q tables ``q`` that a public call is given, read; errors
+    name them ``name``."""
+    empty = f"{name} must hold at least one step, state and action, got shape {{}}"
+    return _read_array(q, f"{name} entries must be real numbers",
+                       (f"{name} must have shape (T+1, S, A)", empty, empty, empty),
+                       f"{name} entries must be finite")
 
 
 def _check_finite_q(q: np.ndarray) -> None:
