@@ -610,8 +610,8 @@ def json_field(obj: dict, key: str, where: str, kind=float, default=...):
     """``obj[key]`` as ``kind`` (float, int, str or np.ndarray), or ``default``
     if absent or null (required if ``default`` is ``...``). A float must be a
     finite JSON number and an int an integral one, never a boolean or a string:
-    50.7 or true is an error, not 50 or 1. A str must be a JSON string. Errors
-    name the key."""
+    50.7 or true is an error, not 50 or 1. A str must be a JSON string, and an
+    array is read by ``_read_array``. Errors name the key."""
     value = obj.get(key)
     if value is None:
         if default is ...:
