@@ -3,7 +3,7 @@
 The library sibling of ``test_cli_fuzz.py``. Each site below is handed every
 value of a catalog built from a valid array of its own: text, bytes, complex
 numbers, an all-bool array, a None entry, a ragged nested list, NaN and the
-infinities (where the site needs finite values or distributions), an empty axis,
+infinities (every site needs finite values or distributions), an empty axis,
 and one dimension too many or too few. Each must raise a ValidationError whose
 message names the parameter, with no numpy warning. A JSON field takes the
 catalog's JSON values, all but bytes and complex numbers. A structural guard
@@ -36,7 +36,6 @@ from dml_ope import (
     mean_reward_table,
     orthogonality_derivative,
     policy_from_dict,
-    policy_to_dict,
     q_recursion,
     sample_dataset,
     softmax_policy,
@@ -48,13 +47,12 @@ from helpers import three_state_mdp, three_state_policies, true_nuisance
 
 class Site(NamedTuple):
     """A public array argument: ``names`` is a pattern its errors must match,
-    ``valid`` a value it accepts, ``build`` the call that reads a value, and
-    ``finite`` whether NaN and the infinities must be refused."""
+    ``valid`` a value it accepts and ``build`` the call that reads a value. Every
+    site needs finite values or distributions, so each refuses NaN and ±inf."""
 
     names: str
     valid: np.ndarray
     build: typing.Callable
-    finite: bool = True
 
 
 _MDP = three_state_mdp()
@@ -175,10 +173,9 @@ def catalog(site: Site, json: bool = False) -> dict:
         "empty_last_axis": np.take(valid, [], axis=-1),
         "extra_dimension": valid[None],
         "missing_dimension": valid[0],
+        **{name: _with_first(valid, value, float) for name, value in (
+            ("nan", np.nan), ("inf", np.inf), ("minus_inf", -np.inf))},
     }
-    if site.finite:
-        cases.update({name: _with_first(valid, value, float) for name, value in (
-            ("nan", np.nan), ("inf", np.inf), ("minus_inf", -np.inf))})
     if json:
         del cases["bytes"], cases["complex"]
         cases = {name: value.tolist() if isinstance(value, np.ndarray) else value
@@ -250,9 +247,3 @@ def test_an_uncovered_array_parameter_is_found():
     namespace = {"stand_in": _stand_in, "StandIn": _StandIn, "Policy": Policy, "pi": 3.14}
     assert uncovered(namespace, {"stand_in.values"}) == [
         "stand_in.weights", "StandIn.table", "Policy.table"]
-
-
-def test_the_json_sites_read_their_files_fields():
-    # The valid values are the fields that mdp_to_dict and policy_to_dict write.
-    assert JSON_SITES["policy table"].valid.tolist() == policy_to_dict(_BEHAVIOR)["table"]
-    assert JSON_SITES["MDP transitions"].valid.tolist() == _MDP_DICT["transitions"]
