@@ -22,7 +22,6 @@ from .policies import (
     thompson_gaussian_policy,
 )
 from .nuisance import (
-    NuisanceConfig,
     NuisanceEstimate,
     SupportViolationError,
     fit_nuisance,

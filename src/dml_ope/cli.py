@@ -23,7 +23,6 @@ from .estimators import cb_efficiency_bound
 from .mdp import (ValidationError, check_at_least, check_finite_nonnegative, check_folds,
                   check_level, check_unit_interval, load_mdp, read_json, sample_dataset,
                   sized_by)
-from .nuisance import NuisanceConfig
 from .experiments import (
     cell_from_dict,
     check_estimator_names,
@@ -125,7 +124,7 @@ def _cmd_evaluate(args) -> None:
         np.random.default_rng(args.seed),
         known_behavior=behavior,
         k_folds=args.folds,
-        config=NuisanceConfig(smoothing_alpha=args.alpha),
+        smoothing_alpha=args.alpha,
         level=args.level,
     )
     reports = []

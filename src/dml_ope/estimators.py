@@ -22,6 +22,7 @@ from .mdp import (
     TabularMdp,
     ValidationError,
     check_dataset,
+    check_finite_nonnegative,
     check_folds,
     check_level,
     check_unit_interval,
@@ -31,7 +32,6 @@ from .mdp import (
     reward_variance_table,
 )
 from .nuisance import (
-    NuisanceConfig,
     NuisanceEstimate,
     SupportViolationError,
     _count,
@@ -240,7 +240,7 @@ def _dm_scores(sa: np.ndarray, q: np.ndarray, eval_policy: Policy) -> np.ndarray
 
 
 def _full_data(rows: tuple, wanted: set, eval_policy: Policy, discount: float,
-               known_behavior: Policy | None, config: NuisanceConfig, level: float) -> dict:
+               known_behavior: Policy | None, alpha: float, level: float) -> dict:
     """DM, IPW and DR-full, those ``wanted``, of R stacked row sets. DM and DR-full
     score on the full-data fit; IPW reads the known behavior, else that fit's, the
     table DR-full reads, so the two share one walk."""
@@ -249,7 +249,7 @@ def _full_data(rows: tuple, wanted: set, eval_policy: Policy, discount: float,
     if wanted & {Estimator.DM, Estimator.DR_FULL} or (behavior is None
                                                       and Estimator.IPW in wanted):
         behavior, q = _fit(*_count(sa, rewards, eval_policy), sa.shape[-1] - 1,
-                           eval_policy, discount, known_behavior, config)
+                           eval_policy, discount, known_behavior, alpha)
     done = {}
     if Estimator.DM in wanted:
         done[Estimator.DM] = _finalize(_dm_scores(sa, q, eval_policy), Estimator.DM, level)
@@ -263,13 +263,13 @@ def _full_data(rows: tuple, wanted: set, eval_policy: Policy, discount: float,
 
 
 def _dr_half(rows: tuple, rngs: list, eval_policy: Policy, discount: float,
-             known_behavior: Policy | None, config: NuisanceConfig, level: float) -> list:
+             known_behavior: Policy | None, alpha: float, level: float) -> list:
     """``dr_half_estimate`` of R stacked row sets, replication r splitting with
     ``rngs[r]``. The fitted fold's rows are released before the scored fold's are
     gathered."""
     scored, fitted = _folds(rows[0].shape[1], 2, rngs)
     behavior, q = _fit(*_count(*_fold_rows(rows, [fitted])[0], eval_policy),
-                       rows[0].shape[-1] - 1, eval_policy, discount, known_behavior, config)
+                       rows[0].shape[-1] - 1, eval_policy, discount, known_behavior, alpha)
     sa, rewards = _fold_rows(rows, [scored])[0]
     scores = _walk(sa, rewards, _ratios(behavior, eval_policy, sa), [_control(q, eval_policy)],
                    discount)[0]
@@ -277,14 +277,14 @@ def _dr_half(rows: tuple, rngs: list, eval_policy: Policy, discount: float,
 
 
 def _dml(cells: list, rewards: np.ndarray, folds: list, eval_policy: Policy, discount: float,
-         known_behavior: Policy | None, config: NuisanceConfig, level: float) -> list:
+         known_behavior: Policy | None, alpha: float, level: float) -> list:
     """``dml_estimate`` of R stacked row sets, given as the cell index of each
     (R, n_k) fold in ``folds`` and the full rewards (R, n, T+1). Each fold's
     rewards are gathered once, for its count and its walk, and the fold is scored
     with ``_cross_fits``'s fit on the other folds."""
     parts = list(zip(cells, [part for part, in _fold_rows((rewards,), folds)]))
     scores = np.empty(rewards.shape[:2])
-    fits = _cross_fits(parts, eval_policy, discount, known_behavior, config)
+    fits = _cross_fits(parts, eval_policy, discount, known_behavior, alpha)
     for fold, (sa, fold_rewards), (behavior, q) in zip(folds, parts, fits):
         psi = _walk(sa, fold_rewards, _ratios(behavior, eval_policy, sa),
                     [_control(q, eval_policy)], discount)[0]
@@ -293,7 +293,7 @@ def _dml(cells: list, rewards: np.ndarray, folds: list, eval_policy: Policy, dis
 
 
 def _estimate(columns: tuple, rngs: dict, names, eval_policy: Policy, discount: float,
-              known_behavior: Policy | None, k_folds: int, config: NuisanceConfig,
+              known_behavior: Policy | None, k_folds: int, alpha: float,
               level: float) -> dict:
     """The named estimates of R stacked datasets, their columns ``(states, actions,
     rewards)`` of shape (R, n, T+1), whose ids the caller has checked: for each
@@ -308,16 +308,16 @@ def _estimate(columns: tuple, rngs: dict, names, eval_policy: Policy, discount: 
     states, actions, rewards = columns
     sa = _cells(states, actions, eval_policy)
     rows = sa, rewards
-    done = _full_data(rows, wanted, eval_policy, discount, known_behavior, config, level)
+    done = _full_data(rows, wanted, eval_policy, discount, known_behavior, alpha, level)
     if Estimator.DR_HALF in wanted:
         done[Estimator.DR_HALF] = _dr_half(rows, rngs[Estimator.DR_HALF], eval_policy,
-                                           discount, known_behavior, config, level)
+                                           discount, known_behavior, alpha, level)
     if Estimator.DML in wanted:
         folds = _folds(states.shape[1], k_folds, rngs[Estimator.DML])
         cells = [part for part, in _fold_rows((sa,), folds)]
         del rows, sa
         done[Estimator.DML] = _dml(cells, rewards, folds, eval_policy, discount,
-                                   known_behavior, config, level)
+                                   known_behavior, alpha, level)
     return {name: done[Estimator(name)] for name in names}
 
 
@@ -370,17 +370,18 @@ def dr_half_estimate(
     discount: float,
     rng: np.random.Generator,
     known_behavior: Policy | None = None,
-    config: NuisanceConfig = NuisanceConfig(),
+    smoothing_alpha: float = 0.5,
     level: float = 0.95,
 ) -> ValueEstimate:
     """Score fold 0 of a 2-fold split, its first (n+1)//2 rows, with nuisances
     fitted on fold 1: DML's fold-0 fit at k_folds=2."""
     check_dataset(data, "data")
     check_unit_interval(discount, "discount")
+    check_finite_nonnegative(smoothing_alpha, "smoothing_alpha")
     if data.n < 2:
         raise ValidationError(f"dr_half_estimate needs 2 rows or more, got {data.n}")
     rows = data.cells(eval_policy, "evaluation")[None], data.rewards[None]
-    return _dr_half(rows, [rng], eval_policy, discount, known_behavior, config, level)[0]
+    return _dr_half(rows, [rng], eval_policy, discount, known_behavior, smoothing_alpha, level)[0]
 
 
 def dml_estimate(
@@ -390,7 +391,7 @@ def dml_estimate(
     rng: np.random.Generator,
     k_folds: int = 2,
     known_behavior: Policy | None = None,
-    config: NuisanceConfig = NuisanceConfig(),
+    smoothing_alpha: float = 0.5,
     level: float = 0.95,
 ) -> ValueEstimate:
     """Cross-fitted doubly robust estimator with the pooled variance estimator.
@@ -401,11 +402,12 @@ def dml_estimate(
     """
     check_dataset(data, "data")
     check_unit_interval(discount, "discount")
+    check_finite_nonnegative(smoothing_alpha, "smoothing_alpha")
     check_folds(k_folds, data.n, "k_folds")
     data.check_ids(eval_policy, "evaluation")
     columns = data.states[None], data.actions[None], data.rewards[None]
     return _estimate(columns, {Estimator.DML: [rng]}, ("dml",), eval_policy, discount,
-                     known_behavior, k_folds, config, level)["dml"][0]
+                     known_behavior, k_folds, smoothing_alpha, level)["dml"][0]
 
 
 def cb_efficiency_bound(mdp: TabularMdp, behavior: Policy, eval_policy: Policy) -> float:

@@ -26,7 +26,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
@@ -55,7 +55,7 @@ from .mdp import (
     read_json,
     sized_by,
 )
-from .nuisance import NuisanceConfig, check_table_shape
+from .nuisance import check_table_shape
 
 _INT64_MAX = np.iinfo(np.int64).max
 _WRITE_BLOCK_ROWS = 4096
@@ -363,6 +363,7 @@ def with_noise_states(mdp: TabularMdp, num_noise_states: int, seed: int = 0) -> 
     rows to estimate.
     """
     check_integer(num_noise_states, "num_noise_states", 1)
+    check_integer(seed, "seed", 0)
     # The noise chain starts uniform; its transition rows are Dirichlet draws from ``seed``.
     rng = np.random.default_rng(seed)
     z_trans = rng.dirichlet(np.ones(num_noise_states), size=num_noise_states)
@@ -385,6 +386,7 @@ def with_noise_states(mdp: TabularMdp, num_noise_states: int, seed: int = 0) -> 
 
 def lift_policy(policy: Policy, num_noise_states: int) -> Policy:
     """Lift a base-state policy to the noise-product state space (ignores z)."""
+    check_integer(num_noise_states, "num_noise_states", 1)
     return Policy(table=np.repeat(policy.table, num_noise_states, axis=0))
 
 
@@ -412,7 +414,7 @@ def evaluate_dataset(
     rng: np.random.Generator,
     known_behavior: Policy | None = None,
     k_folds: int = 2,
-    config: NuisanceConfig = NuisanceConfig(),
+    smoothing_alpha: float = 0.5,
     level: float = 0.95,
 ) -> dict[str, ValueEstimate]:
     """Run the named estimators on one logged dataset: the one-replication case of
@@ -425,15 +427,16 @@ def evaluate_dataset(
     are fitted. ``rng`` spawns one child per member of ``Estimator``, in
     that order, and DR-half and DML draw their fold splits from their own child,
     so no estimate depends on which other estimators are named or on the order in
-    which they run. ``discount`` must lie in [0, 1], ``level`` in (0, 1) and
-    ``k_folds`` in [2, data.n], even if no named estimator splits folds, state and
-    action ids inside the evaluation and known behavior policy tables, and the two
-    tables alike in shape; all are checked before any fit.
+    which they run. Before any fit, ``discount`` must lie in [0, 1], ``level`` in
+    (0, 1), ``smoothing_alpha`` be finite and >= 0 and ``k_folds`` in [2, data.n],
+    even if unused, state and action ids inside the evaluation and known behavior
+    policy tables, and the two tables alike in shape.
     """
     check_dataset(data, "data")
     check_estimator_names(estimators)
     check_unit_interval(discount, "discount")
     check_level(level, "level")
+    check_finite_nonnegative(smoothing_alpha, "smoothing_alpha")
     check_folds(k_folds, data.n, "k_folds")
     data.check_ids(eval_policy, "evaluation")
     if known_behavior is not None:
@@ -442,7 +445,7 @@ def evaluate_dataset(
     columns = data.states[None], data.actions[None], data.rewards[None]
     rngs = {e: [child] for e, child in zip(Estimator, rng.spawn(len(Estimator)))}
     results = _estimate(columns, rngs, estimators, eval_policy, discount, known_behavior,
-                        k_folds, config, level)
+                        k_folds, smoothing_alpha, level)
     return {name: estimates[0] for name, estimates in results.items()}
 
 
@@ -463,13 +466,14 @@ class ExperimentConfig:
     discount: float | None = None  # defaults to the MDP's discount
     level: float = 0.95
     behavior_known: bool = False
-    nuisance: NuisanceConfig = field(default_factory=NuisanceConfig)
+    smoothing_alpha: float = 0.5
     noise_states: int = 0
     noise_seed: int = 0
 
     def __post_init__(self):
         check_integer(self.replications, "experiment config: 'replications'", 1)
         check_integer(self.k_folds, "nuisance config: 'k_folds'", 2)
+        check_finite_nonnegative(self.smoothing_alpha, "nuisance config: 'smoothing_alpha'")
         check_integer(self.n_trajectories, "experiment config: 'n_trajectories'")
         if self.n_trajectories < self.k_folds:
             raise ValidationError(f"experiment config: 'n_trajectories' must be >= k_folds "
@@ -543,7 +547,7 @@ def experiment_config_from_dict(obj: dict, base_dir: Path | None = None) -> Expe
         discount=json_field(obj, "discount", where, float, None),
         level=json_field(obj, "level", where, float, 0.95),
         behavior_known=(behavior_mode == "known"),
-        nuisance=NuisanceConfig(smoothing_alpha=alpha),
+        smoothing_alpha=alpha,
         noise_states=json_field(noise, "count", "noise_states", int, 0),
         noise_seed=noise_seed,
     )
@@ -610,8 +614,8 @@ def _run_replications(config: ExperimentConfig, reps: range) -> tuple[float, np.
             *columns, _ = _sample(mdp, behavior, n, [_child(config.seed, r, 0) for r in block])
         rngs = {e: [_child(config.seed, r, key) for r in block] for e, key in drawing.items()}
         results = _estimate(columns, rngs, config.estimators, evaluation,
-                            config.effective_discount, known, config.k_folds, config.nuisance,
-                            config.level)
+                            config.effective_discount, known, config.k_folds,
+                            config.smoothing_alpha, config.level)
         values[:, start:start + chunk] = [[e.value for e in results[name]]
                                           for name in config.estimators]
     return _policy_value(mdp, evaluation, config.effective_discount), values
@@ -731,6 +735,8 @@ def relative_rmse_se(
     the online variance (defaulting to the binary-reward value actual*(1-actual)).
     """
     check_integer(sims, "sims", 1)
+    if not cells:
+        raise ValidationError("need at least one cell")
     for c in cells:
         if c.ope_variance is None or c.n_ope is None:
             raise ValidationError("every cell needs ope_variance and n_ope")

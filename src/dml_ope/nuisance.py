@@ -55,20 +55,6 @@ class SupportViolationError(ValidationError):
     """The evaluation policy puts mass on an action the behavior model rules out."""
 
 
-@dataclass(frozen=True)
-class NuisanceConfig:
-    """Knobs for the tabular nuisance fit.
-
-    smoothing_alpha: additive smoothing for the behavior-policy counts.
-        alpha > 0 keeps every fitted propensity strictly positive.
-    """
-
-    smoothing_alpha: float = 0.5
-
-    def __post_init__(self):
-        check_finite_nonnegative(self.smoothing_alpha, "smoothing_alpha")
-
-
 @dataclass(frozen=True, eq=False)
 class NuisanceEstimate:
     """A candidate record: the behavior policy and the per-step Q tables ``q`` of
@@ -78,7 +64,12 @@ class NuisanceEstimate:
     q: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.behavior, Policy):
+            raise ValidationError(f"behavior must be a Policy, got {type(self.behavior).__name__}")
         object.__setattr__(self, "q", read_q(self.q, "q table"))
+        if self.q.shape[1:] != self.behavior.table.shape:
+            raise ValidationError(f"the q table has shape {self.q.shape}, the behavior policy "
+                                  f"table {self.behavior.table.shape}")
 
     @property
     def mean_reward(self) -> np.ndarray:
@@ -238,7 +229,7 @@ def _count(sa: np.ndarray, rewards: np.ndarray, eval_policy: Policy) -> tuple:
 
 
 def _cross_fits(parts: list, eval_policy: Policy, discount: float,
-                known_behavior: Policy | None, config: NuisanceConfig):
+                known_behavior: Policy | None, alpha: float):
     """For each of ``parts``, two or more stacked row sets of one horizon, the
     ``_fit`` on the others: each part is counted once, and a complement's tables
     are the others' summed in part order, its move pair theirs merged."""
@@ -248,7 +239,7 @@ def _cross_fits(parts: list, eval_policy: Policy, discount: float,
     for k in range(len(parts)):
         yield _fit([sum(column[1:], column[0]) for column in zip(*tables[:k], *tables[k + 1:])],
                    _merge(pairs[:k] + pairs[k + 1:], size, reps), steps - 1, eval_policy,
-                   discount, known_behavior, config)
+                   discount, known_behavior, alpha)
 
 
 def _merge(pairs: tuple, size: int, reps: int = 1) -> tuple:
@@ -288,7 +279,7 @@ def _nonzero(dense: np.ndarray) -> tuple:
 
 
 def _fit(tables, moves: tuple, horizon: int, eval_policy: Policy, discount: float,
-         known_behavior: Policy | None, config: NuisanceConfig) -> tuple:
+         known_behavior: Policy | None, alpha: float) -> tuple:
     """The nuisances of R row sets from their count tables, as ``_count`` stacks
     them, and their move pair: the behavior tables, the known (S, A) one or the
     fitted (R, S, A) ones, and the Q tables (T+1, R, S, A). Unobserved reward cells
@@ -299,7 +290,7 @@ def _fit(tables, moves: tuple, horizon: int, eval_policy: Policy, discount: floa
     if known_behavior is not None:
         behavior = known_behavior.table
     else:
-        smoothed = counts + config.smoothing_alpha
+        smoothed = counts + alpha
         behavior = _ratio(smoothed, smoothed.sum(axis=-1, keepdims=True), 1.0 / num_actions)
         check_policy_rows(behavior)
     check_support(behavior, eval_policy)
@@ -321,14 +312,16 @@ def fit_nuisance(
     eval_policy: Policy,
     discount: float,
     known_behavior: Policy | None = None,
-    config: NuisanceConfig = NuisanceConfig(),
+    smoothing_alpha: float = 0.5,
 ) -> NuisanceEstimate:
-    """Fit one nuisance tuple on every row of ``data``; the fit draws nothing."""
+    """Fit one nuisance tuple on every row of ``data``; the fit draws nothing.
+    ``smoothing_alpha`` is added to each behavior count; > 0 keeps every propensity > 0."""
     check_dataset(data, "data")
     check_unit_interval(discount, "discount")
+    check_finite_nonnegative(smoothing_alpha, "smoothing_alpha")
     rows = data.cells(eval_policy, "evaluation")[None], data.rewards[None]
     return _estimate_record(*_fit(*_count(*rows, eval_policy), data.horizon, eval_policy,
-                                  discount, known_behavior, config))
+                                  discount, known_behavior, smoothing_alpha))
 
 
 def fit_nuisances(
@@ -336,13 +329,14 @@ def fit_nuisances(
     eval_policy: Policy,
     discount: float,
     known_behavior: Policy | None = None,
-    config: NuisanceConfig = NuisanceConfig(),
+    smoothing_alpha: float = 0.5,
 ) -> list[NuisanceEstimate]:
     """For each of ``parts``, two or more datasets of one horizon, the fit on
     the other parts."""
     for k, part in enumerate(parts):
         check_dataset(part, f"parts[{k}]")
     check_unit_interval(discount, "discount")
+    check_finite_nonnegative(smoothing_alpha, "smoothing_alpha")
     if len(parts) < 2:
         raise ValidationError(f"fit_nuisances needs two or more parts, got {len(parts)}")
     horizons = sorted({part.horizon for part in parts})
@@ -351,4 +345,4 @@ def fit_nuisances(
     stacked = [(part.cells(eval_policy, "evaluation")[None], part.rewards[None])
                for part in parts]
     return [_estimate_record(*fit) for fit in _cross_fits(stacked, eval_policy, discount,
-                                                          known_behavior, config)]
+                                                          known_behavior, smoothing_alpha)]

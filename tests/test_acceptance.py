@@ -15,7 +15,6 @@ import pytest
 from dml_ope import (
     CampaignBatchCell,
     ExperimentConfig,
-    NuisanceConfig,
     Policy,
     TabularMdp,
     cb_efficiency_bound,
@@ -247,7 +246,7 @@ def noisy_nuisance_config() -> ExperimentConfig:
         behavior_known=True,
         noise_states=80,
         noise_seed=3,
-        nuisance=NuisanceConfig(smoothing_alpha=0.5),
+        smoothing_alpha=0.5,
     )
 
 

@@ -377,14 +377,19 @@ class TestPointEstimators:
             call()
 
 
-def takes_discount(obj) -> bool:
+def takes(obj, parameter: str) -> bool:
     try:
-        return "discount" in inspect.signature(obj).parameters
+        return parameter in inspect.signature(obj).parameters
     except (TypeError, ValueError):  # a class without a signature, such as an exception
         return False
 
 
-DISCOUNTED = sorted(name for name in dml_ope.__all__ if takes_discount(getattr(dml_ope, name)))
+def public_takers(parameter: str) -> list:
+    """The names in ``dml_ope.__all__`` whose signature has ``parameter``."""
+    return sorted(name for name in dml_ope.__all__ if takes(getattr(dml_ope, name), parameter))
+
+
+DISCOUNTED = public_takers("discount")
 
 
 class TestDiscountRule:
@@ -428,6 +433,61 @@ class TestDiscountRule:
         with pytest.raises(ValidationError,
                            match=rf"discount'? must lie in \[0, 1\], got {discount}$"):
             self.CALLS[name](scenario, discount)
+
+
+SMOOTHED = public_takers("smoothing_alpha")
+
+
+class TestSmoothingRule:
+    """Every public callable that takes a behavior-count smoothing rejects one that
+    is not a finite real number >= 0 by the run-parameter rule, before it fits
+    anything, and also when a known behavior leaves the smoothing unused."""
+
+    CALLS = {
+        "ExperimentConfig": lambda s, a, known: ExperimentConfig(
+            mdp=s.mdp, behavior_policy=s.behavior, evaluation_policy=s.evaluation,
+            n_trajectories=200, replications=1, behavior_known=known, smoothing_alpha=a),
+        "dml_estimate": lambda s, a, known: dml_estimate(
+            s.data, s.evaluation, 0.9, s.rng, known_behavior=s.known(known), smoothing_alpha=a),
+        "dr_half_estimate": lambda s, a, known: dr_half_estimate(
+            s.data, s.evaluation, 0.9, s.rng, known_behavior=s.known(known), smoothing_alpha=a),
+        "evaluate_dataset": lambda s, a, known: evaluate_dataset(
+            s.data, s.evaluation, 0.9, ("dml",), s.rng, known_behavior=s.known(known),
+            smoothing_alpha=a),
+        "fit_nuisance": lambda s, a, known: fit_nuisance(
+            s.data, s.evaluation, 0.9, known_behavior=s.known(known), smoothing_alpha=a),
+        "fit_nuisances": lambda s, a, known: fit_nuisances(
+            [s.data, s.data], s.evaluation, 0.9, known_behavior=s.known(known),
+            smoothing_alpha=a),
+    }
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        mdp = three_state_mdp()
+        behavior, evaluation = three_state_policies()
+        data = sample_dataset(mdp, behavior, 200, np.random.default_rng(4))
+        return dataclasses.make_dataclass(
+            "Scenario", ["mdp", "behavior", "evaluation", "data", "rng"],
+            namespace={"known": lambda s, known: s.behavior if known else None},
+        )(mdp, behavior, evaluation, data, np.random.default_rng(0))
+
+    def test_every_smoothed_callable_has_a_call(self):
+        assert set(SMOOTHED) == set(self.CALLS)
+
+    @pytest.mark.parametrize("alpha, rule", [
+        (-1, "be finite and >= 0, got -1"),
+        (float("nan"), "be finite and >= 0, got nan"),
+        (float("inf"), "be finite and >= 0, got inf"),
+        (True, "be a real number, got True"),
+        ("1", "be a real number, got '1'"),
+    ], ids=["negative", "nan", "inf", "bool", "text"])
+    @pytest.mark.parametrize("known", [False, True], ids=["estimated", "known"])
+    @pytest.mark.parametrize("name", SMOOTHED)
+    def test_smoothing_outside_the_rule_rejected(self, scenario, name, known, alpha, rule):
+        assert name in self.CALLS, f"{name} takes a smoothing, but no call here passes one"
+        with pytest.raises(ValidationError, match=(
+                rf"^(nuisance config: ')?smoothing_alpha'? must {re.escape(rule)}$")):
+            self.CALLS[name](scenario, alpha, known)
 
 
 class TestCellIndexChecks:
@@ -604,10 +664,11 @@ class TestTableReads:
         mdp = three_state_mdp()
         behavior, evaluation = three_state_policies()
         data = sample_dataset(mdp, behavior, 10, np.random.default_rng(0))
-        if behavior_table is not None:
-            behavior = Policy(table=behavior_table)
+        # The true Q tables do not depend on the behavior, which a record must fit.
         q = (true_nuisance(mdp, behavior, evaluation).q if q_shape is None
              else np.zeros(q_shape))
+        if behavior_table is not None:
+            behavior = Policy(table=behavior_table)
         with pytest.raises(ValidationError, match=f"^{re.escape(match)}$"):
             psi(data, behavior, q, evaluation, 0.9)
 

@@ -19,7 +19,6 @@ from dml_ope import (
     Estimator,
     ExperimentConfig,
     LoggedDataset,
-    NuisanceConfig,
     Policy,
     TabularMdp,
     ValidationError,
@@ -1064,7 +1063,7 @@ class TestStackedReplications:
         streams = [np.random.default_rng(s).spawn(len(Estimator)) for s in seeds]
         rngs = {e: [children[k] for children in streams] for k, e in enumerate(Estimator)}
         stacked = estimators._estimate(columns, rngs, names, evaluation, 0.9, known_behavior, 3,
-                                       NuisanceConfig(), 0.95)
+                                       0.5, 0.95)
         for r, (data, seed) in enumerate(zip(datasets, seeds)):
             alone = evaluate_dataset(data, evaluation, 0.9, names, np.random.default_rng(seed),
                                      known_behavior=known_behavior, k_folds=3)
@@ -1291,6 +1290,11 @@ class TestRelativeRmseSe:
         se = relative_rmse_se(huge, np.random.default_rng(4), sims=500)
         assert se > 0.0
         assert se == relative_rmse_se(exact, np.random.default_rng(4), sims=500)
+
+    def test_refuses_no_cells(self):
+        # Ended in numpy's "zero-size array to reduction operation maximum".
+        with pytest.raises(ValidationError, match="^need at least one cell$"):
+            relative_rmse_se([], np.random.default_rng(0))
 
     def test_requires_variance_fields(self):
         cell = self.cell(ope_variance=None, n_ope=None)

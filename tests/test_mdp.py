@@ -9,13 +9,13 @@ import pytest
 from dml_ope import (
     EnumerationCapError,
     LoggedDataset,
-    NuisanceConfig,
     Policy,
     TabularMdp,
     ValidationError,
     enumerate_dataset,
     evaluate_dataset,
     exact_policy_value,
+    lift_policy,
     load_mdp,
     mdp_from_dict,
     mdp_to_dict,
@@ -43,7 +43,7 @@ from helpers import (
 
 def _evaluate(**changes) -> dict:
     """``evaluate_dataset`` of 20 three-state rows by IPW, with ``changes`` to its
-    discount and level."""
+    discount, level and smoothing."""
     behavior, evaluation = three_state_policies()
     data = sample_dataset(three_state_mdp(), behavior, 20, np.random.default_rng(0))
     return evaluate_dataset(data, evaluation, rng=np.random.default_rng(1),
@@ -382,9 +382,9 @@ class TestRunParameterRules:
          "level must be a real number, got None"),
         (lambda: dataclasses.replace(three_state_mdp(), discount="0.9"),
          "discount must be a real number, got '0.9'"),
-        (lambda: NuisanceConfig(smoothing_alpha="1"),
+        (lambda: _evaluate(smoothing_alpha="1"),
          "smoothing_alpha must be a real number, got '1'"),
-        (lambda: NuisanceConfig(smoothing_alpha=True),
+        (lambda: _evaluate(smoothing_alpha=True),
          "smoothing_alpha must be a real number, got True"),
     ], ids=["text_discount", "bool_discount", "none_level", "text_mdp_discount",
             "text_smoothing_alpha", "bool_smoothing_alpha"])
@@ -417,12 +417,21 @@ class TestRunParameterRules:
                                 np.random.default_rng(0)), "n must be an integer, got True"),
         (lambda: with_noise_states(three_state_mdp(), 1.5),
          "num_noise_states must be an integer, got 1.5"),
+        (lambda: lift_policy(Policy(table=[[0.5, 0.5]]), 1.5),
+         "num_noise_states must be an integer, got 1.5"),
+        (lambda: lift_policy(Policy(table=[[0.5, 0.5]]), True),
+         "num_noise_states must be an integer, got True"),
+        (lambda: with_noise_states(three_state_mdp(), 2, seed=-1), "seed must be >= 0, got -1"),
+        (lambda: with_noise_states(three_state_mdp(), 2, seed=1.5),
+         "seed must be an integer, got 1.5"),
         (lambda: relative_rmse_se([], np.random.default_rng(0), sims=2.5),
          "sims must be an integer, got 2.5"),
         (lambda: thompson_gaussian_policy([[0.0]], [[1.0]], np.random.default_rng(0), draws=2.5),
          "draws must be an integer, got 2.5"),
     ], ids=["horizon_bool", "horizon_fractional", "num_states_float", "num_actions_float",
-            "sample_n_bool", "noise_states_fractional", "sims_fractional", "draws_fractional"])
+            "sample_n_bool", "noise_states_fractional", "lift_fractional", "lift_bool",
+            "noise_seed_negative", "noise_seed_fractional", "sims_fractional",
+            "draws_fractional"])
     def test_library_sizes_must_be_integers(self, call, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             call()

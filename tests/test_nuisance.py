@@ -24,7 +24,7 @@ from dml_ope import (
 )
 from dml_ope import nuisance
 from dml_ope.estimators import _cells
-from dml_ope.nuisance import NuisanceConfig, _count, _fit, _merge
+from dml_ope.nuisance import _count, _fit, _merge
 
 from helpers import (noisy_lift, random_mdp, random_policy, select, three_state_mdp,
                      three_state_policies)
@@ -57,7 +57,7 @@ def action_zero(num_states, num_actions):
 def fit_tables(data, num_states, num_actions, smoothing=0.5):
     """fit_nuisance under an evaluation policy that always plays action 0."""
     return fit_nuisance(data, action_zero(num_states, num_actions), 1.0,
-                        config=NuisanceConfig(smoothing_alpha=smoothing))
+                        smoothing_alpha=smoothing)
 
 
 def uneven_dataset(n, seed):
@@ -179,7 +179,7 @@ class TestBehaviorEstimate:
     def test_smoothing_must_be_finite_and_nonnegative(self, alpha):
         with pytest.raises(ValidationError,
                            match=f"^smoothing_alpha must be finite and >= 0, got {alpha}$"):
-            NuisanceConfig(smoothing_alpha=alpha)
+            fit_tables(single_state_dataset([0, 1]), 1, 2, smoothing=alpha)
 
     def test_smoothed_rows_positive_and_normalized(self):
         data = sample_dataset(three_state_mdp(), three_state_policies()[0], 40,
@@ -236,6 +236,18 @@ class TestNuisanceEstimate:
         message = f"q table entries must be real numbers, got {bad}"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             NuisanceEstimate(Policy(table=[[0.5, 0.5]]), q)
+
+    @pytest.mark.parametrize("behavior, q, message", [
+        (Policy(table=[[0.5, 0.5]] * 3), np.zeros((4, 5, 6)),
+         "the q table has shape (4, 5, 6), the behavior policy table (3, 2)"),
+        (Policy(table=[[0.5, 0.5]] * 3), np.zeros((1, 2, 2)),
+         "the q table has shape (1, 2, 2), the behavior policy table (3, 2)"),
+        ([[0.5, 0.5]], np.zeros((1, 1, 2)), "behavior must be a Policy, got list"),
+    ], ids=["other_shape", "fewer_states", "table_not_policy"])
+    def test_q_and_behavior_must_fit(self, behavior, q, message):
+        # Each was accepted; a mismatch surfaced only when an estimator read q.
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            NuisanceEstimate(behavior, q)
 
 
 class TestQRecursion:
@@ -497,8 +509,7 @@ class TestFitNuisances:
         folds = make_folds(2, 2, np.random.default_rng(0))
         evaluation = Policy(table=[[0.5, 0.5]])
         with pytest.raises(SupportViolationError):
-            fit_per_fold(data, folds, evaluation, 1.0,
-                         config=NuisanceConfig(smoothing_alpha=0.0))
+            fit_per_fold(data, folds, evaluation, 1.0, smoothing_alpha=0.0)
 
     def test_tables_match_add_at_reference(self):
         # The bincount tables equal a per-element np.add.at accumulation bit for
@@ -786,8 +797,7 @@ class TestStackedFits:
         known_behavior = behavior if known else None
         size = evaluation.table.size * mdp.num_states
         tables, (idx, counts) = _count(*stacked(datasets, evaluation), evaluation)
-        fit = _fit(tables, (idx, counts), mdp.horizon, evaluation, 0.9, known_behavior,
-                   NuisanceConfig())
+        fit = _fit(tables, (idx, counts), mdp.horizon, evaluation, 0.9, known_behavior, 0.5)
         for r, data in enumerate(datasets):
             own_tables, own_pair = _count(*stacked([data], evaluation), evaluation)
             for got, want in zip(tables, own_tables):
@@ -796,7 +806,7 @@ class TestStackedFits:
             assert (idx[mine] - r * size).tobytes() == own_pair[0].tobytes()
             assert counts[mine].tobytes() == own_pair[1].tobytes()
             behavior_r, q_r = _fit(own_tables, own_pair, mdp.horizon, evaluation, 0.9,
-                                   known_behavior, NuisanceConfig())
+                                   known_behavior, 0.5)
             assert fit[1][:, r].tobytes() == q_r[:, 0].tobytes()
             got_behavior = fit[0] if known else fit[0][r]
             assert got_behavior.tobytes() == behavior_r.reshape(got_behavior.shape).tobytes()
@@ -828,10 +838,9 @@ class TestStackedFits:
         # policy's support unvisited; its fit raises the message of a lone fit.
         data = [single_state_dataset([0, 1, 0]), single_state_dataset([0, 0, 0])]
         evaluation = Policy(table=[[0.5, 0.5]])
-        config = NuisanceConfig(smoothing_alpha=0.0)
         with pytest.raises(SupportViolationError) as alone:
-            fit_nuisance(data[1], evaluation, 1.0, config=config)
+            fit_nuisance(data[1], evaluation, 1.0, smoothing_alpha=0.0)
         rows = stacked(data, evaluation)
         with pytest.raises(SupportViolationError) as together:
-            _fit(*_count(*rows, evaluation), 0, evaluation, 1.0, None, config)
+            _fit(*_count(*rows, evaluation), 0, evaluation, 1.0, None, 0.0)
         assert str(together.value) == str(alone.value)
