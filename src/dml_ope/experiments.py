@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -60,6 +61,7 @@ from .nuisance import check_table_shape
 _INT64_MAX = np.iinfo(np.int64).max
 _WRITE_BLOCK_ROWS = 4096
 _STEP_KEYS = {"s", "a", "r"}
+_FIELD_SUFFIXES = (', "a": ', ', "r": ', ', "p": ', "}")  # what follows each field
 _KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd, so each step is a bijection
 _BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
@@ -81,22 +83,94 @@ def load_policy(path: str | Path) -> Policy:
     return read_json(path, policy_from_dict)
 
 
+def _distinct(values: np.ndarray, limit: int) -> tuple:
+    """``np.unique(values, return_inverse=True)`` of 1-d int64 ``values``: by
+    offset from their minimum, with no sort, where they span at most ``limit``
+    integers (a presence table and an index of that many entries)."""
+    low = int(values.min())
+    span = int(values.max()) - low + 1
+    if span > limit:
+        return np.unique(values, return_inverse=True)
+    offsets = values - low
+    present = np.zeros(span, bool)
+    present[offsets] = True
+    distinct = np.flatnonzero(present)
+    index = np.empty(span, np.intp)
+    index[distinct] = np.arange(len(distinct))
+    return distinct + low, index[offsets]
+
+
+def _field_texts(column: np.ndarray, suffix: str, cells: int) -> tuple:
+    """The json.dumps texts of a block column's distinct values, each followed by
+    ``suffix``, and each cell's index among them. Ids are told apart by value, by
+    offset where max - min < ``cells``, the block's; floats by their bits, so that
+    -0.0 and 0.0 keep their text. One json.dumps call writes the texts, with
+    ``suffix`` and a newline between them."""
+    bits = column.view(np.int64).ravel()
+    distinct, inverse = (_distinct(bits, cells) if column.dtype.kind == "i"
+                         else np.unique(bits, return_inverse=True))
+    text = json.dumps(distinct.view(column.dtype).tolist(), separators=(suffix + "\n", ": "))
+    return np.array((text[1:-1] + suffix).split("\n"), dtype=object), inverse
+
+
+def _repeated_steps(texts: list, inverses: list, cells: int) -> tuple | None:
+    """Each distinct ``(s, a, r, p)`` step's text and each cell's index among them,
+    if at most half the block's ``cells`` are distinct steps, else None. A step's
+    key is its fields' indices in mixed radix, formed only if every key fits in
+    int64; the distinct keys are found by offset while they span at most
+    ``4 * cells`` integers."""
+    counts = [len(x) for x in texts]
+    if 2 * max(counts) > cells or math.prod(counts) > 2**63:
+        return None
+    key = inverses[0]
+    for count, inverse in zip(counts[1:], inverses[1:]):
+        key = key * count + inverse
+    keys, inverse = _distinct(key, 4 * cells)
+    if 2 * len(keys) > cells:
+        return None
+    indices = []
+    for count in reversed(counts):
+        keys, index = np.divmod(keys, count)
+        indices.append(index)
+    s, a, r, p = (x[k] for x, k in zip(texts, indices[::-1]))
+    return s + a + r + p, inverse
+
+
 def _jsonl_blocks(states, actions, rewards, propensities):
-    """Yield the lines of each block of ``_WRITE_BLOCK_ROWS`` rows, each json.dumps
-    of its row's {"steps": [{"s", "a", "r", "p"}, ...]} object, ``p`` null without
-    propensities: one join of a ``(rows, T+1, 9)`` array, kept across blocks, of the
-    field texts between constant separators. A field's distinct values, floats told
-    apart by their bits so that -0.0 and 0.0 keep their text, take one json.dumps."""
+    """Yield the text of each block of ``_WRITE_BLOCK_ROWS`` rows, a line per row,
+    json.dumps of its {"steps": [{"s", "a", "r", "p"}, ...]} object, ``p`` null
+    without propensities. A block's field values take one json.dumps per field,
+    of its distinct values (``_field_texts``). Where at most half the block's cells
+    are distinct steps (``_repeated_steps``), each distinct step's text is joined
+    once and a row takes 2 pieces per step, a separator and the step; else 5, the
+    separator and the step's four field texts. The block is one join of a
+    ``(rows, pieces)`` array whose separators are kept across blocks."""
+    rows, width = min(len(states), _WRITE_BLOCK_ROWS), states.shape[1]
+    layouts = {}  # pieces per step -> the (rows, pieces) array, made when first used
     fields = (states, actions, rewards, propensities)[:4 - (propensities is None)]
-    pieces = np.empty((min(len(states), _WRITE_BLOCK_ROWS), states.shape[1], 9), dtype=object)
-    pieces[:, :, 0::2] = ['}, {"s": ', ', "a": ', ', "r": ', ', "p": ', ""]
-    pieces[:, 0, 0], pieces[:, -1, 8], pieces[:, :, 7] = '{"steps": [{"s": ', "}]}\n", "null"
     for start in range(0, len(states), _WRITE_BLOCK_ROWS):
-        block = pieces[:len(states) - start]
-        for k, col in enumerate(x[start:start + _WRITE_BLOCK_ROWS] for x in fields):
-            distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
-            texts = json.dumps(distinct.view(col.dtype).tolist())[1:-1].split(", ")
-            block[:, :, 2 * k + 1] = np.array(texts, dtype=object)[inverse].reshape(col.shape)
+        columns = [x[start:start + _WRITE_BLOCK_ROWS] for x in fields]
+        n = len(columns[0])
+        texts, inverses = [], []
+        for column, suffix in zip(columns, _FIELD_SUFFIXES):
+            text, inverse = _field_texts(column, suffix, n * width)
+            texts.append(text)
+            inverses.append(inverse)
+        if propensities is None:
+            texts.append(np.array(["null}"], dtype=object))
+            inverses.append(np.zeros(n * width, np.intp))
+        steps = _repeated_steps(texts, inverses, n * width)
+        size = 5 if steps is None else 2
+        if size not in layouts:
+            pieces = layouts[size] = np.empty((rows, size * width + 1), dtype=object)
+            pieces[:, 0], pieces[:, size:-1:size], pieces[:, -1] = (
+                '{"steps": [{"s": ', ', {"s": ', "]}\n")
+        block = layouts[size][:n]
+        if steps is None:
+            for k, (text, inverse) in enumerate(zip(texts, inverses)):
+                block[:, k + 1::5] = text[inverse].reshape(n, width)
+        else:
+            block[:, 1::2] = steps[0][steps[1]].reshape(n, width)
         yield "".join(block.ravel().tolist())
 
 

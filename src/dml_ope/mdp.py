@@ -634,18 +634,38 @@ def json_field(obj: dict, key: str, where: str, kind=float, default=...):
     return kind(value)
 
 
-def mdp_from_dict(obj: dict) -> TabularMdp:
-    """Build a TabularMdp from the JSON spec format; errors name the offending path."""
-    where = "MDP spec"
-    check_keys(obj, {"num_states", "num_actions", "horizon", "discount",
-                     "initial_dist", "transitions", "rewards"}, where)
-    num_states = json_field(obj, "num_states", where, int)
-    num_actions = json_field(obj, "num_actions", where, int)
-    raw_rewards = obj.get("rewards")
-    if not isinstance(raw_rewards, list) or len(raw_rewards) != num_states:
-        raise ValidationError(f"{where}: 'rewards' must be an array with one row per state")
+def _plain_reward_cells(rows: list, num_actions: int) -> tuple | None:
+    """``_reward_cells`` of rows of ``num_actions`` cells that all hold two lists of
+    one nonzero length of JSON numbers, no bools among them, that floats hold;
+    else None. The lists are read in one pass, and no message is built."""
+    if not all(isinstance(row, list) and len(row) == num_actions for row in rows):
+        return None
+    cells = [cell for row in rows for cell in row]
+    if not all(isinstance(cell, dict) and type(cell.get("support")) is list
+               and type(cell.get("probs")) is list for cell in cells):
+        return None
+    sizes = [len(cell["support"]) for cell in cells]
+    if not cells or 0 in sizes or sizes != [len(cell["probs"]) for cell in cells]:
+        return None
+    entries = [[x for cell in cells for x in cell[key]] for key in ("support", "probs")]
+    if not set(map(type, entries[0] + entries[1])) <= {int, float}:
+        return None
+    try:
+        entries = [np.array(x, dtype=float) for x in entries]
+    except OverflowError:  # an int no float holds
+        return None
+    filled = np.arange(max(sizes)) < np.array(sizes)[:, None]
+    arrays = np.zeros((2, *filled.shape))
+    arrays[0][filled], arrays[1][filled] = entries
+    return tuple(arrays.reshape(2, len(rows), num_actions, -1))
+
+
+def _reward_cells(rows: list, num_actions: int) -> tuple:
+    """The ``(S, A, width)`` reward support and probs of the MDP file's reward rows,
+    each cell padded with outcome 0.0 at probability 0 to the widest; each row and
+    cell is read alone, in order, and its errors name it."""
     cells = {}  # (s, a) -> (support, probs), 1-d and of equal length
-    for s, row in enumerate(raw_rewards):
+    for s, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != num_actions:
             raise ValidationError(f"rewards[{s}]: expected one entry per action")
         for a, cell in enumerate(row):
@@ -661,11 +681,26 @@ def mdp_from_dict(obj: dict) -> TabularMdp:
             cells[s, a] = support, probs
     width = max((support.size for support, _ in cells.values()), default=0)
     # num_actions < 0 only comes with no rows, and TabularMdp rejects it.
-    shape = (num_states, max(num_actions, 0), width)
+    shape = (len(rows), max(num_actions, 0), width)
     reward_support, reward_probs = np.zeros(shape), np.zeros(shape)
     for (s, a), (support, probs) in cells.items():
         reward_support[s, a, :support.size] = support
         reward_probs[s, a, :probs.size] = probs
+    return reward_support, reward_probs
+
+
+def mdp_from_dict(obj: dict) -> TabularMdp:
+    """Build a TabularMdp from the JSON spec format; errors name the offending path."""
+    where = "MDP spec"
+    check_keys(obj, {"num_states", "num_actions", "horizon", "discount",
+                     "initial_dist", "transitions", "rewards"}, where)
+    num_states = json_field(obj, "num_states", where, int)
+    num_actions = json_field(obj, "num_actions", where, int)
+    raw_rewards = obj.get("rewards")
+    if not isinstance(raw_rewards, list) or len(raw_rewards) != num_states:
+        raise ValidationError(f"{where}: 'rewards' must be an array with one row per state")
+    reward_support, reward_probs = (_plain_reward_cells(raw_rewards, num_actions)
+                                    or _reward_cells(raw_rewards, num_actions))
     return TabularMdp(
         num_states=num_states,
         num_actions=num_actions,

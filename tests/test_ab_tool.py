@@ -21,7 +21,8 @@ FUNCTIONS = ["write", "ingest", "sample", "chunk"]
 def run_ops(monkeypatch, capsys):
     """``ops`` of this tree against ``change``, one round at small sizes: its exit
     code, its report and its standard error."""
-    monkeypatch.setattr(ab, "SIZES", {"bench": 300, "distinct": 50, "setup": 500, "chunk": 50})
+    monkeypatch.setattr(ab, "SIZES", {"bench": 300, "distinct": 50, "long": 20, "setup": 500,
+                                      "chunk": 50})
 
     def run(change: Path, ops: list) -> tuple:
         code = ab.ops(argparse.Namespace(parent=ROOT, change=change, op=ops, rounds=1))
@@ -66,7 +67,8 @@ def test_ingest_cases_of_the_bench_rows_read_alike(run_ops):
     assert code == 0, err
     cases = report["ingest"]
     assert sorted(cases) == ["bench_25k", "bench_25k_keys_reordered",
-                             "bench_25k_last_line_respaced", "distinct_5k", "distinct_5k_p"]
+                             "bench_25k_last_line_respaced", "distinct_5k", "distinct_5k_p",
+                             "long_64"]
     for name in ("bench_25k_keys_reordered", "bench_25k_last_line_respaced"):
         assert cases[name]["sha256"] == cases["bench_25k"]["sha256"]
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import pickle
 import re
@@ -133,6 +134,17 @@ def repeating_arrays(draw) -> LoggedDataset:
     )
 
 
+def json_dumps_lines(data: LoggedDataset) -> str:
+    """json.dumps of each row's {"steps": [{"s", "a", "r", "p"}, ...]} object, a line each."""
+    props = data.propensities if data.propensities is not None else np.full(
+        data.states.shape, None)
+    return "".join(
+        json.dumps({"steps": [{"s": s, "a": a, "r": r, "p": p} for s, a, r, p in zip(*row)]})
+        + "\n"
+        for row in zip(data.states.tolist(), data.actions.tolist(), data.rewards.tolist(),
+                       props.tolist()))
+
+
 class TestJsonlRoundTrip:
     @settings(deadline=None)
     @given(repeating_arrays(), st.integers(1, 3))
@@ -144,15 +156,7 @@ class TestJsonlRoundTrip:
             path = Path(tmp) / "data.jsonl"
             write_jsonl(data, path)
             text = path.read_text()
-        props = data.propensities if data.propensities is not None else np.full(
-            data.states.shape, None)
-        expected = "".join(
-            json.dumps({"steps": [{"s": s, "a": a, "r": r, "p": p}
-                                  for s, a, r, p in zip(*row)]}) + "\n"
-            for row in zip(data.states.tolist(), data.actions.tolist(),
-                           data.rewards.tolist(), props.tolist())
-        )
-        assert text == expected
+        assert text == json_dumps_lines(data)
 
     @settings(deadline=None)
     @given(logged_arrays())
@@ -169,6 +173,72 @@ class TestJsonlRoundTrip:
                 # Equal bytes: -0.0 keeps its sign and every subnormal its bits.
                 assert (got.dtype, got.shape) == (want.dtype, want.shape)
                 assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _round_trip(data: LoggedDataset, path: Path) -> list:
+        """Write ``data`` to ``path``, check that each line is json.dumps of its row and
+        that the fast path reads the file back to ``data``; per block, whether the
+        writer joined step pieces."""
+        layouts = []
+        repeated_steps = experiments._repeated_steps
+
+        def spy(*args):
+            steps = repeated_steps(*args)
+            layouts.append(steps is not None)
+            return steps
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "_repeated_steps", spy)
+            write_jsonl(data, path)
+            mp.setattr(experiments, "_ingest_lines", TestCanonicalIngest._refuse)
+            lines, expected = path.read_text().splitlines(), json_dumps_lines(data).splitlines()
+            differ = [k for k, (x, y) in enumerate(zip(lines, expected), 1) if x != y]
+            assert len(lines) == len(expected) and not differ, f"lines {differ[:5]} differ"
+            assert arrays_digest(ingest_jsonl(path)) == arrays_digest(data)
+        return layouts[:-(-len(data.states) // experiments._WRITE_BLOCK_ROWS)]
+
+    def test_a_file_of_repeated_then_distinct_steps_takes_both_layouts(self, tmp_path,
+                                                                      monkeypatch):
+        # Block 1 holds 2 distinct steps in 32 cells; block 2 holds 32 distinct values
+        # in every field, more than half its cells.
+        monkeypatch.setattr(experiments, "_WRITE_BLOCK_ROWS", 8)
+        states = np.r_[np.tile([0, 7], 16), 2**62 + np.arange(32)]
+        actions = np.r_[np.tile([1, 0], 16), np.arange(32) * 3]
+        rewards = np.r_[np.tile([-0.0, 0.5], 16), np.linspace(-1e300, 1e-300, 32)]
+        props = np.r_[np.tile([1.0, 5e-324], 16), np.arange(1, 33) / 33]
+        data = LoggedDataset(*(x.reshape(16, 4) for x in (states, actions, rewards, props)))
+        assert self._round_trip(data, tmp_path / "d.jsonl") == [True, False]
+
+    @pytest.mark.parametrize("beyond", [-1, 0, 1], ids=["one_less", "equal", "one_more"])
+    def test_an_id_range_at_the_block_cells(self, tmp_path, beyond):
+        # 24 cells; ids from ``low`` to ``low + 24 + beyond``: below 24 they are read
+        # by offset from ``low``, from 24 on by sorting. The highest is int64's.
+        cells, high = 24, np.iinfo(np.int64).max
+        low = high - (cells + beyond)
+        ids = low + np.arange(cells) * (cells + beyond) // (cells - 1)
+        assert (ids.min(), ids.max()) == (low, high)
+        distinct, inverse = experiments._distinct(ids[::-1], cells)
+        expected = np.unique(ids[::-1], return_inverse=True)
+        assert np.array_equal(distinct, expected[0]) and np.array_equal(inverse, expected[1])
+        data = LoggedDataset(ids.reshape(6, 4), np.tile([3, 0], 12).reshape(6, 4),
+                             np.zeros((6, 4)))
+        self._round_trip(data, tmp_path / "d.jsonl")
+        self._round_trip(LoggedDataset(np.tile(ids[:2], 12).reshape(6, 4), ids.reshape(6, 4),
+                                       np.ones((6, 4))), tmp_path / "e.jsonl")
+
+    def test_a_64_step_block_whose_step_key_would_pass_int64(self, tmp_path):
+        # 81,920 distinct steps, each twice: at most half the cells, but the product
+        # of the fields' distinct counts passes 2**63, so no int64 key holds them.
+        rows, width = 2560, 64
+        step = np.arange(rows * width) % (rows * width // 2)
+        data = LoggedDataset(step.reshape(rows, width),
+                             (2**40 + 7919 * step).reshape(rows, width),
+                             (step % 40000 * 0.25 - 3000.5).reshape(rows, width),
+                             ((step % 39989 + 1) / 39989).reshape(rows, width))
+        counts = [len(np.unique(x)) for x in (data.states, data.actions, data.rewards,
+                                              data.propensities)]
+        assert max(counts) <= rows * width // 2 and math.prod(counts) > 2**63
+        self._round_trip(data, tmp_path / "d.jsonl")
 
     def test_write_then_ingest(self, tmp_path):
         mdp = three_state_mdp()

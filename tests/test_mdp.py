@@ -26,6 +26,7 @@ from dml_ope import (
     thompson_gaussian_policy,
     with_noise_states,
 )
+from dml_ope import mdp
 from dml_ope.mdp import (check_at_least, check_finite_nonnegative, check_folds, check_integer,
                          check_level, check_unit_interval, sized_by)
 
@@ -706,6 +707,35 @@ class TestSerialization:
         obj = mdp_to_dict(three_state_mdp())
         obj["rewards"][1][0]["probs"] = [0.3, 0.3]
         with pytest.raises(ValidationError, match=r"rewards\[1\]\[0\]"):
+            mdp_from_dict(obj)
+
+    @pytest.mark.parametrize("cells, plain", [
+        ([[{"support": [1.3], "probs": [1.0]}, {"support": [-0.6, 1], "probs": [0.35, 0.65]}],
+          [{"support": [-0.0, 0.3, 2**70], "probs": [0.15, 0.6, 0.25]},
+           {"support": [0.1, 0.7], "probs": [0.55, 0.45], "note": 1}]], True),
+        ([[{"support": [0.5, True], "probs": [0.5, 0.5]}]], False),  # numpy reads it as floats
+        ([[{"support": [1, 2], "probs": [1, 0]}]], True),
+    ], ids=["mixed_width", "a_bool_among_floats", "ints"])
+    def test_the_one_pass_reward_reader_reads_as_the_cell_reader(self, cells, plain):
+        read = mdp._plain_reward_cells(cells, len(cells[0]))
+        assert (read is not None) == plain
+        expected = mdp._reward_cells(cells, len(cells[0]))
+        for got, want in zip(read or expected, expected):
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    def test_the_one_pass_reward_reader_reads_the_lift(self):
+        rows = mdp_to_dict(noisy_lift()[0])["rewards"]
+        read, expected = mdp._plain_reward_cells(rows, 2), mdp._reward_cells(rows, 2)
+        for got, want in zip(read, expected):
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    def test_a_cell_error_comes_before_a_later_row_error(self):
+        obj = mdp_to_dict(three_state_mdp())
+        obj["rewards"][0][1]["probs"] = [1.0, 0.0, 0.0]
+        obj["rewards"][2] = obj["rewards"][2][:1]
+        with pytest.raises(ValidationError, match=r"^rewards\[0\]\[1\]: reward support and "
+                                                  r"probs must be 1-d, nonempty and of equal "
+                                                  r"length$"):
             mdp_from_dict(obj)
 
     def test_integer_beyond_the_float_range_rejected(self):

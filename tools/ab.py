@@ -40,8 +40,10 @@ name (every import inside the package is relative) and runs each operation
   (25,000 trajectories of the 240-state lift of ``configs/noisy_nuisance.json``
   under its behavior policy, seed 7, with propensities), and of
   ``distinct_5k_p`` and ``distinct_5k``, 5,000 x 4 cells in which every label,
-  reward and propensity is distinct, with and without propensities;
-- ``ingest``: ``ingest_jsonl`` of those three files, written by the change
+  reward and propensity is distinct, with and without propensities, and of
+  ``long_64``, one block of 4,096 x 64 such cells with propensities (the
+  writer's worst layout: no step repeats, and every field's text is its own);
+- ``ingest``: ``ingest_jsonl`` of those four files, written by the change
   tree; of ``bench_25k_keys_reordered``, ``bench_25k`` with each step's keys in
   reverse order (a valid file that the writer does not write); and of
   ``bench_25k_last_line_respaced``, ``bench_25k`` with no space after its last
@@ -84,7 +86,7 @@ WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 CONFIG = ROOT / "configs" / "noisy_nuisance.json"
 SIDES = ("parent", "change")
 SEED = 7
-SIZES = {"bench": 25_000, "distinct": 5_000, "setup": 50_000, "chunk": 1_000}
+SIZES = {"bench": 25_000, "distinct": 5_000, "long": 4_096, "setup": 50_000, "chunk": 1_000}
 STDERR_LINES = 20
 OP_MS = {"better": "lower", "bound": None}  # an operation's wall time
 
@@ -250,10 +252,14 @@ def datasets(ope) -> dict:
     labels = rng.choice(2**62, size=(2, *shape), replace=False)
     rewards = rng.standard_normal(shape)
     props = rng.uniform(0.01, 1.0, shape)
+    long = (SIZES["long"], 64)
+    long_labels = rng.choice(2**62, size=(2, *long), replace=False)
     return {
         "bench_25k": bench,
         "distinct_5k_p": ope.LoggedDataset(labels[0], labels[1], rewards, props),
         "distinct_5k": ope.LoggedDataset(labels[0], labels[1], rewards),
+        "long_64": ope.LoggedDataset(long_labels[0], long_labels[1], rng.standard_normal(long),
+                                     rng.uniform(0.01, 1.0, long)),
     }
 
 
