@@ -377,6 +377,8 @@ def _ingest_lines(path: str | Path) -> LoggedDataset:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
+        except RecursionError:
+            raise ValidationError(f"{path}: line {lineno}: JSON nested too deeply") from None
         if not isinstance(obj, dict):
             raise ValidationError(
                 f"{path}: line {lineno}: expected an object with a 'steps' array"

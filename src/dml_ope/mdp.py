@@ -6,6 +6,7 @@ support, so mean/variance tables and full trajectory enumeration are exact.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import numbers
@@ -16,6 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 PROB_TOL = 1e-12
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -713,12 +715,61 @@ def mdp_from_dict(obj: dict) -> TabularMdp:
     )
 
 
+# Digits to b"0", b"." kept (a run after it is a fraction's), every other byte to
+# b" ": a run of 19 zeros after a space may be an integer past 64 bits, which
+# orjson reads as a float.
+_DIGIT_RUNS = bytes(48 if 48 <= b <= 57 else b if b == 46 else 32 for b in range(256))
+_LONG_RUN = b" " + b"0" * 19
+_NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'[]{}"')
+_NESTING_STEPS = bytes(1 if b in b"[{" else 255 if b in b"]}" else 0 for b in range(256))
+# orjson recurses on the C stack per level of nesting: 200,000 levels overflow an
+# 8 MiB stack and end the process.
+_ORJSON_DEPTH = 512
+
+
+def _depth(raw: bytes) -> int:
+    """The deepest nesting of arrays and objects in the JSON text ``raw``, exact up
+    to its first syntax error; brackets inside strings do not count."""
+    if b"\\" in raw:  # so that no escaped quote or backslash opens or closes a string
+        raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
+    outside = b"".join(raw.translate(None, _NOT_STRUCTURE).split(b'"')[::2])
+    steps = np.frombuffer(outside.translate(_NESTING_STEPS), np.int8)
+    return int(np.cumsum(steps, dtype=np.int64).max(initial=0))
+
+
+def _orjson_reads_alike(raw: bytes) -> bool:
+    """Whether orjson, if it reads the JSON text ``raw`` at all, reads it as json
+    does: unless ``raw`` holds a run of 19 or more digits, not a fraction's, that
+    may be an integer past 64 bits, or nests deeper than ``_ORJSON_DEPTH``."""
+    runs = raw.translate(_DIGIT_RUNS)
+    return (_LONG_RUN not in runs and not runs.startswith(_LONG_RUN[1:])
+            and _depth(raw) <= _ORJSON_DEPTH)
+
+
+def _decode_json(raw: bytes):
+    """``json.load`` of the UTF-8 text file whose bytes are ``raw``, its values and
+    its errors. orjson reads the text where it reads it alike, unless it refuses
+    it (NaN, Infinity, a number past the float range, a lone surrogate, a BOM,
+    bytes that are not UTF-8, a syntax error). json reads every other text, with
+    universal newlines, so that its line, column and char count them."""
+    if _orjson_reads_alike(raw):
+        try:
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
+    return json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+
+
 def read_json(path: str | Path, parse):
-    """``parse`` of the JSON in the UTF-8 file at ``path``; a directory, text that is
-    not UTF-8 JSON and a ValidationError of ``parse`` raise one that names the path."""
+    """``parse`` of the JSON in the UTF-8 file at ``path``, read once; a directory,
+    text that is not UTF-8 JSON, JSON nested too deeply for either decoder or for
+    ``parse``, and a ValidationError of ``parse`` raise one that names the path."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return parse(json.load(fh))
+        with open(path, "rb") as fh:
+            obj = _decode_json(fh.read())
+        return parse(obj)
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nested too deeply") from None
     except (IsADirectoryError, UnicodeDecodeError, json.JSONDecodeError, ValidationError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

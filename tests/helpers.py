@@ -13,7 +13,9 @@ from dml_ope import (
     Policy,
     TabularMdp,
     experiment_config_from_dict,
+    mdp_to_dict,
     mean_reward_table,
+    policy_to_dict,
     q_recursion,
 )
 from dml_ope.experiments import _scenario
@@ -149,3 +151,60 @@ def noisy_lift() -> tuple[TabularMdp, Policy, Policy]:
     with its lifted behavior and evaluation policies."""
     with open(NOISY_CONFIG) as fh:
         return _scenario(experiment_config_from_dict(json.load(fh), base_dir=NOISY_CONFIG.parent))
+
+
+# Per reader, where each unusual literal goes in its document; [] is the top object.
+_SLOTS = {
+    "mdp": {"nan_literal": ["discount"], "infinity_literal": ["transitions", 0, 0, 0],
+            "overflow_1e400": ["transitions", 1, 0, 0], "int_20_digits": ["num_states"],
+            "negative_int_20_digits": ["initial_dist", 0], "lone_surrogate_key": []},
+    "policy": {"nan_literal": ["table", 0, 0], "infinity_literal": ["table", 0, 1],
+               "overflow_1e400": ["table", 1, 0], "int_20_digits": ["table", 1, 1],
+               "negative_int_20_digits": ["table", 2, 0], "lone_surrogate_key": []},
+    "config": {"nan_literal": ["discount"], "infinity_literal": ["mdp", "transitions", 0, 0, 0],
+               "overflow_1e400": ["nuisance", "smoothing_alpha"],
+               "int_20_digits": ["mdp", "num_states"],
+               "negative_int_20_digits": ["mdp", "initial_dist", 0], "lone_surrogate_key": []},
+    "cells": {"nan_literal": [0, "estimate"], "infinity_literal": [0, "actual"],
+              "overflow_1e400": [0, "n_impressions"], "int_20_digits": [0, "campaign"],
+              "negative_int_20_digits": [0, "n_ope"], "lone_surrogate_key": [0]},
+}
+_LITERALS = {"nan_literal": "NaN", "infinity_literal": "Infinity", "overflow_1e400": "1e400",
+             "int_20_digits": "12345678901234567890",
+             "negative_int_20_digits": "-12345678901234567890"}
+UNUSUAL_CASES = [*_LITERALS, "lone_surrogate_key", "bom", "invalid_utf8_byte",
+                 "crlf_syntax_error", "cr_syntax_error"]
+
+
+def unusual_input(which: str, case: str) -> bytes:
+    """A valid document of ``which``'s reader ("mdp", "policy", "config" or "cells",
+    built from ``three_state_mdp`` and ``three_state_policies``) made unusual by
+    ``case``: a literal or a key that orjson refuses or reads otherwise, a BOM, an
+    invalid UTF-8 byte, or a syntax error on the fourth line of CRLF or CR text."""
+    mdp = mdp_to_dict(three_state_mdp())
+    behavior, evaluation = map(policy_to_dict, three_state_policies())
+    doc = {
+        "mdp": mdp,
+        "policy": behavior,
+        "config": {"mdp": mdp, "behavior_policy": behavior, "evaluation_policy": evaluation,
+                   "n_trajectories": 10, "replications": 2, "nuisance": {"smoothing_alpha": 0.5}},
+        "cells": [{"campaign": "a", "batch": "1", "estimate": 0.55, "actual": 0.5,
+                   "n_impressions": 10_000, "ope_variance": 0.25, "n_ope": 5_000}],
+    }[which]
+    if case in _SLOTS[which]:
+        key = case == "lone_surrogate_key"  # "@@" is a new key, else the slot's value
+        *parents, last = [*_SLOTS[which][case], "@@"] if key else _SLOTS[which][case]
+        slot = doc
+        for step in parents:
+            slot = slot[step]
+        slot[last] = 0 if key else "@@"
+        return json.dumps(doc).replace('"@@"', _LITERALS.get(case, '"\\ud800"')).encode()
+    text = json.dumps(doc, indent=1)
+    if case == "bom":
+        return b"\xef\xbb\xbf" + text.encode()
+    if case == "invalid_utf8_byte":
+        raw = text.encode()
+        return raw[:len(raw) // 2] + b"\xff" + raw[len(raw) // 2:]
+    lines = text.split("\n")
+    lines[3] += " @"
+    return {"crlf_syntax_error": "\r\n", "cr_syntax_error": "\r"}[case].join(lines).encode()

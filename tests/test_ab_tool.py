@@ -5,6 +5,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,6 +72,41 @@ def test_ingest_cases_of_the_bench_rows_read_alike(run_ops):
                              "long_64"]
     for name in ("bench_25k_keys_reordered", "bench_25k_last_line_respaced"):
         assert cases[name]["sha256"] == cases["bench_25k"]["sha256"]
+
+
+def test_ingest_long_64_takes_the_fast_path_with_every_step_distinct(tmp_path, monkeypatch):
+    # Its check, the encoder's five pieces per step, is what the case times.
+    monkeypatch.setattr(ab, "SIZES", {**ab.SIZES, "bench": 300, "distinct": 50, "long": 20})
+    ope, _ = ab.load_tree(ROOT, "change", False)
+    calls, _ = ab.cases("ingest", {side: (ope, None) for side in ab.SIDES}, tmp_path)["long_64"]
+    text = calls["change"].args[0].read_bytes()
+    assert ope.experiments._canonical_block(text, text.count(b"\n")) is not None
+    data = ope.ingest_jsonl(calls["change"].args[0])
+    assert data.states.shape == (20, 64) and np.unique(data.states).size == data.states.size
+
+
+def test_load_cases_read_the_lift_files_alike(run_ops):
+    code, report, err = run_ops(ROOT, ["load"])
+    assert code == 0, err
+    assert sorted(report["load"]) == ["lift_behavior", "lift_mdp"]
+    assert all(r["equal"] and r["problems"] == [] for r in report["load"].values())
+
+
+def test_a_loader_that_moves_one_transition_exits_1_naming_load(tmp_path, run_ops):
+    # One entry deep inside the (240, 2, 240) table, which a repr would elide.
+    shutil.copytree(ROOT / "src" / "dml_ope", tmp_path / "src" / "dml_ope",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = tmp_path / "src" / "dml_ope" / "mdp.py"
+    module.write_text(module.read_text() + (
+        "\n\n_load_mdp = load_mdp\n\n\n"
+        "def load_mdp(path):\n"
+        "    mdp = _load_mdp(path)\n"
+        "    mdp.transitions[120, 1, 100] += 2.0**-40\n"
+        "    return mdp\n"))
+    code, report, err = run_ops(tmp_path, ["load"])
+    assert code == 1
+    assert "load lift_mdp" in err and "lift_behavior" not in err
+    assert not report["load"]["lift_mdp"]["equal"] and report["load"]["lift_behavior"]["equal"]
 
 
 def test_only_the_last_line_is_respaced():

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from dml_ope import cli, experiments, mdp_to_dict, policy_to_dict
 from dml_ope.cli import cli_main
 
 from helpers import (NOISY_CONFIG, bandit_mdp, bandit_policies, noisy_lift, three_state_mdp,
-                     three_state_policies)
+                     three_state_policies, unusual_input)
 
 _MDP = mdp_to_dict(three_state_mdp())
 
@@ -377,6 +381,16 @@ class TestEvaluate:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {path}: ")
+
+    def test_deeply_nested_line_exits_1_naming_the_line(self, workspace, capsys):
+        path = workspace / "nested.jsonl"
+        path.write_text('{"steps": [{"s": 0, "a": 0, "r": 1.0}]}\n'
+                        '{"steps": [{"s": 0, "a": 0, "r": ' + "[" * 5_000 + "]" * 5_000 + "}]}\n")
+        code, out, err = run(
+            capsys, "evaluate", "--data", str(path),
+            "--eval-policy", str(workspace / "eval.json"), "--discount", "0.9",
+        )
+        assert (code, out, err) == (1, "", f"error: {path}: line 2: JSON nested too deeply\n")
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
     def test_non_finite_alpha_exits_1(self, workspace, capsys, alpha):
@@ -860,11 +874,84 @@ class TestErrorExits:
         assert (code, out, err) == (2, "", "runtime error: boom\n")
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def reader_argv(workspace, which: str, path) -> list:
+    """A command that reads ``path`` with one of the four JSON file readers."""
+    simulate = ["simulate", "--mdp", str(workspace / "mdp.json"),
+                "--policy", str(workspace / "behavior.json"), "--n", "5",
+                "--output", str(workspace / "x.jsonl")]
+    return {
+        "mdp": [*simulate[:2], str(path), *simulate[3:]],
+        "policy": [*simulate[:4], str(path), *simulate[5:]],
+        "config": ["experiment", "--config", str(path)],
+        "cells": ["rmse", "--cells", str(path)],
+    }[which]
+
+
+_READERS = ["mdp", "policy", "config", "cells"]
+_SUM_INF = "transitions[{}][0] sums to inf, expected 1"
+_NO_ROWS = "MDP spec: 'rewards' must be an array with one row per state"
+_BOM = "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+_BAD_BYTE = "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
+_LINE_4 = {  # line and column after universal newlines, so CRLF and CR read alike
+    "mdp": "Expecting property name enclosed in double quotes: line 4 column 16 (char 54)",
+    "policy": "Expecting value: line 4 column 9 (char 26)",
+    "config": "Expecting property name enclosed in double quotes: line 4 column 21 (char 51)",
+    "cells": "Expecting property name enclosed in double quotes: line 4 column 17 (char 40)",
+}
+# Per case and reader, the message after "error: <path>: ", as json.load gives it.
+_UNUSUAL_INPUTS = {
+    "nan_literal": {
+        "mdp": "MDP spec: 'discount' must be finite, got NaN",
+        "policy": "policy row 0 sums to nan, expected 1",
+        "config": "experiment config: 'discount' must be finite, got NaN",
+        "cells": "cell: 'estimate' must be finite, got NaN",
+    },
+    "infinity_literal": {
+        "mdp": _SUM_INF.format(0),
+        "policy": "policy row 0 sums to inf, expected 1",
+        "config": _SUM_INF.format(0),
+        "cells": "cell: 'actual' must be finite, got Infinity",
+    },
+    "overflow_1e400": {
+        "mdp": _SUM_INF.format(1),
+        "policy": "policy row 1 sums to inf, expected 1",
+        "config": "nuisance config: 'smoothing_alpha' must be finite, got Infinity",
+        "cells": "cell: 'n_impressions' must be finite, got Infinity",
+    },
+    "int_20_digits": {
+        "mdp": _NO_ROWS,
+        "policy": "policy row 1 sums to 1.2345678901234567e+19, expected 1",
+        "config": _NO_ROWS,
+        "cells": "cell: 'campaign' must be a string, got 12345678901234567890",
+    },
+    "negative_int_20_digits": {
+        "mdp": "initial_dist has negative entries",
+        "policy": "policy row 2 has negative entries",
+        "config": "initial_dist has negative entries",
+        "cells": "cell: 'n_ope' must be positive, got -1.2345678901234567e+19",
+    },
+    "lone_surrogate_key": {
+        which: f"{where}: unknown keys ['\\ud800']" for which, where in zip(
+            _READERS, ["MDP spec", "policy spec", "experiment config", "cell"])
+    },
+    "bom": dict.fromkeys(_READERS, _BOM),
+    "invalid_utf8_byte": {which: _BAD_BYTE.format(at)
+                          for which, at in zip(_READERS, [510, 44, 745, 73])},
+    "crlf_syntax_error": _LINE_4,
+    "cr_syntax_error": _LINE_4,
+}
+
+
 class TestJsonInputFiles:
     """The MDP, policy, experiment config and cells files share one reader."""
 
-    @pytest.mark.parametrize("content", [None, b'{"table": "\xff"}', b"{not json"],
-                             ids=["directory", "not_utf8", "not_json"])
+    @pytest.mark.parametrize("content", [None, b'{"table": "\xff"}', b"{not json",
+                                         b"[" * 100_000, b"[" * 100_000 + b"]" * 100_000],
+                             ids=["directory", "not_utf8", "not_json", "nested_open",
+                                  "nested_closed"])
     @pytest.mark.parametrize("which", ["mdp", "policy", "config", "cells"])
     def test_bad_file_exits_1_naming_the_path(self, workspace, capsys, which, content):
         bad = workspace / "bad.json"
@@ -885,3 +972,30 @@ class TestJsonInputFiles:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", list(_UNUSUAL_INPUTS))
+    @pytest.mark.parametrize("which", _READERS)
+    def test_unusual_input_gives_the_json_module_message(self, workspace, capsys, which, case):
+        path = workspace / "input.json"
+        path.write_bytes(unusual_input(which, case))
+        code, out, err = run(capsys, *reader_argv(workspace, which, path))
+        assert (code, out, err) == (1, "", f"error: {path}: {_UNUSUAL_INPUTS[case][which]}\n")
+
+    @pytest.mark.parametrize("case", ["valid", "crlf_syntax_error"])
+    def test_mdp_read_from_a_pipe(self, workspace, capsys, case):
+        # /dev/stdin is read once, as a file is: same report, same message.
+        content = (workspace / "mdp.json").read_bytes()
+        if case != "valid":
+            content = unusual_input("mdp", case)
+        (workspace / "mdp.json").write_bytes(content)
+        argv = reader_argv(workspace, "mdp", workspace / "mdp.json")
+        code, out, err = run(capsys, *argv)
+        from_file = (workspace / "x.jsonl").read_bytes() if code == 0 else None
+        argv[2] = "/dev/stdin"
+        piped = subprocess.run([sys.executable, "-m", "dml_ope.cli", *argv], input=content,
+                               capture_output=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert piped.returncode == code
+        assert piped.stdout.decode() == out
+        assert piped.stderr.decode() == err.replace(str(workspace / "mdp.json"), "/dev/stdin")
+        if case == "valid":
+            assert code == 0 and (workspace / "x.jsonl").read_bytes() == from_file

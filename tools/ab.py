@@ -44,12 +44,18 @@ name (every import inside the package is relative) and runs each operation
   ``long_64``, one block of 4,096 x 64 such cells with propensities (the
   writer's worst layout: no step repeats, and every field's text is its own);
 - ``ingest``: ``ingest_jsonl`` of those four files, written by the change
-  tree; of ``bench_25k_keys_reordered``, ``bench_25k`` with each step's keys in
+  tree, but with ``long_64``'s rewards and propensities rounded to 1 and 2
+  decimals: its steps stay distinct, and its few distinct float texts let the
+  fast path read it, so that the case times the check's five pieces per step;
+  of ``bench_25k_keys_reordered``, ``bench_25k`` with each step's keys in
   reverse order (a valid file that the writer does not write); and of
   ``bench_25k_last_line_respaced``, ``bench_25k`` with no space after its last
   line's colons, so that only its last block is not the writer's (the worst
   case of the fast path, which reads every block and then the whole file again
   line by line);
+- ``load``: ``load_mdp`` of ``lift_mdp``, the lift's MDP file, and
+  ``load_policy`` of ``lift_behavior``, its behavior policy's, both written by
+  the change tree as ``cli_file_25k`` writes them (``json.dumps``, one line);
 - ``sample``: ``setup_10x50k``, the set-up of ``estimate_inmem_5e5``: ten
   ``sample_dataset`` calls of 50,000 trajectories from one generator (seed 7);
 - ``chunk``: ``chunk_8x1000``, one stacked chunk of the MSE study,
@@ -67,6 +73,7 @@ outputs differ or a check fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import importlib.util
@@ -315,8 +322,12 @@ def cases(op: str, trees: dict, tmp: Path) -> dict:
                         for side, ope in packages.items()}, None)
                 for name, data in datasets(packages["change"]).items()}
     if op == "ingest":
-        paths = {name: write(packages["change"], data, tmp / f"{name}.jsonl")
-                 for name, data in datasets(packages["change"]).items()}
+        data = datasets(packages["change"])
+        long = data["long_64"]
+        data["long_64"] = dataclasses.replace(long, rewards=long.rewards.round(1),
+                                              propensities=long.propensities.round(2))
+        paths = {name: write(packages["change"], rows, tmp / f"{name}.jsonl")
+                 for name, rows in data.items()}
         text = paths["bench_25k"].read_text()
         for edit in (keys_reordered, last_line_respaced):
             name = f"bench_25k_{edit.__name__}"
@@ -325,6 +336,16 @@ def cases(op: str, trees: dict, tmp: Path) -> dict:
         return {name: ({side: functools.partial(ope.ingest_jsonl, path)
                         for side, ope in packages.items()}, None)
                 for name, path in paths.items()}
+    if op == "load":
+        change = packages["change"]
+        lifted, behavior = scenario(change)
+        files = {"lift_mdp": ("load_mdp", change.mdp_to_dict(lifted)),
+                 "lift_behavior": ("load_policy", change.policy_to_dict(behavior))}
+        for name, (_, obj) in files.items():
+            (tmp / f"{name}.json").write_text(json.dumps(obj))
+        return {name: ({side: functools.partial(getattr(ope, loader), tmp / f"{name}.json")
+                        for side, ope in packages.items()}, None)
+                for name, (loader, _) in files.items()}
     shape = setup_10x50k if op == "sample" else chunk_8x1000
     return {shape.__name__: ({side: functools.partial(shape, ope, *scenario(ope))
                               for side, ope in packages.items()}, None)}
@@ -332,16 +353,17 @@ def cases(op: str, trees: dict, tmp: Path) -> dict:
 
 def digest(output) -> str:
     """The sha256 of a file's bytes, of each array's dtype, shape and bytes (a
-    dataset's four in turn) and of each generator's next draw, in order; other
-    values by their ``repr``."""
+    dataclass's fields in turn: a dataset's four arrays, an MDP's or a policy's
+    fields) and of each generator's next draw, in order; other values by their
+    ``repr``."""
     h = hashlib.sha256()
 
     def feed(x):
         if isinstance(x, (tuple, list)):
             for y in x:
                 feed(y)
-        elif hasattr(x, "propensities"):
-            feed((x.states, x.actions, x.rewards, x.propensities))
+        elif dataclasses.is_dataclass(x):
+            feed([getattr(x, field.name) for field in dataclasses.fields(x)])
         elif isinstance(x, np.random.Generator):
             h.update(np.float64(x.random()).tobytes())
         elif isinstance(x, np.ndarray):
@@ -415,7 +437,7 @@ def main() -> int:
     o.add_argument("parent", type=Path)
     o.add_argument("change", type=Path)
     o.add_argument("--op", nargs="+", required=True,
-                   choices=WORKLOADS + ["write", "ingest", "sample", "chunk"])
+                   choices=WORKLOADS + ["write", "ingest", "load", "sample", "chunk"])
     o.add_argument("--rounds", type=positive, default=15)
     args = parser.parse_args()
     return pairs(args) if args.mode == "pairs" else ops(args)
