@@ -466,6 +466,47 @@ CANONICAL_LOOKING_EDITS = {
 FILE_EDITS = {**NON_CANONICAL_EDITS, **CANONICAL_LOOKING_EDITS}
 
 
+def _respell(key: str, text: str, step: int = 0):
+    """An edit of ``(text, line)`` that writes ``text`` in place of ``key``'s value
+    at ``step`` of ``line``, leaving every other byte as it was."""
+    def edit(t: str, line: int) -> str:
+        lines = t.splitlines(keepends=True)
+        value = list(re.finditer(f'"{key}": ([^,}}]*)', lines[line]))[step]
+        lines[line] = lines[line][:value.start(1)] + text + lines[line][value.end(1):]
+        return "".join(lines)
+    return edit
+
+
+def _replace_once(old: str, new: str):
+    """An edit of ``(text, line)`` that replaces the first ``old`` of ``line``."""
+    def edit(t: str, line: int) -> str:
+        lines = t.splitlines(keepends=True)
+        assert old in lines[line]
+        lines[line] = lines[line].replace(old, new, 1)
+        return "".join(lines)
+    return edit
+
+
+# Edits of one line of a file of write_jsonl that leave it one text or one byte
+# away from the writer's: an id or a float that JSON reads alike but json.dumps
+# never writes, or that JSON refuses; one null among numbers; one byte of a
+# separator; and white space.
+NEAR_CANONICAL_EDITS = {
+    **{f"{key}_{text}": _respell(key, text) for key in "sa"
+       for text in ("007", "-0", "+1", "1.0")},
+    **{f"{key}_{text}": _respell(key, text) for key in "rp"
+       for text in ("1.50", "1e-05", "0.10", "+0.5", ".5", "5.", "1_0.5", "NaN", "Infinity",
+                    "1e400")},
+    "p_null_among_numbers": _respell("p", "null", step=1),
+    "a_key_to_b": _replace_once(', "a": ', ', "b": '),
+    "s_key_to_t": _replace_once('}, {"s": ', '}, {"t": '),
+    "line_end_brace_to_bracket": _replace_once("}]}", "}]]"),
+    "doubled_space": _replace_once('"r": ', '"r":  '),
+    "tab": _replace_once('"r": ', '"r":\t'),
+    "crlf": _replace_once("\n", "\r\n"),
+}
+
+
 def arrays_digest(data: LoggedDataset) -> str:
     """The sha256 of a dataset's four arrays: dtype, shape and bytes, or "none"."""
     h = hashlib.sha256()
@@ -585,6 +626,28 @@ class TestCanonicalIngest:
         path = tmp_path / "d.jsonl"
         write_jsonl(_CORPUS_BASE, path)
         path.write_bytes(FILE_EDITS[edit](path.read_text()).encode())
+        assert _outcome(ingest_jsonl, path) == _outcome(experiments._ingest_lines, path)
+
+    @pytest.mark.parametrize("line", [0, 4])
+    @pytest.mark.parametrize("edit", sorted(NEAR_CANONICAL_EDITS))
+    def test_a_near_canonical_file_reads_as_the_line_parser_reads_it(self, tmp_path, line,
+                                                                      edit):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(_CORPUS_BASE, path)
+        path.write_bytes(NEAR_CANONICAL_EDITS[edit](path.read_text(), line).encode())
+        assert _outcome(ingest_jsonl, path) == _outcome(experiments._ingest_lines, path)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda t: _respell("p", "0.5", step=2)(t, 3), id="p_number_among_nulls"),
+        pytest.param(lambda t: t[:-1], id="last_line_without_newline"),
+    ])
+    @pytest.mark.parametrize("propensities", [True, False])
+    def test_a_file_edit_reads_as_the_line_parser_reads_it(self, tmp_path, edit, propensities):
+        data = _CORPUS_BASE if propensities else dataclasses.replace(_CORPUS_BASE,
+                                                                     propensities=None)
+        path = tmp_path / "d.jsonl"
+        write_jsonl(data, path)
+        path.write_bytes(edit(path.read_text()).encode())
         assert _outcome(ingest_jsonl, path) == _outcome(experiments._ingest_lines, path)
 
     def test_a_block_of_mostly_distinct_floats_is_read_line_by_line(self, tmp_path,
