@@ -28,7 +28,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -60,10 +59,26 @@ from .nuisance import check_table_shape
 
 _INT64_MAX = np.iinfo(np.int64).max
 _WRITE_BLOCK_ROWS = 4096
+_READ_BYTES = 1 << 19  # what ingest_jsonl reads at a time, then up to a newline
+_LINE_START, _STEP_START, _LINE_END = '{"steps": [{"s": ', ', {"s": ', "]}\n"
 _STEP_KEYS = {"s", "a", "r"}
 _FIELD_SUFFIXES = (', "a": ', ', "r": ', ', "p": ', "}")  # what follows each field
 _KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd, so each step is a bijection
 _BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _word(text: str) -> int:
+    """The little-endian 8-byte word of ``text``'s first 8 bytes, zero past its end."""
+    return int.from_bytes(text.encode()[:8].ljust(8, b"\0"), "little")
+
+
+# What ``_separated`` reads: the words and masks of the separators after a step's
+# s, a, r and p values (the space that ends ``}, {"s": `` is checked apart), of
+# ``}]}`` and a newline in the top half of a word, and of a line's first 16 bytes.
+_SEPARATOR_WORDS = np.array([[_word(x) for x in (*_FIELD_SUFFIXES[:3], "}" + _STEP_START)],
+                             [(1 << 56) - 1] * 3 + [(1 << 64) - 1]], dtype=np.uint64)[:, None]
+_LINE_END_WORD = (_word("}" + _LINE_END) << 32, ((1 << 32) - 1) << 32)
+_LINE_START_WORDS = np.array([_word(_LINE_START), _word(_LINE_START[8:])], dtype=np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +179,7 @@ def _jsonl_blocks(states, actions, rewards, propensities):
         if size not in layouts:
             pieces = layouts[size] = np.empty((rows, size * width + 1), dtype=object)
             pieces[:, 0], pieces[:, size:-1:size], pieces[:, -1] = (
-                '{"steps": [{"s": ', ', {"s": ', "]}\n")
+                _LINE_START, _STEP_START, _LINE_END)
         block = layouts[size][:n]
         if steps is None:
             for k, (text, inverse) in enumerate(zip(texts, inverses)):
@@ -247,35 +262,61 @@ def _text_lines(path: str | Path):
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _spans(buf: np.ndarray, lines: int) -> tuple | None:
+def _spans(buf: np.ndarray) -> tuple | None:
     """The ``(lines, width, 4)`` starts and lengths of the ``s a r p`` values in
     the bytes ``buf`` as ``_jsonl_blocks`` lays them out, found from the colons
-    and newlines; None where a line does not end in a newline or hold ``1 +
-    4*width`` colons, or a span is not 1 to 24 bytes long (24 is the longest
-    json.dumps float). A value starts 2 bytes after its key's colon and ends 5
-    bytes before the next key's colon (``, "a"``), 7 before the next step's
-    (``}, {"s"``) or 3 before the newline (``}]}``)."""
-    ends, colons = np.flatnonzero(buf == 10), np.flatnonzero(buf == 58)
-    width, rest = divmod(len(colons) // lines - 1, 4)
-    if (len(ends) != lines or ends[-1] != len(buf) - 1 or rest or width < 1
-            or np.any(np.searchsorted(colons, ends) != np.arange(1, lines + 1) * (1 + 4 * width))):
+    and newlines, and the newlines; None where ``buf`` does not end in a newline,
+    a line does not hold ``1 + 4*width`` colons, or a span is not 1 to 24 bytes
+    long (24 is the longest json.dumps float). A value starts 2 bytes after its
+    key's colon and ends 5 bytes before the next key's colon (``, "a"``), 7
+    before the next step's (``}, {"s"``) or 3 before the newline (``}]}``)."""
+    marks = np.flatnonzero((buf == 58) | (buf == 10))
+    newlines = np.flatnonzero(buf[marks] == 10)  # each line's last mark
+    lines = len(newlines)
+    if not lines or marks[-1] != len(buf) - 1:
         return None
-    key_colons = colons.reshape(lines, 1 + 4 * width)[:, 1:].reshape(lines, width, 4)
+    width, rest = divmod(int(newlines[0]) - 1, 4)
+    if rest or width < 1 or np.any(newlines != np.arange(1, lines + 1) * (2 + 4 * width) - 1):
+        return None
+    marks = marks.reshape(lines, 2 + 4 * width)
+    ends = marks[:, -1]
+    key_colons = marks[:, 1:-1].reshape(lines, width, 4)
     lengths = np.empty_like(key_colons)
     lengths[..., :3] = key_colons[..., 1:] - 5
     lengths[:, :-1, 3] = key_colons[:, 1:, 0] - 7
     lengths[:, -1, 3] = ends - 3
     starts = key_colons + 2
     lengths -= starts
-    return (starts, lengths) if 1 <= lengths.min() and lengths.max() <= 24 else None
+    return (starts, lengths, ends) if 1 <= lengths.min() and lengths.max() <= 24 else None
+
+
+def _separated(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+               ends: np.ndarray) -> bool:
+    """Whether every byte of ``buf`` outside its ``_spans`` is the writer's: each
+    line's first 16 bytes (which hold its first two colons, so its first value
+    starts at byte 17), the space before each ``s`` value, and the 8-byte word at
+    each value's end, masked to the separator that follows it; the ``}]}`` and
+    newline that end a line are the top half of the word that ends at the
+    newline. The spans' bounds keep every word inside ``buf``."""
+    words = np.ndarray((len(buf) - 7,), "<u8", buffer=buf, strides=(1,))
+    firsts = np.concatenate(([0], ends[:-1] + 1))
+    at = starts + lengths
+    at[:, -1, 3] = ends - 7
+    expect, mask = np.empty((2, *at.shape[1:]), np.uint64)
+    expect[:], mask[:] = _SEPARATOR_WORDS
+    expect[-1, 3], mask[-1, 3] = _LINE_END_WORD
+    return (bool(np.all(words[firsts[:, None] + [0, 8]] == _LINE_START_WORDS))
+            and bool(np.all(buf[starts[..., 0] - 1] == 32))
+            and bool(np.all((words[at] & mask) == expect)))
 
 
 def _ids(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The integers whose decimal digits the spans of ``buf`` hold; a ValueError
-    where a span holds anything but 1 to 19 digits or a number past int64."""
+    where a span holds anything but 1 to 19 digits, a leading zero or a number
+    past int64: so each span is json.dumps of its integer."""
     if lengths.max() > 19:
         raise ValueError("an id of more than 19 digits")
-    value, bad = np.zeros(len(starts), np.uint64), False
+    value, bad = np.zeros(len(starts), np.uint64), (lengths > 1) & (buf[starts] == 48)
     for k in range(lengths.max()):  # the digit worth 10**k, k places from each span's end
         live = k < lengths
         digit = buf.take(starts + lengths - 1 - k, mode="clip") - np.uint8(48)
@@ -286,76 +327,116 @@ def _ids(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray
     return value.view(np.int64)
 
 
-def _text_keys(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _text_keys(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+               words: list | None = None) -> np.ndarray:
     """One uint64 per span of ``buf``, ``key * _KEY_MULTIPLIER + word`` over its
     8-byte words, zero past its end: equal texts give equal keys, and a text of
     up to 8 bytes its own key; other texts share a key by chance, which the
     caller's check must catch. The words are indexed in a view of ``buf`` at
-    every byte offset, which reads only them (``take`` would copy the view)."""
+    every byte offset, which reads only them (``take`` would copy the view), and
+    appended to ``words`` if it is given."""
     last = len(buf) - 8
-    words = np.ndarray((last + 1,), "<u8", buffer=buf, strides=(1,))
+    view = np.ndarray((last + 1,), "<u8", buffer=buf, strides=(1,))
     key = np.zeros(len(starts), np.uint64)
     for at in range(0, lengths.max(), 8):
         first = starts + at
-        word = words[np.minimum(first, last)]  # past ``last``, the word's top bytes
+        word = view[np.minimum(first, last)]  # past ``last``, the word's top bytes
         word >>= (8 * np.maximum(first - last, 0)).astype(np.uint64)
-        key = key * _KEY_MULTIPLIER + (word & _BYTE_MASKS[np.clip(lengths - at, 0, 8)])
+        word &= _BYTE_MASKS[np.clip(lengths - at, 0, 8)]
+        if words is not None:
+            words.append(word)
+        key = key * _KEY_MULTIPLIER + word
     return key
 
 
-def _floats(text: bytes, starts: np.ndarray, lengths: np.ndarray, keys: tuple):
-    """The floats that the spans of ``text`` spell, one ``float`` call per distinct
-    key of ``keys``, ``np.unique``'s keys, first indices and inverse, on the first
-    text that has it; None if every span is ``null``."""
-    _, first, inverse = keys
+def _floats(text: bytes, starts: np.ndarray, lengths: np.ndarray, words: list,
+            inverse: np.ndarray):
+    """The floats that the spans of ``text`` spell, given their ``_text_keys``'
+    words and ``np.unique`` inverse; None if every span is ``null``. One span per
+    key, picked by a scatter of ``arange``, is read by ``float``, and must be the
+    repr of its float, so json.dumps of it; every span must be byte-equal to its
+    key's, so that texts that share a key fail. A ValueError where that fails."""
+    first = np.empty(inverse.max() + 1, np.intp)
+    first[inverse] = np.arange(len(inverse))
+    same = first[inverse]
+    if not (np.array_equal(lengths[same], lengths)
+            and all(np.array_equal(word[same], word) for word in words)):
+        raise ValueError("two texts that share a key")
     texts = [text[i:i + n] for i, n in zip(starts[first].tolist(), lengths[first].tolist())]
     if texts == [b"null"]:
         return None
-    return np.array(list(map(float, texts)), dtype=float).take(inverse)
+    values = list(map(float, texts))
+    if ",".join(map(repr, values)).encode() != b",".join(texts):
+        raise ValueError("a float that json.dumps writes otherwise")
+    return np.array(values, dtype=float).take(inverse)
 
 
-def _canonical_block(text: bytes, lines: int) -> tuple | None:
-    """The arrays of ``text``, ``lines`` lines, if it is their ``_jsonl_blocks`` and
-    they pass ``_ingest_lines``'s value rules; else None, or a ValueError or
-    OverflowError. The values are read at their ``_spans``: ids from their
-    digits, floats once per distinct key of their texts."""
+def _canonical_chunk(text: bytes) -> tuple | None:
+    """The arrays of ``text``, whole lines, if ``text`` is ``"".join(_jsonl_blocks(
+    *arrays))`` and they pass ``_ingest_lines``'s value rules; else None, or a
+    ValueError. The values are read at their ``_spans``: ids from their digits,
+    floats once per distinct key of their texts. That the bytes between the spans
+    are the writer's (``_separated``), and each value is json.dumps of what it
+    reads as (``_ids``, ``_floats``), proves the text is the writer's, with no
+    encoding of the arrays again."""
     buf = np.frombuffer(text, np.uint8)
-    spans = _spans(buf, lines)
-    if spans is None:
+    spans = _spans(buf)
+    if spans is None or not _separated(buf, *spans):
         return None
-    starts, lengths = spans
+    starts, lengths, _ = spans
     s, a, r, p = ((starts[..., k].ravel(), lengths[..., k].ravel()) for k in range(4))
-    r_keys, p_keys = (np.unique(_text_keys(buf, *x), return_index=True, return_inverse=True)
-                      for x in (r, p))
-    distinct = len(r_keys[0]) + len(p_keys[0])  # past a third of the floats, json.loads is faster
-    if distinct > 1000 and 3 * distinct > 2 * len(r_keys[2]):
+    r_words, p_words = [], []
+    (_, r_inverse), (_, p_inverse) = (np.unique(_text_keys(buf, *x, words), return_inverse=True)
+                                      for x, words in ((r, r_words), (p, p_words)))
+    distinct = r_inverse.max() + p_inverse.max() + 2  # past a third of the floats,
+    if distinct > 1000 and 3 * distinct > 2 * len(r_inverse):  # json.loads is as fast
         return None
     s, a = _ids(buf, *s), _ids(buf, *a)
-    r, p = _floats(text, *r, r_keys), _floats(text, *p, p_keys)
-    arrays = tuple(x if x is None else x.reshape(starts.shape[:2]) for x in (s, a, r, p))
-    valid = (r is not None and min(s.min(), a.min()) >= 0 and np.isfinite(r).all()
-             and (p is None or np.all((p > 0) & (p <= 1))))
-    return arrays if valid and next(_jsonl_blocks(*arrays)).encode() == text else None
+    r, p = _floats(text, *r, r_words, r_inverse), _floats(text, *p, p_words, p_inverse)
+    if r is None or not np.isfinite(r).all() or p is not None and not np.all((p > 0) & (p <= 1)):
+        return None
+    return tuple(x if x is None else x.reshape(starts.shape[:2]) for x in (s, a, r, p))
+
+
+def _line_chunks(fh):
+    """The bytes of the binary file ``fh`` in chunks that end at a newline or at the
+    end of the file: ``_READ_BYTES`` and the rest of a line at a time, after a
+    first chunk of at least ``_WRITE_BLOCK_ROWS`` lines, a writer's block, so that
+    ``_canonical_chunk``'s mostly-distinct rule sees the floats that repeat
+    across the block."""
+    pieces, lines = [], 0
+    while lines < _WRITE_BLOCK_ROWS and (piece := fh.read(_READ_BYTES)):
+        pieces.append(piece + fh.readline())
+        lines += pieces[-1].count(b"\n")
+    chunk = b"".join(pieces)
+    pieces.clear()
+    yield chunk
+    while chunk := fh.read(_READ_BYTES):
+        chunk += fh.readline()
+        yield chunk
 
 
 def ingest_jsonl(path: str | Path) -> LoggedDataset:
     """Read a trajectory-per-line JSONL file into a LoggedDataset.
 
-    A regular file of ``_canonical_block``s of ``_WRITE_BLOCK_ROWS`` lines, as
-    write_jsonl writes, is read at numpy speed; any other file, from its first
-    line, by ``_ingest_lines``, which gives the same arrays and raises every error.
+    A regular file that write_jsonl wrote is read at numpy speed, in
+    ``_line_chunks`` that ``_canonical_chunk`` checks where they lie; any other
+    file, from its first line, by ``_ingest_lines``, which gives the same arrays
+    and raises every error.
     """
     if not os.path.isfile(path):
         return _ingest_lines(path)  # a pipe could not be read twice
     blocks, columns = [], None
     try:
         with open(path, "rb") as fh:
-            while None not in blocks and (lines := list(islice(fh, _WRITE_BLOCK_ROWS))):
-                blocks.append(_canonical_block(b"".join(lines), len(lines)))
+            for chunk in _line_chunks(fh):
+                blocks.append(_canonical_chunk(chunk))
+                if blocks[-1] is None:
+                    break
         if blocks and None not in blocks:  # two widths fail to concatenate
             columns = [None if any(x is None for x in col) else np.concatenate(col)
                        for col in zip(*blocks)]
-    except (OSError, ValueError, OverflowError):
+    except (OSError, ValueError):
         pass
     return _ingest_lines(path) if columns is None else LoggedDataset(*columns)
 

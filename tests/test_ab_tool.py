@@ -80,7 +80,7 @@ def test_ingest_long_64_takes_the_fast_path_with_every_step_distinct(tmp_path, m
     ope, _ = ab.load_tree(ROOT, "change", False)
     calls, _ = ab.cases("ingest", {side: (ope, None) for side in ab.SIDES}, tmp_path)["long_64"]
     text = calls["change"].args[0].read_bytes()
-    assert ope.experiments._canonical_block(text, text.count(b"\n")) is not None
+    assert ope.experiments._canonical_chunk(text) is not None
     data = ope.ingest_jsonl(calls["change"].args[0])
     assert data.states.shape == (20, 64) and np.unique(data.states).size == data.states.size
 

@@ -501,6 +501,9 @@ NEAR_CANONICAL_EDITS = {
     "a_key_to_b": _replace_once(', "a": ', ', "b": '),
     "s_key_to_t": _replace_once('}, {"s": ', '}, {"t": '),
     "line_end_brace_to_bracket": _replace_once("}]}", "}]]"),
+    "line_start_space_to_digit": _replace_once('[{"s": ', '[{"s":1'),
+    "step_start_space_to_digit": _replace_once('}, {"s": ', '}, {"s":1'),
+    "r_nul_after": _respell("r", "1.0\0"),
     "doubled_space": _replace_once('"r": ', '"r":  '),
     "tab": _replace_once('"r": ', '"r":\t'),
     "crlf": _replace_once("\n", "\r\n"),
@@ -580,30 +583,55 @@ MUTATION_BYTES = st.one_of(st.sampled_from(b'0123456789+-.eE{}[]":, \n\rnulatrsf
                            st.integers(0, 255))
 
 
+def _prove_accepted_chunks(mp) -> None:
+    """Make ``_canonical_chunk`` assert, of every chunk it accepts, that the
+    writer's blocks of the arrays it read give back the chunk's exact bytes."""
+    check = experiments._canonical_chunk
+
+    def checked(text: bytes):
+        arrays = check(text)
+        assert arrays is None or "".join(experiments._jsonl_blocks(*arrays)).encode() == text
+        return arrays
+    mp.setattr(experiments, "_canonical_chunk", checked)
+
+
+# Read sizes at which lines straddle the reads, and outgrow them.
+READ_BYTES = st.sampled_from([1, 7, 64])
+
+
 class TestCanonicalIngest:
-    """``ingest_jsonl`` reads write_jsonl's files by ``_canonical_block`` and
-    every file as ``_ingest_lines`` reads it."""
+    """``ingest_jsonl`` reads write_jsonl's files by ``_canonical_chunk`` and
+    every file as ``_ingest_lines`` reads it; every chunk that the fast path
+    accepts is checked to be the writer's bytes."""
+
+    @pytest.fixture(autouse=True)
+    def prove(self, monkeypatch):
+        _prove_accepted_chunks(monkeypatch)
 
     @settings(deadline=None)
-    @given(st.one_of(logged_arrays(), repeating_arrays()), st.integers(1, 3))
-    def test_writer_output_takes_the_fast_path(self, data, block_rows):
+    @given(st.one_of(logged_arrays(), repeating_arrays()), st.integers(1, 3), READ_BYTES)
+    def test_writer_output_takes_the_fast_path(self, data, block_rows, read_bytes):
         def refuse(path):
             raise AssertionError(f"{path} was read line by line")
 
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(experiments, "_WRITE_BLOCK_ROWS", block_rows)
+            mp.setattr(experiments, "_READ_BYTES", read_bytes)
             mp.setattr(experiments, "_ingest_lines", refuse)
             path = Path(tmp) / "data.jsonl"
             write_jsonl(data, path)
             assert arrays_digest(ingest_jsonl(path)) == arrays_digest(data)
 
     @settings(deadline=None, max_examples=250)
-    @given(st.one_of(logged_arrays(), repeating_arrays()), st.integers(1, 3), st.data())
-    def test_a_mutated_file_reads_as_the_line_parser_reads_it(self, data, block_rows, draws):
+    @given(st.one_of(logged_arrays(), repeating_arrays()), st.integers(1, 3), READ_BYTES,
+           st.data())
+    def test_a_mutated_file_reads_as_the_line_parser_reads_it(self, data, block_rows,
+                                                              read_bytes, draws):
         # One byte deleted, inserted or replaced, or one corpus edit, anywhere in a
         # file of blocks of 1-3 rows.
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(experiments, "_WRITE_BLOCK_ROWS", block_rows)
+            mp.setattr(experiments, "_READ_BYTES", read_bytes)
             path = Path(tmp) / "data.jsonl"
             write_jsonl(data, path)
             text = path.read_bytes()
