@@ -76,7 +76,7 @@ def _word(text: str) -> int:
 # s, a, r and p values (the space that ends ``}, {"s": `` is checked apart), of
 # ``}]}`` and a newline in the top half of a word, and of a line's first 16 bytes.
 _SEPARATOR_WORDS = np.array([[_word(x) for x in (*_FIELD_SUFFIXES[:3], "}" + _STEP_START)],
-                             [(1 << 56) - 1] * 3 + [(1 << 64) - 1]], dtype=np.uint64)[:, None]
+                             _BYTE_MASKS[[7, 7, 7, 8]]], dtype=np.uint64)[:, None]
 _LINE_END_WORD = (_word("}" + _LINE_END) << 32, ((1 << 32) - 1) << 32)
 _LINE_START_WORDS = np.array([_word(_LINE_START), _word(_LINE_START[8:])], dtype=np.uint64)
 
@@ -302,8 +302,7 @@ def _separated(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     firsts = np.concatenate(([0], ends[:-1] + 1))
     at = starts + lengths
     at[:, -1, 3] = ends - 7
-    expect, mask = np.empty((2, *at.shape[1:]), np.uint64)
-    expect[:], mask[:] = _SEPARATOR_WORDS
+    expect, mask = np.repeat(_SEPARATOR_WORDS, at.shape[1], axis=1)
     expect[-1, 3], mask[-1, 3] = _LINE_END_WORD
     return (bool(np.all(words[firsts[:, None] + [0, 8]] == _LINE_START_WORDS))
             and bool(np.all(buf[starts[..., 0] - 1] == 32))
@@ -409,7 +408,7 @@ def _line_chunks(fh):
         pieces.append(piece + fh.readline())
         lines += pieces[-1].count(b"\n")
     chunk = b"".join(pieces)
-    pieces.clear()
+    pieces.clear()  # so that the reads are freed while the chunk is checked
     yield chunk
     while chunk := fh.read(_READ_BYTES):
         chunk += fh.readline()

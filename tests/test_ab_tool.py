@@ -75,7 +75,7 @@ def test_ingest_cases_of_the_bench_rows_read_alike(run_ops):
 
 
 def test_ingest_long_64_takes_the_fast_path_with_every_step_distinct(tmp_path, monkeypatch):
-    # Its check, the encoder's five pieces per step, is what the case times.
+    # The fast path's check of distinct steps and long ids is what the case times.
     monkeypatch.setattr(ab, "SIZES", {**ab.SIZES, "bench": 300, "distinct": 50, "long": 20})
     ope, _ = ab.load_tree(ROOT, "change", False)
     calls, _ = ab.cases("ingest", {side: (ope, None) for side in ab.SIDES}, tmp_path)["long_64"]

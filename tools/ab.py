@@ -46,7 +46,8 @@ name (every import inside the package is relative) and runs each operation
 - ``ingest``: ``ingest_jsonl`` of those four files, written by the change
   tree, but with ``long_64``'s rewards and propensities rounded to 1 and 2
   decimals: its steps stay distinct, and its few distinct float texts let the
-  fast path read it, so that the case times the check's five pieces per step;
+  fast path read it, so that the case times the check on distinct steps and
+  long ids;
   of ``bench_25k_keys_reordered``, ``bench_25k`` with each step's keys in
   reverse order (a valid file that the writer does not write); and of
   ``bench_25k_last_line_respaced``, ``bench_25k`` with no space after its last
