@@ -154,8 +154,8 @@ def _walk(sa: np.ndarray, rewards: np.ndarray, ratio: np.ndarray, controls: list
     """The doubly robust scores (R, n) of R stacked row sets for each of
     ``controls``: a ``_control`` pair, or None for the IPW score, Q = 0. One walk
     over the steps on columns of the offset cell index ``sa`` serves them all:
-    rho_t = rho_{t-1} * pe/pb, and step t adds
-    disc_t * (rho_t * (r_t - q_t(s_t, a_t)) + rho_{t-1} * v_t(s_t)).
+    rho_t = rho_{t-1} * pe/pb, and step t adds disc_t * (rho_t * (r_t - q_t(s_t, a_t))
+    + rho_{t-1} * v_t(s_t)); step 0 skips its products by rho_{-1} = disc_0 = 1.0.
 
     Each row's cells carry their replication's offset, so the R row sets are
     walked as one (R*n, T+1) row set, ROW_BUDGET rows (views) at a time, and a
@@ -174,17 +174,18 @@ def _walk(sa: np.ndarray, rewards: np.ndarray, ratio: np.ndarray, controls: list
             # each step is kept and the block's rows are summed.
             psis = [score[block, None] if steps < 8 else np.zeros((len(block_sa), steps))
                     for score in scores]
-            rho_prev = 1.0
             for t in range(steps):
                 cell, reward = block_sa[:, t], block_rewards[:, t]
-                rho = ratio.take(cell) * rho_prev
+                rho = ratio.take(cell) * rho_prev if t else ratio.take(cell)
                 for psi, control in zip(psis, controls):
                     if control is None:
                         term = rho * reward
                     else:
                         q, v = control
-                        term = (reward - q[t].take(cell)) * rho + v[t].take(cell) * rho_prev
-                    term *= disc[t]
+                        term = (reward - q[t].take(cell)) * rho
+                        term += v[t].take(cell) * rho_prev if t else v[t].take(cell)
+                    if t:
+                        term *= disc[t]
                     psi[:, t % psi.shape[-1]] += term
                 rho_prev = rho
             if steps >= 8:
@@ -211,13 +212,15 @@ def _fold_rows(rows: tuple, folds: list) -> list:
     folds, each row of which indexes its own replication's rows; take beats
     indexing."""
     n = rows[0].shape[-2]
-    return [tuple(x.reshape(-1, x.shape[-1]).take((fold + _offset(fold, n)).ravel(), axis=0)
+    return [tuple(x.reshape(-1, x.shape[-1]).take(_offset(fold, n).ravel(), axis=0)
                   .reshape(fold.shape + x.shape[-1:]) for x in rows) for fold in folds]
 
 
 def _offset(index: np.ndarray, step: int) -> np.ndarray:
-    """The offset r*step of row r of ``index`` (R, ...), to add into R stacked tables."""
-    return (np.arange(len(index)) * step).reshape((-1,) + (1,) * (index.ndim - 1))
+    """``index`` (R, ...) plus r*step in row r, to read R stacked tables; one row as is."""
+    if len(index) == 1:
+        return index
+    return index + (np.arange(len(index)) * step).reshape((-1,) + (1,) * (index.ndim - 1))
 
 
 def _cells(states: np.ndarray, actions: np.ndarray, eval_policy: Policy) -> np.ndarray:
@@ -229,7 +232,8 @@ def _cells(states: np.ndarray, actions: np.ndarray, eval_policy: Policy) -> np.n
     limit = len(states) * eval_policy.table.size * (eval_policy.num_states + 1)
     sa = np.multiply(states, eval_policy.num_actions, dtype=_index_dtype(limit))
     sa += actions
-    sa += _offset(sa, eval_policy.table.size)
+    if len(sa) > 1:
+        sa += (np.arange(len(sa)) * eval_policy.table.size).reshape(-1, 1, 1)
     return sa
 
 
@@ -288,7 +292,7 @@ def _dml(cells: list, rewards: np.ndarray, folds: list, eval_policy: Policy, dis
     for fold, (sa, fold_rewards), (behavior, q) in zip(folds, parts, fits):
         psi = _walk(sa, fold_rewards, _ratios(behavior, eval_policy, sa),
                     [_control(q, eval_policy)], discount)[0]
-        scores.put(fold + _offset(fold, scores.shape[1]), psi)
+        scores.put(_offset(fold, scores.shape[1]), psi)
     return _finalize(scores, Estimator.DML, level)
 
 

@@ -387,8 +387,8 @@ def _canonical_chunk(text: bytes) -> tuple | None:
     r_words, p_words = [], []
     (_, r_inverse), (_, p_inverse) = (np.unique(_text_keys(buf, *x, words), return_inverse=True)
                                       for x, words in ((r, r_words), (p, p_words)))
-    distinct = r_inverse.max() + p_inverse.max() + 2  # past a third of the floats,
-    if distinct > 1000 and 3 * distinct > 2 * len(r_inverse):  # json.loads is as fast
+    distinct = r_inverse.max() + p_inverse.max() + 2  # past 1.5 texts a step (2, not 1),
+    if distinct > 1000 and 2 * distinct > 3 * len(r_inverse):  # json.loads is faster
         return None
     s, a = _ids(buf, *s), _ids(buf, *a)
     r, p = _floats(text, *r, r_words, r_inverse), _floats(text, *p, p_words, p_inverse)

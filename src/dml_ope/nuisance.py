@@ -13,8 +13,9 @@ the Q recursion is defined everywhere. A fit is the record ``(behavior, q)``.
 
 Transition counts are a move pair: the sorted flat indices ``(s*A + a)*S + s'``
 of the observed moves and their int64 counts, sorted by ``np.unique`` while
-``moves * SORT_DIVISOR < S*A*S``, else counted in one dense table; the pairs
-of a complement of two or more parts are merged by the same rule. The Q
+``moves * SORT_DIVISOR < S*A*S``, else in one dense table, whose row sums count
+the visits of all but the last step. A complement's pair is the others' merged by
+that rule, or, if a part took a dense table, all the parts' total less its own. The Q
 recursion runs over the pair, so a step costs at most min(n*T, S*A*S)
 operations; a cell without moves takes the mean of the next step's values,
 the uniform row.
@@ -110,7 +111,7 @@ def _folds(n: int, k: int, rngs: list) -> list:
     (R, n_k), row r the sorted indices of replication r's fold. The permutation
     is drawn as int64, whose draws are faster, and sorted as int32, faster too,
     while n is below ``INDEX_LIMIT``."""
-    perms = np.stack([rng.permutation(n) for rng in rngs]).astype(_index_dtype(n))
+    perms = np.stack([rng.permutation(n) for rng in rngs], dtype=_index_dtype(n))
     return [np.sort(fold, axis=1) for fold in np.array_split(perms, k, axis=1)]
 
 
@@ -214,16 +215,20 @@ def _count(sa: np.ndarray, rewards: np.ndarray, eval_policy: Policy) -> tuple:
     steps = np.ascontiguousarray(sa.transpose(2, 0, 1))
     moves = steps[:-1] * num_states
     moves += steps[1:] // num_actions  # r*S + s', a gather from a state table is slower
-    moves -= np.arange(0, reps * num_states, num_states).reshape(-1, 1)
+    if reps > 1:
+        moves -= np.arange(0, reps * num_states, num_states).reshape(-1, 1)
     size = cells * num_states
     if moves.size * SORT_DIVISOR < size:
         idx, counts = np.unique(moves, return_counts=True)
         pair = idx.astype(np.int64, copy=False), counts
+        visits = np.bincount(sa.ravel(), minlength=cells)
     else:
-        pair = _nonzero(np.bincount(moves.ravel(), minlength=size))
+        pair = _nonzero(table := np.bincount(moves.ravel(), minlength=size))
+        visits = table.reshape(cells, num_states).sum(axis=1)
+        visits += np.bincount(steps[-1].ravel(), minlength=cells)
     with np.errstate(over="ignore"):  # an infinite total fails _fit's Q check
         total = rewards.sum(axis=(-2, -1))
-    return (np.bincount(sa.ravel(), minlength=cells).reshape(reps, -1),
+    return (visits.reshape(reps, -1),
             np.bincount(sa.ravel(), weights=rewards.ravel(), minlength=cells).reshape(reps, -1),
             total), pair
 
@@ -232,14 +237,25 @@ def _cross_fits(parts: list, eval_policy: Policy, discount: float,
                 known_behavior: Policy | None, alpha: float):
     """For each of ``parts``, two or more stacked row sets of one horizon, the
     ``_fit`` on the others: each part is counted once, and a complement's tables
-    are the others' summed in part order, its move pair theirs merged."""
+    are the others' summed in part order, its move pair theirs merged, or the
+    total of all the pairs less its own where a part took a dense table."""
     reps, _, steps = parts[0][0].shape
     size = eval_policy.table.size * eval_policy.num_states
     tables, pairs = zip(*(_count(*part, eval_policy) for part in parts))
-    for k in range(len(parts)):
+    total = None
+    if len(parts) > 2 and max(sa[..., 1:].size for sa, _ in parts) * SORT_DIVISOR >= reps * size:
+        total = np.zeros(reps * size, dtype=np.int64)  # no larger than that part's table
+        for idx, counts in pairs:
+            total[idx] += counts
+    for k, (idx, counts) in enumerate(pairs):
+        if total is None:
+            moves = _merge(pairs[:k] + pairs[k + 1:], size, reps)
+        else:  # exact: the counts are integers, and a pair's indices distinct
+            total[idx] -= counts
+            moves = _nonzero(total)
+            total[idx] += counts
         yield _fit([sum(column[1:], column[0]) for column in zip(*tables[:k], *tables[k + 1:])],
-                   _merge(pairs[:k] + pairs[k + 1:], size, reps), steps - 1, eval_policy,
-                   discount, known_behavior, alpha)
+                   moves, steps - 1, eval_policy, discount, known_behavior, alpha)
 
 
 def _merge(pairs: tuple, size: int, reps: int = 1) -> tuple:

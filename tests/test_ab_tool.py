@@ -15,7 +15,7 @@ spec = importlib.util.spec_from_file_location("ab_tool", TOOL)
 ab = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab)
 
-FUNCTIONS = ["write", "ingest", "sample", "chunk"]
+FUNCTIONS = ["write", "ingest", "sample", "chunk", "crossfit"]
 
 
 @pytest.fixture
@@ -107,6 +107,24 @@ def test_a_loader_that_moves_one_transition_exits_1_naming_load(tmp_path, run_op
     assert code == 1
     assert "load lift_mdp" in err and "lift_behavior" not in err
     assert not report["load"]["lift_mdp"]["equal"] and report["load"]["lift_behavior"]["equal"]
+
+
+def test_crossfit_digests_the_counts_and_every_fit(tmp_path, run_ops):
+    # One entry of the last complement's Q tables moved by 2**-40 changes its digest.
+    shutil.copytree(ROOT / "src" / "dml_ope", tmp_path / "src" / "dml_ope",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = tmp_path / "src" / "dml_ope" / "nuisance.py"
+    module.write_text(module.read_text() + (
+        "\n\n_all_cross_fits = _cross_fits\n\n\n"
+        "def _cross_fits(parts, *args):\n"
+        "    fits = list(_all_cross_fits(parts, *args))\n"
+        "    fits[-1][1][0, 0, 7, 1] += 2.0**-40\n"
+        "    return fits\n"))
+    code, report, err = run_ops(tmp_path, ["crossfit"])
+    assert code == 1
+    assert "crossfit" in err
+    assert list(report["crossfit"]) == ["inmem_5e5_k5"]
+    assert not report["crossfit"]["inmem_5e5_k5"]["equal"]
 
 
 def test_only_the_last_line_is_respaced():

@@ -678,21 +678,26 @@ class TestCanonicalIngest:
         path.write_bytes(edit(path.read_text()).encode())
         assert _outcome(ingest_jsonl, path) == _outcome(experiments._ingest_lines, path)
 
+    @pytest.mark.parametrize("propensities", [False, True],
+                             ids=["null_p_fast_path", "distinct_p_line_parser"])
     def test_a_block_of_mostly_distinct_floats_is_read_line_by_line(self, tmp_path,
-                                                                    monkeypatch):
-        # 2,000 distinct rewards in one block: encoding them again would cost more
-        # than parsing their lines.
+                                                                    monkeypatch, propensities):
+        # 2,000 distinct rewards in one block, one distinct float text per step, are
+        # read faster by the fast path; with 2,000 distinct propensities, two per
+        # step, parsing the lines is faster than reading each text with float.
         rng = np.random.default_rng(3)
         data = LoggedDataset(states=np.zeros((1000, 2), dtype=np.int64),
                              actions=np.zeros((1000, 2), dtype=np.int64),
-                             rewards=rng.standard_normal((1000, 2)))
+                             rewards=rng.standard_normal((1000, 2)),
+                             propensities=rng.uniform(0.01, 1.0, (1000, 2)) if propensities
+                             else None)
         path = tmp_path / "d.jsonl"
         write_jsonl(data, path)
         ingest_lines, read = experiments._ingest_lines, []
         monkeypatch.setattr(experiments, "_ingest_lines",
                             lambda p: read.append(p) or ingest_lines(p))
         assert arrays_digest(ingest_jsonl(path)) == arrays_digest(data)
-        assert read == [path]
+        assert read == ([path] if propensities else [])
 
     @pytest.mark.parametrize("data", [
         LoggedDataset(states=[[9223372036854775807, 0], [1, 9223372036854775806]],

@@ -72,9 +72,15 @@ class TestIndexDtypes:
         stacked = np.stack([data.states] * 3), np.stack([data.actions] * 3)
         sa = _cells(*stacked, evaluation)
         assert sa.dtype == (np.int32 if limit else np.int64)
-        pairs = [_count(part, np.zeros(part.shape), evaluation)[1]
-                 for part in np.array_split(sa, 3, axis=1)]
-        for idx, counts in pairs + [_merge(tuple(pairs), size, 3)]:
+        parts = [(part, np.zeros(part.shape)) for part in np.array_split(sa, 3, axis=1)]
+        pairs = [_count(*part, evaluation)[1] for part in parts]
+        # Each complement's pair as _cross_fits builds it: on the dense route, the
+        # total of the three pairs less its own part's.
+        complements = []
+        monkeypatch.setattr(nuisance, "_fit", lambda tables, moves, *_: complements.append(moves))
+        list(nuisance._cross_fits(parts, evaluation, 0.9, None, 0.5))
+        assert len(complements) == 3
+        for idx, counts in pairs + [_merge(tuple(pairs), size, 3)] + complements:
             assert idx.dtype == np.int64 and counts.dtype == np.int64
 
     def test_public_indices_stay_int64(self):

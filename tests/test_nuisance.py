@@ -116,14 +116,17 @@ def fit_per_fold(data, folds, eval_policy, discount, **kwargs):
 
 
 def complement_moves(data, folds, eval_policy):
-    """For each fold, the move pair ``fit_nuisances`` merges from the other
-    folds' pairs, and the pair counted on the complement's rows."""
-    size = eval_policy.table.size * eval_policy.table.shape[0]
-    pairs = [_count(*stacked([select(data, f)], eval_policy), eval_policy)[1] for f in folds]
-    return [(_merge(tuple(pairs[:k] + pairs[k + 1:]), size),
-             _count(*stacked([select(data, np.concatenate(folds[:k] + folds[k + 1:]))],
-                             eval_policy), eval_policy)[1])
-            for k in range(len(folds))]
+    """For each fold, the move pair that ``fit_nuisances`` fits its complement
+    with, built from the folds' pairs, and the pair counted on the complement's
+    rows."""
+    fitted = []
+    with mock.patch.object(nuisance, "_fit",
+                           side_effect=lambda tables, moves, *_: fitted.append(moves)):
+        list(nuisance._cross_fits([stacked([select(data, f)], eval_policy) for f in folds],
+                                  eval_policy, 0.9, None, 0.5))
+    return [(moves, _count(*stacked([select(data, np.concatenate(folds[:k] + folds[k + 1:]))],
+                                    eval_policy), eval_policy)[1])
+            for k, moves in enumerate(fitted)]
 
 
 class TestFolds:
@@ -620,6 +623,37 @@ def assert_pairs_equal(got, want):
     assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
+@st.composite
+def replicated_parts(draw, min_parts=2):
+    """A table shape (S, A), a replication count R of 1 or 3, and ``min_parts`` to
+    4 parts of one horizon >= 0, each R datasets of random rows of one size."""
+    num_states, num_actions = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    reps, steps = draw(st.sampled_from([1, 3])), draw(st.integers(1, 4))
+    parts = []
+    for _ in range(draw(st.integers(min_parts, 4))):
+        n = draw(st.integers(1, 12))
+        part = []
+        for _ in range(reps):
+            states, actions = (np.reshape(draw(st.lists(st.integers(0, high - 1),
+                                                        min_size=n * steps,
+                                                        max_size=n * steps)), (n, steps))
+                               for high in (num_states, num_actions))
+            part.append(LoggedDataset(states=states, actions=actions,
+                                      rewards=np.zeros((n, steps))))
+        parts.append(part)
+    return num_states, num_actions, parts
+
+
+def stacked_dense_pair(replications, num_states, num_actions):
+    """The move pair of R stacked replications, each given as its parts: replication
+    r's is ``dense_pair`` of its parts, its indices offset by r*S*A*S."""
+    size = num_states * num_actions * num_states
+    pairs = [dense_pair(parts, num_states, num_actions) for parts in replications]
+    return tuple(np.concatenate(column)
+                 for column in zip(*[(idx + r * size, counts)
+                                     for r, (idx, counts) in enumerate(pairs)]))
+
+
 class TestMovePairs:
     """Both routes of the size rule, and the merge of two or more pairs, give the
     sorted nonzero flat indices and int64 counts of a dense np.bincount."""
@@ -669,11 +703,60 @@ class TestMovePairs:
             with mock.patch.object(nuisance, "SORT_DIVISOR", divisor):
                 assert_pairs_equal(_merge(shifted, size, m), want)
 
+    @settings(deadline=None)
+    @given(replicated_parts())
+    def test_visits_are_the_bincount_of_the_cells(self, drawn):
+        # The dense route reads the visits of steps 0..T-1 from its move table and
+        # adds step T's; a cell that no row visits counts 0 on either route.
+        num_states, num_actions, parts = drawn
+        policy = action_zero(num_states, num_actions)
+        for part in parts:
+            sa, rewards = stacked(part, policy)
+            want = np.bincount(sa.ravel(), minlength=len(part) * policy.table.size)
+            for divisor in ROUTES.values():
+                with mock.patch.object(nuisance, "SORT_DIVISOR", divisor):
+                    visits = _count(sa, rewards, policy)[0][0]
+                assert visits.dtype == np.int64
+                assert np.array_equal(visits, want.reshape(len(part), -1))
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_visits_count_the_last_step_and_never_visited_cells(self, route):
+        # State 2 is visited only at the last step, which no move starts from, and
+        # state 3 never; the second replication visits state 1 only.
+        policy = action_zero(4, 2)
+        data = [LoggedDataset(states=[[0, 1, 2], [1, 0, 2]], actions=[[1, 0, 1], [0, 0, 0]],
+                              rewards=np.zeros((2, 3))),
+                LoggedDataset(states=[[1, 1, 1], [1, 1, 1]], actions=[[0, 0, 0], [0, 0, 1]],
+                              rewards=np.zeros((2, 3)))]
+        with mock.patch.object(nuisance, "SORT_DIVISOR", ROUTES[route]):
+            visits = _count(*stacked(data, policy), policy)[0][0]
+        assert visits.tolist() == [[1, 1, 2, 0, 1, 1, 0, 0], [0, 0, 5, 1, 0, 0, 0, 0]]
+
+    @settings(deadline=None)
+    @given(replicated_parts(min_parts=3))
+    def test_each_complement_is_the_dense_sum_of_the_other_parts(self, drawn):
+        # The move pair that _cross_fits fits each complement of 3-4 parts with,
+        # replication by replication, to the bit.
+        num_states, num_actions, parts = drawn
+        policy = action_zero(num_states, num_actions)
+        rows = [stacked(part, policy) for part in parts]
+        for divisor in ROUTES.values():
+            fitted = []
+            with (mock.patch.object(nuisance, "SORT_DIVISOR", divisor),
+                  mock.patch.object(nuisance, "_fit",
+                                    side_effect=lambda tables, moves, *_: fitted.append(moves))):
+                list(nuisance._cross_fits(rows, policy, 0.9, None, 0.5))
+            assert len(fitted) == len(parts)
+            for k, moves in enumerate(fitted):
+                others = parts[:k] + parts[k + 1:]
+                want = stacked_dense_pair(list(zip(*others)), num_states, num_actions)
+                assert_pairs_equal(moves, want)
+
     def test_parts_straddling_the_rule_match_per_fold_fits_bit_for_bit(self):
         # 5 states, 2 actions: 50 cells, so under SORT_DIVISOR = 6 the 2- and 4-move
-        # parts are sorted and the 80-move part goes through the dense table; each
-        # complement merges two of the three pairs. Rewards in eighths sum exactly
-        # in any order, so only the move pairs could make the fits differ.
+        # parts are sorted and the 80-move part goes through the dense table, so each
+        # complement is the total of the three pairs less its own. Rewards in eighths
+        # sum exactly in any order, so only the move pairs could make the fits differ.
         uneven = uneven_dataset(43, seed=9)
         data = LoggedDataset(states=uneven.states, actions=uneven.actions,
                              rewards=np.round(uneven.rewards * 8) / 8)

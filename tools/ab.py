@@ -61,7 +61,12 @@ name (every import inside the package is relative) and runs each operation
   ``sample_dataset`` calls of 50,000 trajectories from one generator (seed 7);
 - ``chunk``: ``chunk_8x1000``, one stacked chunk of the MSE study,
   ``mdp._sample`` of 1,000 trajectories for each of the eight children of
-  seed 9.
+  seed 9;
+- ``crossfit``: ``inmem_5e5_k5``, the count and cross-fit layer of
+  ``estimate_inmem_5e5``: ``nuisance._count`` of the rows of ``setup_10x50k``
+  (500,000 trajectories) and ``nuisance._cross_fits`` of their five folds (drawn
+  with seed 7), their row sets built as ``_estimate`` builds them, outside the
+  timed call; the counts and every fit are digested.
 
 Each tree builds its own lift. The report gives per operation the summary of
 each call's milliseconds, with no verdict (an operation has no bound, and
@@ -245,11 +250,15 @@ def load_tree(tree: Path, side: str, bench: bool) -> tuple:
         sys.modules.update(shadowed)
 
 
+def noisy_config(ope):
+    """The noisy-nuisance config, read by ``ope``."""
+    return ope.experiments.experiment_config_from_dict(json.loads(CONFIG.read_text()),
+                                                       base_dir=CONFIG.parent)
+
+
 def scenario(ope) -> tuple:
     """The lift of the noisy-nuisance config and its behavior policy, built by ``ope``."""
-    config = ope.experiments.experiment_config_from_dict(json.loads(CONFIG.read_text()),
-                                                         base_dir=CONFIG.parent)
-    return ope.experiments._scenario(config)[:2]
+    return ope.experiments._scenario(noisy_config(ope))[:2]
 
 
 def datasets(ope) -> dict:
@@ -305,6 +314,23 @@ def chunk_8x1000(ope, lifted, behavior) -> tuple:
     return ope.mdp._sample(lifted, behavior, SIZES["chunk"], rngs), rngs
 
 
+def crossfit_call(ope, columns: list):
+    """A call of ``ope``'s count of the rows ``columns`` (states, actions, rewards),
+    each (1, n, T+1), and its cross-fits of their five folds, under the lift's
+    evaluation policy; the rows and folds are built before the call."""
+    config = noisy_config(ope)
+    evaluation = ope.experiments._scenario(config)[2]
+    rows = ope.estimators._cells(columns[0], columns[1], evaluation), columns[2]
+    folds = ope.nuisance._folds(rows[0].shape[1], 5, [np.random.default_rng(SEED)])
+    parts = ope.estimators._fold_rows(rows, folds)
+
+    def call():
+        return (ope.nuisance._count(*rows, evaluation),
+                list(ope.nuisance._cross_fits(parts, evaluation, config.effective_discount,
+                                              None, config.smoothing_alpha)))
+    return call
+
+
 def cases(op: str, trees: dict, tmp: Path) -> dict:
     """Per case of ``op``: a call per side that returns the output to digest, and a
     check per side of that output, or None."""
@@ -347,6 +373,13 @@ def cases(op: str, trees: dict, tmp: Path) -> dict:
         return {name: ({side: functools.partial(getattr(ope, loader), tmp / f"{name}.json")
                         for side, ope in packages.items()}, None)
                 for name, (loader, _) in files.items()}
+    if op == "crossfit":
+        change = packages["change"]
+        data = setup_10x50k(change, *scenario(change))[0]
+        columns = [np.concatenate([getattr(d, f) for d in data])[None]
+                   for f in ("states", "actions", "rewards")]
+        return {"inmem_5e5_k5": ({side: crossfit_call(ope, columns)
+                                  for side, ope in packages.items()}, None)}
     shape = setup_10x50k if op == "sample" else chunk_8x1000
     return {shape.__name__: ({side: functools.partial(shape, ope, *scenario(ope))
                               for side, ope in packages.items()}, None)}
@@ -438,7 +471,8 @@ def main() -> int:
     o.add_argument("parent", type=Path)
     o.add_argument("change", type=Path)
     o.add_argument("--op", nargs="+", required=True,
-                   choices=WORKLOADS + ["write", "ingest", "load", "sample", "chunk"])
+                   choices=WORKLOADS + ["write", "ingest", "load", "sample", "chunk",
+                                        "crossfit"])
     o.add_argument("--rounds", type=positive, default=15)
     args = parser.parse_args()
     return pairs(args) if args.mode == "pairs" else ops(args)
