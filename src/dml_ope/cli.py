@@ -110,12 +110,12 @@ def _cmd_evaluate(args) -> None:
     check_unit_interval(args.discount, "--discount")
     check_level(args.level, "--level")
     check_finite_nonnegative(args.alpha, "--alpha")
+    names = tuple(args.estimator) if args.estimator else ("dml",)
+    check_estimator_names(names, "--estimator")
     data = ingest_jsonl(args.data)
     check_folds(args.folds, data.n, "--folds")
     eval_policy = load_policy(args.eval_policy)
     behavior = load_policy(args.behavior_policy) if args.behavior_policy else None
-    names = tuple(args.estimator) if args.estimator else ("dml",)
-    check_estimator_names(names, "--estimator")
     results = evaluate_dataset(
         data,
         eval_policy,

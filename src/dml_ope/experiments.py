@@ -15,8 +15,9 @@ sets, each replication with its own generator, folds and estimator streams,
 so every replication's estimates are those of ``evaluate_dataset`` on its
 dataset. A replication's arrays are its rows, n per step, and its (S, A)
 tables, S*A cells per step, so the budget bounds a chunk's arrays at
-ROW_BUDGET cells per step, whatever n and S*A; a cross-fit complement merges
-its move counts by sorting them, or in one replication's S*A*S table at a time.
+ROW_BUDGET cells per step, whatever n and S*A; a cross-fit complement's move
+counts are the other folds' sorted and summed, or the chunk's total in one dense
+table, of at most 48 bytes per move, less its own fold's.
 """
 from __future__ import annotations
 
@@ -128,65 +129,49 @@ def _field_texts(column: np.ndarray, suffix: str, cells: int) -> tuple:
     return np.array((text[1:-1] + suffix).split("\n"), dtype=object), inverse
 
 
-def _repeated_steps(texts: list, inverses: list, cells: int) -> tuple | None:
-    """Each distinct ``(s, a, r, p)`` step's text and each cell's index among them,
-    if at most half the block's ``cells`` are distinct steps, else None. A step's
-    key is its fields' indices in mixed radix, formed only if every key fits in
-    int64; the distinct keys are found by offset while they span at most
-    ``4 * cells`` integers."""
-    counts = [len(x) for x in texts]
-    if 2 * max(counts) > cells or math.prod(counts) > 2**63:
-        return None
-    key = inverses[0]
-    for count, inverse in zip(counts[1:], inverses[1:]):
+def _step_texts(fields: list, cells: int) -> tuple:
+    """The distinct texts of the block's ``fields`` joined cell by cell, each
+    distinct ``(s, a, r, p)`` step's, and each cell's index among them, given each
+    field's distinct texts and its cells' indices. A cell's key is its fields'
+    indices in mixed radix, and the distinct keys are found by offset while they
+    span at most ``4 * cells`` integers. Where the fields' distinct counts multiply
+    past 2**63, so that no int64 key holds them, the first two fields are joined
+    first, by a key below ``cells**2``."""
+    counts = [len(text) for text, _ in fields]
+    if math.prod(counts) > 2**63:
+        return _step_texts([_step_texts(fields[:2], cells), *fields[2:]], cells)
+    key = fields[0][1]
+    for count, (_, inverse) in zip(counts[1:], fields[1:]):
         key = key * count + inverse
     keys, inverse = _distinct(key, 4 * cells)
-    if 2 * len(keys) > cells:
-        return None
-    indices = []
-    for count in reversed(counts):
+    steps = ""
+    for count, (text, _) in zip(counts[::-1], fields[::-1]):
         keys, index = np.divmod(keys, count)
-        indices.append(index)
-    s, a, r, p = (x[k] for x, k in zip(texts, indices[::-1]))
-    return s + a + r + p, inverse
+        steps = text[index] + steps
+    return steps, inverse
 
 
 def _jsonl_blocks(states, actions, rewards, propensities):
     """Yield the text of each block of ``_WRITE_BLOCK_ROWS`` rows, a line per row,
     json.dumps of its {"steps": [{"s", "a", "r", "p"}, ...]} object, ``p`` null
     without propensities. A block's field values take one json.dumps per field,
-    of its distinct values (``_field_texts``). Where at most half the block's cells
-    are distinct steps (``_repeated_steps``), each distinct step's text is joined
-    once and a row takes 2 pieces per step, a separator and the step; else 5, the
-    separator and the step's four field texts. The block is one join of a
-    ``(rows, pieces)`` array whose separators are kept across blocks."""
+    of its distinct values (``_field_texts``); each distinct step's text is joined
+    once (``_step_texts``), and a row takes 2 pieces per step, a separator and the
+    step. The block is one join of a ``(rows, 2 * width + 1)`` array whose
+    separators are kept across blocks."""
     rows, width = min(len(states), _WRITE_BLOCK_ROWS), states.shape[1]
-    layouts = {}  # pieces per step -> the (rows, pieces) array, made when first used
-    fields = (states, actions, rewards, propensities)[:4 - (propensities is None)]
+    pieces = np.empty((rows, 2 * width + 1), dtype=object)
+    pieces[:, 0], pieces[:, 2:-1:2], pieces[:, -1] = _LINE_START, _STEP_START, _LINE_END
+    fields, suffixes = (states, actions, rewards, propensities), _FIELD_SUFFIXES
+    if propensities is None:  # the null follows each reward
+        fields, suffixes = fields[:3], (*suffixes[:2], suffixes[2] + "null}")
     for start in range(0, len(states), _WRITE_BLOCK_ROWS):
         columns = [x[start:start + _WRITE_BLOCK_ROWS] for x in fields]
         n = len(columns[0])
-        texts, inverses = [], []
-        for column, suffix in zip(columns, _FIELD_SUFFIXES):
-            text, inverse = _field_texts(column, suffix, n * width)
-            texts.append(text)
-            inverses.append(inverse)
-        if propensities is None:
-            texts.append(np.array(["null}"], dtype=object))
-            inverses.append(np.zeros(n * width, np.intp))
-        steps = _repeated_steps(texts, inverses, n * width)
-        size = 5 if steps is None else 2
-        if size not in layouts:
-            pieces = layouts[size] = np.empty((rows, size * width + 1), dtype=object)
-            pieces[:, 0], pieces[:, size:-1:size], pieces[:, -1] = (
-                _LINE_START, _STEP_START, _LINE_END)
-        block = layouts[size][:n]
-        if steps is None:
-            for k, (text, inverse) in enumerate(zip(texts, inverses)):
-                block[:, k + 1::5] = text[inverse].reshape(n, width)
-        else:
-            block[:, 1::2] = steps[0][steps[1]].reshape(n, width)
-        yield "".join(block.ravel().tolist())
+        steps, inverse = _step_texts([_field_texts(column, suffix, n * width)
+                                      for column, suffix in zip(columns, suffixes)], n * width)
+        pieces[:n, 1::2] = steps[inverse].reshape(n, width)
+        yield "".join(pieces[:n].ravel().tolist())
 
 
 def write_jsonl(data: LoggedDataset, path: str | Path) -> None:
@@ -676,21 +661,22 @@ def experiment_config_from_dict(obj: dict, base_dir: Path | None = None) -> Expe
         raise ValidationError("nuisance.behavior_policy must be 'known' or 'estimated'")
     noise = obj.get("noise_states", {})
     check_keys(noise, {"count", "seed"}, "noise_states")
-    # The seeds and the smoothing are checked before any MDP or policy file is read.
+    # The seeds, smoothing and estimators are checked before any MDP or policy file is read.
     seed = json_field(obj, "seed", where, int, 0)
     check_at_least(seed, 0, f"{where}: 'seed'")
     alpha = json_field(nuisance_obj, "smoothing_alpha", "nuisance config", default=0.5)
     check_finite_nonnegative(alpha, "nuisance config: 'smoothing_alpha'")
     noise_seed = json_field(noise, "seed", "noise_states", int, 0)
     check_at_least(noise_seed, 0, "noise_states: 'seed'")
-    base = base_dir or Path(".")
-    mdp = _load_component(obj, "mdp", base, load_mdp, mdp_from_dict)
-    behavior, evaluation = (_load_component(obj, key, base, load_policy, policy_from_dict)
-                            for key in ("behavior_policy", "evaluation_policy"))
     estimators = obj.get("estimators", [Estimator.DML.value])
     if not isinstance(estimators, list):
         raise ValidationError(f"{where}: 'estimators' must be an array of estimator names, "
                               f"got {json.dumps(estimators)}")
+    check_estimator_names(estimators, f"{where}: 'estimators'")
+    base = base_dir or Path(".")
+    mdp = _load_component(obj, "mdp", base, load_mdp, mdp_from_dict)
+    behavior, evaluation = (_load_component(obj, key, base, load_policy, policy_from_dict)
+                            for key in ("behavior_policy", "evaluation_policy"))
     return ExperimentConfig(
         mdp=mdp,
         behavior_policy=behavior,

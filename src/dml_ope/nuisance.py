@@ -14,11 +14,13 @@ the Q recursion is defined everywhere. A fit is the record ``(behavior, q)``.
 Transition counts are a move pair: the sorted flat indices ``(s*A + a)*S + s'``
 of the observed moves and their int64 counts, sorted by ``np.unique`` while
 ``moves * SORT_DIVISOR < S*A*S``, else in one dense table, whose row sums count
-the visits of all but the last step. A complement's pair is the others' merged by
-that rule, or, if a part took a dense table, all the parts' total less its own. The Q
-recursion runs over the pair, so a step costs at most min(n*T, S*A*S)
-operations; a cell without moves takes the mean of the next step's values,
-the uniform row.
+the visits of all but the last step. A complement of two or more parts takes
+its pair by that rule on all the parts' moves: the others' pairs sorted and
+summed, or the parts' total in one dense table less its own pair, the table
+that the count of all the rows builds. So no table holds more than
+SORT_DIVISOR * 8 = 48 bytes per move. The Q recursion runs over the pair, so a
+step costs at most min(n*T, S*A*S) operations; a cell without moves takes the
+mean of the next step's values, the uniform row.
 
 The private kernels (``_folds``, ``_count``, ``_cross_fits``, ``_fit``, ``_q_tables``)
 take R stacked row sets (R, n, T+1), one per replication, whose cell indices are
@@ -237,19 +239,21 @@ def _cross_fits(parts: list, eval_policy: Policy, discount: float,
                 known_behavior: Policy | None, alpha: float):
     """For each of ``parts``, two or more stacked row sets of one horizon, the
     ``_fit`` on the others: each part is counted once, and a complement's tables
-    are the others' summed in part order, its move pair theirs merged, or the
-    total of all the pairs less its own where a part took a dense table."""
+    are the others' summed in part order. Its move pair is the total of all the
+    pairs less its own where there are more than two parts and their moves take
+    ``_count``'s dense route together, so the total's table is the one the count
+    of all the rows builds; else the others' pairs merged."""
     reps, _, steps = parts[0][0].shape
-    size = eval_policy.table.size * eval_policy.num_states
+    size = reps * eval_policy.table.size * eval_policy.num_states
     tables, pairs = zip(*(_count(*part, eval_policy) for part in parts))
     total = None
-    if len(parts) > 2 and max(sa[..., 1:].size for sa, _ in parts) * SORT_DIVISOR >= reps * size:
-        total = np.zeros(reps * size, dtype=np.int64)  # no larger than that part's table
+    if len(parts) > 2 and sum(sa[..., 1:].size for sa, _ in parts) * SORT_DIVISOR >= size:
+        total = np.zeros(size, dtype=np.int64)
         for idx, counts in pairs:
             total[idx] += counts
     for k, (idx, counts) in enumerate(pairs):
         if total is None:
-            moves = _merge(pairs[:k] + pairs[k + 1:], size, reps)
+            moves = _merge(pairs[:k] + pairs[k + 1:])
         else:  # exact: the counts are integers, and a pair's indices distinct
             total[idx] -= counts
             moves = _nonzero(total)
@@ -258,33 +262,16 @@ def _cross_fits(parts: list, eval_policy: Policy, discount: float,
                    moves, steps - 1, eval_policy, discount, known_behavior, alpha)
 
 
-def _merge(pairs: tuple, size: int, reps: int = 1) -> tuple:
-    """The move pair of the sum of ``pairs`` of ``reps`` stacked replications:
-    one pair as it is; more, by ``_count``'s size rule, sorted and summed per
-    index, or added into one int64 table of ``size`` cells, a replication at a
-    time, which is exact as each pair's indices are distinct. The table is one
-    replication's, so a chunk's merge needs no more memory."""
+def _merge(pairs: tuple) -> tuple:
+    """The move pair of the sum of ``pairs``: one pair as it is; more, sorted and
+    summed per index."""
     if len(pairs) == 1:
         return pairs[0]
-    if sum(len(i) for i, _ in pairs) * SORT_DIVISOR < reps * size:
-        idx, counts = (np.concatenate(column) for column in zip(*pairs))
-        order = np.argsort(idx)
-        idx, counts = idx[order], counts[order]
-        first = np.flatnonzero(np.diff(idx, prepend=-1))
-        return idx[first], np.add.reduceat(counts, first)
-    cuts = [np.searchsorted(i, np.arange(reps + 1) * size) for i, _ in pairs]
-    dense = np.empty(size, dtype=np.int64)
-    idx, counts = [], []
-    for r in range(reps):
-        dense.fill(0)
-        for (i, c), cut in zip(pairs, cuts):
-            at = slice(cut[r], cut[r + 1])
-            dense[i[at] - r * size] += c[at]
-        found, found_counts = _nonzero(dense)
-        found += r * size
-        idx.append(found)
-        counts.append(found_counts)
-    return np.concatenate(idx), np.concatenate(counts)
+    idx, counts = (np.concatenate(column) for column in zip(*pairs))
+    order = np.argsort(idx)
+    idx, counts = idx[order], counts[order]
+    first = np.flatnonzero(np.diff(idx, prepend=-1))
+    return idx[first], np.add.reduceat(counts, first)
 
 
 def _nonzero(dense: np.ndarray) -> tuple:

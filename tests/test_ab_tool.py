@@ -23,7 +23,7 @@ def run_ops(monkeypatch, capsys):
     """``ops`` of this tree against ``change``, one round at small sizes: its exit
     code, its report and its standard error."""
     monkeypatch.setattr(ab, "SIZES", {"bench": 300, "distinct": 50, "long": 20, "setup": 500,
-                                      "chunk": 50})
+                                      "chunk": 50, "lift": 400})
 
     def run(change: Path, ops: list) -> tuple:
         code = ab.ops(argparse.Namespace(parent=ROOT, change=change, op=ops, rounds=1))
@@ -123,8 +123,27 @@ def test_crossfit_digests_the_counts_and_every_fit(tmp_path, run_ops):
     code, report, err = run_ops(tmp_path, ["crossfit"])
     assert code == 1
     assert "crossfit" in err
-    assert list(report["crossfit"]) == ["inmem_5e5_k5"]
-    assert not report["crossfit"]["inmem_5e5_k5"]["equal"]
+    assert list(report["crossfit"]) == ["inmem_5e5_k5", "lift_40k_k5"]
+    assert not any(r["equal"] for r in report["crossfit"].values())
+
+
+def test_crossfit_lift_40k_k5_counts_each_fold_sorted_and_their_total_dense(monkeypatch):
+    # The band where no part's own count builds a dense table, but each complement
+    # is the parts' dense total less its own part: no pairs are merged by sorting.
+    ope, _ = ab.load_tree(ROOT, "change", False)
+    lifted, behavior = ab.scenario(ope)
+    data = [ope.sample_dataset(lifted, behavior, ab.SIZES["lift"], np.random.default_rng(ab.SEED))]
+    config, evaluation, _, parts = ab.crossfit_rows(ope, ab.columns(data))
+    size = evaluation.table.size * evaluation.num_states
+    moves = [sa[..., 1:].size for sa, _ in parts]
+    assert len(parts) == 5 and ab.SIZES["lift"] == 40_000
+    assert max(moves) * ope.nuisance.SORT_DIVISOR < size <= sum(moves) * ope.nuisance.SORT_DIVISOR
+    merged = []
+    merge = ope.nuisance._merge
+    monkeypatch.setattr(ope.nuisance, "_merge", lambda pairs: merged.append(pairs) or merge(pairs))
+    fits = list(ope.nuisance._cross_fits(parts, evaluation, config.effective_discount, None,
+                                         config.smoothing_alpha))
+    assert len(fits) == 5 and merged == []
 
 
 def test_only_the_last_line_is_respaced():

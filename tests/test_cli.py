@@ -224,6 +224,16 @@ class TestEvaluate:
         assert code == 1
         assert "--estimator: unknown estimator 'magic'" in err
 
+    def test_an_unknown_estimator_is_named_before_any_file_is_read(self, workspace, capsys):
+        # The data and policy files are missing: the name error comes first.
+        code, out, err = run(
+            capsys, "evaluate", "--data", str(workspace / "nope.jsonl"),
+            "--eval-policy", str(workspace / "nope.json"),
+            "--discount", "0.9", "--estimator", "dmll",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --estimator: unknown estimator 'dmll'\n"
+
     def test_repeated_estimator_flag_exits_1(self, workspace, capsys):
         data = self.simulate(workspace, n=10)
         code, out, err = run(
@@ -501,12 +511,15 @@ class TestExperiment:
         ({"mdp": {**_MDP, "rewards": [[{"support": [1.0]}, _MDP["rewards"][0][1]],
                                       *_MDP["rewards"][1:]]}},
          "rewards\\[0\\]\\[0\\] needs numeric 'support' and 'probs'"),
-        # A negative seed is rejected before any file is read: the MDP file is missing.
+        # A negative seed, a bad smoothing and an unknown estimator are rejected before
+        # any file is read: the MDP file is missing.
         ({"seed": -1, "mdp": "nope.json"}, "experiment config: 'seed' must be >= 0, got -1"),
         ({"noise_states": {"count": 2, "seed": -1}, "mdp": "nope.json"},
          "noise_states: 'seed' must be >= 0, got -1"),
         ({"nuisance": {"smoothing_alpha": -1}, "mdp": "nope.json"},
          "nuisance config: 'smoothing_alpha' must be finite and >= 0, got -1.0"),
+        ({"estimators": ["dmll"], "mdp": "nope.json"},
+         "experiment config: 'estimators': unknown estimator 'dmll'"),
         # A component file that does not exist is named by its key and its path.
         ({"mdp": "x"}, r"config\.json: experiment config: 'mdp': no file at \S*/x\n"),
         ({"behavior_policy": "x"},
@@ -523,7 +536,7 @@ class TestExperiment:
             "one_fold_ipw_only", "zero_replications", "fewer_trajectories_than_folds",
             "number_mdp", "string_mdp_rewards", "short_mdp_rewards_row",
             "mdp_reward_cell_without_probs", "negative_seed", "negative_noise_seed",
-            "negative_smoothing_alpha",
+            "negative_smoothing_alpha", "unknown_estimator_before_missing_mdp",
             "missing_mdp_file", "missing_behavior_file", "missing_evaluation_file"])
     def test_malformed_config_exits_1_naming_the_key(self, workspace, capsys, change, match):
         path = self.small_config(workspace, **change)

@@ -175,30 +175,18 @@ class TestJsonlRoundTrip:
                 assert got.tobytes() == want.tobytes()
 
     @staticmethod
-    def _round_trip(data: LoggedDataset, path: Path) -> list:
+    def _round_trip(data: LoggedDataset, path: Path) -> None:
         """Write ``data`` to ``path``, check that each line is json.dumps of its row and
-        that the fast path reads the file back to ``data``; per block, whether the
-        writer joined step pieces."""
-        layouts = []
-        repeated_steps = experiments._repeated_steps
-
-        def spy(*args):
-            steps = repeated_steps(*args)
-            layouts.append(steps is not None)
-            return steps
-
+        that the fast path reads the file back to ``data``."""
+        write_jsonl(data, path)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(experiments, "_repeated_steps", spy)
-            write_jsonl(data, path)
             mp.setattr(experiments, "_ingest_lines", TestCanonicalIngest._refuse)
             lines, expected = path.read_text().splitlines(), json_dumps_lines(data).splitlines()
             differ = [k for k, (x, y) in enumerate(zip(lines, expected), 1) if x != y]
             assert len(lines) == len(expected) and not differ, f"lines {differ[:5]} differ"
             assert arrays_digest(ingest_jsonl(path)) == arrays_digest(data)
-        return layouts[:-(-len(data.states) // experiments._WRITE_BLOCK_ROWS)]
 
-    def test_a_file_of_repeated_then_distinct_steps_takes_both_layouts(self, tmp_path,
-                                                                      monkeypatch):
+    def test_a_file_of_repeated_then_distinct_steps(self, tmp_path, monkeypatch):
         # Block 1 holds 2 distinct steps in 32 cells; block 2 holds 32 distinct values
         # in every field, more than half its cells.
         monkeypatch.setattr(experiments, "_WRITE_BLOCK_ROWS", 8)
@@ -207,7 +195,7 @@ class TestJsonlRoundTrip:
         rewards = np.r_[np.tile([-0.0, 0.5], 16), np.linspace(-1e300, 1e-300, 32)]
         props = np.r_[np.tile([1.0, 5e-324], 16), np.arange(1, 33) / 33]
         data = LoggedDataset(*(x.reshape(16, 4) for x in (states, actions, rewards, props)))
-        assert self._round_trip(data, tmp_path / "d.jsonl") == [True, False]
+        self._round_trip(data, tmp_path / "d.jsonl")
 
     @pytest.mark.parametrize("beyond", [-1, 0, 1], ids=["one_less", "equal", "one_more"])
     def test_an_id_range_at_the_block_cells(self, tmp_path, beyond):
@@ -239,6 +227,24 @@ class TestJsonlRoundTrip:
                                               data.propensities)]
         assert max(counts) <= rows * width // 2 and math.prod(counts) > 2**63
         self._round_trip(data, tmp_path / "d.jsonl")
+
+    def test_a_block_of_distinct_steps_whose_step_key_would_pass_int64(self, tmp_path):
+        # tools/ab.py's long_64 shape at the fewest 64-step rows whose fields' distinct
+        # counts multiply past 2**63: every label, reward and propensity is distinct, so
+        # no step repeats and no int64 key holds the steps.
+        rows, width = 862, 64
+        rng = np.random.default_rng(5)
+        labels = rng.choice(2**62, size=(2, rows, width), replace=False)
+        data = LoggedDataset(labels[0], labels[1], rng.standard_normal((rows, width)),
+                             rng.uniform(0.01, 1.0, (rows, width)))
+        counts = [len(np.unique(x)) for x in (data.states, data.actions, data.rewards,
+                                              data.propensities)]
+        assert counts == [rows * width] * 4
+        assert ((rows - 1) * width)**4 < 2**63 < math.prod(counts)
+        path = tmp_path / "d.jsonl"
+        write_jsonl(data, path)
+        assert path.read_text() == json_dumps_lines(data)
+        assert arrays_digest(ingest_jsonl(path)) == arrays_digest(data)
 
     def test_write_then_ingest(self, tmp_path):
         mdp = three_state_mdp()
@@ -1281,8 +1287,8 @@ class TestStackedReplications:
         # 64 replications run in chunks of ROW_BUDGET // max(n, S*A): of 8 at
         # n=1,000, and of 17 at n=10 on the lift's 480 cells, where the (S, A)
         # tables, not the rows, size a replication. A 5-fold complement merges its
-        # move counts in one replication's S*A*S table at a time. So 64 peak no
-        # higher than 8 do, beyond their list of estimates and 9 more
+        # folds' few move counts by sorting them, with no S*A*S table. So 64 peak
+        # no higher than 8 do, beyond their list of estimates and 9 more
         # replications' tables.
         with open(NOISY_CONFIG) as fh:
             config = experiment_config_from_dict(json.load(fh), base_dir=NOISY_CONFIG.parent)

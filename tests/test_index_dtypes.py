@@ -68,7 +68,6 @@ class TestIndexDtypes:
         monkeypatch.setattr(nuisance, "SORT_DIVISOR", ROUTES[route])
         monkeypatch.setattr(nuisance, "INDEX_LIMIT", limit)
         _, _, evaluation, data = lift_rows(300, 7)
-        size = evaluation.table.size * evaluation.num_states
         stacked = np.stack([data.states] * 3), np.stack([data.actions] * 3)
         sa = _cells(*stacked, evaluation)
         assert sa.dtype == (np.int32 if limit else np.int64)
@@ -80,7 +79,7 @@ class TestIndexDtypes:
         monkeypatch.setattr(nuisance, "_fit", lambda tables, moves, *_: complements.append(moves))
         list(nuisance._cross_fits(parts, evaluation, 0.9, None, 0.5))
         assert len(complements) == 3
-        for idx, counts in pairs + [_merge(tuple(pairs), size, 3)] + complements:
+        for idx, counts in pairs + [_merge(tuple(pairs))] + complements:
             assert idx.dtype == np.int64 and counts.dtype == np.int64
 
     def test_public_indices_stay_int64(self):
@@ -99,7 +98,7 @@ class TestIndexDtypes:
 
         The rows pass through the cells (0, 0), (S-1, 1) and (0, 1), so the moves
         reach the last flat index S*A*S - 1. A few rows take the sorted route;
-        the dense route's and ``_merge``'s S*A*S int64 tables would take 16 GiB.
+        the dense route's S*A*S int64 table would take 16 GiB.
         """
         top = num_states - 1
         states = np.array([[0, 0, top, top, 0]])

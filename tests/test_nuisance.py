@@ -674,11 +674,10 @@ class TestMovePairs:
     def test_merge_is_the_dense_sum(self, drawn):
         num_states, num_actions, parts = drawn
         policy = action_zero(num_states, num_actions)
-        pairs = tuple(_count(*stacked([p], policy), policy)[1] for p in parts)
         for divisor in ROUTES.values():
             with mock.patch.object(nuisance, "SORT_DIVISOR", divisor):
-                merged = _merge(pairs, num_states * num_actions * num_states)
-            assert_pairs_equal(merged, dense_pair(parts, num_states, num_actions))
+                pairs = tuple(_count(*stacked([p], policy), policy)[1] for p in parts)
+            assert_pairs_equal(_merge(pairs), dense_pair(parts, num_states, num_actions))
 
     @settings(deadline=None)
     @given(keyed_parts())
@@ -688,20 +687,20 @@ class TestMovePairs:
         num_states, num_actions, parts = drawn
         policy = action_zero(num_states, num_actions)
         size = num_states * num_actions * num_states
-        pairs = [_count(*stacked([p], policy), policy)[1] for p in parts]
         m = len(parts)
 
         def stack(blocks):
             return tuple(np.concatenate(column) for column in zip(*blocks))
 
-        shifted = tuple(stack([(pairs[(k + r) % m][0] + r * size, pairs[(k + r) % m][1])
-                               for r in range(m)]) for k in range(m - 1))
         own = [dense_pair([parts[(k + r) % m] for k in range(m - 1)], num_states, num_actions)
                for r in range(m)]
         want = stack([(idx + r * size, counts) for r, (idx, counts) in enumerate(own)])
         for divisor in ROUTES.values():
             with mock.patch.object(nuisance, "SORT_DIVISOR", divisor):
-                assert_pairs_equal(_merge(shifted, size, m), want)
+                pairs = [_count(*stacked([p], policy), policy)[1] for p in parts]
+            shifted = tuple(stack([(pairs[(k + r) % m][0] + r * size, pairs[(k + r) % m][1])
+                                   for r in range(m)]) for k in range(m - 1))
+            assert_pairs_equal(_merge(shifted), want)
 
     @settings(deadline=None)
     @given(replicated_parts())
@@ -770,6 +769,29 @@ class TestMovePairs:
             for got, want in zip(TestCountTables.tables(fit), TestCountTables.tables(ref)):
                 assert np.array_equal(got, want)
         for merged, counted in complement_moves(data, folds, evaluation):
+            assert_pairs_equal(merged, counted)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_sorted_parts_whose_total_reaches_the_rule_match_per_fold_fits(self, k):
+        # 5 states, 2 actions: 50 cells. Under SORT_DIVISOR = 6 each part's 8 moves
+        # count sorted (48 < 50), but the k parts' 8k moves reach the rule, so each
+        # complement is the total of the k pairs less its own. Rewards in eighths sum
+        # exactly in any order, so only the move pairs could make the fits differ.
+        uneven = uneven_dataset(4 * k, seed=11)
+        data = LoggedDataset(states=uneven.states, actions=uneven.actions,
+                             rewards=np.round(uneven.rewards * 8) / 8)
+        evaluation = random_policy(np.random.default_rng(12), 5, 2)
+        folds = tuple(np.arange(4 * j, 4 * j + 4) for j in range(k))
+        moves = [f.size * data.horizon for f in folds]
+        assert nuisance.SORT_DIVISOR == 6 and moves == [8] * k
+        assert max(moves) * 6 < 50 <= sum(moves) * 6
+        fits = fit_nuisances([select(data, f) for f in folds], evaluation, 0.9)
+        for fit, ref in zip(fits, fit_per_fold(data, folds, evaluation, 0.9), strict=True):
+            for got, want in zip(TestCountTables.tables(fit), TestCountTables.tables(ref)):
+                assert np.array_equal(got, want)
+        for j, (merged, counted) in enumerate(complement_moves(data, folds, evaluation)):
+            others = [select(data, f) for f in folds[:j] + folds[j + 1:]]
+            assert_pairs_equal(merged, dense_pair(others, 5, 2))
             assert_pairs_equal(merged, counted)
 
     def test_small_fit_builds_no_dense_move_table(self):
@@ -855,8 +877,7 @@ class TestMovePairForm:
             for pair, count in zip(pairs, moves):
                 self.assert_form(pair, reps * size, count)
             for m in range(2, len(parts) + 1):
-                self.assert_form(_merge(tuple(pairs[:m]), size, reps), reps * size,
-                                 sum(moves[:m]))
+                self.assert_form(_merge(tuple(pairs[:m])), reps * size, sum(moves[:m]))
 
 
 class TestStackedFits:

@@ -41,8 +41,9 @@ name (every import inside the package is relative) and runs each operation
   under its behavior policy, seed 7, with propensities), and of
   ``distinct_5k_p`` and ``distinct_5k``, 5,000 x 4 cells in which every label,
   reward and propensity is distinct, with and without propensities, and of
-  ``long_64``, one block of 4,096 x 64 such cells with propensities (the
-  writer's worst layout: no step repeats, and every field's text is its own);
+  ``long_64``, one block of 4,096 x 64 such cells with propensities (no step
+  repeats, and the fields' distinct counts multiply past 2**63, so that no one
+  int64 key holds a step);
 - ``ingest``: ``ingest_jsonl`` of those four files, written by the change
   tree, but with ``long_64``'s rewards and propensities rounded to 1 and 2
   decimals: its steps stay distinct, and its few distinct float texts let the
@@ -66,7 +67,9 @@ name (every import inside the package is relative) and runs each operation
   ``estimate_inmem_5e5``: ``nuisance._count`` of the rows of ``setup_10x50k``
   (500,000 trajectories) and ``nuisance._cross_fits`` of their five folds (drawn
   with seed 7), their row sets built as ``_estimate`` builds them, outside the
-  timed call; the counts and every fit are digested.
+  timed call; the counts and every fit are digested. ``lift_40k_k5`` is the
+  same of 40,000 trajectories of the lift (seed 7), whose 8,000-row folds each
+  count sorted while their total takes the dense route.
 
 Each tree builds its own lift. The report gives per operation the summary of
 each call's milliseconds, with no verdict (an operation has no bound, and
@@ -99,7 +102,8 @@ WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 CONFIG = ROOT / "configs" / "noisy_nuisance.json"
 SIDES = ("parent", "change")
 SEED = 7
-SIZES = {"bench": 25_000, "distinct": 5_000, "long": 4_096, "setup": 50_000, "chunk": 1_000}
+SIZES = {"bench": 25_000, "distinct": 5_000, "long": 4_096, "setup": 50_000, "chunk": 1_000,
+         "lift": 40_000}
 STDERR_LINES = 20
 OP_MS = {"better": "lower", "bound": None}  # an operation's wall time
 
@@ -314,15 +318,28 @@ def chunk_8x1000(ope, lifted, behavior) -> tuple:
     return ope.mdp._sample(lifted, behavior, SIZES["chunk"], rngs), rngs
 
 
-def crossfit_call(ope, columns: list):
-    """A call of ``ope``'s count of the rows ``columns`` (states, actions, rewards),
-    each (1, n, T+1), and its cross-fits of their five folds, under the lift's
-    evaluation policy; the rows and folds are built before the call."""
+def columns(data: list) -> list:
+    """The states, actions and rewards of the datasets ``data``, each joined as one
+    (1, n, T+1) array."""
+    return [np.concatenate([getattr(d, f) for d in data])[None]
+            for f in ("states", "actions", "rewards")]
+
+
+def crossfit_rows(ope, columns: list) -> tuple:
+    """The noisy-nuisance config and lift's evaluation policy, read by ``ope``, the
+    row set of ``columns`` under that policy, and its five folds' row sets, drawn
+    with seed ``SEED``, as ``_estimate`` builds them."""
     config = noisy_config(ope)
     evaluation = ope.experiments._scenario(config)[2]
     rows = ope.estimators._cells(columns[0], columns[1], evaluation), columns[2]
     folds = ope.nuisance._folds(rows[0].shape[1], 5, [np.random.default_rng(SEED)])
-    parts = ope.estimators._fold_rows(rows, folds)
+    return config, evaluation, rows, ope.estimators._fold_rows(rows, folds)
+
+
+def crossfit_call(ope, columns: list):
+    """A call of ``ope``'s count of the rows ``columns`` and its cross-fits of their
+    five folds (``crossfit_rows``, built before the call)."""
+    config, evaluation, rows, parts = crossfit_rows(ope, columns)
 
     def call():
         return (ope.nuisance._count(*rows, evaluation),
@@ -375,11 +392,12 @@ def cases(op: str, trees: dict, tmp: Path) -> dict:
                 for name, (loader, _) in files.items()}
     if op == "crossfit":
         change = packages["change"]
-        data = setup_10x50k(change, *scenario(change))[0]
-        columns = [np.concatenate([getattr(d, f) for d in data])[None]
-                   for f in ("states", "actions", "rewards")]
-        return {"inmem_5e5_k5": ({side: crossfit_call(ope, columns)
-                                  for side, ope in packages.items()}, None)}
+        lifted, behavior = scenario(change)
+        data = {"inmem_5e5_k5": setup_10x50k(change, lifted, behavior)[0],
+                "lift_40k_k5": [change.sample_dataset(lifted, behavior, SIZES["lift"],
+                                                      np.random.default_rng(SEED))]}
+        return {name: ({side: crossfit_call(ope, joined) for side, ope in packages.items()}, None)
+                for name, joined in zip(data, map(columns, data.values()))}
     shape = setup_10x50k if op == "sample" else chunk_8x1000
     return {shape.__name__: ({side: functools.partial(shape, ope, *scenario(ope))
                               for side, ope in packages.items()}, None)}
